@@ -1,0 +1,10 @@
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parent.parent
+if str(BENCH) not in sys.path:
+    sys.path.insert(0, str(BENCH))
+
+import checkout  # noqa: E402
+
+checkout.use_checkout_trcalc()
