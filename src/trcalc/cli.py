@@ -25,13 +25,12 @@ from .prosystem import (
     RefusedClassification,
     build_tower,
     image_exponent,
-    ml_bound,
     stabilized_images,
     tr_groups,
     tr_valuation,
 )
 from .report import Report, emit_report, format_alpha
-from .syntomic import AlphaBounds, Orbit, enumerate_orbits, h_other_degrees
+from .syntomic import AlphaBounds, Orbit, enumerate_orbits, h1_syntomic_orbit, h_other_degrees
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -192,8 +191,6 @@ def _run_transition(spec: JobSpec, report: Report) -> int:
             if v is None:
                 continue
             pf = TruncationParams(spec.p, f, spec.i)
-            from .syntomic import h1_syntomic_orbit
-
             h_f = h1_syntomic_orbit(pf, sm.orbit).module.h
             report.add_orbit(
                 m=sm.orbit.m,
@@ -282,12 +279,9 @@ def _verify_job(args: tuple) -> dict:
     p, e, i, m, alpha_entries, A, N = args
     params = TruncationParams(p, e, i)
     orbit = Orbit(m, MultiIndex(alpha_entries))
-    if A is not None or N is not None:
-        base = default_truncation(params, orbit)
-        trunc = OrbitTruncation(orbit, A if A is not None else base.A, N if N is not None else base.N)
-        cert = _verify_with_truncation(params, orbit, trunc)
-    else:
-        cert = verify_orbit(params, orbit)
+    base = default_truncation(params, orbit)
+    trunc = OrbitTruncation(orbit, base.A if A is None else A, base.N if N is None else N)
+    cert = verify_orbit(params, orbit, trunc)
     return {
         "i": i,
         "e": e,
@@ -300,27 +294,6 @@ def _verify_job(args: tuple) -> dict:
         "kernel_ok": cert.kernel_ok,
         "pass": cert.passed,
     }
-
-
-def _verify_with_truncation(params, orbit, trunc):
-    """verify_orbit with a user-pinned (A, N) instead of the defaults."""
-    from .oracle import (
-        OrbitCertificate,
-        build_orbit_matrices,
-        certify_kernel_generator,
-        oracle_cohomology,
-    )
-    from .syntomic import h1_syntomic_orbit
-
-    summand = h1_syntomic_orbit(params, orbit)
-    exps = oracle_cohomology(params, trunc, check_stability=True)
-    mats = build_orbit_matrices(params, trunc)
-    h = summand.module.h
-    degree_match = exps[0] == () and exps[2] == () and exps[1] == ((h,) if h else ())
-    kernel_ok = True
-    if summand.s >= 1 and h >= 1:
-        kernel_ok = certify_kernel_generator(params, trunc)
-    return OrbitCertificate(orbit, summand.s, h, exps, kernel_ok, mats.content_hash(), degree_match and kernel_ok)
 
 
 def _run_verify(spec: JobSpec, report: Report) -> int:
@@ -404,7 +377,10 @@ def _spec_from_args(args: argparse.Namespace) -> JobSpec:
     if args.slots:
         if args.alpha_num_max is None or args.alpha_pexp_max is None:
             raise ValidationError("--slots requires --alpha-num-max and --alpha-pexp-max")
-        bounds = AlphaBounds(tuple(args.slots), args.alpha_num_max, args.alpha_pexp_max)
+        try:
+            bounds = AlphaBounds(tuple(args.slots), args.alpha_num_max, args.alpha_pexp_max)
+        except ValueError as exc:
+            raise ValidationError(str(exc)) from None
     else:
         bounds = AlphaBounds()
     return JobSpec(
@@ -431,11 +407,15 @@ def main(argv: list[str] | None = None) -> int:
         print(f"trcalc: error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     data = emit_report(report, spec.format)
-    if spec.out:
+    if not spec.out:
+        sys.stdout.buffer.write(data)
+        return code
+    try:
         with open(spec.out, "wb") as fh:
             fh.write(data)
-    else:
-        sys.stdout.buffer.write(data)
+    except OSError as exc:
+        print(f"trcalc: error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     return code
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from itertools import product
 
 from .drw import TruncationParams, nygaard_exponents
 from .padic import brace, factorial_ratio
@@ -29,7 +30,7 @@ from .snf import (
     smith_normal_form,
     solve_in_lattice,
 )
-from .syntomic import Orbit, kernel_generator, s_function
+from .syntomic import Orbit, h1_syntomic_orbit, kernel_generator, s_function
 
 
 class OracleError(Exception):
@@ -244,13 +245,18 @@ def oracle_cohomology(
     degree, with an A -> A+1, N -> N+2 stability recheck by default."""
     result = fiber_cohomology(params, trunc).exponents(params.p)
     if check_stability:
-        bigger = OrbitTruncation(trunc.orbit, trunc.A + 1, trunc.N + 2)
-        again = fiber_cohomology(params, bigger).exponents(params.p)
-        if again != result:
-            raise TruncationInstabilityError(
-                f"cohomology changed under truncation growth: {result} vs {again}"
-            )
+        _check_stability(params, trunc, result)
     return result
+
+
+def _check_stability(params: TruncationParams, trunc: OrbitTruncation, result: dict[int, tuple[int, ...]]) -> None:
+    """Raise unless the grown truncation (A+1, N+2) gives the same exponents."""
+    bigger = OrbitTruncation(trunc.orbit, trunc.A + 1, trunc.N + 2)
+    again = fiber_cohomology(params, bigger).exponents(params.p)
+    if again != result:
+        raise TruncationInstabilityError(
+            f"cohomology changed under truncation growth: {result} vs {again}"
+        )
 
 
 def closed_form_kernel_cochain(params: TruncationParams, trunc: OrbitTruncation, fc: FiberCohomology) -> list[int]:
@@ -308,8 +314,6 @@ def _nonvanishing_combination(vecs: list[list[int]], width: int, p: int) -> list
                 coeff = [(a - f * b) % p for a, b in zip(coeff, bc)]
         if any(v):
             basis.append((v, coeff))
-    from itertools import product
-
     for combo in product(range(p), repeat=len(basis)):
         out = [0] * width
         for c, (bv, _) in zip(combo, basis):
@@ -368,12 +372,11 @@ def _unit_relaxed_kernel_cochain(
     return cochain
 
 
-def certify_kernel_generator(params: TruncationParams, trunc: OrbitTruncation) -> bool:
-    """Check the closed-form kernel generator against the matrices: it must
-    be a cocycle, generate the degree-1 cohomology, and restrict to a
-    generator at level s-1."""
+def certify_kernel_generator(params: TruncationParams, trunc: OrbitTruncation, fc: FiberCohomology) -> bool:
+    """Check the closed-form kernel generator against the matrices of `fc`,
+    the fiber cohomology at `trunc`: it must be a cocycle, generate the
+    degree-1 cohomology, and restrict to a generator at level s-1."""
     p = params.p
-    fc = fiber_cohomology(params, trunc)
     cochain = closed_form_kernel_cochain(params, trunc, fc)
     s = s_function(params, trunc.orbit.m, trunc.orbit.alpha)
     if cochain[s - 1] % p == 0:
@@ -391,7 +394,7 @@ class TransitionOracle:
     levelwise.
     """
 
-    def __init__(self, p: int, i: int, orbit: Orbit, levels: list[int], extra_a: int = 0):
+    def __init__(self, p: int, i: int, orbit: Orbit, levels: list[int]):
         orbit.validate(p)
         if any(lv % p == 0 for lv in levels):
             raise ValueError("levels must be coprime to p")
@@ -400,19 +403,19 @@ class TransitionOracle:
         s_max = max(
             s_function(TruncationParams(p, lv, i), orbit.m, orbit.alpha) for lv in self.levels
         )
-        self.A = s_max + 2 + extra_a
+        self.A = s_max + 2
         self.N = i * (self.A + 1) + 8
         self._cache: dict[int, tuple[FiberCohomology, list[int] | None]] = {}
 
     def params(self, e: int) -> TruncationParams:
         return TruncationParams(self.p, e, self.i)
 
-    def trunc(self, e: int) -> OrbitTruncation:
+    def trunc(self) -> OrbitTruncation:
         return OrbitTruncation(self.orbit, self.A, self.N)
 
     def level(self, e: int) -> tuple[FiberCohomology, list[int] | None]:
         if e not in self._cache:
-            fc = fiber_cohomology(self.params(e), self.trunc(e))
+            fc = fiber_cohomology(self.params(e), self.trunc())
             exps = fc.h1.exponents(self.p)
             gen = fc.h1.generator_of_largest_factor(self.p) if exps else None
             self._cache[e] = (fc, gen)
@@ -470,11 +473,10 @@ def oracle_transition_map(
     e: int,
     f: int,
     orbit: Orbit,
-    extra_a: int = 0,
 ) -> int:
     """Observable transition valuation f -> e for one orbit (see
     TransitionOracle.valuation)."""
-    return TransitionOracle(p, i, orbit, [e, f], extra_a).valuation(e, f)
+    return TransitionOracle(p, i, orbit, [e, f]).valuation(e, f)
 
 
 @dataclass(frozen=True)
@@ -490,16 +492,20 @@ class OrbitCertificate:
     passed: bool
 
 
-def verify_orbit(params: TruncationParams, orbit: Orbit, extra_a: int = 0, extra_n: int = 0) -> OrbitCertificate:
+def verify_orbit(params: TruncationParams, orbit: Orbit, trunc: OrbitTruncation | None = None) -> OrbitCertificate:
     """Full closed-form vs oracle check for one orbit: degree-1 exponent
     equality, vanishing in degrees 0 and 2, truncation stability, and
-    kernel-generator certification when s >= 1."""
-    from .syntomic import h1_syntomic_orbit
+    kernel-generator certification when s >= 1.
 
-    trunc = default_truncation(params, orbit, extra_a, extra_n)
+    `trunc` defaults to `default_truncation(params, orbit)`.  The fiber
+    cohomology is computed once at `trunc` and once at the grown
+    truncation of the stability recheck."""
+    if trunc is None:
+        trunc = default_truncation(params, orbit)
     summand = h1_syntomic_orbit(params, orbit)
-    exps = oracle_cohomology(params, trunc, check_stability=True)
-    mats = build_orbit_matrices(params, trunc)
+    fc = fiber_cohomology(params, trunc)
+    exps = fc.exponents(params.p)
+    _check_stability(params, trunc, exps)
     h = summand.module.h
     degree_match = (
         exps[0] == ()
@@ -508,13 +514,13 @@ def verify_orbit(params: TruncationParams, orbit: Orbit, extra_a: int = 0, extra
     )
     kernel_ok = True
     if summand.s >= 1 and h >= 1:
-        kernel_ok = certify_kernel_generator(params, trunc)
+        kernel_ok = certify_kernel_generator(params, trunc, fc)
     return OrbitCertificate(
         orbit=orbit,
         s=summand.s,
         h_closed=h,
         oracle_exponents=exps,
         kernel_ok=kernel_ok,
-        matrices_hash=mats.content_hash(),
+        matrices_hash=fc.matrices.content_hash(),
         passed=degree_match and kernel_ok,
     )

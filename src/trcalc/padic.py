@@ -137,11 +137,6 @@ class PAdicFraction:
         return f"{self.num}/p^{self.pexp}"
 
 
-def floor_frac(x: PAdicFraction, p: int) -> int:
-    """floor(num / p^pexp)."""
-    return x.floor(p)
-
-
 @dataclass(frozen=True)
 class MultiIndex:
     """A finitely supported tuple of N[1/p] entries keyed by slot name.
@@ -182,13 +177,3 @@ class MultiIndex:
             return "{}"
         inner = ", ".join(f"{slot}: {frac}" for slot, frac in self.entries)
         return "{" + inner + "}"
-
-
-def floor_l1(alpha: MultiIndex, p: int) -> int:
-    """Sum of the entry floors of a multi-index."""
-    return alpha.floor_l1(p)
-
-
-def scale_by_p(alpha: MultiIndex, a: int, p: int) -> MultiIndex:
-    """Multiply every entry of a multi-index by p^a."""
-    return alpha.scale_by_p(a, p)

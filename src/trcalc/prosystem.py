@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .drw import TruncationParams
 from .padic import ceil_div, factorial_ratio, vp
-from .syntomic import Orbit, h1_syntomic_orbit, s_function
+from .syntomic import Orbit, enumerate_orbits, h1_syntomic_orbit, s_function
 
 
 class MLViolationError(Exception):
@@ -321,8 +321,6 @@ def tr_groups(p: int, i: int, bounds, probe: int) -> TRGroups:
     returned result always carries a valid odd-degree zero certificate;
     classification refusals on the even side are recorded, not raised.
     """
-    from .syntomic import enumerate_orbits
-
     weight = i + 1
     levels = [e for e in range(2, probe + 1) if e % p]
     orbits: set[Orbit] = set()

@@ -22,13 +22,6 @@ def format_alpha(alpha: MultiIndex, p: int) -> dict[str, str]:
     return {str(slot): f"{frac.num}/{p}^{frac.pexp}" for slot, frac in alpha.entries}
 
 
-def format_alpha_inline(alpha: MultiIndex, p: int) -> str:
-    if not alpha.entries:
-        return "{}"
-    inner = ", ".join(f"{slot}: {frac.num}/{p}^{frac.pexp}" for slot, frac in alpha.entries)
-    return "{" + inner + "}"
-
-
 @dataclass
 class Report:
     """Orbit records plus totals and certificates, in deterministic order.

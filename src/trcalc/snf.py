@@ -50,10 +50,6 @@ def hstack(A: Matrix, B: Matrix) -> Matrix:
     return [ra + rb for ra, rb in zip(A, B)]
 
 
-def vstack(A: Matrix, B: Matrix) -> Matrix:
-    return [row[:] for row in A] + [row[:] for row in B]
-
-
 def columns(A: Matrix) -> list[list[int]]:
     return [list(col) for col in zip(*A)] if A else []
 
@@ -72,9 +68,6 @@ class SNFResult:
     trailing."""
 
     diagonal: tuple[int, ...]
-
-    def nontrivial(self) -> tuple[int, ...]:
-        return tuple(d for d in self.diagonal if d not in (0, 1))
 
 
 @dataclass
@@ -333,9 +326,10 @@ class QuotientPresentation:
     def generator_of_largest_factor(self, p: int) -> list[int]:
         """A lattice vector whose class generates the largest cyclic
         factor; only meaningful when the quotient is cyclic."""
-        exps = [self.class_order_exponent(col, p) for col in columns(mat_mul(self.kernel.basis, self._Uinv))]
+        gens = columns(mat_mul(self.kernel.basis, self._Uinv))
+        exps = [self.class_order_exponent(col, p) for col in gens]
         j = max(range(len(exps)), key=lambda idx: exps[idx])
-        return columns(mat_mul(self.kernel.basis, self._Uinv))[j]
+        return gens[j]
 
 
 def smith_mod_prime_power(M: Matrix, p: int, q: int) -> tuple[list[int], Matrix, Matrix]:

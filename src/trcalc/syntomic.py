@@ -12,7 +12,7 @@ Frobenius stops being an isomorphism along the orbit.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .drw import Bidegree, CyclicWittModule, TruncationParams
 from .padic import MultiIndex, PAdicFraction, brace, ceil_div, vp
@@ -63,6 +63,8 @@ class AlphaBounds:
     def __post_init__(self) -> None:
         if self.slots and (self.num_max < 1 or self.pexp_max < 0):
             raise ValueError("nonempty slot set needs positive numerator and pexp bounds")
+        if len(set(self.slots)) != len(self.slots):
+            raise ValueError(f"slot names must be distinct, got {' '.join(self.slots)}")
 
 
 def s_function(params: TruncationParams, m: int, alpha: MultiIndex = MultiIndex()) -> int:

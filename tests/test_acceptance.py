@@ -21,6 +21,7 @@ from trcalc.oracle import (
     TransitionOracle,
     certify_kernel_generator,
     default_truncation,
+    fiber_cohomology,
     oracle_cohomology,
 )
 from trcalc.padic import MultiIndex, PAdicFraction, ceil_div, factorial_ratio, vp
@@ -149,7 +150,8 @@ def test_criterion_4_kernel_generator(capsys):
     for params, orbit in _grid_orbits():
         if s_function(params, orbit.m, orbit.alpha) < 1:
             continue
-        if not certify_kernel_generator(params, default_truncation(params, orbit)):
+        trunc = default_truncation(params, orbit)
+        if not certify_kernel_generator(params, trunc, fiber_cohomology(params, trunc)):
             ok = False
             break
         checked += 1

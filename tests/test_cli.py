@@ -143,3 +143,42 @@ def test_ml_check_exit_ok(capsys):
     code, out = _run(["ml-check", "--p", "3", "--i", "1", "--e", "2", "--e-max", "11"], capsys)
     assert code == EXIT_OK
     assert "ml_condition=PASS" in out
+
+
+def test_duplicate_slots_rejected(capsys):
+    # a repeated slot name would enumerate every orbit once per copy
+    window = ["--alpha-num-max", "1", "--alpha-pexp-max", "0"]
+    argv = ["kgroups", "--p", "3", "--i", "1", "--e", "2", "--format", "json"]
+    code, out = _run(argv + ["--slots", "t"] + window, capsys)
+    assert code == EXIT_OK
+    assert json.loads(out)["certificates"][0]["group"] == "W(k)/3^1"
+    code = main(argv + ["--slots", "t", "t"] + window)
+    captured = capsys.readouterr()
+    assert code == EXIT_VALIDATION
+    assert captured.out == ""
+    assert captured.err.startswith("trcalc: error: ")
+
+
+def test_bad_alpha_bounds_exit_1(capsys):
+    code = main(
+        ["syntomic", "--p", "2", "--i", "1", "--e", "3",
+         "--slots", "t", "--alpha-num-max", "0", "--alpha-pexp-max", "1"]
+    )
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("trcalc: error: ")
+
+
+def test_unwritable_out_exits_1(tmp_path, capsys):
+    path = tmp_path / "missing" / "report.json"
+    code = main(["syntomic", "--p", "3", "--i", "1", "--e", "2", "--out", str(path)])
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("trcalc: error: ")
+    assert not path.exists()
+
+
+def test_parallel_verify_matches_serial(monkeypatch, capsys):
+    argv = ["verify", "--p", "2", "--i", "2", "--e", "3", "--format", "json"]
+    serial = _run(argv, capsys)
+    assert serial[0] == EXIT_OK
+    monkeypatch.setenv("TRCALC_JOBS", "2")
+    assert _run(argv, capsys) == serial

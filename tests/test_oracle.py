@@ -3,11 +3,14 @@ certification, truncation stability, and transition maps."""
 
 import pytest
 
+import trcalc.oracle as oracle_module
+from trcalc.cli import JobSpec, run_command
 from trcalc.drw import TruncationParams
 from trcalc.oracle import (
     DegenerateOrbitError,
     OrbitTruncation,
     TransitionOracle,
+    TruncationInstabilityError,
     build_orbit_matrices,
     certify_kernel_generator,
     default_truncation,
@@ -104,7 +107,7 @@ def test_kernel_generator_certification():
     for p, e, i, m in [(3, 2, 1, 1), (2, 3, 1, 1), (2, 3, 2, 1), (2, 3, 2, 5), (5, 2, 2, 1)]:
         params = TruncationParams(p, e, i)
         trunc = default_truncation(params, Orbit(m))
-        assert certify_kernel_generator(params, trunc)
+        assert certify_kernel_generator(params, trunc, fiber_cohomology(params, trunc))
 
 
 def test_verify_orbit_passes():
@@ -113,6 +116,52 @@ def test_verify_orbit_passes():
     assert cert.h_closed == 3
     assert cert.oracle_exponents[2] == ()
     assert len(cert.matrices_hash) == 64
+
+
+def test_verify_orbit_builds_base_and_grown_truncation_once(monkeypatch):
+    # exponents, matrix hash and kernel certificate share the base build;
+    # the stability recheck adds the one build at (A+1, N+2)
+    built = []
+    real = oracle_module.build_orbit_matrices
+
+    def counting(params, trunc):
+        built.append(trunc)
+        return real(params, trunc)
+
+    monkeypatch.setattr(oracle_module, "build_orbit_matrices", counting)
+    params = TruncationParams(2, 3, 2)
+    cert = verify_orbit(params, Orbit(1))
+    assert cert.s >= 1 and cert.kernel_ok
+    base = default_truncation(params, Orbit(1))
+    assert built == [base, OrbitTruncation(Orbit(1), base.A + 1, base.N + 2)]
+
+
+def test_verify_orbit_rejects_unstable_truncation(monkeypatch):
+    params = TruncationParams(2, 3, 2)
+    base = default_truncation(params, Orbit(1))
+    real = oracle_module.fiber_cohomology
+
+    def other_orbit_when_grown(params, trunc):
+        # orbit m=5 has h=1 where m=1 has h=3, so the recheck must see a change
+        if trunc != base:
+            trunc = OrbitTruncation(Orbit(5), trunc.A, trunc.N)
+        return real(params, trunc)
+
+    monkeypatch.setattr(oracle_module, "fiber_cohomology", other_orbit_when_grown)
+    with pytest.raises(TruncationInstabilityError):
+        verify_orbit(params, Orbit(1))
+
+
+def test_verify_orbit_pinned_truncation_matches_cli_job():
+    params = TruncationParams(2, 3, 2)
+    cert = verify_orbit(params, Orbit(1), OrbitTruncation(Orbit(1), 6, 24))
+    report, _ = run_command(JobSpec(command="verify", p=2, i=2, e=3, A=6, N=24))
+    rec = next(rec for rec in report.orbits if rec["m"] == 1)
+    assert cert.oracle_exponents[0] == ()
+    assert (rec["oracle_h"],) == cert.oracle_exponents[1]
+    assert rec["oracle_h2"] == list(cert.oracle_exponents[2])
+    assert rec["kernel_ok"] == cert.kernel_ok
+    assert rec["pass"] == cert.passed
 
 
 def test_transition_examples():
