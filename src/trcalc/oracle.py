@@ -143,11 +143,8 @@ class OrbitMatrices:
 def _alpha_floor_ratio(orbit: Orbit, a: int, p: int) -> int:
     """Product over slots of floor(p^(a+1) n_t)! / floor(p^a n_t)!."""
     out = 1
-    lo = orbit.alpha.scale_by_p(a, p)
-    hi = orbit.alpha.scale_by_p(a + 1, p)
-    lo_floors = {slot: frac.floor(p) for slot, frac in lo.entries}
-    for slot, frac in hi.entries:
-        out *= factorial_ratio(frac.floor(p), lo_floors.get(slot, 0))
+    for _, frac in orbit.alpha.entries:
+        out *= factorial_ratio(frac.floor(p, a + 1), frac.floor(p, a))
     return out
 
 
@@ -166,7 +163,7 @@ def build_orbit_matrices(params: TruncationParams, trunc: OrbitTruncation) -> Or
     n = trunc.A + 1
     modulus = p**trunc.N
 
-    u = [nygaard_exponents(params, orbit.bidegree(a, p)) for a in range(n)]
+    u = [nygaard_exponents(params, p**a * orbit.m, orbit.alpha.floor_l1(p, a)) for a in range(n)]
     braces = [brace(p**a * orbit.m, e) for a in range(n)]
 
     diff_nygaard = [(p ** (u[a][0] - u[a][1]) * braces[a]) % modulus for a in range(n)]
@@ -437,9 +434,9 @@ class TransitionOracle:
         pf = self.params(f)
         for a in range(self.A + 1):
             m_a = p**a * self.orbit.m
-            d = self.orbit.bidegree(a, p)
-            u1_e = nygaard_exponents(pe, d)[1]
-            u1_f = nygaard_exponents(pf, d)[1]
+            L = self.orbit.alpha.floor_l1(p, a)
+            u1_e = nygaard_exponents(pe, m_a, L)[1]
+            u1_f = nygaard_exponents(pf, m_a, L)[1]
             num = p**u1_f * factorial_ratio((m_a - 1) // e, (m_a - 1) // f)
             if num % p**u1_e:
                 raise ArithmeticError("transition coefficient not divisible by target scaling")

@@ -122,14 +122,11 @@ class PAdicFraction:
     def is_zero(self) -> bool:
         return self.num == 0
 
-    def floor(self, p: int) -> int:
-        return self.num // p**self.pexp
-
-    def scale_by_p(self, a: int, p: int) -> "PAdicFraction":
-        """Multiply by p^a and renormalize."""
+    def floor(self, p: int, a: int) -> int:
+        """floor(p^a * num/p^pexp), read off the pair without rescaling it."""
         if a >= self.pexp:
-            return PAdicFraction.make(self.num * p ** (a - self.pexp), 0, p)
-        return PAdicFraction(self.num, self.pexp - a)
+            return self.num * p ** (a - self.pexp)
+        return self.num // p ** (self.pexp - a)
 
     def __str__(self) -> str:
         if self.pexp == 0:
@@ -165,12 +162,9 @@ class MultiIndex:
     def slots(self) -> Iterable[str]:
         return (slot for slot, _ in self.entries)
 
-    def floor_l1(self, p: int) -> int:
-        return sum(frac.floor(p) for _, frac in self.entries)
-
-    def scale_by_p(self, a: int, p: int) -> "MultiIndex":
-        scaled = {slot: frac.scale_by_p(a, p) for slot, frac in self.entries}
-        return MultiIndex.from_dict(scaled)
+    def floor_l1(self, p: int, a: int) -> int:
+        """Sum over the entries of floor(p^a * entry)."""
+        return sum(frac.floor(p, a) for _, frac in self.entries)
 
     def __str__(self) -> str:
         if not self.entries:

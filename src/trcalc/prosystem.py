@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .drw import TruncationParams
+from .drw import TruncationParams, degree1_exponent
 from .padic import ceil_div, factorial_ratio, vp
-from .syntomic import Orbit, enumerate_orbits, h1_syntomic_orbit, s_function
+from .syntomic import AlphaBounds, Orbit, enumerate_orbits, h1_syntomic_orbit, s_function
 
 
 class MLViolationError(Exception):
@@ -24,7 +24,12 @@ class MLViolationError(Exception):
 
 class ClassificationRefusedError(Exception):
     """The probe window is too short to tell a finite limit from one that
-    is still growing."""
+    is still growing.  `orders` holds the image orders the refusal was
+    drawn from."""
+
+    def __init__(self, message: str, orders: tuple[int, ...]) -> None:
+        super().__init__(message)
+        self.orders = orders
 
 
 def tr_valuation(params: TruncationParams, f: int, orbit: Orbit) -> int | None:
@@ -52,12 +57,13 @@ def tr_valuation(params: TruncationParams, f: int, orbit: Orbit) -> int | None:
     if s_e == 0 or m % e == 0:
         # target group trivial (either s_e = 0 or e divides p^s m)
         return None
-    s_f = s_function(TruncationParams(p, f, i), m, alpha)
+    params_f = TruncationParams(p, f, i)
+    s_f = s_function(params_f, m, alpha)
     m1 = p ** (s_e - 1) * m
     v = vp(factorial_ratio((m1 - 1) // e, (m1 - 1) // f), p)
     v += ceil_div(m1, e) - ceil_div(m1, f)
     for j in range(s_e, s_f):
-        v += i - ceil_div(p**j * m, f) - alpha.scale_by_p(j, p).floor_l1(p)
+        v += degree1_exponent(params_f, p**j * m, alpha.floor_l1(p, j))
     return v
 
 
@@ -151,9 +157,6 @@ class LevelStabilization:
 class StabilizedTower:
     tower: Tower
     per_level: tuple[LevelStabilization, ...]
-
-    def image_orders(self) -> tuple[int, ...]:
-        return tuple(rec.image_order_exponent for rec in self.per_level)
 
 
 def stabilized_images(tower: Tower, probe: int) -> StabilizedTower:
@@ -252,7 +255,7 @@ def classify_orders(
     if len(tail) == zpfull_run + 1 and all(a < b for a, b in zip(tail, tail[1:])):
         return ProCyclicLimit("zp", None, ml_index, orders)
     raise ClassificationRefusedError(
-        f"probe too short to classify: image orders {orders} still changing"
+        f"probe too short to classify: image orders {orders} still changing", orders
     )
 
 
@@ -312,7 +315,18 @@ class TRGroups:
         return any(isinstance(res, RefusedClassification) for _, res in self.even)
 
 
-def tr_groups(p: int, i: int, bounds, probe: int) -> TRGroups:
+def tower_orbits(p: int, weight: int, bounds: AlphaBounds, levels: list[int]) -> list[Orbit]:
+    """Every orbit with a nontrivial group at some level, in (m, alpha)
+    order; weights below 1 have none."""
+    orbits: set[Orbit] = set()
+    if weight >= 1:
+        for e in levels:
+            params = TruncationParams(p, e, weight)
+            orbits.update(sm.orbit for sm in enumerate_orbits(params, bounds))
+    return sorted(orbits, key=lambda o: o.sort_key())
+
+
+def tr_groups(p: int, i: int, bounds: AlphaBounds, probe: int) -> TRGroups:
     """TR in degrees 2i and 2i-1 of the prototype algebra with multi-index
     slots and numerator sizes limited by bounds, probed over truncation
     levels up to probe.
@@ -323,19 +337,15 @@ def tr_groups(p: int, i: int, bounds, probe: int) -> TRGroups:
     """
     weight = i + 1
     levels = [e for e in range(2, probe + 1) if e % p]
-    orbits: set[Orbit] = set()
-    if weight >= 1:
-        for e in levels:
-            params = TruncationParams(p, e, weight)
-            orbits.update(s.orbit for s in enumerate_orbits(params, bounds))
+    orbits = tower_orbits(p, weight, bounds, levels)
     even = []
-    for orbit in sorted(orbits, key=lambda o: o.sort_key()):
+    for orbit in orbits:
         tower = build_tower(p, weight, orbit, levels)
         stab = stabilized_images(tower, probe)
         try:
             verdict: ProCyclicLimit | RefusedClassification = limit_classify(stab)
         except ClassificationRefusedError as exc:
-            verdict = RefusedClassification(str(exc), stab.image_orders())
+            verdict = RefusedClassification(str(exc), exc.orders)
         even.append((orbit, verdict))
     odd = OddZeroCertificate(degree=2 * i - 1, probe=probe, orbits_checked=len(orbits))
     return TRGroups(p, 2 * i, weight, tuple(even), odd)

@@ -14,8 +14,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .drw import Bidegree, CyclicWittModule, TruncationParams
-from .padic import MultiIndex, PAdicFraction, brace, ceil_div, vp
+from .drw import CyclicWittModule, TruncationParams, degree1_exponent
+from .padic import MultiIndex, PAdicFraction, brace, vp
 
 
 @dataclass(frozen=True)
@@ -31,10 +31,6 @@ class Orbit:
             raise ValueError("orbit needs m >= 1")
         if self.m % p == 0:
             raise ValueError(f"orbit x-weight {self.m} must be coprime to p={p}")
-
-    def bidegree(self, a: int, p: int) -> Bidegree:
-        """The level-a member (p^a m, p^a alpha) of the orbit."""
-        return Bidegree(p**a * self.m, self.alpha.scale_by_p(a, p))
 
     def sort_key(self) -> tuple:
         return (self.m, tuple((slot, frac.num, frac.pexp) for slot, frac in self.alpha.entries))
@@ -68,15 +64,16 @@ class AlphaBounds:
 
 
 def s_function(params: TruncationParams, m: int, alpha: MultiIndex = MultiIndex()) -> int:
-    """Least s >= 0 with ceil(p^s m / e) + floor-l1(p^s alpha) > i.
+    """Least s >= 0 with ceil(p^s m / e) + floor-l1(p^s alpha) > i, i.e.
+    where the degree-1 exponent of level s turns negative.
 
     Terminates because ceil(p^s m / e) is unbounded in s.
     """
     if m < 1:
         raise ValueError("s_function needs m >= 1")
-    p, e, i = params.p, params.e, params.i
+    p = params.p
     s = 0
-    while ceil_div(p**s * m, e) + alpha.scale_by_p(s, p).floor_l1(p) <= i:
+    while degree1_exponent(params, p**s * m, alpha.floor_l1(p, s)) >= 0:
         s += 1
     return s
 
@@ -91,7 +88,7 @@ def kernel_generator(params: TruncationParams, orbit: Orbit) -> tuple[int, ...]:
     Rejects orbits with s = 0, whose kernel summand is trivial.
     """
     orbit.validate(params.p)
-    p, e, i = params.p, params.e, params.i
+    p = params.p
     s = s_function(params, orbit.m, orbit.alpha)
     if s == 0:
         raise ValueError("orbit has s = 0; kernel summand is trivial")
@@ -100,7 +97,7 @@ def kernel_generator(params: TruncationParams, orbit: Orbit) -> tuple[int, ...]:
     for a in range(s - 1, -1, -1):
         exponents.append(acc)
         # accumulate the level-a term for the next step down
-        acc += i - ceil_div(p**a * orbit.m, e) - orbit.alpha.scale_by_p(a, p).floor_l1(p)
+        acc += degree1_exponent(params, p**a * orbit.m, orbit.alpha.floor_l1(p, a))
     return tuple(exponents)
 
 
@@ -145,24 +142,3 @@ def enumerate_orbits(params: TruncationParams, bounds: AlphaBounds = AlphaBounds
                 out.append(summand)
     out.sort(key=lambda sm: sm.orbit.sort_key())
     return out
-
-
-@dataclass(frozen=True)
-class CohomologyReport:
-    """Symbolic statement of the cohomology outside degree 1."""
-
-    reduced_h0: str = "0"
-    full_h0: str = ""
-    higher: str = "0 for every degree >= 2"
-
-    @classmethod
-    def for_params(cls, params: TruncationParams) -> "CohomologyReport":
-        # The full degree-0 group is carried entirely by the split m = 0
-        # column and equals the crystalline period ring of the base.
-        return cls(full_h0="Acrys(base)")
-
-
-def h_other_degrees(params: TruncationParams) -> CohomologyReport:
-    """Reduced degree-0 cohomology vanishes; the full degree-0 group is the
-    symbolic period ring of the base; everything in degrees >= 2 is zero."""
-    return CohomologyReport.for_params(params)

@@ -30,6 +30,7 @@ def test_syntomic_example(capsys):
     assert code == EXIT_OK
     assert "total exponent: 1" in out
     assert "W(k)/p^1" in out
+    assert "reduced_h0=0 higher_degrees=0 for every degree >= 2" in out
 
 
 def test_validation_error_nonprime(capsys):
@@ -182,3 +183,29 @@ def test_parallel_verify_matches_serial(monkeypatch, capsys):
     assert serial[0] == EXIT_OK
     monkeypatch.setenv("TRCALC_JOBS", "2")
     assert _run(argv, capsys) == serial
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["transition", "--p", "3", "--i", "1", "--i-max", "3", "--e", "2", "--e-max", "5"],
+        ["tr", "--p", "3", "--i", "0", "--i-max", "2", "--e", "2", "--e-max", "8"],
+        ["syntomic", "--p", "3", "--i", "1", "--e", "2", "--A", "9", "--N", "3"],
+        ["ml-check", "--p", "3", "--i", "1", "--e", "2", "--e-max", "8", "--N", "40"],
+    ],
+)
+def test_flags_of_other_commands_exit_1(argv, capsys):
+    # --i-max belongs to syntomic/kgroups/verify and --A/--N to verify only;
+    # elsewhere nothing would read them
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments" in captured.err
+
+
+def test_weight_range_flag_accepted_where_read(capsys):
+    code, out = _run(["kgroups", "--p", "3", "--i", "1", "--i-max", "2", "--e", "2", "--format", "json"], capsys)
+    assert code == EXIT_OK
+    assert [cert["i"] for cert in json.loads(out)["certificates"]] == [1, 2]

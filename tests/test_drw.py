@@ -1,24 +1,15 @@
-"""Bidegree-level coefficient data: Nygaard exponents, differential
-coefficients, and the valuations of Frobenius and the canonical map."""
+"""Shared complex data: job parameters, cyclic Witt modules, and the
+Nygaard exponents of one orbit level."""
+
+import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trcalc.drw import (
-    Bidegree,
-    CyclicWittModule,
-    TruncationParams,
-    can_h1_valuation,
-    diff_coeff,
-    frob_h1_valuation,
-    h1_lw,
-    h1_nygaard,
-    nygaard_exponents,
-)
+from trcalc.drw import CyclicWittModule, TruncationParams, nygaard_exponents
 from trcalc.padic import MultiIndex, PAdicFraction
-
-EMPTY = MultiIndex()
 
 
 def _alpha(n: int) -> MultiIndex:
@@ -32,9 +23,9 @@ def test_truncation_params_validates_prime():
 
 def test_nygaard_exponents_formula():
     # (max(i - floor(m/e) - L, 0), max(i - ceil(m/e) - L, 0))
-    assert nygaard_exponents(TruncationParams(3, 2, 2), Bidegree(1, EMPTY)) == (2, 1)
-    assert nygaard_exponents(TruncationParams(2, 2, 1), Bidegree(4, EMPTY)) == (0, 0)
-    assert nygaard_exponents(TruncationParams(3, 3, 3), Bidegree(2, _alpha(1))) == (2, 1)
+    assert nygaard_exponents(TruncationParams(3, 2, 2), 1, 0) == (2, 1)
+    assert nygaard_exponents(TruncationParams(2, 2, 1), 4, 0) == (0, 0)
+    assert nygaard_exponents(TruncationParams(3, 3, 3), 2, _alpha(1).floor_l1(3, 0)) == (2, 1)
 
 
 def test_nygaard_exponents_clamp_is_ordered():
@@ -42,38 +33,23 @@ def test_nygaard_exponents_clamp_is_ordered():
     for i in range(5):
         for e in (2, 3, 5):
             for m in range(1, 20):
-                u0, u1 = nygaard_exponents(TruncationParams(3, e, i), Bidegree(m, EMPTY))
+                u0, u1 = nygaard_exponents(TruncationParams(3, e, i), m, 0)
                 assert u0 >= u1 >= 0
 
 
-def test_diff_coeff():
-    assert diff_coeff(2, 3) == 3
-    assert diff_coeff(2, 6) == 2
-    assert diff_coeff(5, 5) == 5
-
-
-def test_frob_h1_valuation():
-    assert frob_h1_valuation(TruncationParams(3, 2, 2), Bidegree(1, EMPTY)) == 0
-    assert frob_h1_valuation(TruncationParams(2, 2, 1), Bidegree(4, EMPTY)) == 1
-    assert frob_h1_valuation(TruncationParams(2, 2, 2), Bidegree(2, _alpha(3))) == 2
-
-
-def test_can_h1_valuation():
-    assert can_h1_valuation(TruncationParams(3, 2, 2), Bidegree(1, EMPTY)) == 1
-    assert can_h1_valuation(TruncationParams(2, 3, 1), Bidegree(5, EMPTY)) == 0
-    assert can_h1_valuation(TruncationParams(2, 2, 4), Bidegree(2, _alpha(1))) == 2
-
-
-def test_h1_lw():
-    assert h1_lw(2, 3, 4, EMPTY).h == 2
-    assert h1_lw(3, 2, 6, EMPTY).h == 0
-    assert h1_lw(2, 2, 6, EMPTY).h == 1
-
-
-def test_h1_nygaard():
-    assert h1_nygaard(TruncationParams(2, 2, 1), Bidegree(1, EMPTY)).h == 1
-    assert h1_nygaard(TruncationParams(3, 2, 2), Bidegree(2, EMPTY)).h == 0
-    assert h1_nygaard(TruncationParams(2, 2, 0), Bidegree(1, EMPTY)).h == 0
+@settings(max_examples=200)
+@given(
+    st.sampled_from([2, 3, 5]),
+    st.integers(1, 9),
+    st.integers(0, 6),
+    st.integers(1, 60),
+    st.integers(0, 6),
+)
+def test_nygaard_exponents_match_exact_floor_and_ceiling(p, e, i, m, L):
+    """Both scalings against floor/ceil of m/e taken with stdlib fractions."""
+    x = Fraction(m, e)
+    expected = (max(i - math.floor(x) - L, 0), max(i - math.ceil(x) - L, 0))
+    assert nygaard_exponents(TruncationParams(p, e, i), m, L) == expected
 
 
 def test_cyclic_witt_module_str():
@@ -81,23 +57,3 @@ def test_cyclic_witt_module_str():
     assert str(CyclicWittModule(3)) == "W(k)/p^3"
     assert CyclicWittModule(0).is_trivial()
     assert not CyclicWittModule(1).is_trivial()
-
-
-@settings(max_examples=200)
-@given(
-    st.sampled_from([2, 3, 5]),
-    st.integers(2, 9),
-    st.integers(0, 5),
-    st.integers(1, 40),
-)
-def test_h1_valuations_split_the_nygaard_gap(p, e, i, m):
-    """The Frobenius and canonical valuations on degree 1 are the positive
-    and negative parts of i - ceil(m/e): exactly one of them is nonzero."""
-    params = TruncationParams(p, e, i)
-    d = Bidegree(m, EMPTY)
-    t = frob_h1_valuation(params, d)
-    c = can_h1_valuation(params, d)
-    from trcalc.padic import ceil_div
-
-    assert c - t == i - ceil_div(m, e)
-    assert t == 0 or c == 0

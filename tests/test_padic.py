@@ -1,6 +1,7 @@
 """Valuations, factorial ratios, and p-adic fraction plumbing."""
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -75,9 +76,9 @@ def test_ceil_div():
 
 
 def test_fraction_floor():
-    assert PAdicFraction(7, 1).floor(2) == 3
-    assert PAdicFraction(0, 0).floor(2) == 0
-    assert PAdicFraction(5, 0).floor(3) == 5
+    assert PAdicFraction(7, 1).floor(2, 0) == 3
+    assert PAdicFraction(0, 0).floor(2, 0) == 0
+    assert PAdicFraction(5, 0).floor(3, 0) == 5
 
 
 def test_fraction_normalization():
@@ -89,18 +90,25 @@ def test_fraction_normalization():
 
 def test_multi_index_floor_l1():
     alpha = MultiIndex.from_dict({"t1": PAdicFraction(3, 1), "t2": PAdicFraction(1, 2)})
-    assert alpha.floor_l1(2) == 1
-    assert MultiIndex().floor_l1(2) == 0
-    assert MultiIndex.from_dict({"t": PAdicFraction(5, 0)}).floor_l1(2) == 5
+    assert alpha.floor_l1(2, 0) == 1
+    assert MultiIndex().floor_l1(2, 0) == 0
+    assert MultiIndex.from_dict({"t": PAdicFraction(5, 0)}).floor_l1(2, 0) == 5
 
 
-def test_multi_index_scale():
-    alpha = MultiIndex.from_dict({"t": PAdicFraction(3, 2)})
-    scaled = alpha.scale_by_p(2, 2)
-    assert dict(scaled.entries)["t"] == PAdicFraction(3, 0)
-    assert MultiIndex().scale_by_p(5, 2) == MultiIndex()
-    alpha3 = MultiIndex.from_dict({"t": PAdicFraction(2, 1)})
-    assert dict(alpha3.scale_by_p(1, 3).entries)["t"] == PAdicFraction(2, 0)
+@settings(max_examples=300)
+@given(
+    st.sampled_from([2, 3, 5]),
+    st.integers(0, 8),
+    st.lists(st.tuples(st.integers(1, 200), st.integers(0, 6)), max_size=3),
+)
+def test_multi_index_floor_l1_at_level(p, a, pairs):
+    """floor_l1(p, a) is the l1 floor of p^a * alpha, read off the (num, pexp)
+    pairs; stdlib fractions give the witness."""
+    alpha = MultiIndex.from_dict(
+        {f"t{k}": PAdicFraction.make(num, pexp, p) for k, (num, pexp) in enumerate(pairs)}
+    )
+    expected = sum(math.floor(Fraction(num * p**a, p**pexp)) for num, pexp in pairs)
+    assert alpha.floor_l1(p, a) == expected
 
 
 def test_multi_index_drops_zero_entries():

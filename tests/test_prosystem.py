@@ -15,10 +15,11 @@ from trcalc.prosystem import (
     limit_classify,
     ml_bound,
     stabilized_images,
+    tower_orbits,
     tr_groups,
     tr_valuation,
 )
-from trcalc.syntomic import AlphaBounds, Orbit, h1_syntomic_orbit
+from trcalc.syntomic import AlphaBounds, Orbit, enumerate_orbits, h1_syntomic_orbit
 
 EMPTY = MultiIndex()
 
@@ -162,3 +163,30 @@ def test_refusals_are_recorded_not_raised():
     kinds = {type(res) for _, res in result.even}
     if result.refused:
         assert RefusedClassification in kinds
+
+
+def test_refusal_evidence_is_the_settled_orders():
+    # p=3, weight 1, orbit m=7: two trailing levels are unsettled at probe 30,
+    # and the refusal must cite only the orders it was drawn from
+    result = tr_groups(3, 0, AlphaBounds(), 30)
+    verdict = dict(result.even)[Orbit(7)]
+    assert isinstance(verdict, RefusedClassification)
+    levels = [e for e in range(2, 31) if e % 3]
+    stab = stabilized_images(build_tower(3, 1, Orbit(7), levels), 30)
+    settled = tuple(rec.image_order_exponent for rec in stab.per_level if rec.settled)
+    assert len(settled) < len(stab.per_level)
+    assert verdict.evidence == settled
+    assert str(settled) in verdict.reason
+
+
+def test_tower_orbits_is_the_sorted_union_over_levels():
+    bounds = AlphaBounds(("t",), 1, 1)
+    levels = [2, 4, 5]
+    orbits = tower_orbits(3, 1, bounds, levels)
+    union = {
+        sm.orbit for e in levels for sm in enumerate_orbits(TruncationParams(3, e, 1), bounds)
+    }
+    assert set(orbits) == union
+    assert len(orbits) == len(union)
+    assert orbits == sorted(orbits, key=lambda o: o.sort_key())
+    assert tower_orbits(3, 0, bounds, levels) == []

@@ -20,7 +20,6 @@ from trcalc.syntomic import (
     enumerate_alphas,
     enumerate_orbits,
     h1_syntomic_orbit,
-    h_other_degrees,
     kernel_generator,
     s_function,
 )
@@ -85,12 +84,6 @@ def test_enumerate_alphas_window():
     # zero plus num in {1, 3} (odd) times pexp in {0, 1}
     assert len(alphas) == 5
     assert EMPTY in alphas
-
-
-def test_h_other_degrees():
-    rep = h_other_degrees(TruncationParams(3, 2, 1))
-    assert rep.reduced_h0 == "0"
-    assert "0" in rep.higher
 
 
 # -- independent weight-1 oracle: unit groups of F_p[x]/x^e ---------------
