@@ -21,7 +21,6 @@ from .syntomic import (
     SyntomicSummand,
     enumerate_orbits,
     h1_syntomic_orbit,
-    kernel_generator,
     s_function,
 )
 
@@ -38,7 +37,6 @@ __all__ = [
     "build_tower",
     "enumerate_orbits",
     "h1_syntomic_orbit",
-    "kernel_generator",
     "limit_classify",
     "ml_bound",
     "oracle_cohomology",

@@ -28,7 +28,7 @@ from .prosystem import (
     stabilized_images,
     tower_orbits,
     tr_groups,
-    tr_valuation,
+    transition_valuation,
 )
 from .report import Report, emit_report, format_alpha
 from .syntomic import AlphaBounds, Orbit, enumerate_orbits, h1_syntomic_orbit
@@ -91,6 +91,10 @@ class JobSpec:
             raise ValidationError(f"unknown command {self.command}")
         if self.i < 0:
             raise ValidationError("--i must be nonnegative")
+        if self.i_max is not None and self.command not in WEIGHT_RANGE_COMMANDS:
+            raise ValidationError(f"{self.command} does not read i_max")
+        if (self.A is not None or self.N is not None) and self.command != "verify":
+            raise ValidationError(f"{self.command} does not read A or N")
         if self.i_max is not None and self.i_max < self.i:
             raise ValidationError("--i-max below --i")
         if self.e is not None and self.e < 1:
@@ -189,11 +193,11 @@ def _run_transition(spec: JobSpec, report: Report) -> int:
     for sm in enumerate_orbits(params, spec.bounds):
         h_e = sm.module.h
         for f in sources:
-            v = tr_valuation(params, f, sm.orbit)
+            sm_f = h1_syntomic_orbit(TruncationParams(spec.p, f, spec.i), sm.orbit)
+            v = transition_valuation(spec.p, e, f, sm, sm_f)
             if v is None:
                 continue
-            pf = TruncationParams(spec.p, f, spec.i)
-            h_f = h1_syntomic_orbit(pf, sm.orbit).module.h
+            h_f = sm_f.module.h
             report.add_orbit(
                 m=sm.orbit.m,
                 alpha=format_alpha(sm.orbit.alpha, spec.p),

@@ -6,9 +6,11 @@ differential, the divided Frobenius (level a -> a+1, with contributions
 exiting level A dropped), and the canonical inclusion of the weight-i
 filtered subcomplex.  The mapping fiber of (divided Frobenius - canonical)
 is assembled as a three-term cochain complex over Z/p^N and its cohomology
-is computed by Smith normal form.  Nothing here reuses the closed forms
-being checked except the brace symbol itself, which both sides read off
-the differential.
+is computed by Smith normal form.  The matrices use only the Nygaard
+exponents, the brace symbol and factorial ratios; from the closed forms
+being checked the oracle reads `s_function` (truncation sizes), the
+summand's generator exponents (the generator it certifies) and, in
+`verify_orbit`, the summand it compares against.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .snf import (
     smith_normal_form,
     solve_in_lattice,
 )
-from .syntomic import Orbit, h1_syntomic_orbit, kernel_generator, s_function
+from .syntomic import Orbit, h1_syntomic_orbit, s_function
 
 
 class OracleError(Exception):
@@ -63,12 +65,10 @@ class OrbitTruncation:
             raise ValueError(f"precision N={self.N} lacks headroom for A={self.A}")
 
 
-def default_truncation(params: TruncationParams, orbit: Orbit, extra_a: int = 0, extra_n: int = 0) -> OrbitTruncation:
-    """A = s + 2 and N = i*(A+1) + 8, plus any requested headroom."""
-    s = s_function(params, orbit.m, orbit.alpha)
-    A = s + 2 + extra_a
-    N = params.i * (A + 1) + 8 + extra_n
-    return OrbitTruncation(orbit, A, N)
+def default_truncation(params: TruncationParams, orbit: Orbit) -> OrbitTruncation:
+    """A = s + 2 and N = i*(A+1) + 8."""
+    A = s_function(params, orbit.m, orbit.alpha) + 2
+    return OrbitTruncation(orbit, A, params.i * (A + 1) + 8)
 
 
 @dataclass
@@ -268,7 +268,7 @@ def closed_form_kernel_cochain(params: TruncationParams, trunc: OrbitTruncation,
     """
     p = params.p
     n, modulus = fc.matrices.n, fc.matrices.modulus
-    exps = kernel_generator(params, trunc.orbit)
+    exps = h1_syntomic_orbit(params, trunc.orbit).generator_exponents
     s = len(exps)
     w = [0] * n
     for a in range(s):
@@ -372,10 +372,13 @@ def _unit_relaxed_kernel_cochain(
 def certify_kernel_generator(params: TruncationParams, trunc: OrbitTruncation, fc: FiberCohomology) -> bool:
     """Check the closed-form kernel generator against the matrices of `fc`,
     the fiber cohomology at `trunc`: it must be a cocycle, generate the
-    degree-1 cohomology, and restrict to a generator at level s-1."""
+    degree-1 cohomology, and restrict to a generator at level s-1.
+    Rejects orbits with s = 0, whose kernel summand is trivial."""
     p = params.p
-    cochain = closed_form_kernel_cochain(params, trunc, fc)
     s = s_function(params, trunc.orbit.m, trunc.orbit.alpha)
+    if s == 0:
+        raise ValueError("orbit has s = 0; kernel summand is trivial")
+    cochain = closed_form_kernel_cochain(params, trunc, fc)
     if cochain[s - 1] % p == 0:
         return False
     h = fc.h1.exponents(p)

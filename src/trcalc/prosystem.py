@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .drw import TruncationParams, degree1_exponent
+from .drw import TruncationParams
 from .padic import ceil_div, factorial_ratio, vp
-from .syntomic import AlphaBounds, Orbit, enumerate_orbits, h1_syntomic_orbit, s_function
+from .syntomic import AlphaBounds, Orbit, SyntomicSummand, enumerate_orbits, h1_syntomic_orbit, s_function
 
 
 class MLViolationError(Exception):
@@ -32,39 +32,41 @@ class ClassificationRefusedError(Exception):
         self.orders = orders
 
 
-def tr_valuation(params: TruncationParams, f: int, orbit: Orbit) -> int | None:
+def transition_valuation(p: int, e: int, f: int, sm_e: SyntomicSummand, sm_f: SyntomicSummand) -> int | None:
     """Closed-form p-valuation of the transition map from truncation f down
-    to e = params.e on one orbit, in cohomological weight i = params.i.
+    to e on one orbit, given the orbit's summands at both levels.
 
-    Returns None in the degenerate case s_e = 0, where the target group is
-    trivial and the map is zero.  The unit factor is not tracked.
+    Returns None in the degenerate case s_e = 0 or e | m, where the target
+    group is trivial and the map is zero.  The unit factor is not tracked.
 
     The valuation tracks the generator coordinate at level s_e - 1, where
     both kernel generators are supported: factorial-ratio valuation, plus
-    the difference of ceiling exponents at j = s_e - 1, plus the generator
-    corrections accumulated over j in [s_e, s_f).  Starting the sum one
+    the difference of ceiling exponents at j = s_e - 1, plus the source
+    generator's scaling at level s_e - 1 (s_f >= s_e), the sum of the
+    level-f degree-1 exponents over j in [s_e, s_f).  Starting that sum one
     step earlier would double count the j = s_e - 1 term, as the
     brute-force oracle confirms.
     """
+    m = sm_e.orbit.m
+    if sm_e.s == 0 or m % e == 0:
+        return None
+    m1 = p ** (sm_e.s - 1) * m
+    v = vp(factorial_ratio((m1 - 1) // e, (m1 - 1) // f), p)
+    v += ceil_div(m1, e) - ceil_div(m1, f)
+    return v + sm_f.generator_exponents[sm_f.s - sm_e.s]
+
+
+def tr_valuation(params: TruncationParams, f: int, orbit: Orbit) -> int | None:
+    """Transition valuation from truncation f down to e = params.e on one
+    orbit, in weight i = params.i (see transition_valuation)."""
     p, e, i = params.p, params.e, params.i
     if f < e:
         raise ValueError("need f >= e")
     if e % p == 0 or f % p == 0:
         raise ValueError("levels must be coprime to p")
-    orbit.validate(p)
-    m, alpha = orbit.m, orbit.alpha
-    s_e = s_function(params, m, alpha)
-    if s_e == 0 or m % e == 0:
-        # target group trivial (either s_e = 0 or e divides p^s m)
-        return None
-    params_f = TruncationParams(p, f, i)
-    s_f = s_function(params_f, m, alpha)
-    m1 = p ** (s_e - 1) * m
-    v = vp(factorial_ratio((m1 - 1) // e, (m1 - 1) // f), p)
-    v += ceil_div(m1, e) - ceil_div(m1, f)
-    for j in range(s_e, s_f):
-        v += degree1_exponent(params_f, p**j * m, alpha.floor_l1(p, j))
-    return v
+    sm_e = h1_syntomic_orbit(params, orbit)
+    sm_f = h1_syntomic_orbit(TruncationParams(p, f, i), orbit)
+    return transition_valuation(p, e, f, sm_e, sm_f)
 
 
 def image_exponent(h_f: int, h_e: int, v: int) -> int:
@@ -166,23 +168,23 @@ def stabilized_images(tower: Tower, probe: int) -> StabilizedTower:
     A level is certified when the probe reaches its theoretical bound; on
     certified levels any image change at or past the bound raises
     MLViolationError (with the witness pair), since stabilization there is
-    a theorem.
+    a theorem.  Each level's summand is computed once, for all its pairs.
     """
     p = tower.p
     out = []
     all_levels = [f for f in range(2, probe + 1) if f % p]
+    walked = sorted({*all_levels, *tower.levels})
+    summands = {f: h1_syntomic_orbit(tower.params(f), tower.orbit) for f in walked}
     for e, h in zip(tower.levels, tower.groups):
-        params = tower.params(e)
-        bound = ml_bound(params, tower.orbit.m)
+        bound = ml_bound(tower.params(e), tower.orbit.m)
         sources = [f for f in all_levels if f >= e]
         images = []
         for f in sources:
-            v = tr_valuation(params, f, tower.orbit)
+            v = transition_valuation(p, e, f, summands[e], summands[f])
             if v is None or h == 0:
                 images.append(h)  # zero map: trivial image
                 continue
-            h_f = h1_syntomic_orbit(TruncationParams(p, f, tower.weight), tower.orbit).module.h
-            images.append(image_exponent(h_f, h, v))
+            images.append(image_exponent(summands[f].module.h, h, v))
         certified = bool(sources) and sources[-1] >= bound
         if certified:
             past = [img for f, img in zip(sources, images) if f >= bound]

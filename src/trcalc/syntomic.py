@@ -63,50 +63,39 @@ class AlphaBounds:
             raise ValueError(f"slot names must be distinct, got {' '.join(self.slots)}")
 
 
-def s_function(params: TruncationParams, m: int, alpha: MultiIndex = MultiIndex()) -> int:
-    """Least s >= 0 with ceil(p^s m / e) + floor-l1(p^s alpha) > i, i.e.
-    where the degree-1 exponent of level s turns negative.
+def _degree1_walk(params: TruncationParams, m: int, alpha: MultiIndex) -> list[int]:
+    """Degree-1 exponents d_a = i - ceil(p^a m / e) - floor_l1(p^a alpha) of
+    the orbit levels a = 0, 1, ... before the first negative one; their
+    number is s.
 
-    Terminates because ceil(p^s m / e) is unbounded in s.
+    Terminates because ceil(p^a m / e) is unbounded in a.
     """
     if m < 1:
         raise ValueError("s_function needs m >= 1")
     p = params.p
-    s = 0
-    while degree1_exponent(params, p**s * m, alpha.floor_l1(p, s)) >= 0:
-        s += 1
-    return s
+    walk: list[int] = []
+    while True:
+        d = degree1_exponent(params, p ** len(walk) * m, alpha.floor_l1(p, len(walk)))
+        if d < 0:
+            return walk
+        walk.append(d)
 
 
-def kernel_generator(params: TruncationParams, orbit: Orbit) -> tuple[int, ...]:
-    """p-power scalings (c_{s-1}, ..., c_0) of the kernel generator of
-    (divided Frobenius - canonical) across the orbit levels s-1 down to 0.
-
-    The generator is pinned at level s-1 (c_{s-1} = 0) and propagated
-    downward through the level-a isomorphisms, which forces
-    c_a = sum_{j=a+1}^{s-1} (i - ceil(p^j m / e) - floor_l1(p^j alpha)).
-    Rejects orbits with s = 0, whose kernel summand is trivial.
-    """
-    orbit.validate(params.p)
-    p = params.p
-    s = s_function(params, orbit.m, orbit.alpha)
-    if s == 0:
-        raise ValueError("orbit has s = 0; kernel summand is trivial")
-    exponents = []
-    acc = 0
-    for a in range(s - 1, -1, -1):
-        exponents.append(acc)
-        # accumulate the level-a term for the next step down
-        acc += degree1_exponent(params, p**a * orbit.m, orbit.alpha.floor_l1(p, a))
-    return tuple(exponents)
+def s_function(params: TruncationParams, m: int, alpha: MultiIndex = MultiIndex()) -> int:
+    """Least s >= 0 with ceil(p^s m / e) + floor-l1(p^s alpha) > i, i.e.
+    where the degree-1 exponent of level s turns negative."""
+    return len(_degree1_walk(params, m, alpha))
 
 
 def h1_syntomic_orbit(params: TruncationParams, orbit: Orbit) -> SyntomicSummand:
-    """Degree-1 syntomic cohomology of one orbit: W(k)/brace(p^s m, e)."""
+    """Degree-1 syntomic cohomology of one orbit: W(k)/brace(p^s m, e), with
+    the kernel generator's scalings (c_{s-1}, ..., c_0): pinned at level s-1
+    and propagated downward, it has c_a = d_{a+1} + ... + d_{s-1}."""
     orbit.validate(params.p)
-    s = s_function(params, orbit.m, orbit.alpha)
+    walk = _degree1_walk(params, orbit.m, orbit.alpha)
+    s = len(walk)
     h = vp(brace(params.p**s * orbit.m, params.e), params.p)
-    gens = kernel_generator(params, orbit) if s >= 1 else ()
+    gens = tuple(itertools.accumulate(reversed(walk[1:]), initial=0)) if walk else ()
     return SyntomicSummand(orbit, CyclicWittModule(h), s, gens)
 
 

@@ -18,6 +18,7 @@ import pytest
 from trcalc.drw import TruncationParams
 from trcalc.oracle import (
     DegenerateOrbitError,
+    OrbitTruncation,
     TransitionOracle,
     certify_kernel_generator,
     default_truncation,
@@ -307,10 +308,11 @@ def test_criterion_7_identity_suites(capsys):
             )
         params = TruncationParams(p, e, i)
         orbit = Orbit(m, alpha)
-        base = oracle_cohomology(params, default_truncation(params, orbit), check_stability=False)
+        trunc = default_truncation(params, orbit)
+        base = oracle_cohomology(params, trunc, check_stability=False)
         grown = oracle_cohomology(
             params,
-            default_truncation(params, orbit, extra_a=1, extra_n=2),
+            OrbitTruncation(orbit, trunc.A + 1, trunc.N + 2),
             check_stability=False,
         )
         ok = ok and base == grown

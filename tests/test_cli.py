@@ -209,3 +209,21 @@ def test_weight_range_flag_accepted_where_read(capsys):
     code, out = _run(["kgroups", "--p", "3", "--i", "1", "--i-max", "2", "--e", "2", "--format", "json"], capsys)
     assert code == EXIT_OK
     assert [cert["i"] for cert in json.loads(out)["certificates"]] == [1, 2]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        JobSpec(command="transition", p=3, i=1, i_max=3, e=2, e_max=5, A=9),
+        JobSpec(command="transition", p=3, i=1, i_max=3, e=2, e_max=5),
+        JobSpec(command="tr", p=3, i=0, i_max=2, e=2, e_max=8),
+        JobSpec(command="syntomic", p=3, i=1, e=2, A=9),
+        JobSpec(command="kgroups", p=3, i=1, e=2, N=30),
+        JobSpec(command="ml-check", p=3, i=1, e=2, e_max=8, N=40),
+    ],
+)
+def test_run_command_rejects_fields_the_command_does_not_read(spec):
+    # the library entry point holds the same line as the flag parser
+    with pytest.raises(ValidationError):
+        run_command(spec)
+

@@ -96,9 +96,10 @@ def test_sign_convention_independence():
 def test_truncation_stability():
     params = TruncationParams(2, 3, 2)
     orbit = Orbit(1)
-    base = oracle_cohomology(params, default_truncation(params, orbit), check_stability=False)
+    trunc = default_truncation(params, orbit)
+    base = oracle_cohomology(params, trunc, check_stability=False)
     grown = oracle_cohomology(
-        params, default_truncation(params, orbit, extra_a=1, extra_n=2), check_stability=False
+        params, OrbitTruncation(orbit, trunc.A + 1, trunc.N + 2), check_stability=False
     )
     assert base == grown
 

@@ -3,6 +3,7 @@ classification of the degree-1 towers."""
 
 import pytest
 
+import trcalc.prosystem as prosystem_module
 from trcalc.drw import TruncationParams
 from trcalc.oracle import oracle_transition_map
 from trcalc.padic import MultiIndex, PAdicFraction
@@ -190,3 +191,33 @@ def test_tower_orbits_is_the_sorted_union_over_levels():
     assert len(orbits) == len(union)
     assert orbits == sorted(orbits, key=lambda o: o.sort_key())
     assert tower_orbits(3, 0, bounds, levels) == []
+
+
+def test_stabilized_images_walks_each_probed_level_once(monkeypatch):
+    calls = []
+    real = prosystem_module.h1_syntomic_orbit
+
+    def counting(params, orbit):
+        calls.append(params.e)
+        return real(params, orbit)
+
+    def forbidden(*args):
+        raise AssertionError("stabilized_images must not call tr_valuation")
+
+    levels = [e for e in range(2, 21) if e % 3]
+    orbit = Orbit(1, MultiIndex.from_dict({"t": PAdicFraction(1, 1)}))
+    tower = build_tower(3, 2, orbit, levels)
+    # witness: the images pair by pair, one tr_valuation per (e, f)
+    pairwise = []
+    for e, h in zip(tower.levels, tower.groups):
+        images = []
+        for f in (f for f in levels if f >= e):
+            v = tr_valuation(TruncationParams(3, e, 2), f, orbit)
+            h_f = h1_syntomic_orbit(TruncationParams(3, f, 2), orbit).module.h
+            images.append(h if v is None or h == 0 else image_exponent(h_f, h, v))
+        pairwise.append(tuple(images))
+    monkeypatch.setattr(prosystem_module, "h1_syntomic_orbit", counting)
+    monkeypatch.setattr(prosystem_module, "tr_valuation", forbidden)
+    stab = stabilized_images(tower, 20)
+    assert sorted(calls) == levels
+    assert [rec.images for rec in stab.per_level] == pairwise

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trcalc.drw import TruncationParams
+from trcalc.drw import TruncationParams, degree1_exponent
+from trcalc.oracle import certify_kernel_generator, default_truncation, fiber_cohomology
 from trcalc.padic import MultiIndex, PAdicFraction
 from trcalc.syntomic import (
     AlphaBounds,
@@ -20,7 +21,6 @@ from trcalc.syntomic import (
     enumerate_alphas,
     enumerate_orbits,
     h1_syntomic_orbit,
-    kernel_generator,
     s_function,
 )
 
@@ -58,15 +58,22 @@ def test_orbit_validation():
         Orbit(0).validate(2)
 
 
+def _generator(params, orbit):
+    return h1_syntomic_orbit(params, orbit).generator_exponents
+
+
 def test_kernel_generator_examples():
-    assert kernel_generator(TruncationParams(3, 2, 1), Orbit(1)) == (0,)
-    assert kernel_generator(TruncationParams(2, 2, 1), Orbit(1)) == (0, 0)
-    assert kernel_generator(TruncationParams(2, 3, 2), Orbit(1)) == (0, 0, 1)
+    assert _generator(TruncationParams(3, 2, 1), Orbit(1)) == (0,)
+    assert _generator(TruncationParams(2, 2, 1), Orbit(1)) == (0, 0)
+    assert _generator(TruncationParams(2, 3, 2), Orbit(1)) == (0, 0, 1)
+    assert _generator(TruncationParams(2, 3, 1), Orbit(5)) == ()
 
 
 def test_kernel_generator_rejects_trivial():
+    params = TruncationParams(2, 3, 1)
+    trunc = default_truncation(params, Orbit(5))
     with pytest.raises(ValueError):
-        kernel_generator(TruncationParams(2, 3, 1), Orbit(5))
+        certify_kernel_generator(params, trunc, fiber_cohomology(params, trunc))
 
 
 def test_enumerate_orbits_examples():
@@ -190,3 +197,25 @@ def test_total_exponent_identity(p, e, i):
         return
     total = sum(sm.module.h for sm in enumerate_orbits(TruncationParams(p, e, i)))
     assert total == i * (e - 1)
+
+
+@settings(max_examples=300)
+@given(GRID_PARAMS, st.integers(1, 30), st.integers(0, 6), st.integers(0, 3))
+def test_generator_suffix_is_the_transition_sum(args, df, num, pexp):
+    # the source generator's scaling at level s_e - 1 is the sum of the
+    # level-f degree-1 exponents over [s_e, s_f), which tr_valuation reads
+    p, e, i, m = args
+    f = e + df
+    if m % p == 0:
+        m += 1
+    alpha = MultiIndex.from_dict({"t": PAdicFraction.make(num, pexp, p)})
+    params_f = TruncationParams(p, f, i)
+    sm_e = h1_syntomic_orbit(TruncationParams(p, e, i), Orbit(m, alpha))
+    sm_f = h1_syntomic_orbit(params_f, Orbit(m, alpha))
+    if sm_e.s == 0:
+        return
+    assert sm_f.s >= sm_e.s
+    witness = sum(
+        degree1_exponent(params_f, p**j * m, alpha.floor_l1(p, j)) for j in range(sm_e.s, sm_f.s)
+    )
+    assert sm_f.generator_exponents[sm_f.s - sm_e.s] == witness
