@@ -6,9 +6,9 @@ differential, the divided Frobenius (level a -> a+1, with contributions
 exiting level A dropped), and the canonical inclusion of the weight-i
 filtered subcomplex.  The mapping fiber of (divided Frobenius - canonical)
 is assembled as a three-term cochain complex over Z/p^N and its cohomology
-is computed by Smith normal form.  The matrices use only the Nygaard
-exponents, the brace symbol and factorial ratios; from the closed forms
-being checked the oracle reads `s_function` (truncation sizes), the
+is computed by Smith normal form over Z/p^N.  The matrices use only the
+Nygaard exponents, the brace symbol and factorial ratios; from the closed
+forms being checked the oracle reads `s_function` (truncation sizes), the
 summand's generator exponents (the generator it certifies) and, in
 `verify_orbit`, the summand it compares against.
 """
@@ -29,7 +29,7 @@ from .snf import (
     kernel_mod,
     mat_vec,
     quotient,
-    smith_normal_form,
+    smith_mod_prime_power,
     solve_in_lattice,
 )
 from .syntomic import Orbit, h1_syntomic_orbit, s_function
@@ -194,11 +194,14 @@ def build_orbit_matrices(params: TruncationParams, trunc: OrbitTruncation) -> Or
 class FiberCohomology:
     """The three cohomology groups of the truncated fiber complex.
 
-    Degrees 1 and 2 are computed modulo p^N; reducing the whole complex
+    Degrees 1 and 2 are computed modulo p^N.  Reducing the whole complex
     would fold the degree-1 torsion back into degree 0 (universal
-    coefficients), so degree 0 is instead certified by the integer
-    injectivity of the first differential, which holds whenever the
-    reduced coefficients are nonzero.
+    coefficients), so degree 0 is certified instead: a column of the first
+    differential whose elementary divisor over Z/p^N is below p^N has a
+    nonzero integer elementary divisor, and when every column has one the
+    differential is injective over the integers and H^0 vanishes.
+    `h0_kernel_rank` counts the columns left uncertified; `exponents`
+    refuses when it is nonzero rather than guess.
     """
 
     matrices: OrbitMatrices
@@ -208,41 +211,30 @@ class FiberCohomology:
 
     def exponents(self, p: int) -> dict[int, tuple[int, ...]]:
         if self.h0_kernel_rank:
-            raise OracleError("degree-0 differential has nontrivial integer kernel")
+            raise OracleError(
+                f"degree-0 injectivity not certified mod p^N on {self.h0_kernel_rank} column(s)"
+            )
         return {0: (), 1: self.h1.exponents(p), 2: self.h2.exponents(p)}
-
-
-def _modulus_columns(n: int, modulus: int) -> Matrix:
-    return [[modulus if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def fiber_cohomology(params: TruncationParams, trunc: OrbitTruncation) -> FiberCohomology:
     mats = build_orbit_matrices(params, trunc)
-    n, modulus = mats.n, mats.modulus
+    p, n, modulus = params.p, mats.n, mats.modulus
     d0 = mats.fiber_d0()
     d1 = mats.fiber_d1()
 
-    rank0 = sum(1 for d in smith_normal_form(d0).diagonal if d != 0)
-
-    k1 = kernel_mod(d1, modulus)
-    h1 = quotient(k1, hstack(d0, _modulus_columns(2 * n, modulus)), (params.p, modulus))
-
-    k2 = kernel_mod([[0] * n], modulus)
-    h2 = quotient(k2, hstack(d1, _modulus_columns(n, modulus)), (params.p, modulus))
-
-    return FiberCohomology(mats, n - rank0, h1, h2)
+    # a column whose divisor is below p^N is certified (see FiberCohomology)
+    uncertified = smith_mod_prime_power(d0, p, modulus)[0][:n].count(modulus)
+    h1 = quotient(kernel_mod(d1, p, modulus), d0)
+    h2 = quotient(kernel_mod([[0] * n], p, modulus), d1)
+    return FiberCohomology(mats, uncertified, h1, h2)
 
 
-def oracle_cohomology(
-    params: TruncationParams,
-    trunc: OrbitTruncation,
-    check_stability: bool = True,
-) -> dict[int, tuple[int, ...]]:
+def oracle_cohomology(params: TruncationParams, trunc: OrbitTruncation) -> dict[int, tuple[int, ...]]:
     """Cohomology of the truncated fiber complex as p-power exponents per
-    degree, with an A -> A+1, N -> N+2 stability recheck by default."""
+    degree, rechecked at the grown truncation A -> A+1, N -> N+2."""
     result = fiber_cohomology(params, trunc).exponents(params.p)
-    if check_stability:
-        _check_stability(params, trunc, result)
+    _check_stability(params, trunc, result)
     return result
 
 
@@ -275,10 +267,10 @@ def closed_form_kernel_cochain(params: TruncationParams, trunc: OrbitTruncation,
         w[a] = p ** exps[s - 1 - a]
     pc1 = fc.matrices.phi_minus_can1()
     v = [val % modulus for val in mat_vec(pc1, w)]
-    # unknowns: u (coboundary witness), t (tail levels s..A), p^N slack
+    # unknowns mod p^N: u (coboundary witness), t (tail levels s..A)
     neg_tail = [[-pc1[r][a] for a in range(s, n)] for r in range(n)]
-    gen = hstack(hstack(fc.matrices._diag(fc.matrices.diff_full), neg_tail), _modulus_columns(n, modulus))
-    z = solve_in_lattice(gen, v)
+    gen = hstack(fc.matrices._diag(fc.matrices.diff_full), neg_tail)
+    z = solve_in_lattice(gen, v, p, modulus)
     if z is None:
         # The construction fixes only valuations; each level's generator
         # absorbs a unit.  Solve for a choice of per-level units before
@@ -349,7 +341,7 @@ def _unit_relaxed_kernel_cochain(
     for c in columns(fc.matrices._diag(fc.matrices.diff_full)):
         cols.append([(-x) % modulus for x in c])
     M = [[cols[j][r] for j in range(len(cols))] for r in range(n)]
-    K = kernel_mod(M, modulus)
+    K = kernel_mod(M, p, modulus)
     kernel_vectors = columns(K.basis)
     coeffs = _nonvanishing_combination(kernel_vectors, s, p)
     if coeffs is None:

@@ -97,13 +97,19 @@ def ml_bound(params: TruncationParams, m: int) -> int:
 
 @dataclass(frozen=True)
 class Tower:
-    """One orbit's groups over an ascending window of levels coprime to p."""
+    """One orbit's summands over an ascending window of levels coprime to
+    p."""
 
     p: int
     weight: int
     orbit: Orbit
     levels: tuple[int, ...]
-    groups: tuple[int, ...]  # exponent h per level
+    summands: tuple[SyntomicSummand, ...]  # one per level
+
+    @property
+    def groups(self) -> tuple[int, ...]:
+        """Exponent h per level."""
+        return tuple(sm.module.h for sm in self.summands)
 
     def params(self, e: int) -> TruncationParams:
         return TruncationParams(self.p, e, self.weight)
@@ -111,8 +117,8 @@ class Tower:
     def adjacent_transitions(self) -> tuple[int | None, ...]:
         """Valuation of each map from level j+1 down to level j."""
         return tuple(
-            tr_valuation(self.params(e), f, self.orbit)
-            for e, f in zip(self.levels, self.levels[1:])
+            transition_valuation(self.p, e, f, sm_e, sm_f)
+            for e, f, sm_e, sm_f in zip(self.levels, self.levels[1:], self.summands, self.summands[1:])
         )
 
 
@@ -120,10 +126,8 @@ def build_tower(p: int, weight: int, orbit: Orbit, levels: list[int]) -> Tower:
     levels = sorted(levels)
     if any(lv % p == 0 for lv in levels):
         raise ValueError("levels must be coprime to p")
-    groups = tuple(
-        h1_syntomic_orbit(TruncationParams(p, e, weight), orbit).module.h for e in levels
-    )
-    return Tower(p, weight, orbit, tuple(levels), groups)
+    summands = tuple(h1_syntomic_orbit(TruncationParams(p, e, weight), orbit) for e in levels)
+    return Tower(p, weight, orbit, tuple(levels), summands)
 
 
 @dataclass(frozen=True)
@@ -168,13 +172,16 @@ def stabilized_images(tower: Tower, probe: int) -> StabilizedTower:
     A level is certified when the probe reaches its theoretical bound; on
     certified levels any image change at or past the bound raises
     MLViolationError (with the witness pair), since stabilization there is
-    a theorem.  Each level's summand is computed once, for all its pairs.
+    a theorem.  The tower's summands are reused, and each probed level the
+    tower lacks gets its summand once, for all its pairs.
     """
     p = tower.p
     out = []
     all_levels = [f for f in range(2, probe + 1) if f % p]
-    walked = sorted({*all_levels, *tower.levels})
-    summands = {f: h1_syntomic_orbit(tower.params(f), tower.orbit) for f in walked}
+    summands = dict(zip(tower.levels, tower.summands))
+    for f in all_levels:
+        if f not in summands:
+            summands[f] = h1_syntomic_orbit(tower.params(f), tower.orbit)
     for e, h in zip(tower.levels, tower.groups):
         bound = ml_bound(tower.params(e), tower.orbit.m)
         sources = [f for f in all_levels if f >= e]

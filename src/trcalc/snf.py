@@ -1,15 +1,21 @@
-"""Smith normal form over the integers, with transform tracking, plus the
-lattice helpers the brute-force oracle needs: kernel lattices modulo p^N,
-quotient presentations K/L, and exact membership solves.
+"""Smith normal form over the local ring Z/p^N, with transform tracking,
+plus the lattice helpers the brute-force oracle needs: kernel lattices of
+matrices modulo p^N, quotient presentations K/(L + p^N·Z^n), and solves
+modulo p^N.
 
-Matrices are dense row-major lists of arbitrary-precision ints.  Dimensions
-here are tiny (a handful of orbit levels), so clarity wins over asymptotics.
+Every matrix the oracle builds is reduced modulo q = p^N and every lattice
+it forms contains q·Z^n, so each elementary divisor is a power of p
+dividing q.  Pivoting on an entry of least p-valuation keeps all entries
+reduced mod q, so there is no coefficient growth: the modulo-determinant
+idea of Domich, Kannan and Trotter (1987), specialised to Z/p^N.
+
+Matrices are dense row-major lists of ints.  Dimensions here are tiny (a
+handful of orbit levels), so clarity wins over asymptotics.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 
 Matrix = list[list[int]]
@@ -42,10 +48,6 @@ def mat_vec(A: Matrix, x: list[int]) -> list[int]:
     return [sum(a * b for a, b in zip(row, x)) for row in A]
 
 
-def mat_mod(A: Matrix, modulus: int) -> Matrix:
-    return [[a % modulus for a in row] for row in A]
-
-
 def hstack(A: Matrix, B: Matrix) -> Matrix:
     return [ra + rb for ra, rb in zip(A, B)]
 
@@ -58,301 +60,36 @@ def from_columns(cols: list[list[int]]) -> Matrix:
     return [list(row) for row in zip(*cols)] if cols else []
 
 
-def scale_cols(A: Matrix, factors: list[int]) -> Matrix:
-    return [[a * f for a, f in zip(row, factors)] for row in A]
+def _pval(a: int, p: int) -> int:
+    v = 0
+    while a % p == 0:
+        a //= p
+        v += 1
+    return v
 
 
-@dataclass(frozen=True)
-class SNFResult:
-    """Elementary divisors: nonnegative, each dividing the next, zeros
-    trailing."""
+def smith_mod_prime_power(M: Matrix, p: int, q: int) -> tuple[list[int], Matrix, Matrix, Matrix, Matrix]:
+    """Elementary divisors and transforms of M over Z/q, q = p^N.
 
-    diagonal: tuple[int, ...]
+    Returns (divisors, U, Uinv, V, Vinv): U·M·V is congruent mod q to the
+    matrix with divisors[t] at (t, t) and zeros elsewhere, and U·Uinv and
+    V·Vinv are congruent to the identity.  There is one divisor per row,
+    p^v with v < N or q (which reads as 0) where the remaining block
+    vanishes mod q, in increasing order.  When the column lattice of M
+    contains q·Z^rows, these are the integer elementary divisors of that
+    lattice.
 
-
-@dataclass
-class SmithDecomposition:
-    """U @ M @ V = D with U, V unimodular; inverses tracked alongside."""
-
-    D: Matrix
-    U: Matrix
-    Uinv: Matrix
-    V: Matrix
-    Vinv: Matrix
-
-    def diagonal(self) -> list[int]:
-        n = min(len(self.D), len(self.D[0]) if self.D else 0)
-        return [self.D[t][t] for t in range(n)]
-
-    def rank(self) -> int:
-        return sum(1 for d in self.diagonal() if d != 0)
-
-
-def smith_with_transforms(M: Matrix) -> SmithDecomposition:
-    rows = len(M)
-    cols = len(M[0]) if rows else 0
-    A = [row[:] for row in M]
-    U, Uinv = eye(rows), eye(rows)
-    V, Vinv = eye(cols), eye(cols)
-
-    def row_swap(i, j):
-        A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
-        for r in range(rows):
-            Uinv[r][i], Uinv[r][j] = Uinv[r][j], Uinv[r][i]
-
-    def row_addmul(i, j, q):
-        # row_i += q * row_j
-        A[i] = [a + q * b for a, b in zip(A[i], A[j])]
-        U[i] = [a + q * b for a, b in zip(U[i], U[j])]
-        for r in range(rows):
-            Uinv[r][j] -= q * Uinv[r][i]
-
-    def row_negate(i):
-        A[i] = [-a for a in A[i]]
-        U[i] = [-a for a in U[i]]
-        for r in range(rows):
-            Uinv[r][i] = -Uinv[r][i]
-
-    def col_swap(i, j):
-        for r in range(rows):
-            A[r][i], A[r][j] = A[r][j], A[r][i]
-        for r in range(cols):
-            V[r][i], V[r][j] = V[r][j], V[r][i]
-        Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
-
-    def col_addmul(i, j, q):
-        # col_i += q * col_j
-        for r in range(rows):
-            A[r][i] += q * A[r][j]
-        for r in range(cols):
-            V[r][i] += q * V[r][j]
-        Vinv[j] = [a - q * b for a, b in zip(Vinv[j], Vinv[i])]
-
-    def find_pivot(t):
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                a = abs(A[i][j])
-                if a and (best is None or a < best[0]):
-                    best = (a, i, j)
-        return best
-
-    def clear_cross(t):
-        """Diagonalize position t: zero out row t and column t beyond it."""
-        while True:
-            best = find_pivot(t)
-            if best is None:
-                return False
-            _, pi, pj = best
-            if pi != t:
-                row_swap(t, pi)
-            if pj != t:
-                col_swap(t, pj)
-            dirty = False
-            for i in range(t + 1, rows):
-                if A[i][t]:
-                    row_addmul(i, t, -(A[i][t] // A[t][t]))
-                    if A[i][t]:
-                        dirty = True
-            for j in range(t + 1, cols):
-                if A[t][j]:
-                    col_addmul(j, t, -(A[t][j] // A[t][t]))
-                    if A[t][j]:
-                        dirty = True
-            if not dirty:
-                return True
-
-    limit = min(rows, cols)
-    rank = 0
-    for t in range(limit):
-        if not clear_cross(t):
-            break
-        rank = t + 1
-
-    # Enforce the divisibility chain on the nonzero diagonal.
-    changed = True
-    while changed:
-        changed = False
-        for t in range(rank - 1):
-            for j in range(t + 1, rank):
-                if A[j][j] % A[t][t] != 0:
-                    col_addmul(t, j, 1)
-                    for u in range(t, rank):
-                        clear_cross(u)
-                    changed = True
-                    break
-            if changed:
-                break
-
-    for t in range(limit):
-        if A[t][t] < 0:
-            row_negate(t)
-
-    return SmithDecomposition(A, U, Uinv, V, Vinv)
-
-
-def smith_normal_form(M: Matrix) -> SNFResult:
-    """Elementary divisors of an integer matrix."""
-    if not M or not M[0]:
-        return SNFResult(())
-    dec = smith_with_transforms(M)
-    return SNFResult(tuple(dec.diagonal()))
-
-
-def solve_in_lattice(gen: Matrix, v: list[int]) -> list[int] | None:
-    """Integer coefficients z with gen @ z = v, or None if v is outside the
-    column lattice of gen."""
-    dec = smith_with_transforms(gen)
-    rows = len(gen)
-    cols = len(gen[0]) if rows else 0
-    uv = mat_vec(dec.U, v)
-    w = [0] * cols
-    diag = dec.diagonal()
-    for j in range(rows):
-        d = diag[j] if j < len(diag) else 0
-        if d == 0:
-            if uv[j] != 0:
-                return None
-        else:
-            if uv[j] % d != 0:
-                return None
-            if j < cols:
-                w[j] = uv[j] // d
-    return mat_vec(dec.V, w)
-
-
-@dataclass
-class KernelLattice:
-    """Full-rank lattice K = {x : M x = 0 mod modulus} inside Z^n, carried
-    by a basis matrix together with exact solve data."""
-
-    basis: Matrix  # n x n, columns span K
-    _Vinv: Matrix
-    _t: list[int]
-
-    @property
-    def dim(self) -> int:
-        return len(self._t)
-
-    def solve(self, x: list[int]) -> list[int] | None:
-        """Coordinates of x in the kernel basis; None if x is not in K."""
-        y = mat_vec(self._Vinv, x)
-        out = []
-        for val, t in zip(y, self._t):
-            if val % t != 0:
-                return None
-            out.append(val // t)
-        return out
-
-    def solve_matrix(self, C: Matrix) -> Matrix:
-        """Columnwise solve; every column must lie in K."""
-        sols = []
-        for col in columns(C):
-            y = self.solve(col)
-            if y is None:
-                raise ArithmeticError("column outside the kernel lattice")
-            sols.append(y)
-        return from_columns(sols)
-
-
-def kernel_mod(M: Matrix, modulus: int) -> KernelLattice:
-    """Lattice of integer vectors x with M x = 0 mod modulus."""
-    rows = len(M)
-    cols = len(M[0]) if rows else 0
-    if cols == 0:
-        return KernelLattice([], [], [])
-    dec = smith_with_transforms(M)
-    diag = dec.diagonal()
-    t = []
-    for j in range(cols):
-        d = diag[j] if j < len(diag) else 0
-        t.append(1 if d == 0 else modulus // gcd(d, modulus))
-    basis = scale_cols(dec.V, t)
-    return KernelLattice(basis, dec.Vinv, t)
-
-
-@dataclass
-class QuotientPresentation:
-    """Finite abelian group K/L given by elementary divisors, with class
-    coordinates for arbitrary lattice elements."""
-
-    kernel: KernelLattice
-    divisors: tuple[int, ...]
-    _U: Matrix
-    _Uinv: Matrix
-
-    def nontrivial_divisors(self) -> tuple[int, ...]:
-        return tuple(d for d in self.divisors if d != 1)
-
-    def exponents(self, p: int) -> tuple[int, ...]:
-        """Divisors as powers of p, largest first; fails if any divisor is
-        not a p-power (which would mean the quotient is not p-primary)."""
-        out = []
-        for d in self.divisors:
-            a = 0
-            while d % p == 0:
-                d //= p
-                a += 1
-            if d != 1:
-                raise ArithmeticError("quotient has non-p-power divisor")
-            if a:
-                out.append(a)
-        return tuple(sorted(out, reverse=True))
-
-    def class_coords(self, x: list[int]) -> list[int]:
-        y = self.kernel.solve(x)
-        if y is None:
-            raise ArithmeticError("element outside the kernel lattice")
-        z = mat_vec(self._U, y)
-        return [zi % d if d else zi for zi, d in zip(z, self.divisors)]
-
-    def class_order_exponent(self, x: list[int], p: int) -> int:
-        """log_p of the order of the class of x in K/L."""
-        best = 0
-        for zi, d in zip(self.class_coords(x), self.divisors):
-            if d == 0:
-                raise ArithmeticError("quotient is not finite")
-            ordr = d // gcd(zi, d)
-            a = 0
-            while ordr % p == 0:
-                ordr //= p
-                a += 1
-            if ordr != 1:
-                raise ArithmeticError("class order is not a p-power")
-            best = max(best, a)
-        return best
-
-    def generator_of_largest_factor(self, p: int) -> list[int]:
-        """A lattice vector whose class generates the largest cyclic
-        factor; only meaningful when the quotient is cyclic."""
-        gens = columns(mat_mul(self.kernel.basis, self._Uinv))
-        exps = [self.class_order_exponent(col, p) for col in gens]
-        j = max(range(len(exps)), key=lambda idx: exps[idx])
-        return gens[j]
-
-
-def smith_mod_prime_power(M: Matrix, p: int, q: int) -> tuple[list[int], Matrix, Matrix]:
-    """Elementary divisors and row transforms of M over Z/q, q = p^N.
-
-    Valid when the column lattice of M contains q·Z^rows, so every divisor
-    divides q.  Pivoting on the entry of least p-valuation keeps all
-    entries reduced mod q, avoiding the coefficient growth of the exact
-    integer algorithm.  Returns (divisors, U, Uinv) with U·M congruent to
-    the diagonal mod q after column operations; U is unimodular mod q.
+    Each step pivots on an entry of least p-valuation v and scales its row
+    so the pivot is p^v.  Every entry of the remaining block is then
+    divisible by p^v, so the row operations below the pivot and the column
+    operations right of it stay inside Z/q.
     """
     rows = len(M)
     cols = len(M[0]) if rows else 0
     A = [[a % q for a in row] for row in M]
     U, Uinv = eye(rows), eye(rows)
+    V, Vinv = eye(cols), eye(cols)
     divisors = [q] * rows
-
-    def pval(a: int) -> int:
-        v = 0
-        while a % p == 0:
-            a //= p
-            v += 1
-        return v
 
     for t in range(min(rows, cols)):
         best = None
@@ -360,7 +97,7 @@ def smith_mod_prime_power(M: Matrix, p: int, q: int) -> tuple[list[int], Matrix,
             for j in range(t, cols):
                 a = A[i][j]
                 if a:
-                    v = pval(a)
+                    v = _pval(a, p)
                     if best is None or v < best[0]:
                         best = (v, i, j)
                         if v == 0:
@@ -378,6 +115,9 @@ def smith_mod_prime_power(M: Matrix, p: int, q: int) -> tuple[list[int], Matrix,
         if pj != t:
             for r in range(rows):
                 A[r][pj], A[r][t] = A[r][t], A[r][pj]
+            for r in range(cols):
+                V[r][pj], V[r][t] = V[r][t], V[r][pj]
+            Vinv[pj], Vinv[t] = Vinv[t], Vinv[pj]
         pk = p**v
         unit = A[t][t] // pk
         uinv = pow(unit, -1, q)
@@ -385,7 +125,7 @@ def smith_mod_prime_power(M: Matrix, p: int, q: int) -> tuple[list[int], Matrix,
         U[t] = [a * uinv % q for a in U[t]]
         for r in range(rows):
             Uinv[r][t] = Uinv[r][t] * unit % q
-        # v is minimal, so every entry below the pivot is divisible by p^v
+        # row_i -= f * row_t, so Uinv's column t gains f * its column i
         for i in range(t + 1, rows):
             if A[i][t]:
                 f = A[i][t] // pk
@@ -393,29 +133,123 @@ def smith_mod_prime_power(M: Matrix, p: int, q: int) -> tuple[list[int], Matrix,
                 U[i] = [(a - f * b) % q for a, b in zip(U[i], U[t])]
                 for r in range(rows):
                     Uinv[r][t] = (Uinv[r][t] + f * Uinv[r][i]) % q
-        # column t now has a single nonzero entry, so clearing row t by
-        # column operations touches no other row
+        # column t now holds only the pivot, so col_j -= f * col_t clears
+        # row t and touches no other row; Vinv's row t gains f * its row j
         for j in range(t + 1, cols):
-            A[t][j] = 0
-        divisors[t] = pk % q if pk % q else q
-    return divisors, U, Uinv
+            if A[t][j]:
+                f = A[t][j] // pk
+                A[t][j] = 0
+                for r in range(cols):
+                    V[r][j] = (V[r][j] - f * V[r][t]) % q
+                Vinv[t] = [(a + f * b) % q for a, b in zip(Vinv[t], Vinv[j])]
+        divisors[t] = pk
+    return divisors, U, Uinv, V, Vinv
 
 
-def quotient(kernel: KernelLattice, L: Matrix, modulus_p: tuple[int, int] | None = None) -> QuotientPresentation:
-    """Present K/L for a sublattice L of K given by generator columns.
+def solve_in_lattice(gen: Matrix, v: list[int], p: int, q: int) -> list[int] | None:
+    """Coefficients z with gen·z ≡ v (mod q), q = p^N, or None if there
+    are none."""
+    cols = len(gen[0]) if gen else 0
+    divisors, U, _, V, _ = smith_mod_prime_power(gen, p, q)
+    w = [0] * cols
+    for j, (val, d) in enumerate(zip(mat_vec(U, v), divisors)):
+        val %= q
+        if val % d:
+            return None
+        if j < cols:
+            w[j] = val // d
+    return [x % q for x in mat_vec(V, w)]
 
-    When L is known to contain modulus·Z^n (pass modulus_p = (p, p^N)),
-    the divisors all divide p^N and the presentation is computed by the
-    fast mod-p^N routine instead of exact integer Smith reduction.
+
+@dataclass
+class KernelLattice:
+    """K = {x : M x ≡ 0 mod q} inside Z^n, q = p^N.
+
+    K contains q·Z^n.  The columns of `basis` = V·diag(t) span K modulo
+    q·Z^n, and the coordinates of x in K are read through V⁻¹ mod q: the
+    j-th is defined modulo q/t_j.
     """
-    M = kernel.solve_matrix(L)
-    if modulus_p is not None:
-        p, q = modulus_p
-        divisors, U, Uinv = smith_mod_prime_power(M, p, q)
-        return QuotientPresentation(kernel, tuple(divisors), U, Uinv)
-    dec = smith_with_transforms(M)
-    diag = dec.diagonal()
-    divisors = []
-    for j in range(kernel.dim):
-        divisors.append(diag[j] if j < len(diag) else 0)
-    return QuotientPresentation(kernel, tuple(divisors), dec.U, dec.Uinv)
+
+    basis: Matrix
+    p: int
+    modulus: int
+    _Vinv: Matrix
+    _t: list[int]
+
+    @property
+    def dim(self) -> int:
+        return len(self._t)
+
+    def solve(self, x: list[int]) -> list[int] | None:
+        """Coordinates of x in the kernel basis; None if x is not in K."""
+        out = []
+        for val, t in zip(mat_vec(self._Vinv, x), self._t):
+            val %= self.modulus
+            if val % t:
+                return None
+            out.append(val // t)
+        return out
+
+
+def kernel_mod(M: Matrix, p: int, q: int) -> KernelLattice:
+    """Lattice of integer vectors x with M x ≡ 0 mod q, q = p^N."""
+    rows = len(M)
+    cols = len(M[0]) if rows else 0
+    divisors, _, _, V, Vinv = smith_mod_prime_power(M, p, q)
+    t = [q // d for d in divisors[:cols]] + [1] * (cols - rows)
+    basis = [[a * f % q for a, f in zip(row, t)] for row in V]
+    return KernelLattice(basis, p, q, Vinv, t)
+
+
+@dataclass
+class QuotientPresentation:
+    """Finite p-group K/(L + q·Z^n) given by elementary divisors, with
+    class coordinates for arbitrary lattice elements."""
+
+    kernel: KernelLattice
+    divisors: tuple[int, ...]
+    _U: Matrix
+    _Uinv: Matrix
+
+    def exponents(self, p: int) -> tuple[int, ...]:
+        """Divisors as powers of p, largest first, trivial ones dropped."""
+        return tuple(sorted((a for a in (_pval(d, p) for d in self.divisors) if a), reverse=True))
+
+    def class_coords(self, x: list[int]) -> list[int]:
+        y = self.kernel.solve(x)
+        if y is None:
+            raise ArithmeticError("element outside the kernel lattice")
+        return [zi % d for zi, d in zip(mat_vec(self._U, y), self.divisors)]
+
+    def class_order_exponent(self, x: list[int], p: int) -> int:
+        """log_p of the order of the class of x in K/(L + q·Z^n)."""
+        return max(
+            (_pval(d, p) - _pval(zi or d, p) for zi, d in zip(self.class_coords(x), self.divisors)),
+            default=0,
+        )
+
+    def generator_of_largest_factor(self, p: int) -> list[int]:
+        """A lattice vector whose class generates the largest cyclic
+        factor; only meaningful when the quotient is cyclic."""
+        gens = columns(mat_mul(self.kernel.basis, self._Uinv))
+        exps = [self.class_order_exponent(col, p) for col in gens]
+        j = max(range(len(exps)), key=lambda idx: exps[idx])
+        return gens[j]
+
+
+def quotient(kernel: KernelLattice, L: Matrix) -> QuotientPresentation:
+    """Present K/(L + q·Z^n) for generator columns L inside K.
+
+    In kernel coordinates q·Z^n is spanned by the relations (q/t_j)·e_j,
+    which are appended to the coordinates of L, so every divisor divides q.
+    """
+    gens = []
+    for col in columns(L):
+        y = kernel.solve(col)
+        if y is None:
+            raise ArithmeticError("generator outside the kernel lattice")
+        gens.append(y)
+    q = kernel.modulus
+    gens += [[q // t if r == j else 0 for r in range(kernel.dim)] for j, t in enumerate(kernel._t)]
+    divisors, U, Uinv, _, _ = smith_mod_prime_power(from_columns(gens), kernel.p, q)
+    return QuotientPresentation(kernel, tuple(divisors), U, Uinv)

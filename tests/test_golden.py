@@ -29,6 +29,9 @@ GOLDEN = {
     ("verify --p 2 --i 2 --e 3 --A 6 --N 24", "text"): (0, "250e490ea77881cd"),
     ("verify --p 2 --i 2 --e 3 --A 6 --N 24", "json"): (0, "e276fc1c05330bcc"),
     ("verify --p 2 --i 2 --e 3 --A 6 --N 24", "csv"): (0, "44e42be2aac54717"),
+    ("verify --p 3 --i 3 --e 3 --slots t --alpha-num-max 2 --alpha-pexp-max 1", "text"): (0, "5276ec9d2eac0656"),
+    ("verify --p 3 --i 3 --e 3 --slots t --alpha-num-max 2 --alpha-pexp-max 1", "json"): (0, "b0afb8fe26227548"),
+    ("verify --p 3 --i 3 --e 3 --slots t --alpha-num-max 2 --alpha-pexp-max 1", "csv"): (0, "e2b7e6d722bd6bf5"),
     ("transition --p 3 --i 1 --e 2 --e-max 8", "text"): (0, "4393e6df9771f10b"),
     ("transition --p 3 --i 1 --e 2 --e-max 8", "json"): (0, "3c5eba1b17c7c9cc"),
     ("transition --p 3 --i 1 --e 2 --e-max 8", "csv"): (0, "ce88a45e478ef363"),

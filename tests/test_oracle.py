@@ -3,11 +3,13 @@ certification, truncation stability, and transition maps."""
 
 import pytest
 
+import snf_witness as witness
 import trcalc.oracle as oracle_module
 from trcalc.cli import JobSpec, run_command
 from trcalc.drw import TruncationParams
 from trcalc.oracle import (
     DegenerateOrbitError,
+    OracleError,
     OrbitTruncation,
     TransitionOracle,
     TruncationInstabilityError,
@@ -19,8 +21,8 @@ from trcalc.oracle import (
     oracle_transition_map,
     verify_orbit,
 )
-from trcalc.padic import MultiIndex, PAdicFraction, brace
-from trcalc.snf import mat_mul, mat_mod
+from trcalc.padic import MultiIndex, PAdicFraction, brace, vp
+from trcalc.snf import eye, hstack, kernel_mod, mat_mul, quotient
 from trcalc.syntomic import Orbit
 
 EMPTY = MultiIndex()
@@ -69,13 +71,14 @@ def test_fiber_complex_composes_to_zero():
         params = TruncationParams(p, e, i)
         trunc = default_truncation(params, Orbit(m))
         mats = build_orbit_matrices(params, trunc)
-        prod = mat_mod(mat_mul(mats.fiber_d1(), mats.fiber_d0()), mats.modulus)
-        assert all(v == 0 for row in prod for v in row)
+        prod = mat_mul(mats.fiber_d1(), mats.fiber_d0())
+        assert all(v % mats.modulus == 0 for row in prod for v in row)
 
 
 def test_sign_convention_independence():
     # negating (phi/p^i - can) in both degrees flips d0/d1 blocks but leaves
-    # kernels and images, hence cohomology, unchanged
+    # kernels and images, hence cohomology, unchanged; the exact-integer
+    # witness, given the p^N columns explicitly, agrees
     params = TruncationParams(2, 3, 2)
     trunc = default_truncation(params, Orbit(1))
     fc = fiber_cohomology(params, trunc)
@@ -84,24 +87,44 @@ def test_sign_convention_independence():
     mats.can0 = [(-v) % mats.modulus for v in mats.can0]
     mats.frob1 = [(-v) % mats.modulus for v in mats.frob1]
     mats.can1 = [(-v) % mats.modulus for v in mats.can1]
-    from trcalc.snf import hstack, kernel_mod, quotient
-    from trcalc.oracle import _modulus_columns
 
     n, modulus = mats.n, mats.modulus
-    k1 = kernel_mod(mats.fiber_d1(), modulus)
-    h1 = quotient(k1, hstack(mats.fiber_d0(), _modulus_columns(2 * n, modulus)))
+    h1 = quotient(kernel_mod(mats.fiber_d1(), 2, modulus), mats.fiber_d0())
     assert h1.exponents(2) == fc.h1.exponents(2)
+
+    k1 = witness.kernel_mod(mats.fiber_d1(), modulus)
+    modulus_columns = [[modulus * v for v in row] for row in eye(2 * n)]
+    divisors = witness.quotient_divisors(k1, hstack(mats.fiber_d0(), modulus_columns))
+    assert tuple(sorted((vp(d, 2) for d in divisors if d != 1), reverse=True)) == fc.h1.exponents(2)
 
 
 def test_truncation_stability():
     params = TruncationParams(2, 3, 2)
     orbit = Orbit(1)
     trunc = default_truncation(params, orbit)
-    base = oracle_cohomology(params, trunc, check_stability=False)
-    grown = oracle_cohomology(
-        params, OrbitTruncation(orbit, trunc.A + 1, trunc.N + 2), check_stability=False
-    )
+    base = fiber_cohomology(params, trunc).exponents(2)
+    grown = fiber_cohomology(params, OrbitTruncation(orbit, trunc.A + 1, trunc.N + 2)).exponents(2)
     assert base == grown
+
+
+def test_uncertified_degree0_column_is_refused(monkeypatch):
+    params = TruncationParams(2, 3, 2)
+    trunc = default_truncation(params, Orbit(1))
+    assert fiber_cohomology(params, trunc).h0_kernel_rank == 0
+    real = oracle_module.build_orbit_matrices
+
+    def dead_last_column(params, trunc):
+        # the last column of d0 holds only diff_nygaard[A] and -can0[A]
+        mats = real(params, trunc)
+        mats.diff_nygaard[-1] = 0
+        mats.can0[-1] = mats.modulus
+        return mats
+
+    monkeypatch.setattr(oracle_module, "build_orbit_matrices", dead_last_column)
+    fc = fiber_cohomology(params, trunc)
+    assert fc.h0_kernel_rank == 1
+    with pytest.raises(OracleError):
+        fc.exponents(2)
 
 
 def test_kernel_generator_certification():

@@ -206,10 +206,10 @@ def test_stabilized_images_walks_each_probed_level_once(monkeypatch):
 
     levels = [e for e in range(2, 21) if e % 3]
     orbit = Orbit(1, MultiIndex.from_dict({"t": PAdicFraction(1, 1)}))
-    tower = build_tower(3, 2, orbit, levels)
     # witness: the images pair by pair, one tr_valuation per (e, f)
     pairwise = []
-    for e, h in zip(tower.levels, tower.groups):
+    for e in levels:
+        h = h1_syntomic_orbit(TruncationParams(3, e, 2), orbit).module.h
         images = []
         for f in (f for f in levels if f >= e):
             v = tr_valuation(TruncationParams(3, e, 2), f, orbit)
@@ -218,6 +218,12 @@ def test_stabilized_images_walks_each_probed_level_once(monkeypatch):
         pairwise.append(tuple(images))
     monkeypatch.setattr(prosystem_module, "h1_syntomic_orbit", counting)
     monkeypatch.setattr(prosystem_module, "tr_valuation", forbidden)
-    stab = stabilized_images(tower, 20)
+    # the tower's own summands are reused: one walk per level in all
+    stab = stabilized_images(build_tower(3, 2, orbit, levels), 20)
     assert sorted(calls) == levels
     assert [rec.images for rec in stab.per_level] == pairwise
+    # a tower on fewer levels: only the probed levels it lacks are walked
+    calls.clear()
+    stab = stabilized_images(build_tower(3, 2, orbit, levels[:5]), 20)
+    assert sorted(calls) == levels
+    assert [rec.images for rec in stab.per_level] == pairwise[:5]

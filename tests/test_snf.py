@@ -1,4 +1,6 @@
-"""Smith normal form, kernel lattices, and quotient presentations."""
+"""Smith normal form over Z/p^N, kernel lattices, and quotient
+presentations, checked against the exact-integer witness in
+`snf_witness` (and sympy's Smith normal form where it imports)."""
 
 import random
 
@@ -6,29 +8,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import snf_witness as witness
+from trcalc.padic import vp
 from trcalc.snf import (
+    columns,
     eye,
     hstack,
     kernel_mod,
     mat_mul,
     mat_vec,
     quotient,
-    smith_normal_form,
-    smith_with_transforms,
+    smith_mod_prime_power,
     solve_in_lattice,
 )
 
 
 def test_snf_examples():
-    assert smith_normal_form([[2, 0], [0, 3]]).diagonal == (1, 6)
-    assert smith_normal_form([[0, 0], [0, 0]]).diagonal == (0, 0)
-    assert smith_normal_form([[4, 2], [2, 4]]).diagonal == (2, 6)
+    assert witness.smith_normal_form([[2, 0], [0, 3]]).diagonal == (1, 6)
+    assert witness.smith_normal_form([[0, 0], [0, 0]]).diagonal == (0, 0)
+    assert witness.smith_normal_form([[4, 2], [2, 4]]).diagonal == (2, 6)
 
 
 def test_snf_empty_and_rectangular():
-    assert smith_normal_form([]).diagonal == ()
-    assert smith_normal_form([[6, 4]]).diagonal == (2,)
-    assert smith_normal_form([[6], [4]]).diagonal == (2,)
+    assert witness.smith_normal_form([]).diagonal == ()
+    assert witness.smith_normal_form([[6, 4]]).diagonal == (2,)
+    assert witness.smith_normal_form([[6], [4]]).diagonal == (2,)
 
 
 def _random_matrix(rng, rows, cols, bound=30):
@@ -39,13 +43,17 @@ def _det2(M):
     return M[0][0] * M[1][1] - M[0][1] * M[1][0]
 
 
+def _mod(A, q):
+    return [[a % q for a in row] for row in A]
+
+
 def test_transforms_reconstruct_and_are_unimodular():
     rng = random.Random(20260824)
     for _ in range(60):
         rows = rng.randint(1, 5)
         cols = rng.randint(1, 5)
         M = _random_matrix(rng, rows, cols)
-        dec = smith_with_transforms(M)
+        dec = witness.smith_with_transforms(M)
         assert mat_mul(mat_mul(dec.U, M), dec.V) == dec.D
         assert mat_mul(dec.U, dec.Uinv) == eye(rows)
         assert mat_mul(dec.V, dec.Vinv) == eye(cols)
@@ -57,38 +65,50 @@ def test_transforms_reconstruct_and_are_unimodular():
 
 
 def test_solve_in_lattice():
+    # over Z, on the witness
     gen = [[2, 0], [0, 3]]
-    assert solve_in_lattice(gen, [4, 9]) == [2, 3]
-    assert solve_in_lattice(gen, [1, 0]) is None
+    assert witness.solve_in_lattice(gen, [4, 9]) == [2, 3]
+    assert witness.solve_in_lattice(gen, [1, 0]) is None
     # overdetermined consistent system
     gen = [[1], [2]]
-    assert solve_in_lattice(gen, [3, 6]) == [3]
-    assert solve_in_lattice(gen, [3, 5]) is None
+    assert witness.solve_in_lattice(gen, [3, 6]) == [3]
+    assert witness.solve_in_lattice(gen, [3, 5]) is None
+
+
+def test_solve_in_lattice_mod_prime_power():
+    q = 3**3
+    gen = [[3, 0], [0, 9]]
+    assert solve_in_lattice(gen, [6, 18], 3, q) == [2, 2]
+    assert solve_in_lattice(gen, [1, 0], 3, q) is None
+    # 2 is a unit mod 27, so 2z = 1 has a solution there but not over Z
+    assert solve_in_lattice([[2]], [1], 3, q) == [14]
+    # overdetermined: the second row must already hold mod q
+    assert solve_in_lattice([[1], [2]], [3, 6 + q], 3, q) == [3]
+    assert solve_in_lattice([[1], [2]], [3, 5], 3, q) is None
 
 
 def test_kernel_mod_membership():
     rng = random.Random(7)
-    modulus = 2**5
+    p, modulus = 2, 2**5
     for _ in range(40):
         M = _random_matrix(rng, 3, 4, bound=12)
-        K = kernel_mod(M, modulus)
-        for col in range(len(K.basis[0])):
-            x = [K.basis[r][col] for r in range(len(K.basis))]
+        K = kernel_mod(M, p, modulus)
+        for x in columns(K.basis):
             assert all(v % modulus == 0 for v in mat_vec(M, x))
             assert K.solve(x) is not None
 
 
 def test_quotient_cyclic_group():
-    modulus = 3**4
+    p, modulus = 3, 3**4
     # x with 3x = 0 mod 81 modulo im(d) where d hits 27*Z
-    K = kernel_mod([[3]], modulus)
+    K = kernel_mod([[3]], p, modulus)
     Q = quotient(K, [[27]])
-    assert Q.nontrivial_divisors() == ()
+    assert Q.exponents(p) == ()
 
 
 def test_quotient_exponents_and_orders():
     modulus = 2**6
-    K = kernel_mod([[0, 0]], modulus)  # everything is a cocycle
+    K = kernel_mod([[0, 0]], 2, modulus)  # everything is a cocycle
     L = [[4, 0], [0, 8]]
     Q = quotient(K, hstack(L, [[modulus, 0], [0, modulus]]))
     assert sorted(Q.exponents(2), reverse=True) == [3, 2]
@@ -97,12 +117,23 @@ def test_quotient_exponents_and_orders():
     assert Q.class_order_exponent([2, 2], 2) == 2
 
 
+def test_quotient_adds_the_modulus_lattice():
+    # quotient presents K/(L + p^N·Z^n): L need not carry p^N·Z^n itself
+    modulus = 2**6
+    K = kernel_mod([[0, 0]], 2, modulus)
+    Q = quotient(K, [[4, 0], [0, 8]])
+    assert Q.exponents(2) == (3, 2)
+    assert quotient(K, [[0], [0]]).exponents(2) == (6, 6)
+    # K = {x : 4x = 0 mod 64} = 16Z, and K/64Z is cyclic of order 4
+    assert quotient(kernel_mod([[4]], 2, modulus), [[0]]).exponents(2) == (2,)
+
+
 def test_generator_of_largest_factor():
-    modulus = 5**3
-    K = kernel_mod([[0]], modulus)
+    p, modulus = 5, 5**3
+    K = kernel_mod([[0]], p, modulus)
     Q = quotient(K, [[25]])
-    gen = Q.generator_of_largest_factor(5)
-    assert Q.class_order_exponent(gen, 5) == 2
+    gen = Q.generator_of_largest_factor(p)
+    assert Q.class_order_exponent(gen, p) == 2
 
 
 @settings(max_examples=150)
@@ -112,7 +143,7 @@ def test_snf_invariant_under_row_shuffle(rows, cols, seed):
     M = _random_matrix(rng, rows, cols)
     shuffled = M[:]
     rng.shuffle(shuffled)
-    assert smith_normal_form(M).diagonal == smith_normal_form(shuffled).diagonal
+    assert witness.smith_normal_form(M).diagonal == witness.smith_normal_form(shuffled).diagonal
 
 
 @settings(max_examples=150)
@@ -120,5 +151,66 @@ def test_snf_invariant_under_row_shuffle(rows, cols, seed):
 def test_snf_2x2_determinant_invariant(seed):
     rng = random.Random(seed)
     M = _random_matrix(rng, 2, 2)
-    d1, d2 = smith_normal_form(M).diagonal
+    d1, d2 = witness.smith_normal_form(M).diagonal
     assert d1 * d2 == abs(_det2(M))
+
+
+@st.composite
+def _prime_power_cases(draw):
+    """(p, N, M, xs): p in {2, 3, 5}, N <= 6, M up to 5x5 with entries
+    often divisible by powers of p, and a few vectors to test for kernel
+    membership."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    N = draw(st.integers(1, 6))
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    entry = st.one_of(
+        st.integers(-40, 40),
+        st.builds(lambda k, u: p**k * u, st.integers(0, N + 1), st.integers(-4, 4)),
+    )
+    M = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    xs = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), max_size=3))
+    return p, N, M, xs
+
+
+def _reduced_divisors(diagonal, rows, p, N):
+    """p^min(v_p(d), N) for each integer elementary divisor d (p^N for 0),
+    padded with p^N to one per row."""
+    q = p**N
+    out = [p ** min(vp(d, p), N) if d else q for d in diagonal]
+    return out + [q] * (rows - len(out))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_prime_power_cases())
+def test_mod_prime_power_snf_matches_witness(case):
+    p, N, M, xs = case
+    q = p**N
+    rows, cols = len(M), len(M[0])
+    divisors, U, Uinv, V, Vinv = smith_mod_prime_power(M, p, q)
+
+    assert divisors == _reduced_divisors(witness.smith_normal_form(M).diagonal, rows, p, N)
+    D = [[divisors[i] % q if i == j else 0 for j in range(cols)] for i in range(rows)]
+    assert _mod(mat_mul(mat_mul(U, M), V), q) == D
+    assert _mod(mat_mul(U, Uinv), q) == eye(rows)
+    assert _mod(mat_mul(V, Vinv), q) == eye(cols)
+
+    K = kernel_mod(M, p, q)
+    W = witness.kernel_mod(M, q)
+    for x in columns(W.basis) + columns(K.basis) + xs:
+        in_kernel = all(v % q == 0 for v in mat_vec(M, x))
+        assert (K.solve(x) is not None) == (W.solve(x) is not None) == in_kernel
+        if in_kernel:
+            assert [v % q for v in mat_vec(K.basis, K.solve(x))] == [v % q for v in x]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_prime_power_cases())
+def test_mod_prime_power_snf_matches_sympy(case):
+    normalforms = pytest.importorskip("sympy.matrices.normalforms")
+    from sympy import Matrix, ZZ
+
+    p, N, M, _ = case
+    snf = normalforms.smith_normal_form(Matrix(M), domain=ZZ)
+    diagonal = [abs(int(snf[t, t])) for t in range(min(snf.shape))]
+    divisors = smith_mod_prime_power(M, p, p**N)[0]
+    assert divisors == _reduced_divisors(diagonal, len(M), p, N)
