@@ -17,11 +17,13 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 from .drw import TruncationParams, nygaard_exponents
-from .padic import brace, factorial_ratio
+from .padic import brace, factorial_ratio, vp
 from .snf import (
+    ClassFunctional,
     Matrix,
     QuotientPresentation,
     columns,
@@ -124,6 +126,18 @@ class OrbitMatrices:
         neg_dd = self._diag([(-c) % self.modulus for c in self.diff_full])
         return hstack(pc1, neg_dd)
 
+    def fiber_d1_apply(self, x: list[int]) -> list[int]:
+        """fiber_d1()·x mod p^N from the coefficient lists: row r reads
+        only x[r-1], x[r] and x[n+r]."""
+        n, q = self.n, self.modulus
+        out = []
+        for r in range(n):
+            v = -self.can1[r] * x[r] - self.diff_full[r] * x[n + r]
+            if r:
+                v += self.frob1[r - 1] * x[r - 1]
+            out.append(v % q)
+        return out
+
     def content_hash(self) -> str:
         body = repr(
             (
@@ -201,13 +215,25 @@ class FiberCohomology:
     nonzero integer elementary divisor, and when every column has one the
     differential is injective over the integers and H^0 vanishes.
     `h0_kernel_rank` counts the columns left uncertified; `exponents`
-    refuses when it is nonzero rather than guess.
+    refuses when it is nonzero rather than guess.  H^1 is computed with
+    the object; the degree-0 certificate and H^2 on first read.
     """
 
     matrices: OrbitMatrices
-    h0_kernel_rank: int
+    p: int
     h1: QuotientPresentation
-    h2: QuotientPresentation
+
+    @cached_property
+    def h0_kernel_rank(self) -> int:
+        # a column whose divisor is below p^N is certified
+        mats = self.matrices
+        divisors = smith_mod_prime_power(mats.fiber_d0(), self.p, mats.modulus, ())[0]
+        return divisors[: mats.n].count(mats.modulus)
+
+    @cached_property
+    def h2(self) -> QuotientPresentation:
+        mats = self.matrices
+        return quotient(kernel_mod([[0] * mats.n], self.p, mats.modulus), mats.fiber_d1())
 
     def exponents(self, p: int) -> dict[int, tuple[int, ...]]:
         if self.h0_kernel_rank:
@@ -219,15 +245,8 @@ class FiberCohomology:
 
 def fiber_cohomology(params: TruncationParams, trunc: OrbitTruncation) -> FiberCohomology:
     mats = build_orbit_matrices(params, trunc)
-    p, n, modulus = params.p, mats.n, mats.modulus
-    d0 = mats.fiber_d0()
-    d1 = mats.fiber_d1()
-
-    # a column whose divisor is below p^N is certified (see FiberCohomology)
-    uncertified = smith_mod_prime_power(d0, p, modulus)[0][:n].count(modulus)
-    h1 = quotient(kernel_mod(d1, p, modulus), d0)
-    h2 = quotient(kernel_mod([[0] * n], p, modulus), d1)
-    return FiberCohomology(mats, uncertified, h1, h2)
+    h1 = quotient(kernel_mod(mats.fiber_d1(), params.p, mats.modulus), mats.fiber_d0())
+    return FiberCohomology(mats, params.p, h1)
 
 
 def oracle_cohomology(params: TruncationParams, trunc: OrbitTruncation) -> dict[int, tuple[int, ...]]:
@@ -378,12 +397,37 @@ def certify_kernel_generator(params: TruncationParams, trunc: OrbitTruncation, f
     return fc.h1.class_order_exponent(cochain, p) == expected and len(h) <= 1
 
 
+@dataclass(frozen=True)
+class TransitionLevel:
+    """What the pair queries of `TransitionOracle` read at one level e:
+    the fiber matrices, h with H^1 = Z/p^h, the degree-1 Nygaard exponent
+    of each orbit level, and, when h >= 1, a cochain generating H^1 and
+    the class functional of H^1."""
+
+    matrices: OrbitMatrices
+    h: int
+    u1: list[int]
+    generator: list[int] | None
+    functional: ClassFunctional | None
+
+
 class TransitionOracle:
     """Matrix-level transition maps between truncation exponents f >= e for
-    one orbit, with per-level cohomology cached so pair sweeps stay cheap.
+    one orbit.
 
     All levels share one (A, N) so the transition matrices line up
-    levelwise.
+    levelwise.  Each level's work is done once, on first use
+    (`TransitionLevel`): the fiber cohomology, h_e, the degree-1 Nygaard
+    exponents, a generator of H^1 and the class functional of H^1.
+
+    The observable valuation needs H^1 = Z/p^h cyclic, and a non-cyclic
+    H^1 is refused.  Cyclicity is also what makes one functional enough:
+    the class of a cocycle x is then a single coordinate in Z/p^h, read as
+    one dot product w·x (`QuotientPresentation.class_functional`) instead
+    of a kernel solve and a product with U.  A pair (e, f) costs O(A)
+    arithmetic: the diagonal transition coefficients applied to the
+    level-f generator, a sparse check that the image is a level-e cocycle
+    (three terms per row of d1), and the dot product.
     """
 
     def __init__(self, p: int, i: int, orbit: Orbit, levels: list[int]):
@@ -397,7 +441,8 @@ class TransitionOracle:
         )
         self.A = s_max + 2
         self.N = i * (self.A + 1) + 8
-        self._cache: dict[int, tuple[FiberCohomology, list[int] | None]] = {}
+        self._m = [p**a * orbit.m for a in range(self.A + 1)]
+        self._cache: dict[int, TransitionLevel] = {}
 
     def params(self, e: int) -> TruncationParams:
         return TruncationParams(self.p, e, self.i)
@@ -405,58 +450,58 @@ class TransitionOracle:
     def trunc(self) -> OrbitTruncation:
         return OrbitTruncation(self.orbit, self.A, self.N)
 
-    def level(self, e: int) -> tuple[FiberCohomology, list[int] | None]:
+    def level(self, e: int) -> TransitionLevel:
         if e not in self._cache:
-            fc = fiber_cohomology(self.params(e), self.trunc())
+            params = self.params(e)
+            fc = fiber_cohomology(params, self.trunc())
             exps = fc.h1.exponents(self.p)
-            gen = fc.h1.generator_of_largest_factor(self.p) if exps else None
-            self._cache[e] = (fc, gen)
+            if len(exps) > 1:
+                raise OracleError(f"degree-1 cohomology not cyclic at e={e}: {exps}")
+            u1 = [
+                nygaard_exponents(params, m_a, self.orbit.alpha.floor_l1(self.p, a))[1]
+                for a, m_a in enumerate(self._m)
+            ]
+            if exps:
+                gen, functional = fc.h1.generator_of_largest_factor(), fc.h1.class_functional()
+            else:
+                gen = functional = None
+            self._cache[e] = TransitionLevel(fc.matrices, exps[0] if exps else 0, u1, gen, functional)
         return self._cache[e]
 
     def h_exponent(self, e: int) -> int:
-        fc, _ = self.level(e)
-        exps = fc.h1.exponents(self.p)
-        if len(exps) > 1:
-            raise OracleError(f"degree-1 cohomology not cyclic at e={e}: {exps}")
-        return exps[0] if exps else 0
+        return self.level(e).h
 
-    def _transition_deg1(self, e: int, f: int) -> tuple[list[int], list[int]]:
-        """Diagonal coefficients of the f -> e map on N^1 and on D^0."""
-        p = self.p
-        modulus = p**self.N
-        t_n1, t_d0 = [], []
-        pe = self.params(e)
-        pf = self.params(f)
-        for a in range(self.A + 1):
-            m_a = p**a * self.orbit.m
-            L = self.orbit.alpha.floor_l1(p, a)
-            u1_e = nygaard_exponents(pe, m_a, L)[1]
-            u1_f = nygaard_exponents(pf, m_a, L)[1]
+    def _transition_image(self, e: int, f: int, lv_e: TransitionLevel, lv_f: TransitionLevel) -> list[int]:
+        """The f -> e map on N^1 (+) D^0, applied to the level-f generator.
+
+        Its diagonal coefficients are p^(u1_f - u1_e)·((m_a-1)//e)!/((m_a-1)//f)!
+        on N^1 and (m_a//e)!/(m_a//f)! on D^0.
+        """
+        p, q = self.p, self.p**self.N
+        gen = lv_f.generator
+        n = self.A + 1
+        image = [0] * (2 * n)
+        for a, (m_a, u1_e, u1_f) in enumerate(zip(self._m, lv_e.u1, lv_f.u1)):
             num = p**u1_f * factorial_ratio((m_a - 1) // e, (m_a - 1) // f)
             if num % p**u1_e:
                 raise ArithmeticError("transition coefficient not divisible by target scaling")
-            t_n1.append((num // p**u1_e) % modulus)
-            t_d0.append(factorial_ratio(m_a // e, m_a // f) % modulus)
-        return t_n1, t_d0
+            image[a] = (num // p**u1_e) * gen[a] % q
+            image[n + a] = factorial_ratio(m_a // e, m_a // f) * gen[n + a] % q
+        return image
 
     def valuation(self, e: int, f: int) -> int:
         """Observable p-valuation of the induced map on degree-1 cohomology:
         an integer in [0, h_e], where h_e means the zero map."""
         if f < e:
             raise ValueError("need f >= e")
-        h_e = self.h_exponent(e)
-        h_f = self.h_exponent(f)
-        if h_e == 0 or h_f == 0:
+        lv_e, lv_f = self.level(e), self.level(f)
+        if lv_e.h == 0 or lv_f.h == 0:
             raise DegenerateOrbitError(f"trivial group at e={e} or f={f}")
-        fc_e, _ = self.level(e)
-        _, gen_f = self.level(f)
-        assert gen_f is not None
-        t_n1, t_d0 = self._transition_deg1(e, f)
-        n = self.A + 1
-        modulus = self.p**self.N
-        image = [t_n1[a] * gen_f[a] % modulus for a in range(n)]
-        image += [t_d0[a] * gen_f[n + a] % modulus for a in range(n)]
-        return h_e - fc_e.h1.class_order_exponent(image, self.p)
+        image = self._transition_image(e, f, lv_e, lv_f)
+        if any(lv_e.matrices.fiber_d1_apply(image)):
+            raise ArithmeticError("element outside the kernel lattice")
+        c = lv_e.functional.coordinate(image)
+        return vp(c, self.p) if c else lv_e.h
 
 
 def oracle_transition_map(

@@ -1,10 +1,9 @@
 """Exact p-adic arithmetic on naturals and p-power-denominator fractions.
 
 Everything here is plain arbitrary-precision integer arithmetic: valuations,
-the Legendre formula for v_p(n!), factorial ratios computed as range
-products, and the two combinatorial gadgets the rest of the package is
-built from -- fractions n/p^a in N[1/p] and finitely supported multi-indices
-of such fractions.
+factorial ratios computed as range products, and the two combinatorial
+gadgets the rest of the package is built from -- fractions n/p^a in N[1/p]
+and finitely supported multi-indices of such fractions.
 """
 
 from __future__ import annotations
@@ -48,22 +47,6 @@ def vp(n: int, p: int) -> int:
         a += 1
         n //= p
     return a
-
-
-def digit_sum(n: int, p: int) -> int:
-    """Sum of the base-p digits of n >= 0."""
-    s = 0
-    while n:
-        s += n % p
-        n //= p
-    return s
-
-
-def legendre_vp_factorial(n: int, p: int) -> int:
-    """v_p(n!) via the Legendre formula (n - digit_sum_p(n)) / (p - 1)."""
-    if n < 0:
-        raise ValueError("n must be a natural number")
-    return (n - digit_sum(n, p)) // (p - 1)
 
 
 def factorial_ratio(a: int, b: int) -> int:
@@ -155,9 +138,6 @@ class MultiIndex:
     def from_dict(cls, entries: Mapping[str, PAdicFraction]) -> "MultiIndex":
         kept = sorted((slot, frac) for slot, frac in entries.items() if not frac.is_zero())
         return cls(tuple(kept))
-
-    def is_empty(self) -> bool:
-        return not self.entries
 
     def slots(self) -> Iterable[str]:
         return (slot for slot, _ in self.entries)

@@ -122,8 +122,3 @@ def emit_report(report: Report, fmt: str) -> bytes:
         return _emit_text(report)
     raise ValueError(f"unknown format: {fmt}")
 
-
-def roundtrip_json(data: bytes) -> bytes:
-    """Parse emitted JSON and re-serialize; byte-identical by contract."""
-    payload = json.loads(data.decode("utf-8"))
-    return (json.dumps(payload, indent=2, ensure_ascii=False) + "\n").encode("utf-8")

@@ -9,8 +9,13 @@ dividing q.  Pivoting on an entry of least p-valuation keeps all entries
 reduced mod q, so there is no coefficient growth: the modulo-determinant
 idea of Domich, Kannan and Trotter (1987), specialised to Z/p^N.
 
-Matrices are dense row-major lists of ints.  Dimensions here are tiny (a
-handful of orbit levels), so clarity wins over asymptotics.
+Matrices are row-major lists of ints, and their dimensions are small (up
+to twice the number of orbit levels), so elimination is plain dense Python.
+Repeated queries are cheaper than that: `KernelLattice.solve` reads only
+the nonzero entries of its argument (a column of the oracle's first
+differential has at most three), and a cyclic quotient reads the class of
+a lattice vector through one precomputed functional
+(`QuotientPresentation.class_functional`), a single dot product.
 """
 
 from __future__ import annotations
@@ -22,26 +27,7 @@ Matrix = list[list[int]]
 
 
 def eye(n: int) -> Matrix:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def zeros(rows: int, cols: int) -> Matrix:
-    return [[0] * cols for _ in range(rows)]
-
-
-def mat_mul(A: Matrix, B: Matrix) -> Matrix:
-    rows, inner, cols = len(A), len(B), len(B[0]) if B else 0
-    out = zeros(rows, cols)
-    for i in range(rows):
-        Ai = A[i]
-        for k in range(inner):
-            a = Ai[k]
-            if a:
-                Bk = B[k]
-                row = out[i]
-                for j in range(cols):
-                    row[j] += a * Bk[j]
-    return out
+    return [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
 
 
 def mat_vec(A: Matrix, x: list[int]) -> list[int]:
@@ -56,10 +42,6 @@ def columns(A: Matrix) -> list[list[int]]:
     return [list(col) for col in zip(*A)] if A else []
 
 
-def from_columns(cols: list[list[int]]) -> Matrix:
-    return [list(row) for row in zip(*cols)] if cols else []
-
-
 def _pval(a: int, p: int) -> int:
     v = 0
     while a % p == 0:
@@ -68,7 +50,9 @@ def _pval(a: int, p: int) -> int:
     return v
 
 
-def smith_mod_prime_power(M: Matrix, p: int, q: int) -> tuple[list[int], Matrix, Matrix, Matrix, Matrix]:
+def smith_mod_prime_power(
+    M: Matrix, p: int, q: int, transforms: tuple[str, ...] = ("U", "Uinv", "V", "Vinv")
+) -> tuple[list[int], Matrix | None, Matrix | None, Matrix | None, Matrix | None]:
     """Elementary divisors and transforms of M over Z/q, q = p^N.
 
     Returns (divisors, U, Uinv, V, Vinv): U·M·V is congruent mod q to the
@@ -77,7 +61,9 @@ def smith_mod_prime_power(M: Matrix, p: int, q: int) -> tuple[list[int], Matrix,
     p^v with v < N or q (which reads as 0) where the remaining block
     vanishes mod q, in increasing order.  When the column lattice of M
     contains q·Z^rows, these are the integer elementary divisors of that
-    lattice.
+    lattice.  Only the transforms named in `transforms` are built; the
+    others come back as None.  The divisors and the built transforms do
+    not depend on which others are built.
 
     Each step pivots on an entry of least p-valuation v and scales its row
     so the pivot is p^v.  Every entry of the remaining block is then
@@ -87,8 +73,12 @@ def smith_mod_prime_power(M: Matrix, p: int, q: int) -> tuple[list[int], Matrix,
     rows = len(M)
     cols = len(M[0]) if rows else 0
     A = [[a % q for a in row] for row in M]
-    U, Uinv = eye(rows), eye(rows)
-    V, Vinv = eye(cols), eye(cols)
+    # Uinv and V change by column operations, so they are kept transposed
+    # (one list per column) and transposed back at the end
+    U = eye(rows) if "U" in transforms else None
+    UinvT = eye(rows) if "Uinv" in transforms else None
+    VT = eye(cols) if "V" in transforms else None
+    Vinv = eye(cols) if "Vinv" in transforms else None
     divisors = [q] * rows
 
     for t in range(min(rows, cols)):
@@ -109,40 +99,47 @@ def smith_mod_prime_power(M: Matrix, p: int, q: int) -> tuple[list[int], Matrix,
         v, pi, pj = best
         if pi != t:
             A[pi], A[t] = A[t], A[pi]
-            U[pi], U[t] = U[t], U[pi]
-            for r in range(rows):
-                Uinv[r][pi], Uinv[r][t] = Uinv[r][t], Uinv[r][pi]
+            if U is not None:
+                U[pi], U[t] = U[t], U[pi]
+            if UinvT is not None:
+                UinvT[pi], UinvT[t] = UinvT[t], UinvT[pi]
         if pj != t:
             for r in range(rows):
                 A[r][pj], A[r][t] = A[r][t], A[r][pj]
-            for r in range(cols):
-                V[r][pj], V[r][t] = V[r][t], V[r][pj]
-            Vinv[pj], Vinv[t] = Vinv[t], Vinv[pj]
+            if VT is not None:
+                VT[pj], VT[t] = VT[t], VT[pj]
+            if Vinv is not None:
+                Vinv[pj], Vinv[t] = Vinv[t], Vinv[pj]
         pk = p**v
         unit = A[t][t] // pk
         uinv = pow(unit, -1, q)
         A[t] = [a * uinv % q for a in A[t]]
-        U[t] = [a * uinv % q for a in U[t]]
-        for r in range(rows):
-            Uinv[r][t] = Uinv[r][t] * unit % q
+        if U is not None:
+            U[t] = [a * uinv % q for a in U[t]]
+        if UinvT is not None:
+            UinvT[t] = [a * unit % q for a in UinvT[t]]
         # row_i -= f * row_t, so Uinv's column t gains f * its column i
         for i in range(t + 1, rows):
             if A[i][t]:
                 f = A[i][t] // pk
                 A[i] = [(a - f * b) % q for a, b in zip(A[i], A[t])]
-                U[i] = [(a - f * b) % q for a, b in zip(U[i], U[t])]
-                for r in range(rows):
-                    Uinv[r][t] = (Uinv[r][t] + f * Uinv[r][i]) % q
+                if U is not None:
+                    U[i] = [(a - f * b) % q for a, b in zip(U[i], U[t])]
+                if UinvT is not None:
+                    UinvT[t] = [(a + f * b) % q for a, b in zip(UinvT[t], UinvT[i])]
         # column t now holds only the pivot, so col_j -= f * col_t clears
         # row t and touches no other row; Vinv's row t gains f * its row j
         for j in range(t + 1, cols):
             if A[t][j]:
                 f = A[t][j] // pk
                 A[t][j] = 0
-                for r in range(cols):
-                    V[r][j] = (V[r][j] - f * V[r][t]) % q
-                Vinv[t] = [(a + f * b) % q for a, b in zip(Vinv[t], Vinv[j])]
+                if VT is not None:
+                    VT[j] = [(a - f * b) % q for a, b in zip(VT[j], VT[t])]
+                if Vinv is not None:
+                    Vinv[t] = [(a + f * b) % q for a, b in zip(Vinv[t], Vinv[j])]
         divisors[t] = pk
+    Uinv = None if UinvT is None else [list(r) for r in zip(*UinvT)]
+    V = None if VT is None else [list(r) for r in zip(*VT)]
     return divisors, U, Uinv, V, Vinv
 
 
@@ -150,7 +147,7 @@ def solve_in_lattice(gen: Matrix, v: list[int], p: int, q: int) -> list[int] | N
     """Coefficients z with gen·z ≡ v (mod q), q = p^N, or None if there
     are none."""
     cols = len(gen[0]) if gen else 0
-    divisors, U, _, V, _ = smith_mod_prime_power(gen, p, q)
+    divisors, U, _, V, _ = smith_mod_prime_power(gen, p, q, ("U", "V"))
     w = [0] * cols
     for j, (val, d) in enumerate(zip(mat_vec(U, v), divisors)):
         val %= q
@@ -167,13 +164,13 @@ class KernelLattice:
 
     K contains q·Z^n.  The columns of `basis` = V·diag(t) span K modulo
     q·Z^n, and the coordinates of x in K are read through V⁻¹ mod q: the
-    j-th is defined modulo q/t_j.
+    j-th is defined modulo q/t_j.  V⁻¹ is kept as its list of columns.
     """
 
     basis: Matrix
     p: int
     modulus: int
-    _Vinv: Matrix
+    _Vinv_cols: list[list[int]]
     _t: list[int]
 
     @property
@@ -181,9 +178,14 @@ class KernelLattice:
         return len(self._t)
 
     def solve(self, x: list[int]) -> list[int] | None:
-        """Coordinates of x in the kernel basis; None if x is not in K."""
+        """Coordinates of x in the kernel basis; None if x is not in K.
+        Only the nonzero entries of x are read."""
+        acc = [0] * self.dim
+        for v, col in zip(x, self._Vinv_cols):
+            if v:
+                acc = [a + v * c for a, c in zip(acc, col)]
         out = []
-        for val, t in zip(mat_vec(self._Vinv, x), self._t):
+        for val, t in zip(acc, self._t):
             val %= self.modulus
             if val % t:
                 return None
@@ -195,10 +197,10 @@ def kernel_mod(M: Matrix, p: int, q: int) -> KernelLattice:
     """Lattice of integer vectors x with M x ≡ 0 mod q, q = p^N."""
     rows = len(M)
     cols = len(M[0]) if rows else 0
-    divisors, _, _, V, Vinv = smith_mod_prime_power(M, p, q)
+    divisors, _, _, V, Vinv = smith_mod_prime_power(M, p, q, ("V", "Vinv"))
     t = [q // d for d in divisors[:cols]] + [1] * (cols - rows)
     basis = [[a * f % q for a, f in zip(row, t)] for row in V]
-    return KernelLattice(basis, p, q, Vinv, t)
+    return KernelLattice(basis, p, q, columns(Vinv), t)
 
 
 @dataclass
@@ -228,13 +230,45 @@ class QuotientPresentation:
             default=0,
         )
 
-    def generator_of_largest_factor(self, p: int) -> list[int]:
+    def generator_of_largest_factor(self) -> list[int]:
         """A lattice vector whose class generates the largest cyclic
-        factor; only meaningful when the quotient is cyclic."""
-        gens = columns(mat_mul(self.kernel.basis, self._Uinv))
-        exps = [self.class_order_exponent(col, p) for col in gens]
-        j = max(range(len(exps)), key=lambda idx: exps[idx])
-        return gens[j]
+        factor: U⁻¹·e_j maps to the j-th factor's generator e_j, so this is
+        the column of basis·U⁻¹ at the largest divisor."""
+        j = max(range(len(self.divisors)), key=self.divisors.__getitem__)
+        q = self.kernel.modulus
+        return [v % q for v in mat_vec(self.kernel.basis, [row[j] for row in self._Uinv])]
+
+    def class_functional(self) -> "ClassFunctional":
+        """The class coordinate of a cyclic quotient Z/d as one dot product.
+
+        With j the one nontrivial divisor d, w = Σ_k U[j][k]·(q/t_k)·V⁻¹[k]
+        mod q·d.  Row k of V⁻¹ reads t_k·y_k mod q for the kernel
+        coordinates y of x, and U[j][k]·(q/t_k) ≡ 0 (mod d) because the
+        relation (q/t_k)·e_k lies in L + q·Z^n, so w·x ≡ q·(U·y)[j]
+        (mod q·d) for every x in K.
+        """
+        nontrivial = [j for j, d in enumerate(self.divisors) if d > 1]
+        if len(nontrivial) != 1:
+            raise ValueError(f"class functional needs a cyclic quotient, got divisors {self.divisors}")
+        j = nontrivial[0]
+        q, d = self.kernel.modulus, self.divisors[j]
+        qd = q * d
+        c = [u * (q // t) % qd for u, t in zip(self._U[j], self.kernel._t)]
+        w = [sum(a * b for a, b in zip(c, col)) % qd for col in self.kernel._Vinv_cols]
+        return ClassFunctional(w, q, d)
+
+
+@dataclass(frozen=True)
+class ClassFunctional:
+    """Class coordinates on a cyclic K/(L + q·Z^n) ≅ Z/d: the class of x
+    in K is ((w·x) mod q·d) // q.  Membership of x in K is not checked."""
+
+    w: list[int]
+    modulus: int
+    d: int
+
+    def coordinate(self, x: list[int]) -> int:
+        return sum(a * b for a, b in zip(self.w, x)) % (self.modulus * self.d) // self.modulus
 
 
 def quotient(kernel: KernelLattice, L: Matrix) -> QuotientPresentation:
@@ -250,6 +284,11 @@ def quotient(kernel: KernelLattice, L: Matrix) -> QuotientPresentation:
             raise ArithmeticError("generator outside the kernel lattice")
         gens.append(y)
     q = kernel.modulus
-    gens += [[q // t if r == j else 0 for r in range(kernel.dim)] for j, t in enumerate(kernel._t)]
-    divisors, U, Uinv, _, _ = smith_mod_prime_power(from_columns(gens), kernel.p, q)
+    for j, t in enumerate(kernel._t):
+        if t > 1:  # t = 1 gives the relation q·e_j, which is zero mod q
+            rel = [0] * kernel.dim
+            rel[j] = q // t
+            gens.append(rel)
+    G = [[col[r] for col in gens] for r in range(kernel.dim)]
+    divisors, U, Uinv, _, _ = smith_mod_prime_power(G, kernel.p, q, ("U", "Uinv"))
     return QuotientPresentation(kernel, tuple(divisors), U, Uinv)

@@ -6,7 +6,8 @@ kept unchanged: Smith normal form over the integers with unimodular
 transforms, exact lattice solves, and kernel lattices modulo an integer
 carried by an honest basis.  Its coefficients grow without bound, which is
 why it lives here and not on the oracle's path; `quotient_divisors` is the
-exact branch of the old `quotient`.
+exact branch of the old `quotient`.  `mat_mul` and `from_columns` are the
+dense helpers only the tests and this witness still use.
 """
 
 from __future__ import annotations
@@ -14,7 +15,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from trcalc.snf import Matrix, columns, eye, from_columns, mat_vec
+from trcalc.snf import Matrix, columns, eye, mat_vec
+
+
+def mat_mul(A: Matrix, B: Matrix) -> Matrix:
+    rows, inner, cols = len(A), len(B), len(B[0]) if B else 0
+    out = [[0] * cols for _ in range(rows)]
+    for i in range(rows):
+        Ai = A[i]
+        for k in range(inner):
+            a = Ai[k]
+            if a:
+                Bk = B[k]
+                row = out[i]
+                for j in range(cols):
+                    row[j] += a * Bk[j]
+    return out
+
+
+def from_columns(cols: list[list[int]]) -> Matrix:
+    return [list(row) for row in zip(*cols)] if cols else []
 
 
 def scale_cols(A: Matrix, factors: list[int]) -> Matrix:

@@ -1,10 +1,16 @@
 """Driver behavior: flag parsing, exit codes, determinism, and the three
 serialization formats."""
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from test_golden import GOLDEN
 from trcalc.cli import (
     EXIT_MISMATCH,
     EXIT_OK,
@@ -15,8 +21,14 @@ from trcalc.cli import (
     main,
     run_command,
 )
-from trcalc.report import emit_report, roundtrip_json
+from trcalc.report import emit_report
 from trcalc.syntomic import AlphaBounds
+
+
+def roundtrip_json(data: bytes) -> bytes:
+    """Parse emitted JSON and re-serialize; byte-identical by contract."""
+    payload = json.loads(data.decode("utf-8"))
+    return (json.dumps(payload, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
 
 
 def _run(argv, capsys):
@@ -227,3 +239,15 @@ def test_run_command_rejects_fields_the_command_does_not_read(spec):
     with pytest.raises(ValidationError):
         run_command(spec)
 
+
+
+def test_python_dash_m_runs_the_driver():
+    # a bare checkout has no `trcalc` script; `python -m trcalc` is the same
+    # driver, so the README job gives its golden bytes
+    job = ["syntomic", "--p", "3", "--i", "1", "--e", "2"]
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run(
+        [sys.executable, "-m", "trcalc", *job], cwd=root, env=env, capture_output=True, timeout=120
+    )
+    assert (done.returncode, hashlib.sha256(done.stdout).hexdigest()[:16]) == GOLDEN[(" ".join(job), "text")]

@@ -1,12 +1,16 @@
 """Brute-force oracle: matrix construction, fiber cohomology, kernel
 certification, truncation stability, and transition maps."""
 
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import snf_witness as witness
 import trcalc.oracle as oracle_module
 from trcalc.cli import JobSpec, run_command
-from trcalc.drw import TruncationParams
+from trcalc.drw import TruncationParams, nygaard_exponents
 from trcalc.oracle import (
     DegenerateOrbitError,
     OracleError,
@@ -21,8 +25,8 @@ from trcalc.oracle import (
     oracle_transition_map,
     verify_orbit,
 )
-from trcalc.padic import MultiIndex, PAdicFraction, brace, vp
-from trcalc.snf import eye, hstack, kernel_mod, mat_mul, quotient
+from trcalc.padic import MultiIndex, PAdicFraction, brace, factorial_ratio, vp
+from trcalc.snf import columns, eye, hstack, kernel_mod, mat_vec, quotient
 from trcalc.syntomic import Orbit
 
 EMPTY = MultiIndex()
@@ -71,7 +75,7 @@ def test_fiber_complex_composes_to_zero():
         params = TruncationParams(p, e, i)
         trunc = default_truncation(params, Orbit(m))
         mats = build_orbit_matrices(params, trunc)
-        prod = mat_mul(mats.fiber_d1(), mats.fiber_d0())
+        prod = witness.mat_mul(mats.fiber_d1(), mats.fiber_d0())
         assert all(v % mats.modulus == 0 for row in prod for v in row)
 
 
@@ -222,3 +226,114 @@ def test_oracle_with_multi_index():
     h = h1_syntomic_orbit(params, Orbit(1, alpha)).module.h
     exps = _exps(2, 3, 2, 1, alpha)
     assert exps == {0: (), 1: ((h,) if h else ()), 2: ()}
+
+
+def _dense_witness_level(oc, e):
+    """H^1 at level e on the dense path: a fresh fiber, and a generator
+    found by computing the class order of every column of basis·U⁻¹."""
+    fc = fiber_cohomology(oc.params(e), oc.trunc())
+    exps = fc.h1.exponents(oc.p)
+    gens = columns(witness.mat_mul(fc.h1.kernel.basis, fc.h1._Uinv))
+    gen = max(gens, key=lambda col: fc.h1.class_order_exponent(col, oc.p)) if exps else None
+    return fc, exps, gen
+
+
+def _dense_witness_valuation(oc, e, f, level_e, level_f):
+    """h_e minus the dense class order of the f -> e image of the level-f
+    generator, with the Nygaard exponents recomputed for the pair."""
+    p, n, modulus = oc.p, oc.A + 1, oc.p**oc.N
+    (fc_e, exps_e, _), (_, _, gen) = level_e, level_f
+    image_n1, image_d0 = [], []
+    for a in range(n):
+        m_a = p**a * oc.orbit.m
+        floor_l1 = oc.orbit.alpha.floor_l1(p, a)
+        u1_e = nygaard_exponents(oc.params(e), m_a, floor_l1)[1]
+        u1_f = nygaard_exponents(oc.params(f), m_a, floor_l1)[1]
+        num = p**u1_f * factorial_ratio((m_a - 1) // e, (m_a - 1) // f)
+        assert num % p**u1_e == 0
+        image_n1.append(num // p**u1_e * gen[a] % modulus)
+        image_d0.append(factorial_ratio(m_a // e, m_a // f) * gen[n + a] % modulus)
+    return exps_e[0] - fc_e.h1.class_order_exponent(image_n1 + image_d0, p)
+
+
+def test_transition_valuation_matches_dense_witness():
+    checked = 0
+    for p in (2, 3):
+        levels = [e for e in range(2, 12) if e % p]
+        alphas = [EMPTY, MultiIndex.from_dict({"t": PAdicFraction.make(1, 1, p)})]
+        for i in (1, 2):
+            for m in range(1, i * levels[-2] + 1):
+                if m % p == 0:
+                    continue
+                for alpha in alphas:
+                    sub = [e for e in levels if i * e >= m]
+                    if len(sub) < 2:
+                        continue
+                    oc = TransitionOracle(p, i, Orbit(m, alpha), sub)
+                    dense = {e: _dense_witness_level(oc, e) for e in sub}
+                    for e in sub:
+                        assert len(dense[e][1]) <= 1
+                        assert oc.h_exponent(e) == (dense[e][1] or (0,))[0]
+                    for e, f in itertools.combinations(sub, 2):
+                        if not (dense[e][1] and dense[f][1]):
+                            with pytest.raises(DegenerateOrbitError):
+                                oc.valuation(e, f)
+                            continue
+                        assert oc.valuation(e, f) == _dense_witness_valuation(oc, e, f, dense[e], dense[f])
+                        checked += 1
+    assert checked > 100
+
+
+def test_transition_image_outside_the_kernel_is_refused(monkeypatch):
+    oc = TransitionOracle(2, 2, Orbit(1), [3, 5])
+    assert oc.valuation(3, 5) >= 0
+    not_a_cocycle = [1] + [0] * (2 * (oc.A + 1) - 1)
+    fc = fiber_cohomology(oc.params(3), oc.trunc())
+    assert any(oc.level(3).matrices.fiber_d1_apply(not_a_cocycle))
+    with pytest.raises(ArithmeticError):
+        fc.h1.class_order_exponent(not_a_cocycle, 2)
+    monkeypatch.setattr(TransitionOracle, "_transition_image", lambda self, *args: not_a_cocycle)
+    with pytest.raises(ArithmeticError, match="outside the kernel lattice"):
+        oc.valuation(3, 5)
+
+
+def test_sparse_d1_matches_dense_d1():
+    params = TruncationParams(3, 4, 2)
+    trunc = default_truncation(params, Orbit(5, MultiIndex.from_dict({"t": PAdicFraction(1, 1)})))
+    mats = build_orbit_matrices(params, trunc)
+    for k in range(2 * mats.n):
+        x = [(k + 1) * (j + 3) ** 2 if j % 3 != k % 3 else 0 for j in range(2 * mats.n)]
+        assert mats.fiber_d1_apply(x) == [v % mats.modulus for v in mat_vec(mats.fiber_d1(), x)]
+
+
+def test_transition_levels_skip_degree0_and_degree2(monkeypatch):
+    # one kernel and one quotient per level; no degree-0 certificate, no H^2
+    calls = []
+    for name in ("kernel_mod", "quotient", "smith_mod_prime_power"):
+        real = getattr(oracle_module, name)
+        monkeypatch.setattr(
+            oracle_module, name, lambda *a, _real=real, _name=name: calls.append(_name) or _real(*a)
+        )
+    oc = TransitionOracle(2, 2, Orbit(1), [3, 5, 7])
+    oc.valuation(3, 5)
+    oc.valuation(3, 7)
+    oc.valuation(5, 7)
+    assert sorted(calls) == ["kernel_mod"] * 3 + ["quotient"] * 3
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from((2, 3, 5)),
+    st.integers(1, 3),
+    st.integers(2, 9),
+    st.integers(1, 20),
+    st.sampled_from(((0, 0), (1, 1), (2, 1), (1, 2))),
+)
+def test_generator_class_order_is_the_largest_exponent(p, i, e, m, slot):
+    if e % p == 0 or m % p == 0:
+        return
+    alpha = MultiIndex.from_dict({"t": PAdicFraction.make(*slot, p)})
+    params = TruncationParams(p, e, i)
+    h1 = fiber_cohomology(params, default_truncation(params, Orbit(m, alpha))).h1
+    exps = h1.exponents(p)
+    assert h1.class_order_exponent(h1.generator_of_largest_factor(), p) == (exps[0] if exps else 0)

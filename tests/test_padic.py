@@ -13,13 +13,27 @@ from trcalc.padic import (
     Prime,
     brace,
     ceil_div,
-    digit_sum,
     factorial_ratio,
-    legendre_vp_factorial,
     vp,
 )
 
 PRIMES = st.sampled_from([2, 3, 5, 7, 11])
+
+
+def digit_sum(n: int, p: int) -> int:
+    """Sum of the base-p digits of n >= 0."""
+    s = 0
+    while n:
+        s += n % p
+        n //= p
+    return s
+
+
+def legendre_vp_factorial(n: int, p: int) -> int:
+    """v_p(n!) via the Legendre formula (n - digit_sum_p(n)) / (p - 1)."""
+    if n < 0:
+        raise ValueError("n must be a natural number")
+    return (n - digit_sum(n, p)) // (p - 1)
 
 
 def test_prime_validates():

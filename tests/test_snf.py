@@ -15,7 +15,6 @@ from trcalc.snf import (
     eye,
     hstack,
     kernel_mod,
-    mat_mul,
     mat_vec,
     quotient,
     smith_mod_prime_power,
@@ -54,9 +53,9 @@ def test_transforms_reconstruct_and_are_unimodular():
         cols = rng.randint(1, 5)
         M = _random_matrix(rng, rows, cols)
         dec = witness.smith_with_transforms(M)
-        assert mat_mul(mat_mul(dec.U, M), dec.V) == dec.D
-        assert mat_mul(dec.U, dec.Uinv) == eye(rows)
-        assert mat_mul(dec.V, dec.Vinv) == eye(cols)
+        assert witness.mat_mul(witness.mat_mul(dec.U, M), dec.V) == dec.D
+        assert witness.mat_mul(dec.U, dec.Uinv) == eye(rows)
+        assert witness.mat_mul(dec.V, dec.Vinv) == eye(cols)
         diag = dec.diagonal()
         for a, b in zip(diag, diag[1:]):
             if b != 0:
@@ -132,7 +131,7 @@ def test_generator_of_largest_factor():
     p, modulus = 5, 5**3
     K = kernel_mod([[0]], p, modulus)
     Q = quotient(K, [[25]])
-    gen = Q.generator_of_largest_factor(p)
+    gen = Q.generator_of_largest_factor()
     assert Q.class_order_exponent(gen, p) == 2
 
 
@@ -190,9 +189,16 @@ def test_mod_prime_power_snf_matches_witness(case):
 
     assert divisors == _reduced_divisors(witness.smith_normal_form(M).diagonal, rows, p, N)
     D = [[divisors[i] % q if i == j else 0 for j in range(cols)] for i in range(rows)]
-    assert _mod(mat_mul(mat_mul(U, M), V), q) == D
-    assert _mod(mat_mul(U, Uinv), q) == eye(rows)
-    assert _mod(mat_mul(V, Vinv), q) == eye(cols)
+    assert _mod(witness.mat_mul(witness.mat_mul(U, M), V), q) == D
+    assert _mod(witness.mat_mul(U, Uinv), q) == eye(rows)
+    assert _mod(witness.mat_mul(V, Vinv), q) == eye(cols)
+    # each caller's reduced call gives the same divisors and transforms
+    full = {"U": U, "Uinv": Uinv, "V": V, "Vinv": Vinv}
+    for transforms in ((), ("V", "Vinv"), ("U", "Uinv"), ("U", "V")):
+        reduced = smith_mod_prime_power(M, p, q, transforms)
+        assert reduced[0] == divisors
+        for name, got in zip(("U", "Uinv", "V", "Vinv"), reduced[1:]):
+            assert got == (full[name] if name in transforms else None)
 
     K = kernel_mod(M, p, q)
     W = witness.kernel_mod(M, q)
@@ -214,3 +220,29 @@ def test_mod_prime_power_snf_matches_sympy(case):
     diagonal = [abs(int(snf[t, t])) for t in range(min(snf.shape))]
     divisors = smith_mod_prime_power(M, p, p**N)[0]
     assert divisors == _reduced_divisors(diagonal, len(M), p, N)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_prime_power_cases(), st.integers(0, 2**32 - 1))
+def test_generator_and_class_functional_on_random_quotients(case, seed):
+    # L is a random combination of kernel vectors; the generator's class
+    # has the largest order, and on a cyclic quotient the functional reads
+    # the same coordinate as the dense class coordinates
+    p, N, M, _ = case
+    q = p**N
+    rng = random.Random(seed)
+    K = kernel_mod(M, p, q)
+    L = witness.mat_mul(K.basis, _random_matrix(rng, K.dim, rng.randint(1, 3), bound=2 * p))
+    Q = quotient(K, L)
+    exps = Q.exponents(p)
+    assert Q.class_order_exponent(Q.generator_of_largest_factor(), p) == (exps[0] if exps else 0)
+    if len(exps) != 1:
+        with pytest.raises(ValueError):
+            Q.class_functional()
+        return
+    functional = Q.class_functional()
+    j = next(j for j, d in enumerate(Q.divisors) if d > 1)
+    assert functional.d == Q.divisors[j]
+    for _ in range(5):
+        x = mat_vec(K.basis, [rng.randint(-q, q) for _ in range(K.dim)])
+        assert functional.coordinate(x) == Q.class_coords(x)[j]
