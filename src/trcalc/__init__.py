@@ -3,7 +3,7 @@ polynomial algebras over prototype semiperfect base rings: closed-form
 syntomic/K-group computations, an independent Smith-normal-form oracle, and
 the inverse-limit bookkeeping that assembles the even homotopy of TR."""
 
-from .drw import CyclicWittModule, TruncationParams
+from .drw import CyclicWittModule, Orbit, TruncationParams
 from .oracle import oracle_cohomology, oracle_transition_map, verify_orbit
 from .padic import MultiIndex, PAdicFraction, Prime
 from .prosystem import (
@@ -17,7 +17,6 @@ from .prosystem import (
 )
 from .syntomic import (
     AlphaBounds,
-    Orbit,
     SyntomicSummand,
     enumerate_orbits,
     h1_syntomic_orbit,

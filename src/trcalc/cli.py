@@ -2,8 +2,7 @@
 
 Subcommands cover the closed forms (syntomic, kgroups, transition), the
 tower checks (ml-check, tr), and the brute-force cross-check (verify).
-Reports are deterministic for a fixed job; set TRCALC_JOBS to spread
-verify work over processes (the merge order stays fixed).
+Reports are deterministic for a fixed job.
 
 Exit codes: 0 success, 1 validation failure, 2 verification mismatch or
 Mittag-Leffler violation, 3 classification refusal.
@@ -12,14 +11,12 @@ Mittag-Leffler violation, 3 classification refusal.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .drw import TruncationParams
 from .oracle import OracleError, OrbitTruncation, default_truncation, verify_orbit
-from .padic import MultiIndex, Prime
+from .padic import Prime
 from .prosystem import (
     MLViolationError,
     RefusedClassification,
@@ -31,7 +28,7 @@ from .prosystem import (
     transition_valuation,
 )
 from .report import Report, emit_report, format_alpha
-from .syntomic import AlphaBounds, Orbit, enumerate_orbits, h1_syntomic_orbit
+from .syntomic import AlphaBounds, enumerate_orbits, h1_syntomic_orbit
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -101,6 +98,8 @@ class JobSpec:
             raise ValidationError("--e must be positive")
         if self.e_max is not None and (self.e is None or self.e_max < self.e):
             raise ValidationError("--e-max needs --e and --e-max >= --e")
+        if self.command == "tr" and self.e_max is not None and self.e != 2:
+            raise ValidationError("tr towers start at e=2; with --e-max, --e must be 2")
         if self.command in ("transition", "ml-check") and self.levels()[0] % self.p == 0:
             # target level of a tower command must live in the index category
             raise ValidationError(f"level {self.levels()[0]} not coprime to p={self.p}")
@@ -278,40 +277,30 @@ def _run_tr(spec: JobSpec, report: Report) -> int:
     return EXIT_REFUSED if result.refused else EXIT_OK
 
 
-def _verify_job(args: tuple) -> dict:
-    p, e, i, m, alpha_entries, A, N = args
-    params = TruncationParams(p, e, i)
-    orbit = Orbit(m, MultiIndex(alpha_entries))
-    base = default_truncation(params, orbit)
-    trunc = OrbitTruncation(orbit, base.A if A is None else A, base.N if N is None else N)
-    cert = verify_orbit(params, orbit, trunc)
-    return {
-        "i": i,
-        "e": e,
-        "m": m,
-        "alpha": format_alpha(orbit.alpha, p),
-        "s": cert.s,
-        "h": cert.h_closed,
-        "oracle_h": (cert.oracle_exponents[1][0] if cert.oracle_exponents[1] else 0),
-        "oracle_h2": list(cert.oracle_exponents[2]),
-        "kernel_ok": cert.kernel_ok,
-        "pass": cert.passed,
-    }
-
-
 def _run_verify(spec: JobSpec, report: Report) -> int:
-    jobs = []
+    records = []
     for i in spec.weights():
         for e in spec.levels():
             params = TruncationParams(spec.p, e, i)
             for sm in enumerate_orbits(params, spec.bounds):
-                jobs.append((spec.p, e, i, sm.orbit.m, sm.orbit.alpha.entries, spec.A, spec.N))
-    workers = int(os.environ.get("TRCALC_JOBS", "1"))
-    if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_verify_job, jobs))
-    else:
-        records = [_verify_job(job) for job in jobs]
+                base = default_truncation(params, sm.orbit)
+                A = base.A if spec.A is None else spec.A
+                N = base.N if spec.N is None else spec.N
+                cert = verify_orbit(params, sm, OrbitTruncation(sm.orbit, A, N))
+                records.append(
+                    {
+                        "i": i,
+                        "e": e,
+                        "m": sm.orbit.m,
+                        "alpha": format_alpha(sm.orbit.alpha, spec.p),
+                        "s": cert.s,
+                        "h": cert.h_closed,
+                        "oracle_h": (cert.oracle_exponents[1][0] if cert.oracle_exponents[1] else 0),
+                        "oracle_h2": list(cert.oracle_exponents[2]),
+                        "kernel_ok": cert.kernel_ok,
+                        "pass": cert.passed,
+                    }
+                )
     all_pass = all(rec["pass"] for rec in records)
     for rec in records:
         report.add_orbit(**rec)
@@ -386,6 +375,8 @@ def _spec_from_args(args: argparse.Namespace) -> JobSpec:
             bounds = AlphaBounds(tuple(args.slots), args.alpha_num_max, args.alpha_pexp_max)
         except ValueError as exc:
             raise ValidationError(str(exc)) from None
+    elif args.alpha_num_max is not None or args.alpha_pexp_max is not None:
+        raise ValidationError("--alpha-num-max and --alpha-pexp-max need --slots")
     else:
         bounds = AlphaBounds()
     return JobSpec(

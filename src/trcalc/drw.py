@@ -1,20 +1,25 @@
 """Shared data of the bigraded two-term divided-power complex attached to a
 truncated polynomial extension of a perfectoid-covered base: the job
-parameters (p, e, i), the cyclic groups W(k)/p^h it produces, and the
-Nygaard exponents of one orbit level.
+parameters (p, e, i), the cyclic groups W(k)/p^h it produces, the orbits
+that index its Frobenius-stable summands, and the Nygaard exponents of one
+orbit level.
 
-The complex is never materialized.  At x-weight m, with L the l1 floor of
-the level's y-multiweight, the weight-i filtered subcomplex is cut out by
-two p-power scalings, and everything per-orbit (the s-function, the kernel
-generator, the transition valuations, the oracle's matrices) reads them
-from here.
+An orbit is a pair (m, alpha) with p not dividing m; it indexes the
+Frobenius-stable family of bidegrees (p^a m, p^a alpha), a >= 0, which is
+the unit all computations decompose into.  The complex is never
+materialized.  At x-weight m, with L the l1 floor of the level's
+y-multiweight, the weight-i filtered subcomplex is cut out by two p-power
+scalings, and everything per-orbit (the s-function, the kernel generator,
+the transition valuations, the oracle's matrices and truncation sizes)
+reads them from here.  The degree-1 walk of an orbit lists its levels'
+degree-1 exponents up to the first negative one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .padic import Prime, ceil_div
+from .padic import MultiIndex, Prime, ceil_div
 
 
 @dataclass(frozen=True)
@@ -56,6 +61,24 @@ class CyclicWittModule:
         return "0" if self.h == 0 else f"W(k)/p^{self.h}"
 
 
+@dataclass(frozen=True)
+class Orbit:
+    """One Frobenius-stable summand index: x-weight m coprime to p plus a
+    y-multiweight alpha."""
+
+    m: int
+    alpha: MultiIndex = MultiIndex()
+
+    def validate(self, p: int) -> None:
+        if self.m < 1:
+            raise ValueError("orbit needs m >= 1")
+        if self.m % p == 0:
+            raise ValueError(f"orbit x-weight {self.m} must be coprime to p={p}")
+
+    def sort_key(self) -> tuple:
+        return (self.m, tuple((slot, frac.num, frac.pexp) for slot, frac in self.alpha.entries))
+
+
 def degree1_exponent(params: TruncationParams, m: int, L: int) -> int:
     """Unclamped degree-1 Nygaard exponent i - ceil(m/e) - L at x-weight m
     and alpha l1 floor L.  The s-function is the first orbit level at which
@@ -75,3 +98,21 @@ def nygaard_exponents(params: TruncationParams, m: int, L: int) -> tuple[int, in
     hi = degree1_exponent(params, m, L)
     lo = hi + (1 if m % params.e else 0)
     return (max(lo, 0), max(hi, 0))
+
+
+def degree1_walk(params: TruncationParams, m: int, alpha: MultiIndex) -> list[int]:
+    """Degree-1 exponents d_a = i - ceil(p^a m / e) - floor_l1(p^a alpha) of
+    the orbit levels a = 0, 1, ... before the first negative one; their
+    number is s.
+
+    Terminates because ceil(p^a m / e) is unbounded in a.
+    """
+    if m < 1:
+        raise ValueError("s_function needs m >= 1")
+    p = params.p
+    walk: list[int] = []
+    while True:
+        d = degree1_exponent(params, p ** len(walk) * m, alpha.floor_l1(p, len(walk)))
+        if d < 0:
+            return walk
+        walk.append(d)

@@ -7,10 +7,11 @@ exiting level A dropped), and the canonical inclusion of the weight-i
 filtered subcomplex.  The mapping fiber of (divided Frobenius - canonical)
 is assembled as a three-term cochain complex over Z/p^N and its cohomology
 is computed by Smith normal form over Z/p^N.  The matrices use only the
-Nygaard exponents, the brace symbol and factorial ratios; from the closed
-forms being checked the oracle reads `s_function` (truncation sizes), the
-summand's generator exponents (the generator it certifies) and, in
-`verify_orbit`, the summand it compares against.
+Nygaard exponents, the brace symbol and factorial ratios, and the
+truncation level is sized from the orbit's degree-1 walk in `drw`.  The
+closed-form claim under test, a summand with its s, h and generator
+exponents, is handed in by the caller of `verify_orbit` and
+`certify_kernel_generator`.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 
-from .drw import TruncationParams, nygaard_exponents
+from .drw import Orbit, TruncationParams, degree1_walk, nygaard_exponents
 from .padic import brace, factorial_ratio, vp
 from .snf import (
     ClassFunctional,
@@ -34,7 +35,6 @@ from .snf import (
     smith_mod_prime_power,
     solve_in_lattice,
 )
-from .syntomic import Orbit, h1_syntomic_orbit, s_function
 
 
 class OracleError(Exception):
@@ -60,7 +60,7 @@ class OrbitTruncation:
 
     def validate(self, params: TruncationParams) -> None:
         self.orbit.validate(params.p)
-        s = s_function(params, self.orbit.m, self.orbit.alpha)
+        s = len(degree1_walk(params, self.orbit.m, self.orbit.alpha))
         if self.A < s + 2:
             raise ValueError(f"truncation level A={self.A} below required {s + 2}")
         if self.N <= params.i * (self.A + 1) + 4:
@@ -69,7 +69,7 @@ class OrbitTruncation:
 
 def default_truncation(params: TruncationParams, orbit: Orbit) -> OrbitTruncation:
     """A = s + 2 and N = i*(A+1) + 8."""
-    A = s_function(params, orbit.m, orbit.alpha) + 2
+    A = len(degree1_walk(params, orbit.m, orbit.alpha)) + 2
     return OrbitTruncation(orbit, A, params.i * (A + 1) + 8)
 
 
@@ -267,19 +267,19 @@ def _check_stability(params: TruncationParams, trunc: OrbitTruncation, result: d
         )
 
 
-def closed_form_kernel_cochain(params: TruncationParams, trunc: OrbitTruncation, fc: FiberCohomology) -> list[int]:
-    """The closed-form kernel generator as a degree-1 cochain (w, u) of the
-    fiber complex.
+def closed_form_kernel_cochain(fc: FiberCohomology, summand) -> list[int] | None:
+    """The kernel generator claimed by `summand` as a degree-1 cochain
+    (w, u) of the fiber complex.
 
     w carries the recursion scalings on levels 0..s-1.  On levels >= s the
     canonical map is invertible, so the Frobenius overflow out of level
     s-1 can be absorbed by a uniquely determined tail, which is solved for
-    here together with the coboundary witness u; failure to solve means
-    the closed-form vector is not annihilated up to coboundary.
+    here together with the coboundary witness u.  None means the claimed
+    vector is not annihilated up to coboundary.
     """
-    p = params.p
+    p = fc.p
     n, modulus = fc.matrices.n, fc.matrices.modulus
-    exps = h1_syntomic_orbit(params, trunc.orbit).generator_exponents
+    exps = summand.generator_exponents
     s = len(exps)
     w = [0] * n
     for a in range(s):
@@ -294,10 +294,7 @@ def closed_form_kernel_cochain(params: TruncationParams, trunc: OrbitTruncation,
         # The construction fixes only valuations; each level's generator
         # absorbs a unit.  Solve for a choice of per-level units before
         # giving up.
-        relaxed = _unit_relaxed_kernel_cochain(params, trunc, fc, exps)
-        if relaxed is None:
-            raise OracleError("closed-form kernel vector is not annihilated up to coboundary")
-        return relaxed
+        return _unit_relaxed_kernel_cochain(fc, exps)
     u = z[:n]
     for a in range(s, n):
         w[a] = z[n + a - s]
@@ -337,17 +334,12 @@ def _nonvanishing_combination(vecs: list[list[int]], width: int, p: int) -> list
     return None
 
 
-def _unit_relaxed_kernel_cochain(
-    params: TruncationParams,
-    trunc: OrbitTruncation,
-    fc: FiberCohomology,
-    exps: tuple[int, ...],
-) -> list[int] | None:
+def _unit_relaxed_kernel_cochain(fc: FiberCohomology, exps: tuple[int, ...]) -> list[int] | None:
     """A degree-1 cocycle whose level-a coordinate is unit * p^(c_a) for
     a < s, with the units solved from the kernel lattice of the extended
     system (head columns pre-scaled by p^(c_a), free tail, coboundary
     witness); None if no choice of units works."""
-    p = params.p
+    p = fc.p
     n, modulus = fc.matrices.n, fc.matrices.modulus
     s = len(exps)
     profile = [exps[s - 1 - a] for a in range(s)]
@@ -380,17 +372,20 @@ def _unit_relaxed_kernel_cochain(
     return cochain
 
 
-def certify_kernel_generator(params: TruncationParams, trunc: OrbitTruncation, fc: FiberCohomology) -> bool:
-    """Check the closed-form kernel generator against the matrices of `fc`,
-    the fiber cohomology at `trunc`: it must be a cocycle, generate the
-    degree-1 cohomology, and restrict to a generator at level s-1.
-    Rejects orbits with s = 0, whose kernel summand is trivial."""
+def certify_kernel_generator(params: TruncationParams, trunc: OrbitTruncation, fc: FiberCohomology, summand) -> bool:
+    """Check the kernel generator claimed by `summand` (a closed-form
+    `SyntomicSummand` of the orbit) against the matrices of `fc`, the fiber
+    cohomology at `trunc`: it must be a cocycle, generate the degree-1
+    cohomology, and restrict to a generator at level s-1.  Rejects a claim
+    with s = 0, whose kernel summand is trivial."""
     p = params.p
-    s = s_function(params, trunc.orbit.m, trunc.orbit.alpha)
+    s = summand.s
     if s == 0:
         raise ValueError("orbit has s = 0; kernel summand is trivial")
-    cochain = closed_form_kernel_cochain(params, trunc, fc)
-    if cochain[s - 1] % p == 0:
+    if s != len(summand.generator_exponents) or s > fc.matrices.n:
+        return False
+    cochain = closed_form_kernel_cochain(fc, summand)
+    if cochain is None or cochain[s - 1] % p == 0:
         return False
     h = fc.h1.exponents(p)
     expected = h[0] if h else 0
@@ -436,9 +431,7 @@ class TransitionOracle:
             raise ValueError("levels must be coprime to p")
         self.p, self.i, self.orbit = p, i, orbit
         self.levels = sorted(levels)
-        s_max = max(
-            s_function(TruncationParams(p, lv, i), orbit.m, orbit.alpha) for lv in self.levels
-        )
+        s_max = max(len(degree1_walk(TruncationParams(p, lv, i), orbit.m, orbit.alpha)) for lv in self.levels)
         self.A = s_max + 2
         self.N = i * (self.A + 1) + 8
         self._m = [p**a * orbit.m for a in range(self.A + 1)]
@@ -529,17 +522,17 @@ class OrbitCertificate:
     passed: bool
 
 
-def verify_orbit(params: TruncationParams, orbit: Orbit, trunc: OrbitTruncation | None = None) -> OrbitCertificate:
-    """Full closed-form vs oracle check for one orbit: degree-1 exponent
-    equality, vanishing in degrees 0 and 2, truncation stability, and
-    kernel-generator certification when s >= 1.
+def verify_orbit(params: TruncationParams, summand, trunc: OrbitTruncation | None = None) -> OrbitCertificate:
+    """Check the closed-form claim `summand` (a `SyntomicSummand`: orbit,
+    module W(k)/p^h, s and generator exponents) against the oracle:
+    degree-1 exponent equality, vanishing in degrees 0 and 2, truncation
+    stability, and kernel-generator certification when s >= 1.
 
-    `trunc` defaults to `default_truncation(params, orbit)`.  The fiber
-    cohomology is computed once at `trunc` and once at the grown
+    `trunc` defaults to `default_truncation(params, summand.orbit)`.  The
+    fiber cohomology is computed once at `trunc` and once at the grown
     truncation of the stability recheck."""
     if trunc is None:
-        trunc = default_truncation(params, orbit)
-    summand = h1_syntomic_orbit(params, orbit)
+        trunc = default_truncation(params, summand.orbit)
     fc = fiber_cohomology(params, trunc)
     exps = fc.exponents(params.p)
     _check_stability(params, trunc, exps)
@@ -551,9 +544,9 @@ def verify_orbit(params: TruncationParams, orbit: Orbit, trunc: OrbitTruncation 
     )
     kernel_ok = True
     if summand.s >= 1 and h >= 1:
-        kernel_ok = certify_kernel_generator(params, trunc, fc)
+        kernel_ok = certify_kernel_generator(params, trunc, fc, summand)
     return OrbitCertificate(
-        orbit=orbit,
+        orbit=summand.orbit,
         s=summand.s,
         h_closed=h,
         oracle_exponents=exps,

@@ -1,12 +1,10 @@
 """Closed-form weight-i syntomic cohomology of truncated polynomial
-algebras over the prototype base rings, orbit by orbit.
+algebras over the prototype base rings, orbit by orbit (`drw.Orbit`).
 
-An orbit is a pair (m, alpha) with p not dividing m; it indexes the
-Frobenius-stable family of bidegrees (p^a m, p^a alpha), a >= 0, which is
-the unit all computations decompose into.  Degree-1 cohomology of the
-fiber of (divided Frobenius - canonical) on an orbit is the cyclic module
-W(k)/brace(p^s m, e), where s is the first level at which the divided
-Frobenius stops being an isomorphism along the orbit.
+Degree-1 cohomology of the fiber of (divided Frobenius - canonical) on an
+orbit is the cyclic module W(k)/brace(p^s m, e), where s is the first
+level at which the divided Frobenius stops being an isomorphism along the
+orbit, the length of the orbit's degree-1 walk.
 """
 
 from __future__ import annotations
@@ -14,26 +12,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .drw import CyclicWittModule, TruncationParams, degree1_exponent
+from .drw import CyclicWittModule, Orbit, TruncationParams, degree1_walk
 from .padic import MultiIndex, PAdicFraction, brace, vp
-
-
-@dataclass(frozen=True)
-class Orbit:
-    """One Frobenius-stable summand index: x-weight m coprime to p plus a
-    y-multiweight alpha."""
-
-    m: int
-    alpha: MultiIndex = MultiIndex()
-
-    def validate(self, p: int) -> None:
-        if self.m < 1:
-            raise ValueError("orbit needs m >= 1")
-        if self.m % p == 0:
-            raise ValueError(f"orbit x-weight {self.m} must be coprime to p={p}")
-
-    def sort_key(self) -> tuple:
-        return (self.m, tuple((slot, frac.num, frac.pexp) for slot, frac in self.alpha.entries))
 
 
 @dataclass(frozen=True)
@@ -59,32 +39,16 @@ class AlphaBounds:
     def __post_init__(self) -> None:
         if self.slots and (self.num_max < 1 or self.pexp_max < 0):
             raise ValueError("nonempty slot set needs positive numerator and pexp bounds")
+        if not self.slots and (self.num_max or self.pexp_max):
+            raise ValueError("alpha bounds need a nonempty slot set")
         if len(set(self.slots)) != len(self.slots):
             raise ValueError(f"slot names must be distinct, got {' '.join(self.slots)}")
-
-
-def _degree1_walk(params: TruncationParams, m: int, alpha: MultiIndex) -> list[int]:
-    """Degree-1 exponents d_a = i - ceil(p^a m / e) - floor_l1(p^a alpha) of
-    the orbit levels a = 0, 1, ... before the first negative one; their
-    number is s.
-
-    Terminates because ceil(p^a m / e) is unbounded in a.
-    """
-    if m < 1:
-        raise ValueError("s_function needs m >= 1")
-    p = params.p
-    walk: list[int] = []
-    while True:
-        d = degree1_exponent(params, p ** len(walk) * m, alpha.floor_l1(p, len(walk)))
-        if d < 0:
-            return walk
-        walk.append(d)
 
 
 def s_function(params: TruncationParams, m: int, alpha: MultiIndex = MultiIndex()) -> int:
     """Least s >= 0 with ceil(p^s m / e) + floor-l1(p^s alpha) > i, i.e.
     where the degree-1 exponent of level s turns negative."""
-    return len(_degree1_walk(params, m, alpha))
+    return len(degree1_walk(params, m, alpha))
 
 
 def h1_syntomic_orbit(params: TruncationParams, orbit: Orbit) -> SyntomicSummand:
@@ -92,7 +56,7 @@ def h1_syntomic_orbit(params: TruncationParams, orbit: Orbit) -> SyntomicSummand
     the kernel generator's scalings (c_{s-1}, ..., c_0): pinned at level s-1
     and propagated downward, it has c_a = d_{a+1} + ... + d_{s-1}."""
     orbit.validate(params.p)
-    walk = _degree1_walk(params, orbit.m, orbit.alpha)
+    walk = degree1_walk(params, orbit.m, orbit.alpha)
     s = len(walk)
     h = vp(brace(params.p**s * orbit.m, params.e), params.p)
     gens = tuple(itertools.accumulate(reversed(walk[1:]), initial=0)) if walk else ()

@@ -149,10 +149,11 @@ def test_criterion_4_kernel_generator(capsys):
     checked = 0
     ok = True
     for params, orbit in _grid_orbits():
-        if s_function(params, orbit.m, orbit.alpha) < 1:
+        summand = h1_syntomic_orbit(params, orbit)
+        if summand.s < 1:
             continue
         trunc = default_truncation(params, orbit)
-        if not certify_kernel_generator(params, trunc, fiber_cohomology(params, trunc)):
+        if not certify_kernel_generator(params, trunc, fiber_cohomology(params, trunc), summand):
             ok = False
             break
         checked += 1

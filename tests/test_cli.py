@@ -189,12 +189,14 @@ def test_unwritable_out_exits_1(tmp_path, capsys):
     assert not path.exists()
 
 
-def test_parallel_verify_matches_serial(monkeypatch, capsys):
-    argv = ["verify", "--p", "2", "--i", "2", "--e", "3", "--format", "json"]
-    serial = _run(argv, capsys)
-    assert serial[0] == EXIT_OK
-    monkeypatch.setenv("TRCALC_JOBS", "2")
-    assert _run(argv, capsys) == serial
+@pytest.mark.parametrize("flag", ["--alpha-num-max", "--alpha-pexp-max"])
+def test_alpha_bound_without_slots_exits_1(flag, capsys):
+    # without --slots nothing reads the alpha bounds
+    code = main(["syntomic", "--p", "3", "--i", "1", "--e", "2", flag, "3"])
+    captured = capsys.readouterr()
+    assert code == EXIT_VALIDATION
+    assert captured.out == ""
+    assert captured.err.startswith("trcalc: error: ")
 
 
 @pytest.mark.parametrize(
@@ -232,6 +234,8 @@ def test_weight_range_flag_accepted_where_read(capsys):
         JobSpec(command="syntomic", p=3, i=1, e=2, A=9),
         JobSpec(command="kgroups", p=3, i=1, e=2, N=30),
         JobSpec(command="ml-check", p=3, i=1, e=2, e_max=8, N=40),
+        # tr starts its towers at e=2 and reads --e-max as the probe
+        JobSpec(command="tr", p=3, i=0, e=20, e_max=30),
     ],
 )
 def test_run_command_rejects_fields_the_command_does_not_read(spec):

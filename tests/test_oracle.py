@@ -1,7 +1,10 @@
 """Brute-force oracle: matrix construction, fiber cohomology, kernel
 certification, truncation stability, and transition maps."""
 
+import ast
+import dataclasses
 import itertools
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +13,7 @@ from hypothesis import strategies as st
 import snf_witness as witness
 import trcalc.oracle as oracle_module
 from trcalc.cli import JobSpec, run_command
-from trcalc.drw import TruncationParams, nygaard_exponents
+from trcalc.drw import CyclicWittModule, TruncationParams, nygaard_exponents
 from trcalc.oracle import (
     DegenerateOrbitError,
     OracleError,
@@ -27,7 +30,7 @@ from trcalc.oracle import (
 )
 from trcalc.padic import MultiIndex, PAdicFraction, brace, factorial_ratio, vp
 from trcalc.snf import columns, eye, hstack, kernel_mod, mat_vec, quotient
-from trcalc.syntomic import Orbit
+from trcalc.syntomic import Orbit, h1_syntomic_orbit
 
 EMPTY = MultiIndex()
 
@@ -135,11 +138,13 @@ def test_kernel_generator_certification():
     for p, e, i, m in [(3, 2, 1, 1), (2, 3, 1, 1), (2, 3, 2, 1), (2, 3, 2, 5), (5, 2, 2, 1)]:
         params = TruncationParams(p, e, i)
         trunc = default_truncation(params, Orbit(m))
-        assert certify_kernel_generator(params, trunc, fiber_cohomology(params, trunc))
+        summand = h1_syntomic_orbit(params, Orbit(m))
+        assert certify_kernel_generator(params, trunc, fiber_cohomology(params, trunc), summand)
 
 
 def test_verify_orbit_passes():
-    cert = verify_orbit(TruncationParams(2, 3, 2), Orbit(1))
+    params = TruncationParams(2, 3, 2)
+    cert = verify_orbit(params, h1_syntomic_orbit(params, Orbit(1)))
     assert cert.passed
     assert cert.h_closed == 3
     assert cert.oracle_exponents[2] == ()
@@ -158,7 +163,7 @@ def test_verify_orbit_builds_base_and_grown_truncation_once(monkeypatch):
 
     monkeypatch.setattr(oracle_module, "build_orbit_matrices", counting)
     params = TruncationParams(2, 3, 2)
-    cert = verify_orbit(params, Orbit(1))
+    cert = verify_orbit(params, h1_syntomic_orbit(params, Orbit(1)))
     assert cert.s >= 1 and cert.kernel_ok
     base = default_truncation(params, Orbit(1))
     assert built == [base, OrbitTruncation(Orbit(1), base.A + 1, base.N + 2)]
@@ -177,12 +182,12 @@ def test_verify_orbit_rejects_unstable_truncation(monkeypatch):
 
     monkeypatch.setattr(oracle_module, "fiber_cohomology", other_orbit_when_grown)
     with pytest.raises(TruncationInstabilityError):
-        verify_orbit(params, Orbit(1))
+        verify_orbit(params, h1_syntomic_orbit(params, Orbit(1)))
 
 
 def test_verify_orbit_pinned_truncation_matches_cli_job():
     params = TruncationParams(2, 3, 2)
-    cert = verify_orbit(params, Orbit(1), OrbitTruncation(Orbit(1), 6, 24))
+    cert = verify_orbit(params, h1_syntomic_orbit(params, Orbit(1)), OrbitTruncation(Orbit(1), 6, 24))
     report, _ = run_command(JobSpec(command="verify", p=2, i=2, e=3, A=6, N=24))
     rec = next(rec for rec in report.orbits if rec["m"] == 1)
     assert cert.oracle_exponents[0] == ()
@@ -190,6 +195,42 @@ def test_verify_orbit_pinned_truncation_matches_cli_job():
     assert rec["oracle_h2"] == list(cert.oracle_exponents[2])
     assert rec["kernel_ok"] == cert.kernel_ok
     assert rec["pass"] == cert.passed
+
+
+def test_oracle_imports_no_closed_form():
+    # the oracle checks the claim it is handed; it imports none of the
+    # closed forms, so a closed-form error cannot move its own check
+    tree = ast.parse(Path(oracle_module.__file__).read_text())
+    relative = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level}
+    assert relative == {"drw", "padic", "snf"}
+    absolute = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
+    absolute += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and not node.level]
+    assert not [name for name in absolute if name.split(".")[0] == "trcalc"]
+
+
+@pytest.mark.parametrize("m", [1, 5])
+def test_verify_orbit_refutes_a_wrong_claim(m):
+    params = TruncationParams(2, 3, 2)
+    claim = h1_syntomic_orbit(params, Orbit(m))
+    assert verify_orbit(params, claim).passed
+    wrong_h = dataclasses.replace(claim, module=CyclicWittModule(claim.module.h + 1))
+    assert verify_orbit(params, wrong_h).passed is False
+    raised = tuple(c + 1 for c in claim.generator_exponents)
+    wrong_generator = dataclasses.replace(claim, generator_exponents=raised)
+    assert verify_orbit(params, wrong_generator).passed is False
+    wrong_s = dataclasses.replace(claim, s=claim.s + 1)
+    assert verify_orbit(params, wrong_s).passed is False
+
+
+def test_verify_orbit_refutes_a_generator_with_no_cocycle():
+    # (0, 0, 1) scales levels 0, 1, 2 by p, 1, 1; an extra p at level 1
+    # leaves no cocycle with those valuations, which is a failed check and
+    # not an oracle error
+    params = TruncationParams(2, 3, 2)
+    claim = h1_syntomic_orbit(params, Orbit(1))
+    assert claim.generator_exponents == (0, 0, 1)
+    wrong = dataclasses.replace(claim, generator_exponents=(0, 1, 1))
+    assert verify_orbit(params, wrong).passed is False
 
 
 def test_transition_examples():

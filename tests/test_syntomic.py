@@ -72,8 +72,9 @@ def test_kernel_generator_examples():
 def test_kernel_generator_rejects_trivial():
     params = TruncationParams(2, 3, 1)
     trunc = default_truncation(params, Orbit(5))
+    summand = h1_syntomic_orbit(params, Orbit(5))  # s = 0
     with pytest.raises(ValueError):
-        certify_kernel_generator(params, trunc, fiber_cohomology(params, trunc))
+        certify_kernel_generator(params, trunc, fiber_cohomology(params, trunc), summand)
 
 
 def test_enumerate_orbits_examples():
@@ -83,6 +84,13 @@ def test_enumerate_orbits_examples():
     assert got == [(1, 3), (5, 1)]
     got = [(sm.orbit.m, sm.module.h) for sm in enumerate_orbits(TruncationParams(3, 2, 2))]
     assert got == [(1, 2)]
+
+
+def test_alpha_bounds_without_slots_rejected():
+    # with no slot the bounds would be read by nothing
+    for num_max, pexp_max in [(3, 0), (0, 1)]:
+        with pytest.raises(ValueError):
+            AlphaBounds((), num_max, pexp_max)
 
 
 def test_enumerate_alphas_window():
