@@ -28,6 +28,7 @@ from .snf import (
     Matrix,
     QuotientPresentation,
     columns,
+    divisor_exponents,
     hstack,
     kernel_mod,
     mat_vec,
@@ -215,8 +216,14 @@ class FiberCohomology:
     nonzero integer elementary divisor, and when every column has one the
     differential is injective over the integers and H^0 vanishes.
     `h0_kernel_rank` counts the columns left uncertified; `exponents`
-    refuses when it is nonzero rather than guess.  H^1 is computed with
-    the object; the degree-0 certificate and H^2 on first read.
+    refuses when it is nonzero rather than guess.
+
+    H^1 is computed with the object, building only the SNF transforms its
+    caller reads: the stability recheck compares exponents and builds
+    none.  The degree-0 certificate and H^2 are computed on first read.
+    H^2 = C^2/(im d1 + p^N·C^2) with C^2 all cocycles, so its exponents
+    are those of the elementary divisors of d1 mod p^N, from one
+    transform-free elimination.
     """
 
     matrices: OrbitMatrices
@@ -231,21 +238,25 @@ class FiberCohomology:
         return divisors[: mats.n].count(mats.modulus)
 
     @cached_property
-    def h2(self) -> QuotientPresentation:
+    def h2(self) -> tuple[int, ...]:
         mats = self.matrices
-        return quotient(kernel_mod([[0] * mats.n], self.p, mats.modulus), mats.fiber_d1())
+        return divisor_exponents(smith_mod_prime_power(mats.fiber_d1(), self.p, mats.modulus, ())[0], self.p)
 
     def exponents(self, p: int) -> dict[int, tuple[int, ...]]:
         if self.h0_kernel_rank:
             raise OracleError(
                 f"degree-0 injectivity not certified mod p^N on {self.h0_kernel_rank} column(s)"
             )
-        return {0: (), 1: self.h1.exponents(p), 2: self.h2.exponents(p)}
+        return {0: (), 1: self.h1.exponents(p), 2: self.h2}
 
 
-def fiber_cohomology(params: TruncationParams, trunc: OrbitTruncation) -> FiberCohomology:
+def fiber_cohomology(
+    params: TruncationParams, trunc: OrbitTruncation, transforms: tuple[str, ...] = ("U", "Uinv")
+) -> FiberCohomology:
+    """The fiber cohomology at `trunc`; H^1's presentation carries the
+    transforms named in `transforms` (see `snf.quotient`)."""
     mats = build_orbit_matrices(params, trunc)
-    h1 = quotient(kernel_mod(mats.fiber_d1(), params.p, mats.modulus), mats.fiber_d0())
+    h1 = quotient(kernel_mod(mats.fiber_d1(), params.p, mats.modulus), mats.fiber_d0(), transforms)
     return FiberCohomology(mats, params.p, h1)
 
 
@@ -260,7 +271,7 @@ def oracle_cohomology(params: TruncationParams, trunc: OrbitTruncation) -> dict[
 def _check_stability(params: TruncationParams, trunc: OrbitTruncation, result: dict[int, tuple[int, ...]]) -> None:
     """Raise unless the grown truncation (A+1, N+2) gives the same exponents."""
     bigger = OrbitTruncation(trunc.orbit, trunc.A + 1, trunc.N + 2)
-    again = fiber_cohomology(params, bigger).exponents(params.p)
+    again = fiber_cohomology(params, bigger, ()).exponents(params.p)
     if again != result:
         raise TruncationInstabilityError(
             f"cohomology changed under truncation growth: {result} vs {again}"
@@ -372,13 +383,19 @@ def _unit_relaxed_kernel_cochain(fc: FiberCohomology, exps: tuple[int, ...]) -> 
     return cochain
 
 
-def certify_kernel_generator(params: TruncationParams, trunc: OrbitTruncation, fc: FiberCohomology, summand) -> bool:
+def certify_kernel_generator(fc: FiberCohomology, summand) -> bool:
     """Check the kernel generator claimed by `summand` (a closed-form
-    `SyntomicSummand` of the orbit) against the matrices of `fc`, the fiber
-    cohomology at `trunc`: it must be a cocycle, generate the degree-1
-    cohomology, and restrict to a generator at level s-1.  Rejects a claim
-    with s = 0, whose kernel summand is trivial."""
-    p = params.p
+    `SyntomicSummand` of the orbit) against the matrices of `fc`.
+
+    The certificate checks three things: some degree-1 cocycle has, at
+    each level a < s, the valuation the claim gives that level; it is a
+    unit at level s-1; and its class generates H^1.  It does not pin the
+    exponents of levels 0..s-2, since more than one valuation profile
+    can carry a generator: for p=2, e=3, i=2, m=1 the claims (0,0,2) and
+    (0,0,3) pass as the closed form's (0,0,1) does, while (0,1,1) and
+    (1,0,1) fail.  Rejects a claim with s = 0, whose kernel summand is
+    trivial."""
+    p = fc.p
     s = summand.s
     if s == 0:
         raise ValueError("orbit has s = 0; kernel summand is trivial")
@@ -529,11 +546,12 @@ def verify_orbit(params: TruncationParams, summand, trunc: OrbitTruncation | Non
     stability, and kernel-generator certification when s >= 1.
 
     `trunc` defaults to `default_truncation(params, summand.orbit)`.  The
-    fiber cohomology is computed once at `trunc` and once at the grown
-    truncation of the stability recheck."""
+    fiber cohomology is computed once at `trunc`, with the U transform the
+    kernel certificate reads, and once at the grown truncation of the
+    stability recheck, with no transforms."""
     if trunc is None:
         trunc = default_truncation(params, summand.orbit)
-    fc = fiber_cohomology(params, trunc)
+    fc = fiber_cohomology(params, trunc, ("U",))
     exps = fc.exponents(params.p)
     _check_stability(params, trunc, exps)
     h = summand.module.h
@@ -544,7 +562,7 @@ def verify_orbit(params: TruncationParams, summand, trunc: OrbitTruncation | Non
     )
     kernel_ok = True
     if summand.s >= 1 and h >= 1:
-        kernel_ok = certify_kernel_generator(params, trunc, fc, summand)
+        kernel_ok = certify_kernel_generator(fc, summand)
     return OrbitCertificate(
         orbit=summand.orbit,
         s=summand.s,

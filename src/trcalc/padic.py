@@ -8,6 +8,7 @@ and finitely supported multi-indices of such fractions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -50,13 +51,11 @@ def vp(n: int, p: int) -> int:
 
 
 def factorial_ratio(a: int, b: int) -> int:
-    """Exact value of a!/b! for a >= b >= 0, as the product over (b, a]."""
+    """Exact value of a!/b! for a >= b >= 0, the product over (b, a],
+    which is the number of (a - b)-permutations of a."""
     if b > a:
         raise ValueError(f"factorial_ratio needs a >= b, got a={a}, b={b}")
-    out = 1
-    for k in range(b + 1, a + 1):
-        out *= k
-    return out
+    return math.perm(a, a - b)
 
 
 def ceil_div(a: int, b: int) -> int:

@@ -16,6 +16,12 @@ the nonzero entries of its argument (a column of the oracle's first
 differential has at most three), and a cyclic quotient reads the class of
 a lattice vector through one precomputed functional
 (`QuotientPresentation.class_functional`), a single dot product.
+
+Elimination builds only what is read.  `smith_mod_prime_power` and
+`quotient` take a `transforms` tuple naming the transforms to build; the
+divisors never depend on it.  A quotient whose exponents are all that is
+read asks for `()`, one whose class coordinates are read asks for
+`("U",)`, and `generator_of_largest_factor` needs `"Uinv"` as well.
 """
 
 from __future__ import annotations
@@ -48,6 +54,11 @@ def _pval(a: int, p: int) -> int:
         a //= p
         v += 1
     return v
+
+
+def divisor_exponents(divisors, p: int) -> tuple[int, ...]:
+    """Divisors as powers of p, largest first, trivial ones dropped."""
+    return tuple(sorted((a for a in (_pval(d, p) for d in divisors) if a), reverse=True))
 
 
 def smith_mod_prime_power(
@@ -206,16 +217,17 @@ def kernel_mod(M: Matrix, p: int, q: int) -> KernelLattice:
 @dataclass
 class QuotientPresentation:
     """Finite p-group K/(L + q·Z^n) given by elementary divisors, with
-    class coordinates for arbitrary lattice elements."""
+    class coordinates for arbitrary lattice elements.  `_U` and `_Uinv`
+    are None when `quotient` was not asked to build them."""
 
     kernel: KernelLattice
     divisors: tuple[int, ...]
-    _U: Matrix
-    _Uinv: Matrix
+    _U: Matrix | None
+    _Uinv: Matrix | None
 
     def exponents(self, p: int) -> tuple[int, ...]:
         """Divisors as powers of p, largest first, trivial ones dropped."""
-        return tuple(sorted((a for a in (_pval(d, p) for d in self.divisors) if a), reverse=True))
+        return divisor_exponents(self.divisors, p)
 
     def class_coords(self, x: list[int]) -> list[int]:
         y = self.kernel.solve(x)
@@ -271,11 +283,14 @@ class ClassFunctional:
         return sum(a * b for a, b in zip(self.w, x)) % (self.modulus * self.d) // self.modulus
 
 
-def quotient(kernel: KernelLattice, L: Matrix) -> QuotientPresentation:
+def quotient(
+    kernel: KernelLattice, L: Matrix, transforms: tuple[str, ...] = ("U", "Uinv")
+) -> QuotientPresentation:
     """Present K/(L + q·Z^n) for generator columns L inside K.
 
     In kernel coordinates q·Z^n is spanned by the relations (q/t_j)·e_j,
     which are appended to the coordinates of L, so every divisor divides q.
+    Only the transforms named in `transforms` ("U", "Uinv") are built.
     """
     gens = []
     for col in columns(L):
@@ -290,5 +305,5 @@ def quotient(kernel: KernelLattice, L: Matrix) -> QuotientPresentation:
             rel[j] = q // t
             gens.append(rel)
     G = [[col[r] for col in gens] for r in range(kernel.dim)]
-    divisors, U, Uinv, _, _ = smith_mod_prime_power(G, kernel.p, q, ("U", "Uinv"))
+    divisors, U, Uinv, _, _ = smith_mod_prime_power(G, kernel.p, q, transforms)
     return QuotientPresentation(kernel, tuple(divisors), U, Uinv)

@@ -153,7 +153,7 @@ def test_criterion_4_kernel_generator(capsys):
         if summand.s < 1:
             continue
         trunc = default_truncation(params, orbit)
-        if not certify_kernel_generator(params, trunc, fiber_cohomology(params, trunc), summand):
+        if not certify_kernel_generator(fiber_cohomology(params, trunc), summand):
             ok = False
             break
         checked += 1

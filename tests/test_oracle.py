@@ -12,10 +12,12 @@ from hypothesis import strategies as st
 
 import snf_witness as witness
 import trcalc.oracle as oracle_module
+import trcalc.snf as snf_module
 from trcalc.cli import JobSpec, run_command
 from trcalc.drw import CyclicWittModule, TruncationParams, nygaard_exponents
 from trcalc.oracle import (
     DegenerateOrbitError,
+    FiberCohomology,
     OracleError,
     OrbitTruncation,
     TransitionOracle,
@@ -139,7 +141,7 @@ def test_kernel_generator_certification():
         params = TruncationParams(p, e, i)
         trunc = default_truncation(params, Orbit(m))
         summand = h1_syntomic_orbit(params, Orbit(m))
-        assert certify_kernel_generator(params, trunc, fiber_cohomology(params, trunc), summand)
+        assert certify_kernel_generator(fiber_cohomology(params, trunc), summand)
 
 
 def test_verify_orbit_passes():
@@ -174,11 +176,11 @@ def test_verify_orbit_rejects_unstable_truncation(monkeypatch):
     base = default_truncation(params, Orbit(1))
     real = oracle_module.fiber_cohomology
 
-    def other_orbit_when_grown(params, trunc):
+    def other_orbit_when_grown(params, trunc, transforms):
         # orbit m=5 has h=1 where m=1 has h=3, so the recheck must see a change
         if trunc != base:
             trunc = OrbitTruncation(Orbit(5), trunc.A, trunc.N)
-        return real(params, trunc)
+        return real(params, trunc, transforms)
 
     monkeypatch.setattr(oracle_module, "fiber_cohomology", other_orbit_when_grown)
     with pytest.raises(TruncationInstabilityError):
@@ -197,15 +199,92 @@ def test_verify_orbit_pinned_truncation_matches_cli_job():
     assert rec["pass"] == cert.passed
 
 
+def _package_imports(module):
+    """Relative and absolute `trcalc` imports of a module's source."""
+    tree = ast.parse(Path(module.__file__).read_text())
+    relative = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level}
+    absolute = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
+    absolute += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and not node.level]
+    return relative, [name for name in absolute if name.split(".")[0] == "trcalc"]
+
+
 def test_oracle_imports_no_closed_form():
     # the oracle checks the claim it is handed; it imports none of the
     # closed forms, so a closed-form error cannot move its own check
-    tree = ast.parse(Path(oracle_module.__file__).read_text())
-    relative = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level}
-    assert relative == {"drw", "padic", "snf"}
-    absolute = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
-    absolute += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and not node.level]
-    assert not [name for name in absolute if name.split(".")[0] == "trcalc"]
+    assert _package_imports(oracle_module) == ({"drw", "padic", "snf"}, [])
+    # and the engine under it imports nothing of the package at all
+    assert _package_imports(snf_module) == (set(), [])
+
+
+def test_verify_orbit_runs_only_the_transforms_it_reads(monkeypatch):
+    # the base quotient builds the U that the class order of the claimed
+    # generator reads, the stability recheck compares exponents and builds
+    # none, and H^2 comes from the divisors of d1 without a kernel of the
+    # zero matrix
+    smith_calls, kernels, inside = [], [], []
+    real_smith, real_quotient, real_kernel = (
+        snf_module.smith_mod_prime_power,
+        oracle_module.quotient,
+        oracle_module.kernel_mod,
+    )
+
+    def smith(*args):
+        smith_calls.append((inside[-1] if inside else None, args[3]))
+        return real_smith(*args)
+
+    def quotient(*args):
+        inside.append("quotient")
+        try:
+            return real_quotient(*args)
+        finally:
+            inside.pop()
+
+    def kernel_mod(M, p, q):
+        kernels.append(M)
+        return real_kernel(M, p, q)
+
+    for module in (snf_module, oracle_module):
+        monkeypatch.setattr(module, "smith_mod_prime_power", smith)
+    monkeypatch.setattr(oracle_module, "quotient", quotient)
+    monkeypatch.setattr(oracle_module, "kernel_mod", kernel_mod)
+    params = TruncationParams(2, 3, 2)
+    cert = verify_orbit(params, h1_syntomic_orbit(params, Orbit(1)))
+    assert cert.passed and cert.s >= 1
+    assert [t for tag, t in smith_calls if tag == "quotient"] == [("U",), ()]
+    assert kernels and all(any(v for row in M for v in row) for M in kernels)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from((2, 3, 5)),
+    st.integers(1, 3),
+    st.integers(2, 9),
+    st.integers(1, 20),
+    st.booleans(),
+    st.integers(0, 2),
+    st.integers(0, 30),
+)
+def test_h2_is_the_cokernel_of_d1(p, i, e, m, one_over_p, scale, level):
+    # H^2 from the divisors of d1 equals the old presentation (the kernel of
+    # the 1 x n zero matrix modulo d1) and the exact cokernel of [d1 | q·I];
+    # scaling one row of d1 by p^scale makes H^2 nontrivial
+    if e % p == 0 or m % p == 0:
+        return
+    alpha = MultiIndex.from_dict({"t": PAdicFraction.make(1, 1, p)}) if one_over_p else EMPTY
+    params = TruncationParams(p, e, i)
+    mats = build_orbit_matrices(params, default_truncation(params, Orbit(m, alpha)))
+    n, q = mats.n, mats.modulus
+    r = level % n
+    mats.can1[r] = mats.can1[r] * p**scale % q
+    mats.diff_full[r] = mats.diff_full[r] * p**scale % q
+    if r:
+        mats.frob1[r - 1] = mats.frob1[r - 1] * p**scale % q
+    h2 = FiberCohomology(mats, p, None).h2
+    assert h2 == quotient(kernel_mod([[0] * n], p, q), mats.fiber_d1()).exponents(p)
+    exact = witness.smith_normal_form(hstack(mats.fiber_d1(), [[q * v for v in row] for row in eye(n)]))
+    assert h2 == tuple(sorted((vp(d, p) for d in exact.diagonal if d != 1), reverse=True))
+    if scale:
+        assert h2 and h2[0] >= scale
 
 
 @pytest.mark.parametrize("m", [1, 5])

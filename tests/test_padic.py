@@ -75,6 +75,19 @@ def test_factorial_ratio():
         factorial_ratio(2, 5)
 
 
+@settings(max_examples=200)
+@given(st.integers(0, 3000), st.integers(0, 3000))
+def test_factorial_ratio_is_the_range_product(a, b):
+    if b > a:
+        with pytest.raises(ValueError):
+            factorial_ratio(a, b)
+        return
+    expected = 1
+    for k in range(b + 1, a + 1):
+        expected *= k
+    assert factorial_ratio(a, b) == expected
+
+
 def test_brace_symbol():
     # value is m when e does not divide m, else e
     assert brace(3, 2) == 3

@@ -74,7 +74,7 @@ def test_kernel_generator_rejects_trivial():
     trunc = default_truncation(params, Orbit(5))
     summand = h1_syntomic_orbit(params, Orbit(5))  # s = 0
     with pytest.raises(ValueError):
-        certify_kernel_generator(params, trunc, fiber_cohomology(params, trunc), summand)
+        certify_kernel_generator(fiber_cohomology(params, trunc), summand)
 
 
 def test_enumerate_orbits_examples():
