@@ -59,6 +59,12 @@ class OrbitTruncation:
     A: int
     N: int
 
+    def grown(self, params: TruncationParams) -> "OrbitTruncation":
+        """The truncation of the stability recheck: A -> A+1 and
+        N -> max(N+2, i*(A+2)+5), the least precision with headroom for
+        A+1, so the grown truncation validates whenever this one does."""
+        return OrbitTruncation(self.orbit, self.A + 1, max(self.N + 2, params.i * (self.A + 2) + 5))
+
     def validate(self, params: TruncationParams) -> None:
         self.orbit.validate(params.p)
         s = len(degree1_walk(params, self.orbit.m, self.orbit.alpha))
@@ -218,17 +224,30 @@ class FiberCohomology:
     `h0_kernel_rank` counts the columns left uncertified; `exponents`
     refuses when it is nonzero rather than guess.
 
-    H^1 is computed with the object, building only the SNF transforms its
-    caller reads: the stability recheck compares exponents and builds
-    none.  The degree-0 certificate and H^2 are computed on first read.
-    H^2 = C^2/(im d1 + p^N·C^2) with C^2 all cocycles, so its exponents
-    are those of the elementary divisors of d1 mod p^N, from one
-    transform-free elimination.
+    H^1 is computed with the object (`of`), building only the SNF
+    transforms its caller reads: the stability recheck compares exponents
+    and builds none.  The degree-0 certificate and H^2 are computed on
+    first read.  H^2 = C^2/(im d1 + p^N·C^2) with C^2 all cocycles, so its
+    exponents are those of the elementary divisors of d1 mod p^N, which
+    the kernel of d1 under H^1 keeps from its own elimination: d1 is
+    eliminated once.
     """
 
     matrices: OrbitMatrices
     p: int
     h1: QuotientPresentation
+
+    @classmethod
+    def of(
+        cls, mats: OrbitMatrices, p: int, transforms: tuple[str, ...] = ("U", "Uinv")
+    ) -> "FiberCohomology":
+        """The fiber cohomology of `mats`; H^1's presentation carries the
+        transforms named in `transforms` (see `snf.quotient`).  The kernel
+        of d1 builds V only with "Uinv", for the basis that
+        `generator_of_largest_factor` reads."""
+        kernel_transforms = ("V", "Vinv") if "Uinv" in transforms else ("Vinv",)
+        kernel = kernel_mod(mats.fiber_d1(), p, mats.modulus, kernel_transforms)
+        return cls(mats, p, quotient(kernel, mats.fiber_d0(), transforms))
 
     @cached_property
     def h0_kernel_rank(self) -> int:
@@ -239,8 +258,7 @@ class FiberCohomology:
 
     @cached_property
     def h2(self) -> tuple[int, ...]:
-        mats = self.matrices
-        return divisor_exponents(smith_mod_prime_power(mats.fiber_d1(), self.p, mats.modulus, ())[0], self.p)
+        return divisor_exponents(self.h1.kernel.divisors, self.p)
 
     def exponents(self, p: int) -> dict[int, tuple[int, ...]]:
         if self.h0_kernel_rank:
@@ -254,24 +272,23 @@ def fiber_cohomology(
     params: TruncationParams, trunc: OrbitTruncation, transforms: tuple[str, ...] = ("U", "Uinv")
 ) -> FiberCohomology:
     """The fiber cohomology at `trunc`; H^1's presentation carries the
-    transforms named in `transforms` (see `snf.quotient`)."""
-    mats = build_orbit_matrices(params, trunc)
-    h1 = quotient(kernel_mod(mats.fiber_d1(), params.p, mats.modulus), mats.fiber_d0(), transforms)
-    return FiberCohomology(mats, params.p, h1)
+    transforms named in `transforms` (see `FiberCohomology.of`)."""
+    return FiberCohomology.of(build_orbit_matrices(params, trunc), params.p, transforms)
 
 
 def oracle_cohomology(params: TruncationParams, trunc: OrbitTruncation) -> dict[int, tuple[int, ...]]:
     """Cohomology of the truncated fiber complex as p-power exponents per
-    degree, rechecked at the grown truncation A -> A+1, N -> N+2."""
+    degree, rechecked at the grown truncation (`OrbitTruncation.grown`:
+    A -> A+1, N -> max(N+2, i*(A+2)+5))."""
     result = fiber_cohomology(params, trunc).exponents(params.p)
     _check_stability(params, trunc, result)
     return result
 
 
 def _check_stability(params: TruncationParams, trunc: OrbitTruncation, result: dict[int, tuple[int, ...]]) -> None:
-    """Raise unless the grown truncation (A+1, N+2) gives the same exponents."""
-    bigger = OrbitTruncation(trunc.orbit, trunc.A + 1, trunc.N + 2)
-    again = fiber_cohomology(params, bigger, ()).exponents(params.p)
+    """Raise unless the grown truncation (A+1, max(N+2, i*(A+2)+5)) gives
+    the same exponents."""
+    again = fiber_cohomology(params, trunc.grown(params), ()).exponents(params.p)
     if again != result:
         raise TruncationInstabilityError(
             f"cohomology changed under truncation growth: {result} vs {again}"
@@ -363,8 +380,7 @@ def _unit_relaxed_kernel_cochain(fc: FiberCohomology, exps: tuple[int, ...]) -> 
     for c in columns(fc.matrices._diag(fc.matrices.diff_full)):
         cols.append([(-x) % modulus for x in c])
     M = [[cols[j][r] for j in range(len(cols))] for r in range(n)]
-    K = kernel_mod(M, p, modulus)
-    kernel_vectors = columns(K.basis)
+    kernel_vectors = columns(kernel_mod(M, p, modulus, ("V",)).basis)
     coeffs = _nonvanishing_combination(kernel_vectors, s, p)
     if coeffs is None:
         return None
@@ -548,7 +564,8 @@ def verify_orbit(params: TruncationParams, summand, trunc: OrbitTruncation | Non
     `trunc` defaults to `default_truncation(params, summand.orbit)`.  The
     fiber cohomology is computed once at `trunc`, with the U transform the
     kernel certificate reads, and once at the grown truncation of the
-    stability recheck, with no transforms."""
+    stability recheck, with no quotient transforms; both kernels of d1
+    build V⁻¹ only, and each d1 is eliminated once."""
     if trunc is None:
         trunc = default_truncation(params, summand.orbit)
     fc = fiber_cohomology(params, trunc, ("U",))

@@ -17,11 +17,18 @@ differential has at most three), and a cyclic quotient reads the class of
 a lattice vector through one precomputed functional
 (`QuotientPresentation.class_functional`), a single dot product.
 
-Elimination builds only what is read.  `smith_mod_prime_power` and
-`quotient` take a `transforms` tuple naming the transforms to build; the
-divisors never depend on it.  A quotient whose exponents are all that is
+Elimination builds only what is read.  `smith_mod_prime_power`,
+`kernel_mod` and `quotient` take a `transforms` tuple naming the
+transforms to build; the divisors never depend on it.  A kernel whose
+elements are only solved for asks for `("Vinv",)`, and one whose `basis`
+is read asks for "V" as well.  A quotient whose exponents are all that is
 read asks for `()`, one whose class coordinates are read asks for
-`("U",)`, and `generator_of_largest_factor` needs `"Uinv"` as well.
+`("U",)`, and `generator_of_largest_factor` needs `"Uinv"` and the
+kernel's basis as well.  A kernel keeps the divisors of its matrix, so
+the cokernel of the same matrix needs no second elimination.
+
+The pivot search looks for a unit first, in row-major order, and
+computes p-valuations only when the remaining block has none.
 """
 
 from __future__ import annotations
@@ -61,6 +68,27 @@ def divisor_exponents(divisors, p: int) -> tuple[int, ...]:
     return tuple(sorted((a for a in (_pval(d, p) for d in divisors) if a), reverse=True))
 
 
+def _pivot(A: Matrix, t: int, p: int) -> tuple[int, int, int] | None:
+    """(v, i, j) for the pivot of the block A[t:][t:]: its first unit in
+    row-major order, else its first entry of least p-valuation v, or None
+    when the block is zero.  Only the fallback computes valuations."""
+    cols = len(A[0])
+    for i in range(t, len(A)):
+        row = A[i]
+        for j in range(t, cols):
+            if row[j] % p:
+                return 0, i, j
+    best = None
+    for i in range(t, len(A)):
+        row = A[i]
+        for j in range(t, cols):
+            if row[j]:
+                v = _pval(row[j], p)
+                if best is None or v < best[0]:
+                    best = (v, i, j)
+    return best
+
+
 def smith_mod_prime_power(
     M: Matrix, p: int, q: int, transforms: tuple[str, ...] = ("U", "Uinv", "V", "Vinv")
 ) -> tuple[list[int], Matrix | None, Matrix | None, Matrix | None, Matrix | None]:
@@ -76,10 +104,10 @@ def smith_mod_prime_power(
     others come back as None.  The divisors and the built transforms do
     not depend on which others are built.
 
-    Each step pivots on an entry of least p-valuation v and scales its row
-    so the pivot is p^v.  Every entry of the remaining block is then
-    divisible by p^v, so the row operations below the pivot and the column
-    operations right of it stay inside Z/q.
+    Each step pivots on an entry of least p-valuation v (`_pivot`) and
+    scales its row so the pivot is p^v.  Every entry of the remaining block
+    is then divisible by p^v, so the row operations below the pivot and the
+    column operations right of it stay inside Z/q.
     """
     rows = len(M)
     cols = len(M[0]) if rows else 0
@@ -93,18 +121,7 @@ def smith_mod_prime_power(
     divisors = [q] * rows
 
     for t in range(min(rows, cols)):
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                a = A[i][j]
-                if a:
-                    v = _pval(a, p)
-                    if best is None or v < best[0]:
-                        best = (v, i, j)
-                        if v == 0:
-                            break
-            if best and best[0] == 0:
-                break
+        best = _pivot(A, t, p)
         if best is None:
             break  # remaining block is zero mod q: divisors stay q
         v, pi, pj = best
@@ -176,12 +193,16 @@ class KernelLattice:
     K contains q·Z^n.  The columns of `basis` = V·diag(t) span K modulo
     q·Z^n, and the coordinates of x in K are read through V⁻¹ mod q: the
     j-th is defined modulo q/t_j.  V⁻¹ is kept as its list of columns.
+    `basis` is None when V was not built, and `_Vinv_cols` when V⁻¹ was
+    not.  `divisors` are the elementary divisors of M over Z/q, one per
+    row, from the same elimination: t_j = q/d_j.
     """
 
-    basis: Matrix
+    basis: Matrix | None
     p: int
     modulus: int
-    _Vinv_cols: list[list[int]]
+    divisors: list[int]
+    _Vinv_cols: list[list[int]] | None
     _t: list[int]
 
     @property
@@ -204,14 +225,18 @@ class KernelLattice:
         return out
 
 
-def kernel_mod(M: Matrix, p: int, q: int) -> KernelLattice:
-    """Lattice of integer vectors x with M x ≡ 0 mod q, q = p^N."""
+def kernel_mod(
+    M: Matrix, p: int, q: int, transforms: tuple[str, ...] = ("V", "Vinv")
+) -> KernelLattice:
+    """Lattice of integer vectors x with M x ≡ 0 mod q, q = p^N.  Only the
+    transforms named in `transforms` are built: "V" for `basis`, "Vinv"
+    for `solve`."""
     rows = len(M)
     cols = len(M[0]) if rows else 0
-    divisors, _, _, V, Vinv = smith_mod_prime_power(M, p, q, ("V", "Vinv"))
+    divisors, _, _, V, Vinv = smith_mod_prime_power(M, p, q, transforms)
     t = [q // d for d in divisors[:cols]] + [1] * (cols - rows)
-    basis = [[a * f % q for a, f in zip(row, t)] for row in V]
-    return KernelLattice(basis, p, q, columns(Vinv), t)
+    basis = None if V is None else [[a * f % q for a, f in zip(row, t)] for row in V]
+    return KernelLattice(basis, p, q, divisors, None if Vinv is None else columns(Vinv), t)
 
 
 @dataclass

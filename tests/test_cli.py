@@ -78,6 +78,20 @@ def test_verify_command(capsys):
     assert all(line.endswith("yes") for line in lines[1:])
 
 
+@pytest.mark.parametrize(
+    "truncation",
+    [[], ["--A", "7", "--N", "29"]],
+    ids=["default-truncation", "pinned-least-precision"],
+)
+def test_verify_stability_recheck_has_headroom(truncation, capsys):
+    # weight 6 is past the default precision's N + 2 headroom, and N=29
+    # is the least precision A=7 allows at weight 3
+    i = "3" if truncation else "6"
+    code, out = _run(["verify", "--p", "2", "--i", i, "--e", "2"] + truncation, capsys)
+    assert code == EXIT_OK
+    assert "all_pass=yes" in out
+
+
 def test_kgroups_values(capsys):
     code, out = _run(["kgroups", "--p", "2", "--i", "2", "--e", "3", "--format", "json"], capsys)
     assert code == EXIT_OK

@@ -31,7 +31,16 @@ from trcalc.oracle import (
     verify_orbit,
 )
 from trcalc.padic import MultiIndex, PAdicFraction, brace, factorial_ratio, vp
-from trcalc.snf import columns, eye, hstack, kernel_mod, mat_vec, quotient
+from trcalc.snf import (
+    columns,
+    divisor_exponents,
+    eye,
+    hstack,
+    kernel_mod,
+    mat_vec,
+    quotient,
+    smith_mod_prime_power,
+)
 from trcalc.syntomic import Orbit, h1_syntomic_orbit
 
 EMPTY = MultiIndex()
@@ -59,6 +68,31 @@ def test_truncation_invariants_rejected():
         OrbitTruncation(Orbit(1), A=1, N=40).validate(params)
     with pytest.raises(ValueError):
         OrbitTruncation(Orbit(1), A=4, N=5).validate(params)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from((2, 3, 5)),
+    st.integers(1, 10),
+    st.integers(2, 12),
+    st.integers(1, 30),
+    st.booleans(),
+    st.integers(0, 3),
+)
+def test_grown_truncation_validates_whenever_the_base_does(p, i, e, m, one_over_p, extra_levels):
+    # at the least precision the base allows, N + 2 alone lacks headroom
+    # for A + 1 once i > 2
+    if e % p == 0 or m % p == 0:
+        return
+    alpha = MultiIndex.from_dict({"t": PAdicFraction.make(1, 1, p)}) if one_over_p else EMPTY
+    params = TruncationParams(p, e, i)
+    orbit = Orbit(m, alpha)
+    A = default_truncation(params, orbit).A + extra_levels
+    base = OrbitTruncation(orbit, A, i * (A + 1) + 5)
+    base.validate(params)
+    grown = base.grown(params)
+    assert (grown.orbit, grown.A) == (orbit, A + 1) and grown.N >= base.N + 2
+    grown.validate(params)
 
 
 def test_differential_blocks_are_braces():
@@ -217,41 +251,56 @@ def test_oracle_imports_no_closed_form():
 
 
 def test_verify_orbit_runs_only_the_transforms_it_reads(monkeypatch):
-    # the base quotient builds the U that the class order of the claimed
-    # generator reads, the stability recheck compares exponents and builds
-    # none, and H^2 comes from the divisors of d1 without a kernel of the
-    # zero matrix
-    smith_calls, kernels, inside = [], [], []
-    real_smith, real_quotient, real_kernel = (
-        snf_module.smith_mod_prime_power,
-        oracle_module.quotient,
-        oracle_module.kernel_mod,
-    )
+    # each fiber eliminates d1 once, in the kernel under H^1, which builds
+    # only the V^-1 that solves read, and H^2 comes from that kernel's
+    # divisors; the base quotient builds the U that the class order of the
+    # claimed generator reads, the stability recheck compares exponents and
+    # builds none, the degree-0 certificate reads only divisors, and the
+    # generator solve reads U and V
+    smith_calls, inside, kernels = [], [], []
+    real_smith = snf_module.smith_mod_prime_power
+    real_kernel = oracle_module.kernel_mod
 
     def smith(*args):
         smith_calls.append((inside[-1] if inside else None, args[3]))
         return real_smith(*args)
 
-    def quotient(*args):
-        inside.append("quotient")
-        try:
-            return real_quotient(*args)
-        finally:
-            inside.pop()
+    def tagged(name, real):
+        def run(*args):
+            inside.append(name)
+            try:
+                return real(*args)
+            finally:
+                inside.pop()
 
-    def kernel_mod(M, p, q):
+        return run
+
+    def kernel_mod(M, p, q, transforms):
         kernels.append(M)
-        return real_kernel(M, p, q)
+        return real_kernel(M, p, q, transforms)
 
     for module in (snf_module, oracle_module):
         monkeypatch.setattr(module, "smith_mod_prime_power", smith)
-    monkeypatch.setattr(oracle_module, "quotient", quotient)
-    monkeypatch.setattr(oracle_module, "kernel_mod", kernel_mod)
+    monkeypatch.setattr(oracle_module, "kernel_mod", tagged("kernel_mod", kernel_mod))
+    for name in ("quotient", "solve_in_lattice"):
+        monkeypatch.setattr(oracle_module, name, tagged(name, getattr(oracle_module, name)))
     params = TruncationParams(2, 3, 2)
     cert = verify_orbit(params, h1_syntomic_orbit(params, Orbit(1)))
     assert cert.passed and cert.s >= 1
     assert [t for tag, t in smith_calls if tag == "quotient"] == [("U",), ()]
     assert kernels and all(any(v for row in M for v in row) for M in kernels)
+    assert smith_calls == [
+        ("kernel_mod", ("Vinv",)),
+        ("quotient", ("U",)),
+        (None, ()),
+        ("kernel_mod", ("Vinv",)),
+        ("quotient", ()),
+        (None, ()),
+        ("solve_in_lattice", ("U", "V")),
+    ]
+    base = default_truncation(params, Orbit(1))
+    fibers = [build_orbit_matrices(params, t) for t in (base, base.grown(params))]
+    assert kernels == [mats.fiber_d1() for mats in fibers]
 
 
 @settings(max_examples=60, deadline=None)
@@ -265,9 +314,10 @@ def test_verify_orbit_runs_only_the_transforms_it_reads(monkeypatch):
     st.integers(0, 30),
 )
 def test_h2_is_the_cokernel_of_d1(p, i, e, m, one_over_p, scale, level):
-    # H^2 from the divisors of d1 equals the old presentation (the kernel of
-    # the 1 x n zero matrix modulo d1) and the exact cokernel of [d1 | q·I];
-    # scaling one row of d1 by p^scale makes H^2 nontrivial
+    # H^2 from the divisors that the kernel of d1 under H^1 keeps equals the
+    # old presentation (the kernel of the 1 x n zero matrix modulo d1) and
+    # the exact cokernel of [d1 | q·I]; scaling one row of d1 by p^scale
+    # makes H^2 nontrivial
     if e % p == 0 or m % p == 0:
         return
     alpha = MultiIndex.from_dict({"t": PAdicFraction.make(1, 1, p)}) if one_over_p else EMPTY
@@ -279,10 +329,12 @@ def test_h2_is_the_cokernel_of_d1(p, i, e, m, one_over_p, scale, level):
     mats.diff_full[r] = mats.diff_full[r] * p**scale % q
     if r:
         mats.frob1[r - 1] = mats.frob1[r - 1] * p**scale % q
-    h2 = FiberCohomology(mats, p, None).h2
+    h2 = FiberCohomology.of(mats, p, ()).h2
     assert h2 == quotient(kernel_mod([[0] * n], p, q), mats.fiber_d1()).exponents(p)
     exact = witness.smith_normal_form(hstack(mats.fiber_d1(), [[q * v for v in row] for row in eye(n)]))
     assert h2 == tuple(sorted((vp(d, p) for d in exact.diagonal if d != 1), reverse=True))
+    # the kernel's divisors are those of a separate transform-free elimination
+    assert h2 == divisor_exponents(smith_mod_prime_power(mats.fiber_d1(), p, q, ())[0], p)
     if scale:
         assert h2 and h2[0] >= scale
 

@@ -182,7 +182,19 @@ def _reduced_divisors(diagonal, rows, p, N):
 @settings(max_examples=200, deadline=None)
 @given(_prime_power_cases())
 def test_mod_prime_power_snf_matches_witness(case):
+    _check_against_witness(*case)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_prime_power_cases(), st.integers(1, 3))
+def test_mod_prime_power_snf_without_units_matches_witness(case, k):
+    # every entry divisible by p^k: no block has a unit, so every pivot
+    # comes from the least-valuation search
     p, N, M, xs = case
+    _check_against_witness(p, N, [[p**k * a for a in row] for row in M], xs)
+
+
+def _check_against_witness(p, N, M, xs):
     q = p**N
     rows, cols = len(M), len(M[0])
     divisors, U, Uinv, V, Vinv = smith_mod_prime_power(M, p, q)
@@ -207,6 +219,13 @@ def test_mod_prime_power_snf_matches_witness(case):
         assert (K.solve(x) is not None) == (W.solve(x) is not None) == in_kernel
         if in_kernel:
             assert [v % q for v in mat_vec(K.basis, K.solve(x))] == [v % q for v in x]
+    # a kernel that is only solved in builds V^-1 alone, with the same
+    # divisors and coordinates
+    solve_only = kernel_mod(M, p, q, ("Vinv",))
+    assert solve_only.basis is None
+    assert solve_only.divisors == K.divisors == divisors
+    for x in columns(W.basis) + columns(K.basis) + xs:
+        assert solve_only.solve(x) == K.solve(x)
 
 
 @settings(max_examples=100, deadline=None)
