@@ -11,7 +11,10 @@ Nygaard exponents, the brace symbol and factorial ratios, and the
 truncation level is sized from the orbit's degree-1 walk in `drw`.  The
 closed-form claim under test, a summand with its s, h and generator
 exponents, is handed in by the caller of `verify_orbit` and
-`certify_kernel_generator`.
+`certify_kernel_generator`.  The kernel-generator certificate is one exact
+search: a kernel basis of d1 with the claimed scalings, and a search over
+F_p for a combination whose level coordinates and class coordinate are
+all units.
 """
 
 from __future__ import annotations
@@ -31,10 +34,8 @@ from .snf import (
     divisor_exponents,
     hstack,
     kernel_mod,
-    mat_vec,
     quotient,
     smith_mod_prime_power,
-    solve_in_lattice,
 )
 
 
@@ -87,7 +88,8 @@ class OrbitMatrices:
 
     Index a runs over levels 0..A.  `diff_nygaard` and `diff_full` are
     diagonal (level-preserving); `frob0`/`frob1` carry level a to a+1 and
-    have length A; `can0`/`can1` are diagonal.
+    have length A; `can0`/`can1` are diagonal.  `u1` holds the degree-1
+    Nygaard exponent of each level, which `can1` is built from.
     """
 
     n: int
@@ -98,6 +100,7 @@ class OrbitMatrices:
     can1: list[int]
     frob0: list[int]
     frob1: list[int]
+    u1: list[int]
 
     def _shift(self, coeffs: list[int]) -> Matrix:
         M = [[0] * self.n for _ in range(self.n)]
@@ -208,7 +211,8 @@ def build_orbit_matrices(params: TruncationParams, trunc: OrbitTruncation) -> Or
             raise ArithmeticError("degree-1 Frobenius coefficient not divisible by p^i")
         frob1.append((num1 // pi) % modulus)
 
-    return OrbitMatrices(n, modulus, diff_nygaard, diff_full, can0, can1, frob0, frob1)
+    u1 = [u[a][1] for a in range(n)]
+    return OrbitMatrices(n, modulus, diff_nygaard, diff_full, can0, can1, frob0, frob1, u1)
 
 
 @dataclass
@@ -227,7 +231,8 @@ class FiberCohomology:
     H^1 is computed with the object (`of`), building only the SNF
     transforms its caller reads: the stability recheck compares exponents
     and builds none.  The degree-0 certificate and H^2 are computed on
-    first read.  H^2 = C^2/(im d1 + p^N·C^2) with C^2 all cocycles, so its
+    first read, the former from the d0 that H^1's quotient was built
+    from.  H^2 = C^2/(im d1 + p^N·C^2) with C^2 all cocycles, so its
     exponents are those of the elementary divisors of d1 mod p^N, which
     the kernel of d1 under H^1 keeps from its own elimination: d1 is
     eliminated once.
@@ -236,6 +241,7 @@ class FiberCohomology:
     matrices: OrbitMatrices
     p: int
     h1: QuotientPresentation
+    d0: Matrix
 
     @classmethod
     def of(
@@ -247,13 +253,14 @@ class FiberCohomology:
         `generator_of_largest_factor` reads."""
         kernel_transforms = ("V", "Vinv") if "Uinv" in transforms else ("Vinv",)
         kernel = kernel_mod(mats.fiber_d1(), p, mats.modulus, kernel_transforms)
-        return cls(mats, p, quotient(kernel, mats.fiber_d0(), transforms))
+        d0 = mats.fiber_d0()
+        return cls(mats, p, quotient(kernel, d0, transforms), d0)
 
     @cached_property
     def h0_kernel_rank(self) -> int:
         # a column whose divisor is below p^N is certified
         mats = self.matrices
-        divisors = smith_mod_prime_power(mats.fiber_d0(), self.p, mats.modulus, ())[0]
+        divisors = smith_mod_prime_power(self.d0, self.p, mats.modulus, ())[0]
         return divisors[: mats.n].count(mats.modulus)
 
     @cached_property
@@ -295,146 +302,93 @@ def _check_stability(params: TruncationParams, trunc: OrbitTruncation, result: d
         )
 
 
-def closed_form_kernel_cochain(fc: FiberCohomology, summand) -> list[int] | None:
-    """The kernel generator claimed by `summand` as a degree-1 cochain
-    (w, u) of the fiber complex.
-
-    w carries the recursion scalings on levels 0..s-1.  On levels >= s the
-    canonical map is invertible, so the Frobenius overflow out of level
-    s-1 can be absorbed by a uniquely determined tail, which is solved for
-    here together with the coboundary witness u.  None means the claimed
-    vector is not annihilated up to coboundary.
-    """
-    p = fc.p
-    n, modulus = fc.matrices.n, fc.matrices.modulus
-    exps = summand.generator_exponents
-    s = len(exps)
-    w = [0] * n
-    for a in range(s):
-        w[a] = p ** exps[s - 1 - a]
-    pc1 = fc.matrices.phi_minus_can1()
-    v = [val % modulus for val in mat_vec(pc1, w)]
-    # unknowns mod p^N: u (coboundary witness), t (tail levels s..A)
-    neg_tail = [[-pc1[r][a] for a in range(s, n)] for r in range(n)]
-    gen = hstack(fc.matrices._diag(fc.matrices.diff_full), neg_tail)
-    z = solve_in_lattice(gen, v, p, modulus)
-    if z is None:
-        # The construction fixes only valuations; each level's generator
-        # absorbs a unit.  Solve for a choice of per-level units before
-        # giving up.
-        return _unit_relaxed_kernel_cochain(fc, exps)
-    u = z[:n]
-    for a in range(s, n):
-        w[a] = z[n + a - s]
-    return w + u
-
-
-def _nonvanishing_combination(vecs: list[list[int]], width: int, p: int) -> list[int] | None:
-    """Coefficients c over F_p with sum(c_j * vecs_j) nonzero in every one
-    of the first `width` coordinates, or None.  Reduces to an independent
-    spanning set first, so the exhaustive search is over p^rank with
-    rank <= width."""
-    basis: list[tuple[list[int], list[int]]] = []  # (projected vector, coefficient row)
+def _nonvanishing_combination(vecs: list[list[int]], p: int) -> list[int] | None:
+    """Coefficients c over F_p with sum(c_j * vecs_j) nonzero in every
+    coordinate, or None.  The vectors independent of the ones before them
+    span the same space, so the exhaustive search is over their p^rank
+    combinations, with rank at most the number of coordinates."""
+    kept: list[int] = []
+    echelon: list[tuple[int, list[int]]] = []  # (lead index, row reduced mod p)
     for j, vec in enumerate(vecs):
-        v = [x % p for x in vec[:width]]
-        coeff = [0] * len(vecs)
-        coeff[j] = 1
-        for bv, bc in basis:
-            lead = next((idx for idx, x in enumerate(bv) if x), None)
-            if lead is not None and v[lead]:
-                f = v[lead] * pow(bv[lead], -1, p) % p
-                v = [(a - f * b) % p for a, b in zip(v, bv)]
-                coeff = [(a - f * b) % p for a, b in zip(coeff, bc)]
-        if any(v):
-            basis.append((v, coeff))
-    for combo in product(range(p), repeat=len(basis)):
-        out = [0] * width
-        for c, (bv, _) in zip(combo, basis):
-            if c:
-                for idx in range(width):
-                    out[idx] = (out[idx] + c * bv[idx]) % p
-        if all(out):
+        v = [x % p for x in vec]
+        for lead, row in echelon:
+            if v[lead]:
+                f = v[lead] * pow(row[lead], -1, p) % p
+                v = [(a - f * b) % p for a, b in zip(v, row)]
+        lead = next((idx for idx, x in enumerate(v) if x), None)
+        if lead is not None:
+            kept.append(j)
+            echelon.append((lead, v))
+    for combo in product(range(p), repeat=len(kept)):
+        if all(sum(c * vecs[j][k] for c, j in zip(combo, kept)) % p for k in range(len(vecs[0]))):
             coeffs = [0] * len(vecs)
-            for c, (_, bc) in zip(combo, basis):
-                if c:
-                    coeffs = [(a + c * b) % p for a, b in zip(coeffs, bc)]
+            for c, j in zip(combo, kept):
+                coeffs[j] = c
             return coeffs
     return None
 
 
-def _unit_relaxed_kernel_cochain(fc: FiberCohomology, exps: tuple[int, ...]) -> list[int] | None:
-    """A degree-1 cocycle whose level-a coordinate is unit * p^(c_a) for
-    a < s, with the units solved from the kernel lattice of the extended
-    system (head columns pre-scaled by p^(c_a), free tail, coboundary
-    witness); None if no choice of units works."""
-    p = fc.p
-    n, modulus = fc.matrices.n, fc.matrices.modulus
-    s = len(exps)
-    profile = [exps[s - 1 - a] for a in range(s)]
-    pc1 = fc.matrices.phi_minus_can1()
-    cols: list[list[int]] = []
-    for a in range(s):
-        cols.append([pc1[r][a] * p ** profile[a] % modulus for r in range(n)])
-    for a in range(s, n):
-        cols.append([pc1[r][a] % modulus for r in range(n)])
-    for c in columns(fc.matrices._diag(fc.matrices.diff_full)):
-        cols.append([(-x) % modulus for x in c])
-    M = [[cols[j][r] for j in range(len(cols))] for r in range(n)]
-    kernel_vectors = columns(kernel_mod(M, p, modulus, ("V",)).basis)
-    coeffs = _nonvanishing_combination(kernel_vectors, s, p)
-    if coeffs is None:
-        return None
-    z = [0] * (2 * n)
-    for c, vec in zip(coeffs, kernel_vectors):
-        if c:
-            for idx in range(2 * n):
-                z[idx] = (z[idx] + c * vec[idx]) % modulus
-    w = [z[a] * p ** profile[a] % modulus for a in range(s)]
-    w += [z[a] for a in range(s, n)]
-    u = z[n:]
-    cochain = w + u
-    check = mat_vec(fc.matrices.fiber_d1(), cochain)
-    if any(v % modulus for v in check):
-        raise OracleError("unit-relaxed kernel solve produced a non-cocycle")
-    return cochain
-
-
 def certify_kernel_generator(fc: FiberCohomology, summand) -> bool:
     """Check the kernel generator claimed by `summand` (a closed-form
-    `SyntomicSummand` of the orbit) against the matrices of `fc`.
+    `SyntomicSummand` of the orbit) against the matrices of `fc`: some
+    degree-1 cocycle has coordinate unit·p^(c_a) at each level a < s, with
+    c_a the exponent the claim gives level a, and its class generates H^1.
 
-    The certificate checks three things: some degree-1 cocycle has, at
-    each level a < s, the valuation the claim gives that level; it is a
-    unit at level s-1; and its class generates H^1.  It does not pin the
-    exponents of levels 0..s-2, since more than one valuation profile
-    can carry a generator: for p=2, e=3, i=2, m=1 the claims (0,0,2) and
-    (0,0,3) pass as the closed form's (0,0,1) does, while (0,1,1) and
-    (1,0,1) fail.  Rejects a claim with s = 0, whose kernel summand is
-    trivial."""
+    With the first s columns of d1 scaled by p^(c_a), such cocycles are the
+    kernel vectors z of the scaled matrix whose first s coordinates are
+    units, rescaled.  The s unit coordinates and, when H^1 is nontrivial,
+    the class coordinate of the rescaled cocycle are F_p-linear forms that
+    vanish on pK, and the kernel basis spans K modulo p^N, so one search
+    over K/pK (`_nonvanishing_combination`) decides existence exactly,
+    whatever the order of the basis.  The chosen cocycle is then built and
+    checked.
+
+    The exponents of levels 0..s-2 are not pinned, since more than one
+    valuation profile can carry a generator: for p=2, e=3, i=2, m=1 the
+    claims (0,0,2) and (0,0,3) pass as the closed form's (0,0,1) does,
+    while (0,1,1) and (1,0,1) fail.  A non-cyclic H^1 fails.  Rejects a
+    claim with s = 0, whose kernel summand is trivial."""
     p = fc.p
     s = summand.s
     if s == 0:
         raise ValueError("orbit has s = 0; kernel summand is trivial")
-    if s != len(summand.generator_exponents) or s > fc.matrices.n:
-        return False
-    cochain = closed_form_kernel_cochain(fc, summand)
-    if cochain is None or cochain[s - 1] % p == 0:
-        return False
+    mats = fc.matrices
+    n, q = mats.n, mats.modulus
     h = fc.h1.exponents(p)
-    expected = h[0] if h else 0
-    return fc.h1.class_order_exponent(cochain, p) == expected and len(h) <= 1
+    if s != len(summand.generator_exponents) or s > n or len(h) > 1:
+        return False
+    scale = [p**c for c in reversed(summand.generator_exponents)] + [1] * (2 * n - s)
+    scaled_d1 = mats.fiber_d1()
+    for row in scaled_d1:
+        row[:s] = [x * f % q for x, f in zip(row[:s], scale)]
+    basis = [col for col in columns(kernel_mod(scaled_d1, p, q, ("V",)).basis) if any(col)]
+    forms = [col[:s] for col in basis]
+    if h:
+        functional = fc.h1.class_functional()
+        scaled = ClassFunctional([w * f for w, f in zip(functional.w, scale)], q, functional.d)
+        forms = [form + [scaled.coordinate(col)] for form, col in zip(forms, basis)]
+    coeffs = _nonvanishing_combination(forms, p)
+    if coeffs is None:
+        return False
+    z = [0] * (2 * n)
+    for c, col in zip(coeffs, basis):
+        if c:
+            z = [x + c * y for x, y in zip(z, col)]
+    cochain = [x * f % q for x, f in zip(z, scale)]
+    if any(mats.fiber_d1_apply(cochain)):
+        raise OracleError("kernel-generator search produced a non-cocycle")
+    return not h or functional.coordinate(cochain) % p != 0
 
 
 @dataclass(frozen=True)
 class TransitionLevel:
     """What the pair queries of `TransitionOracle` read at one level e:
-    the fiber matrices, h with H^1 = Z/p^h, the degree-1 Nygaard exponent
-    of each orbit level, and, when h >= 1, a cochain generating H^1 and
-    the class functional of H^1."""
+    the fiber matrices (with the degree-1 Nygaard exponent of each orbit
+    level), h with H^1 = Z/p^h, and, when h >= 1, a cochain generating
+    H^1 and the class functional of H^1."""
 
     matrices: OrbitMatrices
     h: int
-    u1: list[int]
     generator: list[int] | None
     functional: ClassFunctional | None
 
@@ -443,8 +397,8 @@ class TransitionOracle:
     """Matrix-level transition maps between truncation exponents f >= e for
     one orbit.
 
-    All levels share one (A, N) so the transition matrices line up
-    levelwise.  Each level's work is done once, on first use
+    All levels share one (A, N), the `default_truncation` of the level
+    with the longest walk, so the transition matrices line up levelwise.  Each level's work is done once, on first use
     (`TransitionLevel`): the fiber cohomology, h_e, the degree-1 Nygaard
     exponents, a generator of H^1 and the class functional of H^1.
 
@@ -464,9 +418,8 @@ class TransitionOracle:
             raise ValueError("levels must be coprime to p")
         self.p, self.i, self.orbit = p, i, orbit
         self.levels = sorted(levels)
-        s_max = max(len(degree1_walk(TruncationParams(p, lv, i), orbit.m, orbit.alpha)) for lv in self.levels)
-        self.A = s_max + 2
-        self.N = i * (self.A + 1) + 8
+        trunc = max((default_truncation(self.params(lv), orbit) for lv in self.levels), key=lambda t: t.A)
+        self.A, self.N = trunc.A, trunc.N
         self._m = [p**a * orbit.m for a in range(self.A + 1)]
         self._cache: dict[int, TransitionLevel] = {}
 
@@ -483,15 +436,11 @@ class TransitionOracle:
             exps = fc.h1.exponents(self.p)
             if len(exps) > 1:
                 raise OracleError(f"degree-1 cohomology not cyclic at e={e}: {exps}")
-            u1 = [
-                nygaard_exponents(params, m_a, self.orbit.alpha.floor_l1(self.p, a))[1]
-                for a, m_a in enumerate(self._m)
-            ]
             if exps:
                 gen, functional = fc.h1.generator_of_largest_factor(), fc.h1.class_functional()
             else:
                 gen = functional = None
-            self._cache[e] = TransitionLevel(fc.matrices, exps[0] if exps else 0, u1, gen, functional)
+            self._cache[e] = TransitionLevel(fc.matrices, exps[0] if exps else 0, gen, functional)
         return self._cache[e]
 
     def h_exponent(self, e: int) -> int:
@@ -507,7 +456,7 @@ class TransitionOracle:
         gen = lv_f.generator
         n = self.A + 1
         image = [0] * (2 * n)
-        for a, (m_a, u1_e, u1_f) in enumerate(zip(self._m, lv_e.u1, lv_f.u1)):
+        for a, (m_a, u1_e, u1_f) in enumerate(zip(self._m, lv_e.matrices.u1, lv_f.matrices.u1)):
             num = p**u1_f * factorial_ratio((m_a - 1) // e, (m_a - 1) // f)
             if num % p**u1_e:
                 raise ArithmeticError("transition coefficient not divisible by target scaling")

@@ -239,36 +239,36 @@ class ProCyclicLimit:
     lim1_zero: bool = True
 
 
-def classify_orders(
-    orders: tuple[int, ...],
-    ml_index: int,
-    zpfull_run: int = 8,
-    stable_window: int = 6,
-) -> ProCyclicLimit:
+ZPFULL_RUN = 8
+STABLE_WINDOW = 6
+
+
+def classify_orders(orders: tuple[int, ...], ml_index: int) -> ProCyclicLimit:
     """Classify a nondecreasing sequence of image-order exponents indexed
     by ascending level.
 
-    Constant everywhere, or constant over the trailing window, reads as a
-    finite limit; a trailing run of at least zpfull_run strict increases
-    reads as pro-cyclic of unbounded order.  Anything in between refuses,
-    since the probe cannot tell slow growth from eventual stabilization.
+    Constant everywhere, or constant over the trailing STABLE_WINDOW
+    orders, reads as a finite limit; a trailing run of at least ZPFULL_RUN
+    strict increases reads as pro-cyclic of unbounded order.  Anything in
+    between refuses, since the probe cannot tell slow growth from eventual
+    stabilization.
     """
     if not orders:
         return ProCyclicLimit("finite", 0, ml_index, ())
     if all(o == orders[0] for o in orders):
         return ProCyclicLimit("finite", orders[0], ml_index, orders)
-    tail = orders[-stable_window:]
-    if len(tail) == stable_window and all(o == tail[0] for o in tail):
+    tail = orders[-STABLE_WINDOW:]
+    if len(tail) == STABLE_WINDOW and all(o == tail[0] for o in tail):
         return ProCyclicLimit("finite", tail[0], ml_index, orders)
-    tail = orders[-(zpfull_run + 1):]
-    if len(tail) == zpfull_run + 1 and all(a < b for a, b in zip(tail, tail[1:])):
+    tail = orders[-(ZPFULL_RUN + 1):]
+    if len(tail) == ZPFULL_RUN + 1 and all(a < b for a, b in zip(tail, tail[1:])):
         return ProCyclicLimit("zp", None, ml_index, orders)
     raise ClassificationRefusedError(
         f"probe too short to classify: image orders {orders} still changing", orders
     )
 
 
-def limit_classify(stab: StabilizedTower, zpfull_run: int = 8, stable_window: int = 6) -> ProCyclicLimit:
+def limit_classify(stab: StabilizedTower) -> ProCyclicLimit:
     """Inverse limit of the stabilized-image tower; restricted transitions
     are surjective, so the limit is pro-cyclic and lim^1 vanishes."""
     settled = [rec for rec in stab.per_level if rec.settled]
@@ -277,7 +277,7 @@ def limit_classify(stab: StabilizedTower, zpfull_run: int = 8, stable_window: in
         (rec.ml_index for rec in settled),
         default=stab.tower.levels[0] if stab.tower.levels else 0,
     )
-    return classify_orders(orders, ml_index, zpfull_run, stable_window)
+    return classify_orders(orders, ml_index)
 
 
 @dataclass(frozen=True)

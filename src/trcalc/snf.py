@@ -1,7 +1,6 @@
 """Smith normal form over the local ring Z/p^N, with transform tracking,
 plus the lattice helpers the brute-force oracle needs: kernel lattices of
-matrices modulo p^N, quotient presentations K/(L + p^N·Z^n), and solves
-modulo p^N.
+matrices modulo p^N and quotient presentations K/(L + p^N·Z^n).
 
 Every matrix the oracle builds is reduced modulo q = p^N and every lattice
 it forms contains q·Z^n, so each elementary divisor is a power of p
@@ -169,21 +168,6 @@ def smith_mod_prime_power(
     Uinv = None if UinvT is None else [list(r) for r in zip(*UinvT)]
     V = None if VT is None else [list(r) for r in zip(*VT)]
     return divisors, U, Uinv, V, Vinv
-
-
-def solve_in_lattice(gen: Matrix, v: list[int], p: int, q: int) -> list[int] | None:
-    """Coefficients z with gen·z ≡ v (mod q), q = p^N, or None if there
-    are none."""
-    cols = len(gen[0]) if gen else 0
-    divisors, U, _, V, _ = smith_mod_prime_power(gen, p, q, ("U", "V"))
-    w = [0] * cols
-    for j, (val, d) in enumerate(zip(mat_vec(U, v), divisors)):
-        val %= q
-        if val % d:
-            return None
-        if j < cols:
-            w[j] = val // d
-    return [x % q for x in mat_vec(V, w)]
 
 
 @dataclass

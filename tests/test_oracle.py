@@ -32,6 +32,8 @@ from trcalc.oracle import (
 )
 from trcalc.padic import MultiIndex, PAdicFraction, brace, factorial_ratio, vp
 from trcalc.snf import (
+    ClassFunctional,
+    QuotientPresentation,
     columns,
     divisor_exponents,
     eye,
@@ -171,11 +173,56 @@ def test_uncertified_degree0_column_is_refused(monkeypatch):
 
 
 def test_kernel_generator_certification():
-    for p, e, i, m in [(3, 2, 1, 1), (2, 3, 1, 1), (2, 3, 2, 1), (2, 3, 2, 5), (5, 2, 2, 1)]:
+    # the last two need units other than 1 at the levels below s: no
+    # cocycle has coordinate exactly p^(c_a) there
+    cases = [(3, 2, 1, 1), (2, 3, 1, 1), (2, 3, 2, 1), (2, 3, 2, 5), (5, 2, 2, 1), (3, 5, 3, 4), (2, 6, 4, 5)]
+    for p, e, i, m in cases:
         params = TruncationParams(p, e, i)
         trunc = default_truncation(params, Orbit(m))
         summand = h1_syntomic_orbit(params, Orbit(m))
         assert certify_kernel_generator(fiber_cohomology(params, trunc), summand)
+
+
+@pytest.mark.parametrize(
+    "exps, ok",
+    [((0, 0, 1), True), ((0, 0, 2), True), ((0, 0, 3), True), ((0, 1, 1), False), ((1, 0, 1), False)],
+)
+def test_kernel_generator_certificate_decides_the_claim(exps, ok):
+    # the valuations below level s are checked only as far as a cocycle
+    # generating H^1 has them: p^2 and p^3 at level 0 carry one as p does,
+    # and an extra p at level 1 or at level s-1 = 2 leaves none
+    params = TruncationParams(2, 3, 2)
+    claim = h1_syntomic_orbit(params, Orbit(1))
+    assert claim.generator_exponents == (0, 0, 1)
+    fc = fiber_cohomology(params, default_truncation(params, Orbit(1)))
+    assert certify_kernel_generator(fc, dataclasses.replace(claim, generator_exponents=exps)) is ok
+
+
+def test_kernel_generator_certificate_searches_the_class_coordinate_too(monkeypatch):
+    # with a class functional that reads cochain coordinate k, the
+    # certificate holds exactly when some cocycle with the claimed level
+    # valuations has a unit at k as well; a search that stops at the first
+    # cocycle with units at the levels would miss the D^0 coordinates here
+    params = TruncationParams(2, 3, 2)
+    claim = h1_syntomic_orbit(params, Orbit(1))
+    fc = fiber_cohomology(params, default_truncation(params, Orbit(1)))
+    n, q, s, d = fc.matrices.n, fc.matrices.modulus, claim.s, 2 ** claim.module.h
+    scale = [2**c for c in reversed(claim.generator_exponents)] + [1] * (2 * n - s)
+    scaled_d1 = [[x * f % q for x, f in zip(row[:s], scale)] + row[s:] for row in fc.matrices.fiber_d1()]
+    basis = columns(kernel_mod(scaled_d1, 2, q, ("V",)).basis)
+    # kernel vectors z of the scaled d1 mod 2, and their cocycles scale·z
+    combos = [
+        [sum(c * col[j] for c, col in zip(cs, basis)) % 2 for j in range(2 * n)]
+        for cs in itertools.product(range(2), repeat=len(basis))
+    ]
+    verdicts = []
+    for k in range(2 * n):
+        expected = any(all(z[:s]) and z[k] * scale[k] % 2 for z in combos)
+        reads_k = ClassFunctional([q * (j == k) for j in range(2 * n)], q, d)
+        monkeypatch.setattr(QuotientPresentation, "class_functional", lambda self: reads_k)
+        assert certify_kernel_generator(fc, claim) is expected
+        verdicts.append(expected)
+    assert True in verdicts[n:] and False in verdicts
 
 
 def test_verify_orbit_passes():
@@ -189,20 +236,28 @@ def test_verify_orbit_passes():
 
 def test_verify_orbit_builds_base_and_grown_truncation_once(monkeypatch):
     # exponents, matrix hash and kernel certificate share the base build;
-    # the stability recheck adds the one build at (A+1, N+2)
-    built = []
+    # the stability recheck adds the one build at (A+1, N+2), and each
+    # fiber's d0 serves both H^1 and the degree-0 certificate
+    built, d0_built = [], []
     real = oracle_module.build_orbit_matrices
+    real_d0 = oracle_module.OrbitMatrices.fiber_d0
 
     def counting(params, trunc):
         built.append(trunc)
         return real(params, trunc)
 
+    def counting_d0(mats):
+        d0_built.append(mats.n)
+        return real_d0(mats)
+
     monkeypatch.setattr(oracle_module, "build_orbit_matrices", counting)
+    monkeypatch.setattr(oracle_module.OrbitMatrices, "fiber_d0", counting_d0)
     params = TruncationParams(2, 3, 2)
     cert = verify_orbit(params, h1_syntomic_orbit(params, Orbit(1)))
     assert cert.s >= 1 and cert.kernel_ok
     base = default_truncation(params, Orbit(1))
     assert built == [base, OrbitTruncation(Orbit(1), base.A + 1, base.N + 2)]
+    assert d0_built == [base.A + 1, base.A + 2]
 
 
 def test_verify_orbit_rejects_unstable_truncation(monkeypatch):
@@ -253,10 +308,11 @@ def test_oracle_imports_no_closed_form():
 def test_verify_orbit_runs_only_the_transforms_it_reads(monkeypatch):
     # each fiber eliminates d1 once, in the kernel under H^1, which builds
     # only the V^-1 that solves read, and H^2 comes from that kernel's
-    # divisors; the base quotient builds the U that the class order of the
-    # claimed generator reads, the stability recheck compares exponents and
+    # divisors; the base quotient builds the U that the certificate's class
+    # functional reads, the stability recheck compares exponents and
     # builds none, the degree-0 certificate reads only divisors, and the
-    # generator solve reads U and V
+    # generator search reads the basis V of the kernel of d1 with its first
+    # s columns scaled by the claimed p^(c_a)
     smith_calls, inside, kernels = [], [], []
     real_smith = snf_module.smith_mod_prime_power
     real_kernel = oracle_module.kernel_mod
@@ -282,8 +338,7 @@ def test_verify_orbit_runs_only_the_transforms_it_reads(monkeypatch):
     for module in (snf_module, oracle_module):
         monkeypatch.setattr(module, "smith_mod_prime_power", smith)
     monkeypatch.setattr(oracle_module, "kernel_mod", tagged("kernel_mod", kernel_mod))
-    for name in ("quotient", "solve_in_lattice"):
-        monkeypatch.setattr(oracle_module, name, tagged(name, getattr(oracle_module, name)))
+    monkeypatch.setattr(oracle_module, "quotient", tagged("quotient", oracle_module.quotient))
     params = TruncationParams(2, 3, 2)
     cert = verify_orbit(params, h1_syntomic_orbit(params, Orbit(1)))
     assert cert.passed and cert.s >= 1
@@ -296,11 +351,14 @@ def test_verify_orbit_runs_only_the_transforms_it_reads(monkeypatch):
         ("kernel_mod", ("Vinv",)),
         ("quotient", ()),
         (None, ()),
-        ("solve_in_lattice", ("U", "V")),
+        ("kernel_mod", ("V",)),
     ]
     base = default_truncation(params, Orbit(1))
     fibers = [build_orbit_matrices(params, t) for t in (base, base.grown(params))]
-    assert kernels == [mats.fiber_d1() for mats in fibers]
+    assert kernels[:2] == [mats.fiber_d1() for mats in fibers]
+    # the claim (0, 0, 1) scales the columns of levels 0, 1, 2 by 2, 1, 1
+    d1, q = fibers[0].fiber_d1(), fibers[0].modulus
+    assert kernels[2] == [[2 * row[0] % q] + row[1:] for row in d1]
 
 
 @settings(max_examples=60, deadline=None)

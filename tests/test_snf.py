@@ -18,7 +18,6 @@ from trcalc.snf import (
     mat_vec,
     quotient,
     smith_mod_prime_power,
-    solve_in_lattice,
 )
 
 
@@ -72,18 +71,6 @@ def test_solve_in_lattice():
     gen = [[1], [2]]
     assert witness.solve_in_lattice(gen, [3, 6]) == [3]
     assert witness.solve_in_lattice(gen, [3, 5]) is None
-
-
-def test_solve_in_lattice_mod_prime_power():
-    q = 3**3
-    gen = [[3, 0], [0, 9]]
-    assert solve_in_lattice(gen, [6, 18], 3, q) == [2, 2]
-    assert solve_in_lattice(gen, [1, 0], 3, q) is None
-    # 2 is a unit mod 27, so 2z = 1 has a solution there but not over Z
-    assert solve_in_lattice([[2]], [1], 3, q) == [14]
-    # overdetermined: the second row must already hold mod q
-    assert solve_in_lattice([[1], [2]], [3, 6 + q], 3, q) == [3]
-    assert solve_in_lattice([[1], [2]], [3, 5], 3, q) is None
 
 
 def test_kernel_mod_membership():
