@@ -4,7 +4,7 @@ syntomic/K-group computations, an independent Smith-normal-form oracle, and
 the inverse-limit bookkeeping that assembles the even homotopy of TR."""
 
 from .drw import CyclicWittModule, Orbit, TruncationParams
-from .oracle import oracle_cohomology, oracle_transition_map, verify_orbit
+from .oracle import oracle_cohomology, verify_orbit
 from .padic import MultiIndex, PAdicFraction, Prime
 from .prosystem import (
     Tower,
@@ -39,7 +39,6 @@ __all__ = [
     "limit_classify",
     "ml_bound",
     "oracle_cohomology",
-    "oracle_transition_map",
     "s_function",
     "stabilized_images",
     "tr_groups",

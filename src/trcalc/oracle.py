@@ -25,7 +25,7 @@ from functools import cached_property
 from itertools import product
 
 from .drw import Orbit, TruncationParams, degree1_walk, nygaard_exponents
-from .padic import brace, factorial_ratio, vp
+from .padic import Prime, brace, factorial_ratio, vp
 from .snf import (
     ClassFunctional,
     Matrix,
@@ -114,25 +114,19 @@ class OrbitMatrices:
             M[a][a] = c
         return M
 
-    def phi_minus_can0(self) -> Matrix:
-        M = self._shift(self.frob0)
-        for a, c in enumerate(self.can0):
-            M[a][a] = (M[a][a] - c) % self.modulus
-        return M
-
-    def phi_minus_can1(self) -> Matrix:
-        M = self._shift(self.frob1)
-        for a, c in enumerate(self.can1):
+    def _phi_minus_can(self, frob: list[int], can: list[int]) -> Matrix:
+        M = self._shift(frob)
+        for a, c in enumerate(can):
             M[a][a] = (M[a][a] - c) % self.modulus
         return M
 
     def fiber_d0(self) -> Matrix:
         """C^0 = N^0 -> C^1 = N^1 (+) D^0."""
-        return self._diag(self.diff_nygaard) + self.phi_minus_can0()
+        return self._diag(self.diff_nygaard) + self._phi_minus_can(self.frob0, self.can0)
 
     def fiber_d1(self) -> Matrix:
         """C^1 = N^1 (+) D^0 -> C^2 = D^1, (w, u) |-> (phi/p^i - can)w - d u."""
-        pc1 = self.phi_minus_can1()
+        pc1 = self._phi_minus_can(self.frob1, self.can1)
         neg_dd = self._diag([(-c) % self.modulus for c in self.diff_full])
         return hstack(pc1, neg_dd)
 
@@ -235,13 +229,15 @@ class FiberCohomology:
     from.  H^2 = C^2/(im d1 + p^N·C^2) with C^2 all cocycles, so its
     exponents are those of the elementary divisors of d1 mod p^N, which
     the kernel of d1 under H^1 keeps from its own elimination: d1 is
-    eliminated once.
+    eliminated once.  d0 and d1 are built once and kept; a reader that
+    writes to one copies it first.
     """
 
     matrices: OrbitMatrices
     p: int
     h1: QuotientPresentation
     d0: Matrix
+    d1: Matrix
 
     @classmethod
     def of(
@@ -252,9 +248,9 @@ class FiberCohomology:
         of d1 builds V only with "Uinv", for the basis that
         `generator_of_largest_factor` reads."""
         kernel_transforms = ("V", "Vinv") if "Uinv" in transforms else ("Vinv",)
-        kernel = kernel_mod(mats.fiber_d1(), p, mats.modulus, kernel_transforms)
-        d0 = mats.fiber_d0()
-        return cls(mats, p, quotient(kernel, d0, transforms), d0)
+        d0, d1 = mats.fiber_d0(), mats.fiber_d1()
+        kernel = kernel_mod(d1, p, mats.modulus, kernel_transforms)
+        return cls(mats, p, quotient(kernel, d0, transforms), d0, d1)
 
     @cached_property
     def h0_kernel_rank(self) -> int:
@@ -358,7 +354,7 @@ def certify_kernel_generator(fc: FiberCohomology, summand) -> bool:
     if s != len(summand.generator_exponents) or s > n or len(h) > 1:
         return False
     scale = [p**c for c in reversed(summand.generator_exponents)] + [1] * (2 * n - s)
-    scaled_d1 = mats.fiber_d1()
+    scaled_d1 = [row[:] for row in fc.d1]
     for row in scaled_d1:
         row[:s] = [x * f % q for x, f in zip(row[:s], scale)]
     basis = [col for col in columns(kernel_mod(scaled_d1, p, q, ("V",)).basis) if any(col)]
@@ -409,10 +405,12 @@ class TransitionOracle:
     of a kernel solve and a product with U.  A pair (e, f) costs O(A)
     arithmetic: the diagonal transition coefficients applied to the
     level-f generator, a sparse check that the image is a level-e cocycle
-    (three terms per row of d1), and the dot product.
+    (three terms per row of d1), and the dot product.  p is made a `Prime`
+    once, so the per-level parameters skip the primality test.
     """
 
     def __init__(self, p: int, i: int, orbit: Orbit, levels: list[int]):
+        p = Prime(p)
         orbit.validate(p)
         if any(lv % p == 0 for lv in levels):
             raise ValueError("levels must be coprime to p")
@@ -477,18 +475,6 @@ class TransitionOracle:
             raise ArithmeticError("element outside the kernel lattice")
         c = lv_e.functional.coordinate(image)
         return vp(c, self.p) if c else lv_e.h
-
-
-def oracle_transition_map(
-    p: int,
-    i: int,
-    e: int,
-    f: int,
-    orbit: Orbit,
-) -> int:
-    """Observable transition valuation f -> e for one orbit (see
-    TransitionOracle.valuation)."""
-    return TransitionOracle(p, i, orbit, [e, f]).valuation(e, f)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 
 def _is_prime(n: int) -> bool:
@@ -95,12 +95,6 @@ class PAdicFraction:
             pexp -= 1
         return cls(num, pexp)
 
-    @classmethod
-    def integer(cls, n: int) -> "PAdicFraction":
-        if n < 0:
-            raise ValueError("n must be a natural number")
-        return cls(n, 0)
-
     def is_zero(self) -> bool:
         return self.num == 0
 
@@ -137,9 +131,6 @@ class MultiIndex:
     def from_dict(cls, entries: Mapping[str, PAdicFraction]) -> "MultiIndex":
         kept = sorted((slot, frac) for slot, frac in entries.items() if not frac.is_zero())
         return cls(tuple(kept))
-
-    def slots(self) -> Iterable[str]:
-        return (slot for slot, _ in self.entries)
 
     def floor_l1(self, p: int, a: int) -> int:
         """Sum over the entries of floor(p^a * entry)."""

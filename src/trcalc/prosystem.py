@@ -6,6 +6,10 @@ Levels range over the naturals coprime to p (cofinal among all e), ordered
 by size, with one map tr_fe for every pair f >= e.  All group data is the
 symbolic exponent h of W(k)/p^h; transition maps are recorded by their
 p-valuation only, the unit factor being irrelevant to images and limits.
+
+Summands are shared through the 256-entry cache of `h1_syntomic_orbit`,
+safe since they are frozen; `Tower.p` is a `padic.Prime`, checked once,
+so the per-level parameters skip the primality test.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .drw import TruncationParams
-from .padic import ceil_div, factorial_ratio, vp
+from .padic import Prime, ceil_div, factorial_ratio, vp
 from .syntomic import AlphaBounds, Orbit, SyntomicSummand, enumerate_orbits, h1_syntomic_orbit, s_function
 
 
@@ -58,7 +62,8 @@ def transition_valuation(p: int, e: int, f: int, sm_e: SyntomicSummand, sm_f: Sy
 
 def tr_valuation(params: TruncationParams, f: int, orbit: Orbit) -> int | None:
     """Transition valuation from truncation f down to e = params.e on one
-    orbit, in weight i = params.i (see transition_valuation)."""
+    orbit, in weight i = params.i (see transition_valuation), reading both
+    levels' summands from the summand cache."""
     p, e, i = params.p, params.e, params.i
     if f < e:
         raise ValueError("need f >= e")
@@ -100,7 +105,7 @@ class Tower:
     """One orbit's summands over an ascending window of levels coprime to
     p."""
 
-    p: int
+    p: Prime
     weight: int
     orbit: Orbit
     levels: tuple[int, ...]
@@ -123,6 +128,7 @@ class Tower:
 
 
 def build_tower(p: int, weight: int, orbit: Orbit, levels: list[int]) -> Tower:
+    p = Prime(p)
     levels = sorted(levels)
     if any(lv % p == 0 for lv in levels):
         raise ValueError("levels must be coprime to p")

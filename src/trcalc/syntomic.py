@@ -5,10 +5,15 @@ Degree-1 cohomology of the fiber of (divided Frobenius - canonical) on an
 orbit is the cyclic module W(k)/brace(p^s m, e), where s is the first
 level at which the divided Frobenius stops being an isomorphism along the
 orbit, the length of the orbit's degree-1 walk.
+
+`h1_syntomic_orbit` is memoized per (p, e, i, orbit) in an LRU cache of 256
+entries that all its callers share: keys and summands are frozen, and a
+rejected orbit raises on every call, since exceptions are never cached.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -51,10 +56,19 @@ def s_function(params: TruncationParams, m: int, alpha: MultiIndex = MultiIndex(
     return len(degree1_walk(params, m, alpha))
 
 
+# More than the levels one orbit is read at (at most 18 in acceptance
+# criteria 5 and 6), so a loop over one orbit's level pairs misses once per level.
+SUMMAND_CACHE_SIZE = 256
+
+
+@functools.lru_cache(maxsize=SUMMAND_CACHE_SIZE)
 def h1_syntomic_orbit(params: TruncationParams, orbit: Orbit) -> SyntomicSummand:
     """Degree-1 syntomic cohomology of one orbit: W(k)/brace(p^s m, e), with
     the kernel generator's scalings (c_{s-1}, ..., c_0): pinned at level s-1
-    and propagated downward, it has c_a = d_{a+1} + ... + d_{s-1}."""
+    and propagated downward, it has c_a = d_{a+1} + ... + d_{s-1}.
+
+    Cached (256 entries, see the module docstring): equal arguments share
+    one frozen summand, and an orbit with p | m raises on every call."""
     orbit.validate(params.p)
     walk = degree1_walk(params, orbit.m, orbit.alpha)
     s = len(walk)

@@ -13,7 +13,7 @@ from trcalc.padic import MultiIndex, PAdicFraction
 
 
 def _alpha(n: int) -> MultiIndex:
-    return MultiIndex.from_dict({"t": PAdicFraction.integer(n)})
+    return MultiIndex.from_dict({"t": PAdicFraction(n, 0)})
 
 
 def test_truncation_params_validates_prime():

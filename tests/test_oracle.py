@@ -27,7 +27,6 @@ from trcalc.oracle import (
     default_truncation,
     fiber_cohomology,
     oracle_cohomology,
-    oracle_transition_map,
     verify_orbit,
 )
 from trcalc.padic import MultiIndex, PAdicFraction, brace, factorial_ratio, vp
@@ -236,11 +235,13 @@ def test_verify_orbit_passes():
 
 def test_verify_orbit_builds_base_and_grown_truncation_once(monkeypatch):
     # exponents, matrix hash and kernel certificate share the base build;
-    # the stability recheck adds the one build at (A+1, N+2), and each
-    # fiber's d0 serves both H^1 and the degree-0 certificate
-    built, d0_built = [], []
+    # the stability recheck adds the one build at (A+1, N+2), each fiber's
+    # d0 serves both H^1 and the degree-0 certificate, and the base d1
+    # serves both H^1 and the kernel certificate
+    built, d0_built, d1_built = [], [], []
     real = oracle_module.build_orbit_matrices
     real_d0 = oracle_module.OrbitMatrices.fiber_d0
+    real_d1 = oracle_module.OrbitMatrices.fiber_d1
 
     def counting(params, trunc):
         built.append(trunc)
@@ -250,14 +251,20 @@ def test_verify_orbit_builds_base_and_grown_truncation_once(monkeypatch):
         d0_built.append(mats.n)
         return real_d0(mats)
 
+    def counting_d1(mats):
+        d1_built.append(mats.n)
+        return real_d1(mats)
+
     monkeypatch.setattr(oracle_module, "build_orbit_matrices", counting)
     monkeypatch.setattr(oracle_module.OrbitMatrices, "fiber_d0", counting_d0)
+    monkeypatch.setattr(oracle_module.OrbitMatrices, "fiber_d1", counting_d1)
     params = TruncationParams(2, 3, 2)
     cert = verify_orbit(params, h1_syntomic_orbit(params, Orbit(1)))
     assert cert.s >= 1 and cert.kernel_ok
     base = default_truncation(params, Orbit(1))
     assert built == [base, OrbitTruncation(Orbit(1), base.A + 1, base.N + 2)]
     assert d0_built == [base.A + 1, base.A + 2]
+    assert d1_built == [base.A + 1, base.A + 2]
 
 
 def test_verify_orbit_rejects_unstable_truncation(monkeypatch):
@@ -424,13 +431,13 @@ def test_verify_orbit_refutes_a_generator_with_no_cocycle():
 
 def test_transition_examples():
     orbit = Orbit(1)
-    assert oracle_transition_map(3, 1, 2, 4, orbit) == 0
-    assert oracle_transition_map(3, 1, 2, 8, orbit) == 0
+    assert TransitionOracle(3, 1, orbit, [2, 4]).valuation(2, 4) == 0
+    assert TransitionOracle(3, 1, orbit, [2, 8]).valuation(2, 8) == 0
 
 
 def test_transition_degenerate():
     with pytest.raises(DegenerateOrbitError):
-        oracle_transition_map(3, 1, 2, 4, Orbit(2))
+        TransitionOracle(3, 1, Orbit(2), [2, 4]).valuation(2, 4)
 
 
 def test_transition_composition_consistency():

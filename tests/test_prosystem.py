@@ -3,10 +3,11 @@ classification of the degree-1 towers."""
 
 import pytest
 
+import trcalc.padic as padic_module
 import trcalc.prosystem as prosystem_module
 from trcalc.drw import TruncationParams
-from trcalc.oracle import oracle_transition_map
-from trcalc.padic import MultiIndex, PAdicFraction
+from trcalc.oracle import TransitionOracle
+from trcalc.padic import MultiIndex, PAdicFraction, Prime
 from trcalc.prosystem import (
     ClassificationRefusedError,
     RefusedClassification,
@@ -55,7 +56,7 @@ def test_tr_valuation_matches_oracle_spotchecks():
         orbit = Orbit(m)
         h_e = h1_syntomic_orbit(params, orbit).module.h
         v = tr_valuation(params, f, orbit)
-        assert min(v, h_e) == min(oracle_transition_map(p, i, e, f, orbit), h_e)
+        assert min(v, h_e) == min(TransitionOracle(p, i, orbit, [e, f]).valuation(e, f), h_e)
 
 
 def test_image_exponent():
@@ -76,6 +77,25 @@ def test_build_tower_groups():
     tower = build_tower(3, 1, Orbit(1), [2, 4, 5, 7, 8])
     assert tower.groups == (1, 2, 2, 2, 2)
     assert all(v == 0 for v in tower.adjacent_transitions())
+
+
+def test_tower_and_oracle_validate_p_once(monkeypatch):
+    tower = build_tower(2, 1, Orbit(1), [3, 5, 7])
+    assert isinstance(tower.p, Prime)
+    assert isinstance(TransitionOracle(2, 1, Orbit(1), [3, 5]).p, Prime)
+    tested = []
+    real = padic_module._is_prime
+
+    def counting(n):
+        tested.append(n)
+        return real(n)
+
+    monkeypatch.setattr(padic_module, "_is_prime", counting)
+    # every per-level TruncationParams of the sweep reuses the tower's Prime
+    stabilized_images(tower, 24)
+    assert tested == []
+    TruncationParams(2, 3, 1)  # a plain int is still tested
+    assert tested == [2]
 
 
 def test_stabilized_images_full_at_every_level():

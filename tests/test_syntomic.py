@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from trcalc.drw import TruncationParams, degree1_exponent
 from trcalc.oracle import certify_kernel_generator, default_truncation, fiber_cohomology
 from trcalc.padic import MultiIndex, PAdicFraction
+from trcalc.prosystem import tr_valuation
 from trcalc.syntomic import (
     AlphaBounds,
     Orbit,
@@ -227,3 +228,42 @@ def test_generator_suffix_is_the_transition_sum(args, df, num, pexp):
         degree1_exponent(params_f, p**j * m, alpha.floor_l1(p, j)) for j in range(sm_e.s, sm_f.s)
     )
     assert sm_f.generator_exponents[sm_f.s - sm_e.s] == witness
+
+
+def test_summand_cache_is_bounded():
+    maxsize = h1_syntomic_orbit.cache_info().maxsize
+    assert maxsize is not None and maxsize >= 18
+
+
+def test_summand_cache_misses_once_per_level():
+    # shaped like acceptance criterion 5: every pair's tr_valuation plus the
+    # two direct summand reads per pair
+    p, i, orbit = 3, 2, Orbit(1)
+    levels = [e for e in range(2, 17) if e % p]
+    h1_syntomic_orbit.cache_clear()
+    for e, f in itertools.combinations(levels, 2):
+        tr_valuation(TruncationParams(p, e, i), f, orbit)
+        h1_syntomic_orbit(TruncationParams(p, e, i), orbit)
+        h1_syntomic_orbit(TruncationParams(p, f, i), orbit)
+    info = h1_syntomic_orbit.cache_info()
+    pairs = len(levels) * (len(levels) - 1) // 2
+    assert info.misses == len(levels)
+    assert info.hits + info.misses == 4 * pairs
+
+
+def test_summand_cache_rejects_bad_orbit_every_call():
+    params = TruncationParams(3, 2, 1)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            h1_syntomic_orbit(params, Orbit(3))
+
+
+def test_cached_summands_equal_uncached():
+    alphas = [EMPTY, _alpha(t=(1, 1)), _alpha(t=(2, 0), u=(1, 2))]
+    for p, e, i, m, alpha in itertools.product((2, 3, 5), range(1, 8), range(4), range(1, 9), alphas):
+        if m % p == 0:
+            continue
+        params, orbit = TruncationParams(p, e, i), Orbit(m, alpha)
+        cached = h1_syntomic_orbit(params, orbit)
+        assert cached == h1_syntomic_orbit.__wrapped__(params, orbit)
+        assert h1_syntomic_orbit(params, orbit) is cached
