@@ -222,21 +222,28 @@ class FiberCohomology:
     `h0_kernel_rank` counts the columns left uncertified; `exponents`
     refuses when it is nonzero rather than guess.
 
-    H^1 is computed with the object (`of`), building only the SNF
-    transforms its caller reads: the stability recheck compares exponents
-    and builds none.  The degree-0 certificate and H^2 are computed on
-    first read, the former from the d0 that H^1's quotient was built
-    from.  H^2 = C^2/(im d1 + p^N·C^2) with C^2 all cocycles, so its
-    exponents are those of the elementary divisors of d1 mod p^N, which
-    the kernel of d1 under H^1 keeps from its own elimination: d1 is
-    eliminated once.  d0 and d1 are built once and kept; a reader that
-    writes to one copies it first.
+    Each fiber eliminates d1 once, for the kernel under H^1, and the
+    quotient of that kernel by d0 once.  The kernel keeps only its
+    nontrivial coordinates (t_j < p^N, see `snf.KernelLattice`).  The
+    quotient builds the transforms its caller reads: the stability
+    recheck compares exponents and builds none.  The degree-0 certificate
+    and H^2 are read from those eliminations on first use.  H^2 =
+    C^2/(im d1 + p^N·C^2) with C^2 all cocycles, so its exponents are
+    those of the elementary divisors of d1 mod p^N, which the kernel
+    keeps.  The columns of d0 lie in the kernel, so d0 ≡ B·Y mod p^N with
+    B = V·diag(t) the kernel basis and Y their kernel coordinates, which
+    the quotient solved for; V is invertible mod p^N, so the divisors of
+    d0 below p^N are those of diag(t)·Y.  When d1 is onto mod p^N, as on
+    every fiber of the README jobs and the acceptance grid, the kernel
+    keeps n of its 2n coordinates, all with t_j = 1: H^1's quotient is
+    n×n, it is Y itself, and the certificate needs no third elimination.
+    d0 and d1 are built once; d1 is kept for the kernel-generator
+    certificate, which copies it before writing.
     """
 
     matrices: OrbitMatrices
     p: int
     h1: QuotientPresentation
-    d0: Matrix
     d1: Matrix
 
     @classmethod
@@ -248,16 +255,22 @@ class FiberCohomology:
         of d1 builds V only with "Uinv", for the basis that
         `generator_of_largest_factor` reads."""
         kernel_transforms = ("V", "Vinv") if "Uinv" in transforms else ("Vinv",)
-        d0, d1 = mats.fiber_d0(), mats.fiber_d1()
+        d1 = mats.fiber_d1()
         kernel = kernel_mod(d1, p, mats.modulus, kernel_transforms)
-        return cls(mats, p, quotient(kernel, d0, transforms), d0, d1)
+        return cls(mats, p, quotient(kernel, mats.fiber_d0(), transforms), d1)
 
     @cached_property
     def h0_kernel_rank(self) -> int:
-        # a column whose divisor is below p^N is certified
-        mats = self.matrices
-        divisors = smith_mod_prime_power(self.d0, self.p, mats.modulus, ())[0]
-        return divisors[: mats.n].count(mats.modulus)
+        # n minus the number of divisors of d0 below p^N, read from
+        # diag(t)·Y; when every kept t_j is 1, H^1's G is Y itself
+        h1, q = self.h1, self.matrices.modulus
+        t = h1.kernel.t
+        if any(tj > 1 for tj in t):
+            scaled = [[tj * y % q for y in row] for tj, row in zip(t, h1.coords)]
+            divisors = smith_mod_prime_power(scaled, self.p, q, ())[0]
+        else:
+            divisors = h1.divisors
+        return self.matrices.n - sum(d < q for d in divisors)
 
     @cached_property
     def h2(self) -> tuple[int, ...]:
@@ -288,7 +301,9 @@ def oracle_cohomology(params: TruncationParams, trunc: OrbitTruncation) -> dict[
     return result
 
 
-def _check_stability(params: TruncationParams, trunc: OrbitTruncation, result: dict[int, tuple[int, ...]]) -> None:
+def _check_stability(
+    params: TruncationParams, trunc: OrbitTruncation, result: dict[int, tuple[int, ...]]
+) -> None:
     """Raise unless the grown truncation (A+1, max(N+2, i*(A+2)+5)) gives
     the same exponents."""
     again = fiber_cohomology(params, trunc.grown(params), ()).exponents(params.p)
@@ -357,7 +372,7 @@ def certify_kernel_generator(fc: FiberCohomology, summand) -> bool:
     scaled_d1 = [row[:] for row in fc.d1]
     for row in scaled_d1:
         row[:s] = [x * f % q for x, f in zip(row[:s], scale)]
-    basis = [col for col in columns(kernel_mod(scaled_d1, p, q, ("V",)).basis) if any(col)]
+    basis = columns(kernel_mod(scaled_d1, p, q, ("V",)).basis)
     forms = [col[:s] for col in basis]
     if h:
         functional = fc.h1.class_functional()
@@ -394,9 +409,10 @@ class TransitionOracle:
     one orbit.
 
     All levels share one (A, N), the `default_truncation` of the level
-    with the longest walk, so the transition matrices line up levelwise.  Each level's work is done once, on first use
-    (`TransitionLevel`): the fiber cohomology, h_e, the degree-1 Nygaard
-    exponents, a generator of H^1 and the class functional of H^1.
+    with the longest walk, so the transition matrices line up levelwise.
+    Each level's work is done once, on first use (`TransitionLevel`): the
+    fiber cohomology, h_e, the degree-1 Nygaard exponents, a generator of
+    H^1 and the class functional of H^1.
 
     The observable valuation needs H^1 = Z/p^h cyclic, and a non-cyclic
     H^1 is refused.  Cyclicity is also what makes one functional enough:
@@ -500,7 +516,8 @@ def verify_orbit(params: TruncationParams, summand, trunc: OrbitTruncation | Non
     fiber cohomology is computed once at `trunc`, with the U transform the
     kernel certificate reads, and once at the grown truncation of the
     stability recheck, with no quotient transforms; both kernels of d1
-    build V⁻¹ only, and each d1 is eliminated once."""
+    build V⁻¹ only, each d1 is eliminated once, and each degree-0
+    certificate is read from its fiber's H^1 elimination."""
     if trunc is None:
         trunc = default_truncation(params, summand.orbit)
     fc = fiber_cohomology(params, trunc, ("U",))

@@ -16,6 +16,18 @@ differential has at most three), and a cyclic quotient reads the class of
 a lattice vector through one precomputed functional
 (`QuotientPresentation.class_functional`), a single dot product.
 
+A kernel keeps only its nontrivial coordinates.  In the coordinates
+y = V⁻¹x of the elimination of M, a row divisor d_j = 1 forces y_j ≡ 0
+mod q on the whole kernel, so that coordinate and its basis column
+(≡ 0 mod q) are dropped; `solve` still reads the dropped rows of V⁻¹, so
+membership checks every coordinate.  When an n×2n matrix is onto mod q,
+as the oracle's d1 is on its fibers, its kernel keeps n of the 2n
+coordinates, all with t_j = 1, and the quotient under H¹ is n×n.  The
+quotient keeps the kernel coordinates Y of its generators L:
+L ≡ basis·Y = V·diag(t)·Y on the kept coordinates, and V is invertible
+mod q, so the divisors of L below q are those of diag(t)·Y, and those of
+the quotient itself when every kept t_j is 1.
+
 Elimination builds only what is read.  `smith_mod_prime_power`,
 `kernel_mod` and `quotient` take a `transforms` tuple naming the
 transforms to build; the divisors never depend on it.  A kernel whose
@@ -174,12 +186,19 @@ def smith_mod_prime_power(
 class KernelLattice:
     """K = {x : M x ≡ 0 mod q} inside Z^n, q = p^N.
 
-    K contains q·Z^n.  The columns of `basis` = V·diag(t) span K modulo
-    q·Z^n, and the coordinates of x in K are read through V⁻¹ mod q: the
-    j-th is defined modulo q/t_j.  V⁻¹ is kept as its list of columns.
-    `basis` is None when V was not built, and `_Vinv_cols` when V⁻¹ was
-    not.  `divisors` are the elementary divisors of M over Z/q, one per
-    row, from the same elimination: t_j = q/d_j.
+    K contains q·Z^n.  In the coordinates y = V⁻¹x of the elimination, x
+    lies in K exactly when y_j ≡ 0 mod t_j for every j, with t_j = q/d_j
+    for the row divisor d_j and t_j = 1 past the last row.  A coordinate
+    with d_j = 1 has t_j = q: it vanishes mod q on all of K, so it carries
+    nothing, and only the coordinates with t_j < q are kept.  Their
+    columns `basis` = V·diag(t) span K modulo q·Z^n (a dropped column
+    V_j·q is ≡ 0), `t` holds their t_j, and `dim` counts them; the
+    coordinates of x in K are y_j/t_j, each defined modulo q/t_j.  V⁻¹ is
+    kept as its list of columns, each holding the kept rows first and the
+    dropped ones after: `solve` still checks that the dropped coordinates
+    of x vanish mod q.  `basis` is None when V was not built, and
+    `_Vinv_cols` when V⁻¹ was not.  `divisors` are all the elementary
+    divisors of M over Z/q, one per row, from the same elimination.
     """
 
     basis: Matrix | None
@@ -187,22 +206,25 @@ class KernelLattice:
     modulus: int
     divisors: list[int]
     _Vinv_cols: list[list[int]] | None
-    _t: list[int]
+    t: list[int]
 
     @property
     def dim(self) -> int:
-        return len(self._t)
+        return len(self.t)
 
     def solve(self, x: list[int]) -> list[int] | None:
         """Coordinates of x in the kernel basis; None if x is not in K.
         Only the nonzero entries of x are read."""
-        acc = [0] * self.dim
+        acc = [0] * len(x)
         for v, col in zip(x, self._Vinv_cols):
             if v:
                 acc = [a + v * c for a, c in zip(acc, col)]
+        q = self.modulus
+        if any(val % q for val in acc[self.dim :]):
+            return None
         out = []
-        for val, t in zip(acc, self._t):
-            val %= self.modulus
+        for val, t in zip(acc, self.t):
+            val %= q
             if val % t:
                 return None
             out.append(val // t)
@@ -212,24 +234,31 @@ class KernelLattice:
 def kernel_mod(
     M: Matrix, p: int, q: int, transforms: tuple[str, ...] = ("V", "Vinv")
 ) -> KernelLattice:
-    """Lattice of integer vectors x with M x ≡ 0 mod q, q = p^N.  Only the
-    transforms named in `transforms` are built: "V" for `basis`, "Vinv"
-    for `solve`."""
+    """Lattice of integer vectors x with M x ≡ 0 mod q, q = p^N, on its
+    coordinates with t_j < q (see `KernelLattice`).  Only the transforms
+    named in `transforms` are built: "V" for `basis`, "Vinv" for `solve`."""
     rows = len(M)
     cols = len(M[0]) if rows else 0
     divisors, _, _, V, Vinv = smith_mod_prime_power(M, p, q, transforms)
-    t = [q // d for d in divisors[:cols]] + [1] * (cols - rows)
-    basis = None if V is None else [[a * f % q for a, f in zip(row, t)] for row in V]
-    return KernelLattice(basis, p, q, divisors, None if Vinv is None else columns(Vinv), t)
+    t_all = [q // d for d in divisors[:cols]] + [1] * (cols - rows)
+    keep = [j for j, t in enumerate(t_all) if t < q]
+    t = [t_all[j] for j in keep]
+    basis = None if V is None else [[row[j] * f % q for j, f in zip(keep, t)] for row in V]
+    dropped = [j for j, f in enumerate(t_all) if f == q]
+    Vinv_cols = None if Vinv is None else columns([Vinv[j] for j in keep + dropped])
+    return KernelLattice(basis, p, q, divisors, Vinv_cols, t)
 
 
 @dataclass
 class QuotientPresentation:
     """Finite p-group K/(L + q·Z^n) given by elementary divisors, with
-    class coordinates for arbitrary lattice elements.  `_U` and `_Uinv`
-    are None when `quotient` was not asked to build them."""
+    class coordinates for arbitrary lattice elements.  `coords` holds the
+    kernel coordinates Y of the columns of L, one row per kept coordinate
+    of the kernel.  `_U` and `_Uinv` are None when `quotient` was not
+    asked to build them."""
 
     kernel: KernelLattice
+    coords: Matrix
     divisors: tuple[int, ...]
     _U: Matrix | None
     _Uinv: Matrix | None
@@ -254,8 +283,9 @@ class QuotientPresentation:
     def generator_of_largest_factor(self) -> list[int]:
         """A lattice vector whose class generates the largest cyclic
         factor: U⁻¹·e_j maps to the j-th factor's generator e_j, so this is
-        the column of basis·U⁻¹ at the largest divisor."""
-        j = max(range(len(self.divisors)), key=self.divisors.__getitem__)
+        the column of basis·U⁻¹ at the largest divisor, and the zero
+        vector when the kernel has no kept coordinate (U⁻¹ is then empty)."""
+        j = max(range(len(self.divisors)), key=self.divisors.__getitem__, default=0)
         q = self.kernel.modulus
         return [v % q for v in mat_vec(self.kernel.basis, [row[j] for row in self._Uinv])]
 
@@ -263,10 +293,11 @@ class QuotientPresentation:
         """The class coordinate of a cyclic quotient Z/d as one dot product.
 
         With j the one nontrivial divisor d, w = Σ_k U[j][k]·(q/t_k)·V⁻¹[k]
-        mod q·d.  Row k of V⁻¹ reads t_k·y_k mod q for the kernel
-        coordinates y of x, and U[j][k]·(q/t_k) ≡ 0 (mod d) because the
-        relation (q/t_k)·e_k lies in L + q·Z^n, so w·x ≡ q·(U·y)[j]
-        (mod q·d) for every x in K.
+        mod q·d over the kept coordinates k.  Row k of V⁻¹ reads t_k·y_k
+        mod q for the kernel coordinates y of x, and U[j][k]·(q/t_k) ≡ 0
+        (mod d) because the relation (q/t_k)·e_k lies in L + q·Z^n, so
+        w·x ≡ q·(U·y)[j] (mod q·d) for every x in K.  The dropped rows of
+        V⁻¹, which follow the kept ones, are not read.
         """
         nontrivial = [j for j, d in enumerate(self.divisors) if d > 1]
         if len(nontrivial) != 1:
@@ -274,7 +305,7 @@ class QuotientPresentation:
         j = nontrivial[0]
         q, d = self.kernel.modulus, self.divisors[j]
         qd = q * d
-        c = [u * (q // t) % qd for u, t in zip(self._U[j], self.kernel._t)]
+        c = [u * (q // t) % qd for u, t in zip(self._U[j], self.kernel.t)]
         w = [sum(a * b for a, b in zip(c, col)) % qd for col in self.kernel._Vinv_cols]
         return ClassFunctional(w, q, d)
 
@@ -297,22 +328,22 @@ def quotient(
 ) -> QuotientPresentation:
     """Present K/(L + q·Z^n) for generator columns L inside K.
 
-    In kernel coordinates q·Z^n is spanned by the relations (q/t_j)·e_j,
-    which are appended to the coordinates of L, so every divisor divides q.
-    Only the transforms named in `transforms` ("U", "Uinv") are built.
+    G holds the kernel coordinates Y of L, one row per kept coordinate of
+    K, and beside them the relations (q/t_j)·e_j that span q·Z^n in those
+    coordinates, one for each t_j > 1, so every divisor divides q.  A
+    kernel whose kept t_j are all 1 adds no relation: G is Y, `dim`×`dim`
+    when L has `dim` columns.  Only the transforms named in `transforms`
+    ("U", "Uinv") are built.
     """
-    gens = []
+    coords = []
     for col in columns(L):
         y = kernel.solve(col)
         if y is None:
             raise ArithmeticError("generator outside the kernel lattice")
-        gens.append(y)
+        coords.append(y)
     q = kernel.modulus
-    for j, t in enumerate(kernel._t):
-        if t > 1:  # t = 1 gives the relation q·e_j, which is zero mod q
-            rel = [0] * kernel.dim
-            rel[j] = q // t
-            gens.append(rel)
-    G = [[col[r] for col in gens] for r in range(kernel.dim)]
+    Y = [[y[r] for y in coords] for r in range(kernel.dim)]
+    relations = [j for j, t in enumerate(kernel.t) if t > 1]
+    G = [row + [q // kernel.t[r] if r == j else 0 for j in relations] for r, row in enumerate(Y)]
     divisors, U, Uinv, _, _ = smith_mod_prime_power(G, kernel.p, q, transforms)
-    return QuotientPresentation(kernel, tuple(divisors), U, Uinv)
+    return QuotientPresentation(kernel, Y, tuple(divisors), U, Uinv)

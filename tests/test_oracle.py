@@ -171,6 +171,78 @@ def test_uncertified_degree0_column_is_refused(monkeypatch):
         fc.exponents(2)
 
 
+def _scale_d1_row(mats, r, f):
+    """Multiply row r of d1 by f, in the coefficient lists it is built from."""
+    q = mats.modulus
+    mats.can1[r] = mats.can1[r] * f % q
+    mats.diff_full[r] = mats.diff_full[r] * f % q
+    if r:
+        mats.frob1[r - 1] = mats.frob1[r - 1] * f % q
+
+
+def _direct_h0_kernel_rank(fc):
+    """The degree-0 certificate from a separate elimination of d0."""
+    mats = fc.matrices
+    divisors = smith_mod_prime_power(mats.fiber_d0(), fc.p, mats.modulus, ())[0]
+    return divisors[: mats.n].count(mats.modulus)
+
+
+def test_degree0_certificate_matches_the_direct_snf_of_d0():
+    # h0_kernel_rank is read from H^1's elimination (d0 = B·Y mod p^N);
+    # on every orbit m <= i*e of this grid, at the default, grown and
+    # minimal-N truncations, it agrees with the divisors of d0 itself
+    checked = 0
+    for p in (2, 3, 5):
+        alphas = [EMPTY, MultiIndex.from_dict({"t": PAdicFraction.make(1, 1, p)})]
+        for i, e, alpha in itertools.product(range(1, 5), range(1, 7), alphas):
+            if e % p == 0:
+                continue
+            params = TruncationParams(p, e, i)
+            for m in range(1, i * e + 1):
+                if m % p == 0:
+                    continue
+                base = default_truncation(params, Orbit(m, alpha))
+                minimal_n = OrbitTruncation(base.orbit, base.A, i * (base.A + 1) + 5)
+                for trunc in (base, base.grown(params), minimal_n):
+                    fc = fiber_cohomology(params, trunc, ())
+                    assert fc.h0_kernel_rank == _direct_h0_kernel_rank(fc) == 0
+                    checked += 1
+    # and on the README job `verify --p 2 --i 2 --e 3 --A 6 --N 24`
+    params = TruncationParams(2, 3, 2)
+    for m in (1, 5):
+        fc = fiber_cohomology(params, OrbitTruncation(Orbit(m), 6, 24), ())
+        assert fc.h0_kernel_rank == _direct_h0_kernel_rank(fc) == 0
+    assert checked > 1000
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from((2, 3, 5)),
+    st.integers(1, 3),
+    st.integers(2, 9),
+    st.integers(1, 20),
+    st.integers(1, 2),
+    st.integers(0, 30),
+    st.booleans(),
+)
+def test_degree0_certificate_with_nontrivial_kernel_steps(p, i, e, m, scale, level, dead_column):
+    # scaling one row of d1 by p^scale keeps a kernel coordinate with
+    # 1 < t_j < p^N, so the certificate eliminates diag(t)·Y; zeroing the
+    # last column of d0 leaves exactly that column uncertified
+    if e % p == 0 or m % p == 0:
+        return
+    params = TruncationParams(p, e, i)
+    mats = build_orbit_matrices(params, default_truncation(params, Orbit(m)))
+    n, q = mats.n, mats.modulus
+    _scale_d1_row(mats, level % n, p**scale)
+    if dead_column:
+        mats.diff_nygaard[-1] = 0
+        mats.can0[-1] = q
+    fc = FiberCohomology.of(mats, p, ())
+    assert any(t > 1 for t in fc.h1.kernel.t)
+    assert fc.h0_kernel_rank == _direct_h0_kernel_rank(fc) == int(dead_column)
+
+
 def test_kernel_generator_certification():
     # the last two need units other than 1 at the levels below s: no
     # cocycle has coordinate exactly p^(c_a) there
@@ -317,15 +389,17 @@ def test_verify_orbit_runs_only_the_transforms_it_reads(monkeypatch):
     # only the V^-1 that solves read, and H^2 comes from that kernel's
     # divisors; the base quotient builds the U that the certificate's class
     # functional reads, the stability recheck compares exponents and
-    # builds none, the degree-0 certificate reads only divisors, and the
-    # generator search reads the basis V of the kernel of d1 with its first
-    # s columns scaled by the claimed p^(c_a)
-    smith_calls, inside, kernels = [], [], []
+    # builds none, the degree-0 certificate is read from the quotient's
+    # own elimination, and the generator search reads the basis V of the
+    # kernel of d1 with its first s columns scaled by the claimed p^(c_a)
+    smith_calls, inside, kernels, quotient_shapes = [], [], [], []
     real_smith = snf_module.smith_mod_prime_power
     real_kernel = oracle_module.kernel_mod
 
     def smith(*args):
         smith_calls.append((inside[-1] if inside else None, args[3]))
+        if inside and inside[-1] == "quotient":
+            quotient_shapes.append((len(args[0]), len(args[0][0])))
         return real_smith(*args)
 
     def tagged(name, real):
@@ -354,15 +428,18 @@ def test_verify_orbit_runs_only_the_transforms_it_reads(monkeypatch):
     assert smith_calls == [
         ("kernel_mod", ("Vinv",)),
         ("quotient", ("U",)),
-        (None, ()),
         ("kernel_mod", ("Vinv",)),
         ("quotient", ()),
-        (None, ()),
         ("kernel_mod", ("V",)),
     ]
     base = default_truncation(params, Orbit(1))
     fibers = [build_orbit_matrices(params, t) for t in (base, base.grown(params))]
     assert kernels[:2] == [mats.fiber_d1() for mats in fibers]
+    # each H^1 quotient is n x n: the kernel keeps the n coordinates of its
+    # 2n that are not identically zero, and none needs a relation column
+    assert quotient_shapes == [(mats.n, mats.n) for mats in fibers]
+    fc = fiber_cohomology(params, base, ("U",))
+    assert fc.h1.kernel.dim == fibers[0].n and fc.h1.kernel.t == [1] * fibers[0].n
     # the claim (0, 0, 1) scales the columns of levels 0, 1, 2 by 2, 1, 1
     d1, q = fibers[0].fiber_d1(), fibers[0].modulus
     assert kernels[2] == [[2 * row[0] % q] + row[1:] for row in d1]
@@ -389,11 +466,7 @@ def test_h2_is_the_cokernel_of_d1(p, i, e, m, one_over_p, scale, level):
     params = TruncationParams(p, e, i)
     mats = build_orbit_matrices(params, default_truncation(params, Orbit(m, alpha)))
     n, q = mats.n, mats.modulus
-    r = level % n
-    mats.can1[r] = mats.can1[r] * p**scale % q
-    mats.diff_full[r] = mats.diff_full[r] * p**scale % q
-    if r:
-        mats.frob1[r - 1] = mats.frob1[r - 1] * p**scale % q
+    _scale_d1_row(mats, level % n, p**scale)
     h2 = FiberCohomology.of(mats, p, ()).h2
     assert h2 == quotient(kernel_mod([[0] * n], p, q), mats.fiber_d1()).exponents(p)
     exact = witness.smith_normal_form(hstack(mats.fiber_d1(), [[q * v for v in row] for row in eye(n)]))

@@ -114,6 +114,28 @@ def test_quotient_adds_the_modulus_lattice():
     assert quotient(kernel_mod([[4]], 2, modulus), [[0]]).exponents(2) == (2,)
 
 
+def test_kernel_without_nontrivial_coordinates():
+    # M = [1] mod 2: the one coordinate has t = q, so nothing is kept
+    p, q = 2, 2
+    K = kernel_mod([[1]], p, q)
+    assert K.dim == 0 and K.t == [] and K.divisors == [1]
+    assert K.solve([2]) == [] and K.solve([1]) is None
+    Q = quotient(K, [[0]])
+    assert Q.exponents(p) == ()
+    assert Q.class_coords([0]) == []
+    assert Q.generator_of_largest_factor() == [0]
+    assert Q.class_order_exponent(Q.generator_of_largest_factor(), p) == 0
+
+
+def test_dropped_coordinates_still_decide_membership():
+    # K = {x : x_0 ≡ 0 mod 4}: the coordinate of x_0 is dropped from the
+    # basis but still read by solve
+    K = kernel_mod([[1, 0]], 2, 4)
+    assert K.dim == 1 and K.t == [1]
+    assert K.solve([1, 0]) is None
+    assert K.solve([4, 3]) is not None and K.solve([0, 1]) is not None
+
+
 def test_generator_of_largest_factor():
     p, modulus = 5, 5**3
     K = kernel_mod([[0]], p, modulus)
@@ -252,3 +274,38 @@ def test_generator_and_class_functional_on_random_quotients(case, seed):
     for _ in range(5):
         x = mat_vec(K.basis, [rng.randint(-q, q) for _ in range(K.dim)])
         assert functional.coordinate(x) == Q.class_coords(x)[j]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_prime_power_cases())
+def test_kernel_basis_has_no_zero_column(case):
+    # a kept column is V_j·t_j with t_j < q and V_j a column of a matrix
+    # invertible mod q, so it is never ≡ 0 mod q
+    p, N, M, _ = case
+    q = p**N
+    K = kernel_mod(M, p, q)
+    assert all(t < q for t in K.t)
+    assert all(any(v % q for v in col) for col in columns(K.basis))
+
+
+def _divisors_below(M, p, q):
+    return [d for d in smith_mod_prime_power(M, p, q, ())[0] if d < q]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_prime_power_cases(), st.integers(0, 2**32 - 1))
+def test_generators_have_the_divisors_of_their_scaled_coordinates(case, seed):
+    # L ≡ basis·Y = V·diag(t)·Y on the kept coordinates, with V invertible
+    # mod q: L and diag(t)·Y have the same divisors below q, and when every
+    # kept t_j is 1 these are the quotient's own
+    p, N, M, _ = case
+    q = p**N
+    rng = random.Random(seed)
+    K = kernel_mod(M, p, q)
+    L = witness.mat_mul(K.basis, _random_matrix(rng, K.dim, rng.randint(1, 3), bound=2 * p))
+    Q = quotient(K, L)
+    assert _mod(witness.mat_mul(K.basis, Q.coords), q) == _mod(L, q)
+    scaled = [[t * y % q for y in row] for t, row in zip(K.t, Q.coords)]
+    assert _divisors_below(scaled, p, q) == _divisors_below(L, p, q)
+    if all(t == 1 for t in K.t):
+        assert [d for d in Q.divisors if d < q] == _divisors_below(L, p, q)
