@@ -10,6 +10,7 @@ its limit.
 """
 
 from trcalc import Orbit, build_tower, limit_classify, stabilized_images
+from trcalc.prosystem import transition_valuation
 
 p, weight, probe = 3, 1, 28
 orbit = Orbit(1)
@@ -18,8 +19,9 @@ levels = [e for e in range(2, probe + 1) if e % p]
 tower = build_tower(p, weight, orbit, levels)
 print(f"tower for p={p}, weight={weight}, orbit m={orbit.m}:")
 print("  levels:", tower.levels)
-print("  exponents h:", tower.groups)
-print("  adjacent transition valuations:", tower.adjacent_transitions())
+print("  exponents h:", tuple(sm.module.h for sm in tower.summands))
+adjacent = zip(tower.levels, tower.levels[1:], tower.summands, tower.summands[1:])
+print("  adjacent transition valuations:", tuple(transition_valuation(p, *pair) for pair in adjacent))
 
 stab = stabilized_images(tower, probe)
 print("\nstabilized images into each level:")

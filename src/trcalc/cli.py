@@ -358,7 +358,9 @@ def _build_parser() -> _Parser:
         cmd.add_argument("--e-max", type=int, default=None, help="exponent range end, inclusive")
         cmd.add_argument("--slots", nargs="+", default=[], help="multi-index slot names")
         cmd.add_argument("--alpha-num-max", type=int, default=None, help="multi-index numerator bound")
-        cmd.add_argument("--alpha-pexp-max", type=int, default=None, help="multi-index denominator exponent bound")
+        cmd.add_argument(
+            "--alpha-pexp-max", type=int, default=None, help="multi-index denominator exponent bound"
+        )
         if name == "verify":
             cmd.add_argument("--A", type=int, default=None, help="orbit truncation level override")
             cmd.add_argument("--N", type=int, default=None, help="p-adic precision override")

@@ -12,12 +12,14 @@ y-multiweight, the weight-i filtered subcomplex is cut out by two p-power
 scalings, and everything per-orbit (the s-function, the kernel generator,
 the transition valuations, the oracle's matrices and truncation sizes)
 reads them from here.  The degree-1 walk of an orbit lists its levels'
-degree-1 exponents up to the first negative one.
+degree-1 exponents up to the first negative one; the walks of one orbit
+at several truncations share the alpha floors, which do not depend on e.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .padic import MultiIndex, Prime, ceil_div
 
@@ -79,11 +81,11 @@ class Orbit:
         return (self.m, tuple((slot, frac.num, frac.pexp) for slot, frac in self.alpha.entries))
 
 
-def degree1_exponent(params: TruncationParams, m: int, L: int) -> int:
-    """Unclamped degree-1 Nygaard exponent i - ceil(m/e) - L at x-weight m
-    and alpha l1 floor L.  The s-function is the first orbit level at which
-    it turns negative."""
-    return params.i - ceil_div(m, params.e) - L
+def degree1_exponent(i: int, e: int, m: int, L: int) -> int:
+    """Unclamped degree-1 Nygaard exponent i - ceil(m/e) - L in weight i at
+    truncation e, x-weight m and alpha l1 floor L.  The s-function is the
+    first orbit level at which it turns negative."""
+    return i - ceil_div(m, e) - L
 
 
 def nygaard_exponents(params: TruncationParams, m: int, L: int) -> tuple[int, int]:
@@ -95,24 +97,41 @@ def nygaard_exponents(params: TruncationParams, m: int, L: int) -> tuple[int, in
     the subcomplex is the full complex, which the clamping at 0 encodes
     exactly.
     """
-    hi = degree1_exponent(params, m, L)
+    hi = degree1_exponent(params.i, params.e, m, L)
     lo = hi + (1 if m % params.e else 0)
     return (max(lo, 0), max(hi, 0))
 
 
-def degree1_walk(params: TruncationParams, m: int, alpha: MultiIndex) -> list[int]:
-    """Degree-1 exponents d_a = i - ceil(p^a m / e) - floor_l1(p^a alpha) of
-    the orbit levels a = 0, 1, ... before the first negative one; their
-    number is s.
+def degree1_walks(p: int, i: int, m: int, alpha: MultiIndex, levels: Iterable[int]) -> list[list[int]]:
+    """The degree-1 walk of one orbit at each truncation level e of levels,
+    in weight i: the exponents d_a = i - ceil(p^a m / e) -
+    floor_l1(p^a alpha) of the orbit levels a = 0, 1, ... before the first
+    negative one; their number is s.
 
+    floor_l1(p^a alpha) does not depend on e, so each is read once, when
+    the first walk reaches a, and shared by all the walks after it.
     Terminates because ceil(p^a m / e) is unbounded in a.
     """
     if m < 1:
         raise ValueError("s_function needs m >= 1")
-    p = params.p
-    walk: list[int] = []
-    while True:
-        d = degree1_exponent(params, p ** len(walk) * m, alpha.floor_l1(p, len(walk)))
-        if d < 0:
-            return walk
-        walk.append(d)
+    floors: list[int] = []
+    walks = []
+    for e in levels:
+        walk: list[int] = []
+        pm = m  # p^a m at a = len(walk)
+        while True:
+            a = len(walk)
+            if a == len(floors):
+                floors.append(alpha.floor_l1(p, a))
+            d = degree1_exponent(i, e, pm, floors[a])
+            if d < 0:
+                break
+            walk.append(d)
+            pm *= p
+        walks.append(walk)
+    return walks
+
+
+def degree1_walk(params: TruncationParams, m: int, alpha: MultiIndex) -> list[int]:
+    """The degree-1 walk of one orbit at one level (see degree1_walks)."""
+    return degree1_walks(params.p, params.i, m, alpha, (params.e,))[0]

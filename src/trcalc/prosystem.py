@@ -7,18 +7,21 @@ by size, with one map tr_fe for every pair f >= e.  All group data is the
 symbolic exponent h of W(k)/p^h; transition maps are recorded by their
 p-valuation only, the unit factor being irrelevant to images and limits.
 
-Summands are shared through the 256-entry cache of `h1_syntomic_orbit`,
-safe since they are frozen; `Tower.p` is a `padic.Prime`, checked once,
-so the per-level parameters skip the primality test.
+A tower's summands come from one walk over its levels
+(`syntomic.orbit_summands`), which reads the orbit's alpha floors once for
+all of them; `Tower.p` is a `padic.Prime`, checked once per tower.  The
+summand cache of `h1_syntomic_orbit` serves the single-level pair queries
+of `tr_valuation`.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .drw import TruncationParams
 from .padic import Prime, ceil_div, factorial_ratio, vp
-from .syntomic import AlphaBounds, Orbit, SyntomicSummand, enumerate_orbits, h1_syntomic_orbit, s_function
+from .syntomic import AlphaBounds, Orbit, SyntomicSummand, enumerate_orbits, h1_syntomic_orbit, orbit_summands
 
 
 class MLViolationError(Exception):
@@ -89,12 +92,20 @@ def ml_bound(params: TruncationParams, m: int) -> int:
     Both sufficient conditions -- ceil(p^(2s) m / f) = 1 and
     floor((p^s m - 1)/f) = 0, with s taken at the empty multi-index --
     reduce to f >= p^(2s) m.
+
+    s needs no walk: at the empty multi-index the degree-1 exponent
+    d_a = i - ceil(p^a m / e) is >= 0 exactly when p^a m <= i e, and
+    ceil(p^a m / e) increases with a, so s = #{a >= 0 : p^a m <= i e}.
     """
     p, e = params.p, params.e
     if e % p == 0:
         raise ValueError("level must be coprime to p")
-    s = s_function(params, m)
-    f = max(e, p ** (2 * s) * m)
+    if m < 1:
+        raise ValueError("ml_bound needs m >= 1")
+    s, pm = 0, m  # pm = p^s m
+    while pm <= params.i * e:
+        s, pm = s + 1, pm * p
+    f = max(e, p**s * pm)
     while f % p == 0:
         f += 1
     return f
@@ -111,29 +122,18 @@ class Tower:
     levels: tuple[int, ...]
     summands: tuple[SyntomicSummand, ...]  # one per level
 
-    @property
-    def groups(self) -> tuple[int, ...]:
-        """Exponent h per level."""
-        return tuple(sm.module.h for sm in self.summands)
-
-    def params(self, e: int) -> TruncationParams:
-        return TruncationParams(self.p, e, self.weight)
-
-    def adjacent_transitions(self) -> tuple[int | None, ...]:
-        """Valuation of each map from level j+1 down to level j."""
-        return tuple(
-            transition_valuation(self.p, e, f, sm_e, sm_f)
-            for e, f, sm_e, sm_f in zip(self.levels, self.levels[1:], self.summands, self.summands[1:])
-        )
-
 
 def build_tower(p: int, weight: int, orbit: Orbit, levels: list[int]) -> Tower:
+    """One orbit's summands at the levels, sorted, from one walk."""
     p = Prime(p)
     levels = sorted(levels)
     if any(lv % p == 0 for lv in levels):
         raise ValueError("levels must be coprime to p")
-    summands = tuple(h1_syntomic_orbit(TruncationParams(p, e, weight), orbit) for e in levels)
-    return Tower(p, weight, orbit, tuple(levels), summands)
+    if levels and levels[0] < 1:
+        raise ValueError("truncation exponent e must be >= 1")
+    if weight < 0:
+        raise ValueError("weight i must be a natural number")
+    return Tower(p, weight, orbit, tuple(levels), tuple(orbit_summands(p, weight, orbit, levels)))
 
 
 @dataclass(frozen=True)
@@ -178,26 +178,33 @@ def stabilized_images(tower: Tower, probe: int) -> StabilizedTower:
     A level is certified when the probe reaches its theoretical bound; on
     certified levels any image change at or past the bound raises
     MLViolationError (with the witness pair), since stabilization there is
-    a theorem.  The tower's summands are reused, and each probed level the
-    tower lacks gets its summand once, for all its pairs.
+    a theorem.  The tower's summands are reused, and the probed levels the
+    tower lacks get theirs from one more walk.
+
+    Per target level e, what does not depend on the source f is read once:
+    h_e, the bound, and the degenerate case h_e = 0 (s_e = 0 or e | m),
+    whose images are all trivial.  Every other pair goes through
+    `transition_valuation` and `image_exponent`.
     """
-    p = tower.p
+    p, m = tower.p, tower.orbit.m
     out = []
-    all_levels = [f for f in range(2, probe + 1) if f % p]
-    summands = dict(zip(tower.levels, tower.summands))
-    for f in all_levels:
-        if f not in summands:
-            summands[f] = h1_syntomic_orbit(tower.params(f), tower.orbit)
-    for e, h in zip(tower.levels, tower.groups):
-        bound = ml_bound(tower.params(e), tower.orbit.m)
-        sources = [f for f in all_levels if f >= e]
-        images = []
-        for f in sources:
-            v = transition_valuation(p, e, f, summands[e], summands[f])
-            if v is None or h == 0:
-                images.append(h)  # zero map: trivial image
-                continue
-            images.append(image_exponent(summands[f].module.h, h, v))
+    probed = [f for f in range(2, probe + 1) if f % p]
+    by_level = dict(zip(tower.levels, tower.summands))
+    missing = [f for f in probed if f not in by_level]
+    by_level.update(zip(missing, orbit_summands(p, tower.weight, tower.orbit, missing)))
+    probed_summands = [by_level[f] for f in probed]
+    for e, sm_e in zip(tower.levels, tower.summands):
+        h = sm_e.module.h
+        bound = ml_bound(TruncationParams(p, e, tower.weight), m)
+        first = bisect_left(probed, e)
+        sources = probed[first:]
+        if h == 0:
+            images = [h] * len(sources)  # zero maps: trivial images
+        else:
+            images = [
+                image_exponent(sm_f.module.h, h, transition_valuation(p, e, f, sm_e, sm_f))
+                for f, sm_f in zip(sources, probed_summands[first:])
+            ]
         certified = bool(sources) and sources[-1] >= bound
         if certified:
             past = [img for f, img in zip(sources, images) if f >= bound]

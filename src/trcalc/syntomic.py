@@ -6,9 +6,14 @@ orbit is the cyclic module W(k)/brace(p^s m, e), where s is the first
 level at which the divided Frobenius stops being an isomorphism along the
 orbit, the length of the orbit's degree-1 walk.
 
-`h1_syntomic_orbit` is memoized per (p, e, i, orbit) in an LRU cache of 256
-entries that all its callers share: keys and summands are frozen, and a
-rejected orbit raises on every call, since exceptions are never cached.
+`orbit_summands` builds one orbit's summands at a list of levels in one
+walk; `prosystem.build_tower` and `stabilized_images` read whole towers
+from it.  `h1_syntomic_orbit` is its one-level case, memoized per
+(p, e, i, orbit) in an LRU cache of 256 entries.  Its readers are
+`enumerate_orbits`, `prosystem.tr_valuation` and the `transition` command;
+the pair queries are what the cache serves, since they read each level of
+an orbit once per pair.  Keys and summands are frozen, and a rejected
+orbit raises on every call, since exceptions are never cached.
 """
 
 from __future__ import annotations
@@ -16,8 +21,9 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from typing import Sequence
 
-from .drw import CyclicWittModule, Orbit, TruncationParams, degree1_walk
+from .drw import CyclicWittModule, Orbit, TruncationParams, degree1_walk, degree1_walks
 from .padic import MultiIndex, PAdicFraction, brace, vp
 
 
@@ -56,6 +62,25 @@ def s_function(params: TruncationParams, m: int, alpha: MultiIndex = MultiIndex(
     return len(degree1_walk(params, m, alpha))
 
 
+def orbit_summands(p: int, i: int, orbit: Orbit, levels: Sequence[int]) -> list[SyntomicSummand]:
+    """Degree-1 syntomic cohomology of one orbit in weight i at each
+    truncation level of levels: W(k)/brace(p^s m, e), with the kernel
+    generator's scalings (c_{s-1}, ..., c_0): pinned at level s-1 and
+    propagated downward, it has c_a = d_{a+1} + ... + d_{s-1}.
+
+    The orbit is validated once (p | m raises) and p is taken as checked;
+    the levels' walks share one table of alpha floors (`degree1_walks`)."""
+    orbit.validate(p)
+    m = orbit.m
+    out = []
+    for e, walk in zip(levels, degree1_walks(p, i, m, orbit.alpha, levels)):
+        s = len(walk)
+        h = vp(brace(p**s * m, e), p)
+        gens = tuple(itertools.accumulate(reversed(walk[1:]), initial=0)) if walk else ()
+        out.append(SyntomicSummand(orbit, CyclicWittModule(h), s, gens))
+    return out
+
+
 # More than the levels one orbit is read at (at most 18 in acceptance
 # criteria 5 and 6), so a loop over one orbit's level pairs misses once per level.
 SUMMAND_CACHE_SIZE = 256
@@ -63,18 +88,12 @@ SUMMAND_CACHE_SIZE = 256
 
 @functools.lru_cache(maxsize=SUMMAND_CACHE_SIZE)
 def h1_syntomic_orbit(params: TruncationParams, orbit: Orbit) -> SyntomicSummand:
-    """Degree-1 syntomic cohomology of one orbit: W(k)/brace(p^s m, e), with
-    the kernel generator's scalings (c_{s-1}, ..., c_0): pinned at level s-1
-    and propagated downward, it has c_a = d_{a+1} + ... + d_{s-1}.
+    """Degree-1 syntomic cohomology of one orbit at one level, the
+    one-level case of `orbit_summands`.
 
     Cached (256 entries, see the module docstring): equal arguments share
     one frozen summand, and an orbit with p | m raises on every call."""
-    orbit.validate(params.p)
-    walk = degree1_walk(params, orbit.m, orbit.alpha)
-    s = len(walk)
-    h = vp(brace(params.p**s * orbit.m, params.e), params.p)
-    gens = tuple(itertools.accumulate(reversed(walk[1:]), initial=0)) if walk else ()
-    return SyntomicSummand(orbit, CyclicWittModule(h), s, gens)
+    return orbit_summands(params.p, params.i, orbit, (params.e,))[0]
 
 
 def enumerate_alphas(bounds: AlphaBounds, p: int):

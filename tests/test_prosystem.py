@@ -1,7 +1,11 @@
 """Transition valuations, Mittag-Leffler stabilization, and limit
 classification of the degree-1 towers."""
 
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import trcalc.padic as padic_module
 import trcalc.prosystem as prosystem_module
@@ -20,8 +24,9 @@ from trcalc.prosystem import (
     tower_orbits,
     tr_groups,
     tr_valuation,
+    transition_valuation,
 )
-from trcalc.syntomic import AlphaBounds, Orbit, enumerate_orbits, h1_syntomic_orbit
+from trcalc.syntomic import AlphaBounds, Orbit, enumerate_orbits, h1_syntomic_orbit, s_function
 
 EMPTY = MultiIndex()
 
@@ -73,10 +78,65 @@ def test_ml_bound_examples():
     assert ml_bound(TruncationParams(3, 2, 0), 1) == 2
 
 
+@settings(max_examples=300)
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 80), st.integers(0, 6), st.integers(1, 300))
+def test_ml_bound_counts_s_without_a_walk(p, e, i, m):
+    # at the empty multi-index, s = #{a >= 0 : p^a m <= i e}; the bound is
+    # the one the walk's s gives
+    if e % p == 0:
+        e += 1
+    params = TruncationParams(p, e, i)
+    s = s_function(params, m)
+    assert s == sum(1 for a in range(s + 2) if p**a * m <= i * e)
+    f = max(e, p ** (2 * s) * m)
+    while f % p == 0:
+        f += 1
+    assert ml_bound(params, m) == f
+
+
+def test_ml_bound_rejects_bad_arguments():
+    with pytest.raises(ValueError):
+        ml_bound(TruncationParams(3, 2, 1), 0)
+    with pytest.raises(ValueError):
+        ml_bound(TruncationParams(3, 3, 1), 1)
+
+
 def test_build_tower_groups():
     tower = build_tower(3, 1, Orbit(1), [2, 4, 5, 7, 8])
-    assert tower.groups == (1, 2, 2, 2, 2)
-    assert all(v == 0 for v in tower.adjacent_transitions())
+    assert tuple(sm.module.h for sm in tower.summands) == (1, 2, 2, 2, 2)
+    adjacent = list(zip(tower.levels, tower.levels[1:], tower.summands, tower.summands[1:]))
+    assert len(adjacent) == 4
+    assert all(transition_valuation(3, e, f, sm_e, sm_f) == 0 for e, f, sm_e, sm_f in adjacent)
+
+
+def test_build_tower_rejects_bad_input():
+    with pytest.raises(ValueError):
+        build_tower(3, 1, Orbit(3), [2, 4])  # p | m
+    with pytest.raises(ValueError):
+        build_tower(4, 1, Orbit(1), [3, 5])  # p not prime
+    with pytest.raises(ValueError):
+        build_tower(3, 1, Orbit(1), [2, 6])  # level divisible by p
+    with pytest.raises(ValueError):
+        build_tower(3, 1, Orbit(1), [-1, 2])
+    with pytest.raises(ValueError):
+        build_tower(3, -1, Orbit(1), [2, 4])
+
+
+def test_tower_summands_equal_single_level_summands():
+    # the bench's one-slot alpha window: num <= 4, pexp <= 2
+    for p in (2, 3, 5):
+        levels = [e for e in range(1, 25) if e % p]
+        alphas = {EMPTY} | {
+            MultiIndex.from_dict({"t": PAdicFraction.make(num, pexp, p)})
+            for num, pexp in itertools.product(range(1, 5), range(3))
+        }
+        for i, alpha in itertools.product(range(5), alphas):
+            for m in (m for m in range(1, max(i, 1) * 24 + 1) if m % p):
+                orbit = Orbit(m, alpha)
+                tower = build_tower(p, i, orbit, levels)
+                assert tower.summands == tuple(
+                    h1_syntomic_orbit.__wrapped__(TruncationParams(p, e, i), orbit) for e in levels
+                )
 
 
 def test_tower_and_oracle_validate_p_once(monkeypatch):
@@ -214,15 +274,20 @@ def test_tower_orbits_is_the_sorted_union_over_levels():
 
 
 def test_stabilized_images_walks_each_probed_level_once(monkeypatch):
-    calls = []
-    real = prosystem_module.h1_syntomic_orbit
+    walked, floors = [], []
+    real_summands = prosystem_module.orbit_summands
+    real_floor = padic_module.MultiIndex.floor_l1
 
-    def counting(params, orbit):
-        calls.append(params.e)
-        return real(params, orbit)
+    def counting(p, i, orbit, levels):
+        walked.extend(levels)
+        return real_summands(p, i, orbit, levels)
+
+    def counting_floor(self, p, a):
+        floors.append(a)
+        return real_floor(self, p, a)
 
     def forbidden(*args):
-        raise AssertionError("stabilized_images must not call tr_valuation")
+        raise AssertionError("towers must not read single-level summands or tr_valuation")
 
     levels = [e for e in range(2, 21) if e % 3]
     orbit = Orbit(1, MultiIndex.from_dict({"t": PAdicFraction(1, 1)}))
@@ -236,14 +301,22 @@ def test_stabilized_images_walks_each_probed_level_once(monkeypatch):
             h_f = h1_syntomic_orbit(TruncationParams(3, f, 2), orbit).module.h
             images.append(h if v is None or h == 0 else image_exponent(h_f, h, v))
         pairwise.append(tuple(images))
-    monkeypatch.setattr(prosystem_module, "h1_syntomic_orbit", counting)
+    s_max = max(h1_syntomic_orbit(TruncationParams(3, e, 2), orbit).s for e in levels)
+    monkeypatch.setattr(prosystem_module, "orbit_summands", counting)
+    monkeypatch.setattr(padic_module.MultiIndex, "floor_l1", counting_floor)
+    monkeypatch.setattr(prosystem_module, "h1_syntomic_orbit", forbidden)
     monkeypatch.setattr(prosystem_module, "tr_valuation", forbidden)
-    # the tower's own summands are reused: one walk per level in all
+    # the tower's own summands are reused: one walk per level in all, and
+    # each alpha floor read at most once
     stab = stabilized_images(build_tower(3, 2, orbit, levels), 20)
-    assert sorted(calls) == levels
+    assert sorted(walked) == levels
+    assert len(floors) <= s_max + 1
     assert [rec.images for rec in stab.per_level] == pairwise
-    # a tower on fewer levels: only the probed levels it lacks are walked
-    calls.clear()
+    # a tower on fewer levels: only the probed levels it lacks are walked,
+    # in one more walk with its own floors
+    walked.clear()
+    floors.clear()
     stab = stabilized_images(build_tower(3, 2, orbit, levels[:5]), 20)
-    assert sorted(calls) == levels
+    assert sorted(walked) == levels
+    assert len(floors) <= 2 * (s_max + 1)
     assert [rec.images for rec in stab.per_level] == pairwise[:5]

@@ -225,7 +225,7 @@ def test_generator_suffix_is_the_transition_sum(args, df, num, pexp):
         return
     assert sm_f.s >= sm_e.s
     witness = sum(
-        degree1_exponent(params_f, p**j * m, alpha.floor_l1(p, j)) for j in range(sm_e.s, sm_f.s)
+        degree1_exponent(i, f, p**j * m, alpha.floor_l1(p, j)) for j in range(sm_e.s, sm_f.s)
     )
     assert sm_f.generator_exponents[sm_f.s - sm_e.s] == witness
 
