@@ -126,61 +126,64 @@ def _parameters_dict(spec: JobSpec) -> dict:
     return out
 
 
-def _run_syntomic(spec: JobSpec, report: Report) -> int:
+def _weight_level_summands(spec: JobSpec):
+    """(params, summands) for each weight, then each level, of `spec`."""
     for i in spec.weights():
         for e in spec.levels():
             params = TruncationParams(spec.p, e, i)
-            total = 0
-            for sm in enumerate_orbits(params, spec.bounds):
-                total += sm.module.h
-                report.add_orbit(
-                    i=i,
-                    e=e,
-                    m=sm.orbit.m,
-                    alpha=format_alpha(sm.orbit.alpha, spec.p),
-                    s=sm.s,
-                    h=sm.module.h,
-                    module=str(sm.module),
-                    generator=list(sm.generator_exponents),
-                )
-            report.certificates.append(
-                {
-                    "i": i,
-                    "e": e,
-                    "total_exponent": total,
-                    "reduced_h0": "0",
-                    "higher_degrees": "0 for every degree >= 2",
-                }
+            yield params, enumerate_orbits(params, spec.bounds)
+
+
+def _run_syntomic(spec: JobSpec, report: Report) -> int:
+    for params, summands in _weight_level_summands(spec):
+        total = 0
+        for sm in summands:
+            total += sm.module.h
+            report.add_orbit(
+                i=params.i,
+                e=params.e,
+                m=sm.orbit.m,
+                alpha=format_alpha(sm.orbit.alpha, spec.p),
+                s=sm.s,
+                h=sm.module.h,
+                module=str(sm.module),
+                generator=list(sm.generator_exponents),
             )
+        report.certificates.append(
+            {
+                "i": params.i,
+                "e": params.e,
+                "total_exponent": total,
+                "reduced_h0": "0",
+                "higher_degrees": "0 for every degree >= 2",
+            }
+        )
     return EXIT_OK
 
 
 def _run_kgroups(spec: JobSpec, report: Report) -> int:
-    for i in spec.weights():
-        for e in spec.levels():
-            params = TruncationParams(spec.p, e, i)
-            summands = enumerate_orbits(params, spec.bounds)
-            divisors = sorted((sm.module.h for sm in summands), reverse=True)
-            for sm in summands:
-                report.add_orbit(
-                    i=i,
-                    e=e,
-                    m=sm.orbit.m,
-                    alpha=format_alpha(sm.orbit.alpha, spec.p),
-                    s=sm.s,
-                    h=sm.module.h,
-                )
-            group = " + ".join(f"W(k)/{spec.p}^{h}" for h in divisors) or "0"
-            report.certificates.append(
-                {
-                    "degree": 2 * i - 1,
-                    "i": i,
-                    "e": e,
-                    "group": group,
-                    "divisors": [spec.p**h for h in divisors],
-                    "order_fp": spec.p ** sum(divisors),
-                }
+    for params, summands in _weight_level_summands(spec):
+        divisors = sorted((sm.module.h for sm in summands), reverse=True)
+        for sm in summands:
+            report.add_orbit(
+                i=params.i,
+                e=params.e,
+                m=sm.orbit.m,
+                alpha=format_alpha(sm.orbit.alpha, spec.p),
+                s=sm.s,
+                h=sm.module.h,
             )
+        group = " + ".join(f"W(k)/{spec.p}^{h}" for h in divisors) or "0"
+        report.certificates.append(
+            {
+                "degree": 2 * params.i - 1,
+                "i": params.i,
+                "e": params.e,
+                "group": group,
+                "divisors": [spec.p**h for h in divisors],
+                "order_fp": spec.p ** sum(divisors),
+            }
+        )
     return EXIT_OK
 
 
@@ -279,28 +282,26 @@ def _run_tr(spec: JobSpec, report: Report) -> int:
 
 def _run_verify(spec: JobSpec, report: Report) -> int:
     records = []
-    for i in spec.weights():
-        for e in spec.levels():
-            params = TruncationParams(spec.p, e, i)
-            for sm in enumerate_orbits(params, spec.bounds):
-                base = default_truncation(params, sm.orbit)
-                A = base.A if spec.A is None else spec.A
-                N = base.N if spec.N is None else spec.N
-                cert = verify_orbit(params, sm, OrbitTruncation(sm.orbit, A, N))
-                records.append(
-                    {
-                        "i": i,
-                        "e": e,
-                        "m": sm.orbit.m,
-                        "alpha": format_alpha(sm.orbit.alpha, spec.p),
-                        "s": cert.s,
-                        "h": cert.h_closed,
-                        "oracle_h": (cert.oracle_exponents[1][0] if cert.oracle_exponents[1] else 0),
-                        "oracle_h2": list(cert.oracle_exponents[2]),
-                        "kernel_ok": cert.kernel_ok,
-                        "pass": cert.passed,
-                    }
-                )
+    for params, summands in _weight_level_summands(spec):
+        for sm in summands:
+            base = default_truncation(params, sm.orbit)
+            A = base.A if spec.A is None else spec.A
+            N = base.N if spec.N is None else spec.N
+            cert = verify_orbit(params, sm, OrbitTruncation(sm.orbit, A, N))
+            records.append(
+                {
+                    "i": params.i,
+                    "e": params.e,
+                    "m": sm.orbit.m,
+                    "alpha": format_alpha(sm.orbit.alpha, spec.p),
+                    "s": cert.s,
+                    "h": cert.h_closed,
+                    "oracle_h": (cert.oracle_exponents[1][0] if cert.oracle_exponents[1] else 0),
+                    "oracle_h2": list(cert.oracle_exponents[2]),
+                    "kernel_ok": cert.kernel_ok,
+                    "pass": cert.passed,
+                }
+            )
     all_pass = all(rec["pass"] for rec in records)
     for rec in records:
         report.add_orbit(**rec)

@@ -247,17 +247,15 @@ class FiberCohomology:
     d1: Matrix
 
     @classmethod
-    def of(
-        cls, mats: OrbitMatrices, p: int, transforms: tuple[str, ...] = ("U", "Uinv")
-    ) -> "FiberCohomology":
-        """The fiber cohomology of `mats`; H^1's presentation carries the
-        transforms named in `transforms` (see `snf.quotient`).  The kernel
-        of d1 builds V only with "Uinv", for the basis that
-        `generator_of_largest_factor` reads."""
-        kernel_transforms = ("V", "Vinv") if "Uinv" in transforms else ("Vinv",)
+    def of(cls, mats: OrbitMatrices, p: int, transforms: tuple[str, ...] = ("U", "V")) -> "FiberCohomology":
+        """The fiber cohomology of `mats`, building the transforms named in
+        `transforms`: "U" for the class functional of H^1's quotient, "V"
+        for the basis of the kernel of d1.  The kernel always builds V⁻¹,
+        which the quotient's solves read."""
         d1 = mats.fiber_d1()
-        kernel = kernel_mod(d1, p, mats.modulus, kernel_transforms)
-        return cls(mats, p, quotient(kernel, mats.fiber_d0(), transforms), d1)
+        kernel = kernel_mod(d1, p, mats.modulus, ("V", "Vinv") if "V" in transforms else ("Vinv",))
+        h1 = quotient(kernel, mats.fiber_d0(), ("U",) if "U" in transforms else ())
+        return cls(mats, p, h1, d1)
 
     @cached_property
     def h0_kernel_rank(self) -> int:
@@ -285,10 +283,10 @@ class FiberCohomology:
 
 
 def fiber_cohomology(
-    params: TruncationParams, trunc: OrbitTruncation, transforms: tuple[str, ...] = ("U", "Uinv")
+    params: TruncationParams, trunc: OrbitTruncation, transforms: tuple[str, ...] = ("U", "V")
 ) -> FiberCohomology:
-    """The fiber cohomology at `trunc`; H^1's presentation carries the
-    transforms named in `transforms` (see `FiberCohomology.of`)."""
+    """The fiber cohomology at `trunc`, building the transforms named in
+    `transforms` ("U", "V"; see `FiberCohomology.of`)."""
     return FiberCohomology.of(build_orbit_matrices(params, trunc), params.p, transforms)
 
 
@@ -417,12 +415,22 @@ class TransitionOracle:
     The observable valuation needs H^1 = Z/p^h cyclic, and a non-cyclic
     H^1 is refused.  Cyclicity is also what makes one functional enough:
     the class of a cocycle x is then a single coordinate in Z/p^h, read as
-    one dot product w·x (`QuotientPresentation.class_functional`) instead
-    of a kernel solve and a product with U.  A pair (e, f) costs O(A)
-    arithmetic: the diagonal transition coefficients applied to the
-    level-f generator, a sparse check that the image is a level-e cocycle
-    (three terms per row of d1), and the dot product.  p is made a `Prime`
-    once, so the per-level parameters skip the primality test.
+    one dot product w·x (`QuotientPresentation.class_functional`), and H^1
+    is read through nothing else.  The generator is the first column of
+    the kernel basis whose coordinate is a unit mod p.  One exists: the
+    basis spans the kernel K modulo p^N and the class map K -> Z/p^h is
+    onto, so the basis cannot map into pZ/p^h; a level where none is found
+    is refused.  The valuation does not depend on the column picked: two
+    generators differ by a unit factor and an element of
+    im d0 + p^N·C^1, the f -> e map is a chain map and so sends that
+    lattice at level f into its counterpart at level e, and a unit factor
+    leaves v_p unchanged.
+
+    A pair (e, f) costs O(A) arithmetic: the diagonal transition
+    coefficients applied to the level-f generator, a sparse check that the
+    image is a level-e cocycle (three terms per row of d1), and the dot
+    product.  p is made a `Prime` once, so the per-level parameters skip
+    the primality test.
     """
 
     def __init__(self, p: int, i: int, orbit: Orbit, levels: list[int]):
@@ -451,7 +459,11 @@ class TransitionOracle:
             if len(exps) > 1:
                 raise OracleError(f"degree-1 cohomology not cyclic at e={e}: {exps}")
             if exps:
-                gen, functional = fc.h1.generator_of_largest_factor(), fc.h1.class_functional()
+                functional = fc.h1.class_functional()
+                basis = columns(fc.h1.kernel.basis)
+                gen = next((col for col in basis if functional.coordinate(col) % self.p), None)
+                if gen is None:
+                    raise OracleError(f"no kernel basis column generates H^1 at e={e}")
             else:
                 gen = functional = None
             self._cache[e] = TransitionLevel(fc.matrices, exps[0] if exps else 0, gen, functional)

@@ -356,9 +356,13 @@ def tr_groups(p: int, i: int, bounds: AlphaBounds, probe: int) -> TRGroups:
     Every enumerated orbit is run through the stabilization check, so a
     returned result always carries a valid odd-degree zero certificate;
     classification refusals on the even side are recorded, not raised.
+    A probe with no level in [2, probe] coprime to p checks nothing, so it
+    raises ValueError instead of certifying from no evidence.
     """
     weight = i + 1
     levels = [e for e in range(2, probe + 1) if e % p]
+    if not levels:
+        raise ValueError(f"no level in [2, {probe}] is coprime to p={p}; raise the probe")
     orbits = tower_orbits(p, weight, bounds, levels)
     even = []
     for orbit in orbits:

@@ -30,13 +30,13 @@ the quotient itself when every kept t_j is 1.
 
 Elimination builds only what is read.  `smith_mod_prime_power`,
 `kernel_mod` and `quotient` take a `transforms` tuple naming the
-transforms to build; the divisors never depend on it.  A kernel whose
-elements are only solved for asks for `("Vinv",)`, and one whose `basis`
-is read asks for "V" as well.  A quotient whose exponents are all that is
-read asks for `()`, one whose class coordinates are read asks for
-`("U",)`, and `generator_of_largest_factor` needs `"Uinv"` and the
-kernel's basis as well.  A kernel keeps the divisors of its matrix, so
-the cokernel of the same matrix needs no second elimination.
+transforms to build, out of "U", "V" and "Vinv"; the divisors never
+depend on it.  A kernel whose elements are only solved for asks for
+`("Vinv",)`, and one whose `basis` is read asks for "V" as well.  A
+quotient whose exponents are all that is read asks for `()`, and one whose
+class functional is read asks for `("U",)`.  A kernel keeps the divisors
+of its matrix, so the cokernel of the same matrix needs no second
+elimination.
 
 The pivot search looks for a unit first, in row-major order, and
 computes p-valuations only when the remaining block has none.
@@ -52,10 +52,6 @@ Matrix = list[list[int]]
 
 def eye(n: int) -> Matrix:
     return [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
-
-
-def mat_vec(A: Matrix, x: list[int]) -> list[int]:
-    return [sum(a * b for a, b in zip(row, x)) for row in A]
 
 
 def hstack(A: Matrix, B: Matrix) -> Matrix:
@@ -101,19 +97,19 @@ def _pivot(A: Matrix, t: int, p: int) -> tuple[int, int, int] | None:
 
 
 def smith_mod_prime_power(
-    M: Matrix, p: int, q: int, transforms: tuple[str, ...] = ("U", "Uinv", "V", "Vinv")
-) -> tuple[list[int], Matrix | None, Matrix | None, Matrix | None, Matrix | None]:
+    M: Matrix, p: int, q: int, transforms: tuple[str, ...] = ("U", "V", "Vinv")
+) -> tuple[list[int], Matrix | None, Matrix | None, Matrix | None]:
     """Elementary divisors and transforms of M over Z/q, q = p^N.
 
-    Returns (divisors, U, Uinv, V, Vinv): U·M·V is congruent mod q to the
-    matrix with divisors[t] at (t, t) and zeros elsewhere, and U·Uinv and
-    V·Vinv are congruent to the identity.  There is one divisor per row,
-    p^v with v < N or q (which reads as 0) where the remaining block
-    vanishes mod q, in increasing order.  When the column lattice of M
-    contains q·Z^rows, these are the integer elementary divisors of that
-    lattice.  Only the transforms named in `transforms` are built; the
-    others come back as None.  The divisors and the built transforms do
-    not depend on which others are built.
+    Returns (divisors, U, V, Vinv): U and V are invertible mod q, U·M·V is
+    congruent mod q to the matrix with divisors[t] at (t, t) and zeros
+    elsewhere, and V·Vinv is congruent to the identity.  There is one
+    divisor per row, p^v with v < N or q (which reads as 0) where the
+    remaining block vanishes mod q, in increasing order.  When the column
+    lattice of M contains q·Z^rows, these are the integer elementary
+    divisors of that lattice.  Only the transforms named in `transforms`
+    are built; the others come back as None.  The divisors and the built
+    transforms do not depend on which others are built.
 
     Each step pivots on an entry of least p-valuation v (`_pivot`) and
     scales its row so the pivot is p^v.  Every entry of the remaining block
@@ -123,10 +119,9 @@ def smith_mod_prime_power(
     rows = len(M)
     cols = len(M[0]) if rows else 0
     A = [[a % q for a in row] for row in M]
-    # Uinv and V change by column operations, so they are kept transposed
-    # (one list per column) and transposed back at the end
+    # V changes by column operations, so it is kept transposed (one list
+    # per column) and transposed back at the end
     U = eye(rows) if "U" in transforms else None
-    UinvT = eye(rows) if "Uinv" in transforms else None
     VT = eye(cols) if "V" in transforms else None
     Vinv = eye(cols) if "Vinv" in transforms else None
     divisors = [q] * rows
@@ -140,8 +135,6 @@ def smith_mod_prime_power(
             A[pi], A[t] = A[t], A[pi]
             if U is not None:
                 U[pi], U[t] = U[t], U[pi]
-            if UinvT is not None:
-                UinvT[pi], UinvT[t] = UinvT[t], UinvT[pi]
         if pj != t:
             for r in range(rows):
                 A[r][pj], A[r][t] = A[r][t], A[r][pj]
@@ -150,22 +143,16 @@ def smith_mod_prime_power(
             if Vinv is not None:
                 Vinv[pj], Vinv[t] = Vinv[t], Vinv[pj]
         pk = p**v
-        unit = A[t][t] // pk
-        uinv = pow(unit, -1, q)
+        uinv = pow(A[t][t] // pk, -1, q)
         A[t] = [a * uinv % q for a in A[t]]
         if U is not None:
             U[t] = [a * uinv % q for a in U[t]]
-        if UinvT is not None:
-            UinvT[t] = [a * unit % q for a in UinvT[t]]
-        # row_i -= f * row_t, so Uinv's column t gains f * its column i
         for i in range(t + 1, rows):
             if A[i][t]:
                 f = A[i][t] // pk
                 A[i] = [(a - f * b) % q for a, b in zip(A[i], A[t])]
                 if U is not None:
                     U[i] = [(a - f * b) % q for a, b in zip(U[i], U[t])]
-                if UinvT is not None:
-                    UinvT[t] = [(a + f * b) % q for a, b in zip(UinvT[t], UinvT[i])]
         # column t now holds only the pivot, so col_j -= f * col_t clears
         # row t and touches no other row; Vinv's row t gains f * its row j
         for j in range(t + 1, cols):
@@ -177,9 +164,8 @@ def smith_mod_prime_power(
                 if Vinv is not None:
                     Vinv[t] = [(a + f * b) % q for a, b in zip(Vinv[t], Vinv[j])]
         divisors[t] = pk
-    Uinv = None if UinvT is None else [list(r) for r in zip(*UinvT)]
     V = None if VT is None else [list(r) for r in zip(*VT)]
-    return divisors, U, Uinv, V, Vinv
+    return divisors, U, V, Vinv
 
 
 @dataclass
@@ -239,7 +225,7 @@ def kernel_mod(
     named in `transforms` are built: "V" for `basis`, "Vinv" for `solve`."""
     rows = len(M)
     cols = len(M[0]) if rows else 0
-    divisors, _, _, V, Vinv = smith_mod_prime_power(M, p, q, transforms)
+    divisors, _, V, Vinv = smith_mod_prime_power(M, p, q, transforms)
     t_all = [q // d for d in divisors[:cols]] + [1] * (cols - rows)
     keep = [j for j, t in enumerate(t_all) if t < q]
     t = [t_all[j] for j in keep]
@@ -251,43 +237,20 @@ def kernel_mod(
 
 @dataclass
 class QuotientPresentation:
-    """Finite p-group K/(L + q·Z^n) given by elementary divisors, with
-    class coordinates for arbitrary lattice elements.  `coords` holds the
-    kernel coordinates Y of the columns of L, one row per kept coordinate
-    of the kernel.  `_U` and `_Uinv` are None when `quotient` was not
-    asked to build them."""
+    """Finite p-group K/(L + q·Z^n) given by elementary divisors.  A
+    cyclic one reads the class of a lattice element through
+    `class_functional`.  `coords` holds the kernel coordinates Y of the
+    columns of L, one row per kept coordinate of the kernel.  `_U` is None
+    when `quotient` was not asked to build it."""
 
     kernel: KernelLattice
     coords: Matrix
     divisors: tuple[int, ...]
     _U: Matrix | None
-    _Uinv: Matrix | None
 
     def exponents(self, p: int) -> tuple[int, ...]:
         """Divisors as powers of p, largest first, trivial ones dropped."""
         return divisor_exponents(self.divisors, p)
-
-    def class_coords(self, x: list[int]) -> list[int]:
-        y = self.kernel.solve(x)
-        if y is None:
-            raise ArithmeticError("element outside the kernel lattice")
-        return [zi % d for zi, d in zip(mat_vec(self._U, y), self.divisors)]
-
-    def class_order_exponent(self, x: list[int], p: int) -> int:
-        """log_p of the order of the class of x in K/(L + q·Z^n)."""
-        return max(
-            (_pval(d, p) - _pval(zi or d, p) for zi, d in zip(self.class_coords(x), self.divisors)),
-            default=0,
-        )
-
-    def generator_of_largest_factor(self) -> list[int]:
-        """A lattice vector whose class generates the largest cyclic
-        factor: U⁻¹·e_j maps to the j-th factor's generator e_j, so this is
-        the column of basis·U⁻¹ at the largest divisor, and the zero
-        vector when the kernel has no kept coordinate (U⁻¹ is then empty)."""
-        j = max(range(len(self.divisors)), key=self.divisors.__getitem__, default=0)
-        q = self.kernel.modulus
-        return [v % q for v in mat_vec(self.kernel.basis, [row[j] for row in self._Uinv])]
 
     def class_functional(self) -> "ClassFunctional":
         """The class coordinate of a cyclic quotient Z/d as one dot product.
@@ -324,7 +287,7 @@ class ClassFunctional:
 
 
 def quotient(
-    kernel: KernelLattice, L: Matrix, transforms: tuple[str, ...] = ("U", "Uinv")
+    kernel: KernelLattice, L: Matrix, transforms: tuple[str, ...] = ("U",)
 ) -> QuotientPresentation:
     """Present K/(L + q·Z^n) for generator columns L inside K.
 
@@ -332,8 +295,8 @@ def quotient(
     K, and beside them the relations (q/t_j)·e_j that span q·Z^n in those
     coordinates, one for each t_j > 1, so every divisor divides q.  A
     kernel whose kept t_j are all 1 adds no relation: G is Y, `dim`×`dim`
-    when L has `dim` columns.  Only the transforms named in `transforms`
-    ("U", "Uinv") are built.
+    when L has `dim` columns.  U is built only when `transforms` names
+    "U".
     """
     coords = []
     for col in columns(L):
@@ -345,5 +308,5 @@ def quotient(
     Y = [[y[r] for y in coords] for r in range(kernel.dim)]
     relations = [j for j, t in enumerate(kernel.t) if t > 1]
     G = [row + [q // kernel.t[r] if r == j else 0 for j in relations] for r, row in enumerate(Y)]
-    divisors, U, Uinv, _, _ = smith_mod_prime_power(G, kernel.p, q, transforms)
-    return QuotientPresentation(kernel, Y, tuple(divisors), U, Uinv)
+    divisors, U, _, _ = smith_mod_prime_power(G, kernel.p, q, transforms)
+    return QuotientPresentation(kernel, Y, tuple(divisors), U)

@@ -6,16 +6,23 @@ kept unchanged: Smith normal form over the integers with unimodular
 transforms, exact lattice solves, and kernel lattices modulo an integer
 carried by an honest basis.  Its coefficients grow without bound, which is
 why it lives here and not on the oracle's path; `quotient_divisors` is the
-exact branch of the old `quotient`.  `mat_mul` and `from_columns` are the
-dense helpers only the tests and this witness still use.
+exact branch of the old `quotient`.  `mat_vec`, `mat_mul` and
+`from_columns` are the dense helpers only the tests and this witness
+still use.  `class_order_exponent` reads the order of a class in a finite
+p-group Z^n/(L + p^N·Z^n) from exact lattice solves alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 
-from trcalc.snf import Matrix, columns, eye, mat_vec
+from trcalc.snf import Matrix, columns, eye, hstack
+
+
+def mat_vec(A: Matrix, x: list[int]) -> list[int]:
+    return [sum(a * b for a, b in zip(row, x)) for row in A]
 
 
 def mat_mul(A: Matrix, B: Matrix) -> Matrix:
@@ -171,18 +178,25 @@ def smith_with_transforms(M: Matrix) -> SmithDecomposition:
     return SmithDecomposition(A, U, Uinv, V, Vinv)
 
 
+@lru_cache(maxsize=64)
+def _decomposition(gen: tuple[tuple[int, ...], ...]) -> SmithDecomposition:
+    """The decomposition of a matrix given as a tuple of rows, computed
+    once per distinct matrix; callers only read it."""
+    return smith_with_transforms([list(row) for row in gen])
+
+
 def smith_normal_form(M: Matrix) -> SNFResult:
     """Elementary divisors of an integer matrix."""
     if not M or not M[0]:
         return SNFResult(())
-    dec = smith_with_transforms(M)
-    return SNFResult(tuple(dec.diagonal()))
+    return SNFResult(tuple(_decomposition(tuple(map(tuple, M))).diagonal()))
 
 
 def solve_in_lattice(gen: Matrix, v: list[int]) -> list[int] | None:
     """Integer coefficients z with gen @ z = v, or None if v is outside the
-    column lattice of gen."""
-    dec = smith_with_transforms(gen)
+    column lattice of gen.  Repeated solves in one lattice reuse its
+    decomposition (`_decomposition`) and cost two products."""
+    dec = _decomposition(tuple(map(tuple, gen)))
     rows = len(gen)
     cols = len(gen[0]) if rows else 0
     uv = mat_vec(dec.U, v)
@@ -257,3 +271,14 @@ def quotient_divisors(kernel: KernelLattice, L: Matrix) -> tuple[int, ...]:
     dec = smith_with_transforms(kernel.solve_matrix(L))
     diag = dec.diagonal()
     return tuple(diag[j] if j < len(diag) else 0 for j in range(kernel.dim))
+
+
+def class_order_exponent(L: Matrix, modulus: int, p: int, x: list[int]) -> int:
+    """log_p of the order of the class of x in Z^n/(L + modulus·Z^n), for
+    modulus a power of p: the least k such that p^k·x solves in that
+    lattice (`solve_in_lattice`)."""
+    lattice = hstack(L, [[modulus * v for v in row] for row in eye(len(x))])
+    k = 0
+    while solve_in_lattice(lattice, [p**k * v for v in x]) is None:
+        k += 1
+    return k

@@ -108,6 +108,17 @@ def test_tr_certificate_footer(capsys):
     assert code in (EXIT_OK, EXIT_REFUSED)
 
 
+@pytest.mark.parametrize("p,probe", [(2, 2), (3, 1)])
+def test_tr_without_a_level_coprime_to_p_exits_1(p, probe, capsys):
+    # no level in [2, probe] is coprime to p: nothing is checked, so no
+    # odd-degree certificate is printed
+    code = main(["tr", "--p", str(p), "--i", "1", "--e", str(probe)])
+    captured = capsys.readouterr()
+    assert code == EXIT_VALIDATION
+    assert captured.out == ""
+    assert captured.err.startswith(f"trcalc: error: no level in [2, {probe}] is coprime to p={p}")
+
+
 def test_json_roundtrip_and_determinism(capsys):
     argv = ["syntomic", "--p", "2", "--i", "1", "--i-max", "3", "--e", "3", "--format", "json"]
     code1, out1 = _run(argv, capsys)

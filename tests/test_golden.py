@@ -68,3 +68,13 @@ def test_readme_job_bytes(job, fmt, capsysbinary):
     code = main(shlex.split(job) + ["--format", fmt])
     out = capsysbinary.readouterr().out
     assert (code, hashlib.sha256(out).hexdigest()[:16]) == GOLDEN[(job, fmt)]
+
+
+def test_readme_library_quick_start(capsys):
+    # the README's Python block runs as printed: the two weight-2 orbits of
+    # K_3(F_2[x]/x^3, (x)) and a passing certificate for each
+    block = re.search(r"```python\n(.*?)```", README.read_text(), re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["1 3", "5 1"]
+    assert [line.split()[:2] for line in lines[2:]] == [["1", "True"], ["5", "True"]]

@@ -3,7 +3,10 @@ certification, truncation stability, and transition maps."""
 
 import ast
 import dataclasses
+import functools
 import itertools
+import math
+import random
 from pathlib import Path
 
 import pytest
@@ -38,7 +41,6 @@ from trcalc.snf import (
     eye,
     hstack,
     kernel_mod,
-    mat_vec,
     quotient,
     smith_mod_prime_power,
 )
@@ -539,20 +541,29 @@ def test_oracle_with_multi_index():
 
 
 def _dense_witness_level(oc, e):
-    """H^1 at level e on the dense path: a fresh fiber, and a generator
-    found by computing the class order of every column of basis·U⁻¹."""
-    fc = fiber_cohomology(oc.params(e), oc.trunc())
-    exps = fc.h1.exponents(oc.p)
-    gens = columns(witness.mat_mul(fc.h1.kernel.basis, fc.h1._Uinv))
-    gen = max(gens, key=lambda col: fc.h1.class_order_exponent(col, oc.p)) if exps else None
-    return fc, exps, gen
+    """H^1 = K/Λ at level e, Λ = im d0 + p^N·C^1, on the witness alone:
+    a reader of class orders modulo Λ, the exponents of H^1, and a
+    generator, the kernel basis column of largest class order h.  The
+    basis generates H^1, so p^h is its exponent, and H^1 is cyclic (as
+    asserted) exactly when its order [C^1 : Λ] / [C^1 : K] is p^h."""
+    mats = build_orbit_matrices(oc.params(e), oc.trunc())
+    q, d0 = mats.modulus, mats.fiber_d0()
+    K = witness.kernel_mod(mats.fiber_d1(), q)
+    order = functools.partial(witness.class_order_exponent, d0, q, oc.p)
+    basis = columns(K.basis)
+    orders = [order(col) for col in basis]
+    h = max(orders)
+    relations = hstack(d0, [[q * v for v in row] for row in eye(2 * mats.n)])
+    assert math.prod(witness.smith_normal_form(relations).diagonal) == oc.p**h * math.prod(K._t)
+    return order, ((h,) if h else ()), (basis[orders.index(h)] if h else None)
 
 
 def _dense_witness_valuation(oc, e, f, level_e, level_f):
-    """h_e minus the dense class order of the f -> e image of the level-f
-    generator, with the Nygaard exponents recomputed for the pair."""
+    """h_e minus the witness class order of the f -> e image of the
+    level-f generator, with the Nygaard exponents recomputed for the
+    pair."""
     p, n, modulus = oc.p, oc.A + 1, oc.p**oc.N
-    (fc_e, exps_e, _), (_, _, gen) = level_e, level_f
+    (order_e, exps_e, _), (_, _, gen) = level_e, level_f
     image_n1, image_d0 = [], []
     for a in range(n):
         m_a = p**a * oc.orbit.m
@@ -563,7 +574,7 @@ def _dense_witness_valuation(oc, e, f, level_e, level_f):
         assert num % p**u1_e == 0
         image_n1.append(num // p**u1_e * gen[a] % modulus)
         image_d0.append(factorial_ratio(m_a // e, m_a // f) * gen[n + a] % modulus)
-    return exps_e[0] - fc_e.h1.class_order_exponent(image_n1 + image_d0, p)
+    return exps_e[0] - order_e(image_n1 + image_d0)
 
 
 def test_transition_valuation_matches_dense_witness():
@@ -582,7 +593,6 @@ def test_transition_valuation_matches_dense_witness():
                     oc = TransitionOracle(p, i, Orbit(m, alpha), sub)
                     dense = {e: _dense_witness_level(oc, e) for e in sub}
                     for e in sub:
-                        assert len(dense[e][1]) <= 1
                         assert oc.h_exponent(e) == (dense[e][1] or (0,))[0]
                     for e, f in itertools.combinations(sub, 2):
                         if not (dense[e][1] and dense[f][1]):
@@ -600,11 +610,24 @@ def test_transition_image_outside_the_kernel_is_refused(monkeypatch):
     not_a_cocycle = [1] + [0] * (2 * (oc.A + 1) - 1)
     fc = fiber_cohomology(oc.params(3), oc.trunc())
     assert any(oc.level(3).matrices.fiber_d1_apply(not_a_cocycle))
-    with pytest.raises(ArithmeticError):
-        fc.h1.class_order_exponent(not_a_cocycle, 2)
+    assert fc.h1.kernel.solve(not_a_cocycle) is None
     monkeypatch.setattr(TransitionOracle, "_transition_image", lambda self, *args: not_a_cocycle)
     with pytest.raises(ArithmeticError, match="outside the kernel lattice"):
         oc.valuation(3, 5)
+
+
+def test_level_without_a_unit_coordinate_is_refused(monkeypatch):
+    # a functional scaled by p reads every basis column in pZ/p^h; the
+    # level is refused rather than given a non-generator
+    real = QuotientPresentation.class_functional
+
+    def off_by_p(self):
+        functional = real(self)
+        return ClassFunctional([3 * w for w in functional.w], functional.modulus, functional.d)
+
+    monkeypatch.setattr(QuotientPresentation, "class_functional", off_by_p)
+    with pytest.raises(OracleError, match="no kernel basis column generates"):
+        TransitionOracle(3, 1, Orbit(1), [2, 4]).level(2)
 
 
 def test_sparse_d1_matches_dense_d1():
@@ -613,7 +636,7 @@ def test_sparse_d1_matches_dense_d1():
     mats = build_orbit_matrices(params, trunc)
     for k in range(2 * mats.n):
         x = [(k + 1) * (j + 3) ** 2 if j % 3 != k % 3 else 0 for j in range(2 * mats.n)]
-        assert mats.fiber_d1_apply(x) == [v % mats.modulus for v in mat_vec(mats.fiber_d1(), x)]
+        assert mats.fiber_d1_apply(x) == [v % mats.modulus for v in witness.mat_vec(mats.fiber_d1(), x)]
 
 
 def test_transition_levels_skip_degree0_and_degree2(monkeypatch):
@@ -640,10 +663,54 @@ def test_transition_levels_skip_degree0_and_degree2(monkeypatch):
     st.sampled_from(((0, 0), (1, 1), (2, 1), (1, 2))),
 )
 def test_generator_class_order_is_the_largest_exponent(p, i, e, m, slot):
+    # the transition oracle's generator, the first kernel basis column
+    # with a unit class coordinate, has the largest class order that the
+    # witness's exact solves in im d0 + p^N·C^1 read
     if e % p == 0 or m % p == 0:
         return
     alpha = MultiIndex.from_dict({"t": PAdicFraction.make(*slot, p)})
-    params = TruncationParams(p, e, i)
-    h1 = fiber_cohomology(params, default_truncation(params, Orbit(m, alpha))).h1
-    exps = h1.exponents(p)
-    assert h1.class_order_exponent(h1.generator_of_largest_factor(), p) == (exps[0] if exps else 0)
+    oc = TransitionOracle(p, i, Orbit(m, alpha), [e])
+    level = oc.level(e)
+    exps = fiber_cohomology(oc.params(e), oc.trunc()).h1.exponents(p)
+    if not exps:
+        assert level.h == 0 and level.generator is None
+        return
+    mats = level.matrices
+    order = witness.class_order_exponent(mats.fiber_d0(), mats.modulus, p, level.generator)
+    assert order == level.h == exps[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from((2, 3)),
+    st.integers(1, 2),
+    st.integers(1, 12),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_valuation_does_not_depend_on_the_generator(p, i, m, one_over_p, seed):
+    # replacing the level-f generator g by u·g + (a column of d0) +
+    # p^N·e_k, for a unit u, moves its class by a unit factor only, so no
+    # valuation (e, f) changes
+    if m % p == 0:
+        return
+    rng = random.Random(seed)
+    alpha = MultiIndex.from_dict({"t": PAdicFraction.make(1, 1, p)}) if one_over_p else EMPTY
+    levels = [e for e in range(2, 12) if e % p and i * e >= m]
+    if len(levels) < 2:
+        return
+    oc = TransitionOracle(p, i, Orbit(m, alpha), levels)
+    live = [e for e in levels if oc.h_exponent(e)]
+    pairs = list(itertools.combinations(live, 2))
+    before = {pair: oc.valuation(*pair) for pair in pairs}
+    q = p**oc.N
+    for f in live:
+        lv = oc.level(f)
+        d0 = lv.matrices.fiber_d0()
+        col = columns(d0)[rng.randrange(len(d0[0]))]
+        unit = rng.choice([u for u in range(1, 3 * p) if u % p])
+        gen = [unit * g + c for g, c in zip(lv.generator, col)]
+        gen[rng.randrange(len(gen))] += q
+        assert gen != lv.generator
+        oc._cache[f] = dataclasses.replace(lv, generator=gen)
+    assert {pair: oc.valuation(*pair) for pair in pairs} == before

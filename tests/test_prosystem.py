@@ -239,6 +239,14 @@ def test_tr_groups_degenerate_weight():
     assert result.odd.zero
 
 
+def test_tr_groups_refuses_a_probe_without_levels():
+    # p=2 and probe 2 leave no level coprime to p, so there is no evidence
+    # for the odd-degree certificate; probe 3 has the level 3
+    with pytest.raises(ValueError, match="no level in"):
+        tr_groups(2, 1, AlphaBounds(), 2)
+    assert tr_groups(2, 1, AlphaBounds(), 3).odd.orbits_checked > 0
+
+
 def test_refusals_are_recorded_not_raised():
     result = tr_groups(3, 0, AlphaBounds(), 30)
     kinds = {type(res) for _, res in result.even}

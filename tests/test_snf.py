@@ -15,7 +15,6 @@ from trcalc.snf import (
     eye,
     hstack,
     kernel_mod,
-    mat_vec,
     quotient,
     smith_mod_prime_power,
 )
@@ -80,7 +79,7 @@ def test_kernel_mod_membership():
         M = _random_matrix(rng, 3, 4, bound=12)
         K = kernel_mod(M, p, modulus)
         for x in columns(K.basis):
-            assert all(v % modulus == 0 for v in mat_vec(M, x))
+            assert all(v % modulus == 0 for v in witness.mat_vec(M, x))
             assert K.solve(x) is not None
 
 
@@ -98,9 +97,11 @@ def test_quotient_exponents_and_orders():
     L = [[4, 0], [0, 8]]
     Q = quotient(K, hstack(L, [[modulus, 0], [0, modulus]]))
     assert sorted(Q.exponents(2), reverse=True) == [3, 2]
-    assert Q.class_order_exponent([1, 0], 2) == 2
-    assert Q.class_order_exponent([0, 1], 2) == 3
-    assert Q.class_order_exponent([2, 2], 2) == 2
+    # the class orders that the exact lattice solves of the witness read
+    # in Z^2/(L + 64·Z^2) ≅ Z/4 + Z/8
+    assert witness.class_order_exponent(L, modulus, 2, [1, 0]) == 2
+    assert witness.class_order_exponent(L, modulus, 2, [0, 1]) == 3
+    assert witness.class_order_exponent(L, modulus, 2, [2, 2]) == 2
 
 
 def test_quotient_adds_the_modulus_lattice():
@@ -122,9 +123,9 @@ def test_kernel_without_nontrivial_coordinates():
     assert K.solve([2]) == [] and K.solve([1]) is None
     Q = quotient(K, [[0]])
     assert Q.exponents(p) == ()
-    assert Q.class_coords([0]) == []
-    assert Q.generator_of_largest_factor() == [0]
-    assert Q.class_order_exponent(Q.generator_of_largest_factor(), p) == 0
+    assert K.basis == [[]]
+    with pytest.raises(ValueError):
+        Q.class_functional()
 
 
 def test_dropped_coordinates_still_decide_membership():
@@ -136,12 +137,18 @@ def test_dropped_coordinates_still_decide_membership():
     assert K.solve([4, 3]) is not None and K.solve([0, 1]) is not None
 
 
-def test_generator_of_largest_factor():
+def test_class_functional_of_a_cyclic_quotient():
+    # Z/(25 + 125) ≅ Z/25: 1 generates, 5 has order 5, 25 is trivial
     p, modulus = 5, 5**3
     K = kernel_mod([[0]], p, modulus)
-    Q = quotient(K, [[25]])
-    gen = Q.generator_of_largest_factor()
-    assert Q.class_order_exponent(gen, p) == 2
+    functional = quotient(K, [[25]]).class_functional()
+    assert functional.d == 25
+    assert functional.coordinate([1]) % p
+    assert vp(functional.coordinate([5]), p) == 1
+    assert functional.coordinate([25]) == functional.coordinate([125]) == 0
+    for x in ([1], [5], [7], [25]):
+        c = functional.coordinate(x)
+        assert witness.class_order_exponent([[25]], modulus, p, x) == (2 - vp(c, p) if c else 0)
 
 
 @settings(max_examples=150)
@@ -206,28 +213,29 @@ def test_mod_prime_power_snf_without_units_matches_witness(case, k):
 def _check_against_witness(p, N, M, xs):
     q = p**N
     rows, cols = len(M), len(M[0])
-    divisors, U, Uinv, V, Vinv = smith_mod_prime_power(M, p, q)
+    divisors, U, V, Vinv = smith_mod_prime_power(M, p, q)
 
     assert divisors == _reduced_divisors(witness.smith_normal_form(M).diagonal, rows, p, N)
     D = [[divisors[i] % q if i == j else 0 for j in range(cols)] for i in range(rows)]
     assert _mod(witness.mat_mul(witness.mat_mul(U, M), V), q) == D
-    assert _mod(witness.mat_mul(U, Uinv), q) == eye(rows)
+    # U is invertible mod q: its integer elementary divisors are prime to p
+    assert all(d % p for d in witness.smith_normal_form(U).diagonal)
     assert _mod(witness.mat_mul(V, Vinv), q) == eye(cols)
     # each caller's reduced call gives the same divisors and transforms
-    full = {"U": U, "Uinv": Uinv, "V": V, "Vinv": Vinv}
-    for transforms in ((), ("V", "Vinv"), ("U", "Uinv"), ("U", "V")):
+    full = {"U": U, "V": V, "Vinv": Vinv}
+    for transforms in ((), ("V", "Vinv"), ("Vinv",), ("U",), ("U", "V")):
         reduced = smith_mod_prime_power(M, p, q, transforms)
         assert reduced[0] == divisors
-        for name, got in zip(("U", "Uinv", "V", "Vinv"), reduced[1:]):
+        for name, got in zip(("U", "V", "Vinv"), reduced[1:]):
             assert got == (full[name] if name in transforms else None)
 
     K = kernel_mod(M, p, q)
     W = witness.kernel_mod(M, q)
     for x in columns(W.basis) + columns(K.basis) + xs:
-        in_kernel = all(v % q == 0 for v in mat_vec(M, x))
+        in_kernel = all(v % q == 0 for v in witness.mat_vec(M, x))
         assert (K.solve(x) is not None) == (W.solve(x) is not None) == in_kernel
         if in_kernel:
-            assert [v % q for v in mat_vec(K.basis, K.solve(x))] == [v % q for v in x]
+            assert [v % q for v in witness.mat_vec(K.basis, K.solve(x))] == [v % q for v in x]
     # a kernel that is only solved in builds V^-1 alone, with the same
     # divisors and coordinates
     solve_only = kernel_mod(M, p, q, ("Vinv",))
@@ -253,9 +261,11 @@ def test_mod_prime_power_snf_matches_sympy(case):
 @settings(max_examples=150, deadline=None)
 @given(_prime_power_cases(), st.integers(0, 2**32 - 1))
 def test_generator_and_class_functional_on_random_quotients(case, seed):
-    # L is a random combination of kernel vectors; the generator's class
-    # has the largest order, and on a cyclic quotient the functional reads
-    # the same coordinate as the dense class coordinates
+    # L is a random combination of kernel vectors.  On a cyclic quotient
+    # Z/p^h, some basis column has a unit coordinate (the generator the
+    # transition oracle picks), and every x in K is that coordinate's
+    # multiple of it modulo L + q·Z^n; class orders and that membership
+    # are decided by the witness's exact lattice solves alone
     p, N, M, _ = case
     q = p**N
     rng = random.Random(seed)
@@ -263,17 +273,22 @@ def test_generator_and_class_functional_on_random_quotients(case, seed):
     L = witness.mat_mul(K.basis, _random_matrix(rng, K.dim, rng.randint(1, 3), bound=2 * p))
     Q = quotient(K, L)
     exps = Q.exponents(p)
-    assert Q.class_order_exponent(Q.generator_of_largest_factor(), p) == (exps[0] if exps else 0)
     if len(exps) != 1:
         with pytest.raises(ValueError):
             Q.class_functional()
         return
     functional = Q.class_functional()
-    j = next(j for j, d in enumerate(Q.divisors) if d > 1)
-    assert functional.d == Q.divisors[j]
+    h = exps[0]
+    assert functional.d == p**h
+    gen = next(col for col in columns(K.basis) if functional.coordinate(col) % p)
+    assert witness.class_order_exponent(L, q, p, gen) == h
+    unit = pow(functional.coordinate(gen), -1, p**h)
     for _ in range(5):
-        x = mat_vec(K.basis, [rng.randint(-q, q) for _ in range(K.dim)])
-        assert functional.coordinate(x) == Q.class_coords(x)[j]
+        x = witness.mat_vec(K.basis, [rng.randint(-q, q) for _ in range(K.dim)])
+        c = functional.coordinate(x)
+        assert witness.class_order_exponent(L, q, p, x) == (h - vp(c, p) if c else 0)
+        rest = [a - c * unit * b for a, b in zip(x, gen)]
+        assert witness.class_order_exponent(L, q, p, rest) == 0
 
 
 @settings(max_examples=150, deadline=None)
