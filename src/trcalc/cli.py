@@ -20,15 +20,14 @@ from .padic import Prime
 from .prosystem import (
     MLViolationError,
     RefusedClassification,
-    build_tower,
     image_exponent,
+    nontrivial_towers,
     stabilized_images,
-    tower_orbits,
     tr_groups,
     transition_valuation,
 )
 from .report import Report, emit_report, format_alpha
-from .syntomic import AlphaBounds, enumerate_orbits, h1_syntomic_orbit
+from .syntomic import AlphaBounds, enumerate_orbits, orbit_summands
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -191,14 +190,11 @@ def _run_transition(spec: JobSpec, report: Report) -> int:
     levels = spec.levels()
     e = levels[0]
     sources = [f for f in levels[1:] if f % spec.p]
-    params = TruncationParams(spec.p, e, spec.i)
-    for sm in enumerate_orbits(params, spec.bounds):
+    for sm in enumerate_orbits(TruncationParams(spec.p, e, spec.i), spec.bounds):
+        # h_e >= 1 forces s_e >= 1 and e not dividing m, so v is never None
         h_e = sm.module.h
-        for f in sources:
-            sm_f = h1_syntomic_orbit(TruncationParams(spec.p, f, spec.i), sm.orbit)
+        for f, sm_f in zip(sources, orbit_summands(spec.p, spec.i, sm.orbit, sources)):
             v = transition_valuation(spec.p, e, f, sm, sm_f)
-            if v is None:
-                continue
             h_f = sm_f.module.h
             report.add_orbit(
                 m=sm.orbit.m,
@@ -216,22 +212,20 @@ def _run_transition(spec: JobSpec, report: Report) -> int:
 def _run_ml_check(spec: JobSpec, report: Report) -> int:
     levels = [e for e in spec.levels() if e % spec.p]
     probe = levels[-1]
-    orbits = tower_orbits(spec.p, spec.i, spec.bounds, levels)
+    towers = nontrivial_towers(spec.p, spec.i, spec.bounds, levels)
     status = EXIT_OK
-    for orbit in orbits:
-        tower = build_tower(spec.p, spec.i, orbit, levels)
+    for tower in towers:
         try:
             stab = stabilized_images(tower, probe)
         except MLViolationError as exc:
-            report.certificates.append(
-                {"m": orbit.m, "alpha": format_alpha(orbit.alpha, spec.p), "ml_violation": str(exc)}
-            )
+            alpha = format_alpha(tower.orbit.alpha, spec.p)
+            report.certificates.append({"m": tower.orbit.m, "alpha": alpha, "ml_violation": str(exc)})
             status = EXIT_MISMATCH
             continue
         for rec in stab.per_level:
             report.add_orbit(
-                m=orbit.m,
-                alpha=format_alpha(orbit.alpha, spec.p),
+                m=tower.orbit.m,
+                alpha=format_alpha(tower.orbit.alpha, spec.p),
                 e=rec.level,
                 h=rec.h,
                 ml_bound=rec.ml_bound,
@@ -240,7 +234,7 @@ def _run_ml_check(spec: JobSpec, report: Report) -> int:
                 certified=rec.certified,
             )
     report.certificates.append(
-        {"ml_condition": "PASS" if status == EXIT_OK else "FAIL", "probe": probe, "orbits": len(orbits)}
+        {"ml_condition": "PASS" if status == EXIT_OK else "FAIL", "probe": probe, "orbits": len(towers)}
     )
     return status
 

@@ -293,8 +293,9 @@ def fiber_cohomology(
 def oracle_cohomology(params: TruncationParams, trunc: OrbitTruncation) -> dict[int, tuple[int, ...]]:
     """Cohomology of the truncated fiber complex as p-power exponents per
     degree, rechecked at the grown truncation (`OrbitTruncation.grown`:
-    A -> A+1, N -> max(N+2, i*(A+2)+5))."""
-    result = fiber_cohomology(params, trunc).exponents(params.p)
+    A -> A+1, N -> max(N+2, i*(A+2)+5)).  Only exponents are read, so
+    neither fiber builds a transform beyond the kernel's V⁻¹."""
+    result = fiber_cohomology(params, trunc, ()).exponents(params.p)
     _check_stability(params, trunc, result)
     return result
 

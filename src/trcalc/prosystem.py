@@ -8,20 +8,21 @@ symbolic exponent h of W(k)/p^h; transition maps are recorded by their
 p-valuation only, the unit factor being irrelevant to images and limits.
 
 A tower's summands come from one walk over its levels
-(`syntomic.orbit_summands`), which reads the orbit's alpha floors once for
-all of them; `Tower.p` is a `padic.Prime`, checked once per tower.  The
-summand cache of `h1_syntomic_orbit` serves the single-level pair queries
-of `tr_valuation`.
+(`syntomic.orbit_summands`); `Tower.p` is a `padic.Prime`, checked once
+per tower, and `nontrivial_towers` builds a window's towers with one walk
+per candidate orbit.  `stabilized_images` reads every source from the
+tower: its levels must be every level coprime to p from its least one up
+to the probe, and sources start at level 2.  The summand cache of
+`h1_syntomic_orbit` serves the pair queries of `tr_valuation`.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 
 from .drw import TruncationParams
 from .padic import Prime, ceil_div, factorial_ratio, vp
-from .syntomic import AlphaBounds, Orbit, SyntomicSummand, enumerate_orbits, h1_syntomic_orbit, orbit_summands
+from .syntomic import AlphaBounds, Orbit, SyntomicSummand, h1_syntomic_orbit, nontrivial_orbits, orbit_summands
 
 
 class MLViolationError(Exception):
@@ -113,8 +114,7 @@ def ml_bound(params: TruncationParams, m: int) -> int:
 
 @dataclass(frozen=True)
 class Tower:
-    """One orbit's summands over an ascending window of levels coprime to
-    p."""
+    """One orbit's summands over an ascending window of levels coprime to p."""
 
     p: Prime
     weight: int
@@ -123,17 +123,31 @@ class Tower:
     summands: tuple[SyntomicSummand, ...]  # one per level
 
 
-def build_tower(p: int, weight: int, orbit: Orbit, levels: list[int]) -> Tower:
-    """One orbit's summands at the levels, sorted, from one walk."""
+def _tower_args(p: int, weight: int, levels: list[int]) -> tuple[Prime, tuple[int, ...]]:
+    """p as a checked `Prime` and the levels sorted, after the checks on the levels and the weight."""
     p = Prime(p)
-    levels = sorted(levels)
+    levels = tuple(sorted(levels))
     if any(lv % p == 0 for lv in levels):
         raise ValueError("levels must be coprime to p")
     if levels and levels[0] < 1:
         raise ValueError("truncation exponent e must be >= 1")
     if weight < 0:
         raise ValueError("weight i must be a natural number")
-    return Tower(p, weight, orbit, tuple(levels), tuple(orbit_summands(p, weight, orbit, levels)))
+    return p, levels
+
+
+def build_tower(p: int, weight: int, orbit: Orbit, levels: list[int]) -> Tower:
+    """One orbit's summands at the levels, sorted, from one walk."""
+    p, levels = _tower_args(p, weight, levels)
+    return Tower(p, weight, orbit, levels, tuple(orbit_summands(p, weight, orbit, levels)))
+
+
+def nontrivial_towers(p: int, weight: int, bounds: AlphaBounds, levels: list[int]) -> list[Tower]:
+    """The towers of the window's orbits with a nontrivial group at some
+    level, in (m, alpha) order, one walk each; weights below 1 have none."""
+    p, levels = _tower_args(p, weight, levels)
+    orbits = nontrivial_orbits(p, weight, bounds, levels)
+    return [Tower(p, weight, orbit, levels, tuple(summands)) for orbit, summands in orbits]
 
 
 @dataclass(frozen=True)
@@ -175,11 +189,14 @@ def stabilized_images(tower: Tower, probe: int) -> StabilizedTower:
     """Sweep sources f up to the probe bound for every level of the tower
     and record where images settle.
 
+    Every source is read from the tower, whose levels must be every level
+    coprime to p from its least one up to the probe (else ValueError);
+    sources start at level 2, so level 1 is not its own source.
+
     A level is certified when the probe reaches its theoretical bound; on
     certified levels any image change at or past the bound raises
     MLViolationError (with the witness pair), since stabilization there is
-    a theorem.  The tower's summands are reused, and the probed levels the
-    tower lacks get theirs from one more walk.
+    a theorem.
 
     Per target level e, what does not depend on the source f is read once:
     h_e, the bound, and the degenerate case h_e = 0 (s_e = 0 or e | m),
@@ -187,32 +204,26 @@ def stabilized_images(tower: Tower, probe: int) -> StabilizedTower:
     `transition_valuation` and `image_exponent`.
     """
     p, m = tower.p, tower.orbit.m
+    if not tower.levels or tower.levels != tuple(f for f in range(tower.levels[0], probe + 1) if f % p):
+        raise ValueError(f"tower levels {tower.levels} are not every level coprime to p up to {probe}")
     out = []
-    probed = [f for f in range(2, probe + 1) if f % p]
-    by_level = dict(zip(tower.levels, tower.summands))
-    missing = [f for f in probed if f not in by_level]
-    by_level.update(zip(missing, orbit_summands(p, tower.weight, tower.orbit, missing)))
-    probed_summands = [by_level[f] for f in probed]
-    for e, sm_e in zip(tower.levels, tower.summands):
+    for k, (e, sm_e) in enumerate(zip(tower.levels, tower.summands)):
         h = sm_e.module.h
         bound = ml_bound(TruncationParams(p, e, tower.weight), m)
-        first = bisect_left(probed, e)
-        sources = probed[first:]
+        first = k + 1 if e == 1 else k  # sources start at level 2
+        sources = tower.levels[first:]
         if h == 0:
             images = [h] * len(sources)  # zero maps: trivial images
         else:
             images = [
                 image_exponent(sm_f.module.h, h, transition_valuation(p, e, f, sm_e, sm_f))
-                for f, sm_f in zip(sources, probed_summands[first:])
+                for f, sm_f in zip(sources, tower.summands[first:])
             ]
         certified = bool(sources) and sources[-1] >= bound
         if certified:
-            past = [img for f, img in zip(sources, images) if f >= bound]
-            if any(img != past[-1] for img in past):
-                bad = next(f for f, img in zip(sources, images) if f >= bound and img != past[-1])
-                raise MLViolationError(
-                    f"images changed past the bound at level e={e}: witness f={bad}"
-                )
+            bad = [f for f, img in zip(sources, images) if f >= bound and img != images[-1]]
+            if bad:
+                raise MLViolationError(f"images changed past the bound at level e={e}: witness f={bad[0]}")
         stabilized = images[-1] if images else h
         ml_index = sources[0] if sources else e
         for f, img in zip(reversed(sources), reversed(images)):
@@ -225,7 +236,7 @@ def stabilized_images(tower: Tower, probe: int) -> StabilizedTower:
                 h=h,
                 ml_bound=bound,
                 images=tuple(images),
-                sources=tuple(sources),
+                sources=sources,
                 stabilized=stabilized,
                 ml_index=ml_index,
                 certified=certified,
@@ -286,10 +297,7 @@ def limit_classify(stab: StabilizedTower) -> ProCyclicLimit:
     are surjective, so the limit is pro-cyclic and lim^1 vanishes."""
     settled = [rec for rec in stab.per_level if rec.settled]
     orders = tuple(rec.image_order_exponent for rec in settled)
-    ml_index = max(
-        (rec.ml_index for rec in settled),
-        default=stab.tower.levels[0] if stab.tower.levels else 0,
-    )
+    ml_index = max((rec.ml_index for rec in settled), default=stab.tower.levels[0])
     return classify_orders(orders, ml_index)
 
 
@@ -337,17 +345,6 @@ class TRGroups:
         return any(isinstance(res, RefusedClassification) for _, res in self.even)
 
 
-def tower_orbits(p: int, weight: int, bounds: AlphaBounds, levels: list[int]) -> list[Orbit]:
-    """Every orbit with a nontrivial group at some level, in (m, alpha)
-    order; weights below 1 have none."""
-    orbits: set[Orbit] = set()
-    if weight >= 1:
-        for e in levels:
-            params = TruncationParams(p, e, weight)
-            orbits.update(sm.orbit for sm in enumerate_orbits(params, bounds))
-    return sorted(orbits, key=lambda o: o.sort_key())
-
-
 def tr_groups(p: int, i: int, bounds: AlphaBounds, probe: int) -> TRGroups:
     """TR in degrees 2i and 2i-1 of the prototype algebra with multi-index
     slots and numerator sizes limited by bounds, probed over truncation
@@ -363,15 +360,14 @@ def tr_groups(p: int, i: int, bounds: AlphaBounds, probe: int) -> TRGroups:
     levels = [e for e in range(2, probe + 1) if e % p]
     if not levels:
         raise ValueError(f"no level in [2, {probe}] is coprime to p={p}; raise the probe")
-    orbits = tower_orbits(p, weight, bounds, levels)
+    towers = nontrivial_towers(p, weight, bounds, levels)
     even = []
-    for orbit in orbits:
-        tower = build_tower(p, weight, orbit, levels)
+    for tower in towers:
         stab = stabilized_images(tower, probe)
         try:
             verdict: ProCyclicLimit | RefusedClassification = limit_classify(stab)
         except ClassificationRefusedError as exc:
             verdict = RefusedClassification(str(exc), exc.orders)
-        even.append((orbit, verdict))
-    odd = OddZeroCertificate(degree=2 * i - 1, probe=probe, orbits_checked=len(orbits))
+        even.append((tower.orbit, verdict))
+    odd = OddZeroCertificate(degree=2 * i - 1, probe=probe, orbits_checked=len(towers))
     return TRGroups(p, 2 * i, weight, tuple(even), odd)

@@ -7,13 +7,13 @@ level at which the divided Frobenius stops being an isomorphism along the
 orbit, the length of the orbit's degree-1 walk.
 
 `orbit_summands` builds one orbit's summands at a list of levels in one
-walk; `prosystem.build_tower` and `stabilized_images` read whole towers
-from it.  `h1_syntomic_orbit` is its one-level case, memoized per
-(p, e, i, orbit) in an LRU cache of 256 entries.  Its readers are
-`enumerate_orbits`, `prosystem.tr_valuation` and the `transition` command;
-the pair queries are what the cache serves, since they read each level of
-an orbit once per pair.  Keys and summands are frozen, and a rejected
-orbit raises on every call, since exceptions are never cached.
+walk, and `nontrivial_orbits`, the one enumerator, walks each candidate
+orbit of a window once; `enumerate_orbits` is its one-level case.
+`h1_syntomic_orbit` is the one-level case of `orbit_summands`, memoized
+per (p, e, i, orbit) in an LRU cache of 256 entries for its pair queries:
+`prosystem.tr_valuation` and the (e, f) loops of the acceptance gate and
+the bench.  Keys and summands are frozen, and a rejected orbit raises on
+every call, since exceptions are never cached.
 """
 
 from __future__ import annotations
@@ -82,17 +82,16 @@ def orbit_summands(p: int, i: int, orbit: Orbit, levels: Sequence[int]) -> list[
 
 
 # More than the levels one orbit is read at (at most 18 in acceptance
-# criteria 5 and 6), so a loop over one orbit's level pairs misses once per level.
+# criterion 5), so a loop over one orbit's level pairs misses once per level.
 SUMMAND_CACHE_SIZE = 256
 
 
 @functools.lru_cache(maxsize=SUMMAND_CACHE_SIZE)
 def h1_syntomic_orbit(params: TruncationParams, orbit: Orbit) -> SyntomicSummand:
     """Degree-1 syntomic cohomology of one orbit at one level, the
-    one-level case of `orbit_summands`.
-
-    Cached (256 entries, see the module docstring): equal arguments share
-    one frozen summand, and an orbit with p | m raises on every call."""
+    one-level case of `orbit_summands`.  Cached for `prosystem.tr_valuation`
+    and the (e, f) loops of the acceptance gate and the bench: equal
+    arguments share one frozen summand, and p | m raises on every call."""
     return orbit_summands(params.p, params.i, orbit, (params.e,))[0]
 
 
@@ -110,21 +109,27 @@ def enumerate_alphas(bounds: AlphaBounds, p: int):
         yield MultiIndex.from_dict(dict(zip(bounds.slots, combo)))
 
 
-def enumerate_orbits(params: TruncationParams, bounds: AlphaBounds = AlphaBounds()) -> list[SyntomicSummand]:
-    """All orbits in the window with nontrivial degree-1 contribution.
-
-    A nontrivial module forces s >= 1, hence ceil(m/e) <= i, hence
-    m <= i*e; the m-range is therefore finite and the alpha-range is the
-    user-supplied finite window.  Results are sorted by (m, alpha).
-    """
-    p, e, i = params.p, params.e, params.i
+def nontrivial_orbits(
+    p: int, i: int, bounds: AlphaBounds, levels: Sequence[int]
+) -> list[tuple[Orbit, list[SyntomicSummand]]]:
+    """Every orbit in the window with a nontrivial group at some level,
+    sorted by (m, alpha), with its summands from one walk; p is taken as
+    checked.  Nontrivial at e forces s >= 1, hence ceil(m/e) <= i, hence
+    m <= i*e: the candidates are m <= i*max(levels) prime to p, with the
+    alphas of the user-supplied finite window."""
     out = []
     for alpha in enumerate_alphas(bounds, p):
-        for m in range(1, i * e + 1):
-            if m % p == 0:
-                continue
-            summand = h1_syntomic_orbit(params, Orbit(m, alpha))
-            if not summand.module.is_trivial():
-                out.append(summand)
-    out.sort(key=lambda sm: sm.orbit.sort_key())
+        for m in range(1, i * max(levels, default=0) + 1):
+            if m % p:
+                orbit = Orbit(m, alpha)
+                summands = orbit_summands(p, i, orbit, levels)
+                if not all(sm.module.is_trivial() for sm in summands):
+                    out.append((orbit, summands))
+    out.sort(key=lambda pair: pair[0].sort_key())
     return out
+
+
+def enumerate_orbits(params: TruncationParams, bounds: AlphaBounds = AlphaBounds()) -> list[SyntomicSummand]:
+    """The summands at params.e of the window's orbits nontrivial there,
+    sorted by (m, alpha): the one-level case of `nontrivial_orbits`."""
+    return [sms[0] for _, sms in nontrivial_orbits(params.p, params.i, bounds, (params.e,))]

@@ -4,12 +4,16 @@ serialization formats."""
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import trcalc.cli as cli_module
+import trcalc.prosystem as prosystem_module
+import trcalc.syntomic as syntomic_module
 from test_golden import GOLDEN
 from trcalc.cli import (
     EXIT_MISMATCH,
@@ -21,8 +25,9 @@ from trcalc.cli import (
     main,
     run_command,
 )
+from trcalc.drw import TruncationParams
 from trcalc.report import emit_report
-from trcalc.syntomic import AlphaBounds
+from trcalc.syntomic import AlphaBounds, Orbit, enumerate_alphas, enumerate_orbits
 
 
 def roundtrip_json(data: bytes) -> bytes:
@@ -280,3 +285,93 @@ def test_python_dash_m_runs_the_driver():
         [sys.executable, "-m", "trcalc", *job], cwd=root, env=env, capture_output=True, timeout=120
     )
     assert (done.returncode, hashlib.sha256(done.stdout).hexdigest()[:16]) == GOLDEN[(" ".join(job), "text")]
+
+
+# Tower jobs beyond the README's, pinned like `test_golden.GOLDEN`: exit
+# code and the first 16 hex digits of the SHA-256 of the report.  They
+# cover a tower from level 1, a tower that starts above level 2, and
+# multi-index windows.
+TOWER_JOBS = {
+    ("ml-check --p 3 --i 1 --e 1 --e-max 5", "text"): (0, "fed2ff95ca22d5f9"),
+    ("ml-check --p 3 --i 1 --e 1 --e-max 5", "json"): (0, "a80d728c54255440"),
+    ("ml-check --p 3 --i 1 --e 1 --e-max 5", "csv"): (0, "4fa28a6d14923b10"),
+    ("ml-check --p 3 --i 1 --e 7 --e-max 11", "text"): (0, "41548729c8c3d12e"),
+    ("ml-check --p 3 --i 1 --e 7 --e-max 11", "json"): (0, "53de7b44560608fa"),
+    ("ml-check --p 3 --i 1 --e 7 --e-max 11", "csv"): (0, "f643422aac2d05a6"),
+    ("ml-check --p 2 --i 2 --e 3 --e-max 11 --slots t --alpha-num-max 2 --alpha-pexp-max 1", "text"): (0, "06dc545fe12e8517"),
+    ("ml-check --p 2 --i 2 --e 3 --e-max 11 --slots t --alpha-num-max 2 --alpha-pexp-max 1", "json"): (0, "5fe6b4911f13a445"),
+    ("ml-check --p 2 --i 2 --e 3 --e-max 11 --slots t --alpha-num-max 2 --alpha-pexp-max 1", "csv"): (0, "de6bce4328fc9526"),
+    ("tr --p 2 --i 1 --e 2 --e-max 16 --slots t --alpha-num-max 2 --alpha-pexp-max 1", "text"): (3, "ae15d11df661a394"),
+    ("tr --p 2 --i 1 --e 2 --e-max 16 --slots t --alpha-num-max 2 --alpha-pexp-max 1", "json"): (3, "f1b29bcb5037b5a0"),
+    ("tr --p 2 --i 1 --e 2 --e-max 16 --slots t --alpha-num-max 2 --alpha-pexp-max 1", "csv"): (3, "9060f77bdd81b285"),
+    ("transition --p 2 --i 2 --e 3 --e-max 11 --slots t --alpha-num-max 2 --alpha-pexp-max 1", "text"): (0, "20c7bd699e61a5c1"),
+    ("transition --p 2 --i 2 --e 3 --e-max 11 --slots t --alpha-num-max 2 --alpha-pexp-max 1", "json"): (0, "b150f942273d4752"),
+    ("transition --p 2 --i 2 --e 3 --e-max 11 --slots t --alpha-num-max 2 --alpha-pexp-max 1", "csv"): (0, "abcb73b41780bc55"),
+}
+
+
+@pytest.mark.parametrize("job,fmt", sorted(TOWER_JOBS))
+def test_tower_job_bytes(job, fmt, capsysbinary):
+    code = main(shlex.split(job) + ["--format", fmt])
+    out = capsysbinary.readouterr().out
+    assert (code, hashlib.sha256(out).hexdigest()[:16]) == TOWER_JOBS[(job, fmt)]
+
+
+def _record_walks(monkeypatch) -> list:
+    """Record every orbit walk as (orbit, levels); a read of the
+    single-level summand cache fails."""
+    walks = []
+    real = syntomic_module.orbit_summands
+
+    def recording(p, i, orbit, levels):
+        walks.append((orbit, tuple(levels)))
+        return real(p, i, orbit, levels)
+
+    def forbidden(*args):
+        raise AssertionError("tower commands must not read single-level summands")
+
+    for module in (syntomic_module, prosystem_module, cli_module):
+        monkeypatch.setattr(module, "orbit_summands", recording)
+    for module in (syntomic_module, prosystem_module):
+        monkeypatch.setattr(module, "h1_syntomic_orbit", forbidden)
+    return walks
+
+
+@pytest.mark.parametrize(
+    "spec,weight",
+    [
+        (JobSpec(command="tr", p=3, i=0, e=2, e_max=30), 1),
+        (JobSpec(command="tr", p=2, i=1, e=2, e_max=16, bounds=AlphaBounds(("t",), 2, 1)), 2),
+        (JobSpec(command="ml-check", p=3, i=1, e=7, e_max=11), 1),
+        (JobSpec(command="ml-check", p=3, i=1, e=1, e_max=5), 1),
+        (JobSpec(command="ml-check", p=2, i=2, e=3, e_max=11, bounds=AlphaBounds(("t",), 2, 1)), 2),
+    ],
+)
+def test_tower_commands_walk_each_candidate_orbit_once(spec, weight, monkeypatch):
+    # every candidate orbit (m <= weight * top level, p not dividing m) is
+    # walked once over the tower's levels, and never at a level below them
+    levels = tuple(e for e in spec.levels() if e % spec.p)
+    candidates = [
+        Orbit(m, alpha)
+        for alpha in enumerate_alphas(spec.bounds, spec.p)
+        for m in range(1, weight * levels[-1] + 1)
+        if m % spec.p
+    ]
+    walks = _record_walks(monkeypatch)
+    report, code = run_command(spec)
+    assert code in (EXIT_OK, EXIT_REFUSED)
+    assert walks == [(orbit, levels) for orbit in candidates]
+
+
+def test_transition_walks_each_orbit_once_per_role(monkeypatch):
+    # enumeration walks each candidate at the target level; each nontrivial
+    # orbit then walks its sources once
+    spec = JobSpec(command="transition", p=3, i=3, e=2, e_max=60)
+    sources = tuple(f for f in range(4, 61) if f % 3)
+    candidates = [Orbit(m) for m in range(1, 7) if m % 3]
+    nontrivial = [sm.orbit for sm in enumerate_orbits(TruncationParams(3, 2, 3))]
+    walks = _record_walks(monkeypatch)
+    report, code = run_command(spec)
+    assert code == EXIT_OK
+    assert walks == [(orbit, (2,)) for orbit in candidates] + [(orbit, sources) for orbit in nontrivial]
+    assert len(walks) == 6

@@ -447,6 +447,25 @@ def test_verify_orbit_runs_only_the_transforms_it_reads(monkeypatch):
     assert kernels[2] == [[2 * row[0] % q] + row[1:] for row in d1]
 
 
+def test_oracle_cohomology_runs_only_the_transforms_it_reads(monkeypatch):
+    # only exponents are read: the base and the grown fiber each build the
+    # V^-1 their quotient solves with, and nothing else
+    params = TruncationParams(2, 3, 2)
+    trunc = default_truncation(params, Orbit(1))
+    full = fiber_cohomology(params, trunc).exponents(params.p)
+    transforms = []
+    real_smith = snf_module.smith_mod_prime_power
+
+    def smith(*args):
+        transforms.append(args[3])
+        return real_smith(*args)
+
+    for module in (snf_module, oracle_module):
+        monkeypatch.setattr(module, "smith_mod_prime_power", smith)
+    assert oracle_cohomology(params, trunc) == full == {0: (), 1: (3,), 2: ()}
+    assert transforms == [("Vinv",), (), ("Vinv",), ()]
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.sampled_from((2, 3, 5)),

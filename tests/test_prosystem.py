@@ -14,14 +14,15 @@ from trcalc.oracle import TransitionOracle
 from trcalc.padic import MultiIndex, PAdicFraction, Prime
 from trcalc.prosystem import (
     ClassificationRefusedError,
+    MLViolationError,
     RefusedClassification,
     build_tower,
     classify_orders,
     image_exponent,
     limit_classify,
     ml_bound,
+    nontrivial_towers,
     stabilized_images,
-    tower_orbits,
     tr_groups,
     tr_valuation,
     transition_valuation,
@@ -140,7 +141,7 @@ def test_tower_summands_equal_single_level_summands():
 
 
 def test_tower_and_oracle_validate_p_once(monkeypatch):
-    tower = build_tower(2, 1, Orbit(1), [3, 5, 7])
+    tower = build_tower(2, 1, Orbit(1), list(range(3, 24, 2)))
     assert isinstance(tower.p, Prime)
     assert isinstance(TransitionOracle(2, 1, Orbit(1), [3, 5]).p, Prime)
     tested = []
@@ -168,7 +169,7 @@ def test_stabilized_images_full_at_every_level():
 
 
 def test_stabilized_images_degenerate_orbit():
-    tower = build_tower(3, 1, Orbit(2), [2, 4])
+    tower = build_tower(3, 1, Orbit(2), [2, 4, 5, 7, 8])
     stab = stabilized_images(tower, 8)
     assert stab.per_level[0].h == 0
     assert stab.per_level[0].image_order_exponent == 0
@@ -187,6 +188,20 @@ def test_stabilization_before_bound_when_certifiable():
     tower = build_tower(2, 1, Orbit(1), levels)
     stab = stabilized_images(tower, 40)
     assert any(rec.certified for rec in stab.per_level)
+
+
+def test_image_change_past_the_bound_raises_with_its_witness(monkeypatch):
+    # p=3, weight 1, orbit m=1: level 2 has bound 10 inside the probe and
+    # images 0; a valuation that grows at f=13 changes an image past it
+    tower = build_tower(3, 1, Orbit(1), [e for e in range(2, 29) if e % 3])
+    real = prosystem_module.transition_valuation
+
+    def drifting(p, e, f, sm_e, sm_f):
+        return real(p, e, f, sm_e, sm_f) + ((e, f) == (2, 13))
+
+    monkeypatch.setattr(prosystem_module, "transition_valuation", drifting)
+    with pytest.raises(MLViolationError, match="level e=2: witness f=13"):
+        stabilized_images(tower, 28)
 
 
 def test_classify_zp_full():
@@ -268,17 +283,22 @@ def test_refusal_evidence_is_the_settled_orders():
     assert str(settled) in verdict.reason
 
 
-def test_tower_orbits_is_the_sorted_union_over_levels():
+def test_nontrivial_towers_are_the_sorted_union_over_levels():
     bounds = AlphaBounds(("t",), 1, 1)
     levels = [2, 4, 5]
-    orbits = tower_orbits(3, 1, bounds, levels)
+    towers = nontrivial_towers(3, 1, bounds, levels)
+    orbits = [tower.orbit for tower in towers]
     union = {
         sm.orbit for e in levels for sm in enumerate_orbits(TruncationParams(3, e, 1), bounds)
     }
     assert set(orbits) == union
     assert len(orbits) == len(union)
     assert orbits == sorted(orbits, key=lambda o: o.sort_key())
-    assert tower_orbits(3, 0, bounds, levels) == []
+    # each is the orbit's own tower over all the levels
+    assert towers == [build_tower(3, 1, orbit, levels) for orbit in orbits]
+    assert nontrivial_towers(3, 0, bounds, levels) == []
+    with pytest.raises(ValueError):
+        nontrivial_towers(3, 1, bounds, [2, 3])  # level divisible by p
 
 
 def test_stabilized_images_walks_each_probed_level_once(monkeypatch):
@@ -320,11 +340,34 @@ def test_stabilized_images_walks_each_probed_level_once(monkeypatch):
     assert sorted(walked) == levels
     assert len(floors) <= s_max + 1
     assert [rec.images for rec in stab.per_level] == pairwise
-    # a tower on fewer levels: only the probed levels it lacks are walked,
-    # in one more walk with its own floors
+    # a tower on fewer levels lacks sources, and is rejected rather than
+    # completed by another walk
     walked.clear()
-    floors.clear()
-    stab = stabilized_images(build_tower(3, 2, orbit, levels[:5]), 20)
-    assert sorted(walked) == levels
-    assert len(floors) <= 2 * (s_max + 1)
-    assert [rec.images for rec in stab.per_level] == pairwise[:5]
+    with pytest.raises(ValueError, match="not every level"):
+        stabilized_images(build_tower(3, 2, orbit, levels[:5]), 20)
+    assert sorted(walked) == levels[:5]
+
+
+@pytest.mark.parametrize(
+    "p,levels,probe",
+    [
+        (3, [2, 5, 7, 8], 8),  # gap: 4 missing
+        (3, [2, 4, 5, 7], 8),  # stops short of the probe
+        (3, [2, 4, 5, 7, 8, 10], 8),  # runs past the probe
+        (2, [1, 5, 7], 7),  # gap: 3 missing
+        (3, [], 8),  # no level at all
+    ],
+)
+def test_stabilized_images_rejects_towers_without_every_source(p, levels, probe):
+    tower = build_tower(p, 1, Orbit(1), levels)
+    with pytest.raises(ValueError, match="not every level"):
+        stabilized_images(tower, probe)
+
+
+def test_stabilized_images_sources_start_at_level_2():
+    # level 1 is not its own source; every other level is
+    for p in (2, 3):
+        levels = [e for e in range(1, 12) if e % p]
+        stab = stabilized_images(build_tower(p, 1, Orbit(1), levels), 11)
+        expected = [tuple(levels[1:])] + [tuple(levels[k:]) for k in range(1, len(levels))]
+        assert [rec.sources for rec in stab.per_level] == expected
