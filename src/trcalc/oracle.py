@@ -7,14 +7,16 @@ exiting level A dropped), and the canonical inclusion of the weight-i
 filtered subcomplex.  The mapping fiber of (divided Frobenius - canonical)
 is assembled as a three-term cochain complex over Z/p^N and its cohomology
 is computed by Smith normal form over Z/p^N.  The matrices use only the
-Nygaard exponents, the brace symbol and factorial ratios, and the
+Nygaard exponents, the brace symbol and factorial ratios (a coefficient
+that a long ratio makes vanish mod p^N is 0 without forming it), and the
 truncation level is sized from the orbit's degree-1 walk in `drw`.  The
-closed-form claim under test, a summand with its s, h and generator
-exponents, is handed in by the caller of `verify_orbit` and
-`certify_kernel_generator`.  The kernel-generator certificate is one exact
-search: a kernel basis of d1 with the claimed scalings, and a search over
-F_p for a combination whose level coordinates and class coordinate are
-all units.
+truncation-stability recheck reads a grown truncation, and one build there
+gives the matrices of both.  The closed-form claim under test, a summand
+with its s, h and generator exponents, is handed in by the caller of
+`verify_orbit` and `certify_kernel_generator`.  The kernel-generator
+certificate is one exact search: a kernel basis of d1 with the claimed
+scalings, and a search over F_p for a combination whose level coordinates
+and class coordinate are all units.
 """
 
 from __future__ import annotations
@@ -142,6 +144,27 @@ class OrbitMatrices:
             out.append(v % q)
         return out
 
+    def truncated(self, A: int, modulus: int) -> "OrbitMatrices":
+        """These coefficients on levels 0..A, reduced mod `modulus`, which
+        divides this one; the Frobenius entries leaving level A are
+        dropped."""
+        n = A + 1
+
+        def cut(coeffs: list[int], k: int) -> list[int]:
+            return [c % modulus for c in coeffs[:k]]
+
+        return OrbitMatrices(
+            n,
+            modulus,
+            cut(self.diff_nygaard, n),
+            cut(self.diff_full, n),
+            cut(self.can0, n),
+            cut(self.can1, n),
+            cut(self.frob0, A),
+            cut(self.frob1, A),
+            self.u1[:n],
+        )
+
     def content_hash(self) -> str:
         body = repr(
             (
@@ -158,28 +181,41 @@ class OrbitMatrices:
         return hashlib.sha256(body).hexdigest()
 
 
-def _alpha_floor_ratio(orbit: Orbit, a: int, p: int) -> int:
-    """Product over slots of floor(p^(a+1) n_t)! / floor(p^a n_t)!."""
+def _ratio_or_zero(a: int, b: int, p: int, cap: int) -> int:
+    """a!/b!, or 0 when a - b >= p·cap.  Every p consecutive integers hold
+    a multiple of p, so a!/b! is then divisible by p^cap, and a coefficient
+    p^scaling·(a!/b!)/p^i with cap = N + i - scaling vanishes mod p^N."""
+    return 0 if a - b >= p * max(cap, 0) else factorial_ratio(a, b)
+
+
+def _alpha_floor_ratio(orbit: Orbit, a: int, p: int, cap: int) -> int:
+    """Product over slots of floor(p^(a+1) n_t)! / floor(p^a n_t)!, or 0
+    when one factor is divisible by p^cap (`_ratio_or_zero`)."""
     out = 1
     for _, frac in orbit.alpha.entries:
-        out *= factorial_ratio(frac.floor(p, a + 1), frac.floor(p, a))
+        out *= _ratio_or_zero(frac.floor(p, a + 1), frac.floor(p, a), p, cap)
     return out
 
 
 def build_orbit_matrices(params: TruncationParams, trunc: OrbitTruncation) -> OrbitMatrices:
-    """Exact integer coefficients of the truncated orbit complexes.
+    """Exact integer coefficients of the truncated orbit complexes, reduced
+    mod p^N.
 
     The divided Frobenius coefficient at level a is the product of the
     degree scaling p^(nygaard exponent), the floor-factorial ratios picked
     up when rewriting in terms of the level-(a+1) generators, and (in
     degree 1) one extra factor of p from dlog(x^p) = p dlog x, all divided
-    exactly by p^i.
+    exactly by p^i.  A coefficient whose factorial ratios are long enough
+    to make it vanish mod p^N is 0 without forming the product
+    (`_ratio_or_zero`); every other one is formed exactly and checked for
+    divisibility by p^i.
     """
     trunc.validate(params)
     p, e, i = params.p, params.e, params.i
     orbit = trunc.orbit
     n = trunc.A + 1
-    modulus = p**trunc.N
+    N = trunc.N
+    modulus = p**N
 
     u = [nygaard_exponents(params, p**a * orbit.m, orbit.alpha.floor_l1(p, a)) for a in range(n)]
     braces = [brace(p**a * orbit.m, e) for a in range(n)]
@@ -193,13 +229,15 @@ def build_orbit_matrices(params: TruncationParams, trunc: OrbitTruncation) -> Or
     pi = p**i
     for a in range(trunc.A):
         m_a = p**a * orbit.m
-        ratio_alpha = _alpha_floor_ratio(orbit, a, p)
-        r0 = ratio_alpha * factorial_ratio((p * m_a) // e, m_a // e)
+        # caps of the degree-0 scaling p^u0 and the degree-1 one p^(u1+1)
+        cap0, cap1 = N + i - u[a][0], N + i - u[a][1] - 1
+        ratio_alpha = _alpha_floor_ratio(orbit, a, p, max(cap0, cap1))
+        r0 = ratio_alpha * _ratio_or_zero((p * m_a) // e, m_a // e, p, cap0)
         num0 = p ** u[a][0] * r0
         if num0 % pi:
             raise ArithmeticError("degree-0 Frobenius coefficient not divisible by p^i")
         frob0.append((num0 // pi) % modulus)
-        r1 = ratio_alpha * factorial_ratio((p * m_a - 1) // e, (m_a - 1) // e)
+        r1 = ratio_alpha * _ratio_or_zero((p * m_a - 1) // e, (m_a - 1) // e, p, cap1)
         num1 = p ** (u[a][1] + 1) * r1
         if num1 % pi:
             raise ArithmeticError("degree-1 Frobenius coefficient not divisible by p^i")
@@ -207,6 +245,20 @@ def build_orbit_matrices(params: TruncationParams, trunc: OrbitTruncation) -> Or
 
     u1 = [u[a][1] for a in range(n)]
     return OrbitMatrices(n, modulus, diff_nygaard, diff_full, can0, can1, frob0, frob1, u1)
+
+
+def base_and_grown_matrices(
+    params: TruncationParams, trunc: OrbitTruncation
+) -> tuple[OrbitMatrices, OrbitMatrices]:
+    """The matrices at `trunc` and at its grown truncation (A+1, N'), from
+    one build at the grown one.  A level's coefficients do not depend on
+    the truncation, so the base matrices are the grown ones on levels
+    0..A, without the Frobenius entry that leaves level A, reduced mod p^N
+    (`OrbitMatrices.truncated`): a direct build at `trunc` gives the same
+    lists.  Both truncations are validated."""
+    trunc.validate(params)
+    grown = build_orbit_matrices(params, trunc.grown(params))
+    return grown.truncated(trunc.A, params.p**trunc.N), grown
 
 
 @dataclass
@@ -293,19 +345,21 @@ def fiber_cohomology(
 def oracle_cohomology(params: TruncationParams, trunc: OrbitTruncation) -> dict[int, tuple[int, ...]]:
     """Cohomology of the truncated fiber complex as p-power exponents per
     degree, rechecked at the grown truncation (`OrbitTruncation.grown`:
-    A -> A+1, N -> max(N+2, i*(A+2)+5)).  Only exponents are read, so
-    neither fiber builds a transform beyond the kernel's V⁻¹."""
-    result = fiber_cohomology(params, trunc, ()).exponents(params.p)
-    _check_stability(params, trunc, result)
+    A -> A+1, N -> max(N+2, i*(A+2)+5)).  Both fibers come from one build
+    (`base_and_grown_matrices`).  Only exponents are read, so neither fiber
+    builds a transform beyond the kernel's V⁻¹."""
+    base, grown = base_and_grown_matrices(params, trunc)
+    result = FiberCohomology.of(base, params.p, ()).exponents(params.p)
+    _check_stability(params.p, grown, result)
     return result
 
 
-def _check_stability(
-    params: TruncationParams, trunc: OrbitTruncation, result: dict[int, tuple[int, ...]]
-) -> None:
-    """Raise unless the grown truncation (A+1, max(N+2, i*(A+2)+5)) gives
-    the same exponents."""
-    again = fiber_cohomology(params, trunc.grown(params), ()).exponents(params.p)
+def _check_stability(p: int, grown: OrbitMatrices, result: dict[int, tuple[int, ...]]) -> None:
+    """Raise unless the matrices at the grown truncation (A+1,
+    max(N+2, i*(A+2)+5)) give the same exponents.  The base fiber's
+    matrices are those of `grown` cut back to levels 0..A and reduced, but
+    its complex is a different one: eliminating both is the check."""
+    again = FiberCohomology.of(grown, p, ()).exponents(p)
     if again != result:
         raise TruncationInstabilityError(
             f"cohomology changed under truncation growth: {result} vs {again}"
@@ -477,18 +531,22 @@ class TransitionOracle:
         """The f -> e map on N^1 (+) D^0, applied to the level-f generator.
 
         Its diagonal coefficients are p^(u1_f - u1_e)·((m_a-1)//e)!/((m_a-1)//f)!
-        on N^1 and (m_a//e)!/(m_a//f)! on D^0.
+        on N^1 and (m_a//e)!/(m_a//f)! on D^0.  A coefficient whose ratio
+        makes it vanish mod p^N is 0 without forming the product
+        (`_ratio_or_zero`); every other one is formed exactly, and the N^1
+        one is checked for divisibility by p^(u1_e).
         """
-        p, q = self.p, self.p**self.N
+        p, N = self.p, self.N
+        q = p**N
         gen = lv_f.generator
         n = self.A + 1
         image = [0] * (2 * n)
         for a, (m_a, u1_e, u1_f) in enumerate(zip(self._m, lv_e.matrices.u1, lv_f.matrices.u1)):
-            num = p**u1_f * factorial_ratio((m_a - 1) // e, (m_a - 1) // f)
+            num = p**u1_f * _ratio_or_zero((m_a - 1) // e, (m_a - 1) // f, p, N + u1_e - u1_f)
             if num % p**u1_e:
                 raise ArithmeticError("transition coefficient not divisible by target scaling")
             image[a] = (num // p**u1_e) * gen[a] % q
-            image[n + a] = factorial_ratio(m_a // e, m_a // f) * gen[n + a] % q
+            image[n + a] = _ratio_or_zero(m_a // e, m_a // f, p, N) * gen[n + a] % q
         return image
 
     def valuation(self, e: int, f: int) -> int:
@@ -526,16 +584,19 @@ def verify_orbit(params: TruncationParams, summand, trunc: OrbitTruncation | Non
     stability, and kernel-generator certification when s >= 1.
 
     `trunc` defaults to `default_truncation(params, summand.orbit)`.  The
-    fiber cohomology is computed once at `trunc`, with the U transform the
-    kernel certificate reads, and once at the grown truncation of the
-    stability recheck, with no quotient transforms; both kernels of d1
-    build V⁻¹ only, each d1 is eliminated once, and each degree-0
-    certificate is read from its fiber's H^1 elimination."""
+    matrices are built once, at the grown truncation of the stability
+    recheck, and the base ones are cut from them (`base_and_grown_matrices`).
+    The fiber cohomology is computed at `trunc`, with the U transform the
+    kernel certificate reads, and at the grown truncation, with no quotient
+    transforms; both kernels of d1 build V⁻¹ only, each d1 is eliminated
+    once, and each degree-0 certificate is read from its fiber's H^1
+    elimination."""
     if trunc is None:
         trunc = default_truncation(params, summand.orbit)
-    fc = fiber_cohomology(params, trunc, ("U",))
+    base, grown = base_and_grown_matrices(params, trunc)
+    fc = FiberCohomology.of(base, params.p, ("U",))
     exps = fc.exponents(params.p)
-    _check_stability(params, trunc, exps)
+    _check_stability(params.p, grown, exps)
     h = summand.module.h
     degree_match = (
         exps[0] == ()

@@ -39,7 +39,11 @@ of its matrix, so the cokernel of the same matrix needs no second
 elimination.
 
 The pivot search looks for a unit first, in row-major order, and
-computes p-valuations only when the remaining block has none.
+computes p-valuations only when the remaining block has none.  The
+elimination itself is row operations: they read only the nonzero columns
+of the pivot row, V⁻¹ is read off the reduced pivot rows, and the column
+operations that clear each pivot row run on V alone, only when V is built
+(see `smith_mod_prime_power`).
 """
 
 from __future__ import annotations
@@ -113,17 +117,26 @@ def smith_mod_prime_power(
 
     Each step pivots on an entry of least p-valuation v (`_pivot`) and
     scales its row so the pivot is p^v.  Every entry of the remaining block
-    is then divisible by p^v, so the row operations below the pivot and the
-    column operations right of it stay inside Z/q.
+    is then divisible by p^v, so the row operations below the pivot stay
+    inside Z/q; they read only the nonzero columns of the pivot row.
+    Column operations col_j -= f·col_t, f = A[t][j]/p^v, would then clear
+    row t.  They touch no other row, and no later step reads row t, so
+    they are applied to V alone, and only when V is built.  They would add
+    f times row j of V⁻¹ to its row t, and rows j > t are still the unit
+    vectors of the column permutation at step t, so row t of V⁻¹ is the
+    scaled pivot row divided by p^v, read at the original columns.  Rows
+    past the last pivot are the unit vectors of the final permutation.
     """
     rows = len(M)
     cols = len(M[0]) if rows else 0
     A = [[a % q for a in row] for row in M]
     # V changes by column operations, so it is kept transposed (one list
-    # per column) and transposed back at the end
+    # per column) and transposed back at the end; orig[j] is the column of
+    # M now at position j
     U = eye(rows) if "U" in transforms else None
     VT = eye(cols) if "V" in transforms else None
-    Vinv = eye(cols) if "Vinv" in transforms else None
+    Vinv = [] if "Vinv" in transforms else None
+    orig = list(range(cols))
     divisors = [q] * rows
 
     for t in range(min(rows, cols)):
@@ -136,34 +149,37 @@ def smith_mod_prime_power(
             if U is not None:
                 U[pi], U[t] = U[t], U[pi]
         if pj != t:
-            for r in range(rows):
+            for r in range(t, rows):
                 A[r][pj], A[r][t] = A[r][t], A[r][pj]
+            orig[pj], orig[t] = orig[t], orig[pj]
             if VT is not None:
                 VT[pj], VT[t] = VT[t], VT[pj]
-            if Vinv is not None:
-                Vinv[pj], Vinv[t] = Vinv[t], Vinv[pj]
         pk = p**v
         uinv = pow(A[t][t] // pk, -1, q)
-        A[t] = [a * uinv % q for a in A[t]]
+        prow = A[t] = [a * uinv % q for a in A[t]]
+        nz = [j for j in range(t, cols) if prow[j]]
         if U is not None:
             U[t] = [a * uinv % q for a in U[t]]
         for i in range(t + 1, rows):
-            if A[i][t]:
-                f = A[i][t] // pk
-                A[i] = [(a - f * b) % q for a, b in zip(A[i], A[t])]
+            row = A[i]
+            if row[t]:
+                f = row[t] // pk
+                for j in nz:
+                    row[j] = (row[j] - f * prow[j]) % q
                 if U is not None:
                     U[i] = [(a - f * b) % q for a, b in zip(U[i], U[t])]
-        # column t now holds only the pivot, so col_j -= f * col_t clears
-        # row t and touches no other row; Vinv's row t gains f * its row j
-        for j in range(t + 1, cols):
-            if A[t][j]:
-                f = A[t][j] // pk
-                A[t][j] = 0
-                if VT is not None:
-                    VT[j] = [(a - f * b) % q for a, b in zip(VT[j], VT[t])]
-                if Vinv is not None:
-                    Vinv[t] = [(a + f * b) % q for a, b in zip(Vinv[t], Vinv[j])]
+        if VT is not None:
+            for j in nz[1:]:
+                f = prow[j] // pk
+                VT[j] = [(a - f * b) % q for a, b in zip(VT[j], VT[t])]
+        if Vinv is not None:
+            vrow = [0] * cols
+            for j in nz:
+                vrow[orig[j]] = prow[j] // pk
+            Vinv.append(vrow)
         divisors[t] = pk
+    if Vinv is not None:
+        Vinv += [[0] * j + [1] + [0] * (cols - 1 - j) for j in orig[len(Vinv) :]]
     V = None if VT is None else [list(r) for r in zip(*VT)]
     return divisors, U, V, Vinv
 
@@ -179,11 +195,12 @@ class KernelLattice:
     nothing, and only the coordinates with t_j < q are kept.  Their
     columns `basis` = V·diag(t) span K modulo q·Z^n (a dropped column
     V_j·q is ≡ 0), `t` holds their t_j, and `dim` counts them; the
-    coordinates of x in K are y_j/t_j, each defined modulo q/t_j.  V⁻¹ is
-    kept as its list of columns, each holding the kept rows first and the
-    dropped ones after: `solve` still checks that the dropped coordinates
-    of x vanish mod q.  `basis` is None when V was not built, and
-    `_Vinv_cols` when V⁻¹ was not.  `divisors` are all the elementary
+    coordinates of x in K are y_j/t_j, each defined modulo q/t_j.  V⁻¹,
+    whose rows are the reduced pivot rows of the elimination and unit
+    vectors past them, is kept as its list of columns, each holding the
+    kept rows first and the dropped ones after: `solve` still checks that
+    the dropped coordinates of x vanish mod q.  `basis` is None when V was
+    not built, and `_Vinv_cols` when V⁻¹ was not.  `divisors` are all the elementary
     divisors of M over Z/q, one per row, from the same elimination.
     """
 

@@ -33,6 +33,7 @@ from trcalc.oracle import (
     verify_orbit,
 )
 from trcalc.padic import MultiIndex, PAdicFraction, brace, factorial_ratio, vp
+from trcalc.prosystem import ml_bound, transition_valuation
 from trcalc.snf import (
     ClassFunctional,
     QuotientPresentation,
@@ -44,7 +45,7 @@ from trcalc.snf import (
     quotient,
     smith_mod_prime_power,
 )
-from trcalc.syntomic import Orbit, h1_syntomic_orbit
+from trcalc.syntomic import AlphaBounds, Orbit, enumerate_alphas, h1_syntomic_orbit
 
 EMPTY = MultiIndex()
 
@@ -308,10 +309,10 @@ def test_verify_orbit_passes():
 
 
 def test_verify_orbit_builds_base_and_grown_truncation_once(monkeypatch):
-    # exponents, matrix hash and kernel certificate share the base build;
-    # the stability recheck adds the one build at (A+1, N+2), each fiber's
-    # d0 serves both H^1 and the degree-0 certificate, and the base d1
-    # serves both H^1 and the kernel certificate
+    # one build at (A+1, N+2) serves both fibers: the base matrices are cut
+    # from it and equal a direct build at (A, N), hash included; each
+    # fiber's d0 serves both H^1 and the degree-0 certificate, and the base
+    # d1 serves both H^1 and the kernel certificate
     built, d0_built, d1_built = [], [], []
     real = oracle_module.build_orbit_matrices
     real_d0 = oracle_module.OrbitMatrices.fiber_d0
@@ -336,25 +337,61 @@ def test_verify_orbit_builds_base_and_grown_truncation_once(monkeypatch):
     cert = verify_orbit(params, h1_syntomic_orbit(params, Orbit(1)))
     assert cert.s >= 1 and cert.kernel_ok
     base = default_truncation(params, Orbit(1))
-    assert built == [base, OrbitTruncation(Orbit(1), base.A + 1, base.N + 2)]
+    assert built == [OrbitTruncation(Orbit(1), base.A + 1, base.N + 2)]
     assert d0_built == [base.A + 1, base.A + 2]
     assert d1_built == [base.A + 1, base.A + 2]
+    direct = real(params, base)
+    cut, grown = oracle_module.base_and_grown_matrices(params, base)
+    assert cut == direct and cert.matrices_hash == direct.content_hash()
+    assert grown == real(params, base.grown(params))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from((2, 3, 5)),
+    st.integers(0, 5),
+    st.integers(1, 12),
+    st.integers(1, 40),
+    st.booleans(),
+    st.integers(0, 2),
+)
+def test_base_matrices_cut_from_the_grown_build_equal_a_direct_build(p, i, e, m, one_over_p, extra):
+    # a level's coefficients do not depend on the truncation, so cutting
+    # the grown build back to (A, N) gives the lists a build at (A, N) gives
+    if e % p == 0 or m % p == 0:
+        return
+    alpha = MultiIndex.from_dict({"t": PAdicFraction.make(1, 1, p)}) if one_over_p else EMPTY
+    params = TruncationParams(p, e, i)
+    A = default_truncation(params, Orbit(m, alpha)).A + extra
+    base = OrbitTruncation(Orbit(m, alpha), A, i * (A + 1) + 5 + extra)
+    cut, grown = oracle_module.base_and_grown_matrices(params, base)
+    assert cut == build_orbit_matrices(params, base)
+    assert grown == build_orbit_matrices(params, base.grown(params))
+
+
+def test_base_and_grown_matrices_validate_the_base_truncation():
+    params = TruncationParams(3, 2, 1)
+    for trunc in (OrbitTruncation(Orbit(1), A=1, N=40), OrbitTruncation(Orbit(1), A=4, N=5)):
+        with pytest.raises(ValueError):
+            oracle_module.base_and_grown_matrices(params, trunc)
 
 
 def test_verify_orbit_rejects_unstable_truncation(monkeypatch):
+    # the grown fiber is injected where the two truncations part: at their
+    # one build, the base is m=1's and the grown one is m=5's, so the
+    # recheck must see a change
     params = TruncationParams(2, 3, 2)
-    base = default_truncation(params, Orbit(1))
-    real = oracle_module.fiber_cohomology
+    real = oracle_module.base_and_grown_matrices
 
-    def other_orbit_when_grown(params, trunc, transforms):
-        # orbit m=5 has h=1 where m=1 has h=3, so the recheck must see a change
-        if trunc != base:
-            trunc = OrbitTruncation(Orbit(5), trunc.A, trunc.N)
-        return real(params, trunc, transforms)
+    def other_orbit_when_grown(params, trunc):
+        other = OrbitTruncation(Orbit(5), trunc.A, trunc.N)
+        return real(params, trunc)[0], real(params, other)[1]
 
-    monkeypatch.setattr(oracle_module, "fiber_cohomology", other_orbit_when_grown)
+    monkeypatch.setattr(oracle_module, "base_and_grown_matrices", other_orbit_when_grown)
     with pytest.raises(TruncationInstabilityError):
         verify_orbit(params, h1_syntomic_orbit(params, Orbit(1)))
+    with pytest.raises(TruncationInstabilityError):
+        oracle_cohomology(params, default_truncation(params, Orbit(1)))
 
 
 def test_verify_orbit_pinned_truncation_matches_cli_job():
@@ -621,6 +658,122 @@ def test_transition_valuation_matches_dense_witness():
                         assert oc.valuation(e, f) == _dense_witness_valuation(oc, e, f, dense[e], dense[f])
                         checked += 1
     assert checked > 100
+
+
+def test_transition_formula_at_the_ml_bound():
+    # the pairs (e, f0) with f0 = ml_bound(e), far past criterion 5's
+    # levels: p <= 5, i <= 3, 2 <= e < 16 prime to p, alpha empty or t^(1/p),
+    # every orbit m <= i*e; f0 reaches 15,626
+    checked = 0
+    for p in (2, 3, 5):
+        alphas = [EMPTY, MultiIndex.from_dict({"t": PAdicFraction.make(1, 1, p)})]
+        for i, e, alpha in itertools.product((1, 2, 3), range(2, 16), alphas):
+            if e % p == 0:
+                continue
+            params = TruncationParams(p, e, i)
+            for m in range(1, i * e + 1):
+                if m % p == 0:
+                    continue
+                orbit = Orbit(m, alpha)
+                f0 = ml_bound(params, m)
+                sm_e, sm_f = h1_syntomic_orbit(params, orbit), h1_syntomic_orbit(TruncationParams(p, f0, i), orbit)
+                v = transition_valuation(p, e, f0, sm_e, sm_f)
+                if v is None:
+                    assert sm_e.module.h == 0
+                    continue
+                assert sm_e.module.h and sm_f.module.h
+                oc = TransitionOracle(p, i, orbit, [e, f0])
+                assert oc.h_exponent(e) == sm_e.module.h
+                assert oc.valuation(e, f0) == min(v, sm_e.module.h)
+                checked += 1
+    assert checked == 1612
+
+
+def test_two_slot_fiber_cohomology_matches_the_closed_form():
+    # both slots of alpha nonzero, each 1 or 1/p, on p up to 11: every orbit
+    # m <= i*e, trivial ones included, has the closed form's H^1 and
+    # nothing in degrees 0 and 2
+    checked = nontrivial = 0
+    for p in (2, 3, 5, 7, 11):
+        alphas = [a for a in enumerate_alphas(AlphaBounds(("s", "t"), 1, 1), p) if len(a.entries) == 2]
+        for i, e, alpha in itertools.product((1, 2, 3), range(1, 8), alphas):
+            if e % p == 0:
+                continue
+            params = TruncationParams(p, e, i)
+            for m in range(1, i * e + 1):
+                if m % p == 0:
+                    continue
+                orbit = Orbit(m, alpha)
+                h = h1_syntomic_orbit(params, orbit).module.h
+                exps = fiber_cohomology(params, default_truncation(params, orbit), ()).exponents(p)
+                assert exps == {0: (), 1: (h,) if h else (), 2: ()}
+                checked += 1
+                nontrivial += h > 0
+    assert (checked, nontrivial) == (2124, 827)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from((2, 3, 5, 7)),
+    st.integers(0, 60),
+    st.integers(-2, 8),
+    st.sampled_from(("below", "at", "above", "small")),
+    st.integers(0, 40),
+)
+def test_ratio_or_zero_is_the_factorial_ratio_mod_p_cap(p, b, cap, where, extra):
+    # a - b = p·cap - 1 is formed exactly, a - b = p·cap and beyond is 0,
+    # and either way the value is a!/b! mod p^cap
+    k = max(cap, 0)
+    length = {"below": p * k - 1, "at": p * k, "above": p * k + extra, "small": extra % (p * k + 1)}[where]
+    if length < 0:
+        return
+    a = b + length
+    got = oracle_module._ratio_or_zero(a, b, p, cap)
+    exact = factorial_ratio(a, b)
+    assert got == (0 if length >= p * k else exact)
+    assert got % p**k == exact % p**k
+
+
+def _exact_frobenius(params, trunc):
+    """The divided Frobenius lists with every factorial ratio formed
+    exactly, then reduced mod p^N."""
+    p, e, i = params.p, params.e, params.i
+    orbit, q = trunc.orbit, p**trunc.N
+    frob0, frob1 = [], []
+    for a in range(trunc.A):
+        m_a = p**a * orbit.m
+        u0, u1 = nygaard_exponents(params, m_a, orbit.alpha.floor_l1(p, a))
+        r = math.prod(factorial_ratio(f.floor(p, a + 1), f.floor(p, a)) for _, f in orbit.alpha.entries)
+        frob0.append(p**u0 * r * factorial_ratio(p * m_a // e, m_a // e) // p**i % q)
+        frob1.append(p ** (u1 + 1) * r * factorial_ratio((p * m_a - 1) // e, (m_a - 1) // e) // p**i % q)
+    return frob0, frob1
+
+
+def test_frobenius_coefficients_equal_the_exact_products(monkeypatch):
+    # the coefficients that skip the product read 0, as the exact product
+    # reduced mod p^N does; the grid takes both paths
+    skipped = []
+    real = oracle_module._ratio_or_zero
+
+    def recording(a, b, p, cap):
+        skipped.append(a - b >= p * max(cap, 0))
+        return real(a, b, p, cap)
+
+    monkeypatch.setattr(oracle_module, "_ratio_or_zero", recording)
+    for p in (2, 3, 5):
+        alphas = [EMPTY, MultiIndex.from_dict({"t": PAdicFraction.make(1, 1, p)})]
+        for i, e, alpha in itertools.product((1, 2, 3), range(2, 8), alphas):
+            if e % p == 0:
+                continue
+            params = TruncationParams(p, e, i)
+            for m in range(1, i * e + 1):
+                if m % p == 0:
+                    continue
+                base = default_truncation(params, Orbit(m, alpha))
+                for trunc in (base, base.grown(params)):
+                    mats = build_orbit_matrices(params, trunc)
+                    assert (mats.frob0, mats.frob1) == _exact_frobenius(params, trunc)
+    assert any(skipped) and not all(skipped)
 
 
 def test_transition_image_outside_the_kernel_is_refused(monkeypatch):

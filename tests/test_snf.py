@@ -324,3 +324,60 @@ def test_generators_have_the_divisors_of_their_scaled_coordinates(case, seed):
     assert _divisors_below(scaled, p, q) == _divisors_below(L, p, q)
     if all(t == 1 for t in K.t):
         assert [d for d in Q.divisors if d < q] == _divisors_below(L, p, q)
+
+
+def _structured_matrix(rng, p, N, rows, cols):
+    """P·D·Q with P, Q random and D diagonal, its entries p^k (k <= N + 1)
+    or 0: the pivots are often not units, and a rank below min(rows, cols)
+    leaves a remaining block that vanishes mod p^N."""
+    r = min(rows, cols)
+    diag = [rng.choice([0, 1, 1, p**rng.randint(1, N + 1)]) for _ in range(r)]
+    P = _random_matrix(rng, rows, r, bound=2 * p)
+    Q = _random_matrix(rng, r, cols, bound=2 * p)
+    return witness.mat_mul(P, [[d * x for x in row] for d, row in zip(diag, Q)])
+
+
+def test_mod_prime_power_snf_on_shapes_the_oracle_never_builds():
+    # larger and more degenerate than the oracle's fibers: random shapes up
+    # to 9x18 and 18x9 over p in {2, 3, 5}; each call returns transforms
+    # that reconstruct diag(divisors), V⁻¹ inverts V on both sides, every
+    # reduced transforms tuple matches the full call, and the kernel's
+    # solve agrees with the witness's
+    rng = random.Random(20261018)
+    seen = {"non-unit pivot": 0, "zero block": 0, "rows > cols": 0, "cols > rows": 0}
+    for _ in range(120):
+        p = rng.choice((2, 3, 5))
+        N = rng.randint(1, 5)
+        q = p**N
+        rows, cols = rng.randint(1, 9), rng.randint(1, 9)
+        if rng.random() < 0.5:
+            rows, cols = (2 * rows, cols) if rng.random() < 0.5 else (rows, 2 * cols)
+        M = _structured_matrix(rng, p, N, rows, cols)
+        divisors, U, V, Vinv = smith_mod_prime_power(M, p, q)
+        r = min(rows, cols)
+        seen["non-unit pivot"] += any(1 < d < q for d in divisors[:r])
+        seen["zero block"] += q in divisors[:r]
+        seen["rows > cols"] += rows > cols
+        seen["cols > rows"] += cols > rows
+
+        assert divisors == _reduced_divisors(witness.smith_normal_form(M).diagonal, rows, p, N)
+        D = [[divisors[i] % q if i == j else 0 for j in range(cols)] for i in range(rows)]
+        assert _mod(witness.mat_mul(witness.mat_mul(U, M), V), q) == D
+        assert _mod(witness.mat_mul(V, Vinv), q) == eye(cols)
+        assert _mod(witness.mat_mul(Vinv, V), q) == eye(cols)
+        full = {"U": U, "V": V, "Vinv": Vinv}
+        for transforms in ((), ("U",), ("V",), ("Vinv",), ("U", "V"), ("U", "Vinv"), ("V", "Vinv")):
+            reduced = smith_mod_prime_power(M, p, q, transforms)
+            assert reduced[0] == divisors
+            for name, got in zip(("U", "V", "Vinv"), reduced[1:]):
+                assert got == (full[name] if name in transforms else None)
+
+        K, W = kernel_mod(M, p, q), witness.kernel_mod(M, q)
+        xs = columns(W.basis) + [_random_matrix(rng, 1, cols, bound=q)[0] for _ in range(3)]
+        for x in xs:
+            in_kernel = all(v % q == 0 for v in witness.mat_vec(M, x))
+            y = K.solve(x)
+            assert (y is not None) == (W.solve(x) is not None) == in_kernel
+            if in_kernel:
+                assert [v % q for v in witness.mat_vec(K.basis, y)] == [v % q for v in x]
+    assert all(seen.values()), seen
