@@ -24,7 +24,7 @@ from .prosystem import (
     nontrivial_towers,
     stabilized_images,
     tr_groups,
-    transition_valuation,
+    transition_valuations,
 )
 from .report import Report, emit_report, format_alpha
 from .syntomic import AlphaBounds, enumerate_orbits, orbit_summands
@@ -191,10 +191,11 @@ def _run_transition(spec: JobSpec, report: Report) -> int:
     e = levels[0]
     sources = [f for f in levels[1:] if f % spec.p]
     for sm in enumerate_orbits(TruncationParams(spec.p, e, spec.i), spec.bounds):
-        # h_e >= 1 forces s_e >= 1 and e not dividing m, so v is never None
+        # h_e >= 1 forces s_e >= 1 and e not dividing m, so vals is never None
         h_e = sm.module.h
-        for f, sm_f in zip(sources, orbit_summands(spec.p, spec.i, sm.orbit, sources)):
-            v = transition_valuation(spec.p, e, f, sm, sm_f)
+        sms_f = orbit_summands(spec.p, spec.i, sm.orbit, sources)
+        vals = transition_valuations(spec.p, e, sm, sources, sms_f)
+        for f, sm_f, v in zip(sources, sms_f, vals):
             h_f = sm_f.module.h
             report.add_orbit(
                 m=sm.orbit.m,

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 
-from .drw import Orbit, TruncationParams, degree1_walk, nygaard_exponents
+from .drw import Orbit, TruncationParams, degree1_walk, degree1_walks, nygaard_exponents
 from .padic import Prime, brace, factorial_ratio, vp
 from .snf import (
     ClassFunctional,
@@ -79,8 +79,13 @@ class OrbitTruncation:
 
 def default_truncation(params: TruncationParams, orbit: Orbit) -> OrbitTruncation:
     """A = s + 2 and N = i*(A+1) + 8."""
-    A = len(degree1_walk(params, orbit.m, orbit.alpha)) + 2
-    return OrbitTruncation(orbit, A, params.i * (A + 1) + 8)
+    return _truncation_for_walk(orbit, params.i, len(degree1_walk(params, orbit.m, orbit.alpha)))
+
+
+def _truncation_for_walk(orbit: Orbit, i: int, s: int) -> OrbitTruncation:
+    """`default_truncation` in weight i at a level where the orbit's walk has length s."""
+    A = s + 2
+    return OrbitTruncation(orbit, A, i * (A + 1) + 8)
 
 
 @dataclass
@@ -462,7 +467,8 @@ class TransitionOracle:
     one orbit.
 
     All levels share one (A, N), the `default_truncation` of the level
-    with the longest walk, so the transition matrices line up levelwise.
+    with the longest walk, read from one `degree1_walks` call over the
+    levels, so the transition matrices line up levelwise.
     Each level's work is done once, on first use (`TransitionLevel`): the
     fiber cohomology, h_e, the degree-1 Nygaard exponents, a generator of
     H^1 and the class functional of H^1.
@@ -493,9 +499,12 @@ class TransitionOracle:
         orbit.validate(p)
         if any(lv % p == 0 for lv in levels):
             raise ValueError("levels must be coprime to p")
+        if i < 0 or not levels or min(levels) < 1:
+            raise ValueError("need a weight i >= 0 and at least one level, each >= 1")
         self.p, self.i, self.orbit = p, i, orbit
         self.levels = sorted(levels)
-        trunc = max((default_truncation(self.params(lv), orbit) for lv in self.levels), key=lambda t: t.A)
+        walks = degree1_walks(p, i, orbit.m, orbit.alpha, self.levels)
+        trunc = _truncation_for_walk(orbit, i, max(len(walk) for walk in walks))
         self.A, self.N = trunc.A, trunc.N
         self._m = [p**a * orbit.m for a in range(self.A + 1)]
         self._cache: dict[int, TransitionLevel] = {}

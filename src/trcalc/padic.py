@@ -1,9 +1,10 @@
 """Exact p-adic arithmetic on naturals and p-power-denominator fractions.
 
-Everything here is plain arbitrary-precision integer arithmetic: valuations,
-factorial ratios computed as range products, and the two combinatorial
-gadgets the rest of the package is built from -- fractions n/p^a in N[1/p]
-and finitely supported multi-indices of such fractions.
+Everything here is plain arbitrary-precision integer arithmetic: valuations
+(of factorials by Legendre's formula), factorial ratios computed as range
+products, and the two combinatorial gadgets the rest of the package is
+built from -- fractions n/p^a in N[1/p] and finitely supported
+multi-indices of such fractions.
 """
 
 from __future__ import annotations
@@ -48,6 +49,18 @@ def vp(n: int, p: int) -> int:
         a += 1
         n //= p
     return a
+
+
+def vp_factorial(n: int, p: int) -> int:
+    """v_p(n!) for n >= 0 by Legendre's formula, the sum over k >= 1 of
+    floor(n / p^k), without forming n!."""
+    if n < 0:
+        raise ValueError(f"vp_factorial needs n >= 0, got n={n}")
+    v = 0
+    while n:
+        n //= p
+        v += n
+    return v
 
 
 def factorial_ratio(a: int, b: int) -> int:

@@ -12,16 +12,22 @@ A tower's summands come from one walk over its levels
 per tower, and `nontrivial_towers` builds a window's towers with one walk
 per candidate orbit.  `stabilized_images` reads every source from the
 tower: its levels must be every level coprime to p from its least one up
-to the probe, and sources start at level 2.  The summand cache of
+to the probe, and sources start at level 2.  Valuations are computed one
+target level at a time (`transition_valuations`): the target's terms are
+read once and each source adds its own, with v_p of factorials taken by
+Legendre's formula; `transition_valuation` is its one-source case.  The
+sweep passes p, the levels and the weight as plain ints, checked once per
+tower, and builds no `TruncationParams`.  The summand cache of
 `h1_syntomic_orbit` serves the pair queries of `tr_valuation`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .drw import TruncationParams
-from .padic import Prime, ceil_div, factorial_ratio, vp
+from .padic import Prime, ceil_div, vp_factorial
 from .syntomic import AlphaBounds, Orbit, SyntomicSummand, h1_syntomic_orbit, nontrivial_orbits, orbit_summands
 
 
@@ -40,28 +46,49 @@ class ClassificationRefusedError(Exception):
         self.orders = orders
 
 
-def transition_valuation(p: int, e: int, f: int, sm_e: SyntomicSummand, sm_f: SyntomicSummand) -> int | None:
-    """Closed-form p-valuation of the transition map from truncation f down
-    to e on one orbit, given the orbit's summands at both levels.
+def transition_valuations(
+    p: int, e: int, sm_e: SyntomicSummand, fs: Sequence[int], sms_f: Sequence[SyntomicSummand]
+) -> list[int] | None:
+    """Closed-form p-valuations of the transition maps into truncation e
+    from each source f of fs (f >= e) on one orbit, given the orbit's
+    summand at e and at each source.
 
     Returns None in the degenerate case s_e = 0 or e | m, where the target
-    group is trivial and the map is zero.  The unit factor is not tracked.
+    group is trivial and every map is zero.  The unit factor is not
+    tracked.
 
     The valuation tracks the generator coordinate at level s_e - 1, where
-    both kernel generators are supported: factorial-ratio valuation, plus
-    the difference of ceiling exponents at j = s_e - 1, plus the source
-    generator's scaling at level s_e - 1 (s_f >= s_e), the sum of the
-    level-f degree-1 exponents over j in [s_e, s_f).  Starting that sum one
-    step earlier would double count the j = s_e - 1 term, as the
-    brute-force oracle confirms.
+    both kernel generators are supported: the factorial-ratio valuation
+    v_p(((m1-1)//e)! / ((m1-1)//f)!) with m1 = p^(s_e-1) m, plus the
+    difference of ceiling exponents ceil(m1/e) - ceil(m1/f), plus the
+    source generator's scaling at level s_e - 1 (s_f >= s_e), the sum of
+    the level-f degree-1 exponents over j in [s_e, s_f).  Starting that sum
+    one step earlier would double count the j = s_e - 1 term, as the
+    brute-force oracle confirms.  The target's terms, m1, ceil(m1/e) and
+    v_p(((m1-1)//e)!), are read once; each source adds its own by
+    Legendre's formula (`vp_factorial`), without forming the ratio.
     """
-    m = sm_e.orbit.m
-    if sm_e.s == 0 or m % e == 0:
+    if len(fs) != len(sms_f):
+        raise ValueError(f"{len(fs)} sources but {len(sms_f)} summands")
+    m, s_e = sm_e.orbit.m, sm_e.s
+    if s_e == 0 or m % e == 0:
         return None
-    m1 = p ** (sm_e.s - 1) * m
-    v = vp(factorial_ratio((m1 - 1) // e, (m1 - 1) // f), p)
-    v += ceil_div(m1, e) - ceil_div(m1, f)
-    return v + sm_f.generator_exponents[sm_f.s - sm_e.s]
+    m1 = p ** (s_e - 1) * m
+    base = vp_factorial((m1 - 1) // e, p) + ceil_div(m1, e)
+    out = []
+    for f, sm_f in zip(fs, sms_f):
+        if f < e:
+            raise ValueError(f"need f >= e, got e={e}, f={f}")
+        out.append(base - vp_factorial((m1 - 1) // f, p) - ceil_div(m1, f) + sm_f.generator_exponents[sm_f.s - s_e])
+    return out
+
+
+def transition_valuation(p: int, e: int, f: int, sm_e: SyntomicSummand, sm_f: SyntomicSummand) -> int | None:
+    """The one-source case of `transition_valuations`: the closed-form
+    p-valuation of the map from truncation f down to e on one orbit, or
+    None when the target group is trivial."""
+    vs = transition_valuations(p, e, sm_e, (f,), (sm_f,))
+    return None if vs is None else vs[0]
 
 
 def tr_valuation(params: TruncationParams, f: int, orbit: Orbit) -> int | None:
@@ -92,19 +119,25 @@ def ml_bound(params: TruncationParams, m: int) -> int:
 
     Both sufficient conditions -- ceil(p^(2s) m / f) = 1 and
     floor((p^s m - 1)/f) = 0, with s taken at the empty multi-index --
-    reduce to f >= p^(2s) m.
+    reduce to f >= p^(2s) m.  See `_ml_bound`, the same bound on plain
+    ints, which the sweep reads per level.
+    """
+    return _ml_bound(params.p, params.e, params.i, m)
+
+
+def _ml_bound(p: int, e: int, i: int, m: int) -> int:
+    """`ml_bound` at level e and weight i.
 
     s needs no walk: at the empty multi-index the degree-1 exponent
     d_a = i - ceil(p^a m / e) is >= 0 exactly when p^a m <= i e, and
     ceil(p^a m / e) increases with a, so s = #{a >= 0 : p^a m <= i e}.
     """
-    p, e = params.p, params.e
     if e % p == 0:
         raise ValueError("level must be coprime to p")
     if m < 1:
         raise ValueError("ml_bound needs m >= 1")
     s, pm = 0, m  # pm = p^s m
-    while pm <= params.i * e:
+    while pm <= i * e:
         s, pm = s + 1, pm * p
     f = max(e, p**s * pm)
     while f % p == 0:
@@ -198,50 +231,43 @@ def stabilized_images(tower: Tower, probe: int) -> StabilizedTower:
     MLViolationError (with the witness pair), since stabilization there is
     a theorem.
 
-    Per target level e, what does not depend on the source f is read once:
-    h_e, the bound, and the degenerate case h_e = 0 (s_e = 0 or e | m),
-    whose images are all trivial.  Every other pair goes through
-    `transition_valuation` and `image_exponent`.
+    The tower's group exponents h are read once into a list.  Per target
+    level e, what does not depend on the source f is read once: h_e, the
+    bound (`_ml_bound` on plain ints) and the degenerate case h_e = 0
+    (s_e = 0 or e | m), whose images are all trivial.  Every other level
+    makes one `transition_valuations` call over all its sources, and each
+    pair's image goes through `image_exponent`, the one well-definedness
+    check.
     """
-    p, m = tower.p, tower.orbit.m
-    if not tower.levels or tower.levels != tuple(f for f in range(tower.levels[0], probe + 1) if f % p):
-        raise ValueError(f"tower levels {tower.levels} are not every level coprime to p up to {probe}")
+    p, i, m = tower.p, tower.weight, tower.orbit.m
+    levels, summands = tower.levels, tower.summands
+    if not levels or levels != tuple(f for f in range(levels[0], probe + 1) if f % p):
+        raise ValueError(f"tower levels {levels} are not every level coprime to p up to {probe}")
+    hs = [sm.module.h for sm in summands]
     out = []
-    for k, (e, sm_e) in enumerate(zip(tower.levels, tower.summands)):
-        h = sm_e.module.h
-        bound = ml_bound(TruncationParams(p, e, tower.weight), m)
+    for k, (e, sm_e, h) in enumerate(zip(levels, summands, hs)):
+        bound = _ml_bound(p, e, i, m)
         first = k + 1 if e == 1 else k  # sources start at level 2
-        sources = tower.levels[first:]
+        sources = levels[first:]
         if h == 0:
             images = [h] * len(sources)  # zero maps: trivial images
+            run = 0
         else:
-            images = [
-                image_exponent(sm_f.module.h, h, transition_valuation(p, e, f, sm_e, sm_f))
-                for f, sm_f in zip(sources, tower.summands[first:])
-            ]
-        certified = bool(sources) and sources[-1] >= bound
-        if certified:
-            bad = [f for f, img in zip(sources, images) if f >= bound and img != images[-1]]
-            if bad:
-                raise MLViolationError(f"images changed past the bound at level e={e}: witness f={bad[0]}")
+            vals = transition_valuations(p, e, sm_e, sources, summands[first:])
+            images = [image_exponent(h_f, h, v) for h_f, v in zip(hs[first:], vals)]
+            run = len(images) - 1
+            while run > 0 and images[run - 1] == images[-1]:
+                run -= 1
+        # images[run:] is the trailing constant run, and sources[run - 1]
+        # the last source whose image differs from the eventual one
         stabilized = images[-1] if images else h
-        ml_index = sources[0] if sources else e
-        for f, img in zip(reversed(sources), reversed(images)):
-            if img != stabilized:
-                break
-            ml_index = f
-        out.append(
-            LevelStabilization(
-                level=e,
-                h=h,
-                ml_bound=bound,
-                images=tuple(images),
-                sources=sources,
-                stabilized=stabilized,
-                ml_index=ml_index,
-                certified=certified,
-            )
-        )
+        ml_index = sources[run] if sources else e
+        certified = bool(sources) and sources[-1] >= bound
+        if certified and run > 0 and sources[run - 1] >= bound:
+            witness = next(f for f, img in zip(sources, images) if f >= bound and img != stabilized)
+            raise MLViolationError(f"images changed past the bound at level e={e}: witness f={witness}")
+        # positional arguments: keywords make each record about a third slower to build
+        out.append(LevelStabilization(e, h, bound, tuple(images), sources, stabilized, ml_index, certified))
     return StabilizedTower(tower, tuple(out))
 
 

@@ -69,15 +69,23 @@ def orbit_summands(p: int, i: int, orbit: Orbit, levels: Sequence[int]) -> list[
     propagated downward, it has c_a = d_{a+1} + ... + d_{s-1}.
 
     The orbit is validated once (p | m raises) and p is taken as checked;
-    the levels' walks share one table of alpha floors (`degree1_walks`)."""
+    the levels' walks share one table of alpha floors (`degree1_walks`).
+    Along one orbit a summand is a function of the walk and h alone, so
+    consecutive levels with the same walk and the same h share one frozen
+    summand."""
     orbit.validate(p)
     m = orbit.m
-    out = []
+    out: list[SyntomicSummand] = []
+    last_walk = None
     for e, walk in zip(levels, degree1_walks(p, i, m, orbit.alpha, levels)):
         s = len(walk)
         h = vp(brace(p**s * m, e), p)
-        gens = tuple(itertools.accumulate(reversed(walk[1:]), initial=0)) if walk else ()
-        out.append(SyntomicSummand(orbit, CyclicWittModule(h), s, gens))
+        if walk != last_walk or h != out[-1].module.h:
+            gens = tuple(itertools.accumulate(reversed(walk[1:]), initial=0)) if walk else ()
+            last_walk = walk
+            out.append(SyntomicSummand(orbit, CyclicWittModule(h), s, gens))
+        else:
+            out.append(out[-1])
     return out
 
 

@@ -15,6 +15,7 @@ from trcalc.padic import (
     ceil_div,
     factorial_ratio,
     vp,
+    vp_factorial,
 )
 
 PRIMES = st.sampled_from([2, 3, 5, 7, 11])
@@ -66,6 +67,22 @@ def test_legendre_examples():
 def test_legendre_matches_direct_factorial(n, p):
     assert legendre_vp_factorial(n, p) == (n - digit_sum(n, p)) // (p - 1)
     assert legendre_vp_factorial(n, p) == (vp(math.factorial(n), p) if n > 1 else 0)
+
+
+def test_vp_factorial_on_a_grid():
+    for p in (2, 3, 5, 7, 11):
+        for n in range(300):
+            assert vp_factorial(n, p) == vp(math.factorial(n), p)
+    assert vp_factorial(0, 2) == vp_factorial(1, 2) == 0
+    with pytest.raises(ValueError):
+        vp_factorial(-1, 3)
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 3000), PRIMES)
+def test_vp_factorial_is_the_valuation_of_the_factorial(n, p):
+    assert vp_factorial(n, p) == vp(math.factorial(n), p)
+    assert vp_factorial(n, p) == legendre_vp_factorial(n, p)
 
 
 def test_factorial_ratio():

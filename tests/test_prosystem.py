@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import trcalc.drw as drw_module
 import trcalc.padic as padic_module
 import trcalc.prosystem as prosystem_module
 from trcalc.drw import TruncationParams
 from trcalc.oracle import TransitionOracle
-from trcalc.padic import MultiIndex, PAdicFraction, Prime
+from trcalc.padic import MultiIndex, PAdicFraction, Prime, ceil_div, factorial_ratio, vp
 from trcalc.prosystem import (
     ClassificationRefusedError,
     MLViolationError,
@@ -26,10 +27,56 @@ from trcalc.prosystem import (
     tr_groups,
     tr_valuation,
     transition_valuation,
+    transition_valuations,
 )
-from trcalc.syntomic import AlphaBounds, Orbit, enumerate_orbits, h1_syntomic_orbit, s_function
+from trcalc.syntomic import (
+    AlphaBounds,
+    Orbit,
+    enumerate_alphas,
+    enumerate_orbits,
+    h1_syntomic_orbit,
+    orbit_summands,
+    s_function,
+)
 
 EMPTY = MultiIndex()
+
+
+def pairwise_valuation(p, e, f, sm_e, sm_f):
+    """The transition valuation pair by pair, with the factorial ratio
+    formed exactly and its valuation read off the integer: the witness
+    for the per-target-level closed form."""
+    m = sm_e.orbit.m
+    if sm_e.s == 0 or m % e == 0:
+        return None
+    m1 = p ** (sm_e.s - 1) * m
+    v = vp(factorial_ratio((m1 - 1) // e, (m1 - 1) // f), p)
+    v += ceil_div(m1, e) - ceil_div(m1, f)
+    return v + sm_f.generator_exponents[sm_f.s - sm_e.s]
+
+
+def pairwise_images(p, e, sm_e, fs, sms_f):
+    """The image exponent of each source's map into level e, pair by pair
+    from `pairwise_valuation`; trivial target groups have trivial images."""
+    h = sm_e.module.h
+    images = []
+    for f, sm_f in zip(fs, sms_f):
+        v = pairwise_valuation(p, e, f, sm_e, sm_f)
+        if v is None or h == 0:
+            images.append(h)
+        else:
+            assert v + sm_f.module.h >= h  # the map is well defined
+            images.append(min(v, h))
+    return tuple(images)
+
+
+def bench_alpha_window(p):
+    """The empty multi-index and the one-slot window num <= 4, pexp <= 2 of
+    acceptance criteria 5 and 6 and the tower-probe workload."""
+    return {EMPTY} | {
+        MultiIndex.from_dict({"t": PAdicFraction.make(num, pexp, p)})
+        for num, pexp in itertools.product(range(1, 5), range(3))
+    }
 
 
 def test_tr_valuation_examples():
@@ -63,6 +110,45 @@ def test_tr_valuation_matches_oracle_spotchecks():
         h_e = h1_syntomic_orbit(params, orbit).module.h
         v = tr_valuation(params, f, orbit)
         assert min(v, h_e) == min(TransitionOracle(p, i, orbit, [e, f]).valuation(e, f), h_e)
+
+
+def test_transition_valuations_match_the_pairwise_formula():
+    # p in {2,3,5,7}, weights up to 4, every level < 60 prime to p as target
+    # and source, orbits m <= i*e, alpha empty or the one-slot t^(1/p): one
+    # call per target level equals the pair-by-pair factorial-ratio form at
+    # every source, and its one-source case at the nearest and farthest
+    checked = degenerate = 0
+    for p in (2, 3, 5, 7):
+        levels = [e for e in range(1, 60) if e % p]
+        for i, alpha in itertools.product(range(5), (EMPTY, MultiIndex.from_dict({"t": PAdicFraction.make(1, 1, p)}))):
+            for m in (m for m in range(1, i * levels[-1] + 1) if m % p):
+                orbit = Orbit(m, alpha)
+                summands = orbit_summands(p, i, orbit, levels)
+                for k, (e, sm_e) in enumerate(zip(levels, summands)):
+                    if m > i * e:
+                        continue
+                    fs, sms_f = levels[k:], summands[k:]
+                    vals = transition_valuations(p, e, sm_e, fs, sms_f)
+                    pairs = [pairwise_valuation(p, e, f, sm_e, sm_f) for f, sm_f in zip(fs, sms_f)]
+                    for j in (0, -1):
+                        assert transition_valuation(p, e, fs[j], sm_e, sms_f[j]) == pairs[j]
+                    if vals is None:
+                        assert set(pairs) == {None}
+                        assert sm_e.module.h == 0
+                        degenerate += 1
+                        continue
+                    assert vals == pairs
+                    checked += len(vals)
+    assert (checked, degenerate) == (1_096_788, 2_980)
+
+
+def test_transition_valuations_reject_sources_below_the_target():
+    summands = orbit_summands(3, 2, Orbit(1), [2, 4, 5])
+    with pytest.raises(ValueError, match="need f >= e"):
+        transition_valuations(3, 4, summands[1], [2, 5], [summands[0], summands[2]])
+    with pytest.raises(ValueError):
+        transition_valuations(3, 2, summands[0], [2, 4, 5], summands[:2])  # one summand short
+    assert transition_valuations(3, 2, summands[0], [], []) == []
 
 
 def test_image_exponent():
@@ -124,14 +210,9 @@ def test_build_tower_rejects_bad_input():
 
 
 def test_tower_summands_equal_single_level_summands():
-    # the bench's one-slot alpha window: num <= 4, pexp <= 2
     for p in (2, 3, 5):
         levels = [e for e in range(1, 25) if e % p]
-        alphas = {EMPTY} | {
-            MultiIndex.from_dict({"t": PAdicFraction.make(num, pexp, p)})
-            for num, pexp in itertools.product(range(1, 5), range(3))
-        }
-        for i, alpha in itertools.product(range(5), alphas):
+        for i, alpha in itertools.product(range(5), bench_alpha_window(p)):
             for m in (m for m in range(1, max(i, 1) * 24 + 1) if m % p):
                 orbit = Orbit(m, alpha)
                 tower = build_tower(p, i, orbit, levels)
@@ -152,7 +233,7 @@ def test_tower_and_oracle_validate_p_once(monkeypatch):
         return real(n)
 
     monkeypatch.setattr(padic_module, "_is_prime", counting)
-    # every per-level TruncationParams of the sweep reuses the tower's Prime
+    # the sweep builds no TruncationParams, so it tests no prime
     stabilized_images(tower, 24)
     assert tested == []
     TruncationParams(2, 3, 1)  # a plain int is still tested
@@ -192,16 +273,42 @@ def test_stabilization_before_bound_when_certifiable():
 
 def test_image_change_past_the_bound_raises_with_its_witness(monkeypatch):
     # p=3, weight 1, orbit m=1: level 2 has bound 10 inside the probe and
-    # images 0; a valuation that grows at f=13 changes an image past it
+    # images 0; a valuation that grows at f=13 changes an image past it.
+    # The sweep reads one target level's valuations per call, so the drift
+    # is injected there
     tower = build_tower(3, 1, Orbit(1), [e for e in range(2, 29) if e % 3])
-    real = prosystem_module.transition_valuation
+    real = prosystem_module.transition_valuations
 
-    def drifting(p, e, f, sm_e, sm_f):
-        return real(p, e, f, sm_e, sm_f) + ((e, f) == (2, 13))
+    def drifting(p, e, sm_e, fs, sms_f):
+        vals = real(p, e, sm_e, fs, sms_f)
+        return None if vals is None else [v + ((e, f) == (2, 13)) for f, v in zip(fs, vals)]
 
-    monkeypatch.setattr(prosystem_module, "transition_valuation", drifting)
+    monkeypatch.setattr(prosystem_module, "transition_valuations", drifting)
     with pytest.raises(MLViolationError, match="level e=2: witness f=13"):
         stabilized_images(tower, 28)
+
+
+@pytest.mark.parametrize("drift,witness", [({10}, 10), ({10, 13, 16}, 10), ({8}, None), ({2, 4, 8}, None)])
+def test_image_change_at_the_bound_raises_and_before_it_moves_ml_index(monkeypatch, drift, witness):
+    # the same tower: level 2 has bound 10 and images 0, so a change at the
+    # bound itself is a violation whose witness is the least changed source
+    # at or past it, and a change before the bound only moves the ml_index
+    tower = build_tower(3, 1, Orbit(1), [e for e in range(2, 29) if e % 3])
+    real = prosystem_module.transition_valuations
+
+    def drifting(p, e, sm_e, fs, sms_f):
+        vals = real(p, e, sm_e, fs, sms_f)
+        return None if vals is None else [v + (e == 2 and f in drift) for f, v in zip(fs, vals)]
+
+    monkeypatch.setattr(prosystem_module, "transition_valuations", drifting)
+    if witness is not None:
+        with pytest.raises(MLViolationError, match=f"level e=2: witness f={witness}$"):
+            stabilized_images(tower, 28)
+        return
+    rec = stabilized_images(tower, 28).per_level[0]
+    assert (rec.level, rec.ml_bound, rec.certified, rec.stabilized) == (2, 10, True, 0)
+    assert rec.ml_index == 10
+    assert [f for f, img in zip(rec.sources, rec.images) if img] == sorted(drift)
 
 
 def test_classify_zp_full():
@@ -346,6 +453,55 @@ def test_stabilized_images_walks_each_probed_level_once(monkeypatch):
     with pytest.raises(ValueError, match="not every level"):
         stabilized_images(build_tower(3, 2, orbit, levels[:5]), 20)
     assert sorted(walked) == levels[:5]
+
+
+def test_stabilized_images_match_the_pairwise_witness_on_every_probe_tower():
+    # every tower of the tower-probe shape (levels 2..24 prime to p, weights
+    # 1..3, m <= 24*i, the one-slot alpha window), on p = 2 and 3 as there
+    # and on p = 5: each level's images are the pair-by-pair ones, and its
+    # eventual image, ml_index and certification are read off them
+    towers = 0
+    for p in (2, 3, 5):
+        levels = [e for e in range(2, 25) if e % p]
+        for i, alpha in itertools.product(range(1, 4), bench_alpha_window(p)):
+            for m in (m for m in range(1, i * levels[-1] + 1) if m % p):
+                tower = build_tower(p, i, Orbit(m, alpha), levels)
+                stab = stabilized_images(tower, 24)
+                for k, rec in enumerate(stab.per_level):
+                    sources = tower.levels[k:]
+                    images = pairwise_images(p, rec.level, tower.summands[k], sources, tower.summands[k:])
+                    settled_from = min(f for j, f in enumerate(sources) if set(images[j:]) == {images[-1]})
+                    bound = ml_bound(TruncationParams(p, rec.level, i), m)
+                    assert (rec.sources, rec.images, rec.stabilized) == (sources, images, images[-1])
+                    assert (rec.ml_index, rec.ml_bound, rec.certified) == (settled_from, bound, bound <= 24)
+                towers += 1
+    assert towers == 1653 + 1521
+
+
+def test_towers_build_no_truncation_params(monkeypatch):
+    # building, sweeping and classifying a tower passes p, the levels and
+    # the weight as plain ints; only the API boundary builds parameters
+    built = []
+    real = drw_module.TruncationParams.__post_init__
+
+    def counting(self):
+        built.append((self.p, self.e, self.i))
+        real(self)
+
+    monkeypatch.setattr(drw_module.TruncationParams, "__post_init__", counting)
+    alpha = MultiIndex.from_dict({"t": PAdicFraction(1, 1)})
+    for p in (2, 3):
+        levels = [e for e in range(2, 25) if e % p]
+        for m in (1, 2 * p + 1, 7 * p - 1):
+            stab = stabilized_images(build_tower(p, 2, Orbit(m, alpha), levels), 24)
+            try:
+                limit_classify(stab)
+            except ClassificationRefusedError:
+                pass
+    tr_groups(3, 1, AlphaBounds(("t",), 2, 1), 20)
+    assert built == []
+    TruncationParams(3, 2, 1)
+    assert built == [(3, 2, 1)]
 
 
 @pytest.mark.parametrize(
