@@ -17,14 +17,17 @@ target level at a time (`transition_valuations`): the target's terms are
 read once and each source adds its own, with v_p of factorials taken by
 Legendre's formula; `transition_valuation` is its one-source case.  The
 sweep passes p, the levels and the weight as plain ints, checked once per
-tower, and builds no `TruncationParams`.  The summand cache of
-`h1_syntomic_orbit` serves the pair queries of `tr_valuation`.
+tower, and builds no `TruncationParams`.  Its per-level output is one
+light, tuple-backed `LevelStabilization`; whether a level is settled is
+decided once there, and a trivial level (h = 0) takes a short path that
+computes nothing per source.  The summand cache of `h1_syntomic_orbit`
+serves the pair queries of `tr_valuation`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .drw import TruncationParams
 from .padic import Prime, ceil_div, vp_factorial
@@ -107,7 +110,8 @@ def tr_valuation(params: TruncationParams, f: int, orbit: Orbit) -> int | None:
 
 def image_exponent(h_f: int, h_e: int, v: int) -> int:
     """Image of a valuation-v map Z/p^h_f -> Z/p^h_e: the subgroup
-    p^min(v, h_e) Z/p^h_e.  Rejects maps that are not well defined."""
+    p^min(v, h_e) Z/p^h_e.  Rejects maps that are not well defined;
+    `stabilized_images` makes the same check inline, with the same error."""
     if v + h_f < h_e:
         raise ValueError(f"map with v={v} from h={h_f} to h={h_e} is not well defined")
     return min(v, h_e)
@@ -183,11 +187,17 @@ def nontrivial_towers(p: int, weight: int, bounds: AlphaBounds, levels: list[int
     return [Tower(p, weight, orbit, levels, tuple(summands)) for orbit, summands in orbits]
 
 
-@dataclass(frozen=True)
-class LevelStabilization:
+class LevelStabilization(NamedTuple):
     """Image data at one target level: the probed image exponents, the
-    eventual value, where they settled, and whether the theoretical bound
-    was inside the probe window."""
+    eventual value, where they settled, whether the theoretical bound was
+    inside the probe window, and whether the level feeds the limit
+    classification.
+
+    A tuple-backed, immutable record: the sweep builds one per level.
+    `settled` is decided once, by the sweep, from the trailing constant
+    run of images it already finds: the level is certified, or its last
+    three images are equal.  Only settled levels feed `limit_classify`.
+    """
 
     level: int
     h: int
@@ -197,19 +207,11 @@ class LevelStabilization:
     stabilized: int          # eventual image exponent
     ml_index: int            # first probed source from which images are constant
     certified: bool          # probe reached ml_bound
+    settled: bool            # certified, or the last three images are equal
 
     @property
     def image_order_exponent(self) -> int:
         return self.h - self.stabilized
-
-    @property
-    def settled(self) -> bool:
-        """Certified, or images constant over the trailing probe window;
-        only settled levels feed the limit classification."""
-        if self.certified:
-            return True
-        tail = self.images[-3:]
-        return len(tail) == 3 and all(img == tail[0] for img in tail)
 
 
 @dataclass(frozen=True)
@@ -229,15 +231,19 @@ def stabilized_images(tower: Tower, probe: int) -> StabilizedTower:
     A level is certified when the probe reaches its theoretical bound; on
     certified levels any image change at or past the bound raises
     MLViolationError (with the witness pair), since stabilization there is
-    a theorem.
+    a theorem.  A level is settled when it is certified or its trailing
+    constant run of images is at least three long; the sweep decides this
+    once, into the record's `settled` field.
 
     The tower's group exponents h are read once into a list.  Per target
-    level e, what does not depend on the source f is read once: h_e, the
-    bound (`_ml_bound` on plain ints) and the degenerate case h_e = 0
-    (s_e = 0 or e | m), whose images are all trivial.  Every other level
-    makes one `transition_valuations` call over all its sources, and each
-    pair's image goes through `image_exponent`, the one well-definedness
-    check.
+    level e, what does not depend on the source f is read once: h_e and
+    the bound (`_ml_bound` on plain ints).  A trivial level, h_e = 0 (which
+    covers the degenerate case s_e = 0 or e | m), has zero maps and all
+    images trivial: it takes a short path that scans no run and builds
+    nothing per source.  Every other level makes one
+    `transition_valuations` call over all its sources, and each pair is
+    checked to be a well-defined map (the check of `image_exponent`, with
+    its ValueError) as its image is read.
     """
     p, i, m = tower.p, tower.weight, tower.orbit.m
     levels, summands = tower.levels, tower.summands
@@ -249,25 +255,32 @@ def stabilized_images(tower: Tower, probe: int) -> StabilizedTower:
         bound = _ml_bound(p, e, i, m)
         first = k + 1 if e == 1 else k  # sources start at level 2
         sources = levels[first:]
+        n = len(sources)
+        certified = n > 0 and sources[-1] >= bound
         if h == 0:
-            images = [h] * len(sources)  # zero maps: trivial images
-            run = 0
-        else:
-            vals = transition_valuations(p, e, sm_e, sources, summands[first:])
-            images = [image_exponent(h_f, h, v) for h_f, v in zip(hs[first:], vals)]
-            run = len(images) - 1
-            while run > 0 and images[run - 1] == images[-1]:
-                run -= 1
+            # zero maps: every image is trivial, so the trailing run is all n of them
+            ml_index = sources[0] if n else e
+            settled = certified or n >= 3
+            out.append(LevelStabilization(e, 0, bound, (0,) * n, sources, 0, ml_index, certified, settled))
+            continue
+        vals = transition_valuations(p, e, sm_e, sources, summands[first:])
+        images = []
+        for h_f, v in zip(hs[first:], vals):
+            if v + h_f < h:
+                raise ValueError(f"map with v={v} from h={h_f} to h={h} is not well defined")
+            images.append(v if v < h else h)
+        stabilized = images[-1] if n else h
+        run = n - 1
+        while run > 0 and images[run - 1] == stabilized:
+            run -= 1
         # images[run:] is the trailing constant run, and sources[run - 1]
         # the last source whose image differs from the eventual one
-        stabilized = images[-1] if images else h
-        ml_index = sources[run] if sources else e
-        certified = bool(sources) and sources[-1] >= bound
+        ml_index = sources[run] if n else e
         if certified and run > 0 and sources[run - 1] >= bound:
             witness = next(f for f, img in zip(sources, images) if f >= bound and img != stabilized)
             raise MLViolationError(f"images changed past the bound at level e={e}: witness f={witness}")
-        # positional arguments: keywords make each record about a third slower to build
-        out.append(LevelStabilization(e, h, bound, tuple(images), sources, stabilized, ml_index, certified))
+        settled = certified or n - run >= 3
+        out.append(LevelStabilization(e, h, bound, tuple(images), sources, stabilized, ml_index, certified, settled))
     return StabilizedTower(tower, tuple(out))
 
 

@@ -311,6 +311,49 @@ def test_image_change_at_the_bound_raises_and_before_it_moves_ml_index(monkeypat
     assert [f for f, img in zip(rec.sources, rec.images) if img] == sorted(drift)
 
 
+def test_ill_defined_map_in_the_sweep_raises_as_image_exponent_does(monkeypatch):
+    # p=3, weight 1, orbit m=1: level 4 has h=2 and the source 7 has h=2, so
+    # a valuation lowered by 3 gives a map Z/p^2 -> Z/p^2 that is not well
+    # defined; the sweep rejects it with the error `image_exponent` raises
+    tower = build_tower(3, 1, Orbit(1), [e for e in range(2, 29) if e % 3])
+    h = dict(zip(tower.levels, (sm.module.h for sm in tower.summands)))
+    real = prosystem_module.transition_valuations
+    lowered = []
+
+    def lowering(p, e, sm_e, fs, sms_f):
+        vals = real(p, e, sm_e, fs, sms_f)
+        if e == 4:
+            vals = [v - 3 * (f == 7) for f, v in zip(fs, vals)]
+            lowered.append(vals[fs.index(7)])
+        return vals
+
+    monkeypatch.setattr(prosystem_module, "transition_valuations", lowering)
+    with pytest.raises(ValueError, match="not well defined") as raised:
+        stabilized_images(tower, 28)
+    (v,) = lowered
+    assert (h[4], h[7]) == (2, 2) and v + h[7] < h[4]
+    with pytest.raises(ValueError) as direct:
+        image_exponent(h[7], h[4], v)
+    assert str(raised.value) == str(direct.value)
+
+
+def test_certified_level_is_settled_with_a_trailing_run_under_three(monkeypatch):
+    # p=3, weight 1, orbit m=1 probed to 11: level 2 has bound 10, so an
+    # image change at f=8 leaves a constant run of two (10, 11) past it;
+    # the level is certified, hence settled
+    tower = build_tower(3, 1, Orbit(1), [e for e in range(2, 12) if e % 3])
+    real = prosystem_module.transition_valuations
+
+    def drifting(p, e, sm_e, fs, sms_f):
+        vals = real(p, e, sm_e, fs, sms_f)
+        return None if vals is None else [v + (e == 2 and f == 8) for f, v in zip(fs, vals)]
+
+    monkeypatch.setattr(prosystem_module, "transition_valuations", drifting)
+    rec = stabilized_images(tower, 11).per_level[0]
+    assert (rec.level, rec.ml_bound, rec.ml_index, rec.sources[-2:]) == (2, 10, 10, (10, 11))
+    assert rec.certified and rec.settled
+
+
 def test_classify_zp_full():
     verdict = classify_orders(tuple(range(1, 11)), ml_index=2)
     assert verdict.kind == "zp" and verdict.lim1_zero
@@ -474,6 +517,9 @@ def test_stabilized_images_match_the_pairwise_witness_on_every_probe_tower():
                     bound = ml_bound(TruncationParams(p, rec.level, i), m)
                     assert (rec.sources, rec.images, rec.stabilized) == (sources, images, images[-1])
                     assert (rec.ml_index, rec.ml_bound, rec.certified) == (settled_from, bound, bound <= 24)
+                    constant_tail = len(images) >= 3 and images[-3] == images[-2] == images[-1]
+                    assert rec.settled == (rec.certified or constant_tail)
+                    assert rec.image_order_exponent == rec.h - images[-1]
                 towers += 1
     assert towers == 1653 + 1521
 
@@ -502,6 +548,43 @@ def test_towers_build_no_truncation_params(monkeypatch):
     assert built == []
     TruncationParams(3, 2, 1)
     assert built == [(3, 2, 1)]
+
+
+def test_sweep_reads_valuations_once_per_nontrivial_level_into_frozen_records(monkeypatch):
+    # one `transition_valuations` call per target level with h > 0 and none
+    # on a trivial one; one immutable record per tower level, in level order
+    called = []
+    real = prosystem_module.transition_valuations
+
+    def counting(p, e, sm_e, fs, sms_f):
+        called.append(e)
+        return real(p, e, sm_e, fs, sms_f)
+
+    monkeypatch.setattr(prosystem_module, "transition_valuations", counting)
+    alpha = MultiIndex.from_dict({"t": PAdicFraction(1, 1)})
+    trivial = 0
+    for p in (2, 3):
+        for first in (1, 2):
+            levels = [e for e in range(first, 25) if e % p]
+            for i, orbit in itertools.product((1, 2), (Orbit(1), Orbit(2 * p + 1), Orbit(7 * p - 1, alpha))):
+                tower = build_tower(p, i, orbit, levels)
+                called.clear()
+                stab = stabilized_images(tower, 24)
+                nontrivial = [e for e, sm in zip(tower.levels, tower.summands) if sm.module.h]
+                trivial += len(levels) - len(nontrivial)
+                assert called == nontrivial
+                assert [rec.level for rec in stab.per_level] == levels
+                for rec in stab.per_level:
+                    if rec.h == 0:  # level 1 divides every m, so it is trivial; its sources start at 2
+                        assert (rec.images, rec.stabilized) == ((0,) * len(rec.sources), 0)
+                        assert rec.ml_index == rec.sources[0]
+    assert trivial > 0
+    rec = stab.per_level[0]
+    for field in rec._fields:
+        with pytest.raises(AttributeError):
+            setattr(rec, field, getattr(rec, field))
+    with pytest.raises(AttributeError):
+        rec.image_order_exponent = 0
 
 
 @pytest.mark.parametrize(
