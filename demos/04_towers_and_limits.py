@@ -9,8 +9,7 @@ stabilized images.  This demo prints one tower in full and classifies
 its limit.
 """
 
-from trcalc import Orbit, build_tower, limit_classify, stabilized_images
-from trcalc.prosystem import transition_valuation
+from trcalc import Orbit, TruncationParams, build_tower, limit_classify, stabilized_images, tr_valuation
 
 p, weight, probe = 3, 1, 28
 orbit = Orbit(1)
@@ -20,8 +19,11 @@ tower = build_tower(p, weight, orbit, levels)
 print(f"tower for p={p}, weight={weight}, orbit m={orbit.m}:")
 print("  levels:", tower.levels)
 print("  exponents h:", tuple(sm.module.h for sm in tower.summands))
-adjacent = zip(tower.levels, tower.levels[1:], tower.summands, tower.summands[1:])
-print("  adjacent transition valuations:", tuple(transition_valuation(p, *pair) for pair in adjacent))
+adjacent = zip(tower.levels, tower.levels[1:])
+print(
+    "  adjacent transition valuations:",
+    tuple(tr_valuation(TruncationParams(p, e, weight), f, orbit) for e, f in adjacent),
+)
 
 stab = stabilized_images(tower, probe)
 print("\nstabilized images into each level:")

@@ -14,8 +14,8 @@ import argparse
 import sys
 from dataclasses import dataclass, field
 
-from .drw import TruncationParams
-from .oracle import OracleError, OrbitTruncation, default_truncation, verify_orbit
+from .drw import Orbit, TruncationParams
+from .oracle import OracleError, verify_orbit
 from .padic import Prime
 from .prosystem import (
     MLViolationError,
@@ -125,6 +125,11 @@ def _parameters_dict(spec: JobSpec) -> dict:
     return out
 
 
+def _orbit_columns(orbit: Orbit, p: int) -> dict:
+    """An orbit's `m` and `alpha` report columns, in that order."""
+    return {"m": orbit.m, "alpha": format_alpha(orbit.alpha, p)}
+
+
 def _weight_level_summands(spec: JobSpec):
     """(params, summands) for each weight, then each level, of `spec`."""
     for i in spec.weights():
@@ -141,8 +146,7 @@ def _run_syntomic(spec: JobSpec, report: Report) -> int:
             report.add_orbit(
                 i=params.i,
                 e=params.e,
-                m=sm.orbit.m,
-                alpha=format_alpha(sm.orbit.alpha, spec.p),
+                **_orbit_columns(sm.orbit, spec.p),
                 s=sm.s,
                 h=sm.module.h,
                 module=str(sm.module),
@@ -164,14 +168,7 @@ def _run_kgroups(spec: JobSpec, report: Report) -> int:
     for params, summands in _weight_level_summands(spec):
         divisors = sorted((sm.module.h for sm in summands), reverse=True)
         for sm in summands:
-            report.add_orbit(
-                i=params.i,
-                e=params.e,
-                m=sm.orbit.m,
-                alpha=format_alpha(sm.orbit.alpha, spec.p),
-                s=sm.s,
-                h=sm.module.h,
-            )
+            report.add_orbit(i=params.i, e=params.e, **_orbit_columns(sm.orbit, spec.p), s=sm.s, h=sm.module.h)
         group = " + ".join(f"W(k)/{spec.p}^{h}" for h in divisors) or "0"
         report.certificates.append(
             {
@@ -198,8 +195,7 @@ def _run_transition(spec: JobSpec, report: Report) -> int:
         for f, sm_f, v in zip(sources, sms_f, vals):
             h_f = sm_f.module.h
             report.add_orbit(
-                m=sm.orbit.m,
-                alpha=format_alpha(sm.orbit.alpha, spec.p),
+                **_orbit_columns(sm.orbit, spec.p),
                 s=sm.s,
                 h=h_e,
                 f=f,
@@ -219,14 +215,12 @@ def _run_ml_check(spec: JobSpec, report: Report) -> int:
         try:
             stab = stabilized_images(tower, probe)
         except MLViolationError as exc:
-            alpha = format_alpha(tower.orbit.alpha, spec.p)
-            report.certificates.append({"m": tower.orbit.m, "alpha": alpha, "ml_violation": str(exc)})
+            report.certificates.append({**_orbit_columns(tower.orbit, spec.p), "ml_violation": str(exc)})
             status = EXIT_MISMATCH
             continue
         for rec in stab.per_level:
             report.add_orbit(
-                m=tower.orbit.m,
-                alpha=format_alpha(tower.orbit.alpha, spec.p),
+                **_orbit_columns(tower.orbit, spec.p),
                 e=rec.level,
                 h=rec.h,
                 ml_bound=rec.ml_bound,
@@ -245,17 +239,10 @@ def _run_tr(spec: JobSpec, report: Report) -> int:
     result = tr_groups(spec.p, spec.i, spec.bounds, probe)
     for orbit, verdict in result.even:
         if isinstance(verdict, RefusedClassification):
-            report.add_orbit(
-                m=orbit.m,
-                alpha=format_alpha(orbit.alpha, spec.p),
-                kind="refused",
-                h=0,
-                evidence=verdict.evidence,
-            )
+            report.add_orbit(**_orbit_columns(orbit, spec.p), kind="refused", h=0, evidence=verdict.evidence)
         else:
             report.add_orbit(
-                m=orbit.m,
-                alpha=format_alpha(orbit.alpha, spec.p),
+                **_orbit_columns(orbit, spec.p),
                 kind=verdict.kind,
                 h=verdict.h if verdict.h is not None else "",
                 ml_index=verdict.ml_index,
@@ -279,16 +266,12 @@ def _run_verify(spec: JobSpec, report: Report) -> int:
     records = []
     for params, summands in _weight_level_summands(spec):
         for sm in summands:
-            base = default_truncation(params, sm.orbit)
-            A = base.A if spec.A is None else spec.A
-            N = base.N if spec.N is None else spec.N
-            cert = verify_orbit(params, sm, OrbitTruncation(sm.orbit, A, N))
+            cert = verify_orbit(params, sm, spec.A, spec.N)
             records.append(
                 {
                     "i": params.i,
                     "e": params.e,
-                    "m": sm.orbit.m,
-                    "alpha": format_alpha(sm.orbit.alpha, spec.p),
+                    **_orbit_columns(sm.orbit, spec.p),
                     "s": cert.s,
                     "h": cert.h_closed,
                     "oracle_h": (cert.oracle_exponents[1][0] if cert.oracle_exponents[1] else 0),

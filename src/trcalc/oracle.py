@@ -11,12 +11,14 @@ Nygaard exponents, the brace symbol and factorial ratios (a coefficient
 that a long ratio makes vanish mod p^N is 0 without forming it), and the
 truncation level is sized from the orbit's degree-1 walk in `drw`.  The
 truncation-stability recheck reads a grown truncation, and one build there
-gives the matrices of both.  The closed-form claim under test, a summand
-with its s, h and generator exponents, is handed in by the caller of
-`verify_orbit` and `certify_kernel_generator`.  The kernel-generator
-certificate is one exact search: a kernel basis of d1 with the claimed
-scalings, and a search over F_p for a combination whose level coordinates
-and class coordinate are all units.
+gives the matrices of both (`_stable_fiber`, shared by `verify_orbit` and
+`oracle_cohomology`).  The closed-form claim under test, a summand with its
+orbit, s, h and generator exponents, is handed in by the caller of
+`verify_orbit` and `certify_kernel_generator`; `verify_orbit` builds the
+matrices of the claim's own orbit, with only A and N settable.  The
+kernel-generator certificate is one exact search: a kernel basis of d1
+with the claimed scalings, and a search over F_p for a combination whose
+level coordinates and class coordinate are all units.
 """
 
 from __future__ import annotations
@@ -339,36 +341,42 @@ class FiberCohomology:
         return {0: (), 1: self.h1.exponents(p), 2: self.h2}
 
 
-def fiber_cohomology(
-    params: TruncationParams, trunc: OrbitTruncation, transforms: tuple[str, ...] = ("U", "V")
-) -> FiberCohomology:
-    """The fiber cohomology at `trunc`, building the transforms named in
-    `transforms` ("U", "V"; see `FiberCohomology.of`)."""
-    return FiberCohomology.of(build_orbit_matrices(params, trunc), params.p, transforms)
+def fiber_cohomology(params: TruncationParams, trunc: OrbitTruncation) -> FiberCohomology:
+    """The fiber cohomology at `trunc`, with both transforms built: the
+    kernel-generator certificate reads the class functional (U) and the
+    transition oracle also the kernel basis (V)."""
+    return FiberCohomology.of(build_orbit_matrices(params, trunc), params.p)
 
 
 def oracle_cohomology(params: TruncationParams, trunc: OrbitTruncation) -> dict[int, tuple[int, ...]]:
     """Cohomology of the truncated fiber complex as p-power exponents per
-    degree, rechecked at the grown truncation (`OrbitTruncation.grown`:
-    A -> A+1, N -> max(N+2, i*(A+2)+5)).  Both fibers come from one build
-    (`base_and_grown_matrices`).  Only exponents are read, so neither fiber
-    builds a transform beyond the kernel's V⁻¹."""
+    degree, rechecked at the grown truncation (`_stable_fiber`).  Only
+    exponents are read, so neither fiber builds a transform beyond the
+    kernel's V⁻¹."""
+    return _stable_fiber(params, trunc, ())[1]
+
+
+def _stable_fiber(
+    params: TruncationParams, trunc: OrbitTruncation, transforms: tuple[str, ...]
+) -> tuple[FiberCohomology, dict[int, tuple[int, ...]]]:
+    """The fiber cohomology at `trunc`, building the transforms named in
+    `transforms`, and its exponents, after the stability recheck: the
+    fiber at the grown truncation (`OrbitTruncation.grown`: A -> A+1,
+    N -> max(N+2, i*(A+2)+5)) must give the same exponents, or
+    TruncationInstabilityError.  Both fibers come from one build
+    (`base_and_grown_matrices`); the base matrices are the grown ones cut
+    back, but their complex is a different one, so eliminating both is the
+    check.  The grown fiber builds no quotient transform."""
+    p = params.p
     base, grown = base_and_grown_matrices(params, trunc)
-    result = FiberCohomology.of(base, params.p, ()).exponents(params.p)
-    _check_stability(params.p, grown, result)
-    return result
-
-
-def _check_stability(p: int, grown: OrbitMatrices, result: dict[int, tuple[int, ...]]) -> None:
-    """Raise unless the matrices at the grown truncation (A+1,
-    max(N+2, i*(A+2)+5)) give the same exponents.  The base fiber's
-    matrices are those of `grown` cut back to levels 0..A and reduced, but
-    its complex is a different one: eliminating both is the check."""
+    fc = FiberCohomology.of(base, p, transforms)
+    exps = fc.exponents(p)
     again = FiberCohomology.of(grown, p, ()).exponents(p)
-    if again != result:
+    if again != exps:
         raise TruncationInstabilityError(
-            f"cohomology changed under truncation growth: {result} vs {again}"
+            f"cohomology changed under truncation growth: {exps} vs {again}"
         )
+    return fc, exps
 
 
 def _nonvanishing_combination(vecs: list[list[int]], p: int) -> list[int] | None:
@@ -466,9 +474,9 @@ class TransitionOracle:
     """Matrix-level transition maps between truncation exponents f >= e for
     one orbit.
 
-    All levels share one (A, N), the `default_truncation` of the level
-    with the longest walk, read from one `degree1_walks` call over the
-    levels, so the transition matrices line up levelwise.
+    All levels share one truncation `trunc`, the `default_truncation` of
+    the level with the longest walk, read from one `degree1_walks` call
+    over the levels, so the transition matrices line up levelwise.
     Each level's work is done once, on first use (`TransitionLevel`): the
     fiber cohomology, h_e, the degree-1 Nygaard exponents, a generator of
     H^1 and the class functional of H^1.
@@ -504,21 +512,18 @@ class TransitionOracle:
         self.p, self.i, self.orbit = p, i, orbit
         self.levels = sorted(levels)
         walks = degree1_walks(p, i, orbit.m, orbit.alpha, self.levels)
-        trunc = _truncation_for_walk(orbit, i, max(len(walk) for walk in walks))
-        self.A, self.N = trunc.A, trunc.N
+        self.trunc = _truncation_for_walk(orbit, i, max(len(walk) for walk in walks))
+        self.A, self.N = self.trunc.A, self.trunc.N
         self._m = [p**a * orbit.m for a in range(self.A + 1)]
         self._cache: dict[int, TransitionLevel] = {}
 
     def params(self, e: int) -> TruncationParams:
         return TruncationParams(self.p, e, self.i)
 
-    def trunc(self) -> OrbitTruncation:
-        return OrbitTruncation(self.orbit, self.A, self.N)
-
     def level(self, e: int) -> TransitionLevel:
         if e not in self._cache:
             params = self.params(e)
-            fc = fiber_cohomology(params, self.trunc())
+            fc = fiber_cohomology(params, self.trunc)
             exps = fc.h1.exponents(self.p)
             if len(exps) > 1:
                 raise OracleError(f"degree-1 cohomology not cyclic at e={e}: {exps}")
@@ -586,26 +591,21 @@ class OrbitCertificate:
     passed: bool
 
 
-def verify_orbit(params: TruncationParams, summand, trunc: OrbitTruncation | None = None) -> OrbitCertificate:
+def verify_orbit(params: TruncationParams, summand, A: int | None = None, N: int | None = None) -> OrbitCertificate:
     """Check the closed-form claim `summand` (a `SyntomicSummand`: orbit,
-    module W(k)/p^h, s and generator exponents) against the oracle:
-    degree-1 exponent equality, vanishing in degrees 0 and 2, truncation
-    stability, and kernel-generator certification when s >= 1.
+    module W(k)/p^h, s and generator exponents) against the oracle on the
+    claim's own orbit: degree-1 exponent equality, vanishing in degrees 0
+    and 2, truncation stability, and kernel-generator certification when
+    s >= 1.
 
-    `trunc` defaults to `default_truncation(params, summand.orbit)`.  The
-    matrices are built once, at the grown truncation of the stability
-    recheck, and the base ones are cut from them (`base_and_grown_matrices`).
-    The fiber cohomology is computed at `trunc`, with the U transform the
-    kernel certificate reads, and at the grown truncation, with no quotient
-    transforms; both kernels of d1 build V⁻¹ only, each d1 is eliminated
-    once, and each degree-0 certificate is read from its fiber's H^1
-    elimination."""
-    if trunc is None:
-        trunc = default_truncation(params, summand.orbit)
-    base, grown = base_and_grown_matrices(params, trunc)
-    fc = FiberCohomology.of(base, params.p, ("U",))
-    exps = fc.exponents(params.p)
-    _check_stability(params.p, grown, exps)
+    The truncation is `default_truncation(params, summand.orbit)`, with
+    its level A or precision N replaced by either one given.  The fiber
+    cohomology is computed once with the stability recheck
+    (`_stable_fiber`), building the U transform the kernel certificate's
+    class functional reads."""
+    default = default_truncation(params, summand.orbit)
+    trunc = OrbitTruncation(summand.orbit, default.A if A is None else A, default.N if N is None else N)
+    fc, exps = _stable_fiber(params, trunc, ("U",))
     h = summand.module.h
     degree_match = (
         exps[0] == ()

@@ -15,8 +15,8 @@ tower: its levels must be every level coprime to p from its least one up
 to the probe, and sources start at level 2.  Valuations are computed one
 target level at a time (`transition_valuations`): the target's terms are
 read once and each source adds its own, with v_p of factorials taken by
-Legendre's formula; `transition_valuation` is its one-source case.  The
-sweep passes p, the levels and the weight as plain ints, checked once per
+Legendre's formula; `tr_valuation` is its one-source case.  The sweep
+passes p, the levels, the weight and m as plain ints, checked once per
 tower, and builds no `TruncationParams`.  Its per-level output is one
 light, tuple-backed `LevelStabilization`; whether a level is settled is
 decided once there, and a trivial level (h = 0) takes a short path that
@@ -86,18 +86,11 @@ def transition_valuations(
     return out
 
 
-def transition_valuation(p: int, e: int, f: int, sm_e: SyntomicSummand, sm_f: SyntomicSummand) -> int | None:
-    """The one-source case of `transition_valuations`: the closed-form
-    p-valuation of the map from truncation f down to e on one orbit, or
-    None when the target group is trivial."""
-    vs = transition_valuations(p, e, sm_e, (f,), (sm_f,))
-    return None if vs is None else vs[0]
-
-
 def tr_valuation(params: TruncationParams, f: int, orbit: Orbit) -> int | None:
     """Transition valuation from truncation f down to e = params.e on one
-    orbit, in weight i = params.i (see transition_valuation), reading both
-    levels' summands from the summand cache."""
+    orbit, in weight i = params.i: the one-source case of
+    `transition_valuations`, reading both levels' summands from the
+    summand cache.  None when the target group is trivial."""
     p, e, i = params.p, params.e, params.i
     if f < e:
         raise ValueError("need f >= e")
@@ -105,7 +98,8 @@ def tr_valuation(params: TruncationParams, f: int, orbit: Orbit) -> int | None:
         raise ValueError("levels must be coprime to p")
     sm_e = h1_syntomic_orbit(params, orbit)
     sm_f = h1_syntomic_orbit(TruncationParams(p, f, i), orbit)
-    return transition_valuation(p, e, f, sm_e, sm_f)
+    vs = transition_valuations(p, e, sm_e, (f,), (sm_f,))
+    return None if vs is None else vs[0]
 
 
 def image_exponent(h_f: int, h_e: int, v: int) -> int:
@@ -126,20 +120,21 @@ def ml_bound(params: TruncationParams, m: int) -> int:
     reduce to f >= p^(2s) m.  See `_ml_bound`, the same bound on plain
     ints, which the sweep reads per level.
     """
+    if params.e % params.p == 0:
+        raise ValueError("level must be coprime to p")
+    if m < 1:
+        raise ValueError("ml_bound needs m >= 1")
     return _ml_bound(params.p, params.e, params.i, m)
 
 
 def _ml_bound(p: int, e: int, i: int, m: int) -> int:
-    """`ml_bound` at level e and weight i.
+    """`ml_bound` at level e and weight i, for e coprime to p and m >= 1,
+    as the caller has checked (at m = 0 the count of s would never end).
 
     s needs no walk: at the empty multi-index the degree-1 exponent
     d_a = i - ceil(p^a m / e) is >= 0 exactly when p^a m <= i e, and
     ceil(p^a m / e) increases with a, so s = #{a >= 0 : p^a m <= i e}.
     """
-    if e % p == 0:
-        raise ValueError("level must be coprime to p")
-    if m < 1:
-        raise ValueError("ml_bound needs m >= 1")
     s, pm = 0, m  # pm = p^s m
     while pm <= i * e:
         s, pm = s + 1, pm * p
@@ -225,8 +220,9 @@ def stabilized_images(tower: Tower, probe: int) -> StabilizedTower:
     and record where images settle.
 
     Every source is read from the tower, whose levels must be every level
-    coprime to p from its least one up to the probe (else ValueError);
-    sources start at level 2, so level 1 is not its own source.
+    coprime to p from its least one up to the probe, and whose orbit must
+    be valid for p (else ValueError); both are checked once per tower.
+    Sources start at level 2, so level 1 is not its own source.
 
     A level is certified when the probe reaches its theoretical bound; on
     certified levels any image change at or past the bound raises
@@ -249,6 +245,7 @@ def stabilized_images(tower: Tower, probe: int) -> StabilizedTower:
     levels, summands = tower.levels, tower.summands
     if not levels or levels != tuple(f for f in range(levels[0], probe + 1) if f % p):
         raise ValueError(f"tower levels {levels} are not every level coprime to p up to {probe}")
+    tower.orbit.validate(p)
     hs = [sm.module.h for sm in summands]
     out = []
     for k, (e, sm_e, h) in enumerate(zip(levels, summands, hs)):

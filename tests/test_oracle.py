@@ -33,7 +33,7 @@ from trcalc.oracle import (
     verify_orbit,
 )
 from trcalc.padic import MultiIndex, PAdicFraction, brace, factorial_ratio, vp
-from trcalc.prosystem import ml_bound, transition_valuation
+from trcalc.prosystem import ml_bound, tr_valuation
 from trcalc.snf import (
     ClassFunctional,
     QuotientPresentation,
@@ -45,7 +45,7 @@ from trcalc.snf import (
     quotient,
     smith_mod_prime_power,
 )
-from trcalc.syntomic import AlphaBounds, Orbit, enumerate_alphas, h1_syntomic_orbit
+from trcalc.syntomic import AlphaBounds, Orbit, enumerate_alphas, enumerate_orbits, h1_syntomic_orbit
 
 EMPTY = MultiIndex()
 
@@ -207,13 +207,13 @@ def test_degree0_certificate_matches_the_direct_snf_of_d0():
                 base = default_truncation(params, Orbit(m, alpha))
                 minimal_n = OrbitTruncation(base.orbit, base.A, i * (base.A + 1) + 5)
                 for trunc in (base, base.grown(params), minimal_n):
-                    fc = fiber_cohomology(params, trunc, ())
+                    fc = FiberCohomology.of(build_orbit_matrices(params, trunc), p, ())
                     assert fc.h0_kernel_rank == _direct_h0_kernel_rank(fc) == 0
                     checked += 1
     # and on the README job `verify --p 2 --i 2 --e 3 --A 6 --N 24`
     params = TruncationParams(2, 3, 2)
     for m in (1, 5):
-        fc = fiber_cohomology(params, OrbitTruncation(Orbit(m), 6, 24), ())
+        fc = FiberCohomology.of(build_orbit_matrices(params, OrbitTruncation(Orbit(m), 6, 24)), 2, ())
         assert fc.h0_kernel_rank == _direct_h0_kernel_rank(fc) == 0
     assert checked > 1000
 
@@ -396,7 +396,7 @@ def test_verify_orbit_rejects_unstable_truncation(monkeypatch):
 
 def test_verify_orbit_pinned_truncation_matches_cli_job():
     params = TruncationParams(2, 3, 2)
-    cert = verify_orbit(params, h1_syntomic_orbit(params, Orbit(1)), OrbitTruncation(Orbit(1), 6, 24))
+    cert = verify_orbit(params, h1_syntomic_orbit(params, Orbit(1)), A=6, N=24)
     report, _ = run_command(JobSpec(command="verify", p=2, i=2, e=3, A=6, N=24))
     rec = next(rec for rec in report.orbits if rec["m"] == 1)
     assert cert.oracle_exponents[0] == ()
@@ -404,6 +404,30 @@ def test_verify_orbit_pinned_truncation_matches_cli_job():
     assert rec["oracle_h2"] == list(cert.oracle_exponents[2])
     assert rec["kernel_ok"] == cert.kernel_ok
     assert rec["pass"] == cert.passed
+
+
+@pytest.mark.parametrize("alpha", [EMPTY, MultiIndex.from_dict({"t": PAdicFraction.make(1, 1, 2)})])
+def test_verify_orbit_checks_the_claim_on_its_own_orbit(monkeypatch, alpha):
+    # a claim can pass against another orbit's matrices: the m=5 claim at
+    # p=2, e=3, i=3 does against the m=7 ones at the same (A, N) = (3, 20),
+    # with and without the one-slot window's t^(1/2); so the orbit comes
+    # from the claim alone, every build is of the claim's orbit, and the
+    # certificate's hash names its matrices
+    params = TruncationParams(2, 3, 3)
+    claim = h1_syntomic_orbit(params, Orbit(5, alpha))
+    real = oracle_module.build_orbit_matrices
+    built = []
+
+    def recording(params, trunc):
+        built.append(trunc.orbit)
+        return real(params, trunc)
+
+    monkeypatch.setattr(oracle_module, "build_orbit_matrices", recording)
+    cert = verify_orbit(params, claim, 3, 20)
+    assert cert.passed and cert.orbit == claim.orbit and built == [claim.orbit]
+    own = real(params, OrbitTruncation(claim.orbit, 3, 20)).content_hash()
+    other = real(params, OrbitTruncation(Orbit(7, alpha), 3, 20)).content_hash()
+    assert cert.matrices_hash == own != other
 
 
 def _package_imports(module):
@@ -477,7 +501,7 @@ def test_verify_orbit_runs_only_the_transforms_it_reads(monkeypatch):
     # each H^1 quotient is n x n: the kernel keeps the n coordinates of its
     # 2n that are not identically zero, and none needs a relation column
     assert quotient_shapes == [(mats.n, mats.n) for mats in fibers]
-    fc = fiber_cohomology(params, base, ("U",))
+    fc = FiberCohomology.of(fibers[0], params.p, ("U",))
     assert fc.h1.kernel.dim == fibers[0].n and fc.h1.kernel.t == [1] * fibers[0].n
     # the claim (0, 0, 1) scales the columns of levels 0, 1, 2 by 2, 1, 1
     d1, q = fibers[0].fiber_d1(), fibers[0].modulus
@@ -501,6 +525,27 @@ def test_oracle_cohomology_runs_only_the_transforms_it_reads(monkeypatch):
         monkeypatch.setattr(module, "smith_mod_prime_power", smith)
     assert oracle_cohomology(params, trunc) == full == {0: (), 1: (3,), 2: ()}
     assert transforms == [("Vinv",), (), ("Vinv",), ()]
+
+
+def test_fiber_cohomology_serves_the_certificate_and_the_transition_oracle():
+    # the kernel-generator certificate reads the class functional (U) and
+    # the transition oracle the kernel basis (V) too: every
+    # fiber_cohomology result carries both, and a one-level transition
+    # oracle reads the same fiber
+    checked = 0
+    for p, e, i in ((2, 3, 2), (2, 5, 3), (3, 2, 1), (3, 4, 2), (5, 2, 2)):
+        params = TruncationParams(p, e, i)
+        for claim in enumerate_orbits(params, AlphaBounds(("t",), 2, 1)):
+            fc = fiber_cohomology(params, default_truncation(params, claim.orbit))
+            assert fc.h1._U is not None and fc.h1.kernel.basis is not None
+            level = TransitionOracle(p, i, claim.orbit, [e]).level(e)
+            assert level.matrices == fc.matrices
+            if claim.module.h:
+                assert certify_kernel_generator(fc, claim)
+                assert level.functional == fc.h1.class_functional()
+                assert level.generator in columns(fc.h1.kernel.basis)
+                checked += 1
+    assert checked > 10
 
 
 @settings(max_examples=60, deadline=None)
@@ -602,7 +647,7 @@ def _dense_witness_level(oc, e):
     generator, the kernel basis column of largest class order h.  The
     basis generates H^1, so p^h is its exponent, and H^1 is cyclic (as
     asserted) exactly when its order [C^1 : Λ] / [C^1 : K] is p^h."""
-    mats = build_orbit_matrices(oc.params(e), oc.trunc())
+    mats = build_orbit_matrices(oc.params(e), oc.trunc)
     q, d0 = mats.modulus, mats.fiber_d0()
     K = witness.kernel_mod(mats.fiber_d1(), q)
     order = functools.partial(witness.class_order_exponent, d0, q, oc.p)
@@ -677,7 +722,7 @@ def test_transition_formula_at_the_ml_bound():
                 orbit = Orbit(m, alpha)
                 f0 = ml_bound(params, m)
                 sm_e, sm_f = h1_syntomic_orbit(params, orbit), h1_syntomic_orbit(TruncationParams(p, f0, i), orbit)
-                v = transition_valuation(p, e, f0, sm_e, sm_f)
+                v = tr_valuation(params, f0, orbit)
                 if v is None:
                     assert sm_e.module.h == 0
                     continue
@@ -705,7 +750,8 @@ def test_two_slot_fiber_cohomology_matches_the_closed_form():
                     continue
                 orbit = Orbit(m, alpha)
                 h = h1_syntomic_orbit(params, orbit).module.h
-                exps = fiber_cohomology(params, default_truncation(params, orbit), ()).exponents(p)
+                mats = build_orbit_matrices(params, default_truncation(params, orbit))
+                exps = FiberCohomology.of(mats, p, ()).exponents(p)
                 assert exps == {0: (), 1: (h,) if h else (), 2: ()}
                 checked += 1
                 nontrivial += h > 0
@@ -780,7 +826,7 @@ def test_transition_image_outside_the_kernel_is_refused(monkeypatch):
     oc = TransitionOracle(2, 2, Orbit(1), [3, 5])
     assert oc.valuation(3, 5) >= 0
     not_a_cocycle = [1] + [0] * (2 * (oc.A + 1) - 1)
-    fc = fiber_cohomology(oc.params(3), oc.trunc())
+    fc = fiber_cohomology(oc.params(3), oc.trunc)
     assert any(oc.level(3).matrices.fiber_d1_apply(not_a_cocycle))
     assert fc.h1.kernel.solve(not_a_cocycle) is None
     monkeypatch.setattr(TransitionOracle, "_transition_image", lambda self, *args: not_a_cocycle)
@@ -843,7 +889,7 @@ def test_generator_class_order_is_the_largest_exponent(p, i, e, m, slot):
     alpha = MultiIndex.from_dict({"t": PAdicFraction.make(*slot, p)})
     oc = TransitionOracle(p, i, Orbit(m, alpha), [e])
     level = oc.level(e)
-    exps = fiber_cohomology(oc.params(e), oc.trunc()).h1.exponents(p)
+    exps = fiber_cohomology(oc.params(e), oc.trunc).h1.exponents(p)
     if not exps:
         assert level.h == 0 and level.generator is None
         return

@@ -1,6 +1,7 @@
 """Transition valuations, Mittag-Leffler stabilization, and limit
 classification of the degree-1 towers."""
 
+import dataclasses
 import itertools
 
 import pytest
@@ -26,7 +27,6 @@ from trcalc.prosystem import (
     stabilized_images,
     tr_groups,
     tr_valuation,
-    transition_valuation,
     transition_valuations,
 )
 from trcalc.syntomic import (
@@ -131,7 +131,8 @@ def test_transition_valuations_match_the_pairwise_formula():
                     vals = transition_valuations(p, e, sm_e, fs, sms_f)
                     pairs = [pairwise_valuation(p, e, f, sm_e, sm_f) for f, sm_f in zip(fs, sms_f)]
                     for j in (0, -1):
-                        assert transition_valuation(p, e, fs[j], sm_e, sms_f[j]) == pairs[j]
+                        one = transition_valuations(p, e, sm_e, [fs[j]], [sms_f[j]])
+                        assert one == (None if pairs[j] is None else [pairs[j]])
                     if vals is None:
                         assert set(pairs) == {None}
                         assert sm_e.module.h == 0
@@ -193,7 +194,8 @@ def test_build_tower_groups():
     assert tuple(sm.module.h for sm in tower.summands) == (1, 2, 2, 2, 2)
     adjacent = list(zip(tower.levels, tower.levels[1:], tower.summands, tower.summands[1:]))
     assert len(adjacent) == 4
-    assert all(transition_valuation(3, e, f, sm_e, sm_f) == 0 for e, f, sm_e, sm_f in adjacent)
+    assert all(transition_valuations(3, e, sm_e, [f], [sm_f]) == [0] for e, f, sm_e, sm_f in adjacent)
+    assert all(tr_valuation(TruncationParams(3, e, 1), f, Orbit(1)) == 0 for e, f, _, _ in adjacent)
 
 
 def test_build_tower_rejects_bad_input():
@@ -601,6 +603,15 @@ def test_stabilized_images_rejects_towers_without_every_source(p, levels, probe)
     tower = build_tower(p, 1, Orbit(1), levels)
     with pytest.raises(ValueError, match="not every level"):
         stabilized_images(tower, probe)
+
+
+@pytest.mark.parametrize("m, match", [(0, "m >= 1"), (6, "coprime to p")])
+def test_stabilized_images_rejects_an_invalid_orbit(m, match):
+    # a Tower built by hand skips build_tower's checks; the sweep checks the
+    # orbit once per tower, and the per-level bound takes m as checked
+    good = build_tower(3, 1, Orbit(1), [2, 4, 5])
+    with pytest.raises(ValueError, match=match):
+        stabilized_images(dataclasses.replace(good, orbit=Orbit(m)), 5)
 
 
 def test_stabilized_images_sources_start_at_level_2():
