@@ -16,9 +16,13 @@ gives the matrices of both (`_stable_fiber`, shared by `verify_orbit` and
 orbit, s, h and generator exponents, is handed in by the caller of
 `verify_orbit` and `certify_kernel_generator`; `verify_orbit` builds the
 matrices of the claim's own orbit, with only A and N settable.  The
-kernel-generator certificate is one exact search: a kernel basis of d1
-with the claimed scalings, and a search over F_p for a combination whose
-level coordinates and class coordinate are all units.
+matrices record their prime and orbit (`OrbitMatrices.p`, `.orbit`), and
+every reader takes both from there: the kernel-generator certificate
+refuses a claim about another orbit, and `FiberCohomology.exponents` a
+prime other than the fiber's.  The kernel-generator certificate is one
+exact search: a kernel basis of d1 with the claimed scalings, and a search
+over F_p for a combination whose level coordinates and class coordinate
+are all units.
 """
 
 from __future__ import annotations
@@ -92,15 +96,20 @@ def _truncation_for_walk(orbit: Orbit, i: int, s: int) -> OrbitTruncation:
 
 @dataclass
 class OrbitMatrices:
-    """Diagonal/subdiagonal coefficient data of the truncated orbit
-    complexes, reduced modulo p^N.
+    """Diagonal/subdiagonal coefficient data of the truncated complexes of
+    `orbit` at the prime p, reduced modulo p^N.
 
-    Index a runs over levels 0..A.  `diff_nygaard` and `diff_full` are
-    diagonal (level-preserving); `frob0`/`frob1` carry level a to a+1 and
-    have length A; `can0`/`can1` are diagonal.  `u1` holds the degree-1
-    Nygaard exponent of each level, which `can1` is built from.
+    The prime and the orbit are facts of the matrices: every reader takes
+    them from here.  Index a runs over levels 0..A.  `diff_nygaard` and
+    `diff_full` are diagonal (level-preserving); `frob0`/`frob1` carry
+    level a to a+1 and have length A; `can0`/`can1` are diagonal.  `u1`
+    holds the degree-1 Nygaard exponent of each level, which `can1` is
+    built from.  `content_hash` reads the coefficient lists, n and the
+    modulus.
     """
 
+    p: int
+    orbit: Orbit
     n: int
     modulus: int
     diff_nygaard: list[int]
@@ -151,16 +160,19 @@ class OrbitMatrices:
             out.append(v % q)
         return out
 
-    def truncated(self, A: int, modulus: int) -> "OrbitMatrices":
-        """These coefficients on levels 0..A, reduced mod `modulus`, which
-        divides this one; the Frobenius entries leaving level A are
+    def truncated(self, A: int, N: int) -> "OrbitMatrices":
+        """These coefficients on levels 0..A, reduced mod p^N, which
+        divides this modulus; the Frobenius entries leaving level A are
         dropped."""
         n = A + 1
+        modulus = self.p**N
 
         def cut(coeffs: list[int], k: int) -> list[int]:
             return [c % modulus for c in coeffs[:k]]
 
         return OrbitMatrices(
+            self.p,
+            self.orbit,
             n,
             modulus,
             cut(self.diff_nygaard, n),
@@ -251,7 +263,7 @@ def build_orbit_matrices(params: TruncationParams, trunc: OrbitTruncation) -> Or
         frob1.append((num1 // pi) % modulus)
 
     u1 = [u[a][1] for a in range(n)]
-    return OrbitMatrices(n, modulus, diff_nygaard, diff_full, can0, can1, frob0, frob1, u1)
+    return OrbitMatrices(p, orbit, n, modulus, diff_nygaard, diff_full, can0, can1, frob0, frob1, u1)
 
 
 def base_and_grown_matrices(
@@ -265,7 +277,7 @@ def base_and_grown_matrices(
     lists.  Both truncations are validated."""
     trunc.validate(params)
     grown = build_orbit_matrices(params, trunc.grown(params))
-    return grown.truncated(trunc.A, params.p**trunc.N), grown
+    return grown.truncated(trunc.A, trunc.N), grown
 
 
 @dataclass
@@ -301,20 +313,19 @@ class FiberCohomology:
     """
 
     matrices: OrbitMatrices
-    p: int
     h1: QuotientPresentation
     d1: Matrix
 
     @classmethod
-    def of(cls, mats: OrbitMatrices, p: int, transforms: tuple[str, ...] = ("U", "V")) -> "FiberCohomology":
+    def of(cls, mats: OrbitMatrices, transforms: tuple[str, ...] = ("U", "V")) -> "FiberCohomology":
         """The fiber cohomology of `mats`, building the transforms named in
         `transforms`: "U" for the class functional of H^1's quotient, "V"
         for the basis of the kernel of d1.  The kernel always builds V⁻¹,
         which the quotient's solves read."""
         d1 = mats.fiber_d1()
-        kernel = kernel_mod(d1, p, mats.modulus, ("V", "Vinv") if "V" in transforms else ("Vinv",))
+        kernel = kernel_mod(d1, mats.p, mats.modulus, ("V", "Vinv") if "V" in transforms else ("Vinv",))
         h1 = quotient(kernel, mats.fiber_d0(), ("U",) if "U" in transforms else ())
-        return cls(mats, p, h1, d1)
+        return cls(mats, h1, d1)
 
     @cached_property
     def h0_kernel_rank(self) -> int:
@@ -324,28 +335,32 @@ class FiberCohomology:
         t = h1.kernel.t
         if any(tj > 1 for tj in t):
             scaled = [[tj * y % q for y in row] for tj, row in zip(t, h1.coords)]
-            divisors = smith_mod_prime_power(scaled, self.p, q, ())[0]
+            divisors = smith_mod_prime_power(scaled, self.matrices.p, q, ())[0]
         else:
             divisors = h1.divisors
         return self.matrices.n - sum(d < q for d in divisors)
 
     @cached_property
     def h2(self) -> tuple[int, ...]:
-        return divisor_exponents(self.h1.kernel.divisors, self.p)
+        return divisor_exponents(self.h1.kernel.divisors, self.matrices.p)
 
     def exponents(self, p: int) -> dict[int, tuple[int, ...]]:
+        """The p-power exponents of H^0, H^1 and H^2; p must be the prime
+        of the matrices, since another prime reads every group as trivial."""
+        if p != self.matrices.p:
+            raise ValueError(f"fiber is over p={self.matrices.p}, not p={p}")
         if self.h0_kernel_rank:
             raise OracleError(
                 f"degree-0 injectivity not certified mod p^N on {self.h0_kernel_rank} column(s)"
             )
-        return {0: (), 1: self.h1.exponents(p), 2: self.h2}
+        return {0: (), 1: self.h1.exponents(), 2: self.h2}
 
 
 def fiber_cohomology(params: TruncationParams, trunc: OrbitTruncation) -> FiberCohomology:
     """The fiber cohomology at `trunc`, with both transforms built: the
     kernel-generator certificate reads the class functional (U) and the
     transition oracle also the kernel basis (V)."""
-    return FiberCohomology.of(build_orbit_matrices(params, trunc), params.p)
+    return FiberCohomology.of(build_orbit_matrices(params, trunc))
 
 
 def oracle_cohomology(params: TruncationParams, trunc: OrbitTruncation) -> dict[int, tuple[int, ...]]:
@@ -367,11 +382,10 @@ def _stable_fiber(
     (`base_and_grown_matrices`); the base matrices are the grown ones cut
     back, but their complex is a different one, so eliminating both is the
     check.  The grown fiber builds no quotient transform."""
-    p = params.p
     base, grown = base_and_grown_matrices(params, trunc)
-    fc = FiberCohomology.of(base, p, transforms)
-    exps = fc.exponents(p)
-    again = FiberCohomology.of(grown, p, ()).exponents(p)
+    fc = FiberCohomology.of(base, transforms)
+    exps = fc.exponents(params.p)
+    again = FiberCohomology.of(grown, ()).exponents(params.p)
     if again != exps:
         raise TruncationInstabilityError(
             f"cohomology changed under truncation growth: {exps} vs {again}"
@@ -424,14 +438,16 @@ def certify_kernel_generator(fc: FiberCohomology, summand) -> bool:
     valuation profile can carry a generator: for p=2, e=3, i=2, m=1 the
     claims (0,0,2) and (0,0,3) pass as the closed form's (0,0,1) does,
     while (0,1,1) and (1,0,1) fail.  A non-cyclic H^1 fails.  Rejects a
-    claim with s = 0, whose kernel summand is trivial."""
-    p = fc.p
+    claim with s = 0, whose kernel summand is trivial, and a claim about
+    another orbit than that of the matrices."""
+    mats = fc.matrices
     s = summand.s
     if s == 0:
         raise ValueError("orbit has s = 0; kernel summand is trivial")
-    mats = fc.matrices
-    n, q = mats.n, mats.modulus
-    h = fc.h1.exponents(p)
+    if summand.orbit != mats.orbit:
+        raise ValueError(f"claim on orbit {summand.orbit} checked against the matrices of {mats.orbit}")
+    p, n, q = mats.p, mats.n, mats.modulus
+    h = fc.h1.exponents()
     if s != len(summand.generator_exponents) or s > n or len(h) > 1:
         return False
     scale = [p**c for c in reversed(summand.generator_exponents)] + [1] * (2 * n - s)
@@ -524,7 +540,7 @@ class TransitionOracle:
         if e not in self._cache:
             params = self.params(e)
             fc = fiber_cohomology(params, self.trunc)
-            exps = fc.h1.exponents(self.p)
+            exps = fc.h1.exponents()
             if len(exps) > 1:
                 raise OracleError(f"degree-1 cohomology not cyclic at e={e}: {exps}")
             if exps:
@@ -596,7 +612,7 @@ def verify_orbit(params: TruncationParams, summand, A: int | None = None, N: int
     module W(k)/p^h, s and generator exponents) against the oracle on the
     claim's own orbit: degree-1 exponent equality, vanishing in degrees 0
     and 2, truncation stability, and kernel-generator certification when
-    s >= 1.
+    s >= 1 and h >= 1.
 
     The truncation is `default_truncation(params, summand.orbit)`, with
     its level A or precision N replaced by either one given.  The fiber
@@ -607,14 +623,8 @@ def verify_orbit(params: TruncationParams, summand, A: int | None = None, N: int
     trunc = OrbitTruncation(summand.orbit, default.A if A is None else A, default.N if N is None else N)
     fc, exps = _stable_fiber(params, trunc, ("U",))
     h = summand.module.h
-    degree_match = (
-        exps[0] == ()
-        and exps[2] == ()
-        and exps[1] == ((h,) if h else ())
-    )
-    kernel_ok = True
-    if summand.s >= 1 and h >= 1:
-        kernel_ok = certify_kernel_generator(fc, summand)
+    degree_match = exps == {0: (), 1: (h,) if h else (), 2: ()}
+    kernel_ok = summand.s < 1 or h == 0 or certify_kernel_generator(fc, summand)
     return OrbitCertificate(
         orbit=summand.orbit,
         s=summand.s,

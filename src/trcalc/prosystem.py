@@ -289,14 +289,14 @@ class ProCyclicLimit:
     order, W(k)-full at probe scale).  The verdict is a probe-scale
     judgment over the recorded evidence window, not a theorem.  lim^1
     vanishes for every Mittag-Leffler tower of finite groups, which the
-    stabilization step has already verified.
+    stabilization step has already verified, so `lim1_zero` is a constant.
     """
 
     kind: str
     h: int | None
     ml_index: int
     evidence: tuple[int, ...]
-    lim1_zero: bool = True
+    lim1_zero = True
 
 
 ZPFULL_RUN = 8
@@ -350,13 +350,14 @@ class RefusedClassification:
 class OddZeroCertificate:
     """Vanishing certificate for one odd TR degree: every probed tower
     satisfied the Mittag-Leffler check, so the derived-limit obstruction
-    is zero and the odd group receives no contribution."""
+    is zero and the odd group receives no contribution.  A tower that fails
+    the check raises instead, so `zero` and `lim1_zero` are constants."""
 
     degree: int
     probe: int
     orbits_checked: int
-    zero: bool = True
-    lim1_zero: bool = True
+    zero = True
+    lim1_zero = True
 
 
 @dataclass(frozen=True)
@@ -364,17 +365,20 @@ class TRGroups:
     """Homotopy of TR in one even degree and the odd degree below it.
 
     Degree 2i is assembled from the weight i+1 towers (the loop shift in
-    the curves description of TR); the weight is recorded to prevent
-    off-by-one misuse.  even pairs each orbit with its limit verdict or a
+    the curves description of TR); `weight` is read off the degree, so the
+    two cannot disagree.  even pairs each orbit with its limit verdict or a
     refusal.  The m = 1 slice is the p-typical summand under the standard
     curves indexing of the product decomposition over I_p.
     """
 
     p: int
     degree: int
-    weight: int
     even: tuple[tuple[Orbit, ProCyclicLimit | RefusedClassification], ...]
     odd: OddZeroCertificate
+
+    @property
+    def weight(self) -> int:
+        return self.degree // 2 + 1
 
     @property
     def refused(self) -> bool:
@@ -406,4 +410,4 @@ def tr_groups(p: int, i: int, bounds: AlphaBounds, probe: int) -> TRGroups:
             verdict = RefusedClassification(str(exc), exc.orders)
         even.append((tower.orbit, verdict))
     odd = OddZeroCertificate(degree=2 * i - 1, probe=probe, orbits_checked=len(towers))
-    return TRGroups(p, 2 * i, weight, tuple(even), odd)
+    return TRGroups(p, 2 * i, tuple(even), odd)

@@ -26,7 +26,8 @@ coordinates, all with t_j = 1, and the quotient under H¹ is n×n.  The
 quotient keeps the kernel coordinates Y of its generators L:
 L ≡ basis·Y = V·diag(t)·Y on the kept coordinates, and V is invertible
 mod q, so the divisors of L below q are those of diag(t)·Y, and those of
-the quotient itself when every kept t_j is 1.
+the quotient itself when every kept t_j is 1.  A kernel records the prime
+of its modulus, and its quotients read their exponents as powers of it.
 
 Elimination builds only what is read.  `smith_mod_prime_power`,
 `kernel_mod` and `quotient` take a `transforms` tuple naming the
@@ -265,9 +266,10 @@ class QuotientPresentation:
     divisors: tuple[int, ...]
     _U: Matrix | None
 
-    def exponents(self, p: int) -> tuple[int, ...]:
-        """Divisors as powers of p, largest first, trivial ones dropped."""
-        return divisor_exponents(self.divisors, p)
+    def exponents(self) -> tuple[int, ...]:
+        """Divisors as powers of the kernel's prime, largest first, trivial
+        ones dropped."""
+        return divisor_exponents(self.divisors, self.kernel.p)
 
     def class_functional(self) -> "ClassFunctional":
         """The class coordinate of a cyclic quotient Z/d as one dot product.

@@ -1,0 +1,108 @@
+"""Input checks: every rejection of a bad job, parameter or value, and the
+two exit-2 paths of the driver, each reached directly."""
+
+import pytest
+
+import trcalc.oracle as oracle_module
+import trcalc.prosystem as prosystem_module
+from trcalc.cli import EXIT_MISMATCH, JobSpec, ValidationError, run_command
+from trcalc.drw import CyclicWittModule, TruncationParams, degree1_walks
+from trcalc.oracle import OrbitTruncation, TransitionOracle
+from trcalc.padic import MultiIndex, PAdicFraction, brace
+from trcalc.report import Report, emit_report
+from trcalc.syntomic import Orbit
+
+HALF = PAdicFraction.make(1, 1, 2)
+
+
+@pytest.mark.parametrize(
+    "spec,message",
+    [
+        (JobSpec(command="syntomic", p=3, i=-1, e=2), "--i must be nonnegative"),
+        (JobSpec(command="kgroups", p=3, i=1, e=0), "--e must be positive"),
+        (JobSpec(command="syntomic", p=3, i=1, e_max=5), "--e-max needs --e"),
+        (JobSpec(command="transition", p=3, i=1), "transition needs --e"),
+        (JobSpec(command="ml-check", p=3, i=1), "ml-check needs --e"),
+        (JobSpec(command="tr", p=3, i=1), "tr needs --e"),
+        (JobSpec(command="verify", p=3, i=1), "verify needs --e"),
+        (JobSpec(command="bogus", p=3, i=1, e=2), "unknown command bogus"),
+        (JobSpec(command="syntomic", p=3, i=1, e=2, format="xml"), "unknown format xml"),
+    ],
+)
+def test_run_command_rejects_a_bad_job(spec, message):
+    with pytest.raises(ValidationError, match=message):
+        run_command(spec)
+
+
+def test_ml_check_reports_a_violation_and_exits_2(monkeypatch):
+    # p=3, weight 1, orbit m=1: level 2 has bound 10 inside the probe, so a
+    # valuation that grows at f=13 changes an image past the bound
+    real = prosystem_module.transition_valuations
+
+    def drifting(p, e, sm_e, fs, sms_f):
+        vals = real(p, e, sm_e, fs, sms_f)
+        return None if vals is None else [v + ((e, f) == (2, 13)) for f, v in zip(fs, vals)]
+
+    monkeypatch.setattr(prosystem_module, "transition_valuations", drifting)
+    report, code = run_command(JobSpec(command="ml-check", p=3, i=1, e=2, e_max=28))
+    assert code == EXIT_MISMATCH
+    violations = [cert for cert in report.certificates if "ml_violation" in cert]
+    assert [cert["m"] for cert in violations] == [1]
+    assert "witness f=13" in violations[0]["ml_violation"]
+    assert report.certificates[-1]["ml_condition"] == "FAIL"
+
+
+def test_oracle_error_becomes_an_error_certificate_and_exits_2(monkeypatch):
+    # the grown fiber of the stability recheck is replaced by another
+    # orbit's, so the oracle raises and the driver records the error
+    real = oracle_module.base_and_grown_matrices
+
+    def other_orbit_when_grown(params, trunc):
+        other = OrbitTruncation(Orbit(5), trunc.A, trunc.N)
+        return real(params, trunc)[0], real(params, other)[1]
+
+    monkeypatch.setattr(oracle_module, "base_and_grown_matrices", other_orbit_when_grown)
+    report, code = run_command(JobSpec(command="verify", p=2, i=2, e=3))
+    assert code == EXIT_MISMATCH
+    assert "cohomology changed under truncation growth" in report.certificates[-1]["error"]
+
+
+@pytest.mark.parametrize(
+    "p,i,levels,message",
+    [
+        (3, 1, [2, 6], "coprime to p"),
+        (3, -1, [2, 4], "weight i >= 0"),
+        (3, 1, [], "at least one level"),
+        (3, 1, [-1, 2], "each >= 1"),
+    ],
+)
+def test_transition_oracle_rejects_bad_levels_and_weights(p, i, levels, message):
+    with pytest.raises(ValueError, match=message):
+        TransitionOracle(p, i, Orbit(1), levels)
+
+
+def test_transition_valuation_needs_a_source_at_or_above_the_target():
+    with pytest.raises(ValueError, match="f >= e"):
+        TransitionOracle(3, 1, Orbit(1), [2, 4]).valuation(4, 2)
+
+
+@pytest.mark.parametrize(
+    "make,message",
+    [
+        (lambda: TruncationParams(3, 0, 1), "e must be >= 1"),
+        (lambda: TruncationParams(3, 2, -1), "weight i must be a natural number"),
+        (lambda: CyclicWittModule(-1), "exponent must be a natural number"),
+        (lambda: degree1_walks(2, 1, 0, MultiIndex(), [3]), "m >= 1"),
+        (lambda: brace(0, 2), "m >= 1"),
+        (lambda: brace(1, 0), "e >= 1"),
+        (lambda: PAdicFraction.make(-1, 0, 2), "natural numbers"),
+        (lambda: PAdicFraction.make(1, -1, 2), "natural numbers"),
+        (lambda: MultiIndex((("u", HALF), ("t", HALF))), "distinct and sorted"),
+        (lambda: MultiIndex((("t", HALF), ("t", HALF))), "distinct and sorted"),
+        (lambda: MultiIndex((("t", PAdicFraction(0, 0)),)), "zero entries"),
+        (lambda: emit_report(Report(command="syntomic", parameters={}), "xml"), "unknown format"),
+    ],
+)
+def test_value_rejections(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()

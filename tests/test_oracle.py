@@ -137,12 +137,12 @@ def test_sign_convention_independence():
 
     n, modulus = mats.n, mats.modulus
     h1 = quotient(kernel_mod(mats.fiber_d1(), 2, modulus), mats.fiber_d0())
-    assert h1.exponents(2) == fc.h1.exponents(2)
+    assert h1.exponents() == fc.h1.exponents()
 
     k1 = witness.kernel_mod(mats.fiber_d1(), modulus)
     modulus_columns = [[modulus * v for v in row] for row in eye(2 * n)]
     divisors = witness.quotient_divisors(k1, hstack(mats.fiber_d0(), modulus_columns))
-    assert tuple(sorted((vp(d, 2) for d in divisors if d != 1), reverse=True)) == fc.h1.exponents(2)
+    assert tuple(sorted((vp(d, 2) for d in divisors if d != 1), reverse=True)) == fc.h1.exponents()
 
 
 def test_truncation_stability():
@@ -186,7 +186,7 @@ def _scale_d1_row(mats, r, f):
 def _direct_h0_kernel_rank(fc):
     """The degree-0 certificate from a separate elimination of d0."""
     mats = fc.matrices
-    divisors = smith_mod_prime_power(mats.fiber_d0(), fc.p, mats.modulus, ())[0]
+    divisors = smith_mod_prime_power(mats.fiber_d0(), fc.matrices.p, mats.modulus, ())[0]
     return divisors[: mats.n].count(mats.modulus)
 
 
@@ -207,13 +207,13 @@ def test_degree0_certificate_matches_the_direct_snf_of_d0():
                 base = default_truncation(params, Orbit(m, alpha))
                 minimal_n = OrbitTruncation(base.orbit, base.A, i * (base.A + 1) + 5)
                 for trunc in (base, base.grown(params), minimal_n):
-                    fc = FiberCohomology.of(build_orbit_matrices(params, trunc), p, ())
+                    fc = FiberCohomology.of(build_orbit_matrices(params, trunc), ())
                     assert fc.h0_kernel_rank == _direct_h0_kernel_rank(fc) == 0
                     checked += 1
     # and on the README job `verify --p 2 --i 2 --e 3 --A 6 --N 24`
     params = TruncationParams(2, 3, 2)
     for m in (1, 5):
-        fc = FiberCohomology.of(build_orbit_matrices(params, OrbitTruncation(Orbit(m), 6, 24)), 2, ())
+        fc = FiberCohomology.of(build_orbit_matrices(params, OrbitTruncation(Orbit(m), 6, 24)), ())
         assert fc.h0_kernel_rank == _direct_h0_kernel_rank(fc) == 0
     assert checked > 1000
 
@@ -241,7 +241,7 @@ def test_degree0_certificate_with_nontrivial_kernel_steps(p, i, e, m, scale, lev
     if dead_column:
         mats.diff_nygaard[-1] = 0
         mats.can0[-1] = q
-    fc = FiberCohomology.of(mats, p, ())
+    fc = FiberCohomology.of(mats, ())
     assert any(t > 1 for t in fc.h1.kernel.t)
     assert fc.h0_kernel_rank == _direct_h0_kernel_rank(fc) == int(dead_column)
 
@@ -357,7 +357,8 @@ def test_verify_orbit_builds_base_and_grown_truncation_once(monkeypatch):
 )
 def test_base_matrices_cut_from_the_grown_build_equal_a_direct_build(p, i, e, m, one_over_p, extra):
     # a level's coefficients do not depend on the truncation, so cutting
-    # the grown build back to (A, N) gives the lists a build at (A, N) gives
+    # the grown build back to (A, N) gives the lists a build at (A, N)
+    # gives, with the same prime and orbit
     if e % p == 0 or m % p == 0:
         return
     alpha = MultiIndex.from_dict({"t": PAdicFraction.make(1, 1, p)}) if one_over_p else EMPTY
@@ -367,6 +368,7 @@ def test_base_matrices_cut_from_the_grown_build_equal_a_direct_build(p, i, e, m,
     cut, grown = oracle_module.base_and_grown_matrices(params, base)
     assert cut == build_orbit_matrices(params, base)
     assert grown == build_orbit_matrices(params, base.grown(params))
+    assert (cut.p, cut.orbit, cut.modulus) == (p, Orbit(m, alpha), p**base.N)
 
 
 def test_base_and_grown_matrices_validate_the_base_truncation():
@@ -408,10 +410,9 @@ def test_verify_orbit_pinned_truncation_matches_cli_job():
 
 @pytest.mark.parametrize("alpha", [EMPTY, MultiIndex.from_dict({"t": PAdicFraction.make(1, 1, 2)})])
 def test_verify_orbit_checks_the_claim_on_its_own_orbit(monkeypatch, alpha):
-    # a claim can pass against another orbit's matrices: the m=5 claim at
-    # p=2, e=3, i=3 does against the m=7 ones at the same (A, N) = (3, 20),
-    # with and without the one-slot window's t^(1/2); so the orbit comes
-    # from the claim alone, every build is of the claim's orbit, and the
+    # the m=5 claim at p=2, e=3, i=3 matches the exponents of the m=7
+    # matrices at the same (A, N) = (3, 20), with and without the one-slot
+    # window's t^(1/2); so the orbit comes from the claim alone, every build is of the claim's orbit, and the
     # certificate's hash names its matrices
     params = TruncationParams(2, 3, 3)
     claim = h1_syntomic_orbit(params, Orbit(5, alpha))
@@ -428,6 +429,33 @@ def test_verify_orbit_checks_the_claim_on_its_own_orbit(monkeypatch, alpha):
     own = real(params, OrbitTruncation(claim.orbit, 3, 20)).content_hash()
     other = real(params, OrbitTruncation(Orbit(7, alpha), 3, 20)).content_hash()
     assert cert.matrices_hash == own != other
+
+
+@pytest.mark.parametrize("alpha", [EMPTY, MultiIndex.from_dict({"t": PAdicFraction.make(1, 1, 2)})])
+def test_kernel_generator_certificate_refuses_a_claim_on_another_orbit(alpha):
+    # the m=5 claim at p=2, e=3, i=3 would certify against the m=7 fiber at
+    # (A, N) = (3, 20); the fiber knows its orbit, so the claim is refused,
+    # and on its own orbit's fiber it still certifies
+    params = TruncationParams(2, 3, 3)
+    claim = h1_syntomic_orbit(params, Orbit(5, alpha))
+    other = fiber_cohomology(params, OrbitTruncation(Orbit(7, alpha), 3, 20))
+    assert other.matrices.orbit == Orbit(7, alpha)
+    with pytest.raises(ValueError, match="checked against the matrices of"):
+        certify_kernel_generator(other, claim)
+    own = fiber_cohomology(params, OrbitTruncation(claim.orbit, 3, 20))
+    assert certify_kernel_generator(own, claim)
+
+
+def test_fiber_exponents_refuse_a_foreign_prime():
+    # H^1 of the p=2 fiber of (e=3, i=2, m=1) is Z/8; read at p=3 its
+    # divisors would all look trivial, so any prime but the fiber's is refused
+    params = TruncationParams(2, 3, 2)
+    fc = fiber_cohomology(params, default_truncation(params, Orbit(1)))
+    assert fc.matrices.p == 2
+    assert fc.exponents(2) == {0: (), 1: (3,), 2: ()}
+    for p in (3, 5):
+        with pytest.raises(ValueError, match="not p="):
+            fc.exponents(p)
 
 
 def _package_imports(module):
@@ -501,7 +529,7 @@ def test_verify_orbit_runs_only_the_transforms_it_reads(monkeypatch):
     # each H^1 quotient is n x n: the kernel keeps the n coordinates of its
     # 2n that are not identically zero, and none needs a relation column
     assert quotient_shapes == [(mats.n, mats.n) for mats in fibers]
-    fc = FiberCohomology.of(fibers[0], params.p, ("U",))
+    fc = FiberCohomology.of(fibers[0], ("U",))
     assert fc.h1.kernel.dim == fibers[0].n and fc.h1.kernel.t == [1] * fibers[0].n
     # the claim (0, 0, 1) scales the columns of levels 0, 1, 2 by 2, 1, 1
     d1, q = fibers[0].fiber_d1(), fibers[0].modulus
@@ -570,8 +598,8 @@ def test_h2_is_the_cokernel_of_d1(p, i, e, m, one_over_p, scale, level):
     mats = build_orbit_matrices(params, default_truncation(params, Orbit(m, alpha)))
     n, q = mats.n, mats.modulus
     _scale_d1_row(mats, level % n, p**scale)
-    h2 = FiberCohomology.of(mats, p, ()).h2
-    assert h2 == quotient(kernel_mod([[0] * n], p, q), mats.fiber_d1()).exponents(p)
+    h2 = FiberCohomology.of(mats, ()).h2
+    assert h2 == quotient(kernel_mod([[0] * n], p, q), mats.fiber_d1()).exponents()
     exact = witness.smith_normal_form(hstack(mats.fiber_d1(), [[q * v for v in row] for row in eye(n)]))
     assert h2 == tuple(sorted((vp(d, p) for d in exact.diagonal if d != 1), reverse=True))
     # the kernel's divisors are those of a separate transform-free elimination
@@ -751,7 +779,7 @@ def test_two_slot_fiber_cohomology_matches_the_closed_form():
                 orbit = Orbit(m, alpha)
                 h = h1_syntomic_orbit(params, orbit).module.h
                 mats = build_orbit_matrices(params, default_truncation(params, orbit))
-                exps = FiberCohomology.of(mats, p, ()).exponents(p)
+                exps = FiberCohomology.of(mats, ()).exponents(p)
                 assert exps == {0: (), 1: (h,) if h else (), 2: ()}
                 checked += 1
                 nontrivial += h > 0
@@ -889,7 +917,7 @@ def test_generator_class_order_is_the_largest_exponent(p, i, e, m, slot):
     alpha = MultiIndex.from_dict({"t": PAdicFraction.make(*slot, p)})
     oc = TransitionOracle(p, i, Orbit(m, alpha), [e])
     level = oc.level(e)
-    exps = fiber_cohomology(oc.params(e), oc.trunc).h1.exponents(p)
+    exps = fiber_cohomology(oc.params(e), oc.trunc).h1.exponents()
     if not exps:
         assert level.h == 0 and level.generator is None
         return

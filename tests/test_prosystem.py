@@ -392,6 +392,19 @@ def test_tr_groups_odd_certificate():
     assert result.odd.orbits_checked > 0
 
 
+def test_tower_verdict_constants_are_not_inputs():
+    # lim^1 = 0, the odd zero and the weight are facts of the verdicts, not
+    # fields a caller could set to something else
+    for i in (-1, 0, 2):
+        result = tr_groups(3, i, AlphaBounds(), 10)
+        assert (result.degree, result.weight) == (2 * i, i + 1)
+    with pytest.raises(TypeError):
+        prosystem_module.OddZeroCertificate(1, 10, 0, zero=False)
+    with pytest.raises(TypeError):
+        prosystem_module.ProCyclicLimit("finite", 0, 2, (), lim1_zero=False)
+    assert [f.name for f in dataclasses.fields(prosystem_module.TRGroups)] == ["p", "degree", "even", "odd"]
+
+
 def test_tr_groups_with_slots():
     result = tr_groups(2, 1, AlphaBounds(("t",), 4, 2), 12)
     assert result.odd.degree == 1

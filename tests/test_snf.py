@@ -88,7 +88,7 @@ def test_quotient_cyclic_group():
     # x with 3x = 0 mod 81 modulo im(d) where d hits 27*Z
     K = kernel_mod([[3]], p, modulus)
     Q = quotient(K, [[27]])
-    assert Q.exponents(p) == ()
+    assert Q.exponents() == ()
 
 
 def test_quotient_exponents_and_orders():
@@ -96,7 +96,7 @@ def test_quotient_exponents_and_orders():
     K = kernel_mod([[0, 0]], 2, modulus)  # everything is a cocycle
     L = [[4, 0], [0, 8]]
     Q = quotient(K, hstack(L, [[modulus, 0], [0, modulus]]))
-    assert sorted(Q.exponents(2), reverse=True) == [3, 2]
+    assert sorted(Q.exponents(), reverse=True) == [3, 2]
     # the class orders that the exact lattice solves of the witness read
     # in Z^2/(L + 64·Z^2) ≅ Z/4 + Z/8
     assert witness.class_order_exponent(L, modulus, 2, [1, 0]) == 2
@@ -109,10 +109,10 @@ def test_quotient_adds_the_modulus_lattice():
     modulus = 2**6
     K = kernel_mod([[0, 0]], 2, modulus)
     Q = quotient(K, [[4, 0], [0, 8]])
-    assert Q.exponents(2) == (3, 2)
-    assert quotient(K, [[0], [0]]).exponents(2) == (6, 6)
+    assert Q.exponents() == (3, 2)
+    assert quotient(K, [[0], [0]]).exponents() == (6, 6)
     # K = {x : 4x = 0 mod 64} = 16Z, and K/64Z is cyclic of order 4
-    assert quotient(kernel_mod([[4]], 2, modulus), [[0]]).exponents(2) == (2,)
+    assert quotient(kernel_mod([[4]], 2, modulus), [[0]]).exponents() == (2,)
 
 
 def test_kernel_without_nontrivial_coordinates():
@@ -122,7 +122,7 @@ def test_kernel_without_nontrivial_coordinates():
     assert K.dim == 0 and K.t == [] and K.divisors == [1]
     assert K.solve([2]) == [] and K.solve([1]) is None
     Q = quotient(K, [[0]])
-    assert Q.exponents(p) == ()
+    assert Q.exponents() == ()
     assert K.basis == [[]]
     with pytest.raises(ValueError):
         Q.class_functional()
@@ -272,7 +272,7 @@ def test_generator_and_class_functional_on_random_quotients(case, seed):
     K = kernel_mod(M, p, q)
     L = witness.mat_mul(K.basis, _random_matrix(rng, K.dim, rng.randint(1, 3), bound=2 * p))
     Q = quotient(K, L)
-    exps = Q.exponents(p)
+    exps = Q.exponents()
     if len(exps) != 1:
         with pytest.raises(ValueError):
             Q.class_functional()
