@@ -66,10 +66,24 @@ class CyclicWittModule:
 @dataclass(frozen=True)
 class Orbit:
     """One Frobenius-stable summand index: x-weight m coprime to p plus a
-    y-multiweight alpha."""
+    y-multiweight alpha.
+
+    Orbits key the summand cache, so an orbit computes its hash once, on
+    first use.  The hash reads alpha's slot names, and strings hash
+    differently in each process, so the stored value is left out of
+    pickles and copies (`__getstate__`) and recomputed where it lands."""
 
     m: int
     alpha: MultiIndex = MultiIndex()
+
+    def __hash__(self) -> int:
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = hash((self.m, self.alpha))
+        return h
+
+    def __getstate__(self) -> dict:
+        return {"m": self.m, "alpha": self.alpha}
 
     def validate(self, p: int) -> None:
         if self.m < 1:

@@ -38,7 +38,6 @@ from .snf import (
     ClassFunctional,
     Matrix,
     QuotientPresentation,
-    columns,
     divisor_exponents,
     hstack,
     kernel_mod,
@@ -454,7 +453,8 @@ def certify_kernel_generator(fc: FiberCohomology, summand) -> bool:
     scaled_d1 = [row[:] for row in fc.d1]
     for row in scaled_d1:
         row[:s] = [x * f % q for x, f in zip(row[:s], scale)]
-    basis = columns(kernel_mod(scaled_d1, p, q, ("V",)).basis)
+    kernel = kernel_mod(scaled_d1, p, q, ("V",))
+    basis = [kernel.basis_column(k) for k in range(kernel.dim)]
     forms = [col[:s] for col in basis]
     if h:
         functional = fc.h1.class_functional()
@@ -502,7 +502,11 @@ class TransitionOracle:
     the class of a cocycle x is then a single coordinate in Z/p^h, read as
     one dot product w·x (`QuotientPresentation.class_functional`), and H^1
     is read through nothing else.  The generator is the first column of
-    the kernel basis whose coordinate is a unit mod p.  One exists: the
+    the kernel basis whose coordinate is a unit mod p.  It is picked from
+    the U of H^1's quotient, where basis column k has class U[j][k] mod p^h
+    (`QuotientPresentation.generator_coordinate`), and only that column is
+    written out; its coordinate is still read through the functional, and
+    a level whose pick is not a unit there is refused.  One exists: the
     basis spans the kernel K modulo p^N and the class map K -> Z/p^h is
     onto, so the basis cannot map into pZ/p^h; a level where none is found
     is refused.  The valuation does not depend on the column picked: two
@@ -545,9 +549,9 @@ class TransitionOracle:
                 raise OracleError(f"degree-1 cohomology not cyclic at e={e}: {exps}")
             if exps:
                 functional = fc.h1.class_functional()
-                basis = columns(fc.h1.kernel.basis)
-                gen = next((col for col in basis if functional.coordinate(col) % self.p), None)
-                if gen is None:
+                k = fc.h1.generator_coordinate()
+                gen = None if k is None else fc.h1.kernel.basis_column(k)
+                if gen is None or functional.coordinate(gen) % self.p == 0:
                     raise OracleError(f"no kernel basis column generates H^1 at e={e}")
             else:
                 gen = functional = None

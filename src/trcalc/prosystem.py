@@ -20,8 +20,9 @@ passes p, the levels, the weight and m as plain ints, checked once per
 tower, and builds no `TruncationParams`.  Its per-level output is one
 light, tuple-backed `LevelStabilization`; whether a level is settled is
 decided once there, and a trivial level (h = 0) takes a short path that
-computes nothing per source.  The summand cache of `h1_syntomic_orbit`
-serves the pair queries of `tr_valuation`.
+computes nothing per source.  The summand cache, keyed on plain ints and
+the orbit (`syntomic.level_summand`), serves the pair queries of
+`tr_valuation`, which builds no `TruncationParams`.
 """
 
 from __future__ import annotations
@@ -31,7 +32,15 @@ from typing import NamedTuple, Sequence
 
 from .drw import TruncationParams
 from .padic import Prime, ceil_div, vp_factorial
-from .syntomic import AlphaBounds, Orbit, SyntomicSummand, h1_syntomic_orbit, nontrivial_orbits, orbit_summands
+from .syntomic import (
+    AlphaBounds,
+    Orbit,
+    SyntomicSummand,
+    h1_syntomic_orbit,
+    level_summand,
+    nontrivial_orbits,
+    orbit_summands,
+)
 
 
 class MLViolationError(Exception):
@@ -90,14 +99,16 @@ def tr_valuation(params: TruncationParams, f: int, orbit: Orbit) -> int | None:
     """Transition valuation from truncation f down to e = params.e on one
     orbit, in weight i = params.i: the one-source case of
     `transition_valuations`, reading both levels' summands from the
-    summand cache.  None when the target group is trivial."""
+    summand cache, the target's through `h1_syntomic_orbit(params, orbit)`
+    and the source's by plain ints (`level_summand`), so no
+    `TruncationParams` is built.  None when the target group is trivial."""
     p, e, i = params.p, params.e, params.i
     if f < e:
         raise ValueError("need f >= e")
     if e % p == 0 or f % p == 0:
         raise ValueError("levels must be coprime to p")
     sm_e = h1_syntomic_orbit(params, orbit)
-    sm_f = h1_syntomic_orbit(TruncationParams(p, f, i), orbit)
+    sm_f = level_summand(p, f, i, orbit)
     vs = transition_valuations(p, e, sm_e, (f,), (sm_f,))
     return None if vs is None else vs[0]
 
@@ -117,31 +128,37 @@ def ml_bound(params: TruncationParams, m: int) -> int:
 
     Both sufficient conditions -- ceil(p^(2s) m / f) = 1 and
     floor((p^s m - 1)/f) = 0, with s taken at the empty multi-index --
-    reduce to f >= p^(2s) m.  See `_ml_bound`, the same bound on plain
-    ints, which the sweep reads per level.
+    reduce to f >= p^(2s) m.  See `_ml_bounds`, the same bound on plain
+    ints, which the sweep reads for all the levels of a tower at once.
     """
     if params.e % params.p == 0:
         raise ValueError("level must be coprime to p")
     if m < 1:
         raise ValueError("ml_bound needs m >= 1")
-    return _ml_bound(params.p, params.e, params.i, m)
+    return _ml_bounds(params.p, params.i, m, (params.e,))[0]
 
 
-def _ml_bound(p: int, e: int, i: int, m: int) -> int:
-    """`ml_bound` at level e and weight i, for e coprime to p and m >= 1,
-    as the caller has checked (at m = 0 the count of s would never end).
+def _ml_bounds(p: int, i: int, m: int, levels: Sequence[int]) -> list[int]:
+    """`ml_bound` in weight i at each level of the ascending `levels`, for
+    levels coprime to p and m >= 1, as the caller has checked (at m = 0 the
+    count of s would never end).
 
     s needs no walk: at the empty multi-index the degree-1 exponent
     d_a = i - ceil(p^a m / e) is >= 0 exactly when p^a m <= i e, and
     ceil(p^a m / e) increases with a, so s = #{a >= 0 : p^a m <= i e}.
+    That count never falls as e grows, so each level carries it on from
+    the level before instead of counting again from a = 0.
     """
-    s, pm = 0, m  # pm = p^s m
-    while pm <= i * e:
-        s, pm = s + 1, pm * p
-    f = max(e, p**s * pm)
-    while f % p == 0:
-        f += 1
-    return f
+    out = []
+    pm, top = m, m  # p^s m and p^(2s) m at the s counted so far
+    for e in levels:
+        while pm <= i * e:
+            pm, top = pm * p, top * p * p
+        f = max(e, top)
+        while f % p == 0:
+            f += 1
+        out.append(f)
+    return out
 
 
 @dataclass(frozen=True)
@@ -233,13 +250,13 @@ def stabilized_images(tower: Tower, probe: int) -> StabilizedTower:
 
     The tower's group exponents h are read once into a list.  Per target
     level e, what does not depend on the source f is read once: h_e and
-    the bound (`_ml_bound` on plain ints).  A trivial level, h_e = 0 (which
-    covers the degenerate case s_e = 0 or e | m), has zero maps and all
-    images trivial: it takes a short path that scans no run and builds
-    nothing per source.  Every other level makes one
-    `transition_valuations` call over all its sources, and each pair is
-    checked to be a well-defined map (the check of `image_exponent`, with
-    its ValueError) as its image is read.
+    the bound (`_ml_bounds` on plain ints, one pass over the levels).  A
+    trivial level, h_e = 0 (which covers the degenerate case s_e = 0 or
+    e | m), has zero maps and all images trivial: it takes a short path
+    that scans no run and builds nothing per source.  Every other level
+    makes one `transition_valuations` call over all its sources, and each
+    pair is checked to be a well-defined map (the check of
+    `image_exponent`, with its ValueError) as its image is read.
     """
     p, i, m = tower.p, tower.weight, tower.orbit.m
     levels, summands = tower.levels, tower.summands
@@ -247,9 +264,9 @@ def stabilized_images(tower: Tower, probe: int) -> StabilizedTower:
         raise ValueError(f"tower levels {levels} are not every level coprime to p up to {probe}")
     tower.orbit.validate(p)
     hs = [sm.module.h for sm in summands]
+    bounds = _ml_bounds(p, i, m, levels)
     out = []
-    for k, (e, sm_e, h) in enumerate(zip(levels, summands, hs)):
-        bound = _ml_bound(p, e, i, m)
+    for k, (e, sm_e, h, bound) in enumerate(zip(levels, summands, hs, bounds)):
         first = k + 1 if e == 1 else k  # sources start at level 2
         sources = levels[first:]
         n = len(sources)

@@ -8,12 +8,16 @@ dividing q.  Pivoting on an entry of least p-valuation keeps all entries
 reduced mod q, so there is no coefficient growth: the modulo-determinant
 idea of Domich, Kannan and Trotter (1987), specialised to Z/p^N.
 
-Matrices are row-major lists of ints, and their dimensions are small (up
-to twice the number of orbit levels), so elimination is plain dense Python.
-Repeated queries are cheaper than that: `KernelLattice.solve` reads only
-the nonzero entries of its argument (a column of the oracle's first
-differential has at most three), and a cyclic quotient reads the class of
-a lattice vector through one precomputed functional
+Matrices come in as row-major lists of ints, and elimination works on
+sparse rows: one {column: entry} dict per row, holding the entries that
+are nonzero mod q.  The oracle's first differential has about three
+entries per row and each column of its d0 at most three, so a step reads
+only the entries that are there.  Pivots are recorded instead of swapped
+into place, and the transforms come back sparse too (U and V⁻¹ as lists
+of rows, V as a list of columns; see `smith_mod_prime_power`).
+`KernelLattice.solve` reads only the nonzero entries of its argument and
+the columns of V⁻¹ they pick, and a cyclic quotient reads the class of a
+lattice vector through one precomputed functional
 (`QuotientPresentation.class_functional`), a single dot product.
 
 A kernel keeps only its nontrivial coordinates.  In the coordinates
@@ -33,18 +37,18 @@ Elimination builds only what is read.  `smith_mod_prime_power`,
 `kernel_mod` and `quotient` take a `transforms` tuple naming the
 transforms to build, out of "U", "V" and "Vinv"; the divisors never
 depend on it.  A kernel whose elements are only solved for asks for
-`("Vinv",)`, and one whose `basis` is read asks for "V" as well.  A
+`("Vinv",)`, and one whose basis is read asks for "V" as well.  A
 quotient whose exponents are all that is read asks for `()`, and one whose
-class functional is read asks for `("U",)`.  A kernel keeps the divisors
-of its matrix, so the cokernel of the same matrix needs no second
-elimination.
+class functional or generator is read asks for `("U",)`.  A kernel keeps
+the divisors of its matrix, so the cokernel of the same matrix needs no
+second elimination.
 
-The pivot search looks for a unit first, in row-major order, and
-computes p-valuations only when the remaining block has none.  The
-elimination itself is row operations: they read only the nonzero columns
-of the pivot row, V⁻¹ is read off the reduced pivot rows, and the column
-operations that clear each pivot row run on V alone, only when V is built
-(see `smith_mod_prime_power`).
+The pivot search looks for a unit first, row by row, and computes
+p-valuations only when the rows left have none.  The elimination itself
+is row operations on the rows not yet pivoted on: they read only the
+entries of the pivot row, V⁻¹ is read off the reduced pivot rows, and the
+column operations that clear each pivot row run on V alone, only when V
+is built.
 """
 
 from __future__ import annotations
@@ -53,10 +57,7 @@ from dataclasses import dataclass
 
 
 Matrix = list[list[int]]
-
-
-def eye(n: int) -> Matrix:
-    return [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
+Sparse = dict[int, int]  # {index: entry}, entries nonzero mod the modulus
 
 
 def hstack(A: Matrix, B: Matrix) -> Matrix:
@@ -80,108 +81,115 @@ def divisor_exponents(divisors, p: int) -> tuple[int, ...]:
     return tuple(sorted((a for a in (_pval(d, p) for d in divisors) if a), reverse=True))
 
 
-def _pivot(A: Matrix, t: int, p: int) -> tuple[int, int, int] | None:
-    """(v, i, j) for the pivot of the block A[t:][t:]: its first unit in
-    row-major order, else its first entry of least p-valuation v, or None
-    when the block is zero.  Only the fallback computes valuations."""
-    cols = len(A[0])
-    for i in range(t, len(A)):
-        row = A[i]
-        for j in range(t, cols):
-            if row[j] % p:
-                return 0, i, j
+def _pivot(active: dict[int, Sparse], p: int) -> tuple[int, int, int] | None:
+    """(v, r, c) for the pivot among the rows not yet pivoted on: the first
+    unit, reading row by row, else the first entry of least p-valuation v,
+    or None when those rows are zero.  Only the fallback computes
+    valuations."""
+    for r, row in active.items():
+        for c, a in row.items():
+            if a % p:
+                return 0, r, c
     best = None
-    for i in range(t, len(A)):
-        row = A[i]
-        for j in range(t, cols):
-            if row[j]:
-                v = _pval(row[j], p)
-                if best is None or v < best[0]:
-                    best = (v, i, j)
+    for r, row in active.items():
+        for c, a in row.items():
+            v = _pval(a, p)
+            if best is None or v < best[0]:
+                best = (v, r, c)
     return best
+
+
+def _subtract(dst: Sparse, f: int, src: Sparse, q: int) -> None:
+    """dst -= f·src mod q, in place, keeping only the nonzero entries."""
+    for k, b in src.items():
+        x = (dst.get(k, 0) - f * b) % q
+        if x:
+            dst[k] = x
+        elif k in dst:
+            del dst[k]
 
 
 def smith_mod_prime_power(
     M: Matrix, p: int, q: int, transforms: tuple[str, ...] = ("U", "V", "Vinv")
-) -> tuple[list[int], Matrix | None, Matrix | None, Matrix | None]:
+) -> tuple[list[int], list[Sparse] | None, list[Sparse] | None, list[Sparse] | None]:
     """Elementary divisors and transforms of M over Z/q, q = p^N.
 
-    Returns (divisors, U, V, Vinv): U and V are invertible mod q, U·M·V is
+    Returns (divisors, U, V, Vinv), the transforms sparse: U and Vinv as
+    lists of rows and V as a list of columns, each a {index: entry} dict
+    of its entries nonzero mod q.  U and V are invertible mod q, U·M·V is
     congruent mod q to the matrix with divisors[t] at (t, t) and zeros
     elsewhere, and V·Vinv is congruent to the identity.  There is one
-    divisor per row, p^v with v < N or q (which reads as 0) where the
-    remaining block vanishes mod q, in increasing order.  When the column
-    lattice of M contains q·Z^rows, these are the integer elementary
-    divisors of that lattice.  Only the transforms named in `transforms`
-    are built; the others come back as None.  The divisors and the built
-    transforms do not depend on which others are built.
+    divisor per row, p^v with v < N or q (which reads as 0) where the rows
+    left vanish mod q, in increasing order.  When the column lattice of M
+    contains q·Z^rows, these are the integer elementary divisors of that
+    lattice.  Only the transforms named in `transforms` are built; the
+    others come back as None.  The divisors and the built transforms do
+    not depend on which others are built.
 
-    Each step pivots on an entry of least p-valuation v (`_pivot`) and
-    scales its row so the pivot is p^v.  Every entry of the remaining block
-    is then divisible by p^v, so the row operations below the pivot stay
-    inside Z/q; they read only the nonzero columns of the pivot row.
-    Column operations col_j -= f·col_t, f = A[t][j]/p^v, would then clear
-    row t.  They touch no other row, and no later step reads row t, so
-    they are applied to V alone, and only when V is built.  They would add
-    f times row j of V⁻¹ to its row t, and rows j > t are still the unit
-    vectors of the column permutation at step t, so row t of V⁻¹ is the
-    scaled pivot row divided by p^v, read at the original columns.  Rows
-    past the last pivot are the unit vectors of the final permutation.
+    Step t pivots on an entry of least p-valuation v (`_pivot`), at row r_t
+    and column c_t of M, among the rows not yet pivoted on, and scales its
+    row so the pivot is p^v.  Every entry of those rows is then divisible
+    by p^v, so the row operations that clear column c_t from them stay
+    inside Z/q; they read only the entries of the pivot row.  Nothing is
+    swapped: position t of the result is row r_t and column c_t of M, and
+    the positions past the last pivot hold the rows and the columns never
+    pivoted on, the columns in order.  A row not yet pivoted on has no
+    entry in an earlier pivot column, so the pivot row's entries lie in
+    columns not pivoted on before.  Column operations
+    col_j -= f·col_(c_t), f = A[r_t][j]/p^v, would then clear row r_t.
+    They touch no other row, and no later step reads row r_t, so they are
+    applied to V alone, and only when V is built.  They would add f times
+    row j of V⁻¹ to its row t, and the rows of the columns not yet pivoted
+    on are still unit vectors at step t, so row t of V⁻¹ is the scaled
+    pivot row divided by p^v.  The rows past the last pivot are the unit
+    vectors of the columns never pivoted on.
     """
     rows = len(M)
     cols = len(M[0]) if rows else 0
-    A = [[a % q for a in row] for row in M]
-    # V changes by column operations, so it is kept transposed (one list
-    # per column) and transposed back at the end; orig[j] is the column of
-    # M now at position j
-    U = eye(rows) if "U" in transforms else None
-    VT = eye(cols) if "V" in transforms else None
+    # the rows not yet pivoted on, by row of M
+    active = {r: {j: a % q for j, a in enumerate(row) if a % q} for r, row in enumerate(M)}
+    U = {r: {r: 1} for r in range(rows)} if "U" in transforms else None
+    V = {j: {j: 1} for j in range(cols)} if "V" in transforms else None  # columns, by column of M
     Vinv = [] if "Vinv" in transforms else None
-    orig = list(range(cols))
+    pivot_rows, pivot_cols = [], []
     divisors = [q] * rows
 
     for t in range(min(rows, cols)):
-        best = _pivot(A, t, p)
+        best = _pivot(active, p)
         if best is None:
-            break  # remaining block is zero mod q: divisors stay q
-        v, pi, pj = best
-        if pi != t:
-            A[pi], A[t] = A[t], A[pi]
-            if U is not None:
-                U[pi], U[t] = U[t], U[pi]
-        if pj != t:
-            for r in range(t, rows):
-                A[r][pj], A[r][t] = A[r][t], A[r][pj]
-            orig[pj], orig[t] = orig[t], orig[pj]
-            if VT is not None:
-                VT[pj], VT[t] = VT[t], VT[pj]
+            break  # the rows left are zero mod q: divisors stay q
+        v, r, c = best
+        prow = active.pop(r)
         pk = p**v
-        uinv = pow(A[t][t] // pk, -1, q)
-        prow = A[t] = [a * uinv % q for a in A[t]]
-        nz = [j for j in range(t, cols) if prow[j]]
-        if U is not None:
-            U[t] = [a * uinv % q for a in U[t]]
-        for i in range(t + 1, rows):
-            row = A[i]
-            if row[t]:
-                f = row[t] // pk
-                for j in nz:
-                    row[j] = (row[j] - f * prow[j]) % q
+        if prow[c] != pk:
+            uinv = pow(prow[c] // pk, -1, q)
+            prow = {j: a * uinv % q for j, a in prow.items()}
+            if U is not None:
+                U[r] = {k: a * uinv % q for k, a in U[r].items()}
+        for i, row in active.items():
+            a = row.get(c)
+            if a:
+                f = a // pk
+                _subtract(row, f, prow, q)
                 if U is not None:
-                    U[i] = [(a - f * b) % q for a, b in zip(U[i], U[t])]
-        if VT is not None:
-            for j in nz[1:]:
-                f = prow[j] // pk
-                VT[j] = [(a - f * b) % q for a, b in zip(VT[j], VT[t])]
+                    _subtract(U[i], f, U[r], q)
+        if V is not None:
+            vc = V[c]
+            for j, a in prow.items():
+                if j != c:
+                    _subtract(V[j], a // pk, vc, q)
         if Vinv is not None:
-            vrow = [0] * cols
-            for j in nz:
-                vrow[orig[j]] = prow[j] // pk
-            Vinv.append(vrow)
+            Vinv.append(prow if v == 0 else {j: a // pk for j, a in prow.items()})
+        pivot_rows.append(r)
+        pivot_cols.append(c)
         divisors[t] = pk
+    rest = sorted(set(range(cols)).difference(pivot_cols))
+    if U is not None:
+        U = [U[r] for r in pivot_rows + list(active)]
+    if V is not None:
+        V = [V[j] for j in pivot_cols + rest]
     if Vinv is not None:
-        Vinv += [[0] * j + [1] + [0] * (cols - 1 - j) for j in orig[len(Vinv) :]]
-    V = None if VT is None else [list(r) for r in zip(*VT)]
+        Vinv += [{j: 1} for j in rest]
     return divisors, U, V, Vinv
 
 
@@ -193,36 +201,57 @@ class KernelLattice:
     lies in K exactly when y_j ≡ 0 mod t_j for every j, with t_j = q/d_j
     for the row divisor d_j and t_j = 1 past the last row.  A coordinate
     with d_j = 1 has t_j = q: it vanishes mod q on all of K, so it carries
-    nothing, and only the coordinates with t_j < q are kept.  Their
-    columns `basis` = V·diag(t) span K modulo q·Z^n (a dropped column
-    V_j·q is ≡ 0), `t` holds their t_j, and `dim` counts them; the
-    coordinates of x in K are y_j/t_j, each defined modulo q/t_j.  V⁻¹,
-    whose rows are the reduced pivot rows of the elimination and unit
-    vectors past them, is kept as its list of columns, each holding the
-    kept rows first and the dropped ones after: `solve` still checks that
-    the dropped coordinates of x vanish mod q.  `basis` is None when V was
-    not built, and `_Vinv_cols` when V⁻¹ was not.  `divisors` are all the elementary
-    divisors of M over Z/q, one per row, from the same elimination.
+    nothing, and only the coordinates with t_j < q are kept.  `t` holds
+    their t_j and `dim` counts them.  Their columns V_j·t_j span K modulo
+    q·Z^n (a dropped column V_j·q is ≡ 0), and the coordinates of x in K
+    are y_j/t_j, each defined modulo q/t_j.  The kept columns of V stay
+    sparse: `basis_column(k)` writes one basis column out, and `basis` all
+    of them as a dense n×dim matrix.  V⁻¹ is kept as its n sparse columns,
+    one per entry of x, each keyed by coordinate: the kept ones first, in
+    order, then the dropped ones, so `solve` still checks that the dropped
+    coordinates of x vanish mod q.  `_V_cols` is None when V was not
+    built, and `_Vinv_cols` when V⁻¹ was not.  `divisors` are all the
+    elementary divisors of M over Z/q, one per row, from the same
+    elimination.
     """
 
-    basis: Matrix | None
+    n: int
     p: int
     modulus: int
     divisors: list[int]
-    _Vinv_cols: list[list[int]] | None
     t: list[int]
+    _V_cols: list[Sparse] | None
+    _Vinv_cols: list[Sparse] | None
 
     @property
     def dim(self) -> int:
         return len(self.t)
 
+    def basis_column(self, k: int) -> list[int]:
+        """Basis column k, V_k·t_k mod q, as a dense vector."""
+        col = [0] * self.n
+        t, q = self.t[k], self.modulus
+        for r, a in self._V_cols[k].items():
+            col[r] = a * t % q
+        return col
+
+    @property
+    def basis(self) -> Matrix | None:
+        """The basis as a dense n×dim matrix; None when V was not built."""
+        if self._V_cols is None:
+            return None
+        cols = [self.basis_column(k) for k in range(self.dim)]
+        return [[col[r] for col in cols] for r in range(self.n)]
+
     def solve(self, x: list[int]) -> list[int] | None:
         """Coordinates of x in the kernel basis; None if x is not in K.
-        Only the nonzero entries of x are read."""
-        acc = [0] * len(x)
+        Only the nonzero entries of x, and the columns of V⁻¹ they pick,
+        are read."""
+        acc = [0] * self.n
         for v, col in zip(x, self._Vinv_cols):
             if v:
-                acc = [a + v * c for a, c in zip(acc, col)]
+                for j, a in col.items():
+                    acc[j] += v * a
         q = self.modulus
         if any(val % q for val in acc[self.dim :]):
             return None
@@ -240,36 +269,51 @@ def kernel_mod(
 ) -> KernelLattice:
     """Lattice of integer vectors x with M x ≡ 0 mod q, q = p^N, on its
     coordinates with t_j < q (see `KernelLattice`).  Only the transforms
-    named in `transforms` are built: "V" for `basis`, "Vinv" for `solve`."""
+    named in `transforms` are built: "V" for the basis, "Vinv" for
+    `solve`."""
     rows = len(M)
     cols = len(M[0]) if rows else 0
     divisors, _, V, Vinv = smith_mod_prime_power(M, p, q, transforms)
     t_all = [q // d for d in divisors[:cols]] + [1] * (cols - rows)
     keep = [j for j, t in enumerate(t_all) if t < q]
-    t = [t_all[j] for j in keep]
-    basis = None if V is None else [[row[j] * f % q for j, f in zip(keep, t)] for row in V]
-    dropped = [j for j, f in enumerate(t_all) if f == q]
-    Vinv_cols = None if Vinv is None else columns([Vinv[j] for j in keep + dropped])
-    return KernelLattice(basis, p, q, divisors, Vinv_cols, t)
+    dropped = [j for j, t in enumerate(t_all) if t == q]
+    Vinv_cols = None
+    if Vinv is not None:
+        Vinv_cols = [{} for _ in range(cols)]
+        for k, j in enumerate(keep + dropped):
+            for c, a in Vinv[j].items():
+                Vinv_cols[c][k] = a
+    V_cols = None if V is None else [V[j] for j in keep]
+    return KernelLattice(cols, p, q, divisors, [t_all[j] for j in keep], V_cols, Vinv_cols)
 
 
 @dataclass
 class QuotientPresentation:
     """Finite p-group K/(L + q·Z^n) given by elementary divisors.  A
     cyclic one reads the class of a lattice element through
-    `class_functional`.  `coords` holds the kernel coordinates Y of the
-    columns of L, one row per kept coordinate of the kernel.  `_U` is None
-    when `quotient` was not asked to build it."""
+    `class_functional`, and names a basis column that generates it through
+    `generator_coordinate`.  `coords` holds the kernel coordinates Y of the
+    columns of L, one row per kept coordinate of the kernel.  `_U` holds
+    the sparse rows of U, and is None when `quotient` was not asked to
+    build it."""
 
     kernel: KernelLattice
     coords: Matrix
     divisors: tuple[int, ...]
-    _U: Matrix | None
+    _U: list[Sparse] | None
 
     def exponents(self) -> tuple[int, ...]:
         """Divisors as powers of the kernel's prime, largest first, trivial
         ones dropped."""
         return divisor_exponents(self.divisors, self.kernel.p)
+
+    def _cyclic_row(self) -> int:
+        """The one row j with a nontrivial divisor; ValueError when the
+        quotient is not cyclic."""
+        nontrivial = [j for j, d in enumerate(self.divisors) if d > 1]
+        if len(nontrivial) != 1:
+            raise ValueError(f"class functional needs a cyclic quotient, got divisors {self.divisors}")
+        return nontrivial[0]
 
     def class_functional(self) -> "ClassFunctional":
         """The class coordinate of a cyclic quotient Z/d as one dot product.
@@ -278,18 +322,28 @@ class QuotientPresentation:
         mod q·d over the kept coordinates k.  Row k of V⁻¹ reads t_k·y_k
         mod q for the kernel coordinates y of x, and U[j][k]·(q/t_k) ≡ 0
         (mod d) because the relation (q/t_k)·e_k lies in L + q·Z^n, so
-        w·x ≡ q·(U·y)[j] (mod q·d) for every x in K.  The dropped rows of
-        V⁻¹, which follow the kept ones, are not read.
+        w·x ≡ q·(U·y)[j] (mod q·d) for every x in K.  Only the entries of
+        U[j], at kept coordinates, are read, so the dropped rows of V⁻¹
+        add nothing.
         """
-        nontrivial = [j for j, d in enumerate(self.divisors) if d > 1]
-        if len(nontrivial) != 1:
-            raise ValueError(f"class functional needs a cyclic quotient, got divisors {self.divisors}")
-        j = nontrivial[0]
-        q, d = self.kernel.modulus, self.divisors[j]
+        j = self._cyclic_row()
+        kernel = self.kernel
+        q, d = kernel.modulus, self.divisors[j]
         qd = q * d
-        c = [u * (q // t) % qd for u, t in zip(self._U[j], self.kernel.t)]
-        w = [sum(a * b for a, b in zip(c, col)) % qd for col in self.kernel._Vinv_cols]
+        c = [0] * kernel.n
+        for k, u in self._U[j].items():
+            c[k] = u * (q // kernel.t[k]) % qd
+        w = [sum(c[k] * a for k, a in col.items()) % qd for col in kernel._Vinv_cols]
         return ClassFunctional(w, q, d)
+
+    def generator_coordinate(self) -> int | None:
+        """The first kernel coordinate k whose basis column generates the
+        cyclic quotient Z/d, or None when there is none.  Basis column k has
+        kernel coordinates e_k, so its class is U[j][k] mod d
+        (`class_functional`), a generator exactly when it is a unit mod p."""
+        j = self._cyclic_row()
+        p = self.kernel.p
+        return min((k for k, u in self._U[j].items() if u % p), default=None)
 
 
 @dataclass(frozen=True)

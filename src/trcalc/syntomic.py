@@ -9,11 +9,13 @@ orbit, the length of the orbit's degree-1 walk.
 `orbit_summands` builds one orbit's summands at a list of levels in one
 walk, and `nontrivial_orbits`, the one enumerator, walks each candidate
 orbit of a window once; `enumerate_orbits` is its one-level case.
-`h1_syntomic_orbit` is the one-level case of `orbit_summands`, memoized
-per (p, e, i, orbit) in an LRU cache of 256 entries for its pair queries:
-`prosystem.tr_valuation` and the (e, f) loops of the acceptance gate and
-the bench.  Keys and summands are frozen, and a rejected orbit raises on
-every call, since exceptions are never cached.
+`level_summand` is the one-level case of `orbit_summands`, memoized in an
+LRU cache of 256 entries keyed on plain ints and the orbit,
+(p, e, i, orbit), for the pair queries: `prosystem.tr_valuation` and the
+(e, f) loops of the acceptance gate and the bench.  `h1_syntomic_orbit`
+reads it from a `TruncationParams`.  Keys and summands are frozen, an
+orbit hashes once (`drw.Orbit`), and a rejected orbit raises on every
+call, since exceptions are never cached.
 """
 
 from __future__ import annotations
@@ -95,12 +97,19 @@ SUMMAND_CACHE_SIZE = 256
 
 
 @functools.lru_cache(maxsize=SUMMAND_CACHE_SIZE)
+def level_summand(p: int, e: int, i: int, orbit: Orbit) -> SyntomicSummand:
+    """Degree-1 syntomic cohomology of one orbit at level e in weight i,
+    the one-level case of `orbit_summands`, with p, e >= 1 and i >= 0
+    taken as checked.  Cached for `prosystem.tr_valuation` and the (e, f)
+    loops of the acceptance gate and the bench: equal arguments share one
+    frozen summand, and p | m raises on every call."""
+    return orbit_summands(p, i, orbit, (e,))[0]
+
+
 def h1_syntomic_orbit(params: TruncationParams, orbit: Orbit) -> SyntomicSummand:
-    """Degree-1 syntomic cohomology of one orbit at one level, the
-    one-level case of `orbit_summands`.  Cached for `prosystem.tr_valuation`
-    and the (e, f) loops of the acceptance gate and the bench: equal
-    arguments share one frozen summand, and p | m raises on every call."""
-    return orbit_summands(params.p, params.i, orbit, (params.e,))[0]
+    """Degree-1 syntomic cohomology of one orbit at one level: the cached
+    `level_summand` at the checked parameters."""
+    return level_summand(params.p, params.e, params.i, orbit)
 
 
 def enumerate_alphas(bounds: AlphaBounds, p: int):

@@ -6,7 +6,7 @@ kept unchanged: Smith normal form over the integers with unimodular
 transforms, exact lattice solves, and kernel lattices modulo an integer
 carried by an honest basis.  Its coefficients grow without bound, which is
 why it lives here and not on the oracle's path; `quotient_divisors` is the
-exact branch of the old `quotient`.  `mat_vec`, `mat_mul` and
+exact branch of the old `quotient`.  `eye`, `mat_vec`, `mat_mul` and
 `from_columns` are the dense helpers only the tests and this witness
 still use.  `class_order_exponent` reads the order of a class in a finite
 p-group Z^n/(L + p^N·Z^n) from exact lattice solves alone.
@@ -18,7 +18,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from trcalc.snf import Matrix, columns, eye, hstack
+from trcalc.snf import Matrix, columns, hstack
+
+
+def eye(n: int) -> Matrix:
+    return [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
 
 
 def mat_vec(A: Matrix, x: list[int]) -> list[int]:

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import snf_witness as witness
+from snf_witness import eye
 import trcalc.oracle as oracle_module
 import trcalc.snf as snf_module
 from trcalc.cli import JobSpec, run_command
@@ -39,7 +40,6 @@ from trcalc.snf import (
     QuotientPresentation,
     columns,
     divisor_exponents,
-    eye,
     hstack,
     kernel_mod,
     quotient,

@@ -35,6 +35,7 @@ from trcalc.syntomic import (
     enumerate_alphas,
     enumerate_orbits,
     h1_syntomic_orbit,
+    level_summand,
     orbit_summands,
     s_function,
 )
@@ -182,6 +183,18 @@ def test_ml_bound_counts_s_without_a_walk(p, e, i, m):
     assert ml_bound(params, m) == f
 
 
+def test_sweep_bounds_carry_s_along_the_tower():
+    # the sweep counts s on from one level to the next; every record's
+    # bound is the one counted afresh at its own level
+    for p in (2, 3, 5):
+        levels = [e for e in range(2, 60) if e % p]
+        for i, m in itertools.product(range(4), (1, p + 1, 7 * p - 1, 40 * p + 1)):
+            stab = stabilized_images(build_tower(p, i, Orbit(m), levels), levels[-1])
+            assert [rec.ml_bound for rec in stab.per_level] == [
+                ml_bound(TruncationParams(p, e, i), m) for e in levels
+            ]
+
+
 def test_ml_bound_rejects_bad_arguments():
     with pytest.raises(ValueError):
         ml_bound(TruncationParams(3, 2, 1), 0)
@@ -218,9 +231,7 @@ def test_tower_summands_equal_single_level_summands():
             for m in (m for m in range(1, max(i, 1) * 24 + 1) if m % p):
                 orbit = Orbit(m, alpha)
                 tower = build_tower(p, i, orbit, levels)
-                assert tower.summands == tuple(
-                    h1_syntomic_orbit.__wrapped__(TruncationParams(p, e, i), orbit) for e in levels
-                )
+                assert tower.summands == tuple(level_summand.__wrapped__(p, e, i, orbit) for e in levels)
 
 
 def test_tower_and_oracle_validate_p_once(monkeypatch):
@@ -498,6 +509,7 @@ def test_stabilized_images_walks_each_probed_level_once(monkeypatch):
     monkeypatch.setattr(prosystem_module, "orbit_summands", counting)
     monkeypatch.setattr(padic_module.MultiIndex, "floor_l1", counting_floor)
     monkeypatch.setattr(prosystem_module, "h1_syntomic_orbit", forbidden)
+    monkeypatch.setattr(prosystem_module, "level_summand", forbidden)
     monkeypatch.setattr(prosystem_module, "tr_valuation", forbidden)
     # the tower's own summands are reused: one walk per level in all, and
     # each alpha floor read at most once

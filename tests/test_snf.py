@@ -2,6 +2,7 @@
 presentations, checked against the exact-integer witness in
 `snf_witness` (and sympy's Smith normal form where it imports)."""
 
+import itertools
 import random
 
 import pytest
@@ -9,10 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import snf_witness as witness
+from snf_witness import eye
 from trcalc.padic import vp
 from trcalc.snf import (
     columns,
-    eye,
     hstack,
     kernel_mod,
     quotient,
@@ -210,10 +211,28 @@ def test_mod_prime_power_snf_without_units_matches_witness(case, k):
     _check_against_witness(p, N, [[p**k * a for a in row] for row in M], xs)
 
 
+def _dense(U, V, Vinv, rows, cols):
+    """The sparse transforms as dense matrices: U and V⁻¹ from their
+    rows, V from its columns."""
+    return (
+        [[row.get(j, 0) for j in range(rows)] for row in U],
+        [[col.get(r, 0) for col in V] for r in range(cols)],
+        [[row.get(j, 0) for j in range(cols)] for row in Vinv],
+    )
+
+
+def _smith_dense(M, p, q):
+    """The full `smith_mod_prime_power` call, its transforms written out
+    dense, after checking that they hold only entries nonzero mod q."""
+    divisors, U, V, Vinv = smith_mod_prime_power(M, p, q)
+    assert all(a % q for T in (U, V, Vinv) for vec in T for a in vec.values())
+    return (divisors, *_dense(U, V, Vinv, len(M), len(M[0])))
+
+
 def _check_against_witness(p, N, M, xs):
     q = p**N
     rows, cols = len(M), len(M[0])
-    divisors, U, V, Vinv = smith_mod_prime_power(M, p, q)
+    divisors, U, V, Vinv = _smith_dense(M, p, q)
 
     assert divisors == _reduced_divisors(witness.smith_normal_form(M).diagonal, rows, p, N)
     D = [[divisors[i] % q if i == j else 0 for j in range(cols)] for i in range(rows)]
@@ -222,7 +241,7 @@ def _check_against_witness(p, N, M, xs):
     assert all(d % p for d in witness.smith_normal_form(U).diagonal)
     assert _mod(witness.mat_mul(V, Vinv), q) == eye(cols)
     # each caller's reduced call gives the same divisors and transforms
-    full = {"U": U, "V": V, "Vinv": Vinv}
+    full = dict(zip(("U", "V", "Vinv"), smith_mod_prime_power(M, p, q)[1:]))
     for transforms in ((), ("V", "Vinv"), ("Vinv",), ("U",), ("U", "V")):
         reduced = smith_mod_prime_power(M, p, q, transforms)
         assert reduced[0] == divisors
@@ -281,6 +300,8 @@ def test_generator_and_class_functional_on_random_quotients(case, seed):
     h = exps[0]
     assert functional.d == p**h
     gen = next(col for col in columns(K.basis) if functional.coordinate(col) % p)
+    # U names the same column without reading the functional
+    assert K.basis_column(Q.generator_coordinate()) == gen
     assert witness.class_order_exponent(L, q, p, gen) == h
     unit = pow(functional.coordinate(gen), -1, p**h)
     for _ in range(5):
@@ -353,7 +374,7 @@ def test_mod_prime_power_snf_on_shapes_the_oracle_never_builds():
         if rng.random() < 0.5:
             rows, cols = (2 * rows, cols) if rng.random() < 0.5 else (rows, 2 * cols)
         M = _structured_matrix(rng, p, N, rows, cols)
-        divisors, U, V, Vinv = smith_mod_prime_power(M, p, q)
+        divisors, U, V, Vinv = _smith_dense(M, p, q)
         r = min(rows, cols)
         seen["non-unit pivot"] += any(1 < d < q for d in divisors[:r])
         seen["zero block"] += q in divisors[:r]
@@ -365,7 +386,7 @@ def test_mod_prime_power_snf_on_shapes_the_oracle_never_builds():
         assert _mod(witness.mat_mul(witness.mat_mul(U, M), V), q) == D
         assert _mod(witness.mat_mul(V, Vinv), q) == eye(cols)
         assert _mod(witness.mat_mul(Vinv, V), q) == eye(cols)
-        full = {"U": U, "V": V, "Vinv": Vinv}
+        full = dict(zip(("U", "V", "Vinv"), smith_mod_prime_power(M, p, q)[1:]))
         for transforms in ((), ("U",), ("V",), ("Vinv",), ("U", "V"), ("U", "Vinv"), ("V", "Vinv")):
             reduced = smith_mod_prime_power(M, p, q, transforms)
             assert reduced[0] == divisors
@@ -381,3 +402,87 @@ def test_mod_prime_power_snf_on_shapes_the_oracle_never_builds():
             if in_kernel:
                 assert [v % q for v in witness.mat_vec(K.basis, y)] == [v % q for v in x]
     assert all(seen.values()), seen
+
+
+def _fiber_shaped(rng, p, N, n, kind):
+    """[B | D], n×2n, like the oracle's d1: B lower bidiagonal and D
+    diagonal, every entry p^k·u for a unit u and 0 <= k <= N (p^N·u is 0
+    mod p^N).  `kind` adds a degenerate feature: "non-unit" puts k >= 1 on
+    every entry, so no pivot is a unit; "zero block" zeroes D;
+    "zero lines" zeroes one row and one column."""
+    low = 1 if kind == "non-unit" else 0
+
+    def entry():
+        unit = rng.choice([u for u in range(1, 3 * p) if u % p]) * rng.choice((1, -1))
+        return p ** rng.randint(low, N) * unit
+
+    M = [[0] * (2 * n) for _ in range(n)]
+    for r in range(n):
+        M[r][r] = entry()
+        if r:
+            M[r][r - 1] = entry()
+        if kind != "zero block":
+            M[r][n + r] = entry()
+    if kind == "zero lines":
+        M[rng.randrange(n)] = [0] * (2 * n)
+        c = rng.randrange(2 * n)
+        for row in M:
+            row[c] = 0
+    return M
+
+
+def _check_engine(p, N, M, rng):
+    """`_check_against_witness` on M, plus: every transforms subset gives the
+    same divisors, V⁻¹·V ≡ I, and `solve` rejects a vector whose kept
+    coordinates lie in the lattice but one dropped coordinate is not 0 mod
+    q, and accepts it once that coordinate is q.  Returns whether M had a
+    dropped coordinate."""
+    q = p**N
+    rows, cols = len(M), len(M[0])
+    _check_against_witness(p, N, M, [])
+    divisors, U, V, Vinv = _smith_dense(M, p, q)
+    assert _mod(witness.mat_mul(Vinv, V), q) == eye(cols)
+    names = ("U", "V", "Vinv")
+    for k in range(len(names) + 1):
+        for transforms in itertools.combinations(names, k):
+            assert smith_mod_prime_power(M, p, q, transforms)[0] == divisors
+    K = kernel_mod(M, p, q)
+    t_all = [q // d for d in divisors[:cols]] + [1] * (cols - rows)
+    dropped = [j for j, t in enumerate(t_all) if t == q]
+    if not dropped:
+        return False
+    y = [0 if t == q else t * rng.randint(0, q) for t in t_all]
+    y[rng.choice(dropped)] = rng.choice([u for u in range(1, q) if u % p])
+    x = [v % q for v in witness.mat_vec(V, y)]
+    assert any(v % q for v in witness.mat_vec(M, x))
+    assert K.solve(x) is None
+    y = [q if v and t == q else v for v, t in zip(y, t_all)]
+    x = witness.mat_vec(V, y)
+    assert all(v % q == 0 for v in witness.mat_vec(M, x))
+    assert K.solve(x) is not None
+    return True
+
+
+def test_engine_on_fiber_shaped_matrices():
+    # the oracle's shapes: n×2n [lower bidiagonal | diagonal] matrices with
+    # p-power·unit entries, and the n×n kernel coordinates of n kernel
+    # vectors that their H¹ quotients eliminate, each checked by
+    # `_check_engine`; every degenerate kind and a dropped coordinate occur
+    rng = random.Random(20261019)
+    kinds = ("plain", "non-unit", "zero block", "zero lines")
+    seen = {kind: 0 for kind in kinds}
+    dropped = quotients = 0
+    for _ in range(160):
+        p = rng.choice((2, 3, 5))
+        N = rng.randint(1, 6)
+        n = rng.randint(1, 7)
+        kind = rng.choice(kinds)
+        M = _fiber_shaped(rng, p, N, n, kind)
+        dropped += _check_engine(p, N, M, rng)
+        seen[kind] += 1
+        K = kernel_mod(M, p, p**N)
+        if K.dim:
+            L = witness.mat_mul(K.basis, _random_matrix(rng, K.dim, n, bound=2 * p))
+            _check_engine(p, N, quotient(K, L).coords, rng)
+            quotients += 1
+    assert all(seen.values()) and dropped and quotients, (seen, dropped, quotients)

@@ -5,13 +5,16 @@ At weight 1 the degree-1 group of the reduced complex for F_p[x]/x^e is
 the relative unit group 1 + (x), which a few lines of direct polynomial
 arithmetic can enumerate; no shared code with the closed forms."""
 
+import copy
 import itertools
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import trcalc.drw as drw_module
 from trcalc.drw import TruncationParams, degree1_exponent
 from trcalc.oracle import certify_kernel_generator, default_truncation, fiber_cohomology
 from trcalc.padic import MultiIndex, PAdicFraction
@@ -22,6 +25,7 @@ from trcalc.syntomic import (
     enumerate_alphas,
     enumerate_orbits,
     h1_syntomic_orbit,
+    level_summand,
     s_function,
 )
 
@@ -231,24 +235,58 @@ def test_generator_suffix_is_the_transition_sum(args, df, num, pexp):
 
 
 def test_summand_cache_is_bounded():
-    maxsize = h1_syntomic_orbit.cache_info().maxsize
+    maxsize = level_summand.cache_info().maxsize
     assert maxsize is not None and maxsize >= 18
 
 
 def test_summand_cache_misses_once_per_level():
     # shaped like acceptance criterion 5: every pair's tr_valuation plus the
-    # two direct summand reads per pair
+    # two direct summand reads per pair, all through the one cache
     p, i, orbit = 3, 2, Orbit(1)
     levels = [e for e in range(2, 17) if e % p]
-    h1_syntomic_orbit.cache_clear()
+    level_summand.cache_clear()
     for e, f in itertools.combinations(levels, 2):
         tr_valuation(TruncationParams(p, e, i), f, orbit)
         h1_syntomic_orbit(TruncationParams(p, e, i), orbit)
         h1_syntomic_orbit(TruncationParams(p, f, i), orbit)
-    info = h1_syntomic_orbit.cache_info()
+    info = level_summand.cache_info()
     pairs = len(levels) * (len(levels) - 1) // 2
     assert info.misses == len(levels)
     assert info.hits + info.misses == 4 * pairs
+
+
+def test_pair_reads_build_no_truncation_params(monkeypatch):
+    # the pair path passes p, the levels and the weight as plain ints: only
+    # the caller's own parameters are built
+    p, i, orbit = 2, 2, Orbit(3, _alpha(t=(1, 1)))
+    levels = [e for e in range(3, 16) if e % p]
+    params = {e: TruncationParams(p, e, i) for e in levels}
+    built = []
+    real = drw_module.TruncationParams.__post_init__
+
+    def counting(self):
+        built.append((self.p, self.e, self.i))
+        real(self)
+
+    monkeypatch.setattr(drw_module.TruncationParams, "__post_init__", counting)
+    level_summand.cache_clear()
+    for e, f in itertools.combinations(levels, 2):
+        tr_valuation(params[e], f, orbit)
+        h1_syntomic_orbit(params[e], orbit)
+    assert built == []
+    assert level_summand.cache_info().misses == len(levels)
+
+
+def test_orbit_hash_is_recomputed_after_pickle_and_copy():
+    # an orbit stores its hash on first use; a copy or an unpickled orbit
+    # carries no stored value and hashes like a fresh equal orbit
+    orbit = Orbit(5, _alpha(t=(1, 1), u=(2, 0)))
+    h = hash(orbit)
+    assert hash(orbit) == h == hash(Orbit(5, _alpha(t=(1, 1), u=(2, 0))))
+    for other in (copy.copy(orbit), copy.deepcopy(orbit), pickle.loads(pickle.dumps(orbit))):
+        assert other == orbit and "_hash" not in other.__dict__
+        assert hash(other) == hash(Orbit(5, _alpha(t=(1, 1), u=(2, 0))))
+    assert {orbit: 1}[copy.deepcopy(orbit)] == 1
 
 
 def test_summand_cache_rejects_bad_orbit_every_call():
@@ -265,5 +303,6 @@ def test_cached_summands_equal_uncached():
             continue
         params, orbit = TruncationParams(p, e, i), Orbit(m, alpha)
         cached = h1_syntomic_orbit(params, orbit)
-        assert cached == h1_syntomic_orbit.__wrapped__(params, orbit)
+        assert cached == level_summand.__wrapped__(p, e, i, orbit)
         assert h1_syntomic_orbit(params, orbit) is cached
+        assert level_summand(p, e, i, orbit) is cached
