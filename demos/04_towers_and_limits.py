@@ -2,11 +2,11 @@
 
 Fixing a weight and an orbit, the groups W(k)/p^h(e) form an inverse
 system over the truncation exponents e coprime to p.  The transition
-maps are multiplication by an explicit p-power; once the images into a
-fixed level stop shrinking (the Mittag-Leffler condition, guaranteed
-past a computable bound), the inverse limit is readable off the
-stabilized images.  This demo prints one tower in full and classifies
-its limit.
+maps are multiplication by an explicit p-power; the images into a
+fixed level stop shrinking past a computable bound (the Mittag-Leffler
+condition), and the inverse limit is that of the stable images.  Three
+proven cases read it off the orbit alone (`limit_classify`, which calls
+`orbit_limit`).  This demo prints one tower in full and its limit.
 """
 
 from trcalc import Orbit, TruncationParams, build_tower, limit_classify, stabilized_images, tr_valuation
@@ -28,7 +28,7 @@ print(
 stab = stabilized_images(tower, probe)
 print("\nstabilized images into each level:")
 for rec in stab.per_level:
-    tag = "certified" if rec.certified else ("settled" if rec.settled else "open")
+    tag = "certified" if rec.certified else "bound past the probe"
     print(
         f"  e={rec.level:>2}  h={rec.h}  bound={rec.ml_bound:>3}  "
         f"image order p^{rec.image_order_exponent}  [{tag}]"
@@ -38,4 +38,4 @@ verdict = limit_classify(stab)
 if verdict.kind == "finite":
     print(f"\nlimit: W(k)/{p}^{verdict.h} (lim^1 = 0: {verdict.lim1_zero})")
 else:
-    print(f"\nlimit: pro-cyclic of unbounded order (lim^1 = 0: {verdict.lim1_zero})")
+    print(f"\nlimit: W(k), pro-cyclic of unbounded order (lim^1 = 0: {verdict.lim1_zero})")

@@ -1,7 +1,7 @@
 """TR groups and machine-readable reports.
 
 TR of the base ring in even degree 2i is assembled from the weight-(i+1)
-towers; every probed tower satisfies the Mittag-Leffler check, which is
+towers; every tower is Mittag-Leffler past its proven bound, which is
 exactly what makes the odd degrees vanish.  The same computations are
 available through the batch driver, which emits deterministic text,
 JSON, and CSV reports.
@@ -17,13 +17,10 @@ from trcalc.syntomic import AlphaBounds
 result = tr_groups(3, 0, AlphaBounds(), probe=30)
 print(f"TR_{result.degree} towers (weight {result.weight}):")
 for orbit, verdict in result.even:
-    if hasattr(verdict, "kind"):
-        desc = f"W(k)/3^{verdict.h}" if verdict.kind == "finite" else "pro-cyclic, unbounded"
-    else:
-        desc = f"refused: probe too short (evidence {verdict.evidence})"
+    desc = f"W(k)/3^{verdict.h}" if verdict.kind == "finite" else "W(k), pro-cyclic of unbounded order"
     print(f"  orbit m={orbit.m:>2}: {desc}")
 odd = result.odd
-print(f"TR_{odd.degree} = 0: certified over {odd.orbits_checked} orbits at probe {odd.probe}")
+print(f"TR_{odd.degree} = 0: Mittag-Leffler past the bound f0, over the {odd.orbits} orbits up to probe {odd.probe}")
 
 # the same data through the report layer
 spec = JobSpec(command="syntomic", p=2, i=2, e=3, format="json")

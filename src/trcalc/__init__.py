@@ -11,6 +11,7 @@ from .prosystem import (
     build_tower,
     limit_classify,
     ml_bound,
+    orbit_limit,
     stabilized_images,
     tr_groups,
     tr_valuation,
@@ -39,6 +40,7 @@ __all__ = [
     "limit_classify",
     "ml_bound",
     "oracle_cohomology",
+    "orbit_limit",
     "s_function",
     "stabilized_images",
     "tr_groups",

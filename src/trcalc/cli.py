@@ -5,7 +5,7 @@ tower checks (ml-check, tr), and the brute-force cross-check (verify).
 Reports are deterministic for a fixed job.
 
 Exit codes: 0 success, 1 validation failure, 2 verification mismatch or
-Mittag-Leffler violation, 3 classification refusal.
+Mittag-Leffler violation.
 """
 
 from __future__ import annotations
@@ -19,11 +19,11 @@ from .oracle import OracleError, verify_orbit
 from .padic import Prime
 from .prosystem import (
     MLViolationError,
-    RefusedClassification,
     image_exponent,
     nontrivial_towers,
     stabilized_images,
     tr_groups,
+    tr_valuation,
     transition_valuations,
 )
 from .report import Report, emit_report, format_alpha
@@ -32,7 +32,6 @@ from .syntomic import AlphaBounds, enumerate_orbits, orbit_summands
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_MISMATCH = 2
-EXIT_REFUSED = 3
 
 COMMANDS = ("syntomic", "kgroups", "transition", "ml-check", "tr", "verify")
 # the commands that read --i-max; only verify reads --A and --N
@@ -207,9 +206,19 @@ def _run_transition(spec: JobSpec, report: Report) -> int:
 
 
 def _run_ml_check(spec: JobSpec, report: Report) -> int:
-    levels = [e for e in spec.levels() if e % spec.p]
+    """One row per tower level, with the exact stable image and ML index.
+
+    On a certified level the sweep has read them.  On any other with h > 0
+    they lie past the probe: images into a level are constant from its
+    bound on and only shrink as the source grows, so the stable image is
+    the one at `ml_bound`, and when the probe has not reached it the ML
+    index is the least source whose image has, found by bisection over
+    the integers past the probe, each read at the next level prime to p.
+    """
+    p = spec.p
+    levels = [e for e in spec.levels() if e % p]
     probe = levels[-1]
-    towers = nontrivial_towers(spec.p, spec.i, spec.bounds, levels)
+    towers = nontrivial_towers(p, spec.i, spec.bounds, levels)
     status = EXIT_OK
     for tower in towers:
         try:
@@ -219,13 +228,26 @@ def _run_ml_check(spec: JobSpec, report: Report) -> int:
             status = EXIT_MISMATCH
             continue
         for rec in stab.per_level:
+            image, ml_index = rec.stabilized, rec.ml_index
+            if rec.h and not rec.certified:
+                params = TruncationParams(p, rec.level, spec.i)
+                exact = min(tr_valuation(params, rec.ml_bound, tower.orbit), rec.h)
+                if exact != image:
+                    lo, hi = probe + 1, rec.ml_bound
+                    while lo < hi:
+                        mid = (lo + hi) // 2
+                        if min(tr_valuation(params, mid + (mid % p == 0), tower.orbit), rec.h) == exact:
+                            hi = mid
+                        else:
+                            lo = mid + 1
+                    image, ml_index = exact, lo + (lo % p == 0)
             report.add_orbit(
-                **_orbit_columns(tower.orbit, spec.p),
+                **_orbit_columns(tower.orbit, p),
                 e=rec.level,
                 h=rec.h,
                 ml_bound=rec.ml_bound,
-                stabilized_image=rec.stabilized,
-                ml_index=rec.ml_index,
+                stabilized_image=image,
+                ml_index=ml_index,
                 certified=rec.certified,
             )
     report.certificates.append(
@@ -238,16 +260,7 @@ def _run_tr(spec: JobSpec, report: Report) -> int:
     probe = spec.levels()[-1]
     result = tr_groups(spec.p, spec.i, spec.bounds, probe)
     for orbit, verdict in result.even:
-        if isinstance(verdict, RefusedClassification):
-            report.add_orbit(**_orbit_columns(orbit, spec.p), kind="refused", h=0, evidence=verdict.evidence)
-        else:
-            report.add_orbit(
-                **_orbit_columns(orbit, spec.p),
-                kind=verdict.kind,
-                h=verdict.h if verdict.h is not None else "",
-                ml_index=verdict.ml_index,
-                evidence=verdict.evidence,
-            )
+        report.add_orbit(**_orbit_columns(orbit, spec.p), kind=verdict.kind, h="" if verdict.h is None else verdict.h)
     report.certificates.append(
         {
             "even_degree": result.degree,
@@ -255,11 +268,11 @@ def _run_tr(spec: JobSpec, report: Report) -> int:
             "odd_degree": result.odd.degree,
             "odd_zero": result.odd.zero,
             "lim1_zero": result.odd.lim1_zero,
-            "orbits_checked": result.odd.orbits_checked,
+            "orbits": result.odd.orbits,
         }
     )
-    report.footer.append(f"TR_odd = 0: CERTIFIED (probe e <= {probe})")
-    return EXIT_REFUSED if result.refused else EXIT_OK
+    report.footer.append("TR_odd = 0: CERTIFIED (Mittag-Leffler past the bound f0 gives lim^1 = 0)")
+    return EXIT_OK
 
 
 def _run_verify(spec: JobSpec, report: Report) -> int:
@@ -311,7 +324,7 @@ def run_command(spec: JobSpec) -> tuple[Report, int]:
         code = RUNNERS[spec.command](spec, report)
     except (ValidationError, ValueError) as exc:
         raise ValidationError(str(exc)) from exc
-    except (OracleError, MLViolationError) as exc:
+    except OracleError as exc:
         report.certificates.append({"error": str(exc)})
         return report, EXIT_MISMATCH
     return report, code

@@ -1,6 +1,6 @@
 """Towers of degree-1 cohomology groups over the truncation exponent e,
 their transition valuations, Mittag-Leffler stabilization of images, and
-the classification of inverse limits.
+their inverse limits.
 
 Levels range over the naturals coprime to p (cofinal among all e), ordered
 by size, with one map tr_fe for every pair f >= e.  All group data is the
@@ -18,11 +18,14 @@ read once and each source adds its own, with v_p of factorials taken by
 Legendre's formula; `tr_valuation` is its one-source case.  The sweep
 passes p, the levels, the weight and m as plain ints, checked once per
 tower, and builds no `TruncationParams`.  Its per-level output is one
-light, tuple-backed `LevelStabilization`; whether a level is settled is
-decided once there, and a trivial level (h = 0) takes a short path that
-computes nothing per source.  The summand cache, keyed on plain ints and
-the orbit (`syntomic.level_summand`), serves the pair queries of
-`tr_valuation`, which builds no `TruncationParams`.
+light, tuple-backed `LevelStabilization`, and a trivial level (h = 0)
+takes a short path that computes nothing per source.  The summand cache,
+keyed on plain ints and the orbit (`syntomic.level_summand`), serves the
+pair queries of `tr_valuation`, which builds no `TruncationParams`.
+
+A tower's inverse limit is not read off a probe: `orbit_limit` decides it
+from the orbit and the weight alone, by three proven cases, and
+`tr_groups` calls it once per orbit without sweeping.
 """
 
 from __future__ import annotations
@@ -49,13 +52,9 @@ class MLViolationError(Exception):
 
 
 class ClassificationRefusedError(Exception):
-    """The probe window is too short to tell a finite limit from one that
-    is still growing.  `orders` holds the image orders the refusal was
-    drawn from."""
-
-    def __init__(self, message: str, orders: tuple[int, ...]) -> None:
-        super().__init__(message)
-        self.orders = orders
+    """Once raised when a probe was too short to classify a limit.  Nothing
+    raises it any more: `orbit_limit` decides every limit from the orbit.
+    It stays defined for callers that still catch it."""
 
 
 def transition_valuations(
@@ -201,14 +200,11 @@ def nontrivial_towers(p: int, weight: int, bounds: AlphaBounds, levels: list[int
 
 class LevelStabilization(NamedTuple):
     """Image data at one target level: the probed image exponents, the
-    eventual value, where they settled, whether the theoretical bound was
-    inside the probe window, and whether the level feeds the limit
-    classification.
+    last of them, where they became constant, and whether the theoretical
+    bound was inside the probe window.  On a certified level the last
+    image is the exact stable one; on any other it is the probe's.
 
     A tuple-backed, immutable record: the sweep builds one per level.
-    `settled` is decided once, by the sweep, from the trailing constant
-    run of images it already finds: the level is certified, or its last
-    three images are equal.  Only settled levels feed `limit_classify`.
     """
 
     level: int
@@ -216,10 +212,9 @@ class LevelStabilization(NamedTuple):
     ml_bound: int
     images: tuple[int, ...]  # image exponent per probed source level
     sources: tuple[int, ...]
-    stabilized: int          # eventual image exponent
+    stabilized: int          # image exponent at the last probed source
     ml_index: int            # first probed source from which images are constant
     certified: bool          # probe reached ml_bound
-    settled: bool            # certified, or the last three images are equal
 
     @property
     def image_order_exponent(self) -> int:
@@ -244,19 +239,17 @@ def stabilized_images(tower: Tower, probe: int) -> StabilizedTower:
     A level is certified when the probe reaches its theoretical bound; on
     certified levels any image change at or past the bound raises
     MLViolationError (with the witness pair), since stabilization there is
-    a theorem.  A level is settled when it is certified or its trailing
-    constant run of images is at least three long; the sweep decides this
-    once, into the record's `settled` field.
+    a theorem.
 
     The tower's group exponents h are read once into a list.  Per target
     level e, what does not depend on the source f is read once: h_e and
     the bound (`_ml_bounds` on plain ints, one pass over the levels).  A
     trivial level, h_e = 0 (which covers the degenerate case s_e = 0 or
     e | m), has zero maps and all images trivial: it takes a short path
-    that scans no run and builds nothing per source.  Every other level
-    makes one `transition_valuations` call over all its sources, and each
-    pair is checked to be a well-defined map (the check of
-    `image_exponent`, with its ValueError) as its image is read.
+    that builds nothing per source.  Every other level makes one
+    `transition_valuations` call over all its sources, and each pair is
+    checked to be a well-defined map (the check of `image_exponent`, with
+    its ValueError) as its image is read.
     """
     p, i, m = tower.p, tower.weight, tower.orbit.m
     levels, summands = tower.levels, tower.summands
@@ -274,8 +267,7 @@ def stabilized_images(tower: Tower, probe: int) -> StabilizedTower:
         if h == 0:
             # zero maps: every image is trivial, so the trailing run is all n of them
             ml_index = sources[0] if n else e
-            settled = certified or n >= 3
-            out.append(LevelStabilization(e, 0, bound, (0,) * n, sources, 0, ml_index, certified, settled))
+            out.append(LevelStabilization(e, 0, bound, (0,) * n, sources, 0, ml_index, certified))
             continue
         vals = transition_valuations(p, e, sm_e, sources, summands[first:])
         images = []
@@ -293,86 +285,101 @@ def stabilized_images(tower: Tower, probe: int) -> StabilizedTower:
         if certified and run > 0 and sources[run - 1] >= bound:
             witness = next(f for f, img in zip(sources, images) if f >= bound and img != stabilized)
             raise MLViolationError(f"images changed past the bound at level e={e}: witness f={witness}")
-        settled = certified or n - run >= 3
-        out.append(LevelStabilization(e, h, bound, tuple(images), sources, stabilized, ml_index, certified, settled))
+        out.append(LevelStabilization(e, h, bound, tuple(images), sources, stabilized, ml_index, certified))
     return StabilizedTower(tower, tuple(out))
 
 
 @dataclass(frozen=True)
 class ProCyclicLimit:
-    """Classification of the inverse limit of a tower of stabilized images.
+    """The inverse limit of one orbit's tower, as `orbit_limit` decides it.
 
-    kind is "finite" (limit W(k)/p^h) or "zp" (pro-cyclic of unbounded
-    order, W(k)-full at probe scale).  The verdict is a probe-scale
-    judgment over the recorded evidence window, not a theorem.  lim^1
-    vanishes for every Mittag-Leffler tower of finite groups, which the
-    stabilization step has already verified, so `lim1_zero` is a constant.
+    kind is "finite" (limit W(k)/p^h) or "zp" (limit W(k), pro-cyclic of
+    unbounded order, with h None).  The verdict is a theorem about the
+    whole tower, not a reading of a probe window.  lim^1 vanishes because
+    every tower is Mittag-Leffler past its proven bound (`ml_bound`), so
+    `lim1_zero` is a constant.
     """
 
     kind: str
     h: int | None
-    ml_index: int
-    evidence: tuple[int, ...]
     lim1_zero = True
 
 
-ZPFULL_RUN = 8
-STABLE_WINDOW = 6
+def orbit_limit(p: int, weight: int, orbit: Orbit) -> ProCyclicLimit:
+    """The inverse limit over the levels e of one orbit's tower in the
+    given weight, read off the orbit alone:
 
+    - empty alpha in weight 1: W(k) ("zp");
+    - empty alpha in any other weight: 0 ("finite", h = 0);
+    - nonempty alpha: W(k)/p^S ("finite", h = S), where S = S_alpha is the
+      least a with floor_l1(p^a alpha) >= weight.
 
-def classify_orders(orders: tuple[int, ...], ml_index: int) -> ProCyclicLimit:
-    """Classify a nondecreasing sequence of image-order exponents indexed
-    by ascending level.
+    Proof.  Write i for the weight, L_a = floor_l1(p^a alpha), and
+    d_a = i - ceil(p^a m / e) - L_a for the degree-1 walk at level e, of
+    length s_e (`drw.degree1_walks`).  d_a never falls as e grows, so s_e
+    never falls.  As e is prime to p, h_e = v_p(brace(p^s_e m, e)) is s_e,
+    or 0 when e | m; e | m only at the finitely many levels e <= m, which
+    the limit does not see.  Past f0 = `ml_bound(e)` every image into
+    level e is the same (the Mittag-Leffler bound), so the limit is that of
+    the stable images W(k)/p^(o_e), o_e = h_e - min(v, h_e), with v the
+    valuation of the map from f0 to e; their maps are onto, so the limit is
+    W(k)/p^o when o_e settles at o and W(k) when o_e is unbounded.
 
-    Constant everywhere, or constant over the trailing STABLE_WINDOW
-    orders, reads as a finite limit; a trailing run of at least ZPFULL_RUN
-    strict increases reads as pro-cyclic of unbounded order.  Anything in
-    between refuses, since the probe cannot tell slow growth from eventual
-    stabilization.
+    For s_e >= 1 and e not dividing m, `transition_valuations` gives, with
+    m1 = p^(s_e - 1) m,
+        v = [v_p(((m1-1)//e)!) + ceil(m1/e)] - [v_p(((m1-1)//f0)!) + ceil(m1/f0)]
+            + sum of d_j at level f0 over j in [s_e, s_f0).
+    The first bracket is at least the second, since e <= f0; both are 1
+    when m1 <= e.  Every summand is >= 0, being a step of the f0 walk.
+
+    Empty alpha, weight 1: d_a >= 0 exactly when p^a m <= e, so
+    s_e = #{a : p^a m <= e} and m1 <= e; the brackets cancel, and each
+    d_j at f0 with j < s_f0 has p^j m <= f0, so it is 1 - 1 = 0.  Hence
+    v = 0 and o_e = h_e, which is s_e for e > m and grows without bound.
+
+    Empty alpha, weight i >= 2: s_e = #{a : p^a m <= i e}, the s that
+    `ml_bound` counts, so f0 >= p^(2 s_e) m.  For j <= 2 s_e, p^j m <= f0,
+    so d_j = i - 1 >= 1 at f0, and j < s_f0.  Hence v >= s_e + 1 > h_e and
+    o_e = 0; this holds whether m1 <= e or not, since the brackets only
+    add.  A level with s_e = 0 or e | m is trivial, so o_e = 0 there too.
+    In weight 0, d_0 = -ceil(m/e) < 0, so every level is trivial.
+
+    Nonempty alpha: L_a is unbounded and never falls, so S exists, and for
+    a >= S, d_a <= i - 1 - L_a < 0, so s_e <= S and h_e <= S at every
+    level.  Let e* be the least level prime to p with
+    e* >= max(m + 1, p^(S-1) m).  For e >= e*, ceil(p^a m / e) = 1 for
+    every a < S, so d_a = i - 1 - L_a, which is >= 0 exactly when a < S:
+    s_e = S, and h_e = S since e > m.  The same holds at f0 >= e, so
+    s_f0 = S and the sum is empty; m1 = p^(S-1) m <= e, so the brackets
+    cancel.  Hence v = 0 and o_e = S for every e >= e*.  When S = 0 every
+    level is trivial.
     """
-    if not orders:
-        return ProCyclicLimit("finite", 0, ml_index, ())
-    if all(o == orders[0] for o in orders):
-        return ProCyclicLimit("finite", orders[0], ml_index, orders)
-    tail = orders[-STABLE_WINDOW:]
-    if len(tail) == STABLE_WINDOW and all(o == tail[0] for o in tail):
-        return ProCyclicLimit("finite", tail[0], ml_index, orders)
-    tail = orders[-(ZPFULL_RUN + 1):]
-    if len(tail) == ZPFULL_RUN + 1 and all(a < b for a, b in zip(tail, tail[1:])):
-        return ProCyclicLimit("zp", None, ml_index, orders)
-    raise ClassificationRefusedError(
-        f"probe too short to classify: image orders {orders} still changing", orders
-    )
+    orbit.validate(p)
+    alpha = orbit.alpha
+    if not alpha.entries:
+        return ProCyclicLimit("zp", None) if weight == 1 else ProCyclicLimit("finite", 0)
+    S = 0
+    while alpha.floor_l1(p, S) < weight:
+        S += 1
+    return ProCyclicLimit("finite", S)
 
 
 def limit_classify(stab: StabilizedTower) -> ProCyclicLimit:
-    """Inverse limit of the stabilized-image tower; restricted transitions
-    are surjective, so the limit is pro-cyclic and lim^1 vanishes."""
-    settled = [rec for rec in stab.per_level if rec.settled]
-    orders = tuple(rec.image_order_exponent for rec in settled)
-    ml_index = max((rec.ml_index for rec in settled), default=stab.tower.levels[0])
-    return classify_orders(orders, ml_index)
-
-
-@dataclass(frozen=True)
-class RefusedClassification:
-    """Recorded in place of a verdict when the probe is too short; carries
-    the evidence window so the caller can widen the probe and retry."""
-
-    reason: str
-    evidence: tuple[int, ...]
+    """The limit of a swept tower: `orbit_limit` of its orbit."""
+    return orbit_limit(stab.tower.p, stab.tower.weight, stab.tower.orbit)
 
 
 @dataclass(frozen=True)
 class OddZeroCertificate:
-    """Vanishing certificate for one odd TR degree: every probed tower
-    satisfied the Mittag-Leffler check, so the derived-limit obstruction
-    is zero and the odd group receives no contribution.  A tower that fails
-    the check raises instead, so `zero` and `lim1_zero` are constants."""
+    """Vanishing certificate for one odd TR degree.  Every tower is
+    Mittag-Leffler past its proven bound f0 = `ml_bound(e)`, so its lim^1
+    is zero and the odd group receives no contribution; this rests on that
+    theorem, not on the probe, which only bounds the window of `orbits`
+    listed beside it.  `zero` and `lim1_zero` are constants."""
 
     degree: int
     probe: int
-    orbits_checked: int
+    orbits: int
     zero = True
     lim1_zero = True
 
@@ -383,48 +390,34 @@ class TRGroups:
 
     Degree 2i is assembled from the weight i+1 towers (the loop shift in
     the curves description of TR); `weight` is read off the degree, so the
-    two cannot disagree.  even pairs each orbit with its limit verdict or a
-    refusal.  The m = 1 slice is the p-typical summand under the standard
-    curves indexing of the product decomposition over I_p.
+    two cannot disagree.  even pairs each orbit with its limit.  The m = 1
+    slice is the p-typical summand under the standard curves indexing of
+    the product decomposition over I_p.
     """
 
     p: int
     degree: int
-    even: tuple[tuple[Orbit, ProCyclicLimit | RefusedClassification], ...]
+    even: tuple[tuple[Orbit, ProCyclicLimit], ...]
     odd: OddZeroCertificate
 
     @property
     def weight(self) -> int:
         return self.degree // 2 + 1
 
-    @property
-    def refused(self) -> bool:
-        return any(isinstance(res, RefusedClassification) for _, res in self.even)
-
 
 def tr_groups(p: int, i: int, bounds: AlphaBounds, probe: int) -> TRGroups:
     """TR in degrees 2i and 2i-1 of the prototype algebra with multi-index
-    slots and numerator sizes limited by bounds, probed over truncation
-    levels up to probe.
+    slots and numerator sizes limited by bounds, over the orbits with a
+    nontrivial group at some level up to probe.
 
-    Every enumerated orbit is run through the stabilization check, so a
-    returned result always carries a valid odd-degree zero certificate;
-    classification refusals on the even side are recorded, not raised.
-    A probe with no level in [2, probe] coprime to p checks nothing, so it
-    raises ValueError instead of certifying from no evidence.
+    Each orbit's limit is `orbit_limit`, the same at every probe.  A probe
+    with no level in [2, probe] coprime to p has an empty window, so it
+    raises ValueError instead of certifying an empty list.
     """
     weight = i + 1
     levels = [e for e in range(2, probe + 1) if e % p]
     if not levels:
         raise ValueError(f"no level in [2, {probe}] is coprime to p={p}; raise the probe")
     towers = nontrivial_towers(p, weight, bounds, levels)
-    even = []
-    for tower in towers:
-        stab = stabilized_images(tower, probe)
-        try:
-            verdict: ProCyclicLimit | RefusedClassification = limit_classify(stab)
-        except ClassificationRefusedError as exc:
-            verdict = RefusedClassification(str(exc), exc.orders)
-        even.append((tower.orbit, verdict))
-    odd = OddZeroCertificate(degree=2 * i - 1, probe=probe, orbits_checked=len(towers))
-    return TRGroups(p, 2 * i, tuple(even), odd)
+    even = tuple((tower.orbit, orbit_limit(tower.p, weight, tower.orbit)) for tower in towers)
+    return TRGroups(p, 2 * i, even, OddZeroCertificate(2 * i - 1, probe, len(towers)))

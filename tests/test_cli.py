@@ -18,7 +18,6 @@ from test_golden import GOLDEN
 from trcalc.cli import (
     EXIT_MISMATCH,
     EXIT_OK,
-    EXIT_REFUSED,
     EXIT_VALIDATION,
     JobSpec,
     ValidationError,
@@ -108,14 +107,16 @@ def test_kgroups_values(capsys):
 
 
 def test_tr_certificate_footer(capsys):
+    # the footer names the argument, not the probe: Mittag-Leffler past the
+    # proven bound makes lim^1 vanish
     code, out = _run(["tr", "--p", "3", "--i", "0", "--e", "2", "--e-max", "12"], capsys)
-    assert out.rstrip().endswith("TR_odd = 0: CERTIFIED (probe e <= 12)")
-    assert code in (EXIT_OK, EXIT_REFUSED)
+    assert out.rstrip().endswith("TR_odd = 0: CERTIFIED (Mittag-Leffler past the bound f0 gives lim^1 = 0)")
+    assert code == EXIT_OK
 
 
 @pytest.mark.parametrize("p,probe", [(2, 2), (3, 1)])
 def test_tr_without_a_level_coprime_to_p_exits_1(p, probe, capsys):
-    # no level in [2, probe] is coprime to p: nothing is checked, so no
+    # no level in [2, probe] is coprime to p: the window lists no orbit, so no
     # odd-degree certificate is printed
     code = main(["tr", "--p", str(p), "--i", "1", "--e", str(probe)])
     captured = capsys.readouterr()
@@ -186,6 +187,23 @@ def test_ml_check_exit_ok(capsys):
     code, out = _run(["ml-check", "--p", "3", "--i", "1", "--e", "2", "--e-max", "11"], capsys)
     assert code == EXIT_OK
     assert "ml_condition=PASS" in out
+
+
+def test_ml_check_rows_do_not_move_with_the_probe():
+    # p=2, weight 2: each row's stable image and ML index are exact, so a
+    # row at a level up to 20 reads the same at probes 20, 28 and 100 (a
+    # larger probe only adds orbits and levels) but for `certified`,
+    # which says whether the sweep reached the row's bound.  The m=1 row at
+    # e=5 has bound 257 and stable image 4 (it used to print the probe's 2)
+    tables = []
+    for probe in (20, 28, 100):
+        report, code = run_command(JobSpec(command="ml-check", p=2, i=2, e=3, e_max=probe))
+        assert code == EXIT_OK
+        rows = {(rec["m"], rec["e"]): rec for rec in report.orbits if rec["e"] <= 20}
+        tables.append({key: {**rec, "certified": None} for key, rec in rows.items()})
+        row = rows[(1, 5)]
+        assert (row["ml_bound"], row["stabilized_image"], row["certified"]) == (257, 4, False)
+    assert all(table[key] == rec for table in tables[1:] for key, rec in tables[0].items())
 
 
 def test_duplicate_slots_rejected(capsys):
@@ -298,12 +316,12 @@ TOWER_JOBS = {
     ("ml-check --p 3 --i 1 --e 7 --e-max 11", "text"): (0, "41548729c8c3d12e"),
     ("ml-check --p 3 --i 1 --e 7 --e-max 11", "json"): (0, "53de7b44560608fa"),
     ("ml-check --p 3 --i 1 --e 7 --e-max 11", "csv"): (0, "f643422aac2d05a6"),
-    ("ml-check --p 2 --i 2 --e 3 --e-max 11 --slots t --alpha-num-max 2 --alpha-pexp-max 1", "text"): (0, "06dc545fe12e8517"),
-    ("ml-check --p 2 --i 2 --e 3 --e-max 11 --slots t --alpha-num-max 2 --alpha-pexp-max 1", "json"): (0, "5fe6b4911f13a445"),
+    ("ml-check --p 2 --i 2 --e 3 --e-max 11 --slots t --alpha-num-max 2 --alpha-pexp-max 1", "text"): (0, "49333291ee8d46a6"),
+    ("ml-check --p 2 --i 2 --e 3 --e-max 11 --slots t --alpha-num-max 2 --alpha-pexp-max 1", "json"): (0, "3b0e9a3958a47f14"),
     ("ml-check --p 2 --i 2 --e 3 --e-max 11 --slots t --alpha-num-max 2 --alpha-pexp-max 1", "csv"): (0, "de6bce4328fc9526"),
-    ("tr --p 2 --i 1 --e 2 --e-max 16 --slots t --alpha-num-max 2 --alpha-pexp-max 1", "text"): (3, "ae15d11df661a394"),
-    ("tr --p 2 --i 1 --e 2 --e-max 16 --slots t --alpha-num-max 2 --alpha-pexp-max 1", "json"): (3, "f1b29bcb5037b5a0"),
-    ("tr --p 2 --i 1 --e 2 --e-max 16 --slots t --alpha-num-max 2 --alpha-pexp-max 1", "csv"): (3, "9060f77bdd81b285"),
+    ("tr --p 2 --i 1 --e 2 --e-max 16 --slots t --alpha-num-max 2 --alpha-pexp-max 1", "text"): (0, "b496f3c4113d7d6d"),
+    ("tr --p 2 --i 1 --e 2 --e-max 16 --slots t --alpha-num-max 2 --alpha-pexp-max 1", "json"): (0, "82903fef3a0b5ff7"),
+    ("tr --p 2 --i 1 --e 2 --e-max 16 --slots t --alpha-num-max 2 --alpha-pexp-max 1", "csv"): (0, "4ffdf5423d598736"),
     ("transition --p 2 --i 2 --e 3 --e-max 11 --slots t --alpha-num-max 2 --alpha-pexp-max 1", "text"): (0, "20c7bd699e61a5c1"),
     ("transition --p 2 --i 2 --e 3 --e-max 11 --slots t --alpha-num-max 2 --alpha-pexp-max 1", "json"): (0, "b150f942273d4752"),
     ("transition --p 2 --i 2 --e 3 --e-max 11 --slots t --alpha-num-max 2 --alpha-pexp-max 1", "csv"): (0, "abcb73b41780bc55"),
@@ -317,9 +335,9 @@ def test_tower_job_bytes(job, fmt, capsysbinary):
     assert (code, hashlib.sha256(out).hexdigest()[:16]) == TOWER_JOBS[(job, fmt)]
 
 
-def _record_walks(monkeypatch) -> list:
-    """Record every orbit walk as (orbit, levels); a read of the
-    single-level summand cache fails."""
+def _record_walks(monkeypatch, forbid_single_levels: bool = True) -> list:
+    """Record every orbit walk as (orbit, levels); unless allowed, a read
+    of the single-level summand cache fails."""
     walks = []
     real = syntomic_module.orbit_summands
 
@@ -332,8 +350,9 @@ def _record_walks(monkeypatch) -> list:
 
     for module in (syntomic_module, prosystem_module, cli_module):
         monkeypatch.setattr(module, "orbit_summands", recording)
-    for module in (syntomic_module, prosystem_module):
-        monkeypatch.setattr(module, "h1_syntomic_orbit", forbidden)
+    if forbid_single_levels:
+        for module in (syntomic_module, prosystem_module):
+            monkeypatch.setattr(module, "h1_syntomic_orbit", forbidden)
     return walks
 
 
@@ -357,10 +376,14 @@ def test_tower_commands_walk_each_candidate_orbit_once(spec, weight, monkeypatch
         for m in range(1, weight * levels[-1] + 1)
         if m % spec.p
     ]
-    walks = _record_walks(monkeypatch)
+    walks = _record_walks(monkeypatch, forbid_single_levels=spec.command == "tr")
     report, code = run_command(spec)
-    assert code in (EXIT_OK, EXIT_REFUSED)
-    assert walks == [(orbit, levels) for orbit in candidates]
+    assert code == EXIT_OK
+    assert [walk for walk in walks if walk[1] == levels] == [(orbit, levels) for orbit in candidates]
+    # tr reads nothing else; ml-check reads the exact image of an unreached
+    # bound with `tr_valuation`, one level at a time (none if cached)
+    others = [lv for _, lv in walks if lv != levels]
+    assert all(len(lv) == 1 for lv in others) and (spec.command == "ml-check" or not others)
 
 
 def test_transition_walks_each_orbit_once_per_role(monkeypatch):

@@ -38,9 +38,9 @@ GOLDEN = {
     ("ml-check --p 3 --i 1 --e 2 --e-max 11", "text"): (0, "cc17ecd12025731d"),
     ("ml-check --p 3 --i 1 --e 2 --e-max 11", "json"): (0, "ac26fe51626212ae"),
     ("ml-check --p 3 --i 1 --e 2 --e-max 11", "csv"): (0, "a13831ea300f2276"),
-    ("tr --p 3 --i 0 --e 2 --e-max 30", "text"): (3, "53249c448bc2c046"),
-    ("tr --p 3 --i 0 --e 2 --e-max 30", "json"): (3, "b91b7826cddc2d7b"),
-    ("tr --p 3 --i 0 --e 2 --e-max 30", "csv"): (3, "748e571532aace4b"),
+    ("tr --p 3 --i 0 --e 2 --e-max 30", "text"): (0, "aaba35576be0da31"),
+    ("tr --p 3 --i 0 --e 2 --e-max 30", "json"): (0, "6e188335105ededa"),
+    ("tr --p 3 --i 0 --e 2 --e-max 30", "csv"): (0, "9050b953ec58e5ce"),
 }
 
 

@@ -1,5 +1,5 @@
-"""Transition valuations, Mittag-Leffler stabilization, and limit
-classification of the degree-1 towers."""
+"""Transition valuations, Mittag-Leffler stabilization, and the inverse
+limits of the degree-1 towers."""
 
 import dataclasses
 import itertools
@@ -15,15 +15,14 @@ from trcalc.drw import TruncationParams
 from trcalc.oracle import TransitionOracle
 from trcalc.padic import MultiIndex, PAdicFraction, Prime, ceil_div, factorial_ratio, vp
 from trcalc.prosystem import (
-    ClassificationRefusedError,
     MLViolationError,
-    RefusedClassification,
+    ProCyclicLimit,
     build_tower,
-    classify_orders,
     image_exponent,
     limit_classify,
     ml_bound,
     nontrivial_towers,
+    orbit_limit,
     stabilized_images,
     tr_groups,
     tr_valuation,
@@ -350,10 +349,10 @@ def test_ill_defined_map_in_the_sweep_raises_as_image_exponent_does(monkeypatch)
     assert str(raised.value) == str(direct.value)
 
 
-def test_certified_level_is_settled_with_a_trailing_run_under_three(monkeypatch):
+def test_certified_level_reads_its_stable_image_from_a_trailing_run_under_three(monkeypatch):
     # p=3, weight 1, orbit m=1 probed to 11: level 2 has bound 10, so an
     # image change at f=8 leaves a constant run of two (10, 11) past it;
-    # the level is certified, hence settled
+    # the level is certified, and its last image is the stable one
     tower = build_tower(3, 1, Orbit(1), [e for e in range(2, 12) if e % 3])
     real = prosystem_module.transition_valuations
 
@@ -364,35 +363,83 @@ def test_certified_level_is_settled_with_a_trailing_run_under_three(monkeypatch)
     monkeypatch.setattr(prosystem_module, "transition_valuations", drifting)
     rec = stabilized_images(tower, 11).per_level[0]
     assert (rec.level, rec.ml_bound, rec.ml_index, rec.sources[-2:]) == (2, 10, 10, (10, 11))
-    assert rec.certified and rec.settled
+    assert rec.certified and rec.stabilized == 0
 
 
-def test_classify_zp_full():
-    verdict = classify_orders(tuple(range(1, 11)), ml_index=2)
-    assert verdict.kind == "zp" and verdict.lim1_zero
+def s_alpha(p, weight, alpha):
+    """The least a with floor_l1(p^a alpha) >= weight, counted afresh."""
+    return next(a for a in itertools.count() if alpha.floor_l1(p, a) >= weight)
 
 
-def test_classify_constant_tower():
-    verdict = classify_orders((3,) * 7, ml_index=2)
-    assert verdict.kind == "finite" and verdict.h == 3
+def exact_order(p, e, weight, orbit):
+    """The order exponent of the stable image into level e: h_e minus the
+    image exponent of the map from f0 = ml_bound(e)."""
+    params = TruncationParams(p, e, weight)
+    h = h1_syntomic_orbit(params, orbit).module.h
+    if h == 0:
+        return 0, 0
+    return h, h - min(tr_valuation(params, ml_bound(params, orbit.m), orbit), h)
 
 
-def test_classify_all_trivial():
-    verdict = classify_orders((0, 0, 0), ml_index=2)
-    assert verdict.kind == "finite" and verdict.h == 0
+def test_orbit_limit_three_cases():
+    def t(num, pexp):
+        return MultiIndex.from_dict({"t": PAdicFraction(num, pexp)})
+
+    assert orbit_limit(3, 1, Orbit(1)) == ProCyclicLimit("zp", None)
+    assert orbit_limit(2, 1, Orbit(7)) == ProCyclicLimit("zp", None)
+    for weight in (0, 2, 3, 7):
+        assert orbit_limit(3, weight, Orbit(5)) == ProCyclicLimit("finite", 0)
+    # floor(3^a * 1/3) = 0, 1, 3, 9, ...: S_alpha is 2 in weight 2 and 3 in weight 4
+    assert orbit_limit(3, 2, Orbit(1, t(1, 1))) == ProCyclicLimit("finite", 2)
+    assert orbit_limit(3, 4, Orbit(1, t(1, 1))) == ProCyclicLimit("finite", 3)
+    assert orbit_limit(3, 1, Orbit(1, t(2, 0))) == ProCyclicLimit("finite", 0)
+    assert orbit_limit(2, 0, Orbit(1, t(1, 2))) == ProCyclicLimit("finite", 0)
+    with pytest.raises(ValueError, match="coprime to p"):
+        orbit_limit(3, 1, Orbit(6))
 
 
-def test_classify_refuses_ambiguous_growth():
-    with pytest.raises(ClassificationRefusedError):
-        classify_orders((0, 1, 1, 2, 2, 3), ml_index=2)
+def test_orbit_limit_is_the_exact_stable_image_past_e_star():
+    # p in {2,3,5}, weights 0..3, m <= 12 * weight, the one-slot window:
+    # at every level from 2 to e* + 12, the order of the stable image (read
+    # at f0 = ml_bound(e)) is h_e for "zp", 0 for "finite 0", and for
+    # nonempty alpha at most S_alpha, and exactly S_alpha from the least
+    # level e* >= max(m + 1, p^(S_alpha - 1) m) prime to p on
+    towers = levels_read = 0
+    for p in (2, 3, 5):
+        for weight, alpha in itertools.product(range(4), bench_alpha_window(p)):
+            for m in (m for m in range(1, 12 * max(weight, 1) + 1) if m % p):
+                orbit = Orbit(m, alpha)
+                verdict = orbit_limit(p, weight, orbit)
+                S = s_alpha(p, weight, alpha) if alpha.entries else 0
+                e_star = max(m + 1, p ** max(S - 1, 0) * m)
+                while e_star % p == 0:
+                    e_star += 1
+                assert verdict == (
+                    ProCyclicLimit("finite", S) if alpha.entries
+                    else ProCyclicLimit("zp", None) if weight == 1 else ProCyclicLimit("finite", 0)
+                )
+                for e in (e for e in range(2, e_star + 13) if e % p):
+                    h, order = exact_order(p, e, weight, orbit)
+                    if verdict.kind == "zp":
+                        assert order == h
+                    elif e >= e_star:
+                        assert order == verdict.h
+                    else:
+                        assert order <= verdict.h
+                    levels_read += 1
+                if verdict.kind == "zp":  # h_e = #{a : p^a m <= e} past m grows: 4 at p^3 m + 1
+                    assert exact_order(p, p**3 * m + 1, weight, orbit) == (4, 4)
+                towers += 1
+    assert (towers, levels_read) == (1891, 79905)
 
 
 def test_limit_classify_on_real_tower():
-    levels = [e for e in range(2, 29) if e % 3]
-    tower = build_tower(3, 1, Orbit(1), levels)
-    verdict = limit_classify(stabilized_images(tower, 28))
-    # probe-scale judgment: orders settle at 3 over the settled window
-    assert verdict.kind == "finite" and verdict.h == 3
+    # p=3, weight 1, orbit m=1: TR of a perfect field is W(k), and the
+    # swept tower's limit is that of its orbit, whatever the probe
+    for probe in (11, 28, 100):
+        levels = [e for e in range(2, probe + 1) if e % 3]
+        verdict = limit_classify(stabilized_images(build_tower(3, 1, Orbit(1), levels), probe))
+        assert verdict == orbit_limit(3, 1, Orbit(1)) == ProCyclicLimit("zp", None)
 
 
 def test_tr_groups_odd_certificate():
@@ -400,7 +447,7 @@ def test_tr_groups_odd_certificate():
     assert result.odd.degree == -1
     assert result.odd.zero and result.odd.lim1_zero
     assert result.weight == 1
-    assert result.odd.orbits_checked > 0
+    assert result.odd.orbits > 0
 
 
 def test_tower_verdict_constants_are_not_inputs():
@@ -412,7 +459,7 @@ def test_tower_verdict_constants_are_not_inputs():
     with pytest.raises(TypeError):
         prosystem_module.OddZeroCertificate(1, 10, 0, zero=False)
     with pytest.raises(TypeError):
-        prosystem_module.ProCyclicLimit("finite", 0, 2, (), lim1_zero=False)
+        prosystem_module.ProCyclicLimit("finite", 0, lim1_zero=False)
     assert [f.name for f in dataclasses.fields(prosystem_module.TRGroups)] == ["p", "degree", "even", "odd"]
 
 
@@ -431,32 +478,51 @@ def test_tr_groups_degenerate_weight():
 
 
 def test_tr_groups_refuses_a_probe_without_levels():
-    # p=2 and probe 2 leave no level coprime to p, so there is no evidence
-    # for the odd-degree certificate; probe 3 has the level 3
+    # p=2 and probe 2 leave no level coprime to p, so the window lists no
+    # orbit and nothing is certified; probe 3 has the level 3
     with pytest.raises(ValueError, match="no level in"):
         tr_groups(2, 1, AlphaBounds(), 2)
-    assert tr_groups(2, 1, AlphaBounds(), 3).odd.orbits_checked > 0
+    assert tr_groups(2, 1, AlphaBounds(), 3).odd.orbits > 0
 
 
-def test_refusals_are_recorded_not_raised():
-    result = tr_groups(3, 0, AlphaBounds(), 30)
-    kinds = {type(res) for _, res in result.even}
-    if result.refused:
-        assert RefusedClassification in kinds
+@pytest.mark.parametrize("p,i,bounds", [(3, 0, AlphaBounds()), (2, 1, AlphaBounds(("t",), 2, 1))])
+def test_tr_verdicts_are_the_same_at_every_probe(p, i, bounds):
+    # each orbit's verdict is `orbit_limit`'s at probes 28, 100 and 1000;
+    # a larger probe only lists more orbits.  In TR degree 0 every orbit
+    # is "zp": TR of a perfect field is W(k)
+    verdicts = {}
+    for probe in (28, 100, 1000):
+        result = tr_groups(p, i, bounds, probe)
+        assert result.odd.orbits == len(result.even)
+        for orbit, verdict in result.even:
+            assert verdict == verdicts.setdefault(orbit, verdict) == orbit_limit(p, i + 1, orbit)
+    if i == 0:
+        assert {verdict for verdict in verdicts.values()} == {ProCyclicLimit("zp", None)}
+    else:
+        assert {v.kind for v in verdicts.values()} == {"finite"}
 
 
-def test_refusal_evidence_is_the_settled_orders():
-    # p=3, weight 1, orbit m=7: two trailing levels are unsettled at probe 30,
-    # and the refusal must cite only the orders it was drawn from
-    result = tr_groups(3, 0, AlphaBounds(), 30)
-    verdict = dict(result.even)[Orbit(7)]
-    assert isinstance(verdict, RefusedClassification)
-    levels = [e for e in range(2, 31) if e % 3]
-    stab = stabilized_images(build_tower(3, 1, Orbit(7), levels), 30)
-    settled = tuple(rec.image_order_exponent for rec in stab.per_level if rec.settled)
-    assert len(settled) < len(stab.per_level)
-    assert verdict.evidence == settled
-    assert str(settled) in verdict.reason
+def test_the_oracle_backs_the_stable_images_the_readme_tower_jobs_read():
+    # the README's tr job (p=3, weight 1, levels to 30) and ml-check job
+    # (p=3, weight 1, levels to 11, a subset of the tr pairs): at every
+    # nontrivial level of every listed orbit, the matrix-level valuation of
+    # the map from f0 = ml_bound(e) is the closed form's, and the stable
+    # image is all of W(k)/p^h_e, as the "zp" verdict says
+    pairs = 0
+    f0_max = 0
+    for orbit, verdict in tr_groups(3, 0, AlphaBounds(), 30).even:
+        assert verdict == ProCyclicLimit("zp", None)
+        for e in (e for e in range(2, 31) if e % 3):
+            params = TruncationParams(3, e, 1)
+            h = h1_syntomic_orbit(params, orbit).module.h
+            if h == 0:
+                continue
+            f0 = ml_bound(params, orbit.m)
+            v = TransitionOracle(3, 1, orbit, [e, f0]).valuation(e, f0)
+            assert v == min(tr_valuation(params, f0, orbit), h) == 0
+            pairs += 1
+            f0_max = max(f0_max, f0)
+    assert (pairs, f0_max) == (190, 6562)
 
 
 def test_nontrivial_towers_are_the_sorted_union_over_levels():
@@ -540,12 +606,10 @@ def test_stabilized_images_match_the_pairwise_witness_on_every_probe_tower():
                 for k, rec in enumerate(stab.per_level):
                     sources = tower.levels[k:]
                     images = pairwise_images(p, rec.level, tower.summands[k], sources, tower.summands[k:])
-                    settled_from = min(f for j, f in enumerate(sources) if set(images[j:]) == {images[-1]})
+                    constant_from = min(f for j, f in enumerate(sources) if set(images[j:]) == {images[-1]})
                     bound = ml_bound(TruncationParams(p, rec.level, i), m)
                     assert (rec.sources, rec.images, rec.stabilized) == (sources, images, images[-1])
-                    assert (rec.ml_index, rec.ml_bound, rec.certified) == (settled_from, bound, bound <= 24)
-                    constant_tail = len(images) >= 3 and images[-3] == images[-2] == images[-1]
-                    assert rec.settled == (rec.certified or constant_tail)
+                    assert (rec.ml_index, rec.ml_bound, rec.certified) == (constant_from, bound, bound <= 24)
                     assert rec.image_order_exponent == rec.h - images[-1]
                 towers += 1
     assert towers == 1653 + 1521
@@ -566,11 +630,7 @@ def test_towers_build_no_truncation_params(monkeypatch):
     for p in (2, 3):
         levels = [e for e in range(2, 25) if e % p]
         for m in (1, 2 * p + 1, 7 * p - 1):
-            stab = stabilized_images(build_tower(p, 2, Orbit(m, alpha), levels), 24)
-            try:
-                limit_classify(stab)
-            except ClassificationRefusedError:
-                pass
+            limit_classify(stabilized_images(build_tower(p, 2, Orbit(m, alpha), levels), 24))
     tr_groups(3, 1, AlphaBounds(("t",), 2, 1), 20)
     assert built == []
     TruncationParams(3, 2, 1)
