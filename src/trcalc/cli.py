@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .drw import Orbit, TruncationParams
@@ -19,15 +20,14 @@ from .oracle import OracleError, verify_orbit
 from .padic import Prime
 from .prosystem import (
     MLViolationError,
-    image_exponent,
+    image_exponents,
     nontrivial_towers,
     stabilized_images,
     tr_groups,
-    tr_valuation,
     transition_valuations,
 )
 from .report import Report, emit_report, format_alpha
-from .syntomic import AlphaBounds, enumerate_orbits, orbit_summands
+from .syntomic import AlphaBounds, enumerate_orbits, level_summand, orbit_summands
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -190,9 +190,9 @@ def _run_transition(spec: JobSpec, report: Report) -> int:
         # h_e >= 1 forces s_e >= 1 and e not dividing m, so vals is never None
         h_e = sm.module.h
         sms_f = orbit_summands(spec.p, spec.i, sm.orbit, sources)
+        hs_f = [sm_f.module.h for sm_f in sms_f]
         vals = transition_valuations(spec.p, e, sm, sources, sms_f)
-        for f, sm_f, v in zip(sources, sms_f, vals):
-            h_f = sm_f.module.h
+        for f, h_f, v, image in zip(sources, hs_f, vals, image_exponents(h_e, hs_f, vals)):
             report.add_orbit(
                 **_orbit_columns(sm.orbit, spec.p),
                 s=sm.s,
@@ -200,7 +200,7 @@ def _run_transition(spec: JobSpec, report: Report) -> int:
                 f=f,
                 h_f=h_f,
                 valuation=v,
-                image=image_exponent(h_f, h_e, v),
+                image=image,
             )
     return EXIT_OK
 
@@ -210,15 +210,20 @@ def _run_ml_check(spec: JobSpec, report: Report) -> int:
 
     On a certified level the sweep has read them.  On any other with h > 0
     they lie past the probe: images into a level are constant from its
-    bound on and only shrink as the source grows, so the stable image is
-    the one at `ml_bound`, and when the probe has not reached it the ML
-    index is the least source whose image has, found by bisection over
-    the integers past the probe, each read at the next level prime to p.
+    bound on, so the stable image is the one at `ml_bound`, and when the
+    probe has not reached it the ML index is the least source whose image
+    has, found by bisection over the integers past the probe, each read at
+    the next level prime to p.  The bisection is sound because each term
+    of `transition_valuations` is nondecreasing in the source f, so images
+    only shrink as the source grows.  Each past-probe image reads the
+    target's summand from the tower and the source's from `level_summand`,
+    and goes through `transition_valuations` and `image_exponents`, the
+    sweep's own rule, so an ill-defined map raises there too.
     """
-    p = spec.p
+    p, i = spec.p, spec.i
     levels = [e for e in spec.levels() if e % p]
     probe = levels[-1]
-    towers = nontrivial_towers(p, spec.i, spec.bounds, levels)
+    towers = nontrivial_towers(p, i, spec.bounds, levels)
     status = EXIT_OK
     for tower in towers:
         try:
@@ -227,19 +232,20 @@ def _run_ml_check(spec: JobSpec, report: Report) -> int:
             report.certificates.append({**_orbit_columns(tower.orbit, spec.p), "ml_violation": str(exc)})
             status = EXIT_MISMATCH
             continue
-        for rec in stab.per_level:
+        for rec, sm_e in zip(stab.per_level, tower.summands):
             image, ml_index = rec.stabilized, rec.ml_index
             if rec.h and not rec.certified:
-                params = TruncationParams(p, rec.level, spec.i)
-                exact = min(tr_valuation(params, rec.ml_bound, tower.orbit), rec.h)
+
+                def image_at(f: int) -> int:
+                    sm_f = level_summand(p, f, i, tower.orbit)
+                    vals = transition_valuations(p, rec.level, sm_e, (f,), (sm_f,))
+                    return image_exponents(rec.h, (sm_f.module.h,), vals)[0]
+
+                exact = image_at(rec.ml_bound)
                 if exact != image:
-                    lo, hi = probe + 1, rec.ml_bound
-                    while lo < hi:
-                        mid = (lo + hi) // 2
-                        if min(tr_valuation(params, mid + (mid % p == 0), tower.orbit), rec.h) == exact:
-                            hi = mid
-                        else:
-                            lo = mid + 1
+                    # least integer past the probe whose next level maps onto the stable image
+                    past = range(probe + 1, rec.ml_bound)
+                    lo = past.start + bisect_left(past, exact, key=lambda f: image_at(f + (f % p == 0)))
                     image, ml_index = exact, lo + (lo % p == 0)
             report.add_orbit(
                 **_orbit_columns(tower.orbit, p),

@@ -21,11 +21,17 @@ tower, and builds no `TruncationParams`.  Its per-level output is one
 light, tuple-backed `LevelStabilization`, and a trivial level (h = 0)
 takes a short path that computes nothing per source.  The summand cache,
 keyed on plain ints and the orbit (`syntomic.level_summand`), serves the
-pair queries of `tr_valuation`, which builds no `TruncationParams`.
+pair queries of `tr_valuation` and of `ml-check` past the probe; neither
+builds a `TruncationParams`.
+
+The image of a map is read by one rule, `image_exponents`, which also
+rejects a map that is not well defined; the sweep, `transition` and
+`ml-check` all read images through it.
 
 A tower's inverse limit is not read off a probe: `orbit_limit` decides it
 from the orbit and the weight alone, by three proven cases, and
-`tr_groups` calls it once per orbit without sweeping.
+`tr_groups` calls it once per orbit of its window, which it lists with
+`nontrivial_orbits`, building no tower and sweeping nothing.
 """
 
 from __future__ import annotations
@@ -112,13 +118,18 @@ def tr_valuation(params: TruncationParams, f: int, orbit: Orbit) -> int | None:
     return None if vs is None else vs[0]
 
 
-def image_exponent(h_f: int, h_e: int, v: int) -> int:
-    """Image of a valuation-v map Z/p^h_f -> Z/p^h_e: the subgroup
-    p^min(v, h_e) Z/p^h_e.  Rejects maps that are not well defined;
-    `stabilized_images` makes the same check inline, with the same error."""
-    if v + h_f < h_e:
-        raise ValueError(f"map with v={v} from h={h_f} to h={h_e} is not well defined")
-    return min(v, h_e)
+def image_exponents(h_e: int, hs_f: Sequence[int], vals: Sequence[int]) -> list[int]:
+    """Images of the valuation-v maps Z/p^h_f -> Z/p^h_e, one per source,
+    with hs_f and vals paired by source: the subgroup p^min(v, h_e) Z/p^h_e,
+    read as its exponent min(v, h_e).  Rejects a map that is not well
+    defined (v + h_f < h_e) with ValueError.  The one image rule: the
+    sweep, `transition` and `ml-check` call it."""
+    images = []
+    for h_f, v in zip(hs_f, vals):
+        if v + h_f < h_e:
+            raise ValueError(f"map with v={v} from h={h_f} to h={h_e} is not well defined")
+        images.append(v if v < h_e else h_e)
+    return images
 
 
 def ml_bound(params: TruncationParams, m: int) -> int:
@@ -247,9 +258,8 @@ def stabilized_images(tower: Tower, probe: int) -> StabilizedTower:
     trivial level, h_e = 0 (which covers the degenerate case s_e = 0 or
     e | m), has zero maps and all images trivial: it takes a short path
     that builds nothing per source.  Every other level makes one
-    `transition_valuations` call over all its sources, and each pair is
-    checked to be a well-defined map (the check of `image_exponent`, with
-    its ValueError) as its image is read.
+    `transition_valuations` call over all its sources and one
+    `image_exponents` call, which rejects a map that is not well defined.
     """
     p, i, m = tower.p, tower.weight, tower.orbit.m
     levels, summands = tower.levels, tower.summands
@@ -269,12 +279,7 @@ def stabilized_images(tower: Tower, probe: int) -> StabilizedTower:
             ml_index = sources[0] if n else e
             out.append(LevelStabilization(e, 0, bound, (0,) * n, sources, 0, ml_index, certified))
             continue
-        vals = transition_valuations(p, e, sm_e, sources, summands[first:])
-        images = []
-        for h_f, v in zip(hs[first:], vals):
-            if v + h_f < h:
-                raise ValueError(f"map with v={v} from h={h_f} to h={h} is not well defined")
-            images.append(v if v < h else h)
+        images = image_exponents(h, hs[first:], transition_valuations(p, e, sm_e, sources, summands[first:]))
         stabilized = images[-1] if n else h
         run = n - 1
         while run > 0 and images[run - 1] == stabilized:
@@ -418,6 +423,6 @@ def tr_groups(p: int, i: int, bounds: AlphaBounds, probe: int) -> TRGroups:
     levels = [e for e in range(2, probe + 1) if e % p]
     if not levels:
         raise ValueError(f"no level in [2, {probe}] is coprime to p={p}; raise the probe")
-    towers = nontrivial_towers(p, weight, bounds, levels)
-    even = tuple((tower.orbit, orbit_limit(tower.p, weight, tower.orbit)) for tower in towers)
-    return TRGroups(p, 2 * i, even, OddZeroCertificate(2 * i - 1, probe, len(towers)))
+    p, levels = _tower_args(p, weight, levels)
+    even = tuple((orbit, orbit_limit(p, weight, orbit)) for orbit, _ in nontrivial_orbits(p, weight, bounds, levels))
+    return TRGroups(p, 2 * i, even, OddZeroCertificate(2 * i - 1, probe, len(even)))

@@ -11,11 +11,12 @@ walk, and `nontrivial_orbits`, the one enumerator, walks each candidate
 orbit of a window once; `enumerate_orbits` is its one-level case.
 `level_summand` is the one-level case of `orbit_summands`, memoized in an
 LRU cache of 256 entries keyed on plain ints and the orbit,
-(p, e, i, orbit), for the pair queries: `prosystem.tr_valuation` and the
-(e, f) loops of the acceptance gate and the bench.  `h1_syntomic_orbit`
-reads it from a `TruncationParams`.  Keys and summands are frozen, an
-orbit hashes once (`drw.Orbit`), and a rejected orbit raises on every
-call, since exceptions are never cached.
+(p, e, i, orbit), for the pair queries: `prosystem.tr_valuation`, the
+sources `ml-check` reads past its probe, and the (e, f) loops of the
+acceptance gate and the bench.  `h1_syntomic_orbit` reads it from a
+`TruncationParams`.  Keys and summands are frozen, an orbit hashes once
+(`drw.Orbit`), and a rejected orbit raises on every call, since
+exceptions are never cached.
 """
 
 from __future__ import annotations
@@ -100,9 +101,10 @@ SUMMAND_CACHE_SIZE = 256
 def level_summand(p: int, e: int, i: int, orbit: Orbit) -> SyntomicSummand:
     """Degree-1 syntomic cohomology of one orbit at level e in weight i,
     the one-level case of `orbit_summands`, with p, e >= 1 and i >= 0
-    taken as checked.  Cached for `prosystem.tr_valuation` and the (e, f)
-    loops of the acceptance gate and the bench: equal arguments share one
-    frozen summand, and p | m raises on every call."""
+    taken as checked.  Cached for `prosystem.tr_valuation`, `ml-check`'s
+    sources past the probe and the (e, f) loops of the acceptance gate and
+    the bench: equal arguments share one frozen summand, and p | m raises
+    on every call."""
     return orbit_summands(p, i, orbit, (e,))[0]
 
 

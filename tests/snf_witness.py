@@ -9,7 +9,9 @@ why it lives here and not on the oracle's path; `quotient_divisors` is the
 exact branch of the old `quotient`.  `eye`, `mat_vec`, `mat_mul` and
 `from_columns` are the dense helpers only the tests and this witness
 still use.  `class_order_exponent` reads the order of a class in a finite
-p-group Z^n/(L + p^N·Z^n) from exact lattice solves alone.
+p-group Z^n/(L + p^N·Z^n) from exact lattice solves alone.  The witness
+imports nothing from `trcalc`: it keeps its own `Matrix`, `hstack` and
+`columns`, so it shares no code with the engine it checks.
 """
 
 from __future__ import annotations
@@ -18,7 +20,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from trcalc.snf import Matrix, columns, hstack
+Matrix = list[list[int]]
+
+
+def hstack(A: Matrix, B: Matrix) -> Matrix:
+    return [ra + rb for ra, rb in zip(A, B)]
+
+
+def columns(A: Matrix) -> list[list[int]]:
+    return [list(col) for col in zip(*A)] if A else []
 
 
 def eye(n: int) -> Matrix:

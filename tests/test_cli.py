@@ -25,8 +25,9 @@ from trcalc.cli import (
     run_command,
 )
 from trcalc.drw import TruncationParams
+from trcalc.prosystem import ml_bound, nontrivial_towers, transition_valuations
 from trcalc.report import emit_report
-from trcalc.syntomic import AlphaBounds, Orbit, enumerate_alphas, enumerate_orbits
+from trcalc.syntomic import AlphaBounds, Orbit, enumerate_alphas, enumerate_orbits, orbit_summands
 
 
 def roundtrip_json(data: bytes) -> bytes:
@@ -335,9 +336,9 @@ def test_tower_job_bytes(job, fmt, capsysbinary):
     assert (code, hashlib.sha256(out).hexdigest()[:16]) == TOWER_JOBS[(job, fmt)]
 
 
-def _record_walks(monkeypatch, forbid_single_levels: bool = True) -> list:
-    """Record every orbit walk as (orbit, levels); unless allowed, a read
-    of the single-level summand cache fails."""
+def _record_walks(monkeypatch) -> list:
+    """Record every orbit walk as (orbit, levels); a single-level read
+    through `h1_syntomic_orbit` fails."""
     walks = []
     real = syntomic_module.orbit_summands
 
@@ -346,27 +347,29 @@ def _record_walks(monkeypatch, forbid_single_levels: bool = True) -> list:
         return real(p, i, orbit, levels)
 
     def forbidden(*args):
-        raise AssertionError("tower commands must not read single-level summands")
+        raise AssertionError("tower commands must not read summands through TruncationParams")
 
     for module in (syntomic_module, prosystem_module, cli_module):
         monkeypatch.setattr(module, "orbit_summands", recording)
-    if forbid_single_levels:
-        for module in (syntomic_module, prosystem_module):
-            monkeypatch.setattr(module, "h1_syntomic_orbit", forbidden)
+    for module in (syntomic_module, prosystem_module):
+        monkeypatch.setattr(module, "h1_syntomic_orbit", forbidden)
     return walks
 
 
+SLOT_ML_JOB = JobSpec(command="ml-check", p=2, i=2, e=3, e_max=11, bounds=AlphaBounds(("t",), 2, 1))
+
+
 @pytest.mark.parametrize(
-    "spec,weight",
+    "spec,weight,singles",
     [
-        (JobSpec(command="tr", p=3, i=0, e=2, e_max=30), 1),
-        (JobSpec(command="tr", p=2, i=1, e=2, e_max=16, bounds=AlphaBounds(("t",), 2, 1)), 2),
-        (JobSpec(command="ml-check", p=3, i=1, e=7, e_max=11), 1),
-        (JobSpec(command="ml-check", p=3, i=1, e=1, e_max=5), 1),
-        (JobSpec(command="ml-check", p=2, i=2, e=3, e_max=11, bounds=AlphaBounds(("t",), 2, 1)), 2),
+        (JobSpec(command="tr", p=3, i=0, e=2, e_max=30), 1, 0),
+        (JobSpec(command="tr", p=2, i=1, e=2, e_max=16, bounds=AlphaBounds(("t",), 2, 1)), 2, 0),
+        (JobSpec(command="ml-check", p=3, i=1, e=7, e_max=11), 1, 8),
+        (JobSpec(command="ml-check", p=3, i=1, e=1, e_max=5), 1, 4),
+        (SLOT_ML_JOB, 2, 144),
     ],
 )
-def test_tower_commands_walk_each_candidate_orbit_once(spec, weight, monkeypatch):
+def test_tower_commands_walk_each_candidate_orbit_once(spec, weight, singles, monkeypatch):
     # every candidate orbit (m <= weight * top level, p not dividing m) is
     # walked once over the tower's levels, and never at a level below them
     levels = tuple(e for e in spec.levels() if e % spec.p)
@@ -376,14 +379,78 @@ def test_tower_commands_walk_each_candidate_orbit_once(spec, weight, monkeypatch
         for m in range(1, weight * levels[-1] + 1)
         if m % spec.p
     ]
-    walks = _record_walks(monkeypatch, forbid_single_levels=spec.command == "tr")
+    walks = _record_walks(monkeypatch)
+    syntomic_module.level_summand.cache_clear()
     report, code = run_command(spec)
     assert code == EXIT_OK
     assert [walk for walk in walks if walk[1] == levels] == [(orbit, levels) for orbit in candidates]
-    # tr reads nothing else; ml-check reads the exact image of an unreached
-    # bound with `tr_valuation`, one level at a time (none if cached)
+    # tr reads nothing else; ml-check reads the image of an unreached bound
+    # one source level at a time, each past the probe: the targets are the
+    # tower's own summands, never walked again
     others = [lv for _, lv in walks if lv != levels]
-    assert all(len(lv) == 1 for lv in others) and (spec.command == "ml-check" or not others)
+    assert all(len(lv) == 1 and lv[0] > levels[-1] for lv in others)
+    assert len(others) == singles
+
+
+def test_ml_check_fails_on_an_ill_defined_map_past_the_probe(monkeypatch, capsys):
+    # lower the valuation of the first map read past the probe until
+    # v + h_f < h_e: ml-check rejects the row with the sweep's error
+    # instead of printing a clipped image
+    probe = SLOT_ML_JOB.e_max
+    real = prosystem_module.transition_valuations
+    lowered = []
+
+    def lowering(p, e, sm_e, fs, sms_f):
+        vals = real(p, e, sm_e, fs, sms_f)
+        if not lowered and len(fs) == 1 and fs[0] > probe:
+            vals = [sm_e.module.h - sms_f[0].module.h - 1]
+            lowered.append((e, fs[0], vals[0], sms_f[0].module.h, sm_e.module.h))
+        return vals
+
+    for module in (prosystem_module, cli_module):
+        monkeypatch.setattr(module, "transition_valuations", lowering)
+    args = ["ml-check", "--p", "2", "--i", "2", "--e", "3", "--e-max", "11"]
+    code = main(args + ["--slots", "t", "--alpha-num-max", "2", "--alpha-pexp-max", "1"])
+    captured = capsys.readouterr()
+    (_, f, v, h_f, h_e), = lowered
+    assert f > probe and v + h_f < h_e
+    assert code == EXIT_VALIDATION and captured.out == ""
+    assert f"map with v={v} from h={h_f} to h={h_e} is not well defined" in captured.err
+
+
+@pytest.mark.parametrize(
+    "spec,rows,past_probe",
+    [
+        (SLOT_ML_JOB, 75, 33),
+        (JobSpec(command="ml-check", p=3, i=2, e=1, e_max=8, bounds=AlphaBounds(("t",), 2, 1)), 96, 36),
+        (JobSpec(command="ml-check", p=5, i=3, e=2, e_max=7), 40, 27),
+    ],
+)
+def test_ml_check_rows_match_a_linear_read_up_to_the_bound(spec, rows, past_probe):
+    # every nontrivial row's stable image is the image of the map from
+    # ml_bound, and its ML index is the least source with that image,
+    # reading every level from max(e, 2) to ml_bound prime to p in turn
+    report, code = run_command(spec)
+    assert code == EXIT_OK
+    p, i, probe = spec.p, spec.i, spec.e_max
+    levels = [e for e in spec.levels() if e % p]
+    cells = [(tower.orbit, e) for tower in nontrivial_towers(p, i, spec.bounds, levels) for e in levels]
+    assert [(row["m"], row["e"]) for row in report.orbits] == [(orbit.m, e) for orbit, e in cells]
+    nontrivial = []
+    for row, (orbit, e) in zip(report.orbits, cells):
+        h = row["h"]
+        if not h:
+            continue
+        f0 = ml_bound(TruncationParams(p, e, i), orbit.m)
+        sources = [f for f in range(max(e, 2), f0 + 1) if f % p]
+        sms_f = orbit_summands(p, i, orbit, sources)
+        vals = transition_valuations(p, e, orbit_summands(p, i, orbit, [e])[0], sources, sms_f)
+        assert all(v + sm_f.module.h >= h for v, sm_f in zip(vals, sms_f))
+        images = [min(v, h) for v in vals]
+        assert (row["ml_bound"], row["stabilized_image"]) == (f0, images[-1])
+        assert row["ml_index"] == sources[images.index(images[-1])]
+        nontrivial.append(row)
+    assert (len(nontrivial), sum(row["ml_index"] > probe for row in nontrivial)) == (rows, past_probe)
 
 
 def test_transition_walks_each_orbit_once_per_role(monkeypatch):

@@ -473,6 +473,9 @@ def test_oracle_imports_no_closed_form():
     assert _package_imports(oracle_module) == ({"drw", "padic", "snf"}, [])
     # and the engine under it imports nothing of the package at all
     assert _package_imports(snf_module) == (set(), [])
+    # nor does the exact witness the engine is checked against, so the two
+    # share no code
+    assert _package_imports(witness) == (set(), [])
 
 
 def test_verify_orbit_runs_only_the_transforms_it_reads(monkeypatch):

@@ -18,7 +18,7 @@ from trcalc.prosystem import (
     MLViolationError,
     ProCyclicLimit,
     build_tower,
-    image_exponent,
+    image_exponents,
     limit_classify,
     ml_bound,
     nontrivial_towers,
@@ -152,12 +152,40 @@ def test_transition_valuations_reject_sources_below_the_target():
     assert transition_valuations(3, 2, summands[0], [], []) == []
 
 
-def test_image_exponent():
-    assert image_exponent(2, 1, 0) == 0
-    assert image_exponent(3, 3, 2) == 2
-    assert image_exponent(1, 3, 2) == 2  # boundary case v + h_f = h_e
-    with pytest.raises(ValueError):
-        image_exponent(1, 4, 2)
+def test_image_exponents():
+    assert image_exponents(1, [2], [0]) == [0]
+    assert image_exponents(3, [3], [2]) == [2]
+    assert image_exponents(3, [1], [2]) == [2]  # boundary case v + h_f = h_e
+    assert image_exponents(3, [3, 1, 4], [5, 2, 3]) == [3, 2, 3]
+    assert image_exponents(2, [], []) == []
+    with pytest.raises(ValueError, match="map with v=2 from h=1 to h=4 is not well defined"):
+        image_exponents(4, [1], [2])
+    with pytest.raises(ValueError, match="map with v=0 from h=1 to h=3 is not well defined"):
+        image_exponents(3, [3, 1], [1, 0])  # the first ill-defined source is named
+
+
+def test_valuations_and_images_never_fall_as_the_source_grows():
+    # p in {2,3,5}, weights 1..3, the one-slot window, m <= weight * e at
+    # every target e <= 12 prime to p, sources up to 80: the valuation of
+    # the map into e, and so its image exponent, is nondecreasing in f,
+    # which is what makes ml-check's bisection past the probe sound
+    targets = 0
+    for p in (2, 3, 5):
+        sources = [f for f in range(1, 81) if f % p]
+        for weight, alpha in itertools.product(range(1, 4), bench_alpha_window(p)):
+            for m in (m for m in range(1, 12 * weight + 1) if m % p):
+                orbit = Orbit(m, alpha)
+                summands = orbit_summands(p, weight, orbit, sources)
+                for k, (e, sm_e) in enumerate(zip(sources, summands)):
+                    if e > 12 or e * weight < m:
+                        continue
+                    vals = transition_valuations(p, e, sm_e, sources[k:], summands[k:])
+                    if vals is None:
+                        continue
+                    images = image_exponents(sm_e.module.h, [sm.module.h for sm in summands[k:]], vals)
+                    assert vals == sorted(vals) and images == sorted(images)
+                    targets += 1
+    assert targets == 4102
 
 
 def test_ml_bound_examples():
@@ -323,10 +351,10 @@ def test_image_change_at_the_bound_raises_and_before_it_moves_ml_index(monkeypat
     assert [f for f, img in zip(rec.sources, rec.images) if img] == sorted(drift)
 
 
-def test_ill_defined_map_in_the_sweep_raises_as_image_exponent_does(monkeypatch):
+def test_ill_defined_map_in_the_sweep_raises_the_image_rule_error(monkeypatch):
     # p=3, weight 1, orbit m=1: level 4 has h=2 and the source 7 has h=2, so
     # a valuation lowered by 3 gives a map Z/p^2 -> Z/p^2 that is not well
-    # defined; the sweep rejects it with the error `image_exponent` raises
+    # defined; the sweep rejects it with the error `image_exponents` raises
     tower = build_tower(3, 1, Orbit(1), [e for e in range(2, 29) if e % 3])
     h = dict(zip(tower.levels, (sm.module.h for sm in tower.summands)))
     real = prosystem_module.transition_valuations
@@ -345,7 +373,7 @@ def test_ill_defined_map_in_the_sweep_raises_as_image_exponent_does(monkeypatch)
     (v,) = lowered
     assert (h[4], h[7]) == (2, 2) and v + h[7] < h[4]
     with pytest.raises(ValueError) as direct:
-        image_exponent(h[7], h[4], v)
+        image_exponents(h[4], [h[7]], [v])
     assert str(raised.value) == str(direct.value)
 
 
@@ -569,7 +597,7 @@ def test_stabilized_images_walks_each_probed_level_once(monkeypatch):
         for f in (f for f in levels if f >= e):
             v = tr_valuation(TruncationParams(3, e, 2), f, orbit)
             h_f = h1_syntomic_orbit(TruncationParams(3, f, 2), orbit).module.h
-            images.append(h if v is None or h == 0 else image_exponent(h_f, h, v))
+            images.append(h if v is None or h == 0 else image_exponents(h, [h_f], [v])[0])
         pairwise.append(tuple(images))
     s_max = max(h1_syntomic_orbit(TruncationParams(3, e, 2), orbit).s for e in levels)
     monkeypatch.setattr(prosystem_module, "orbit_summands", counting)
