@@ -1,28 +1,32 @@
 """Brute-force verification by exact linear algebra.
 
 For one orbit truncated at level A, the two-term complexes at the levels
-(p^a m, p^a alpha), a = 0..A, are materialized as integer matrices: the
-differential, the divided Frobenius (level a -> a+1, with contributions
-exiting level A dropped), and the canonical inclusion of the weight-i
-filtered subcomplex.  The mapping fiber of (divided Frobenius - canonical)
-is assembled as a three-term cochain complex over Z/p^N and its cohomology
-is computed by Smith normal form over Z/p^N.  The matrices use only the
-Nygaard exponents, the brace symbol and factorial ratios (a coefficient
-that a long ratio makes vanish mod p^N is 0 without forming it), and the
-truncation level is sized from the orbit's degree-1 walk in `drw`.  The
-truncation-stability recheck reads a grown truncation, and one build there
-gives the matrices of both (`_stable_fiber`, shared by `verify_orbit` and
-`oracle_cohomology`).  The closed-form claim under test, a summand with its
-orbit, s, h and generator exponents, is handed in by the caller of
-`verify_orbit` and `certify_kernel_generator`; `verify_orbit` builds the
-matrices of the claim's own orbit, with only A and N settable.  The
-matrices record their prime and orbit (`OrbitMatrices.p`, `.orbit`), and
-every reader takes both from there: the kernel-generator certificate
-refuses a claim about another orbit, and `FiberCohomology.exponents` a
-prime other than the fiber's.  The kernel-generator certificate is one
-exact search: a kernel basis of d1 with the claimed scalings, and a search
-over F_p for a combination whose level coordinates and class coordinate
-are all units.
+(p^a m, p^a alpha), a = 0..A, are materialized as integer coefficient
+lists: the differential, the divided Frobenius (level a -> a+1, with
+contributions exiting level A dropped), and the canonical inclusion of the
+weight-i filtered subcomplex.  The mapping fiber of (divided Frobenius -
+canonical) is a three-term cochain complex over Z/p^N, and its cohomology
+is computed by Smith normal form over Z/p^N.  The engine reads only sparse
+input, and the fiber is built that way straight from the lists, with no
+dense matrix: d1 as its n rows and d0 as its n columns, at most three
+entries each, listed in ascending index order
+(`OrbitMatrices.fiber_d1_rows`, `.fiber_d0_columns`).  The matrices use
+only the Nygaard exponents, the brace symbol and factorial ratios (a
+coefficient that a long ratio makes vanish mod p^N is 0 without forming
+it), and the truncation level is sized from the orbit's degree-1 walk in
+`drw`.  The truncation-stability recheck reads a grown truncation, and one
+build there gives the matrices of both (`_stable_fiber`, shared by
+`verify_orbit` and `oracle_cohomology`).  The closed-form claim under
+test, a summand with its orbit, s, h and generator exponents, is handed in
+by the caller of `verify_orbit` and `certify_kernel_generator`;
+`verify_orbit` builds the matrices of the claim's own orbit, with only A
+and N settable.  The matrices record their prime and orbit
+(`OrbitMatrices.p`, `.orbit`), and every reader takes both from there: the
+kernel-generator certificate refuses a claim about another orbit, and
+`FiberCohomology.exponents` a prime other than the fiber's. The
+kernel-generator certificate is one exact search: a kernel basis of d1
+with the claimed scalings, and a search over F_p for a combination whose
+level coordinates and class coordinate are all units.
 """
 
 from __future__ import annotations
@@ -36,10 +40,9 @@ from .drw import Orbit, TruncationParams, degree1_walk, degree1_walks, nygaard_e
 from .padic import Prime, brace, factorial_ratio, vp
 from .snf import (
     ClassFunctional,
-    Matrix,
     QuotientPresentation,
+    Sparse,
     divisor_exponents,
-    hstack,
     kernel_mod,
     quotient,
     smith_mod_prime_power,
@@ -103,8 +106,11 @@ class OrbitMatrices:
     `diff_full` are diagonal (level-preserving); `frob0`/`frob1` carry
     level a to a+1 and have length A; `can0`/`can1` are diagonal.  `u1`
     holds the degree-1 Nygaard exponent of each level, which `can1` is
-    built from.  `content_hash` reads the coefficient lists, n and the
-    modulus.
+    built from.  The fiber's differentials are read off these lists in the
+    engine's sparse form, d1 by rows (`fiber_d1_rows`) and d0 by columns
+    (`fiber_d0_columns`), and d1 is applied to a vector without either
+    (`fiber_d1_apply`).  `content_hash` reads the coefficient lists, n and
+    the modulus.
     """
 
     p: int
@@ -119,37 +125,36 @@ class OrbitMatrices:
     frob1: list[int]
     u1: list[int]
 
-    def _shift(self, coeffs: list[int]) -> Matrix:
-        M = [[0] * self.n for _ in range(self.n)]
-        for a, c in enumerate(coeffs):
-            M[a + 1][a] = c
-        return M
+    def fiber_d0_columns(self) -> list[Sparse]:
+        """d0: C^0 = N^0 -> C^1 = N^1 (+) D^0, w |-> (d w, (phi/p^i - can) w),
+        as its n sparse columns, read off the coefficient lists: column a
+        holds diff_nygaard[a] at row a, -can0[a] at row n+a and, below
+        level A, frob0[a] at row n+a+1, in that order.  Entries are
+        reduced mod p^N and may be 0."""
+        n, q = self.n, self.modulus
+        cols = [{a: d, n + a: -c % q} for a, (d, c) in enumerate(zip(self.diff_nygaard, self.can0))]
+        for a, f in enumerate(self.frob0):
+            cols[a][n + a + 1] = f
+        return cols
 
-    def _diag(self, coeffs: list[int]) -> Matrix:
-        M = [[0] * self.n for _ in range(self.n)]
-        for a, c in enumerate(coeffs):
-            M[a][a] = c
-        return M
-
-    def _phi_minus_can(self, frob: list[int], can: list[int]) -> Matrix:
-        M = self._shift(frob)
-        for a, c in enumerate(can):
-            M[a][a] = (M[a][a] - c) % self.modulus
-        return M
-
-    def fiber_d0(self) -> Matrix:
-        """C^0 = N^0 -> C^1 = N^1 (+) D^0."""
-        return self._diag(self.diff_nygaard) + self._phi_minus_can(self.frob0, self.can0)
-
-    def fiber_d1(self) -> Matrix:
-        """C^1 = N^1 (+) D^0 -> C^2 = D^1, (w, u) |-> (phi/p^i - can)w - d u."""
-        pc1 = self._phi_minus_can(self.frob1, self.can1)
-        neg_dd = self._diag([(-c) % self.modulus for c in self.diff_full])
-        return hstack(pc1, neg_dd)
+    def fiber_d1_rows(self) -> list[Sparse]:
+        """d1: C^1 = N^1 (+) D^0 -> C^2 = D^1, (w, u) |-> (phi/p^i - can)w - d u,
+        as its n sparse rows, read off the coefficient lists: row r holds
+        frob1[r-1] at column r-1 when r > 0, -can1[r] at column r and
+        -diff_full[r] at column n+r, in that order.  Entries are reduced
+        mod p^N and may be 0."""
+        n, q = self.n, self.modulus
+        rows = []
+        for r, (c, d) in enumerate(zip(self.can1, self.diff_full)):
+            row = {r - 1: self.frob1[r - 1]} if r else {}
+            row[r] = -c % q
+            row[n + r] = -d % q
+            rows.append(row)
+        return rows
 
     def fiber_d1_apply(self, x: list[int]) -> list[int]:
-        """fiber_d1()·x mod p^N from the coefficient lists: row r reads
-        only x[r-1], x[r] and x[n+r]."""
+        """d1·x mod p^N from the coefficient lists: row r reads only
+        x[r-1], x[r] and x[n+r]."""
         n, q = self.n, self.modulus
         out = []
         for r in range(n):
@@ -307,13 +312,14 @@ class FiberCohomology:
     every fiber of the README jobs and the acceptance grid, the kernel
     keeps n of its 2n coordinates, all with t_j = 1: H^1's quotient is
     n×n, it is Y itself, and the certificate needs no third elimination.
-    d0 and d1 are built once; d1 is kept for the kernel-generator
-    certificate, which copies it before writing.
+    d1 comes as sparse rows and d0 as sparse columns, each built once
+    from the coefficient lists; the rows of d1 are kept for the
+    kernel-generator certificate, which scales copies of them.
     """
 
     matrices: OrbitMatrices
     h1: QuotientPresentation
-    d1: Matrix
+    d1_rows: list[Sparse]
 
     @classmethod
     def of(cls, mats: OrbitMatrices, transforms: tuple[str, ...] = ("U", "V")) -> "FiberCohomology":
@@ -321,10 +327,11 @@ class FiberCohomology:
         `transforms`: "U" for the class functional of H^1's quotient, "V"
         for the basis of the kernel of d1.  The kernel always builds V⁻¹,
         which the quotient's solves read."""
-        d1 = mats.fiber_d1()
-        kernel = kernel_mod(d1, mats.p, mats.modulus, ("V", "Vinv") if "V" in transforms else ("Vinv",))
-        h1 = quotient(kernel, mats.fiber_d0(), ("U",) if "U" in transforms else ())
-        return cls(mats, h1, d1)
+        d1_rows = mats.fiber_d1_rows()
+        kernel_transforms = ("V", "Vinv") if "V" in transforms else ("Vinv",)
+        kernel = kernel_mod(d1_rows, 2 * mats.n, mats.p, mats.modulus, kernel_transforms)
+        h1 = quotient(kernel, mats.fiber_d0_columns(), ("U",) if "U" in transforms else ())
+        return cls(mats, h1, d1_rows)
 
     @cached_property
     def h0_kernel_rank(self) -> int:
@@ -333,8 +340,8 @@ class FiberCohomology:
         h1, q = self.h1, self.matrices.modulus
         t = h1.kernel.t
         if any(tj > 1 for tj in t):
-            scaled = [[tj * y % q for y in row] for tj, row in zip(t, h1.coords)]
-            divisors = smith_mod_prime_power(scaled, self.matrices.p, q, ())[0]
+            scaled = [{c: tj * y for c, y in row.items()} for tj, row in zip(t, h1.coords)]
+            divisors = smith_mod_prime_power(scaled, self.matrices.n, self.matrices.p, q, ())[0]
         else:
             divisors = h1.divisors
         return self.matrices.n - sum(d < q for d in divisors)
@@ -450,10 +457,8 @@ def certify_kernel_generator(fc: FiberCohomology, summand) -> bool:
     if s != len(summand.generator_exponents) or s > n or len(h) > 1:
         return False
     scale = [p**c for c in reversed(summand.generator_exponents)] + [1] * (2 * n - s)
-    scaled_d1 = [row[:] for row in fc.d1]
-    for row in scaled_d1:
-        row[:s] = [x * f % q for x, f in zip(row[:s], scale)]
-    kernel = kernel_mod(scaled_d1, p, q, ("V",))
+    scaled_d1 = [{j: a * scale[j] % q for j, a in row.items()} for row in fc.d1_rows]
+    kernel = kernel_mod(scaled_d1, 2 * n, p, q, ("V",))
     basis = [kernel.basis_column(k) for k in range(kernel.dim)]
     forms = [col[:s] for col in basis]
     if h:
@@ -478,12 +483,16 @@ class TransitionLevel:
     """What the pair queries of `TransitionOracle` read at one level e:
     the fiber matrices (with the degree-1 Nygaard exponent of each orbit
     level), h with H^1 = Z/p^h, and, when h >= 1, a cochain generating
-    H^1 and the class functional of H^1."""
+    H^1 and the class functional of H^1.  `floors1` and `floors0` hold
+    (m_a-1)//e and m_a//e for each orbit level a, the factorial bounds
+    that every pair into or out of the level reads."""
 
     matrices: OrbitMatrices
     h: int
     generator: list[int] | None
     functional: ClassFunctional | None
+    floors1: list[int]
+    floors0: list[int]
 
 
 class TransitionOracle:
@@ -495,7 +504,9 @@ class TransitionOracle:
     over the levels, so the transition matrices line up levelwise.
     Each level's work is done once, on first use (`TransitionLevel`): the
     fiber cohomology, h_e, the degree-1 Nygaard exponents, a generator of
-    H^1 and the class functional of H^1.
+    H^1, the class functional of H^1, and the factorial bounds (m_a-1)//e
+    and m_a//e that the coefficients of every pair into or out of the
+    level read.
 
     The observable valuation needs H^1 = Z/p^h cyclic, and a non-cyclic
     H^1 is refused.  Cyclicity is also what makes one functional enough:
@@ -555,32 +566,38 @@ class TransitionOracle:
                     raise OracleError(f"no kernel basis column generates H^1 at e={e}")
             else:
                 gen = functional = None
-            self._cache[e] = TransitionLevel(fc.matrices, exps[0] if exps else 0, gen, functional)
+            floors1 = [(m_a - 1) // e for m_a in self._m]
+            floors0 = [m_a // e for m_a in self._m]
+            h = exps[0] if exps else 0
+            self._cache[e] = TransitionLevel(fc.matrices, h, gen, functional, floors1, floors0)
         return self._cache[e]
 
     def h_exponent(self, e: int) -> int:
         return self.level(e).h
 
-    def _transition_image(self, e: int, f: int, lv_e: TransitionLevel, lv_f: TransitionLevel) -> list[int]:
+    def _transition_image(self, lv_e: TransitionLevel, lv_f: TransitionLevel) -> list[int]:
         """The f -> e map on N^1 (+) D^0, applied to the level-f generator.
 
         Its diagonal coefficients are p^(u1_f - u1_e)·((m_a-1)//e)!/((m_a-1)//f)!
-        on N^1 and (m_a//e)!/(m_a//f)! on D^0.  A coefficient whose ratio
-        makes it vanish mod p^N is 0 without forming the product
-        (`_ratio_or_zero`); every other one is formed exactly, and the N^1
-        one is checked for divisibility by p^(u1_e).
+        on N^1 and (m_a//e)!/(m_a//f)! on D^0, with the factorial bounds
+        read from the two levels (`TransitionLevel.floors1`, `.floors0`).
+        A coefficient whose ratio makes it vanish mod p^N is 0 without
+        forming the product (`_ratio_or_zero`); every other one is formed
+        exactly, and the N^1 one is checked for divisibility by p^(u1_e)
+        at every orbit level.
         """
         p, N = self.p, self.N
         q = p**N
         gen = lv_f.generator
         n = self.A + 1
         image = [0] * (2 * n)
-        for a, (m_a, u1_e, u1_f) in enumerate(zip(self._m, lv_e.matrices.u1, lv_f.matrices.u1)):
-            num = p**u1_f * _ratio_or_zero((m_a - 1) // e, (m_a - 1) // f, p, N + u1_e - u1_f)
+        levels = zip(lv_e.matrices.u1, lv_f.matrices.u1, lv_e.floors1, lv_f.floors1, lv_e.floors0, lv_f.floors0)
+        for a, (u1_e, u1_f, b1_e, b1_f, b0_e, b0_f) in enumerate(levels):
+            num = p**u1_f * _ratio_or_zero(b1_e, b1_f, p, N + u1_e - u1_f)
             if num % p**u1_e:
                 raise ArithmeticError("transition coefficient not divisible by target scaling")
             image[a] = (num // p**u1_e) * gen[a] % q
-            image[n + a] = _ratio_or_zero(m_a // e, m_a // f, p, N) * gen[n + a] % q
+            image[n + a] = _ratio_or_zero(b0_e, b0_f, p, N) * gen[n + a] % q
         return image
 
     def valuation(self, e: int, f: int) -> int:
@@ -591,7 +608,7 @@ class TransitionOracle:
         lv_e, lv_f = self.level(e), self.level(f)
         if lv_e.h == 0 or lv_f.h == 0:
             raise DegenerateOrbitError(f"trivial group at e={e} or f={f}")
-        image = self._transition_image(e, f, lv_e, lv_f)
+        image = self._transition_image(lv_e, lv_f)
         if any(lv_e.matrices.fiber_d1_apply(image)):
             raise ArithmeticError("element outside the kernel lattice")
         c = lv_e.functional.coordinate(image)

@@ -30,13 +30,22 @@ def _is_prime(n: int) -> bool:
 
 
 class Prime(int):
-    """A verified prime, usable anywhere a plain ``int`` is expected."""
+    """A verified prime, usable anywhere a plain ``int`` is expected.
+
+    Each value is tested once: `_checked` keeps the instance made for every
+    prime seen so far, and a later call returns it without trial division.
+    A value that is not prime is tested again on every call."""
+
+    _checked: dict[int, "Prime"] = {}
 
     def __new__(cls, p: int) -> "Prime":
         p = int(p)
-        if not _is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        return super().__new__(cls, p)
+        known = cls._checked.get(p)
+        if known is None:
+            if not _is_prime(p):
+                raise ValueError(f"{p} is not prime")
+            known = cls._checked[p] = super().__new__(cls, p)
+        return known
 
 
 def vp(n: int, p: int) -> int:

@@ -10,19 +10,20 @@ p-valuation only, the unit factor being irrelevant to images and limits.
 A tower's summands come from one walk over its levels
 (`syntomic.orbit_summands`); `Tower.p` is a `padic.Prime`, checked once
 per tower, and `nontrivial_towers` builds a window's towers with one walk
-per candidate orbit.  `stabilized_images` reads every source from the
-tower: its levels must be every level coprime to p from its least one up
-to the probe, and sources start at level 2.  Valuations are computed one
-target level at a time (`transition_valuations`): the target's terms are
-read once and each source adds its own, with v_p of factorials taken by
-Legendre's formula; `tr_valuation` is its one-source case.  The sweep
-passes p, the levels, the weight and m as plain ints, checked once per
-tower, and builds no `TruncationParams`.  Its per-level output is one
-light, tuple-backed `LevelStabilization`, and a trivial level (h = 0)
-takes a short path that computes nothing per source.  The summand cache,
-keyed on plain ints and the orbit (`syntomic.level_summand`), serves the
-pair queries of `tr_valuation` and of `ml-check` past the probe; neither
-builds a `TruncationParams`.
+per orbit that `syntomic.nontrivial_orbits` lists.  `stabilized_images`
+reads every source from the tower: its levels must be every level coprime
+to p from its least one up to the probe, and sources start at level 2.
+Valuations are computed one target level at a time
+(`transition_valuations`): the target's terms are read once and each
+source adds its own, with v_p of factorials taken by Legendre's formula;
+`tr_valuation` is its one-source case.  The sweep passes p, the levels,
+the weight and m as plain ints, checked once per tower, and builds no
+`TruncationParams`.  Its per-level output is one light, tuple-backed
+`LevelStabilization`, and a trivial level (h = 0) takes a short path that
+computes nothing per source.  The summand cache, keyed on plain ints and
+the orbit (`syntomic.level_summand`), serves the pair queries of
+`tr_valuation` and of `ml-check` past the probe; neither builds a
+`TruncationParams`.
 
 The image of a map is read by one rule, `image_exponents`, which also
 rejects a map that is not well defined; the sweep, `transition` and
@@ -205,8 +206,10 @@ def nontrivial_towers(p: int, weight: int, bounds: AlphaBounds, levels: list[int
     """The towers of the window's orbits with a nontrivial group at some
     level, in (m, alpha) order, one walk each; weights below 1 have none."""
     p, levels = _tower_args(p, weight, levels)
-    orbits = nontrivial_orbits(p, weight, bounds, levels)
-    return [Tower(p, weight, orbit, levels, tuple(summands)) for orbit, summands in orbits]
+    return [
+        Tower(p, weight, orbit, levels, tuple(orbit_summands(p, weight, orbit, levels)))
+        for orbit, _ in nontrivial_orbits(p, weight, bounds, levels)
+    ]
 
 
 class LevelStabilization(NamedTuple):

@@ -8,17 +8,22 @@ dividing q.  Pivoting on an entry of least p-valuation keeps all entries
 reduced mod q, so there is no coefficient growth: the modulo-determinant
 idea of Domich, Kannan and Trotter (1987), specialised to Z/p^N.
 
-Matrices come in as row-major lists of ints, and elimination works on
-sparse rows: one {column: entry} dict per row, holding the entries that
-are nonzero mod q.  The oracle's first differential has about three
-entries per row and each column of its d0 at most three, so a step reads
-only the entries that are there.  Pivots are recorded instead of swapped
-into place, and the transforms come back sparse too (U and V⁻¹ as lists
-of rows, V as a list of columns; see `smith_mod_prime_power`).
-`KernelLattice.solve` reads only the nonzero entries of its argument and
-the columns of V⁻¹ they pick, and a cyclic quotient reads the class of a
-lattice vector through one precomputed functional
-(`QuotientPresentation.class_functional`), a single dot product.
+Matrices come in as sparse rows and a column count: one {column: entry}
+dict per row, its entries listed in ascending column order, and
+elimination keeps each row's entries that are nonzero mod q.  There is no
+dense input path.  The oracle builds its first differential as rows of at
+most three entries and its d0 as columns of at most three, straight from
+the coefficient lists, so a step reads only the entries that are there.
+The pivot search reads a row's entries in the order they are listed, so
+rows in ascending column order get the pivots, and so the transforms, of
+a row-major scan of the same matrix.  Pivots are recorded instead of
+swapped into place, and the transforms come back sparse too (U and V⁻¹
+as lists of rows, V as a list of columns; see `smith_mod_prime_power`).
+`KernelLattice.solve` reads a sparse vector and only the columns of V⁻¹
+its entries pick, and `quotient` takes its generators as sparse columns.
+A cyclic quotient reads the class of a lattice vector through one
+precomputed functional (`QuotientPresentation.class_functional`), a
+single dot product.
 
 A kernel keeps only its nontrivial coordinates.  In the coordinates
 y = V⁻¹x of the elimination of M, a row divisor d_j = 1 forces y_j ≡ 0
@@ -56,16 +61,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-Matrix = list[list[int]]
-Sparse = dict[int, int]  # {index: entry}, entries nonzero mod the modulus
-
-
-def hstack(A: Matrix, B: Matrix) -> Matrix:
-    return [ra + rb for ra, rb in zip(A, B)]
-
-
-def columns(A: Matrix) -> list[list[int]]:
-    return [list(col) for col in zip(*A)] if A else []
+Sparse = dict[int, int]  # {index: entry}
 
 
 def _pval(a: int, p: int) -> int:
@@ -110,9 +106,12 @@ def _subtract(dst: Sparse, f: int, src: Sparse, q: int) -> None:
 
 
 def smith_mod_prime_power(
-    M: Matrix, p: int, q: int, transforms: tuple[str, ...] = ("U", "V", "Vinv")
+    M: list[Sparse], cols: int, p: int, q: int, transforms: tuple[str, ...] = ("U", "V", "Vinv")
 ) -> tuple[list[int], list[Sparse] | None, list[Sparse] | None, list[Sparse] | None]:
-    """Elementary divisors and transforms of M over Z/q, q = p^N.
+    """Elementary divisors and transforms over Z/q, q = p^N, of the matrix
+    M with `cols` columns, given as its sparse rows, each listing its
+    entries in ascending column order; entries are read mod q, and the
+    rows are not written to.
 
     Returns (divisors, U, V, Vinv), the transforms sparse: U and Vinv as
     lists of rows and V as a list of columns, each a {index: entry} dict
@@ -145,9 +144,8 @@ def smith_mod_prime_power(
     vectors of the columns never pivoted on.
     """
     rows = len(M)
-    cols = len(M[0]) if rows else 0
     # the rows not yet pivoted on, by row of M
-    active = {r: {j: a % q for j, a in enumerate(row) if a % q} for r, row in enumerate(M)}
+    active = {r: {j: a % q for j, a in row.items() if a % q} for r, row in enumerate(M)}
     U = {r: {r: 1} for r in range(rows)} if "U" in transforms else None
     V = {j: {j: 1} for j in range(cols)} if "V" in transforms else None  # columns, by column of M
     Vinv = [] if "Vinv" in transforms else None
@@ -205,14 +203,13 @@ class KernelLattice:
     their t_j and `dim` counts them.  Their columns V_j·t_j span K modulo
     q·Z^n (a dropped column V_j·q is ≡ 0), and the coordinates of x in K
     are y_j/t_j, each defined modulo q/t_j.  The kept columns of V stay
-    sparse: `basis_column(k)` writes one basis column out, and `basis` all
-    of them as a dense n×dim matrix.  V⁻¹ is kept as its n sparse columns,
-    one per entry of x, each keyed by coordinate: the kept ones first, in
-    order, then the dropped ones, so `solve` still checks that the dropped
-    coordinates of x vanish mod q.  `_V_cols` is None when V was not
-    built, and `_Vinv_cols` when V⁻¹ was not.  `divisors` are all the
-    elementary divisors of M over Z/q, one per row, from the same
-    elimination.
+    sparse: `basis_column(k)` writes one basis column out.  V⁻¹ is kept
+    as its n sparse columns, one per entry of x, each keyed by coordinate:
+    the kept ones first, in order, then the dropped ones, so `solve` still
+    checks that the dropped coordinates of x vanish mod q.  `_V_cols` is
+    None when V was not built, and `_Vinv_cols` when V⁻¹ was not.
+    `divisors` are all the elementary divisors of M over Z/q, one per row,
+    from the same elimination.
     """
 
     n: int
@@ -235,23 +232,15 @@ class KernelLattice:
             col[r] = a * t % q
         return col
 
-    @property
-    def basis(self) -> Matrix | None:
-        """The basis as a dense n×dim matrix; None when V was not built."""
-        if self._V_cols is None:
-            return None
-        cols = [self.basis_column(k) for k in range(self.dim)]
-        return [[col[r] for col in cols] for r in range(self.n)]
-
-    def solve(self, x: list[int]) -> list[int] | None:
-        """Coordinates of x in the kernel basis; None if x is not in K.
-        Only the nonzero entries of x, and the columns of V⁻¹ they pick,
-        are read."""
+    def solve(self, x: Sparse) -> list[int] | None:
+        """Coordinates of the sparse vector x in the kernel basis; None if
+        x is not in K.  Only the entries of x, and the columns of V⁻¹ they
+        pick, are read."""
         acc = [0] * self.n
-        for v, col in zip(x, self._Vinv_cols):
-            if v:
-                for j, a in col.items():
-                    acc[j] += v * a
+        Vinv_cols = self._Vinv_cols
+        for i, v in x.items():
+            for j, a in Vinv_cols[i].items():
+                acc[j] += v * a
         q = self.modulus
         if any(val % q for val in acc[self.dim :]):
             return None
@@ -265,15 +254,15 @@ class KernelLattice:
 
 
 def kernel_mod(
-    M: Matrix, p: int, q: int, transforms: tuple[str, ...] = ("V", "Vinv")
+    M: list[Sparse], cols: int, p: int, q: int, transforms: tuple[str, ...] = ("V", "Vinv")
 ) -> KernelLattice:
-    """Lattice of integer vectors x with M x ≡ 0 mod q, q = p^N, on its
-    coordinates with t_j < q (see `KernelLattice`).  Only the transforms
-    named in `transforms` are built: "V" for the basis, "Vinv" for
-    `solve`."""
+    """Lattice of integer vectors x with M x ≡ 0 mod q, q = p^N, for M
+    with `cols` columns given as sparse rows (`smith_mod_prime_power`), on
+    its coordinates with t_j < q (see `KernelLattice`).  Only the
+    transforms named in `transforms` are built: "V" for the basis, "Vinv"
+    for `solve`."""
     rows = len(M)
-    cols = len(M[0]) if rows else 0
-    divisors, _, V, Vinv = smith_mod_prime_power(M, p, q, transforms)
+    divisors, _, V, Vinv = smith_mod_prime_power(M, cols, p, q, transforms)
     t_all = [q // d for d in divisors[:cols]] + [1] * (cols - rows)
     keep = [j for j, t in enumerate(t_all) if t < q]
     dropped = [j for j, t in enumerate(t_all) if t == q]
@@ -293,12 +282,13 @@ class QuotientPresentation:
     cyclic one reads the class of a lattice element through
     `class_functional`, and names a basis column that generates it through
     `generator_coordinate`.  `coords` holds the kernel coordinates Y of the
-    columns of L, one row per kept coordinate of the kernel.  `_U` holds
+    columns of L as sparse rows, one per kept coordinate of the kernel,
+    keyed by column of L.  `_U` holds
     the sparse rows of U, and is None when `quotient` was not asked to
     build it."""
 
     kernel: KernelLattice
-    coords: Matrix
+    coords: list[Sparse]
     divisors: tuple[int, ...]
     _U: list[Sparse] | None
 
@@ -360,26 +350,32 @@ class ClassFunctional:
 
 
 def quotient(
-    kernel: KernelLattice, L: Matrix, transforms: tuple[str, ...] = ("U",)
+    kernel: KernelLattice, L: list[Sparse], transforms: tuple[str, ...] = ("U",)
 ) -> QuotientPresentation:
-    """Present K/(L + q·Z^n) for generator columns L inside K.
+    """Present K/(L + q·Z^n) for generators inside K, given as the sparse
+    columns L.
 
-    G holds the kernel coordinates Y of L, one row per kept coordinate of
-    K, and beside them the relations (q/t_j)·e_j that span q·Z^n in those
-    coordinates, one for each t_j > 1, so every divisor divides q.  A
-    kernel whose kept t_j are all 1 adds no relation: G is Y, `dim`×`dim`
-    when L has `dim` columns.  U is built only when `transforms` names
-    "U".
+    G holds the kernel coordinates Y of L as sparse rows, one per kept
+    coordinate of K, and after them the relations (q/t_j)·e_j that span
+    q·Z^n in those coordinates, one column for each t_j > 1, so every
+    divisor divides q.  A kernel whose kept t_j are all 1 adds no
+    relation: G is Y, `dim`×`dim` when L has `dim` columns.  U is built
+    only when `transforms` names "U".
     """
-    coords = []
-    for col in columns(L):
+    Y: list[Sparse] = [{} for _ in range(kernel.dim)]
+    for c, col in enumerate(L):
         y = kernel.solve(col)
         if y is None:
             raise ArithmeticError("generator outside the kernel lattice")
-        coords.append(y)
-    q = kernel.modulus
-    Y = [[y[r] for y in coords] for r in range(kernel.dim)]
-    relations = [j for j, t in enumerate(kernel.t) if t > 1]
-    G = [row + [q // kernel.t[r] if r == j else 0 for j in relations] for r, row in enumerate(Y)]
-    divisors, U, _, _ = smith_mod_prime_power(G, kernel.p, q, transforms)
+        for row, v in zip(Y, y):
+            if v:
+                row[c] = v
+    q, cols = kernel.modulus, len(L)
+    G = []
+    for row, t in zip(Y, kernel.t):
+        if t > 1:
+            row = {**row, cols: q // t}
+            cols += 1
+        G.append(row)
+    divisors, U, _, _ = smith_mod_prime_power(G, cols, kernel.p, q, transforms)
     return QuotientPresentation(kernel, Y, tuple(divisors), U)

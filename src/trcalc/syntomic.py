@@ -7,8 +7,10 @@ level at which the divided Frobenius stops being an isomorphism along the
 orbit, the length of the orbit's degree-1 walk.
 
 `orbit_summands` builds one orbit's summands at a list of levels in one
-walk, and `nontrivial_orbits`, the one enumerator, walks each candidate
-orbit of a window once; `enumerate_orbits` is its one-level case.
+walk.  `nontrivial_orbits`, the one enumerator, lists the orbits of a
+window with a nontrivial group at some level, reading each candidate's
+levels one at a time from the top and stopping at the first that decides
+it; `enumerate_orbits` is its one-level case.
 `level_summand` is the one-level case of `orbit_summands`, memoized in an
 LRU cache of 256 entries keyed on plain ints and the orbit,
 (p, e, i, orbit), for the pair queries: `prosystem.tr_valuation`, the
@@ -130,20 +132,30 @@ def enumerate_alphas(bounds: AlphaBounds, p: int):
 
 def nontrivial_orbits(
     p: int, i: int, bounds: AlphaBounds, levels: Sequence[int]
-) -> list[tuple[Orbit, list[SyntomicSummand]]]:
+) -> list[tuple[Orbit, SyntomicSummand]]:
     """Every orbit in the window with a nontrivial group at some level,
-    sorted by (m, alpha), with its summands from one walk; p is taken as
-    checked.  Nontrivial at e forces s >= 1, hence ceil(m/e) <= i, hence
-    m <= i*e: the candidates are m <= i*max(levels) prime to p, with the
-    alphas of the user-supplied finite window."""
+    sorted by (m, alpha), each with its summand at the highest such level;
+    p is taken as checked.  Nontrivial at e forces s >= 1, hence
+    ceil(m/e) <= i, hence m <= i*e: the candidates are m <= i*max(levels)
+    prime to p, with the alphas of the user-supplied finite window.
+
+    A candidate's levels are read one at a time from the top, and the scan
+    stops at the first nontrivial one or at the first with s = 0.  No step
+    of the degree-1 walk falls as e grows, so s never falls, and s = 0
+    leaves brace(m, e) prime to p, so every level below one with s = 0 is
+    trivial.  Most candidates are decided at the top level."""
+    top_down = sorted(levels, reverse=True)
     out = []
     for alpha in enumerate_alphas(bounds, p):
         for m in range(1, i * max(levels, default=0) + 1):
             if m % p:
                 orbit = Orbit(m, alpha)
-                summands = orbit_summands(p, i, orbit, levels)
-                if not all(sm.module.is_trivial() for sm in summands):
-                    out.append((orbit, summands))
+                for e in top_down:
+                    sm = orbit_summands(p, i, orbit, (e,))[0]
+                    if not sm.module.is_trivial() or not sm.s:
+                        break
+                if not sm.module.is_trivial():
+                    out.append((orbit, sm))
     out.sort(key=lambda pair: pair[0].sort_key())
     return out
 
@@ -151,4 +163,4 @@ def nontrivial_orbits(
 def enumerate_orbits(params: TruncationParams, bounds: AlphaBounds = AlphaBounds()) -> list[SyntomicSummand]:
     """The summands at params.e of the window's orbits nontrivial there,
     sorted by (m, alpha): the one-level case of `nontrivial_orbits`."""
-    return [sms[0] for _, sms in nontrivial_orbits(params.p, params.i, bounds, (params.e,))]
+    return [sm for _, sm in nontrivial_orbits(params.p, params.i, bounds, (params.e,))]

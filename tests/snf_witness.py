@@ -12,6 +12,15 @@ still use.  `class_order_exponent` reads the order of a class in a finite
 p-group Z^n/(L + p^N·Z^n) from exact lattice solves alone.  The witness
 imports nothing from `trcalc`: it keeps its own `Matrix`, `hstack` and
 `columns`, so it shares no code with the engine it checks.
+
+The engine takes only sparse input: matrices as {column: entry} rows,
+generators and vectors as {index: entry} dicts.  `sparse_rows`,
+`sparse_columns` and `sparse_vector` convert a dense matrix or vector
+once, in ascending index order, and `densify` writes sparse rows back
+out.  `fiber_d0` and `fiber_d1` are the dense reference assembly of the
+oracle's differentials from an `OrbitMatrices`' coefficient lists:
+shifted and diagonal blocks, stacked, as the oracle built them before it
+built sparse rows.
 """
 
 from __future__ import annotations
@@ -60,6 +69,60 @@ def from_columns(cols: list[list[int]]) -> Matrix:
 
 def scale_cols(A: Matrix, factors: list[int]) -> Matrix:
     return [[a * f for a, f in zip(row, factors)] for row in A]
+
+
+def sparse_vector(x: list[int]) -> dict[int, int]:
+    """The nonzero entries of x, keyed by index in ascending order."""
+    return {j: a for j, a in enumerate(x) if a}
+
+
+def sparse_rows(A: Matrix) -> list[dict[int, int]]:
+    """The rows of A as sparse vectors: the engine's input for A."""
+    return [sparse_vector(row) for row in A]
+
+
+def sparse_columns(A: Matrix) -> list[dict[int, int]]:
+    """The columns of A as sparse vectors."""
+    return sparse_rows(columns(A))
+
+
+def densify(rows: list[dict[int, int]], cols: int) -> Matrix:
+    """Sparse rows written out as a dense matrix with `cols` columns."""
+    return [[row.get(j, 0) for j in range(cols)] for row in rows]
+
+
+def _shift(n: int, coeffs: list[int]) -> Matrix:
+    M = [[0] * n for _ in range(n)]
+    for a, c in enumerate(coeffs):
+        M[a + 1][a] = c
+    return M
+
+
+def _diag(n: int, coeffs: list[int]) -> Matrix:
+    M = [[0] * n for _ in range(n)]
+    for a, c in enumerate(coeffs):
+        M[a][a] = c
+    return M
+
+
+def _phi_minus_can(n: int, q: int, frob: list[int], can: list[int]) -> Matrix:
+    M = _shift(n, frob)
+    for a, c in enumerate(can):
+        M[a][a] = (M[a][a] - c) % q
+    return M
+
+
+def fiber_d0(mats) -> Matrix:
+    """Dense d0 of the fiber complex, 2n×n: C^0 = N^0 -> C^1 = N^1 (+) D^0."""
+    n, q = mats.n, mats.modulus
+    return _diag(n, mats.diff_nygaard) + _phi_minus_can(n, q, mats.frob0, mats.can0)
+
+
+def fiber_d1(mats) -> Matrix:
+    """Dense d1 of the fiber complex, n×2n: C^1 = N^1 (+) D^0 -> C^2 = D^1,
+    (w, u) |-> (phi/p^i - can)w - d u."""
+    n, q = mats.n, mats.modulus
+    return hstack(_phi_minus_can(n, q, mats.frob1, mats.can1), _diag(n, [(-c) % q for c in mats.diff_full]))
 
 
 @dataclass(frozen=True)

@@ -369,9 +369,11 @@ SLOT_ML_JOB = JobSpec(command="ml-check", p=2, i=2, e=3, e_max=11, bounds=AlphaB
         (SLOT_ML_JOB, 2, 144),
     ],
 )
-def test_tower_commands_walk_each_candidate_orbit_once(spec, weight, singles, monkeypatch):
+def test_tower_commands_scan_candidates_from_the_top(spec, weight, singles, monkeypatch):
     # every candidate orbit (m <= weight * top level, p not dividing m) is
-    # walked once over the tower's levels, and never at a level below them
+    # read one level at a time from the top, down to the first nontrivial
+    # level or the first with s = 0; tr walks nothing more, and ml-check
+    # walks each nontrivial orbit once over the tower's levels
     levels = tuple(e for e in spec.levels() if e % spec.p)
     candidates = [
         Orbit(m, alpha)
@@ -379,16 +381,31 @@ def test_tower_commands_walk_each_candidate_orbit_once(spec, weight, singles, mo
         for m in range(1, weight * levels[-1] + 1)
         if m % spec.p
     ]
+    scans, nontrivial = [], []
+    for orbit in candidates:
+        for e in reversed(levels):
+            scans.append((orbit, (e,)))
+            sm = orbit_summands(spec.p, weight, orbit, (e,))[0]
+            if sm.module.h or not sm.s:
+                break
+        if sm.module.h:
+            nontrivial.append(orbit)
+    nontrivial.sort(key=Orbit.sort_key)
     walks = _record_walks(monkeypatch)
     syntomic_module.level_summand.cache_clear()
     report, code = run_command(spec)
     assert code == EXIT_OK
-    assert [walk for walk in walks if walk[1] == levels] == [(orbit, levels) for orbit in candidates]
-    # tr reads nothing else; ml-check reads the image of an unreached bound
-    # one source level at a time, each past the probe: the targets are the
-    # tower's own summands, never walked again
-    others = [lv for _, lv in walks if lv != levels]
-    assert all(len(lv) == 1 and lv[0] > levels[-1] for lv in others)
+    assert [walk for walk in walks if len(walk[1]) == 1 and walk[1][0] <= levels[-1]] == scans
+    # no candidate is walked over all the levels just to test it
+    assert len(scans) < len(candidates) * len(levels)
+    if spec.command == "tr":
+        assert len(report.orbits) == len(nontrivial)
+    towers = [] if spec.command == "tr" else [(orbit, levels) for orbit in nontrivial]
+    assert [walk for walk in walks if len(walk[1]) > 1] == towers
+    # ml-check reads the image of an unreached bound one source level at a
+    # time, each past the probe: the targets are the tower's own summands,
+    # never walked again
+    others = [lv for _, lv in walks if len(lv) == 1 and lv[0] > levels[-1]]
     assert len(others) == singles
 
 

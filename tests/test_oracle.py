@@ -38,9 +38,7 @@ from trcalc.prosystem import ml_bound, tr_valuation
 from trcalc.snf import (
     ClassFunctional,
     QuotientPresentation,
-    columns,
     divisor_exponents,
-    hstack,
     kernel_mod,
     quotient,
     smith_mod_prime_power,
@@ -113,13 +111,38 @@ def test_frobenius_units_below_s():
     assert mats.frob1[0] % 3 != 0
 
 
+def _fiber_grid():
+    """The fiber matrices at the base and the grown truncation of every
+    orbit m <= max(i, 1)*e prime to p, for p in {2, 3, 5}, i <= 4,
+    e <= 9 prime to p, and alpha empty or t^(1/p)."""
+    for p in (2, 3, 5):
+        alphas = [EMPTY, MultiIndex.from_dict({"t": PAdicFraction.make(1, 1, p)})]
+        for i, e, alpha in itertools.product(range(5), range(1, 10), alphas):
+            if e % p == 0:
+                continue
+            params = TruncationParams(p, e, i)
+            for m in range(1, max(i, 1) * e + 1):
+                if m % p:
+                    base = default_truncation(params, Orbit(m, alpha))
+                    for trunc in (base, base.grown(params)):
+                        yield build_orbit_matrices(params, trunc)
+
+
 def test_fiber_complex_composes_to_zero():
-    for p, e, i, m in [(3, 2, 2, 1), (2, 3, 2, 1), (5, 4, 3, 7)]:
-        params = TruncationParams(p, e, i)
-        trunc = default_truncation(params, Orbit(m))
-        mats = build_orbit_matrices(params, trunc)
-        prod = witness.mat_mul(mats.fiber_d1(), mats.fiber_d0())
-        assert all(v % mats.modulus == 0 for row in prod for v in row)
+    # on the grid, the rows of d1 and the columns of d0 built from the
+    # coefficient lists list their entries in ascending order and write
+    # out to the dense reference assembly, and d1·d0 ≡ 0 mod p^N
+    checked = 0
+    for mats in _fiber_grid():
+        n, q = mats.n, mats.modulus
+        rows, cols = mats.fiber_d1_rows(), mats.fiber_d0_columns()
+        assert all(list(vec) == sorted(vec) for vec in rows + cols)
+        d1, d0 = witness.fiber_d1(mats), witness.fiber_d0(mats)
+        assert witness.densify(rows, 2 * n) == d1
+        assert witness.densify(cols, 2 * n) == witness.columns(d0)
+        assert all(v % q == 0 for row in witness.mat_mul(d1, d0) for v in row)
+        checked += 1
+    assert checked > 2000
 
 
 def test_sign_convention_independence():
@@ -136,12 +159,12 @@ def test_sign_convention_independence():
     mats.can1 = [(-v) % mats.modulus for v in mats.can1]
 
     n, modulus = mats.n, mats.modulus
-    h1 = quotient(kernel_mod(mats.fiber_d1(), 2, modulus), mats.fiber_d0())
+    h1 = quotient(kernel_mod(mats.fiber_d1_rows(), 2 * n, 2, modulus), mats.fiber_d0_columns())
     assert h1.exponents() == fc.h1.exponents()
 
-    k1 = witness.kernel_mod(mats.fiber_d1(), modulus)
+    k1 = witness.kernel_mod(witness.fiber_d1(mats), modulus)
     modulus_columns = [[modulus * v for v in row] for row in eye(2 * n)]
-    divisors = witness.quotient_divisors(k1, hstack(mats.fiber_d0(), modulus_columns))
+    divisors = witness.quotient_divisors(k1, witness.hstack(witness.fiber_d0(mats), modulus_columns))
     assert tuple(sorted((vp(d, 2) for d in divisors if d != 1), reverse=True)) == fc.h1.exponents()
 
 
@@ -184,9 +207,11 @@ def _scale_d1_row(mats, r, f):
 
 
 def _direct_h0_kernel_rank(fc):
-    """The degree-0 certificate from a separate elimination of d0."""
+    """The degree-0 certificate from a separate elimination of d0, the
+    dense reference assembly fed as sparse rows."""
     mats = fc.matrices
-    divisors = smith_mod_prime_power(mats.fiber_d0(), fc.matrices.p, mats.modulus, ())[0]
+    d0_rows = witness.sparse_rows(witness.fiber_d0(mats))
+    divisors = smith_mod_prime_power(d0_rows, mats.n, mats.p, mats.modulus, ())[0]
     return divisors[: mats.n].count(mats.modulus)
 
 
@@ -282,8 +307,9 @@ def test_kernel_generator_certificate_searches_the_class_coordinate_too(monkeypa
     fc = fiber_cohomology(params, default_truncation(params, Orbit(1)))
     n, q, s, d = fc.matrices.n, fc.matrices.modulus, claim.s, 2 ** claim.module.h
     scale = [2**c for c in reversed(claim.generator_exponents)] + [1] * (2 * n - s)
-    scaled_d1 = [[x * f % q for x, f in zip(row[:s], scale)] + row[s:] for row in fc.matrices.fiber_d1()]
-    basis = columns(kernel_mod(scaled_d1, 2, q, ("V",)).basis)
+    scaled_d1 = [[x * f % q for x, f in zip(row[:s], scale)] + row[s:] for row in witness.fiber_d1(fc.matrices)]
+    kernel = kernel_mod(witness.sparse_rows(scaled_d1), 2 * n, 2, q, ("V",))
+    basis = [kernel.basis_column(k) for k in range(kernel.dim)]
     # kernel vectors z of the scaled d1 mod 2, and their cocycles scale·z
     combos = [
         [sum(c * col[j] for c, col in zip(cs, basis)) % 2 for j in range(2 * n)]
@@ -311,12 +337,12 @@ def test_verify_orbit_passes():
 def test_verify_orbit_builds_base_and_grown_truncation_once(monkeypatch):
     # one build at (A+1, N+2) serves both fibers: the base matrices are cut
     # from it and equal a direct build at (A, N), hash included; each
-    # fiber's d0 serves both H^1 and the degree-0 certificate, and the base
-    # d1 serves both H^1 and the kernel certificate
+    # fiber's d0 columns serve both H^1 and the degree-0 certificate, and
+    # the base d1 rows serve both H^1 and the kernel certificate
     built, d0_built, d1_built = [], [], []
     real = oracle_module.build_orbit_matrices
-    real_d0 = oracle_module.OrbitMatrices.fiber_d0
-    real_d1 = oracle_module.OrbitMatrices.fiber_d1
+    real_d0 = oracle_module.OrbitMatrices.fiber_d0_columns
+    real_d1 = oracle_module.OrbitMatrices.fiber_d1_rows
 
     def counting(params, trunc):
         built.append(trunc)
@@ -331,8 +357,8 @@ def test_verify_orbit_builds_base_and_grown_truncation_once(monkeypatch):
         return real_d1(mats)
 
     monkeypatch.setattr(oracle_module, "build_orbit_matrices", counting)
-    monkeypatch.setattr(oracle_module.OrbitMatrices, "fiber_d0", counting_d0)
-    monkeypatch.setattr(oracle_module.OrbitMatrices, "fiber_d1", counting_d1)
+    monkeypatch.setattr(oracle_module.OrbitMatrices, "fiber_d0_columns", counting_d0)
+    monkeypatch.setattr(oracle_module.OrbitMatrices, "fiber_d1_rows", counting_d1)
     params = TruncationParams(2, 3, 2)
     cert = verify_orbit(params, h1_syntomic_orbit(params, Orbit(1)))
     assert cert.s >= 1 and cert.kernel_ok
@@ -476,6 +502,21 @@ def test_oracle_imports_no_closed_form():
     # nor does the exact witness the engine is checked against, so the two
     # share no code
     assert _package_imports(witness) == (set(), [])
+    # sparse rows are the engine's only input: the oracle imports no dense
+    # helper from it, and it defines none
+    snf_names = {
+        alias.name
+        for node in ast.walk(ast.parse(Path(oracle_module.__file__).read_text()))
+        if isinstance(node, ast.ImportFrom) and node.module == "snf"
+        for alias in node.names
+    }
+    assert snf_names and not snf_names & {"Matrix", "hstack", "columns"}
+    snf_defs = {
+        node.name
+        for node in ast.walk(ast.parse(Path(snf_module.__file__).read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    assert "smith_mod_prime_power" in snf_defs and not snf_defs & {"hstack", "columns"}
 
 
 def test_verify_orbit_runs_only_the_transforms_it_reads(monkeypatch):
@@ -491,9 +532,9 @@ def test_verify_orbit_runs_only_the_transforms_it_reads(monkeypatch):
     real_kernel = oracle_module.kernel_mod
 
     def smith(*args):
-        smith_calls.append((inside[-1] if inside else None, args[3]))
+        smith_calls.append((inside[-1] if inside else None, args[4]))
         if inside and inside[-1] == "quotient":
-            quotient_shapes.append((len(args[0]), len(args[0][0])))
+            quotient_shapes.append((len(args[0]), args[1]))
         return real_smith(*args)
 
     def tagged(name, real):
@@ -506,9 +547,9 @@ def test_verify_orbit_runs_only_the_transforms_it_reads(monkeypatch):
 
         return run
 
-    def kernel_mod(M, p, q, transforms):
-        kernels.append(M)
-        return real_kernel(M, p, q, transforms)
+    def kernel_mod(M, cols, p, q, transforms):
+        kernels.append(witness.densify(M, cols))
+        return real_kernel(M, cols, p, q, transforms)
 
     for module in (snf_module, oracle_module):
         monkeypatch.setattr(module, "smith_mod_prime_power", smith)
@@ -528,14 +569,14 @@ def test_verify_orbit_runs_only_the_transforms_it_reads(monkeypatch):
     ]
     base = default_truncation(params, Orbit(1))
     fibers = [build_orbit_matrices(params, t) for t in (base, base.grown(params))]
-    assert kernels[:2] == [mats.fiber_d1() for mats in fibers]
+    assert kernels[:2] == [witness.fiber_d1(mats) for mats in fibers]
     # each H^1 quotient is n x n: the kernel keeps the n coordinates of its
     # 2n that are not identically zero, and none needs a relation column
     assert quotient_shapes == [(mats.n, mats.n) for mats in fibers]
     fc = FiberCohomology.of(fibers[0], ("U",))
     assert fc.h1.kernel.dim == fibers[0].n and fc.h1.kernel.t == [1] * fibers[0].n
     # the claim (0, 0, 1) scales the columns of levels 0, 1, 2 by 2, 1, 1
-    d1, q = fibers[0].fiber_d1(), fibers[0].modulus
+    d1, q = witness.fiber_d1(fibers[0]), fibers[0].modulus
     assert kernels[2] == [[2 * row[0] % q] + row[1:] for row in d1]
 
 
@@ -549,7 +590,7 @@ def test_oracle_cohomology_runs_only_the_transforms_it_reads(monkeypatch):
     real_smith = snf_module.smith_mod_prime_power
 
     def smith(*args):
-        transforms.append(args[3])
+        transforms.append(args[4])
         return real_smith(*args)
 
     for module in (snf_module, oracle_module):
@@ -568,13 +609,14 @@ def test_fiber_cohomology_serves_the_certificate_and_the_transition_oracle():
         params = TruncationParams(p, e, i)
         for claim in enumerate_orbits(params, AlphaBounds(("t",), 2, 1)):
             fc = fiber_cohomology(params, default_truncation(params, claim.orbit))
-            assert fc.h1._U is not None and fc.h1.kernel.basis is not None
+            kernel = fc.h1.kernel
+            assert fc.h1._U is not None and kernel._V_cols is not None
             level = TransitionOracle(p, i, claim.orbit, [e]).level(e)
             assert level.matrices == fc.matrices
             if claim.module.h:
                 assert certify_kernel_generator(fc, claim)
                 assert level.functional == fc.h1.class_functional()
-                assert level.generator in columns(fc.h1.kernel.basis)
+                assert level.generator in [kernel.basis_column(k) for k in range(kernel.dim)]
                 checked += 1
     assert checked > 10
 
@@ -602,11 +644,12 @@ def test_h2_is_the_cokernel_of_d1(p, i, e, m, one_over_p, scale, level):
     n, q = mats.n, mats.modulus
     _scale_d1_row(mats, level % n, p**scale)
     h2 = FiberCohomology.of(mats, ()).h2
-    assert h2 == quotient(kernel_mod([[0] * n], p, q), mats.fiber_d1()).exponents()
-    exact = witness.smith_normal_form(hstack(mats.fiber_d1(), [[q * v for v in row] for row in eye(n)]))
+    d1 = witness.fiber_d1(mats)
+    assert h2 == quotient(kernel_mod([{}], n, p, q), witness.sparse_columns(d1)).exponents()
+    exact = witness.smith_normal_form(witness.hstack(d1, [[q * v for v in row] for row in eye(n)]))
     assert h2 == tuple(sorted((vp(d, p) for d in exact.diagonal if d != 1), reverse=True))
     # the kernel's divisors are those of a separate transform-free elimination
-    assert h2 == divisor_exponents(smith_mod_prime_power(mats.fiber_d1(), p, q, ())[0], p)
+    assert h2 == divisor_exponents(smith_mod_prime_power(mats.fiber_d1_rows(), 2 * n, p, q, ())[0], p)
     if scale:
         assert h2 and h2[0] >= scale
 
@@ -679,13 +722,13 @@ def _dense_witness_level(oc, e):
     basis generates H^1, so p^h is its exponent, and H^1 is cyclic (as
     asserted) exactly when its order [C^1 : Λ] / [C^1 : K] is p^h."""
     mats = build_orbit_matrices(oc.params(e), oc.trunc)
-    q, d0 = mats.modulus, mats.fiber_d0()
-    K = witness.kernel_mod(mats.fiber_d1(), q)
+    q, d0 = mats.modulus, witness.fiber_d0(mats)
+    K = witness.kernel_mod(witness.fiber_d1(mats), q)
     order = functools.partial(witness.class_order_exponent, d0, q, oc.p)
-    basis = columns(K.basis)
+    basis = witness.columns(K.basis)
     orders = [order(col) for col in basis]
     h = max(orders)
-    relations = hstack(d0, [[q * v for v in row] for row in eye(2 * mats.n)])
+    relations = witness.hstack(d0, [[q * v for v in row] for row in eye(2 * mats.n)])
     assert math.prod(witness.smith_normal_form(relations).diagonal) == oc.p**h * math.prod(K._t)
     return order, ((h,) if h else ()), (basis[orders.index(h)] if h else None)
 
@@ -859,7 +902,7 @@ def test_transition_image_outside_the_kernel_is_refused(monkeypatch):
     not_a_cocycle = [1] + [0] * (2 * (oc.A + 1) - 1)
     fc = fiber_cohomology(oc.params(3), oc.trunc)
     assert any(oc.level(3).matrices.fiber_d1_apply(not_a_cocycle))
-    assert fc.h1.kernel.solve(not_a_cocycle) is None
+    assert fc.h1.kernel.solve(witness.sparse_vector(not_a_cocycle)) is None
     monkeypatch.setattr(TransitionOracle, "_transition_image", lambda self, *args: not_a_cocycle)
     with pytest.raises(ArithmeticError, match="outside the kernel lattice"):
         oc.valuation(3, 5)
@@ -879,13 +922,38 @@ def test_level_without_a_unit_coordinate_is_refused(monkeypatch):
         TransitionOracle(3, 1, Orbit(1), [2, 4]).level(2)
 
 
+def _in_order(transform):
+    """A sparse transform with the order of each vector's entries kept."""
+    return None if transform is None else [list(vec.items()) for vec in transform]
+
+
+def test_fiber_rows_keep_the_pivots_of_the_dense_input():
+    # on the grid, the engine eliminates the rows and columns built from
+    # the coefficient lists exactly as it does the dense assembly converted
+    # once: same divisors, and every transform entry for entry, in order
+    for mats in _fiber_grid():
+        p, n, q = mats.p, mats.n, mats.modulus
+        rows = mats.fiber_d1_rows()
+        reference = witness.sparse_rows(witness.fiber_d1(mats))
+        got, want = smith_mod_prime_power(rows, 2 * n, p, q), smith_mod_prime_power(reference, 2 * n, p, q)
+        assert got[0] == want[0]
+        assert [_in_order(T) for T in got[1:]] == [_in_order(T) for T in want[1:]]
+        K, W = kernel_mod(rows, 2 * n, p, q), kernel_mod(reference, 2 * n, p, q)
+        assert (K.t, K.divisors) == (W.t, W.divisors)
+        assert (_in_order(K._V_cols), _in_order(K._Vinv_cols)) == (_in_order(W._V_cols), _in_order(W._Vinv_cols))
+        Q = quotient(K, mats.fiber_d0_columns())
+        R = quotient(W, witness.sparse_columns(witness.fiber_d0(mats)))
+        assert Q.divisors == R.divisors
+        assert (_in_order(Q._U), _in_order(Q.coords)) == (_in_order(R._U), _in_order(R.coords))
+
+
 def test_sparse_d1_matches_dense_d1():
     params = TruncationParams(3, 4, 2)
     trunc = default_truncation(params, Orbit(5, MultiIndex.from_dict({"t": PAdicFraction(1, 1)})))
     mats = build_orbit_matrices(params, trunc)
     for k in range(2 * mats.n):
         x = [(k + 1) * (j + 3) ** 2 if j % 3 != k % 3 else 0 for j in range(2 * mats.n)]
-        assert mats.fiber_d1_apply(x) == [v % mats.modulus for v in witness.mat_vec(mats.fiber_d1(), x)]
+        assert mats.fiber_d1_apply(x) == [v % mats.modulus for v in witness.mat_vec(witness.fiber_d1(mats), x)]
 
 
 def test_transition_levels_skip_degree0_and_degree2(monkeypatch):
@@ -925,7 +993,7 @@ def test_generator_class_order_is_the_largest_exponent(p, i, e, m, slot):
         assert level.h == 0 and level.generator is None
         return
     mats = level.matrices
-    order = witness.class_order_exponent(mats.fiber_d0(), mats.modulus, p, level.generator)
+    order = witness.class_order_exponent(witness.fiber_d0(mats), mats.modulus, p, level.generator)
     assert order == level.h == exps[0]
 
 
@@ -955,8 +1023,8 @@ def test_valuation_does_not_depend_on_the_generator(p, i, m, one_over_p, seed):
     q = p**oc.N
     for f in live:
         lv = oc.level(f)
-        d0 = lv.matrices.fiber_d0()
-        col = columns(d0)[rng.randrange(len(d0[0]))]
+        d0 = witness.fiber_d0(lv.matrices)
+        col = witness.columns(d0)[rng.randrange(len(d0[0]))]
         unit = rng.choice([u for u in range(1, 3 * p) if u % p])
         gen = [unit * g + c for g, c in zip(lv.generator, col)]
         gen[rng.randrange(len(gen))] += q

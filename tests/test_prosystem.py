@@ -276,8 +276,15 @@ def test_tower_and_oracle_validate_p_once(monkeypatch):
     # the sweep builds no TruncationParams, so it tests no prime
     stabilized_images(tower, 24)
     assert tested == []
-    TruncationParams(2, 3, 1)  # a plain int is still tested
-    assert tested == [2]
+    # a plain int is tested the first time only; a non-prime on every call
+    monkeypatch.setattr(Prime, "_checked", {})
+    TruncationParams(2, 3, 1)
+    TruncationParams(2, 5, 1)
+    assert tested == [2] and Prime(2) is TruncationParams(2, 7, 1).p
+    for _ in range(2):
+        with pytest.raises(ValueError, match="^9 is not prime$"):
+            TruncationParams(9, 2, 1)
+    assert tested == [2, 9, 9]
 
 
 def test_stabilized_images_full_at_every_level():

@@ -1,6 +1,10 @@
 """Smith normal form over Z/p^N, kernel lattices, and quotient
 presentations, checked against the exact-integer witness in
-`snf_witness` (and sympy's Smith normal form where it imports)."""
+`snf_witness` (and sympy's Smith normal form where it imports).
+
+The cases are dense integer matrices; the engine reads only sparse rows,
+so `_smith`, `_kernel`, `_quotient` and `_solve` convert each input once
+(`snf_witness.sparse_rows` and its siblings) before calling it."""
 
 import itertools
 import random
@@ -12,13 +16,41 @@ from hypothesis import strategies as st
 import snf_witness as witness
 from snf_witness import eye
 from trcalc.padic import vp
-from trcalc.snf import (
-    columns,
-    hstack,
-    kernel_mod,
-    quotient,
-    smith_mod_prime_power,
-)
+from trcalc.snf import kernel_mod, quotient, smith_mod_prime_power
+
+
+def _cols(M):
+    return len(M[0]) if M else 0
+
+
+def _smith(M, p, q, transforms=("U", "V", "Vinv")):
+    """`smith_mod_prime_power` on the dense M, fed as sparse rows."""
+    return smith_mod_prime_power(witness.sparse_rows(M), _cols(M), p, q, transforms)
+
+
+def _kernel(M, p, q, transforms=("V", "Vinv")):
+    """`kernel_mod` on the dense M, fed as sparse rows."""
+    return kernel_mod(witness.sparse_rows(M), _cols(M), p, q, transforms)
+
+
+def _quotient(K, L, transforms=("U",)):
+    """`quotient` by the columns of the dense L, fed as sparse columns."""
+    return quotient(K, witness.sparse_columns(L), transforms)
+
+
+def _solve(K, x):
+    """`K.solve` on the dense x, fed as a sparse vector."""
+    return K.solve(witness.sparse_vector(x))
+
+
+def _basis_columns(K):
+    return [K.basis_column(k) for k in range(K.dim)]
+
+
+def _basis(K):
+    """The kernel basis as a dense n×dim matrix."""
+    cols = _basis_columns(K)
+    return [[col[r] for col in cols] for r in range(K.n)]
 
 
 def test_snf_examples():
@@ -78,25 +110,25 @@ def test_kernel_mod_membership():
     p, modulus = 2, 2**5
     for _ in range(40):
         M = _random_matrix(rng, 3, 4, bound=12)
-        K = kernel_mod(M, p, modulus)
-        for x in columns(K.basis):
+        K = _kernel(M, p, modulus)
+        for x in _basis_columns(K):
             assert all(v % modulus == 0 for v in witness.mat_vec(M, x))
-            assert K.solve(x) is not None
+            assert _solve(K, x) is not None
 
 
 def test_quotient_cyclic_group():
     p, modulus = 3, 3**4
     # x with 3x = 0 mod 81 modulo im(d) where d hits 27*Z
-    K = kernel_mod([[3]], p, modulus)
-    Q = quotient(K, [[27]])
+    K = _kernel([[3]], p, modulus)
+    Q = _quotient(K, [[27]])
     assert Q.exponents() == ()
 
 
 def test_quotient_exponents_and_orders():
     modulus = 2**6
-    K = kernel_mod([[0, 0]], 2, modulus)  # everything is a cocycle
+    K = _kernel([[0, 0]], 2, modulus)  # everything is a cocycle
     L = [[4, 0], [0, 8]]
-    Q = quotient(K, hstack(L, [[modulus, 0], [0, modulus]]))
+    Q = _quotient(K, witness.hstack(L, [[modulus, 0], [0, modulus]]))
     assert sorted(Q.exponents(), reverse=True) == [3, 2]
     # the class orders that the exact lattice solves of the witness read
     # in Z^2/(L + 64·Z^2) ≅ Z/4 + Z/8
@@ -108,23 +140,23 @@ def test_quotient_exponents_and_orders():
 def test_quotient_adds_the_modulus_lattice():
     # quotient presents K/(L + p^N·Z^n): L need not carry p^N·Z^n itself
     modulus = 2**6
-    K = kernel_mod([[0, 0]], 2, modulus)
-    Q = quotient(K, [[4, 0], [0, 8]])
+    K = _kernel([[0, 0]], 2, modulus)
+    Q = _quotient(K, [[4, 0], [0, 8]])
     assert Q.exponents() == (3, 2)
-    assert quotient(K, [[0], [0]]).exponents() == (6, 6)
+    assert _quotient(K, [[0], [0]]).exponents() == (6, 6)
     # K = {x : 4x = 0 mod 64} = 16Z, and K/64Z is cyclic of order 4
-    assert quotient(kernel_mod([[4]], 2, modulus), [[0]]).exponents() == (2,)
+    assert _quotient(_kernel([[4]], 2, modulus), [[0]]).exponents() == (2,)
 
 
 def test_kernel_without_nontrivial_coordinates():
     # M = [1] mod 2: the one coordinate has t = q, so nothing is kept
     p, q = 2, 2
-    K = kernel_mod([[1]], p, q)
+    K = _kernel([[1]], p, q)
     assert K.dim == 0 and K.t == [] and K.divisors == [1]
-    assert K.solve([2]) == [] and K.solve([1]) is None
-    Q = quotient(K, [[0]])
+    assert _solve(K, [2]) == [] and _solve(K, [1]) is None
+    Q = _quotient(K, [[0]])
     assert Q.exponents() == ()
-    assert K.basis == [[]]
+    assert _basis(K) == [[]]
     with pytest.raises(ValueError):
         Q.class_functional()
 
@@ -132,17 +164,17 @@ def test_kernel_without_nontrivial_coordinates():
 def test_dropped_coordinates_still_decide_membership():
     # K = {x : x_0 ≡ 0 mod 4}: the coordinate of x_0 is dropped from the
     # basis but still read by solve
-    K = kernel_mod([[1, 0]], 2, 4)
+    K = _kernel([[1, 0]], 2, 4)
     assert K.dim == 1 and K.t == [1]
-    assert K.solve([1, 0]) is None
-    assert K.solve([4, 3]) is not None and K.solve([0, 1]) is not None
+    assert _solve(K, [1, 0]) is None
+    assert _solve(K, [4, 3]) is not None and _solve(K, [0, 1]) is not None
 
 
 def test_class_functional_of_a_cyclic_quotient():
     # Z/(25 + 125) ≅ Z/25: 1 generates, 5 has order 5, 25 is trivial
     p, modulus = 5, 5**3
-    K = kernel_mod([[0]], p, modulus)
-    functional = quotient(K, [[25]]).class_functional()
+    K = _kernel([[0]], p, modulus)
+    functional = _quotient(K, [[25]]).class_functional()
     assert functional.d == 25
     assert functional.coordinate([1]) % p
     assert vp(functional.coordinate([5]), p) == 1
@@ -224,7 +256,7 @@ def _dense(U, V, Vinv, rows, cols):
 def _smith_dense(M, p, q):
     """The full `smith_mod_prime_power` call, its transforms written out
     dense, after checking that they hold only entries nonzero mod q."""
-    divisors, U, V, Vinv = smith_mod_prime_power(M, p, q)
+    divisors, U, V, Vinv = _smith(M, p, q)
     assert all(a % q for T in (U, V, Vinv) for vec in T for a in vec.values())
     return (divisors, *_dense(U, V, Vinv, len(M), len(M[0])))
 
@@ -241,27 +273,27 @@ def _check_against_witness(p, N, M, xs):
     assert all(d % p for d in witness.smith_normal_form(U).diagonal)
     assert _mod(witness.mat_mul(V, Vinv), q) == eye(cols)
     # each caller's reduced call gives the same divisors and transforms
-    full = dict(zip(("U", "V", "Vinv"), smith_mod_prime_power(M, p, q)[1:]))
+    full = dict(zip(("U", "V", "Vinv"), _smith(M, p, q)[1:]))
     for transforms in ((), ("V", "Vinv"), ("Vinv",), ("U",), ("U", "V")):
-        reduced = smith_mod_prime_power(M, p, q, transforms)
+        reduced = _smith(M, p, q, transforms)
         assert reduced[0] == divisors
         for name, got in zip(("U", "V", "Vinv"), reduced[1:]):
             assert got == (full[name] if name in transforms else None)
 
-    K = kernel_mod(M, p, q)
+    K = _kernel(M, p, q)
     W = witness.kernel_mod(M, q)
-    for x in columns(W.basis) + columns(K.basis) + xs:
+    for x in witness.columns(W.basis) + _basis_columns(K) + xs:
         in_kernel = all(v % q == 0 for v in witness.mat_vec(M, x))
-        assert (K.solve(x) is not None) == (W.solve(x) is not None) == in_kernel
+        assert (_solve(K, x) is not None) == (W.solve(x) is not None) == in_kernel
         if in_kernel:
-            assert [v % q for v in witness.mat_vec(K.basis, K.solve(x))] == [v % q for v in x]
+            assert [v % q for v in witness.mat_vec(_basis(K), _solve(K, x))] == [v % q for v in x]
     # a kernel that is only solved in builds V^-1 alone, with the same
     # divisors and coordinates
-    solve_only = kernel_mod(M, p, q, ("Vinv",))
-    assert solve_only.basis is None
+    solve_only = _kernel(M, p, q, ("Vinv",))
+    assert solve_only._V_cols is None
     assert solve_only.divisors == K.divisors == divisors
-    for x in columns(W.basis) + columns(K.basis) + xs:
-        assert solve_only.solve(x) == K.solve(x)
+    for x in witness.columns(W.basis) + _basis_columns(K) + xs:
+        assert _solve(solve_only, x) == _solve(K, x)
 
 
 @settings(max_examples=100, deadline=None)
@@ -273,7 +305,7 @@ def test_mod_prime_power_snf_matches_sympy(case):
     p, N, M, _ = case
     snf = normalforms.smith_normal_form(Matrix(M), domain=ZZ)
     diagonal = [abs(int(snf[t, t])) for t in range(min(snf.shape))]
-    divisors = smith_mod_prime_power(M, p, p**N)[0]
+    divisors = _smith(M, p, p**N)[0]
     assert divisors == _reduced_divisors(diagonal, len(M), p, N)
 
 
@@ -288,9 +320,9 @@ def test_generator_and_class_functional_on_random_quotients(case, seed):
     p, N, M, _ = case
     q = p**N
     rng = random.Random(seed)
-    K = kernel_mod(M, p, q)
-    L = witness.mat_mul(K.basis, _random_matrix(rng, K.dim, rng.randint(1, 3), bound=2 * p))
-    Q = quotient(K, L)
+    K = _kernel(M, p, q)
+    L = witness.mat_mul(_basis(K), _random_matrix(rng, K.dim, rng.randint(1, 3), bound=2 * p))
+    Q = _quotient(K, L)
     exps = Q.exponents()
     if len(exps) != 1:
         with pytest.raises(ValueError):
@@ -299,13 +331,13 @@ def test_generator_and_class_functional_on_random_quotients(case, seed):
     functional = Q.class_functional()
     h = exps[0]
     assert functional.d == p**h
-    gen = next(col for col in columns(K.basis) if functional.coordinate(col) % p)
+    gen = next(col for col in _basis_columns(K) if functional.coordinate(col) % p)
     # U names the same column without reading the functional
     assert K.basis_column(Q.generator_coordinate()) == gen
     assert witness.class_order_exponent(L, q, p, gen) == h
     unit = pow(functional.coordinate(gen), -1, p**h)
     for _ in range(5):
-        x = witness.mat_vec(K.basis, [rng.randint(-q, q) for _ in range(K.dim)])
+        x = witness.mat_vec(_basis(K), [rng.randint(-q, q) for _ in range(K.dim)])
         c = functional.coordinate(x)
         assert witness.class_order_exponent(L, q, p, x) == (h - vp(c, p) if c else 0)
         rest = [a - c * unit * b for a, b in zip(x, gen)]
@@ -319,13 +351,13 @@ def test_kernel_basis_has_no_zero_column(case):
     # invertible mod q, so it is never ≡ 0 mod q
     p, N, M, _ = case
     q = p**N
-    K = kernel_mod(M, p, q)
+    K = _kernel(M, p, q)
     assert all(t < q for t in K.t)
-    assert all(any(v % q for v in col) for col in columns(K.basis))
+    assert all(any(v % q for v in col) for col in _basis_columns(K))
 
 
 def _divisors_below(M, p, q):
-    return [d for d in smith_mod_prime_power(M, p, q, ())[0] if d < q]
+    return [d for d in _smith(M, p, q, ())[0] if d < q]
 
 
 @settings(max_examples=150, deadline=None)
@@ -337,11 +369,12 @@ def test_generators_have_the_divisors_of_their_scaled_coordinates(case, seed):
     p, N, M, _ = case
     q = p**N
     rng = random.Random(seed)
-    K = kernel_mod(M, p, q)
-    L = witness.mat_mul(K.basis, _random_matrix(rng, K.dim, rng.randint(1, 3), bound=2 * p))
-    Q = quotient(K, L)
-    assert _mod(witness.mat_mul(K.basis, Q.coords), q) == _mod(L, q)
-    scaled = [[t * y % q for y in row] for t, row in zip(K.t, Q.coords)]
+    K = _kernel(M, p, q)
+    L = witness.mat_mul(_basis(K), _random_matrix(rng, K.dim, rng.randint(1, 3), bound=2 * p))
+    Q = _quotient(K, L)
+    Y = witness.densify(Q.coords, len(L[0]))
+    assert _mod(witness.mat_mul(_basis(K), Y), q) == _mod(L, q)
+    scaled = [[t * y % q for y in row] for t, row in zip(K.t, Y)]
     assert _divisors_below(scaled, p, q) == _divisors_below(L, p, q)
     if all(t == 1 for t in K.t):
         assert [d for d in Q.divisors if d < q] == _divisors_below(L, p, q)
@@ -386,21 +419,21 @@ def test_mod_prime_power_snf_on_shapes_the_oracle_never_builds():
         assert _mod(witness.mat_mul(witness.mat_mul(U, M), V), q) == D
         assert _mod(witness.mat_mul(V, Vinv), q) == eye(cols)
         assert _mod(witness.mat_mul(Vinv, V), q) == eye(cols)
-        full = dict(zip(("U", "V", "Vinv"), smith_mod_prime_power(M, p, q)[1:]))
+        full = dict(zip(("U", "V", "Vinv"), _smith(M, p, q)[1:]))
         for transforms in ((), ("U",), ("V",), ("Vinv",), ("U", "V"), ("U", "Vinv"), ("V", "Vinv")):
-            reduced = smith_mod_prime_power(M, p, q, transforms)
+            reduced = _smith(M, p, q, transforms)
             assert reduced[0] == divisors
             for name, got in zip(("U", "V", "Vinv"), reduced[1:]):
                 assert got == (full[name] if name in transforms else None)
 
-        K, W = kernel_mod(M, p, q), witness.kernel_mod(M, q)
-        xs = columns(W.basis) + [_random_matrix(rng, 1, cols, bound=q)[0] for _ in range(3)]
+        K, W = _kernel(M, p, q), witness.kernel_mod(M, q)
+        xs = witness.columns(W.basis) + [_random_matrix(rng, 1, cols, bound=q)[0] for _ in range(3)]
         for x in xs:
             in_kernel = all(v % q == 0 for v in witness.mat_vec(M, x))
-            y = K.solve(x)
+            y = _solve(K, x)
             assert (y is not None) == (W.solve(x) is not None) == in_kernel
             if in_kernel:
-                assert [v % q for v in witness.mat_vec(K.basis, y)] == [v % q for v in x]
+                assert [v % q for v in witness.mat_vec(_basis(K), y)] == [v % q for v in x]
     assert all(seen.values()), seen
 
 
@@ -445,8 +478,8 @@ def _check_engine(p, N, M, rng):
     names = ("U", "V", "Vinv")
     for k in range(len(names) + 1):
         for transforms in itertools.combinations(names, k):
-            assert smith_mod_prime_power(M, p, q, transforms)[0] == divisors
-    K = kernel_mod(M, p, q)
+            assert _smith(M, p, q, transforms)[0] == divisors
+    K = _kernel(M, p, q)
     t_all = [q // d for d in divisors[:cols]] + [1] * (cols - rows)
     dropped = [j for j, t in enumerate(t_all) if t == q]
     if not dropped:
@@ -455,11 +488,11 @@ def _check_engine(p, N, M, rng):
     y[rng.choice(dropped)] = rng.choice([u for u in range(1, q) if u % p])
     x = [v % q for v in witness.mat_vec(V, y)]
     assert any(v % q for v in witness.mat_vec(M, x))
-    assert K.solve(x) is None
+    assert _solve(K, x) is None
     y = [q if v and t == q else v for v, t in zip(y, t_all)]
     x = witness.mat_vec(V, y)
     assert all(v % q == 0 for v in witness.mat_vec(M, x))
-    assert K.solve(x) is not None
+    assert _solve(K, x) is not None
     return True
 
 
@@ -480,9 +513,9 @@ def test_engine_on_fiber_shaped_matrices():
         M = _fiber_shaped(rng, p, N, n, kind)
         dropped += _check_engine(p, N, M, rng)
         seen[kind] += 1
-        K = kernel_mod(M, p, p**N)
+        K = _kernel(M, p, p**N)
         if K.dim:
-            L = witness.mat_mul(K.basis, _random_matrix(rng, K.dim, n, bound=2 * p))
-            _check_engine(p, N, quotient(K, L).coords, rng)
+            L = witness.mat_mul(_basis(K), _random_matrix(rng, K.dim, n, bound=2 * p))
+            _check_engine(p, N, witness.densify(_quotient(K, L).coords, n), rng)
             quotients += 1
     assert all(seen.values()) and dropped and quotients, (seen, dropped, quotients)
