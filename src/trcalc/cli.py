@@ -12,22 +12,14 @@ from __future__ import annotations
 
 import argparse
 import sys
-from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .drw import Orbit, TruncationParams
 from .oracle import OracleError, verify_orbit
 from .padic import Prime
-from .prosystem import (
-    MLViolationError,
-    image_exponents,
-    nontrivial_towers,
-    stabilized_images,
-    tr_groups,
-    transition_valuations,
-)
+from .prosystem import MLViolationError, ml_rows, nontrivial_towers, tr_groups, transition_rows
 from .report import Report, emit_report, format_alpha
-from .syntomic import AlphaBounds, enumerate_orbits, level_summand, orbit_summands
+from .syntomic import AlphaBounds, enumerate_orbits
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -183,43 +175,26 @@ def _run_kgroups(spec: JobSpec, report: Report) -> int:
 
 
 def _run_transition(spec: JobSpec, report: Report) -> int:
-    levels = spec.levels()
-    e = levels[0]
-    sources = [f for f in levels[1:] if f % spec.p]
-    for sm in enumerate_orbits(TruncationParams(spec.p, e, spec.i), spec.bounds):
-        # h_e >= 1 forces s_e >= 1 and e not dividing m, so vals is never None
-        h_e = sm.module.h
-        sms_f = orbit_summands(spec.p, spec.i, sm.orbit, sources)
-        hs_f = [sm_f.module.h for sm_f in sms_f]
-        vals = transition_valuations(spec.p, e, sm, sources, sms_f)
-        for f, h_f, v, image in zip(sources, hs_f, vals, image_exponents(h_e, hs_f, vals)):
-            report.add_orbit(
-                **_orbit_columns(sm.orbit, spec.p),
-                s=sm.s,
-                h=h_e,
-                f=f,
-                h_f=h_f,
-                valuation=v,
-                image=image,
-            )
+    """One row per source level for each orbit nontrivial at the target,
+    as `prosystem.transition_rows` reads them."""
+    for sm, f, h_f, v, image in transition_rows(spec.p, spec.i, spec.bounds, spec.levels()):
+        report.add_orbit(
+            **_orbit_columns(sm.orbit, spec.p),
+            s=sm.s,
+            h=sm.module.h,
+            f=f,
+            h_f=h_f,
+            valuation=v,
+            image=image,
+        )
     return EXIT_OK
 
 
 def _run_ml_check(spec: JobSpec, report: Report) -> int:
-    """One row per tower level, with the exact stable image and ML index.
-
-    On a certified level the sweep has read them.  On any other with h > 0
-    they lie past the probe: images into a level are constant from its
-    bound on, so the stable image is the one at `ml_bound`, and when the
-    probe has not reached it the ML index is the least source whose image
-    has, found by bisection over the integers past the probe, each read at
-    the next level prime to p.  The bisection is sound because each term
-    of `transition_valuations` is nondecreasing in the source f, so images
-    only shrink as the source grows.  Each past-probe image reads the
-    target's summand from the tower and the source's from `level_summand`,
-    and goes through `transition_valuations` and `image_exponents`, the
-    sweep's own rule, so an ill-defined map raises there too.
-    """
+    """One row per level of each nontrivial tower, with the exact stable
+    image and ML index that `prosystem.ml_rows` reads; a tower whose images
+    change past a certified bound prints the violation instead of its rows,
+    and the job exits 2."""
     p, i = spec.p, spec.i
     levels = [e for e in spec.levels() if e % p]
     probe = levels[-1]
@@ -227,33 +202,19 @@ def _run_ml_check(spec: JobSpec, report: Report) -> int:
     status = EXIT_OK
     for tower in towers:
         try:
-            stab = stabilized_images(tower, probe)
+            rows = ml_rows(tower, probe)
         except MLViolationError as exc:
             report.certificates.append({**_orbit_columns(tower.orbit, spec.p), "ml_violation": str(exc)})
             status = EXIT_MISMATCH
             continue
-        for rec, sm_e in zip(stab.per_level, tower.summands):
-            image, ml_index = rec.stabilized, rec.ml_index
-            if rec.h and not rec.certified:
-
-                def image_at(f: int) -> int:
-                    sm_f = level_summand(p, f, i, tower.orbit)
-                    vals = transition_valuations(p, rec.level, sm_e, (f,), (sm_f,))
-                    return image_exponents(rec.h, (sm_f.module.h,), vals)[0]
-
-                exact = image_at(rec.ml_bound)
-                if exact != image:
-                    # least integer past the probe whose next level maps onto the stable image
-                    past = range(probe + 1, rec.ml_bound)
-                    lo = past.start + bisect_left(past, exact, key=lambda f: image_at(f + (f % p == 0)))
-                    image, ml_index = exact, lo + (lo % p == 0)
+        for rec in rows:
             report.add_orbit(
                 **_orbit_columns(tower.orbit, p),
                 e=rec.level,
                 h=rec.h,
                 ml_bound=rec.ml_bound,
-                stabilized_image=image,
-                ml_index=ml_index,
+                stabilized_image=rec.stabilized,
+                ml_index=rec.ml_index,
                 certified=rec.certified,
             )
     report.certificates.append(

@@ -7,38 +7,21 @@ by size, with one map tr_fe for every pair f >= e.  All group data is the
 symbolic exponent h of W(k)/p^h; transition maps are recorded by their
 p-valuation only, the unit factor being irrelevant to images and limits.
 
-A tower's summands come from one walk over its levels
-(`syntomic.orbit_summands`); `Tower.p` is a `padic.Prime`, checked once
-per tower, and `nontrivial_towers` builds a window's towers with one walk
-per orbit that `syntomic.nontrivial_orbits` lists.  `stabilized_images`
-reads every source from the tower: its levels must be every level coprime
-to p from its least one up to the probe, and sources start at level 2.
-Valuations are computed one target level at a time
-(`transition_valuations`): the target's terms are read once and each
-source adds its own, with v_p of factorials taken by Legendre's formula;
-`tr_valuation` is its one-source case.  The sweep passes p, the levels,
-the weight and m as plain ints, checked once per tower, and builds no
-`TruncationParams`.  Its per-level output is one light, tuple-backed
-`LevelStabilization`, and a trivial level (h = 0) takes a short path that
-computes nothing per source.  The summand cache, keyed on plain ints and
-the orbit (`syntomic.level_summand`), serves the pair queries of
-`tr_valuation` and of `ml-check` past the probe; neither builds a
-`TruncationParams`.
-
-The image of a map is read by one rule, `image_exponents`, which also
-rejects a map that is not well defined; the sweep, `transition` and
-`ml-check` all read images through it.
+Towers take p, the levels, the weight and m as plain ints, checked once
+per tower (`Tower.p` is a `padic.Prime`), and build no `TruncationParams`.
+`stabilized_images` sweeps a tower's sources up to a probe.  `ml_rows` and
+`transition_rows` are the rows `ml-check` and `transition` print; every
+image they and the sweep read goes through one rule, `image_exponents`.
 
 A tower's inverse limit is not read off a probe: `orbit_limit` decides it
-from the orbit and the weight alone, by three proven cases, and
-`tr_groups` calls it once per orbit of its window, which it lists with
-`nontrivial_orbits`, building no tower and sweeping nothing.
+from the orbit and the weight alone, by three proven cases.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .drw import TruncationParams
 from .padic import Prime, ceil_div, vp_factorial
@@ -46,6 +29,7 @@ from .syntomic import (
     AlphaBounds,
     Orbit,
     SyntomicSummand,
+    enumerate_orbits,
     h1_syntomic_orbit,
     level_summand,
     nontrivial_orbits,
@@ -59,9 +43,7 @@ class MLViolationError(Exception):
 
 
 class ClassificationRefusedError(Exception):
-    """Once raised when a probe was too short to classify a limit.  Nothing
-    raises it any more: `orbit_limit` decides every limit from the orbit.
-    It stays defined for callers that still catch it."""
+    """Never raised, since `orbit_limit` decides every limit; `bench/workloads.py` catches it."""
 
 
 def transition_valuations(
@@ -124,7 +106,7 @@ def image_exponents(h_e: int, hs_f: Sequence[int], vals: Sequence[int]) -> list[
     with hs_f and vals paired by source: the subgroup p^min(v, h_e) Z/p^h_e,
     read as its exponent min(v, h_e).  Rejects a map that is not well
     defined (v + h_f < h_e) with ValueError.  The one image rule: the
-    sweep, `transition` and `ml-check` call it."""
+    sweep, `ml_rows` and `transition_rows` call it."""
     images = []
     for h_f, v in zip(hs_f, vals):
         if v + h_f < h_e:
@@ -213,10 +195,11 @@ def nontrivial_towers(p: int, weight: int, bounds: AlphaBounds, levels: list[int
 
 
 class LevelStabilization(NamedTuple):
-    """Image data at one target level: the probed image exponents, the
-    last of them, where they became constant, and whether the theoretical
-    bound was inside the probe window.  On a certified level the last
-    image is the exact stable one; on any other it is the probe's.
+    """Image data at one target level: the image exponent, the source from
+    which images are constant, and whether the theoretical bound was inside
+    the probe window.  From the sweep, the image is the one at the last
+    probed source, exact on a certified level; from `ml_rows`, it is exact
+    on every level.
 
     A tuple-backed, immutable record: the sweep builds one per level.
     """
@@ -224,11 +207,9 @@ class LevelStabilization(NamedTuple):
     level: int
     h: int
     ml_bound: int
-    images: tuple[int, ...]  # image exponent per probed source level
-    sources: tuple[int, ...]
-    stabilized: int          # image exponent at the last probed source
-    ml_index: int            # first probed source from which images are constant
-    certified: bool          # probe reached ml_bound
+    stabilized: int  # image exponent
+    ml_index: int    # first source from which images are constant
+    certified: bool  # probe reached ml_bound
 
     @property
     def image_order_exponent(self) -> int:
@@ -280,7 +261,7 @@ def stabilized_images(tower: Tower, probe: int) -> StabilizedTower:
         if h == 0:
             # zero maps: every image is trivial, so the trailing run is all n of them
             ml_index = sources[0] if n else e
-            out.append(LevelStabilization(e, 0, bound, (0,) * n, sources, 0, ml_index, certified))
+            out.append(LevelStabilization(e, 0, bound, 0, ml_index, certified))
             continue
         images = image_exponents(h, hs[first:], transition_valuations(p, e, sm_e, sources, summands[first:]))
         stabilized = images[-1] if n else h
@@ -293,8 +274,64 @@ def stabilized_images(tower: Tower, probe: int) -> StabilizedTower:
         if certified and run > 0 and sources[run - 1] >= bound:
             witness = next(f for f, img in zip(sources, images) if f >= bound and img != stabilized)
             raise MLViolationError(f"images changed past the bound at level e={e}: witness f={witness}")
-        out.append(LevelStabilization(e, h, bound, tuple(images), sources, stabilized, ml_index, certified))
+        out.append(LevelStabilization(e, h, bound, stabilized, ml_index, certified))
     return StabilizedTower(tower, tuple(out))
+
+
+def ml_rows(tower: Tower, probe: int) -> tuple[LevelStabilization, ...]:
+    """One record per level of the tower with the exact stable image and
+    ML index, read from the sweep (`stabilized_images`), which raises
+    MLViolationError on a certified level whose images change past its
+    bound.
+
+    On a certified level the sweep's record is exact.  On any other with
+    h > 0 both may lie past the probe.  Images into a level are constant
+    from its bound on, so the stable image is the one at `ml_bound`; when
+    it differs from the probe's, the ML index is the least source whose
+    image has reached it, found by bisection over the integers past the
+    probe, each read at the next level prime to p.  The bisection is sound
+    because each term of `transition_valuations` is nondecreasing in the
+    source f, so images only shrink as the source grows, and the sources
+    with the stable image are exactly those from the ML index on.  Each
+    past-probe image reads the target's summand from the tower and the
+    source's from `level_summand`, and goes through `transition_valuations`
+    and `image_exponents`, the sweep's own rule, so an ill-defined map
+    raises ValueError there too.
+    """
+    p, i, orbit = tower.p, tower.weight, tower.orbit
+    out = []
+    for rec, sm_e in zip(stabilized_images(tower, probe).per_level, tower.summands):
+        if rec.h and not rec.certified:
+
+            def image_at(f: int) -> int:
+                sm_f = level_summand(p, f, i, orbit)
+                vals = transition_valuations(p, rec.level, sm_e, (f,), (sm_f,))
+                return image_exponents(rec.h, (sm_f.module.h,), vals)[0]
+
+            exact = image_at(rec.ml_bound)
+            if exact != rec.stabilized:
+                # least integer past the probe whose next level maps onto the stable image
+                past = range(probe + 1, rec.ml_bound)
+                lo = past.start + bisect_left(past, exact, key=lambda f: image_at(f + (f % p == 0)))
+                rec = rec._replace(stabilized=exact, ml_index=lo + (lo % p == 0))
+        out.append(rec)
+    return tuple(out)
+
+
+def transition_rows(p: int, i: int, bounds: AlphaBounds, levels: Sequence[int]) -> Iterator[tuple]:
+    """The maps into the target e = levels[0] from each later level f prime
+    to p, for every orbit of the window nontrivial at e, in (m, alpha)
+    order: one row (summand at e, f, h_f, valuation, image) per source,
+    each orbit's sources read in one walk."""
+    e = levels[0]
+    sources = [f for f in levels[1:] if f % p]
+    for sm in enumerate_orbits(TruncationParams(p, e, i), bounds):
+        # h_e >= 1 forces s_e >= 1 and e not dividing m, so vals is never None
+        sms_f = orbit_summands(p, i, sm.orbit, sources)
+        hs_f = [sm_f.module.h for sm_f in sms_f]
+        vals = transition_valuations(p, e, sm, sources, sms_f)
+        for row in zip(sources, hs_f, vals, image_exponents(sm.module.h, hs_f, vals)):
+            yield (sm, *row)
 
 
 @dataclass(frozen=True)

@@ -6,19 +6,11 @@ orbit is the cyclic module W(k)/brace(p^s m, e), where s is the first
 level at which the divided Frobenius stops being an isomorphism along the
 orbit, the length of the orbit's degree-1 walk.
 
-`orbit_summands` builds one orbit's summands at a list of levels in one
-walk.  `nontrivial_orbits`, the one enumerator, lists the orbits of a
-window with a nontrivial group at some level, reading each candidate's
-levels one at a time from the top and stopping at the first that decides
-it; `enumerate_orbits` is its one-level case.
-`level_summand` is the one-level case of `orbit_summands`, memoized in an
-LRU cache of 256 entries keyed on plain ints and the orbit,
-(p, e, i, orbit), for the pair queries: `prosystem.tr_valuation`, the
-sources `ml-check` reads past its probe, and the (e, f) loops of the
-acceptance gate and the bench.  `h1_syntomic_orbit` reads it from a
-`TruncationParams`.  Keys and summands are frozen, an orbit hashes once
-(`drw.Orbit`), and a rejected orbit raises on every call, since
-exceptions are never cached.
+`orbit_summands` walks one orbit over a list of levels, and its memoized
+one-level case `level_summand` serves the pair queries; `nontrivial_orbits`
+is the one enumerator of a window's orbits.  Cache keys and summands are
+frozen, an orbit hashes once (`drw.Orbit`), and a rejected orbit raises on
+every call, since exceptions are never cached.
 """
 
 from __future__ import annotations
@@ -54,7 +46,7 @@ class AlphaBounds:
 
     def __post_init__(self) -> None:
         if self.slots and (self.num_max < 1 or self.pexp_max < 0):
-            raise ValueError("nonempty slot set needs positive numerator and pexp bounds")
+            raise ValueError("nonempty slot set needs a numerator bound >= 1 and a pexp bound >= 0")
         if not self.slots and (self.num_max or self.pexp_max):
             raise ValueError("alpha bounds need a nonempty slot set")
         if len(set(self.slots)) != len(self.slots):
@@ -103,10 +95,11 @@ SUMMAND_CACHE_SIZE = 256
 def level_summand(p: int, e: int, i: int, orbit: Orbit) -> SyntomicSummand:
     """Degree-1 syntomic cohomology of one orbit at level e in weight i,
     the one-level case of `orbit_summands`, with p, e >= 1 and i >= 0
-    taken as checked.  Cached for `prosystem.tr_valuation`, `ml-check`'s
-    sources past the probe and the (e, f) loops of the acceptance gate and
-    the bench: equal arguments share one frozen summand, and p | m raises
-    on every call."""
+    taken as checked.  Cached, keyed on plain ints and the orbit, for
+    `prosystem.tr_valuation`, the sources `prosystem.ml_rows` reads past
+    the probe and the (e, f) loops of the acceptance gate and the bench:
+    equal arguments share one frozen summand, and p | m raises on every
+    call."""
     return orbit_summands(p, i, orbit, (e,))[0]
 
 

@@ -1,6 +1,7 @@
 """Driver behavior: flag parsing, exit codes, determinism, and the three
 serialization formats."""
 
+import ast
 import hashlib
 import json
 import os
@@ -25,7 +26,7 @@ from trcalc.cli import (
     run_command,
 )
 from trcalc.drw import TruncationParams
-from trcalc.prosystem import ml_bound, nontrivial_towers, transition_valuations
+from trcalc.prosystem import LevelStabilization, ml_bound, ml_rows, nontrivial_towers, transition_valuations
 from trcalc.report import emit_report
 from trcalc.syntomic import AlphaBounds, Orbit, enumerate_alphas, enumerate_orbits, orbit_summands
 
@@ -349,7 +350,7 @@ def _record_walks(monkeypatch) -> list:
     def forbidden(*args):
         raise AssertionError("tower commands must not read summands through TruncationParams")
 
-    for module in (syntomic_module, prosystem_module, cli_module):
+    for module in (syntomic_module, prosystem_module):
         monkeypatch.setattr(module, "orbit_summands", recording)
     for module in (syntomic_module, prosystem_module):
         monkeypatch.setattr(module, "h1_syntomic_orbit", forbidden)
@@ -424,8 +425,7 @@ def test_ml_check_fails_on_an_ill_defined_map_past_the_probe(monkeypatch, capsys
             lowered.append((e, fs[0], vals[0], sms_f[0].module.h, sm_e.module.h))
         return vals
 
-    for module in (prosystem_module, cli_module):
-        monkeypatch.setattr(module, "transition_valuations", lowering)
+    monkeypatch.setattr(prosystem_module, "transition_valuations", lowering)
     args = ["ml-check", "--p", "2", "--i", "2", "--e", "3", "--e-max", "11"]
     code = main(args + ["--slots", "t", "--alpha-num-max", "2", "--alpha-pexp-max", "1"])
     captured = capsys.readouterr()
@@ -435,39 +435,73 @@ def test_ml_check_fails_on_an_ill_defined_map_past_the_probe(monkeypatch, capsys
     assert f"map with v={v} from h={h_f} to h={h_e} is not well defined" in captured.err
 
 
-@pytest.mark.parametrize(
-    "spec,rows,past_probe",
-    [
-        (SLOT_ML_JOB, 75, 33),
-        (JobSpec(command="ml-check", p=3, i=2, e=1, e_max=8, bounds=AlphaBounds(("t",), 2, 1)), 96, 36),
-        (JobSpec(command="ml-check", p=5, i=3, e=2, e_max=7), 40, 27),
-    ],
-)
+def _linear_record(p, i, orbit, e, probe):
+    """Level e's record read linearly: every source from max(e, 2) to
+    ml_bound prime to p in turn, the stable image that of the map from
+    ml_bound, and the ML index the least source with that image."""
+    f0 = ml_bound(TruncationParams(p, e, i), orbit.m)
+    sm_e = orbit_summands(p, i, orbit, [e])[0]
+    h = sm_e.module.h
+    sources = [f for f in range(max(e, 2), f0 + 1) if f % p]
+    images = [0] * len(sources)
+    if h:
+        sms_f = orbit_summands(p, i, orbit, sources)
+        vals = transition_valuations(p, e, sm_e, sources, sms_f)
+        assert all(v + sm_f.module.h >= h for v, sm_f in zip(vals, sms_f))
+        images = [min(v, h) for v in vals]
+    return LevelStabilization(e, h, f0, images[-1], sources[images.index(images[-1])], f0 <= probe)
+
+
+ML_SHAPES = [
+    (SLOT_ML_JOB, 75, 33),
+    (JobSpec(command="ml-check", p=3, i=2, e=1, e_max=8, bounds=AlphaBounds(("t",), 2, 1)), 96, 36),
+    (JobSpec(command="ml-check", p=5, i=3, e=2, e_max=7), 40, 27),
+]
+
+
+@pytest.mark.parametrize("spec,rows,past_probe", ML_SHAPES)
 def test_ml_check_rows_match_a_linear_read_up_to_the_bound(spec, rows, past_probe):
-    # every nontrivial row's stable image is the image of the map from
-    # ml_bound, and its ML index is the least source with that image,
-    # reading every level from max(e, 2) to ml_bound prime to p in turn
+    # every row's stable image is the image of the map from ml_bound, and
+    # its ML index is the least source with that image
     report, code = run_command(spec)
     assert code == EXIT_OK
     p, i, probe = spec.p, spec.i, spec.e_max
     levels = [e for e in spec.levels() if e % p]
     cells = [(tower.orbit, e) for tower in nontrivial_towers(p, i, spec.bounds, levels) for e in levels]
     assert [(row["m"], row["e"]) for row in report.orbits] == [(orbit.m, e) for orbit, e in cells]
-    nontrivial = []
-    for row, (orbit, e) in zip(report.orbits, cells):
-        h = row["h"]
-        if not h:
-            continue
-        f0 = ml_bound(TruncationParams(p, e, i), orbit.m)
-        sources = [f for f in range(max(e, 2), f0 + 1) if f % p]
-        sms_f = orbit_summands(p, i, orbit, sources)
-        vals = transition_valuations(p, e, orbit_summands(p, i, orbit, [e])[0], sources, sms_f)
-        assert all(v + sm_f.module.h >= h for v, sm_f in zip(vals, sms_f))
-        images = [min(v, h) for v in vals]
-        assert (row["ml_bound"], row["stabilized_image"]) == (f0, images[-1])
-        assert row["ml_index"] == sources[images.index(images[-1])]
-        nontrivial.append(row)
+    columns = ("e", "h", "ml_bound", "stabilized_image", "ml_index", "certified")
+    expected = [_linear_record(p, i, orbit, e, probe) for orbit, e in cells]
+    assert [tuple(row[c] for c in columns) for row in report.orbits] == expected
+    nontrivial = [row for row in report.orbits if row["h"]]
     assert (len(nontrivial), sum(row["ml_index"] > probe for row in nontrivial)) == (rows, past_probe)
+
+
+@pytest.mark.parametrize("spec,rows,past_probe", ML_SHAPES)
+def test_ml_rows_match_a_linear_read_up_to_the_bound(spec, rows, past_probe):
+    # the reader the CLI formats, called directly on each tower
+    p, i, probe = spec.p, spec.i, spec.e_max
+    levels = [e for e in spec.levels() if e % p]
+    records = []
+    for tower in nontrivial_towers(p, i, spec.bounds, levels):
+        got = ml_rows(tower, probe)
+        assert got == tuple(_linear_record(p, i, tower.orbit, e, probe) for e in levels)
+        records += got
+    nontrivial = [rec for rec in records if rec.h]
+    assert (len(nontrivial), sum(rec.ml_index > probe for rec in nontrivial)) == (rows, past_probe)
+
+
+def test_cli_imports_only_the_readers_it_formats():
+    # the tower arithmetic lives in prosystem: the CLI imports no bisect,
+    # and from prosystem and syntomic only what it formats or validates
+    imported = {}
+    for node in ast.walk(ast.parse(Path(cli_module.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            imported.setdefault(node.module, set()).update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update((alias.name, set()) for alias in node.names)
+    assert not {"bisect", "trcalc"} & {name.split(".")[0] for name in imported}
+    assert imported["prosystem"] == {"MLViolationError", "ml_rows", "nontrivial_towers", "tr_groups", "transition_rows"}
+    assert imported["syntomic"] == {"AlphaBounds", "enumerate_orbits"}
 
 
 def test_transition_walks_each_orbit_once_per_role(monkeypatch):

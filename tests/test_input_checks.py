@@ -1,11 +1,13 @@
 """Input checks: every rejection of a bad job, parameter or value, and the
 two exit-2 paths of the driver, each reached directly."""
 
+import json
+
 import pytest
 
 import trcalc.oracle as oracle_module
 import trcalc.prosystem as prosystem_module
-from trcalc.cli import EXIT_MISMATCH, JobSpec, ValidationError, run_command
+from trcalc.cli import EXIT_MISMATCH, EXIT_OK, EXIT_VALIDATION, JobSpec, ValidationError, main, run_command
 from trcalc.drw import CyclicWittModule, TruncationParams, degree1_walks
 from trcalc.oracle import OrbitTruncation, TransitionOracle
 from trcalc.padic import MultiIndex, PAdicFraction, brace
@@ -32,6 +34,25 @@ HALF = PAdicFraction.make(1, 1, 2)
 def test_run_command_rejects_a_bad_job(spec, message):
     with pytest.raises(ValidationError, match=message):
         run_command(spec)
+
+
+SLOT_JOB = ["syntomic", "--p", "2", "--i", "2", "--e", "3", "--slots", "t"]
+
+
+@pytest.mark.parametrize("num,pexp", [(0, 0), (0, 1), (1, -1), (2, -1)])
+def test_slot_window_bounds_exit_1_with_the_rule_they_break(num, pexp, capsys):
+    code = main(SLOT_JOB + ["--alpha-num-max", str(num), "--alpha-pexp-max", str(pexp)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (EXIT_VALIDATION, "")
+    assert captured.err == "trcalc: error: nonempty slot set needs a numerator bound >= 1 and a pexp bound >= 0\n"
+
+
+def test_slot_window_accepts_pexp_bound_0(capsys):
+    # pexp 0 keeps the integer numerators: alpha = t^1 is enumerated
+    code = main(SLOT_JOB + ["--alpha-num-max", "1", "--alpha-pexp-max", "0", "--format", "json"])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (EXIT_OK, "")
+    assert [row["alpha"] for row in json.loads(captured.out)["orbits"]] == [{}, {"t": "1/2^0"}, {}]
 
 
 def test_ml_check_reports_a_violation_and_exits_2(monkeypatch):

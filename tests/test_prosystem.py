@@ -70,6 +70,14 @@ def pairwise_images(p, e, sm_e, fs, sms_f):
     return tuple(images)
 
 
+def read_off(sources, images, bound, probe):
+    """(stabilized, ml_index, certified) read off one level's images over
+    its sources up to the probe: the last image, the least source from
+    which the images are constant, and whether the probe reached the bound."""
+    constant_from = min(f for j, f in enumerate(sources) if set(images[j:]) == {images[-1]})
+    return images[-1], constant_from, probe >= bound
+
+
 def bench_alpha_window(p):
     """The empty multi-index and the one-slot window num <= 4, pexp <= 2 of
     acceptance criteria 5 and 6 and the tower-probe workload."""
@@ -355,7 +363,12 @@ def test_image_change_at_the_bound_raises_and_before_it_moves_ml_index(monkeypat
     rec = stabilized_images(tower, 28).per_level[0]
     assert (rec.level, rec.ml_bound, rec.certified, rec.stabilized) == (2, 10, True, 0)
     assert rec.ml_index == 10
-    assert [f for f, img in zip(rec.sources, rec.images) if img] == sorted(drift)
+    # witness: level 2's images under the drift, over every level from 2
+    sources, summands = list(tower.levels), tower.summands
+    vals = drifting(3, 2, summands[0], sources, summands)
+    images = image_exponents(summands[0].module.h, [sm.module.h for sm in summands], vals)
+    assert [f for f, img in zip(sources, images) if img] == sorted(drift)
+    assert (rec.stabilized, rec.ml_index, rec.certified) == read_off(sources, images, 10, 28)
 
 
 def test_ill_defined_map_in_the_sweep_raises_the_image_rule_error(monkeypatch):
@@ -397,7 +410,7 @@ def test_certified_level_reads_its_stable_image_from_a_trailing_run_under_three(
 
     monkeypatch.setattr(prosystem_module, "transition_valuations", drifting)
     rec = stabilized_images(tower, 11).per_level[0]
-    assert (rec.level, rec.ml_bound, rec.ml_index, rec.sources[-2:]) == (2, 10, 10, (10, 11))
+    assert (rec.level, rec.ml_bound, rec.ml_index, tower.levels[-2:]) == (2, 10, 10, (10, 11))
     assert rec.certified and rec.stabilized == 0
 
 
@@ -617,7 +630,9 @@ def test_stabilized_images_walks_each_probed_level_once(monkeypatch):
     stab = stabilized_images(build_tower(3, 2, orbit, levels), 20)
     assert sorted(walked) == levels
     assert len(floors) <= s_max + 1
-    assert [rec.images for rec in stab.per_level] == pairwise
+    bounds = [ml_bound(TruncationParams(3, e, 2), orbit.m) for e in levels]
+    expected = [read_off(levels[k:], images, bound, 20) for k, (images, bound) in enumerate(zip(pairwise, bounds))]
+    assert [(rec.stabilized, rec.ml_index, rec.certified) for rec in stab.per_level] == expected
     # a tower on fewer levels lacks sources, and is rejected rather than
     # completed by another walk
     walked.clear()
@@ -641,10 +656,9 @@ def test_stabilized_images_match_the_pairwise_witness_on_every_probe_tower():
                 for k, rec in enumerate(stab.per_level):
                     sources = tower.levels[k:]
                     images = pairwise_images(p, rec.level, tower.summands[k], sources, tower.summands[k:])
-                    constant_from = min(f for j, f in enumerate(sources) if set(images[j:]) == {images[-1]})
                     bound = ml_bound(TruncationParams(p, rec.level, i), m)
-                    assert (rec.sources, rec.images, rec.stabilized) == (sources, images, images[-1])
-                    assert (rec.ml_index, rec.ml_bound, rec.certified) == (constant_from, bound, bound <= 24)
+                    assert (rec.stabilized, rec.ml_index, rec.certified) == read_off(sources, images, bound, 24)
+                    assert rec.ml_bound == bound
                     assert rec.image_order_exponent == rec.h - images[-1]
                 towers += 1
     assert towers == 1653 + 1521
@@ -698,8 +712,10 @@ def test_sweep_reads_valuations_once_per_nontrivial_level_into_frozen_records(mo
                 assert [rec.level for rec in stab.per_level] == levels
                 for rec in stab.per_level:
                     if rec.h == 0:  # level 1 divides every m, so it is trivial; its sources start at 2
-                        assert (rec.images, rec.stabilized) == ((0,) * len(rec.sources), 0)
-                        assert rec.ml_index == rec.sources[0]
+                        sources = [f for f in levels if f >= max(rec.level, 2)]
+                        bound = ml_bound(TruncationParams(p, rec.level, i), orbit.m)
+                        zeros = (0,) * len(sources)
+                        assert (rec.stabilized, rec.ml_index, rec.certified) == read_off(sources, zeros, bound, 24)
     assert trivial > 0
     rec = stab.per_level[0]
     for field in rec._fields:
@@ -735,9 +751,16 @@ def test_stabilized_images_rejects_an_invalid_orbit(m, match):
 
 
 def test_stabilized_images_sources_start_at_level_2():
-    # level 1 is not its own source; every other level is
+    # level 1 is not its own source, so its ML index is the next level (2
+    # when p = 3); every other level is, and its record reads off the
+    # pairwise images from itself on
     for p in (2, 3):
         levels = [e for e in range(1, 12) if e % p]
-        stab = stabilized_images(build_tower(p, 1, Orbit(1), levels), 11)
-        expected = [tuple(levels[1:])] + [tuple(levels[k:]) for k in range(1, len(levels))]
-        assert [rec.sources for rec in stab.per_level] == expected
+        tower = build_tower(p, 1, Orbit(1), levels)
+        stab = stabilized_images(tower, 11)
+        assert stab.per_level[0].ml_index == levels[1]
+        for k, (rec, sm_e) in enumerate(zip(stab.per_level, tower.summands)):
+            first = max(k, 1)
+            images = pairwise_images(p, rec.level, sm_e, levels[first:], tower.summands[first:])
+            bound = ml_bound(TruncationParams(p, rec.level, 1), 1)
+            assert (rec.stabilized, rec.ml_index, rec.certified) == read_off(levels[first:], images, bound, 11)
