@@ -5,11 +5,13 @@ system over the truncation exponents e coprime to p.  The transition
 maps are multiplication by an explicit p-power; the images into a
 fixed level stop shrinking past a computable bound (the Mittag-Leffler
 condition), and the inverse limit is that of the stable images.  Three
-proven cases read it off the orbit alone (`limit_classify`, which calls
-`orbit_limit`).  This demo prints one tower in full and its limit.
+proven cases read it off the orbit alone (`orbit_limit`).  This demo
+prints one tower in full, the exact stable image into each level
+(`ml_rows`, the rows `trcalc ml-check` prints), and its limit.
 """
 
-from trcalc import Orbit, TruncationParams, build_tower, limit_classify, stabilized_images, tr_valuation
+from trcalc import Orbit, TruncationParams, build_tower, orbit_limit, tr_valuation
+from trcalc.prosystem import ml_rows
 
 p, weight, probe = 3, 1, 28
 orbit = Orbit(1)
@@ -25,16 +27,15 @@ print(
     tuple(tr_valuation(TruncationParams(p, e, weight), f, orbit) for e, f in adjacent),
 )
 
-stab = stabilized_images(tower, probe)
-print("\nstabilized images into each level:")
-for rec in stab.per_level:
+print("\nstable images into each level:")
+for rec in ml_rows(tower, probe):
     tag = "certified" if rec.certified else "bound past the probe"
     print(
         f"  e={rec.level:>2}  h={rec.h}  bound={rec.ml_bound:>3}  "
         f"image order p^{rec.image_order_exponent}  [{tag}]"
     )
 
-verdict = limit_classify(stab)
+verdict = orbit_limit(p, weight, orbit)
 if verdict.kind == "finite":
     print(f"\nlimit: W(k)/{p}^{verdict.h} (lim^1 = 0: {verdict.lim1_zero})")
 else:

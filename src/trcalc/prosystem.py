@@ -11,7 +11,9 @@ Towers take p, the levels, the weight and m as plain ints, checked once
 per tower (`Tower.p` is a `padic.Prime`), and build no `TruncationParams`.
 `stabilized_images` sweeps a tower's sources up to a probe.  `ml_rows` and
 `transition_rows` are the rows `ml-check` and `transition` print; every
-image they and the sweep read goes through one rule, `image_exponents`.
+valuation they and the sweep read is one target term minus one source
+term (`target_term`, `source_term`), and every image goes through one
+rule, `image_exponents`.
 
 A tower's inverse limit is not read off a probe: `orbit_limit` decides it
 from the orbit and the weight alone, by three proven cases.
@@ -46,6 +48,34 @@ class ClassificationRefusedError(Exception):
     """Never raised, since `orbit_limit` decides every limit; `bench/workloads.py` catches it."""
 
 
+def _pinned_weight(p: int, e: int, sm_e: SyntomicSummand) -> int | None:
+    """m1 = p^(s_e - 1) m, the x-weight of the orbit level s_e - 1 at which
+    every map into level e is read, from the target's summand; None in the
+    degenerate case s_e = 0 or e | m, where the target group is trivial
+    and every map is zero."""
+    s_e = sm_e.s
+    if s_e == 0 or sm_e.orbit.m % e == 0:
+        return None
+    return p ** (s_e - 1) * sm_e.orbit.m
+
+
+def target_term(p: int, e: int, m1: int) -> int:
+    """The target's term of every transition valuation into level e:
+    v_p(((m1-1)//e)!) + ceil(m1/e), with m1 = p^(s_e - 1) m."""
+    return vp_factorial((m1 - 1) // e, p) + ceil_div(m1, e)
+
+
+def source_term(p: int, s_e: int, m1: int, f: int, sm_f: SyntomicSummand) -> int:
+    """The term of source f, with summand sm_f, that its transition
+    valuation into a level with stopping level s_e subtracts from the
+    target's term: v_p(((m1-1)//f)!) + ceil(m1/f) - c, with
+    m1 = p^(s_e - 1) m and c the source generator's scaling at level
+    s_e - 1 (s_f >= s_e), the sum of the level-f degree-1 exponents over
+    j in [s_e, s_f).  It reads the target only through s_e, so along one
+    tower it is the same for every target level with the same s_e."""
+    return vp_factorial((m1 - 1) // f, p) + ceil_div(m1, f) - sm_f.generator_exponents[sm_f.s - s_e]
+
+
 def transition_valuations(
     p: int, e: int, sm_e: SyntomicSummand, fs: Sequence[int], sms_f: Sequence[SyntomicSummand]
 ) -> list[int] | None:
@@ -64,41 +94,47 @@ def transition_valuations(
     source generator's scaling at level s_e - 1 (s_f >= s_e), the sum of
     the level-f degree-1 exponents over j in [s_e, s_f).  Starting that sum
     one step earlier would double count the j = s_e - 1 term, as the
-    brute-force oracle confirms.  The target's terms, m1, ceil(m1/e) and
-    v_p(((m1-1)//e)!), are read once; each source adds its own by
-    Legendre's formula (`vp_factorial`), without forming the ratio.
+    brute-force oracle confirms.  Each valuation is the target's term
+    (`target_term`) minus the source's (`source_term`), both by Legendre's
+    formula (`vp_factorial`), without forming the ratio.  A source's term
+    reads the target only through s_e, so the sweep (`stabilized_images`)
+    computes it once per block of target levels sharing s_e instead of
+    calling this per level, and `tr_valuation` reads its one pair from the
+    two terms.
     """
     if len(fs) != len(sms_f):
         raise ValueError(f"{len(fs)} sources but {len(sms_f)} summands")
-    m, s_e = sm_e.orbit.m, sm_e.s
-    if s_e == 0 or m % e == 0:
+    m1 = _pinned_weight(p, e, sm_e)
+    if m1 is None:
         return None
-    m1 = p ** (s_e - 1) * m
-    base = vp_factorial((m1 - 1) // e, p) + ceil_div(m1, e)
+    s_e = sm_e.s
+    base = target_term(p, e, m1)
     out = []
     for f, sm_f in zip(fs, sms_f):
         if f < e:
             raise ValueError(f"need f >= e, got e={e}, f={f}")
-        out.append(base - vp_factorial((m1 - 1) // f, p) - ceil_div(m1, f) + sm_f.generator_exponents[sm_f.s - s_e])
+        out.append(base - source_term(p, s_e, m1, f, sm_f))
     return out
 
 
 def tr_valuation(params: TruncationParams, f: int, orbit: Orbit) -> int | None:
     """Transition valuation from truncation f down to e = params.e on one
     orbit, in weight i = params.i: the one-source case of
-    `transition_valuations`, reading both levels' summands from the
-    summand cache, the target's through `h1_syntomic_orbit(params, orbit)`
-    and the source's by plain ints (`level_summand`), so no
-    `TruncationParams` is built.  None when the target group is trivial."""
+    `transition_valuations`, read straight from the target's and the
+    source's terms.  Both levels' summands come from the summand cache, the
+    target's through `h1_syntomic_orbit(params, orbit)` and the source's by
+    plain ints (`level_summand`), so no `TruncationParams` is built.  None
+    when the target group is trivial."""
     p, e, i = params.p, params.e, params.i
     if f < e:
         raise ValueError("need f >= e")
     if e % p == 0 or f % p == 0:
         raise ValueError("levels must be coprime to p")
     sm_e = h1_syntomic_orbit(params, orbit)
-    sm_f = level_summand(p, f, i, orbit)
-    vs = transition_valuations(p, e, sm_e, (f,), (sm_f,))
-    return None if vs is None else vs[0]
+    m1 = _pinned_weight(p, e, sm_e)
+    if m1 is None:
+        return None
+    return target_term(p, e, m1) - source_term(p, sm_e.s, m1, f, level_summand(p, f, i, orbit))
 
 
 def image_exponents(h_e: int, hs_f: Sequence[int], vals: Sequence[int]) -> list[int]:
@@ -236,14 +272,20 @@ def stabilized_images(tower: Tower, probe: int) -> StabilizedTower:
     MLViolationError (with the witness pair), since stabilization there is
     a theorem.
 
-    The tower's group exponents h are read once into a list.  Per target
-    level e, what does not depend on the source f is read once: h_e and
-    the bound (`_ml_bounds` on plain ints, one pass over the levels).  A
-    trivial level, h_e = 0 (which covers the degenerate case s_e = 0 or
+    The tower's group exponents h are read once into a list, and each
+    level's bound by `_ml_bounds` on plain ints, one pass over the levels.
+    A trivial level, h_e = 0 (which covers the degenerate case s_e = 0 or
     e | m), has zero maps and all images trivial: it takes a short path
-    that builds nothing per source.  Every other level makes one
-    `transition_valuations` call over all its sources and one
-    `image_exponents` call, which rejects a map that is not well defined.
+    that builds nothing per source.  Every other level reads its
+    valuations as its `target_term` minus each source's `source_term`.
+    A source's term depends on the target only through s_e, and s_e never
+    falls along a tower, so the levels that share one s_e form a
+    contiguous block: the sweep computes the source terms once per block,
+    over the sources of its first nontrivial level, and each later level
+    of the block reads the suffix of that list from its own level on.  So
+    a pair costs one subtraction.  Each level's valuations then go through
+    one `image_exponents` call, which rejects a map that is not well
+    defined.
     """
     p, i, m = tower.p, tower.weight, tower.orbit.m
     levels, summands = tower.levels, tower.summands
@@ -253,6 +295,7 @@ def stabilized_images(tower: Tower, probe: int) -> StabilizedTower:
     hs = [sm.module.h for sm in summands]
     bounds = _ml_bounds(p, i, m, levels)
     out = []
+    s_block = 0  # the s_e whose source terms `terms` holds; no nontrivial level has s_e = 0
     for k, (e, sm_e, h, bound) in enumerate(zip(levels, summands, hs, bounds)):
         first = k + 1 if e == 1 else k  # sources start at level 2
         sources = levels[first:]
@@ -263,7 +306,12 @@ def stabilized_images(tower: Tower, probe: int) -> StabilizedTower:
             ml_index = sources[0] if n else e
             out.append(LevelStabilization(e, 0, bound, 0, ml_index, certified))
             continue
-        images = image_exponents(h, hs[first:], transition_valuations(p, e, sm_e, sources, summands[first:]))
+        if sm_e.s != s_block:
+            s_block, block_first = sm_e.s, first
+            m1 = _pinned_weight(p, e, sm_e)  # not None, as h > 0
+            terms = [source_term(p, s_block, m1, f, sm_f) for f, sm_f in zip(sources, summands[first:])]
+        base = target_term(p, e, m1)
+        images = image_exponents(h, hs[first:], [base - t for t in terms[first - block_first :]])
         stabilized = images[-1] if n else h
         run = n - 1
         while run > 0 and images[run - 1] == stabilized:
@@ -294,9 +342,10 @@ def ml_rows(tower: Tower, probe: int) -> tuple[LevelStabilization, ...]:
     source f, so images only shrink as the source grows, and the sources
     with the stable image are exactly those from the ML index on.  Each
     past-probe image reads the target's summand from the tower and the
-    source's from `level_summand`, and goes through `transition_valuations`
-    and `image_exponents`, the sweep's own rule, so an ill-defined map
-    raises ValueError there too.
+    source's from `level_summand`, and goes through `transition_valuations`,
+    whose terms are the sweep's own (`target_term`, `source_term`), and
+    `image_exponents`, the sweep's image rule, so an ill-defined map raises
+    ValueError there too.
     """
     p, i, orbit = tower.p, tower.weight, tower.orbit
     out = []

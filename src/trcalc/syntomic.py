@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .drw import CyclicWittModule, Orbit, TruncationParams, degree1_walk, degree1_walks
-from .padic import MultiIndex, PAdicFraction, brace, vp
+from .padic import MultiIndex, PAdicFraction, vp
 
 
 @dataclass(frozen=True)
@@ -69,14 +69,17 @@ def orbit_summands(p: int, i: int, orbit: Orbit, levels: Sequence[int]) -> list[
     the levels' walks share one table of alpha floors (`degree1_walks`).
     Along one orbit a summand is a function of the walk and h alone, so
     consecutive levels with the same walk and the same h share one frozen
-    summand."""
+    summand.  h is read off s: as p does not divide m, v_p(brace(p^s m, e))
+    is s when e does not divide p^s m and v_p(e) when it does, which is
+    nonzero at the levels divisible by p that `syntomic` and `kgroups`
+    read."""
     orbit.validate(p)
     m = orbit.m
     out: list[SyntomicSummand] = []
     last_walk = None
     for e, walk in zip(levels, degree1_walks(p, i, m, orbit.alpha, levels)):
         s = len(walk)
-        h = vp(brace(p**s * m, e), p)
+        h = s if (p**s * m) % e else vp(e, p)
         if walk != last_walk or h != out[-1].module.h:
             gens = tuple(itertools.accumulate(reversed(walk[1:]), initial=0)) if walk else ()
             last_walk = walk

@@ -17,7 +17,6 @@ import trcalc.prosystem as prosystem_module
 import trcalc.syntomic as syntomic_module
 from test_golden import GOLDEN
 from trcalc.cli import (
-    EXIT_MISMATCH,
     EXIT_OK,
     EXIT_VALIDATION,
     JobSpec,

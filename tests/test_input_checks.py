@@ -57,14 +57,15 @@ def test_slot_window_accepts_pexp_bound_0(capsys):
 
 def test_ml_check_reports_a_violation_and_exits_2(monkeypatch):
     # p=3, weight 1, orbit m=1: level 2 has bound 10 inside the probe, so a
-    # valuation that grows at f=13 changes an image past the bound
-    real = prosystem_module.transition_valuations
+    # valuation that grows at f=13 changes an image past the bound.  Level
+    # 2 is the one level of orbit m=1 with s_e = 1 (where m1 = m), so
+    # lowering that block's term of source 13 raises the map (2, 13) alone
+    real = prosystem_module.source_term
 
-    def drifting(p, e, sm_e, fs, sms_f):
-        vals = real(p, e, sm_e, fs, sms_f)
-        return None if vals is None else [v + ((e, f) == (2, 13)) for f, v in zip(fs, vals)]
+    def drifting(p, s_e, m1, f, sm_f):
+        return real(p, s_e, m1, f, sm_f) - ((s_e, m1, f) == (1, 1, 13))
 
-    monkeypatch.setattr(prosystem_module, "transition_valuations", drifting)
+    monkeypatch.setattr(prosystem_module, "source_term", drifting)
     report, code = run_command(JobSpec(command="ml-check", p=3, i=1, e=2, e_max=28))
     assert code == EXIT_MISMATCH
     violations = [cert for cert in report.certificates if "ml_violation" in cert]

@@ -31,7 +31,6 @@ from trcalc.prosystem import (
 from trcalc.syntomic import (
     AlphaBounds,
     Orbit,
-    enumerate_alphas,
     enumerate_orbits,
     h1_syntomic_orbit,
     level_summand,
@@ -326,19 +325,24 @@ def test_stabilization_before_bound_when_certifiable():
     assert any(rec.certified for rec in stab.per_level)
 
 
+def drift_level_2(monkeypatch, tower, drift):
+    """Raise the valuation of each map into level 2 from a source in drift
+    by 1, through the seam the sweep reads: the sources' terms of level 2's
+    block, which on the p=3, weight 1, m=1 tower holds level 2 alone."""
+    assert [sm.s for sm in tower.summands[:2]] == [1, 2] and tower.levels[0] == 2
+    real = prosystem_module.source_term
+
+    def drifting(p, s_e, m1, f, sm_f):
+        return real(p, s_e, m1, f, sm_f) - (s_e == 1 and f in drift)
+
+    monkeypatch.setattr(prosystem_module, "source_term", drifting)
+
+
 def test_image_change_past_the_bound_raises_with_its_witness(monkeypatch):
     # p=3, weight 1, orbit m=1: level 2 has bound 10 inside the probe and
-    # images 0; a valuation that grows at f=13 changes an image past it.
-    # The sweep reads one target level's valuations per call, so the drift
-    # is injected there
+    # images 0; a valuation that grows at f=13 changes an image past it
     tower = build_tower(3, 1, Orbit(1), [e for e in range(2, 29) if e % 3])
-    real = prosystem_module.transition_valuations
-
-    def drifting(p, e, sm_e, fs, sms_f):
-        vals = real(p, e, sm_e, fs, sms_f)
-        return None if vals is None else [v + ((e, f) == (2, 13)) for f, v in zip(fs, vals)]
-
-    monkeypatch.setattr(prosystem_module, "transition_valuations", drifting)
+    drift_level_2(monkeypatch, tower, {13})
     with pytest.raises(MLViolationError, match="level e=2: witness f=13"):
         stabilized_images(tower, 28)
 
@@ -349,13 +353,7 @@ def test_image_change_at_the_bound_raises_and_before_it_moves_ml_index(monkeypat
     # bound itself is a violation whose witness is the least changed source
     # at or past it, and a change before the bound only moves the ml_index
     tower = build_tower(3, 1, Orbit(1), [e for e in range(2, 29) if e % 3])
-    real = prosystem_module.transition_valuations
-
-    def drifting(p, e, sm_e, fs, sms_f):
-        vals = real(p, e, sm_e, fs, sms_f)
-        return None if vals is None else [v + (e == 2 and f in drift) for f, v in zip(fs, vals)]
-
-    monkeypatch.setattr(prosystem_module, "transition_valuations", drifting)
+    drift_level_2(monkeypatch, tower, drift)
     if witness is not None:
         with pytest.raises(MLViolationError, match=f"level e=2: witness f={witness}$"):
             stabilized_images(tower, 28)
@@ -363,9 +361,10 @@ def test_image_change_at_the_bound_raises_and_before_it_moves_ml_index(monkeypat
     rec = stabilized_images(tower, 28).per_level[0]
     assert (rec.level, rec.ml_bound, rec.certified, rec.stabilized) == (2, 10, True, 0)
     assert rec.ml_index == 10
-    # witness: level 2's images under the drift, over every level from 2
+    # witness: level 2's images under the drift, over every level from 2,
+    # read through `transition_valuations`, which shares the drifted seam
     sources, summands = list(tower.levels), tower.summands
-    vals = drifting(3, 2, summands[0], sources, summands)
+    vals = prosystem_module.transition_valuations(3, 2, summands[0], sources, summands)
     images = image_exponents(summands[0].module.h, [sm.module.h for sm in summands], vals)
     assert [f for f, img in zip(sources, images) if img] == sorted(drift)
     assert (rec.stabilized, rec.ml_index, rec.certified) == read_off(sources, images, 10, 28)
@@ -374,23 +373,29 @@ def test_image_change_at_the_bound_raises_and_before_it_moves_ml_index(monkeypat
 def test_ill_defined_map_in_the_sweep_raises_the_image_rule_error(monkeypatch):
     # p=3, weight 1, orbit m=1: level 4 has h=2 and the source 7 has h=2, so
     # a valuation lowered by 3 gives a map Z/p^2 -> Z/p^2 that is not well
-    # defined; the sweep rejects it with the error `image_exponents` raises
+    # defined; the sweep rejects it with the error `image_exponents` raises.
+    # Level 4 opens the block of levels with s_e = 2, so the drift is
+    # injected into that block's term of source 7, read once, and lowers
+    # the map (4, 7) before any other level of the block reads it
     tower = build_tower(3, 1, Orbit(1), [e for e in range(2, 29) if e % 3])
     h = dict(zip(tower.levels, (sm.module.h for sm in tower.summands)))
-    real = prosystem_module.transition_valuations
-    lowered = []
+    sm = dict(zip(tower.levels, tower.summands))
+    assert (sm[2].s, sm[4].s) == (1, 2)
+    real = prosystem_module.source_term
+    raised_terms = []
 
-    def lowering(p, e, sm_e, fs, sms_f):
-        vals = real(p, e, sm_e, fs, sms_f)
-        if e == 4:
-            vals = [v - 3 * (f == 7) for f, v in zip(fs, vals)]
-            lowered.append(vals[fs.index(7)])
-        return vals
+    def raising(p, s_e, m1, f, sm_f):
+        term = real(p, s_e, m1, f, sm_f)
+        if (s_e, f) == (2, 7):
+            raised_terms.append(f)
+            term += 3
+        return term
 
-    monkeypatch.setattr(prosystem_module, "transition_valuations", lowering)
+    monkeypatch.setattr(prosystem_module, "source_term", raising)
     with pytest.raises(ValueError, match="not well defined") as raised:
         stabilized_images(tower, 28)
-    (v,) = lowered
+    assert raised_terms == [7]
+    (v,) = prosystem_module.transition_valuations(3, 4, sm[4], [7], [sm[7]])
     assert (h[4], h[7]) == (2, 2) and v + h[7] < h[4]
     with pytest.raises(ValueError) as direct:
         image_exponents(h[4], [h[7]], [v])
@@ -402,13 +407,7 @@ def test_certified_level_reads_its_stable_image_from_a_trailing_run_under_three(
     # image change at f=8 leaves a constant run of two (10, 11) past it;
     # the level is certified, and its last image is the stable one
     tower = build_tower(3, 1, Orbit(1), [e for e in range(2, 12) if e % 3])
-    real = prosystem_module.transition_valuations
-
-    def drifting(p, e, sm_e, fs, sms_f):
-        vals = real(p, e, sm_e, fs, sms_f)
-        return None if vals is None else [v + (e == 2 and f == 8) for f, v in zip(fs, vals)]
-
-    monkeypatch.setattr(prosystem_module, "transition_valuations", drifting)
+    drift_level_2(monkeypatch, tower, {8})
     rec = stabilized_images(tower, 11).per_level[0]
     assert (rec.level, rec.ml_bound, rec.ml_index, tower.levels[-2:]) == (2, 10, 10, (10, 11))
     assert rec.certified and rec.stabilized == 0
@@ -686,29 +685,43 @@ def test_towers_build_no_truncation_params(monkeypatch):
     assert built == [(3, 2, 1)]
 
 
-def test_sweep_reads_valuations_once_per_nontrivial_level_into_frozen_records(monkeypatch):
-    # one `transition_valuations` call per target level with h > 0 and none
-    # on a trivial one; one immutable record per tower level, in level order
-    called = []
-    real = prosystem_module.transition_valuations
+def test_sweep_reads_source_terms_once_per_block_into_frozen_records(monkeypatch):
+    # one `target_term` per target level with h > 0 and none on a trivial
+    # one; the source terms once per block of nontrivial levels sharing
+    # s_e, over the sources of the block's first level; one immutable
+    # record per tower level, in level order
+    targets, terms = [], []
+    real_target, real_source = prosystem_module.target_term, prosystem_module.source_term
 
-    def counting(p, e, sm_e, fs, sms_f):
-        called.append(e)
-        return real(p, e, sm_e, fs, sms_f)
+    def counting_target(p, e, m1):
+        targets.append(e)
+        return real_target(p, e, m1)
 
-    monkeypatch.setattr(prosystem_module, "transition_valuations", counting)
+    def counting_source(p, s_e, m1, f, sm_f):
+        terms.append((s_e, f))
+        return real_source(p, s_e, m1, f, sm_f)
+
+    monkeypatch.setattr(prosystem_module, "target_term", counting_target)
+    monkeypatch.setattr(prosystem_module, "source_term", counting_source)
     alpha = MultiIndex.from_dict({"t": PAdicFraction(1, 1)})
-    trivial = 0
+    trivial = blocks = 0
     for p in (2, 3):
         for first in (1, 2):
             levels = [e for e in range(first, 25) if e % p]
             for i, orbit in itertools.product((1, 2), (Orbit(1), Orbit(2 * p + 1), Orbit(7 * p - 1, alpha))):
                 tower = build_tower(p, i, orbit, levels)
-                called.clear()
+                targets.clear()
+                terms.clear()
                 stab = stabilized_images(tower, 24)
-                nontrivial = [e for e, sm in zip(tower.levels, tower.summands) if sm.module.h]
+                nontrivial = [(e, sm.s) for e, sm in zip(tower.levels, tower.summands) if sm.module.h]
                 trivial += len(levels) - len(nontrivial)
-                assert called == nontrivial
+                assert targets == [e for e, _ in nontrivial]
+                block_first = {}
+                for e, s in nontrivial:
+                    block_first.setdefault(s, e)
+                assert [s for _, s in nontrivial] == sorted(s for _, s in nontrivial)
+                assert terms == [(s, f) for s, e in block_first.items() for f in levels if f >= e]
+                blocks += len(block_first) > 1
                 assert [rec.level for rec in stab.per_level] == levels
                 for rec in stab.per_level:
                     if rec.h == 0:  # level 1 divides every m, so it is trivial; its sources start at 2
@@ -716,7 +729,7 @@ def test_sweep_reads_valuations_once_per_nontrivial_level_into_frozen_records(mo
                         bound = ml_bound(TruncationParams(p, rec.level, i), orbit.m)
                         zeros = (0,) * len(sources)
                         assert (rec.stabilized, rec.ml_index, rec.certified) == read_off(sources, zeros, bound, 24)
-    assert trivial > 0
+    assert trivial > 0 and blocks > 0
     rec = stab.per_level[0]
     for field in rec._fields:
         with pytest.raises(AttributeError):

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import trcalc.drw as drw_module
 from trcalc.drw import TruncationParams, degree1_exponent
 from trcalc.oracle import certify_kernel_generator, default_truncation, fiber_cohomology
-from trcalc.padic import MultiIndex, PAdicFraction
+from trcalc.padic import MultiIndex, PAdicFraction, brace, vp
 from trcalc.prosystem import tr_valuation
 from trcalc.syntomic import (
     AlphaBounds,
@@ -26,6 +26,7 @@ from trcalc.syntomic import (
     enumerate_orbits,
     h1_syntomic_orbit,
     level_summand,
+    orbit_summands,
     s_function,
 )
 
@@ -201,6 +202,21 @@ def test_h_is_s_or_zero(args):
         return
     sm = h1_syntomic_orbit(TruncationParams(p, e, i), Orbit(m))
     assert sm.module.h == (0 if m % e == 0 else sm.s)
+
+
+def test_orbit_summands_read_h_off_s_at_every_level():
+    # h = v_p(brace(p^s m, e)) at levels prime to p and at levels divisible
+    # by p, which `syntomic` and `kgroups` read; there "h is s, or 0 when
+    # e | m" is wrong wherever e | p^s m but not m and s != v_p(e)
+    levels = (1, 2, 3, 4, 5, 7, 8, 9, 25, 27)
+    off_the_coprime_rule = 0
+    for p in (2, 3, 5):
+        for i, alpha in itertools.product(range(5), (EMPTY, _alpha(t=(1, 1)))):
+            for m in (m for m in range(1, 3 * i * levels[-1] + 2) if m % p):
+                for e, sm in zip(levels, orbit_summands(p, i, Orbit(m, alpha), levels)):
+                    assert sm.module.h == vp(brace(p**sm.s * m, e), p)
+                    off_the_coprime_rule += sm.module.h != (0 if m % e == 0 else sm.s)
+    assert off_the_coprime_rule > 0
 
 
 @settings(max_examples=200)
