@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .drw import Orbit, TruncationParams
 from .oracle import OracleError, verify_orbit
@@ -25,7 +25,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_MISMATCH = 2
 
-COMMANDS = ("syntomic", "kgroups", "transition", "ml-check", "tr", "verify")
 # the commands that read --i-max; only verify reads --A and --N
 WEIGHT_RANGE_COMMANDS = ("syntomic", "kgroups", "verify")
 
@@ -47,7 +46,11 @@ class ValidationError(Exception):
 
 @dataclass
 class JobSpec:
-    """Validated parameters of one CLI invocation."""
+    """Validated parameters of one CLI invocation.
+
+    Every field but `bounds` is named as the dest of its flag, and `bounds`
+    holds the three slot-window flags: `_spec_from_args` passes the flags
+    in by name, and `_parameters_dict` reports them in field order."""
 
     command: str
     p: int
@@ -74,7 +77,7 @@ class JobSpec:
             Prime(self.p)
         except ValueError as exc:
             raise ValidationError(str(exc)) from None
-        if self.command not in COMMANDS:
+        if self.command not in RUNNERS:
             raise ValidationError(f"unknown command {self.command}")
         if self.i < 0:
             raise ValidationError("--i must be nonnegative")
@@ -98,21 +101,16 @@ class JobSpec:
 
 
 def _parameters_dict(spec: JobSpec) -> dict:
-    out = {"p": spec.p, "i": spec.i}
-    if spec.i_max is not None:
-        out["i_max"] = spec.i_max
-    if spec.e is not None:
-        out["e"] = spec.e
-    if spec.e_max is not None:
-        out["e_max"] = spec.e_max
-    if spec.bounds.slots:
-        out["slots"] = list(spec.bounds.slots)
-        out["alpha_num_max"] = spec.bounds.num_max
-        out["alpha_pexp_max"] = spec.bounds.pexp_max
-    if spec.A is not None:
-        out["A"] = spec.A
-    if spec.N is not None:
-        out["N"] = spec.N
+    """The job's set parameters in `JobSpec` field order, the slot window
+    as its three flags."""
+    out = {}
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        if f.name == "bounds":
+            if value.slots:
+                out.update(slots=list(value.slots), alpha_num_max=value.num_max, alpha_pexp_max=value.pexp_max)
+        elif f.name not in ("command", "format", "out") and value is not None:
+            out[f.name] = value
     return out
 
 
@@ -307,7 +305,7 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="trcalc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name in RUNNERS:
         cmd = sub.add_parser(name, help=f"{name} computation")
         cmd.add_argument("--p", type=int, required=True, help="prime")
         cmd.add_argument("--i", type=int, required=True, help="weight (or range start)")
@@ -329,30 +327,19 @@ def _build_parser() -> _Parser:
 
 
 def _spec_from_args(args: argparse.Namespace) -> JobSpec:
-    if args.slots:
-        if args.alpha_num_max is None or args.alpha_pexp_max is None:
-            raise ValidationError("--slots requires --alpha-num-max and --alpha-pexp-max")
-        try:
-            bounds = AlphaBounds(tuple(args.slots), args.alpha_num_max, args.alpha_pexp_max)
-        except ValueError as exc:
-            raise ValidationError(str(exc)) from None
-    elif args.alpha_num_max is not None or args.alpha_pexp_max is not None:
+    """The slot-window flags make `bounds`; every other flag's dest is a
+    `JobSpec` field and goes in as it is."""
+    flags = dict(vars(args))
+    slots, num_max, pexp_max = (flags.pop(k) for k in ("slots", "alpha_num_max", "alpha_pexp_max"))
+    if slots and (num_max is None or pexp_max is None):
+        raise ValidationError("--slots requires --alpha-num-max and --alpha-pexp-max")
+    if not slots and (num_max is not None or pexp_max is not None):
         raise ValidationError("--alpha-num-max and --alpha-pexp-max need --slots")
-    else:
-        bounds = AlphaBounds()
-    return JobSpec(
-        command=args.command,
-        p=args.p,
-        i=args.i,
-        i_max=getattr(args, "i_max", None),
-        e=args.e,
-        e_max=args.e_max,
-        bounds=bounds,
-        A=getattr(args, "A", None),
-        N=getattr(args, "N", None),
-        format=args.format,
-        out=args.out,
-    )
+    try:
+        bounds = AlphaBounds(tuple(slots), num_max, pexp_max) if slots else AlphaBounds()
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from None
+    return JobSpec(bounds=bounds, **flags)
 
 
 def main(argv: list[str] | None = None) -> int:

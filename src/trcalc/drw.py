@@ -127,7 +127,7 @@ def degree1_walks(p: int, i: int, m: int, alpha: MultiIndex, levels: Iterable[in
     Terminates because ceil(p^a m / e) is unbounded in a.
     """
     if m < 1:
-        raise ValueError("s_function needs m >= 1")
+        raise ValueError("degree1_walks needs m >= 1")
     floors: list[int] = []
     walks = []
     for e in levels:

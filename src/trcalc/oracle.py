@@ -6,27 +6,18 @@ lists: the differential, the divided Frobenius (level a -> a+1, with
 contributions exiting level A dropped), and the canonical inclusion of the
 weight-i filtered subcomplex.  The mapping fiber of (divided Frobenius -
 canonical) is a three-term cochain complex over Z/p^N, and its cohomology
-is computed by Smith normal form over Z/p^N.  The engine reads only sparse
-input, and the fiber is built that way straight from the lists, with no
-dense matrix: d1 as its n rows and d0 as its n columns, at most three
-entries each, listed in ascending index order
-(`OrbitMatrices.fiber_d1_rows`, `.fiber_d0_columns`).  The matrices use
-only the Nygaard exponents, the brace symbol and factorial ratios (a
-coefficient that a long ratio makes vanish mod p^N is 0 without forming
-it), and the truncation level is sized from the orbit's degree-1 walk in
-`drw`.  The truncation-stability recheck reads a grown truncation, and one
-build there gives the matrices of both (`_stable_fiber`, shared by
-`verify_orbit` and `oracle_cohomology`).  The closed-form claim under
-test, a summand with its orbit, s, h and generator exponents, is handed in
-by the caller of `verify_orbit` and `certify_kernel_generator`;
-`verify_orbit` builds the matrices of the claim's own orbit, with only A
-and N settable.  The matrices record their prime and orbit
-(`OrbitMatrices.p`, `.orbit`), and every reader takes both from there: the
-kernel-generator certificate refuses a claim about another orbit, and
-`FiberCohomology.exponents` a prime other than the fiber's. The
-kernel-generator certificate is one exact search: a kernel basis of d1
-with the claimed scalings, and a search over F_p for a combination whose
-level coordinates and class coordinate are all units.
+is computed by Smith normal form over Z/p^N.  The fiber's differentials
+are read off the lists in one encoding each, d1 as sparse rows and d0 as
+sparse columns; the rows of d1 are kept with the fiber, and every cocycle
+check applies them (`sparse_product`).  The matrices use only the Nygaard
+exponents, the brace symbol and factorial ratios.  The truncation level is
+sized from the orbit's degree-1 walk in `drw` (`default_truncation`), and
+the truncation-stability recheck reads a grown truncation
+(`_stable_fiber`).  The closed-form claim under test, a summand with its
+orbit, s, h and generator exponents, is handed in by the caller of
+`verify_orbit` and `certify_kernel_generator`.  The matrices record their
+prime and orbit (`OrbitMatrices.p`, `.orbit`), and every reader takes both
+from there.
 """
 
 from __future__ import annotations
@@ -36,7 +27,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 
-from .drw import Orbit, TruncationParams, degree1_walk, degree1_walks, nygaard_exponents
+from .drw import Orbit, TruncationParams, degree1_walk, nygaard_exponents
 from .padic import Prime, brace, factorial_ratio, vp
 from .snf import (
     ClassFunctional,
@@ -71,29 +62,32 @@ class OrbitTruncation:
     N: int
 
     def grown(self, params: TruncationParams) -> "OrbitTruncation":
-        """The truncation of the stability recheck: A -> A+1 and
-        N -> max(N+2, i*(A+2)+5), the least precision with headroom for
-        A+1, so the grown truncation validates whenever this one does."""
-        return OrbitTruncation(self.orbit, self.A + 1, max(self.N + 2, params.i * (self.A + 2) + 5))
+        """The truncation of the stability recheck: A -> A+1 and N -> the
+        larger of N+2 and the least precision for A+1, so the grown
+        truncation validates whenever this one does."""
+        return OrbitTruncation(self.orbit, self.A + 1, max(self.N + 2, _least_precision(params.i, self.A + 1)))
 
     def validate(self, params: TruncationParams) -> None:
         self.orbit.validate(params.p)
         s = len(degree1_walk(params, self.orbit.m, self.orbit.alpha))
         if self.A < s + 2:
             raise ValueError(f"truncation level A={self.A} below required {s + 2}")
-        if self.N <= params.i * (self.A + 1) + 4:
+        if self.N < _least_precision(params.i, self.A):
             raise ValueError(f"precision N={self.N} lacks headroom for A={self.A}")
 
 
+def _least_precision(i: int, A: int) -> int:
+    """The least N with headroom for levels 0..A in weight i: i*(A+1) + 5."""
+    return i * (A + 1) + 5
+
+
 def default_truncation(params: TruncationParams, orbit: Orbit) -> OrbitTruncation:
-    """A = s + 2 and N = i*(A+1) + 8."""
-    return _truncation_for_walk(orbit, params.i, len(degree1_walk(params, orbit.m, orbit.alpha)))
-
-
-def _truncation_for_walk(orbit: Orbit, i: int, s: int) -> OrbitTruncation:
-    """`default_truncation` in weight i at a level where the orbit's walk has length s."""
-    A = s + 2
-    return OrbitTruncation(orbit, A, i * (A + 1) + 8)
+    """A = s + 2, with s the length of the orbit's degree-1 walk at level e,
+    and N = i*(A+1) + 8, three above the least precision for A.  The
+    truncation at the top level of a range serves every level below it
+    (`TransitionOracle`)."""
+    A = len(degree1_walk(params, orbit.m, orbit.alpha)) + 2
+    return OrbitTruncation(orbit, A, _least_precision(params.i, A) + 3)
 
 
 @dataclass
@@ -106,11 +100,10 @@ class OrbitMatrices:
     `diff_full` are diagonal (level-preserving); `frob0`/`frob1` carry
     level a to a+1 and have length A; `can0`/`can1` are diagonal.  `u1`
     holds the degree-1 Nygaard exponent of each level, which `can1` is
-    built from.  The fiber's differentials are read off these lists in the
-    engine's sparse form, d1 by rows (`fiber_d1_rows`) and d0 by columns
-    (`fiber_d0_columns`), and d1 is applied to a vector without either
-    (`fiber_d1_apply`).  `content_hash` reads the coefficient lists, n and
-    the modulus.
+    built from.  The fiber's differentials are read off these lists once
+    each, d1 as rows (`fiber_d1_rows`) and d0 as columns
+    (`fiber_d0_columns`); d1 has no other encoding.  `content_hash` reads
+    the coefficient lists, n and the modulus.
     """
 
     p: int
@@ -151,18 +144,6 @@ class OrbitMatrices:
             row[n + r] = -d % q
             rows.append(row)
         return rows
-
-    def fiber_d1_apply(self, x: list[int]) -> list[int]:
-        """d1·x mod p^N from the coefficient lists: row r reads only
-        x[r-1], x[r] and x[n+r]."""
-        n, q = self.n, self.modulus
-        out = []
-        for r in range(n):
-            v = -self.can1[r] * x[r] - self.diff_full[r] * x[n + r]
-            if r:
-                v += self.frob1[r - 1] * x[r - 1]
-            out.append(v % q)
-        return out
 
     def truncated(self, A: int, N: int) -> "OrbitMatrices":
         """These coefficients on levels 0..A, reduced mod p^N, which
@@ -312,9 +293,8 @@ class FiberCohomology:
     every fiber of the README jobs and the acceptance grid, the kernel
     keeps n of its 2n coordinates, all with t_j = 1: H^1's quotient is
     n×n, it is Y itself, and the certificate needs no third elimination.
-    d1 comes as sparse rows and d0 as sparse columns, each built once
-    from the coefficient lists; the rows of d1 are kept for the
-    kernel-generator certificate, which scales copies of them.
+    The rows of d1 are kept: the kernel-generator certificate scales
+    copies of them, and every cocycle check applies them.
     """
 
     matrices: OrbitMatrices
@@ -382,12 +362,11 @@ def _stable_fiber(
 ) -> tuple[FiberCohomology, dict[int, tuple[int, ...]]]:
     """The fiber cohomology at `trunc`, building the transforms named in
     `transforms`, and its exponents, after the stability recheck: the
-    fiber at the grown truncation (`OrbitTruncation.grown`: A -> A+1,
-    N -> max(N+2, i*(A+2)+5)) must give the same exponents, or
-    TruncationInstabilityError.  Both fibers come from one build
-    (`base_and_grown_matrices`); the base matrices are the grown ones cut
-    back, but their complex is a different one, so eliminating both is the
-    check.  The grown fiber builds no quotient transform."""
+    fiber at the grown truncation (`OrbitTruncation.grown`) must give the
+    same exponents, or TruncationInstabilityError.  Both fibers come from
+    one build (`base_and_grown_matrices`); the base matrices are the grown
+    ones cut back, but their complex is a different one, so eliminating
+    both is the check.  The grown fiber builds no quotient transform."""
     base, grown = base_and_grown_matrices(params, trunc)
     fc = FiberCohomology.of(base, transforms)
     exps = fc.exponents(params.p)
@@ -397,6 +376,17 @@ def _stable_fiber(
             f"cohomology changed under truncation growth: {exps} vs {again}"
         )
     return fc, exps
+
+
+def sparse_product(rows: list[Sparse], x: list[int], q: int) -> list[int]:
+    """rows·x mod q, one entry per sparse row."""
+    out = []
+    for row in rows:
+        v = 0
+        for j, a in row.items():
+            v += a * x[j]
+        out.append(v % q)
+    return out
 
 
 def _nonvanishing_combination(vecs: list[list[int]], p: int) -> list[int] | None:
@@ -473,7 +463,7 @@ def certify_kernel_generator(fc: FiberCohomology, summand) -> bool:
         if c:
             z = [x + c * y for x, y in zip(z, col)]
     cochain = [x * f % q for x, f in zip(z, scale)]
-    if any(mats.fiber_d1_apply(cochain)):
+    if any(sparse_product(fc.d1_rows, cochain, q)):
         raise OracleError("kernel-generator search produced a non-cocycle")
     return not h or functional.coordinate(cochain) % p != 0
 
@@ -482,12 +472,13 @@ def certify_kernel_generator(fc: FiberCohomology, summand) -> bool:
 class TransitionLevel:
     """What the pair queries of `TransitionOracle` read at one level e:
     the fiber matrices (with the degree-1 Nygaard exponent of each orbit
-    level), h with H^1 = Z/p^h, and, when h >= 1, a cochain generating
-    H^1 and the class functional of H^1.  `floors1` and `floors0` hold
-    (m_a-1)//e and m_a//e for each orbit level a, the factorial bounds
-    that every pair into or out of the level reads."""
+    level), the fiber's rows of d1, h with H^1 = Z/p^h, and, when h >= 1,
+    a cochain generating H^1 and the class functional of H^1.  `floors1`
+    and `floors0` hold (m_a-1)//e and m_a//e for each orbit level a, the
+    factorial bounds that every pair into or out of the level reads."""
 
     matrices: OrbitMatrices
+    d1_rows: list[Sparse]
     h: int
     generator: list[int] | None
     functional: ClassFunctional | None
@@ -500,13 +491,13 @@ class TransitionOracle:
     one orbit.
 
     All levels share one truncation `trunc`, the `default_truncation` of
-    the level with the longest walk, read from one `degree1_walks` call
-    over the levels, so the transition matrices line up levelwise.
-    Each level's work is done once, on first use (`TransitionLevel`): the
-    fiber cohomology, h_e, the degree-1 Nygaard exponents, a generator of
-    H^1, the class functional of H^1, and the factorial bounds (m_a-1)//e
-    and m_a//e that the coefficients of every pair into or out of the
-    level read.
+    the top level, so the transition matrices line up levelwise; the
+    degree-1 walk never shrinks as e grows, so the top level's walk is the
+    longest.  Each level's work is done once, on first use
+    (`TransitionLevel`): the fiber cohomology with its rows of d1, h_e,
+    the degree-1 Nygaard exponents, a generator of H^1, the class
+    functional of H^1, and the factorial bounds (m_a-1)//e and m_a//e that
+    the coefficients of every pair into or out of the level read.
 
     The observable valuation needs H^1 = Z/p^h cyclic, and a non-cyclic
     H^1 is refused.  Cyclicity is also what makes one functional enough:
@@ -527,10 +518,10 @@ class TransitionOracle:
     leaves v_p unchanged.
 
     A pair (e, f) costs O(A) arithmetic: the diagonal transition
-    coefficients applied to the level-f generator, a sparse check that the
-    image is a level-e cocycle (three terms per row of d1), and the dot
-    product.  p is made a `Prime` once, so the per-level parameters skip
-    the primality test.
+    coefficients applied to the level-f generator, the level-e rows of d1
+    applied to the image (`sparse_product`, at most three terms a row),
+    and the dot product.  p is made a `Prime` once, so the per-level
+    parameters skip the primality test.
     """
 
     def __init__(self, p: int, i: int, orbit: Orbit, levels: list[int]):
@@ -542,8 +533,7 @@ class TransitionOracle:
             raise ValueError("need a weight i >= 0 and at least one level, each >= 1")
         self.p, self.i, self.orbit = p, i, orbit
         self.levels = sorted(levels)
-        walks = degree1_walks(p, i, orbit.m, orbit.alpha, self.levels)
-        self.trunc = _truncation_for_walk(orbit, i, max(len(walk) for walk in walks))
+        self.trunc = default_truncation(self.params(self.levels[-1]), orbit)
         self.A, self.N = self.trunc.A, self.trunc.N
         self._m = [p**a * orbit.m for a in range(self.A + 1)]
         self._cache: dict[int, TransitionLevel] = {}
@@ -569,7 +559,7 @@ class TransitionOracle:
             floors1 = [(m_a - 1) // e for m_a in self._m]
             floors0 = [m_a // e for m_a in self._m]
             h = exps[0] if exps else 0
-            self._cache[e] = TransitionLevel(fc.matrices, h, gen, functional, floors1, floors0)
+            self._cache[e] = TransitionLevel(fc.matrices, fc.d1_rows, h, gen, functional, floors1, floors0)
         return self._cache[e]
 
     def h_exponent(self, e: int) -> int:
@@ -609,7 +599,7 @@ class TransitionOracle:
         if lv_e.h == 0 or lv_f.h == 0:
             raise DegenerateOrbitError(f"trivial group at e={e} or f={f}")
         image = self._transition_image(lv_e, lv_f)
-        if any(lv_e.matrices.fiber_d1_apply(image)):
+        if any(sparse_product(lv_e.d1_rows, image, lv_e.matrices.modulus)):
             raise ArithmeticError("element outside the kernel lattice")
         c = lv_e.functional.coordinate(image)
         return vp(c, self.p) if c else lv_e.h

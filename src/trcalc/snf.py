@@ -10,10 +10,9 @@ idea of Domich, Kannan and Trotter (1987), specialised to Z/p^N.
 
 Matrices come in as sparse rows and a column count: one {column: entry}
 dict per row, its entries listed in ascending column order, and
-elimination keeps each row's entries that are nonzero mod q.  There is no
-dense input path.  The oracle builds its first differential as rows of at
-most three entries and its d0 as columns of at most three, straight from
-the coefficient lists, so a step reads only the entries that are there.
+elimination keeps each row's entries that are nonzero mod q.  The
+oracle's d1 comes as rows of at most three entries and its d0 as columns
+of at most three, so a step reads only the entries that are there.
 The pivot search reads a row's entries in the order they are listed, so
 rows in ascending column order get the pivots, and so the transforms, of
 a row-major scan of the same matrix.  Pivots are recorded instead of

@@ -2,6 +2,7 @@
 serialization formats."""
 
 import ast
+import dataclasses
 import hashlib
 import json
 import os
@@ -291,6 +292,31 @@ def test_run_command_rejects_fields_the_command_does_not_read(spec):
     # the library entry point holds the same line as the flag parser
     with pytest.raises(ValidationError):
         run_command(spec)
+
+
+def test_every_flag_dest_is_a_jobspec_field():
+    # the parser's dests go straight into JobSpec, apart from the three
+    # flags that make up the slot window
+    fields = {f.name for f in dataclasses.fields(JobSpec)}
+    window = {"slots", "alpha_num_max", "alpha_pexp_max"}
+    subparsers = next(a for a in cli_module._build_parser()._actions if a.dest == "command")
+    assert set(subparsers.choices) == set(cli_module.RUNNERS)
+    for name, parser in subparsers.choices.items():
+        dests = {a.dest for a in parser._actions if a.dest != "help"}
+        assert dests <= fields | window, name
+        assert window <= dests, name
+
+
+def test_every_flag_job_keeps_its_parameters_and_bytes(capsysbinary):
+    argv = shlex.split(
+        "verify --p 3 --i 1 --i-max 2 --e 2 --e-max 4 --slots t --alpha-num-max 1 --alpha-pexp-max 1"
+        " --A 9 --N 40 --format json"
+    )
+    assert main(argv) == EXIT_OK
+    out = capsysbinary.readouterr().out
+    parameters = json.loads(out)["metadata"]["parameters"]
+    assert list(parameters) == ["p", "i", "i_max", "e", "e_max", "slots", "alpha_num_max", "alpha_pexp_max", "A", "N"]
+    assert hashlib.sha256(out).hexdigest() == "31755c038f48d254fe01aab178c14a6198026080d25e0eea2d2790b112907ad7"
 
 
 

@@ -114,7 +114,7 @@ def test_transition_valuation_needs_a_source_at_or_above_the_target():
         (lambda: TruncationParams(3, 0, 1), "e must be >= 1"),
         (lambda: TruncationParams(3, 2, -1), "weight i must be a natural number"),
         (lambda: CyclicWittModule(-1), "exponent must be a natural number"),
-        (lambda: degree1_walks(2, 1, 0, MultiIndex(), [3]), "m >= 1"),
+        (lambda: degree1_walks(2, 1, 0, MultiIndex(), [3]), "degree1_walks needs m >= 1"),
         (lambda: brace(0, 2), "m >= 1"),
         (lambda: brace(1, 0), "e >= 1"),
         (lambda: PAdicFraction.make(-1, 0, 2), "natural numbers"),

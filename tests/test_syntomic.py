@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import trcalc.drw as drw_module
 from trcalc.drw import TruncationParams, degree1_exponent
-from trcalc.oracle import certify_kernel_generator, default_truncation, fiber_cohomology
+from trcalc.oracle import TransitionOracle, certify_kernel_generator, default_truncation, fiber_cohomology
 from trcalc.padic import MultiIndex, PAdicFraction, brace, vp
 from trcalc.prosystem import tr_valuation
 from trcalc.syntomic import (
@@ -173,14 +173,31 @@ GRID_PARAMS = st.tuples(
 
 
 @settings(max_examples=300)
-@given(GRID_PARAMS)
-def test_s_monotone_in_e(args):
+@given(GRID_PARAMS, st.integers(1, 6), st.integers(0, 3))
+def test_s_monotone_in_e(args, num, pexp):
     p, e, i, m = args
     if m % p == 0:
         m += 1
-    a = s_function(TruncationParams(p, e, i), m)
-    b = s_function(TruncationParams(p, e + 1, i), m)
-    assert b >= a
+    for alpha in (MultiIndex(), MultiIndex.from_dict({"t": PAdicFraction.make(num, pexp, p)})):
+        a = s_function(TruncationParams(p, e, i), m, alpha)
+        b = s_function(TruncationParams(p, e + 1, i), m, alpha)
+        assert b >= a
+
+
+def test_transition_oracle_is_sized_by_its_longest_walk():
+    # the oracle sizes every level by its top one; with s monotone in e
+    # that is the truncation of the level whose walk is longest
+    bounds = AlphaBounds(("t",), 2, 1)
+    for p, i in itertools.product((2, 3, 5), range(4)):
+        for alpha in enumerate_alphas(bounds, p):
+            for m, e0 in itertools.product((1, 2, 4, 7), range(2, 9)):
+                levels = [e for e in range(e0, e0 + 5) if e % p]
+                if m % p == 0 or not levels:
+                    continue
+                orbit = Orbit(m, alpha)
+                truncs = [default_truncation(TruncationParams(p, e, i), orbit) for e in levels]
+                longest = max(truncs, key=lambda t: t.A)
+                assert TransitionOracle(p, i, orbit, levels[::-1]).trunc == longest
 
 
 @settings(max_examples=300)
