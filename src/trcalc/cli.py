@@ -25,8 +25,13 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_MISMATCH = 2
 
-# the commands that read --i-max; only verify reads --A and --N
-WEIGHT_RANGE_COMMANDS = ("syntomic", "kgroups", "verify")
+# the flags only some commands read, in the groups `JobSpec.validate`
+# refuses together: each flag's dest and help, and the commands that read
+# the group; the parser registers a group only on those commands
+PARTIAL_FLAGS = (
+    ({"i_max": "weight range end, inclusive"}, ("syntomic", "kgroups", "verify")),
+    ({"A": "orbit truncation level override", "N": "p-adic precision override"}, ("verify",)),
+)
 
 IDENTIFICATIONS = {
     "k_groups": "K_{2i-1}(A, (x); Z_p) is identified with degree-1 weight-i "
@@ -81,10 +86,9 @@ class JobSpec:
             raise ValidationError(f"unknown command {self.command}")
         if self.i < 0:
             raise ValidationError("--i must be nonnegative")
-        if self.i_max is not None and self.command not in WEIGHT_RANGE_COMMANDS:
-            raise ValidationError(f"{self.command} does not read i_max")
-        if (self.A is not None or self.N is not None) and self.command != "verify":
-            raise ValidationError(f"{self.command} does not read A or N")
+        for flags, readers in PARTIAL_FLAGS:
+            if self.command not in readers and any(getattr(self, dest) is not None for dest in flags):
+                raise ValidationError(f"{self.command} does not read {' or '.join(flags)}")
         if self.i_max is not None and self.i_max < self.i:
             raise ValidationError("--i-max below --i")
         if self.e is not None and self.e < 1:
@@ -302,15 +306,23 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
 
 
+def _add_partial_flags(cmd: argparse.ArgumentParser, name: str, flags: dict[str, str], readers: tuple) -> None:
+    """One group of `PARTIAL_FLAGS` on the subcommand `name`, if it reads
+    them."""
+    if name in readers:
+        for dest, text in flags.items():
+            cmd.add_argument("--" + dest.replace("_", "-"), type=int, default=None, help=text)
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="trcalc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    weight_range, truncation = PARTIAL_FLAGS
     for name in RUNNERS:
         cmd = sub.add_parser(name, help=f"{name} computation")
         cmd.add_argument("--p", type=int, required=True, help="prime")
         cmd.add_argument("--i", type=int, required=True, help="weight (or range start)")
-        if name in WEIGHT_RANGE_COMMANDS:
-            cmd.add_argument("--i-max", type=int, default=None, help="weight range end, inclusive")
+        _add_partial_flags(cmd, name, *weight_range)
         cmd.add_argument("--e", type=int, default=None, help="truncation exponent (or range start)")
         cmd.add_argument("--e-max", type=int, default=None, help="exponent range end, inclusive")
         cmd.add_argument("--slots", nargs="+", default=[], help="multi-index slot names")
@@ -318,9 +330,7 @@ def _build_parser() -> _Parser:
         cmd.add_argument(
             "--alpha-pexp-max", type=int, default=None, help="multi-index denominator exponent bound"
         )
-        if name == "verify":
-            cmd.add_argument("--A", type=int, default=None, help="orbit truncation level override")
-            cmd.add_argument("--N", type=int, default=None, help="p-adic precision override")
+        _add_partial_flags(cmd, name, *truncation)
         cmd.add_argument("--format", choices=("text", "json", "csv"), default="text")
         cmd.add_argument("--out", default=None, help="output path (default stdout)")
     return parser

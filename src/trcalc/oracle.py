@@ -213,8 +213,12 @@ def build_orbit_matrices(params: TruncationParams, trunc: OrbitTruncation) -> Or
     to make it vanish mod p^N is 0 without forming the product
     (`_ratio_or_zero`); every other one is formed exactly and checked for
     divisibility by p^i.
+
+    The truncation is taken as given: the two ways into the fiber
+    cohomology, `fiber_cohomology` and `base_and_grown_matrices`, validate
+    theirs first, and a grown truncation is valid whenever its base is
+    (`OrbitTruncation.grown`).
     """
-    trunc.validate(params)
     p, e, i = params.p, params.e, params.i
     orbit = trunc.orbit
     n = trunc.A + 1
@@ -259,7 +263,8 @@ def base_and_grown_matrices(
     the truncation, so the base matrices are the grown ones on levels
     0..A, without the Frobenius entry that leaves level A, reduced mod p^N
     (`OrbitMatrices.truncated`): a direct build at `trunc` gives the same
-    lists.  Both truncations are validated."""
+    lists.  Only `trunc` is validated, since the grown truncation is valid
+    whenever it is: one degree-1 walk serves both."""
     trunc.validate(params)
     grown = build_orbit_matrices(params, trunc.grown(params))
     return grown.truncated(trunc.A, trunc.N), grown
@@ -280,21 +285,24 @@ class FiberCohomology:
 
     Each fiber eliminates d1 once, for the kernel under H^1, and the
     quotient of that kernel by d0 once.  The kernel keeps only its
-    nontrivial coordinates (t_j < p^N, see `snf.KernelLattice`).  The
-    quotient builds the transforms its caller reads: the stability
-    recheck compares exponents and builds none.  The degree-0 certificate
-    and H^2 are read from those eliminations on first use.  H^2 =
+    nontrivial coordinates (t_j < p^N, see `snf.KernelLattice`) and V⁻¹,
+    its one change of basis: the quotient's solves read it, and a basis
+    column is back-substituted from it on demand.  The quotient builds U
+    when its caller reads the class functional: the stability recheck
+    compares exponents and builds none.  The degree-0 certificate and H^2
+    are read from those eliminations on first use.  H^2 =
     C^2/(im d1 + p^N·C^2) with C^2 all cocycles, so its exponents are
     those of the elementary divisors of d1 mod p^N, which the kernel
     keeps.  The columns of d0 lie in the kernel, so d0 ≡ B·Y mod p^N with
     B = V·diag(t) the kernel basis and Y their kernel coordinates, which
-    the quotient solved for; V is invertible mod p^N, so the divisors of
-    d0 below p^N are those of diag(t)·Y.  When d1 is onto mod p^N, as on
-    every fiber of the README jobs and the acceptance grid, the kernel
-    keeps n of its 2n coordinates, all with t_j = 1: H^1's quotient is
-    n×n, it is Y itself, and the certificate needs no third elimination.
-    The rows of d1 are kept: the kernel-generator certificate scales
-    copies of them, and every cocycle check applies them.
+    the quotient solved for; V is invertible mod p^N, with inverse the
+    kernel's V⁻¹, so the divisors of d0 below p^N are those of
+    diag(t)·Y.  When d1 is onto mod p^N, as on every fiber of the README
+    jobs and the acceptance grid, the kernel keeps n of its 2n
+    coordinates, all with t_j = 1: H^1's quotient is n×n, it is Y itself,
+    and the certificate needs no third elimination.  The rows of d1 are
+    kept: the kernel-generator certificate scales copies of them, and
+    every cocycle check applies them.
     """
 
     matrices: OrbitMatrices
@@ -302,15 +310,12 @@ class FiberCohomology:
     d1_rows: list[Sparse]
 
     @classmethod
-    def of(cls, mats: OrbitMatrices, transforms: tuple[str, ...] = ("U", "V")) -> "FiberCohomology":
-        """The fiber cohomology of `mats`, building the transforms named in
-        `transforms`: "U" for the class functional of H^1's quotient, "V"
-        for the basis of the kernel of d1.  The kernel always builds V⁻¹,
-        which the quotient's solves read."""
+    def of(cls, mats: OrbitMatrices, build_u: bool = True) -> "FiberCohomology":
+        """The fiber cohomology of `mats`; H^1's quotient builds the U its
+        class functional reads when `build_u` is set."""
         d1_rows = mats.fiber_d1_rows()
-        kernel_transforms = ("V", "Vinv") if "V" in transforms else ("Vinv",)
-        kernel = kernel_mod(d1_rows, 2 * mats.n, mats.p, mats.modulus, kernel_transforms)
-        h1 = quotient(kernel, mats.fiber_d0_columns(), ("U",) if "U" in transforms else ())
+        kernel = kernel_mod(d1_rows, 2 * mats.n, mats.p, mats.modulus)
+        h1 = quotient(kernel, mats.fiber_d0_columns(), build_u)
         return cls(mats, h1, d1_rows)
 
     @cached_property
@@ -321,7 +326,7 @@ class FiberCohomology:
         t = h1.kernel.t
         if any(tj > 1 for tj in t):
             scaled = [{c: tj * y for c, y in row.items()} for tj, row in zip(t, h1.coords)]
-            divisors = smith_mod_prime_power(scaled, self.matrices.n, self.matrices.p, q, ())[0]
+            divisors = smith_mod_prime_power(scaled, self.matrices.n, self.matrices.p, q, False)[0]
         else:
             divisors = h1.divisors
         return self.matrices.n - sum(d < q for d in divisors)
@@ -343,34 +348,35 @@ class FiberCohomology:
 
 
 def fiber_cohomology(params: TruncationParams, trunc: OrbitTruncation) -> FiberCohomology:
-    """The fiber cohomology at `trunc`, with both transforms built: the
-    kernel-generator certificate reads the class functional (U) and the
-    transition oracle also the kernel basis (V)."""
+    """The fiber cohomology at `trunc`, with U built: the kernel-generator
+    certificate and the transition oracle read the class functional, and
+    the transition oracle also a kernel basis column, which the kernel's
+    V⁻¹ gives by back-substitution.  `trunc` is validated first."""
+    trunc.validate(params)
     return FiberCohomology.of(build_orbit_matrices(params, trunc))
 
 
 def oracle_cohomology(params: TruncationParams, trunc: OrbitTruncation) -> dict[int, tuple[int, ...]]:
     """Cohomology of the truncated fiber complex as p-power exponents per
     degree, rechecked at the grown truncation (`_stable_fiber`).  Only
-    exponents are read, so neither fiber builds a transform beyond the
-    kernel's V⁻¹."""
-    return _stable_fiber(params, trunc, ())[1]
+    exponents are read, so neither fiber builds U."""
+    return _stable_fiber(params, trunc, False)[1]
 
 
 def _stable_fiber(
-    params: TruncationParams, trunc: OrbitTruncation, transforms: tuple[str, ...]
+    params: TruncationParams, trunc: OrbitTruncation, build_u: bool
 ) -> tuple[FiberCohomology, dict[int, tuple[int, ...]]]:
-    """The fiber cohomology at `trunc`, building the transforms named in
-    `transforms`, and its exponents, after the stability recheck: the
-    fiber at the grown truncation (`OrbitTruncation.grown`) must give the
-    same exponents, or TruncationInstabilityError.  Both fibers come from
+    """The fiber cohomology at `trunc`, building U when `build_u` is set,
+    and its exponents, after the stability recheck: the fiber at the
+    grown truncation (`OrbitTruncation.grown`) must give the same
+    exponents, or TruncationInstabilityError.  Both fibers come from
     one build (`base_and_grown_matrices`); the base matrices are the grown
     ones cut back, but their complex is a different one, so eliminating
-    both is the check.  The grown fiber builds no quotient transform."""
+    both is the check.  The grown fiber builds no U."""
     base, grown = base_and_grown_matrices(params, trunc)
-    fc = FiberCohomology.of(base, transforms)
+    fc = FiberCohomology.of(base, build_u)
     exps = fc.exponents(params.p)
-    again = FiberCohomology.of(grown, ()).exponents(params.p)
+    again = FiberCohomology.of(grown, False).exponents(params.p)
     if again != exps:
         raise TruncationInstabilityError(
             f"cohomology changed under truncation growth: {exps} vs {again}"
@@ -448,7 +454,7 @@ def certify_kernel_generator(fc: FiberCohomology, summand) -> bool:
         return False
     scale = [p**c for c in reversed(summand.generator_exponents)] + [1] * (2 * n - s)
     scaled_d1 = [{j: a * scale[j] % q for j, a in row.items()} for row in fc.d1_rows]
-    kernel = kernel_mod(scaled_d1, 2 * n, p, q, ("V",))
+    kernel = kernel_mod(scaled_d1, 2 * n, p, q)
     basis = [kernel.basis_column(k) for k in range(kernel.dim)]
     forms = [col[:s] for col in basis]
     if h:
@@ -505,17 +511,18 @@ class TransitionOracle:
     one dot product w·x (`QuotientPresentation.class_functional`), and H^1
     is read through nothing else.  The generator is the first column of
     the kernel basis whose coordinate is a unit mod p.  It is picked from
-    the U of H^1's quotient, where basis column k has class U[j][k] mod p^h
-    (`QuotientPresentation.generator_coordinate`), and only that column is
-    written out; its coordinate is still read through the functional, and
-    a level whose pick is not a unit there is refused.  One exists: the
-    basis spans the kernel K modulo p^N and the class map K -> Z/p^h is
-    onto, so the basis cannot map into pZ/p^h; a level where none is found
-    is refused.  The valuation does not depend on the column picked: two
-    generators differ by a unit factor and an element of
-    im d0 + p^N·C^1, the f -> e map is a chain map and so sends that
-    lattice at level f into its counterpart at level e, and a unit factor
-    leaves v_p unchanged.
+    the U of H^1's quotient, where basis column k has class U[j][k] mod
+    p^h (`QuotientPresentation.generator_coordinate`), and only that
+    column is written out, by back-substitution over the kernel's V⁻¹
+    (`KernelLattice.basis_column`); its coordinate is still read through
+    the functional, and a level whose pick is not a unit there is
+    refused.  One exists: the basis spans the kernel K modulo p^N and the
+    class map K -> Z/p^h is onto, so the basis cannot map into pZ/p^h; a
+    level where none is found is refused.  The valuation does not depend
+    on the column picked: two generators differ by a unit factor and an
+    element of im d0 + p^N·C^1, the f -> e map is a chain map and so sends
+    that lattice at level f into its counterpart at level e, and a unit
+    factor leaves v_p unchanged.
 
     A pair (e, f) costs O(A) arithmetic: the diagonal transition
     coefficients applied to the level-f generator, the level-e rows of d1
@@ -632,7 +639,7 @@ def verify_orbit(params: TruncationParams, summand, A: int | None = None, N: int
     class functional reads."""
     default = default_truncation(params, summand.orbit)
     trunc = OrbitTruncation(summand.orbit, default.A if A is None else A, default.N if N is None else N)
-    fc, exps = _stable_fiber(params, trunc, ("U",))
+    fc, exps = _stable_fiber(params, trunc, True)
     h = summand.module.h
     degree_match = exps == {0: (), 1: (h,) if h else (), 2: ()}
     kernel_ok = summand.s < 1 or h == 0 or certify_kernel_generator(fc, summand)

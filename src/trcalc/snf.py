@@ -16,8 +16,9 @@ of at most three, so a step reads only the entries that are there.
 The pivot search reads a row's entries in the order they are listed, so
 rows in ascending column order get the pivots, and so the transforms, of
 a row-major scan of the same matrix.  Pivots are recorded instead of
-swapped into place, and the transforms come back sparse too (U and V⁻¹
-as lists of rows, V as a list of columns; see `smith_mod_prime_power`).
+swapped into place, and the transforms come back sparse too: U as a list
+of rows, and V⁻¹, the one change of basis on the column side, as its rows
+keyed by the column each one pivots on (see `smith_mod_prime_power`).
 `KernelLattice.solve` reads a sparse vector and only the columns of V⁻¹
 its entries pick, and `quotient` takes its generators as sparse columns.
 A cyclic quotient reads the class of a lattice vector through one
@@ -28,31 +29,26 @@ A kernel keeps only its nontrivial coordinates.  In the coordinates
 y = V⁻¹x of the elimination of M, a row divisor d_j = 1 forces y_j ≡ 0
 mod q on the whole kernel, so that coordinate and its basis column
 (≡ 0 mod q) are dropped; `solve` still reads the dropped rows of V⁻¹, so
-membership checks every coordinate.  When an n×2n matrix is onto mod q,
-as the oracle's d1 is on its fibers, its kernel keeps n of the 2n
-coordinates, all with t_j = 1, and the quotient under H¹ is n×n.  The
-quotient keeps the kernel coordinates Y of its generators L:
-L ≡ basis·Y = V·diag(t)·Y on the kept coordinates, and V is invertible
-mod q, so the divisors of L below q are those of diag(t)·Y, and those of
-the quotient itself when every kept t_j is 1.  A kernel records the prime
-of its modulus, and its quotients read their exponents as powers of it.
-
-Elimination builds only what is read.  `smith_mod_prime_power`,
-`kernel_mod` and `quotient` take a `transforms` tuple naming the
-transforms to build, out of "U", "V" and "Vinv"; the divisors never
-depend on it.  A kernel whose elements are only solved for asks for
-`("Vinv",)`, and one whose basis is read asks for "V" as well.  A
-quotient whose exponents are all that is read asks for `()`, and one whose
-class functional or generator is read asks for `("U",)`.  A kernel keeps
-the divisors of its matrix, so the cokernel of the same matrix needs no
+membership checks every coordinate.  The basis is never stored: V⁻¹ is
+unit upper triangular in pivot order, so `KernelLattice.basis_column`
+writes a column of V·diag(t) out by back-substitution over the columns of
+V⁻¹ that `solve` reads.  When an n×2n matrix is onto mod q, as the
+oracle's d1 is on its fibers, its kernel keeps n of the 2n coordinates,
+all with t_j = 1, and the quotient under H¹ is n×n.  The quotient keeps
+the kernel coordinates Y of its generators L: L ≡ basis·Y = V·diag(t)·Y
+on the kept coordinates, and V⁻¹ is invertible mod q, so the divisors of
+L below q are those of diag(t)·Y, and those of the quotient itself when
+every kept t_j is 1.  A kernel records the prime of its modulus, and its
+quotients read their exponents as powers of it.  A kernel keeps the
+divisors of its matrix, so the cokernel of the same matrix needs no
 second elimination.
 
 The pivot search looks for a unit first, row by row, and computes
 p-valuations only when the rows left have none.  The elimination itself
 is row operations on the rows not yet pivoted on: they read only the
-entries of the pivot row, V⁻¹ is read off the reduced pivot rows, and the
-column operations that clear each pivot row run on V alone, only when V
-is built.
+entries of the pivot row, and V⁻¹ is read off the reduced pivot rows.  U
+is the one transform a caller may go without: a quotient whose exponents
+are all that is read does not build it.
 """
 
 from __future__ import annotations
@@ -105,24 +101,23 @@ def _subtract(dst: Sparse, f: int, src: Sparse, q: int) -> None:
 
 
 def smith_mod_prime_power(
-    M: list[Sparse], cols: int, p: int, q: int, transforms: tuple[str, ...] = ("U", "V", "Vinv")
-) -> tuple[list[int], list[Sparse] | None, list[Sparse] | None, list[Sparse] | None]:
+    M: list[Sparse], cols: int, p: int, q: int, build_u: bool = True
+) -> tuple[list[int], list[Sparse] | None, dict[int, Sparse]]:
     """Elementary divisors and transforms over Z/q, q = p^N, of the matrix
     M with `cols` columns, given as its sparse rows, each listing its
     entries in ascending column order; entries are read mod q, and the
     rows are not written to.
 
-    Returns (divisors, U, V, Vinv), the transforms sparse: U and Vinv as
-    lists of rows and V as a list of columns, each a {index: entry} dict
-    of its entries nonzero mod q.  U and V are invertible mod q, U·M·V is
-    congruent mod q to the matrix with divisors[t] at (t, t) and zeros
-    elsewhere, and V·Vinv is congruent to the identity.  There is one
+    Returns (divisors, U, Vinv), the transforms sparse, each vector a
+    {index: entry} dict of its entries nonzero mod q: U as a list of rows,
+    and Vinv as its rows keyed by column of M, in position order.  U and
+    Vinv are invertible mod q, and U·M is congruent mod q to D·Vinv, D the
+    matrix with divisors[t] at (t, t) and zeros elsewhere.  There is one
     divisor per row, p^v with v < N or q (which reads as 0) where the rows
     left vanish mod q, in increasing order.  When the column lattice of M
     contains q·Z^rows, these are the integer elementary divisors of that
-    lattice.  Only the transforms named in `transforms` are built; the
-    others come back as None.  The divisors and the built transforms do
-    not depend on which others are built.
+    lattice.  U is built only when `build_u` is set, and comes back as
+    None otherwise; the divisors and Vinv do not depend on it.
 
     Step t pivots on an entry of least p-valuation v (`_pivot`), at row r_t
     and column c_t of M, among the rows not yet pivoted on, and scales its
@@ -131,24 +126,22 @@ def smith_mod_prime_power(
     inside Z/q; they read only the entries of the pivot row.  Nothing is
     swapped: position t of the result is row r_t and column c_t of M, and
     the positions past the last pivot hold the rows and the columns never
-    pivoted on, the columns in order.  A row not yet pivoted on has no
-    entry in an earlier pivot column, so the pivot row's entries lie in
-    columns not pivoted on before.  Column operations
-    col_j -= f·col_(c_t), f = A[r_t][j]/p^v, would then clear row r_t.
-    They touch no other row, and no later step reads row r_t, so they are
-    applied to V alone, and only when V is built.  They would add f times
-    row j of V⁻¹ to its row t, and the rows of the columns not yet pivoted
-    on are still unit vectors at step t, so row t of V⁻¹ is the scaled
-    pivot row divided by p^v.  The rows past the last pivot are the unit
-    vectors of the columns never pivoted on.
+    pivoted on, the columns in order.  Row t of U·M is the scaled pivot
+    row, which no later step changes, and the rows past the last pivot
+    vanish mod q.  Row t of Vinv, keyed by c_t, is that pivot row divided
+    by p^v, and the rows past the last pivot are the unit vectors of the
+    columns never pivoted on, so U·M ≡ D·Vinv.  A row not yet pivoted on
+    has no entry in an earlier pivot column, so in position order Vinv is
+    unit upper triangular: row t has 1 at c_t and no entry in an earlier
+    pivot column.  Hence Vinv is invertible mod q, and U·M·V ≡ D for its
+    inverse V.
     """
     rows = len(M)
     # the rows not yet pivoted on, by row of M
     active = {r: {j: a % q for j, a in row.items() if a % q} for r, row in enumerate(M)}
-    U = {r: {r: 1} for r in range(rows)} if "U" in transforms else None
-    V = {j: {j: 1} for j in range(cols)} if "V" in transforms else None  # columns, by column of M
-    Vinv = [] if "Vinv" in transforms else None
-    pivot_rows, pivot_cols = [], []
+    U = {r: {r: 1} for r in range(rows)} if build_u else None
+    Vinv: dict[int, Sparse] = {}
+    pivot_rows = []
     divisors = [q] * rows
 
     for t in range(min(rows, cols)):
@@ -170,24 +163,15 @@ def smith_mod_prime_power(
                 _subtract(row, f, prow, q)
                 if U is not None:
                     _subtract(U[i], f, U[r], q)
-        if V is not None:
-            vc = V[c]
-            for j, a in prow.items():
-                if j != c:
-                    _subtract(V[j], a // pk, vc, q)
-        if Vinv is not None:
-            Vinv.append(prow if v == 0 else {j: a // pk for j, a in prow.items()})
+        Vinv[c] = prow if v == 0 else {j: a // pk for j, a in prow.items()}
         pivot_rows.append(r)
-        pivot_cols.append(c)
         divisors[t] = pk
-    rest = sorted(set(range(cols)).difference(pivot_cols))
+    for j in range(cols):
+        if j not in Vinv:
+            Vinv[j] = {j: 1}
     if U is not None:
         U = [U[r] for r in pivot_rows + list(active)]
-    if V is not None:
-        V = [V[j] for j in pivot_cols + rest]
-    if Vinv is not None:
-        Vinv += [{j: 1} for j in rest]
-    return divisors, U, V, Vinv
+    return divisors, U, Vinv
 
 
 @dataclass
@@ -195,20 +179,25 @@ class KernelLattice:
     """K = {x : M x ≡ 0 mod q} inside Z^n, q = p^N.
 
     K contains q·Z^n.  In the coordinates y = V⁻¹x of the elimination, x
-    lies in K exactly when y_j ≡ 0 mod t_j for every j, with t_j = q/d_j
-    for the row divisor d_j and t_j = 1 past the last row.  A coordinate
-    with d_j = 1 has t_j = q: it vanishes mod q on all of K, so it carries
-    nothing, and only the coordinates with t_j < q are kept.  `t` holds
-    their t_j and `dim` counts them.  Their columns V_j·t_j span K modulo
+    lies in K exactly when y_j ≡ 0 mod t_j at every position j, with
+    t_j = q/d_j for the row divisor d_j and t_j = 1 past the last row.  A
+    position with d_j = 1 has t_j = q: y_j vanishes mod q on all of K, so
+    it carries nothing.  These are the unit pivots, which the elimination
+    takes first, so the first n - `dim` positions are dropped and the rest
+    kept: `t` holds the kept t_j, and kernel coordinate k is position
+    n - dim + k.  The columns V_j·t_j of the kept positions span K modulo
     q·Z^n (a dropped column V_j·q is ≡ 0), and the coordinates of x in K
-    are y_j/t_j, each defined modulo q/t_j.  The kept columns of V stay
-    sparse: `basis_column(k)` writes one basis column out.  V⁻¹ is kept
-    as its n sparse columns, one per entry of x, each keyed by coordinate:
-    the kept ones first, in order, then the dropped ones, so `solve` still
-    checks that the dropped coordinates of x vanish mod q.  `_V_cols` is
-    None when V was not built, and `_Vinv_cols` when V⁻¹ was not.
-    `divisors` are all the elementary divisors of M over Z/q, one per row,
-    from the same elimination.
+    are y_j/t_j, each defined modulo q/t_j.
+
+    V⁻¹ is the one change of basis kept, as its n sparse columns, one per
+    entry of x, each keyed by position; `_order[j]` is the column of M at
+    position j.  `solve` reads the columns its x picks, the dropped
+    positions included, so it still checks that the dropped coordinates
+    of x vanish mod q.  V is never formed: column `_order[j]` of V⁻¹ has 1
+    at position j and no entry past it, so `basis_column(k)` solves
+    V⁻¹·x ≡ t_k·e_k by back-substitution over these columns.  `divisors`
+    are all the elementary divisors of M over Z/q, one per row, from the
+    same elimination.
     """
 
     n: int
@@ -216,19 +205,31 @@ class KernelLattice:
     modulus: int
     divisors: list[int]
     t: list[int]
-    _V_cols: list[Sparse] | None
-    _Vinv_cols: list[Sparse] | None
+    _Vinv_cols: list[Sparse]
+    _order: list[int]
 
     @property
     def dim(self) -> int:
         return len(self.t)
 
     def basis_column(self, k: int) -> list[int]:
-        """Basis column k, V_k·t_k mod q, as a dense vector."""
+        """Basis column k, V_k·t_k mod q, as a dense vector: x with
+        V⁻¹·x ≡ t_k·e_k, solved from position n - dim + k down, each
+        position's entry read off the right-hand side that the columns of
+        the positions past it leave."""
+        q = self.modulus
+        top = self.n - self.dim + k
+        rhs = [0] * (top + 1)
+        rhs[top] = self.t[k]
         col = [0] * self.n
-        t, q = self.t[k], self.modulus
-        for r, a in self._V_cols[k].items():
-            col[r] = a * t % q
+        Vinv_cols = self._Vinv_cols
+        for j in range(top, -1, -1):
+            y = rhs[j] % q
+            if y:
+                c = self._order[j]
+                col[c] = y
+                for r, a in Vinv_cols[c].items():
+                    rhs[r] -= a * y
         return col
 
     def solve(self, x: Sparse) -> list[int] | None:
@@ -240,11 +241,11 @@ class KernelLattice:
         for i, v in x.items():
             for j, a in Vinv_cols[i].items():
                 acc[j] += v * a
-        q = self.modulus
-        if any(val % q for val in acc[self.dim :]):
+        q, dropped = self.modulus, self.n - self.dim
+        if any(val % q for val in acc[:dropped]):
             return None
         out = []
-        for val, t in zip(acc, self.t):
+        for val, t in zip(acc[dropped:], self.t):
             val %= q
             if val % t:
                 return None
@@ -252,27 +253,19 @@ class KernelLattice:
         return out
 
 
-def kernel_mod(
-    M: list[Sparse], cols: int, p: int, q: int, transforms: tuple[str, ...] = ("V", "Vinv")
-) -> KernelLattice:
+def kernel_mod(M: list[Sparse], cols: int, p: int, q: int) -> KernelLattice:
     """Lattice of integer vectors x with M x ≡ 0 mod q, q = p^N, for M
     with `cols` columns given as sparse rows (`smith_mod_prime_power`), on
-    its coordinates with t_j < q (see `KernelLattice`).  Only the
-    transforms named in `transforms` are built: "V" for the basis, "Vinv"
-    for `solve`."""
+    its coordinates with t_j < q (see `KernelLattice`)."""
     rows = len(M)
-    divisors, _, V, Vinv = smith_mod_prime_power(M, cols, p, q, transforms)
-    t_all = [q // d for d in divisors[:cols]] + [1] * (cols - rows)
-    keep = [j for j, t in enumerate(t_all) if t < q]
-    dropped = [j for j, t in enumerate(t_all) if t == q]
-    Vinv_cols = None
-    if Vinv is not None:
-        Vinv_cols = [{} for _ in range(cols)]
-        for k, j in enumerate(keep + dropped):
-            for c, a in Vinv[j].items():
-                Vinv_cols[c][k] = a
-    V_cols = None if V is None else [V[j] for j in keep]
-    return KernelLattice(cols, p, q, divisors, [t_all[j] for j in keep], V_cols, Vinv_cols)
+    divisors, _, Vinv = smith_mod_prime_power(M, cols, p, q, False)
+    dropped = divisors.count(1)
+    Vinv_cols: list[Sparse] = [{} for _ in range(cols)]
+    for j, row in enumerate(Vinv.values()):
+        for c, a in row.items():
+            Vinv_cols[c][j] = a
+    t = [q // d for d in divisors[dropped:cols]] + [1] * (cols - rows)
+    return KernelLattice(cols, p, q, divisors, t, Vinv_cols, list(Vinv))
 
 
 @dataclass
@@ -282,9 +275,8 @@ class QuotientPresentation:
     `class_functional`, and names a basis column that generates it through
     `generator_coordinate`.  `coords` holds the kernel coordinates Y of the
     columns of L as sparse rows, one per kept coordinate of the kernel,
-    keyed by column of L.  `_U` holds
-    the sparse rows of U, and is None when `quotient` was not asked to
-    build it."""
+    keyed by column of L.  `_U` holds the sparse rows of U, and is None
+    when `quotient` was not asked to build it."""
 
     kernel: KernelLattice
     coords: list[Sparse]
@@ -308,8 +300,9 @@ class QuotientPresentation:
         """The class coordinate of a cyclic quotient Z/d as one dot product.
 
         With j the one nontrivial divisor d, w = Σ_k U[j][k]·(q/t_k)·V⁻¹[k]
-        mod q·d over the kept coordinates k.  Row k of V⁻¹ reads t_k·y_k
-        mod q for the kernel coordinates y of x, and U[j][k]·(q/t_k) ≡ 0
+        mod q·d over the kept coordinates k, V⁻¹[k] the row of V⁻¹ at the
+        position of coordinate k.  It reads t_k·y_k mod q for the kernel
+        coordinates y of x, and U[j][k]·(q/t_k) ≡ 0
         (mod d) because the relation (q/t_k)·e_k lies in L + q·Z^n, so
         w·x ≡ q·(U·y)[j] (mod q·d) for every x in K.  Only the entries of
         U[j], at kept coordinates, are read, so the dropped rows of V⁻¹
@@ -320,8 +313,9 @@ class QuotientPresentation:
         q, d = kernel.modulus, self.divisors[j]
         qd = q * d
         c = [0] * kernel.n
+        dropped = kernel.n - kernel.dim
         for k, u in self._U[j].items():
-            c[k] = u * (q // kernel.t[k]) % qd
+            c[dropped + k] = u * (q // kernel.t[k]) % qd
         w = [sum(c[k] * a for k, a in col.items()) % qd for col in kernel._Vinv_cols]
         return ClassFunctional(w, q, d)
 
@@ -349,7 +343,7 @@ class ClassFunctional:
 
 
 def quotient(
-    kernel: KernelLattice, L: list[Sparse], transforms: tuple[str, ...] = ("U",)
+    kernel: KernelLattice, L: list[Sparse], build_u: bool = True
 ) -> QuotientPresentation:
     """Present K/(L + q·Z^n) for generators inside K, given as the sparse
     columns L.
@@ -359,7 +353,7 @@ def quotient(
     q·Z^n in those coordinates, one column for each t_j > 1, so every
     divisor divides q.  A kernel whose kept t_j are all 1 adds no
     relation: G is Y, `dim`×`dim` when L has `dim` columns.  U is built
-    only when `transforms` names "U".
+    only when `build_u` is set.
     """
     Y: list[Sparse] = [{} for _ in range(kernel.dim)]
     for c, col in enumerate(L):
@@ -376,5 +370,5 @@ def quotient(
             row = {**row, cols: q // t}
             cols += 1
         G.append(row)
-    divisors, U, _, _ = smith_mod_prime_power(G, cols, kernel.p, q, transforms)
+    divisors, U, _ = smith_mod_prime_power(G, cols, kernel.p, q, build_u)
     return QuotientPresentation(kernel, Y, tuple(divisors), U)

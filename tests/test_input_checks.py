@@ -29,6 +29,8 @@ HALF = PAdicFraction.make(1, 1, 2)
         (JobSpec(command="verify", p=3, i=1), "verify needs --e"),
         (JobSpec(command="bogus", p=3, i=1, e=2), "unknown command bogus"),
         (JobSpec(command="syntomic", p=3, i=1, e=2, format="xml"), "unknown format xml"),
+        (JobSpec(command="transition", p=3, i=1, i_max=2, e=2), "transition does not read i_max"),
+        (JobSpec(command="syntomic", p=3, i=1, e=2, N=30), "syntomic does not read A or N"),
     ],
 )
 def test_run_command_rejects_a_bad_job(spec, message):

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import snf_witness as witness
 from snf_witness import eye
+import trcalc.drw as drw_module
 import trcalc.oracle as oracle_module
 import trcalc.snf as snf_module
 from trcalc.cli import JobSpec, run_command
@@ -212,7 +213,7 @@ def _direct_h0_kernel_rank(fc):
     dense reference assembly fed as sparse rows."""
     mats = fc.matrices
     d0_rows = witness.sparse_rows(witness.fiber_d0(mats))
-    divisors = smith_mod_prime_power(d0_rows, mats.n, mats.p, mats.modulus, ())[0]
+    divisors = smith_mod_prime_power(d0_rows, mats.n, mats.p, mats.modulus, False)[0]
     return divisors[: mats.n].count(mats.modulus)
 
 
@@ -233,13 +234,13 @@ def test_degree0_certificate_matches_the_direct_snf_of_d0():
                 base = default_truncation(params, Orbit(m, alpha))
                 minimal_n = OrbitTruncation(base.orbit, base.A, i * (base.A + 1) + 5)
                 for trunc in (base, base.grown(params), minimal_n):
-                    fc = FiberCohomology.of(build_orbit_matrices(params, trunc), ())
+                    fc = FiberCohomology.of(build_orbit_matrices(params, trunc), False)
                     assert fc.h0_kernel_rank == _direct_h0_kernel_rank(fc) == 0
                     checked += 1
     # and on the README job `verify --p 2 --i 2 --e 3 --A 6 --N 24`
     params = TruncationParams(2, 3, 2)
     for m in (1, 5):
-        fc = FiberCohomology.of(build_orbit_matrices(params, OrbitTruncation(Orbit(m), 6, 24)), ())
+        fc = FiberCohomology.of(build_orbit_matrices(params, OrbitTruncation(Orbit(m), 6, 24)), False)
         assert fc.h0_kernel_rank == _direct_h0_kernel_rank(fc) == 0
     assert checked > 1000
 
@@ -267,7 +268,7 @@ def test_degree0_certificate_with_nontrivial_kernel_steps(p, i, e, m, scale, lev
     if dead_column:
         mats.diff_nygaard[-1] = 0
         mats.can0[-1] = q
-    fc = FiberCohomology.of(mats, ())
+    fc = FiberCohomology.of(mats, False)
     assert any(t > 1 for t in fc.h1.kernel.t)
     assert fc.h0_kernel_rank == _direct_h0_kernel_rank(fc) == int(dead_column)
 
@@ -309,7 +310,7 @@ def test_kernel_generator_certificate_searches_the_class_coordinate_too(monkeypa
     n, q, s, d = fc.matrices.n, fc.matrices.modulus, claim.s, 2 ** claim.module.h
     scale = [2**c for c in reversed(claim.generator_exponents)] + [1] * (2 * n - s)
     scaled_d1 = [[x * f % q for x, f in zip(row[:s], scale)] + row[s:] for row in witness.fiber_d1(fc.matrices)]
-    kernel = kernel_mod(witness.sparse_rows(scaled_d1), 2 * n, 2, q, ("V",))
+    kernel = kernel_mod(witness.sparse_rows(scaled_d1), 2 * n, 2, q)
     basis = [kernel.basis_column(k) for k in range(kernel.dim)]
     # kernel vectors z of the scaled d1 mod 2, and their cocycles scale·z
     combos = [
@@ -403,6 +404,25 @@ def test_base_and_grown_matrices_validate_the_base_truncation():
     for trunc in (OrbitTruncation(Orbit(1), A=1, N=40), OrbitTruncation(Orbit(1), A=4, N=5)):
         with pytest.raises(ValueError):
             oracle_module.base_and_grown_matrices(params, trunc)
+
+
+def test_verify_orbit_walks_the_degree1_walk_twice(monkeypatch):
+    # once to size the default truncation and once to validate it; the
+    # grown truncation is valid whenever the base is, so its build does not
+    # walk again
+    params = TruncationParams(3, 4, 2)
+    claims = [sm for sm in enumerate_orbits(params) if sm.s and sm.module.h]
+    real = drw_module.degree1_walks
+    walks = []
+
+    def recording(p, i, m, alpha, levels):
+        walks.append(tuple(levels))
+        return real(p, i, m, alpha, levels)
+
+    monkeypatch.setattr(drw_module, "degree1_walks", recording)
+    cert = verify_orbit(params, claims[0])
+    assert cert.passed and cert.kernel_ok
+    assert walks == [(4,), (4,)]
 
 
 def test_verify_orbit_rejects_unstable_truncation(monkeypatch):
@@ -522,12 +542,12 @@ def test_oracle_imports_no_closed_form():
 
 def test_verify_orbit_runs_only_the_transforms_it_reads(monkeypatch):
     # each fiber eliminates d1 once, in the kernel under H^1, which builds
-    # only the V^-1 that solves read, and H^2 comes from that kernel's
-    # divisors; the base quotient builds the U that the certificate's class
-    # functional reads, the stability recheck compares exponents and
-    # builds none, the degree-0 certificate is read from the quotient's
-    # own elimination, and the generator search reads the basis V of the
-    # kernel of d1 with its first s columns scaled by the claimed p^(c_a)
+    # no U, and H^2 comes from that kernel's divisors; the base quotient
+    # builds the U that the certificate's class functional reads, the
+    # stability recheck compares exponents and builds none, the degree-0
+    # certificate is read from the quotient's own elimination, and the
+    # generator search reads the basis of the kernel of d1 with its first
+    # s columns scaled by the claimed p^(c_a), back-substituted over V^-1
     smith_calls, inside, kernels, quotient_shapes = [], [], [], []
     real_smith = snf_module.smith_mod_prime_power
     real_kernel = oracle_module.kernel_mod
@@ -548,9 +568,9 @@ def test_verify_orbit_runs_only_the_transforms_it_reads(monkeypatch):
 
         return run
 
-    def kernel_mod(M, cols, p, q, transforms):
+    def kernel_mod(M, cols, p, q):
         kernels.append(witness.densify(M, cols))
-        return real_kernel(M, cols, p, q, transforms)
+        return real_kernel(M, cols, p, q)
 
     for module in (snf_module, oracle_module):
         monkeypatch.setattr(module, "smith_mod_prime_power", smith)
@@ -559,14 +579,14 @@ def test_verify_orbit_runs_only_the_transforms_it_reads(monkeypatch):
     params = TruncationParams(2, 3, 2)
     cert = verify_orbit(params, h1_syntomic_orbit(params, Orbit(1)))
     assert cert.passed and cert.s >= 1
-    assert [t for tag, t in smith_calls if tag == "quotient"] == [("U",), ()]
+    assert [u for tag, u in smith_calls if tag == "quotient"] == [True, False]
     assert kernels and all(any(v for row in M for v in row) for M in kernels)
     assert smith_calls == [
-        ("kernel_mod", ("Vinv",)),
-        ("quotient", ("U",)),
-        ("kernel_mod", ("Vinv",)),
-        ("quotient", ()),
-        ("kernel_mod", ("V",)),
+        ("kernel_mod", False),
+        ("quotient", True),
+        ("kernel_mod", False),
+        ("quotient", False),
+        ("kernel_mod", False),
     ]
     base = default_truncation(params, Orbit(1))
     fibers = [build_orbit_matrices(params, t) for t in (base, base.grown(params))]
@@ -574,7 +594,7 @@ def test_verify_orbit_runs_only_the_transforms_it_reads(monkeypatch):
     # each H^1 quotient is n x n: the kernel keeps the n coordinates of its
     # 2n that are not identically zero, and none needs a relation column
     assert quotient_shapes == [(mats.n, mats.n) for mats in fibers]
-    fc = FiberCohomology.of(fibers[0], ("U",))
+    fc = FiberCohomology.of(fibers[0], True)
     assert fc.h1.kernel.dim == fibers[0].n and fc.h1.kernel.t == [1] * fibers[0].n
     # the claim (0, 0, 1) scales the columns of levels 0, 1, 2 by 2, 1, 1
     d1, q = witness.fiber_d1(fibers[0]), fibers[0].modulus
@@ -582,36 +602,37 @@ def test_verify_orbit_runs_only_the_transforms_it_reads(monkeypatch):
 
 
 def test_oracle_cohomology_runs_only_the_transforms_it_reads(monkeypatch):
-    # only exponents are read: the base and the grown fiber each build the
-    # V^-1 their quotient solves with, and nothing else
+    # only exponents are read: neither the base nor the grown fiber builds
+    # U in its kernel or its quotient
     params = TruncationParams(2, 3, 2)
     trunc = default_truncation(params, Orbit(1))
     full = fiber_cohomology(params, trunc).exponents(params.p)
-    transforms = []
+    build_u = []
     real_smith = snf_module.smith_mod_prime_power
 
     def smith(*args):
-        transforms.append(args[4])
+        build_u.append(args[4])
         return real_smith(*args)
 
     for module in (snf_module, oracle_module):
         monkeypatch.setattr(module, "smith_mod_prime_power", smith)
     assert oracle_cohomology(params, trunc) == full == {0: (), 1: (3,), 2: ()}
-    assert transforms == [("Vinv",), (), ("Vinv",), ()]
+    assert build_u == [False] * 4
 
 
 def test_fiber_cohomology_serves_the_certificate_and_the_transition_oracle():
     # the kernel-generator certificate reads the class functional (U) and
-    # the transition oracle the kernel basis (V) too: every
-    # fiber_cohomology result carries both, and a one-level transition
-    # oracle reads the same fiber
+    # the transition oracle a kernel basis column too: every
+    # fiber_cohomology result carries U, and a one-level transition oracle
+    # reads the same fiber and picks its generator among the basis
+    # columns
     checked = 0
     for p, e, i in ((2, 3, 2), (2, 5, 3), (3, 2, 1), (3, 4, 2), (5, 2, 2)):
         params = TruncationParams(p, e, i)
         for claim in enumerate_orbits(params, AlphaBounds(("t",), 2, 1)):
             fc = fiber_cohomology(params, default_truncation(params, claim.orbit))
             kernel = fc.h1.kernel
-            assert fc.h1._U is not None and kernel._V_cols is not None
+            assert fc.h1._U is not None
             level = TransitionOracle(p, i, claim.orbit, [e]).level(e)
             assert level.matrices == fc.matrices
             if claim.module.h:
@@ -644,13 +665,13 @@ def test_h2_is_the_cokernel_of_d1(p, i, e, m, one_over_p, scale, level):
     mats = build_orbit_matrices(params, default_truncation(params, Orbit(m, alpha)))
     n, q = mats.n, mats.modulus
     _scale_d1_row(mats, level % n, p**scale)
-    h2 = FiberCohomology.of(mats, ()).h2
+    h2 = FiberCohomology.of(mats, False).h2
     d1 = witness.fiber_d1(mats)
     assert h2 == quotient(kernel_mod([{}], n, p, q), witness.sparse_columns(d1)).exponents()
     exact = witness.smith_normal_form(witness.hstack(d1, [[q * v for v in row] for row in eye(n)]))
     assert h2 == tuple(sorted((vp(d, p) for d in exact.diagonal if d != 1), reverse=True))
     # the kernel's divisors are those of a separate transform-free elimination
-    assert h2 == divisor_exponents(smith_mod_prime_power(mats.fiber_d1_rows(), 2 * n, p, q, ())[0], p)
+    assert h2 == divisor_exponents(smith_mod_prime_power(mats.fiber_d1_rows(), 2 * n, p, q, False)[0], p)
     if scale:
         assert h2 and h2[0] >= scale
 
@@ -826,7 +847,7 @@ def test_two_slot_fiber_cohomology_matches_the_closed_form():
                 orbit = Orbit(m, alpha)
                 h = h1_syntomic_orbit(params, orbit).module.h
                 mats = build_orbit_matrices(params, default_truncation(params, orbit))
-                exps = FiberCohomology.of(mats, ()).exponents(p)
+                exps = FiberCohomology.of(mats, False).exponents(p)
                 assert exps == {0: (), 1: (h,) if h else (), 2: ()}
                 checked += 1
                 nontrivial += h > 0
@@ -925,14 +946,18 @@ def test_level_without_a_unit_coordinate_is_refused(monkeypatch):
 
 
 def _in_order(transform):
-    """A sparse transform with the order of each vector's entries kept."""
+    """A sparse transform with the order of its vectors, and of each
+    vector's entries, kept: a list of vectors, or a dict of them by key."""
+    if isinstance(transform, dict):
+        return [(key, list(vec.items())) for key, vec in transform.items()]
     return None if transform is None else [list(vec.items()) for vec in transform]
 
 
 def test_fiber_rows_keep_the_pivots_of_the_dense_input():
     # on the grid, the engine eliminates the rows and columns built from
     # the coefficient lists exactly as it does the dense assembly converted
-    # once: same divisors, and every transform entry for entry, in order
+    # once: same divisors, and every transform entry for entry, in order,
+    # the kernel's columns of V^-1 and its basis columns included
     for mats in _fiber_grid():
         p, n, q = mats.p, mats.n, mats.modulus
         rows = mats.fiber_d1_rows()
@@ -941,8 +966,9 @@ def test_fiber_rows_keep_the_pivots_of_the_dense_input():
         assert got[0] == want[0]
         assert [_in_order(T) for T in got[1:]] == [_in_order(T) for T in want[1:]]
         K, W = kernel_mod(rows, 2 * n, p, q), kernel_mod(reference, 2 * n, p, q)
-        assert (K.t, K.divisors) == (W.t, W.divisors)
-        assert (_in_order(K._V_cols), _in_order(K._Vinv_cols)) == (_in_order(W._V_cols), _in_order(W._Vinv_cols))
+        assert (K.t, K.divisors, K._order) == (W.t, W.divisors, W._order)
+        assert _in_order(K._Vinv_cols) == _in_order(W._Vinv_cols)
+        assert [K.basis_column(k) for k in range(K.dim)] == [W.basis_column(k) for k in range(W.dim)]
         Q = quotient(K, mats.fiber_d0_columns())
         R = quotient(W, witness.sparse_columns(witness.fiber_d0(mats)))
         assert Q.divisors == R.divisors

@@ -6,7 +6,6 @@ The cases are dense integer matrices; the engine reads only sparse rows,
 so `_smith`, `_kernel`, `_quotient` and `_solve` convert each input once
 (`snf_witness.sparse_rows` and its siblings) before calling it."""
 
-import itertools
 import random
 
 import pytest
@@ -23,19 +22,19 @@ def _cols(M):
     return len(M[0]) if M else 0
 
 
-def _smith(M, p, q, transforms=("U", "V", "Vinv")):
+def _smith(M, p, q, build_u=True):
     """`smith_mod_prime_power` on the dense M, fed as sparse rows."""
-    return smith_mod_prime_power(witness.sparse_rows(M), _cols(M), p, q, transforms)
+    return smith_mod_prime_power(witness.sparse_rows(M), _cols(M), p, q, build_u)
 
 
-def _kernel(M, p, q, transforms=("V", "Vinv")):
+def _kernel(M, p, q):
     """`kernel_mod` on the dense M, fed as sparse rows."""
-    return kernel_mod(witness.sparse_rows(M), _cols(M), p, q, transforms)
+    return kernel_mod(witness.sparse_rows(M), _cols(M), p, q)
 
 
-def _quotient(K, L, transforms=("U",)):
+def _quotient(K, L, build_u=True):
     """`quotient` by the columns of the dense L, fed as sparse columns."""
-    return quotient(K, witness.sparse_columns(L), transforms)
+    return quotient(K, witness.sparse_columns(L), build_u)
 
 
 def _solve(K, x):
@@ -243,57 +242,62 @@ def test_mod_prime_power_snf_without_units_matches_witness(case, k):
     _check_against_witness(p, N, [[p**k * a for a in row] for row in M], xs)
 
 
-def _dense(U, V, Vinv, rows, cols):
-    """The sparse transforms as dense matrices: U and V⁻¹ from their
-    rows, V from its columns."""
+def _smith_dense(M, p, q):
+    """The full `smith_mod_prime_power` call, U and V⁻¹ written out dense
+    from their rows (V⁻¹'s in position order), after checking that they
+    hold only entries nonzero mod q and that V⁻¹ is unit upper triangular
+    in position order: each row has 1 at its own column and no entry at
+    the column of an earlier row."""
+    rows, cols = len(M), len(M[0])
+    divisors, U, Vinv = _smith(M, p, q)
+    assert all(a % q for T in (U, Vinv.values()) for vec in T for a in vec.values())
+    order = list(Vinv)
+    assert sorted(order) == list(range(cols))
+    for t, c in enumerate(order):
+        assert Vinv[c][c] == 1 and not set(Vinv[c]) & set(order[:t])
     return (
+        divisors,
         [[row.get(j, 0) for j in range(rows)] for row in U],
-        [[col.get(r, 0) for col in V] for r in range(cols)],
-        [[row.get(j, 0) for j in range(cols)] for row in Vinv],
+        [[row.get(j, 0) for j in range(cols)] for row in Vinv.values()],
     )
 
 
-def _smith_dense(M, p, q):
-    """The full `smith_mod_prime_power` call, its transforms written out
-    dense, after checking that they hold only entries nonzero mod q."""
-    divisors, U, V, Vinv = _smith(M, p, q)
-    assert all(a % q for T in (U, V, Vinv) for vec in T for a in vec.values())
-    return (divisors, *_dense(U, V, Vinv, len(M), len(M[0])))
+def _check_transforms(M, p, q):
+    """The divisors of M, after checking that U·M ≡ D·V⁻¹ (mod q) with U
+    and V⁻¹ invertible mod q, and that the call without U gives the same
+    divisors and V⁻¹."""
+    divisors, U, Vinv = _smith_dense(M, p, q)
+    rows, cols = len(M), len(M[0])
+    D = [[divisors[i] % q if i == j else 0 for j in range(cols)] for i in range(rows)]
+    assert _mod(witness.mat_mul(U, M), q) == _mod(witness.mat_mul(D, Vinv), q)
+    # U and V⁻¹ are invertible mod q: their integer elementary divisors
+    # are prime to p
+    for T in (U, Vinv):
+        assert all(d % p for d in witness.smith_normal_form(T).diagonal)
+    full, without_u = _smith(M, p, q), _smith(M, p, q, False)
+    assert without_u[:2] == (full[0], None)
+    assert list(without_u[2].items()) == list(full[2].items())
+    return divisors
 
 
 def _check_against_witness(p, N, M, xs):
     q = p**N
-    rows, cols = len(M), len(M[0])
-    divisors, U, V, Vinv = _smith_dense(M, p, q)
-
+    rows = len(M)
+    divisors = _check_transforms(M, p, q)
     assert divisors == _reduced_divisors(witness.smith_normal_form(M).diagonal, rows, p, N)
-    D = [[divisors[i] % q if i == j else 0 for j in range(cols)] for i in range(rows)]
-    assert _mod(witness.mat_mul(witness.mat_mul(U, M), V), q) == D
-    # U is invertible mod q: its integer elementary divisors are prime to p
-    assert all(d % p for d in witness.smith_normal_form(U).diagonal)
-    assert _mod(witness.mat_mul(V, Vinv), q) == eye(cols)
-    # each caller's reduced call gives the same divisors and transforms
-    full = dict(zip(("U", "V", "Vinv"), _smith(M, p, q)[1:]))
-    for transforms in ((), ("V", "Vinv"), ("Vinv",), ("U",), ("U", "V")):
-        reduced = _smith(M, p, q, transforms)
-        assert reduced[0] == divisors
-        for name, got in zip(("U", "V", "Vinv"), reduced[1:]):
-            assert got == (full[name] if name in transforms else None)
 
     K = _kernel(M, p, q)
+    assert K.divisors == divisors
+    # each basis column solves V⁻¹·x ≡ t_k·e_k: its coordinates are e_k
+    for k, col in enumerate(_basis_columns(K)):
+        assert all(0 <= v < q for v in col)
+        assert _solve(K, col) == [int(j == k) for j in range(K.dim)]
     W = witness.kernel_mod(M, q)
     for x in witness.columns(W.basis) + _basis_columns(K) + xs:
         in_kernel = all(v % q == 0 for v in witness.mat_vec(M, x))
         assert (_solve(K, x) is not None) == (W.solve(x) is not None) == in_kernel
         if in_kernel:
             assert [v % q for v in witness.mat_vec(_basis(K), _solve(K, x))] == [v % q for v in x]
-    # a kernel that is only solved in builds V^-1 alone, with the same
-    # divisors and coordinates
-    solve_only = _kernel(M, p, q, ("Vinv",))
-    assert solve_only._V_cols is None
-    assert solve_only.divisors == K.divisors == divisors
-    for x in witness.columns(W.basis) + _basis_columns(K) + xs:
-        assert _solve(solve_only, x) == _solve(K, x)
 
 
 @settings(max_examples=100, deadline=None)
@@ -394,9 +398,9 @@ def _structured_matrix(rng, p, N, rows, cols):
 def test_mod_prime_power_snf_on_shapes_the_oracle_never_builds():
     # larger and more degenerate than the oracle's fibers: random shapes up
     # to 9x18 and 18x9 over p in {2, 3, 5}; each call returns transforms
-    # that reconstruct diag(divisors), V⁻¹ inverts V on both sides, every
-    # reduced transforms tuple matches the full call, and the kernel's
-    # solve agrees with the witness's
+    # with U·M ≡ diag(divisors)·V⁻¹, both invertible mod q, the call
+    # without U matches the full one, every basis column has coordinates
+    # e_k, and the kernel's solve agrees with the witness's
     rng = random.Random(20261018)
     seen = {"non-unit pivot": 0, "zero block": 0, "rows > cols": 0, "cols > rows": 0}
     for _ in range(120):
@@ -407,7 +411,7 @@ def test_mod_prime_power_snf_on_shapes_the_oracle_never_builds():
         if rng.random() < 0.5:
             rows, cols = (2 * rows, cols) if rng.random() < 0.5 else (rows, 2 * cols)
         M = _structured_matrix(rng, p, N, rows, cols)
-        divisors, U, V, Vinv = _smith_dense(M, p, q)
+        divisors = _check_transforms(M, p, q)
         r = min(rows, cols)
         seen["non-unit pivot"] += any(1 < d < q for d in divisors[:r])
         seen["zero block"] += q in divisors[:r]
@@ -415,18 +419,10 @@ def test_mod_prime_power_snf_on_shapes_the_oracle_never_builds():
         seen["cols > rows"] += cols > rows
 
         assert divisors == _reduced_divisors(witness.smith_normal_form(M).diagonal, rows, p, N)
-        D = [[divisors[i] % q if i == j else 0 for j in range(cols)] for i in range(rows)]
-        assert _mod(witness.mat_mul(witness.mat_mul(U, M), V), q) == D
-        assert _mod(witness.mat_mul(V, Vinv), q) == eye(cols)
-        assert _mod(witness.mat_mul(Vinv, V), q) == eye(cols)
-        full = dict(zip(("U", "V", "Vinv"), _smith(M, p, q)[1:]))
-        for transforms in ((), ("U",), ("V",), ("Vinv",), ("U", "V"), ("U", "Vinv"), ("V", "Vinv")):
-            reduced = _smith(M, p, q, transforms)
-            assert reduced[0] == divisors
-            for name, got in zip(("U", "V", "Vinv"), reduced[1:]):
-                assert got == (full[name] if name in transforms else None)
 
         K, W = _kernel(M, p, q), witness.kernel_mod(M, q)
+        for k, col in enumerate(_basis_columns(K)):
+            assert _solve(K, col) == [int(j == k) for j in range(K.dim)]
         xs = witness.columns(W.basis) + [_random_matrix(rng, 1, cols, bound=q)[0] for _ in range(3)]
         for x in xs:
             in_kernel = all(v % q == 0 for v in witness.mat_vec(M, x))
@@ -464,21 +460,23 @@ def _fiber_shaped(rng, p, N, n, kind):
     return M
 
 
+def _with_coordinates(Vinv, y, q):
+    """x with V⁻¹·x ≡ y (mod q), from the witness's exact solve in the
+    lattice spanned by V⁻¹ and q·I."""
+    cols = len(Vinv)
+    x = witness.solve_in_lattice(witness.hstack(Vinv, [[q * v for v in row] for row in eye(cols)]), y)
+    return x[:cols]
+
+
 def _check_engine(p, N, M, rng):
-    """`_check_against_witness` on M, plus: every transforms subset gives the
-    same divisors, V⁻¹·V ≡ I, and `solve` rejects a vector whose kept
-    coordinates lie in the lattice but one dropped coordinate is not 0 mod
-    q, and accepts it once that coordinate is q.  Returns whether M had a
-    dropped coordinate."""
+    """`_check_against_witness` on M, plus: `solve` rejects a vector whose
+    kept coordinates lie in the lattice but one dropped coordinate is not 0
+    mod q, and accepts it once that coordinate is q.  Returns whether M had
+    a dropped coordinate."""
     q = p**N
     rows, cols = len(M), len(M[0])
     _check_against_witness(p, N, M, [])
-    divisors, U, V, Vinv = _smith_dense(M, p, q)
-    assert _mod(witness.mat_mul(Vinv, V), q) == eye(cols)
-    names = ("U", "V", "Vinv")
-    for k in range(len(names) + 1):
-        for transforms in itertools.combinations(names, k):
-            assert _smith(M, p, q, transforms)[0] == divisors
+    divisors, _, Vinv = _smith_dense(M, p, q)
     K = _kernel(M, p, q)
     t_all = [q // d for d in divisors[:cols]] + [1] * (cols - rows)
     dropped = [j for j, t in enumerate(t_all) if t == q]
@@ -486,11 +484,11 @@ def _check_engine(p, N, M, rng):
         return False
     y = [0 if t == q else t * rng.randint(0, q) for t in t_all]
     y[rng.choice(dropped)] = rng.choice([u for u in range(1, q) if u % p])
-    x = [v % q for v in witness.mat_vec(V, y)]
+    x = [v % q for v in _with_coordinates(Vinv, y, q)]
     assert any(v % q for v in witness.mat_vec(M, x))
     assert _solve(K, x) is None
     y = [q if v and t == q else v for v, t in zip(y, t_all)]
-    x = witness.mat_vec(V, y)
+    x = _with_coordinates(Vinv, y, q)
     assert all(v % q == 0 for v in witness.mat_vec(M, x))
     assert _solve(K, x) is not None
     return True
