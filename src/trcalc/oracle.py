@@ -23,7 +23,7 @@ from there.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
 
@@ -214,10 +214,11 @@ def build_orbit_matrices(params: TruncationParams, trunc: OrbitTruncation) -> Or
     (`_ratio_or_zero`); every other one is formed exactly and checked for
     divisibility by p^i.
 
-    The truncation is taken as given: the two ways into the fiber
-    cohomology, `fiber_cohomology` and `base_and_grown_matrices`, validate
-    theirs first, and a grown truncation is valid whenever its base is
-    (`OrbitTruncation.grown`).
+    The truncation is taken as given: `fiber_cohomology` and
+    `base_and_grown_matrices` validate theirs first, a grown truncation is
+    valid whenever its base is (`OrbitTruncation.grown`), and the
+    transition oracle's shared truncation, sized from its top level, is
+    valid at every level below it (`TransitionOracle`).
     """
     p, e, i = params.p, params.e, params.i
     orbit = trunc.orbit
@@ -348,10 +349,10 @@ class FiberCohomology:
 
 
 def fiber_cohomology(params: TruncationParams, trunc: OrbitTruncation) -> FiberCohomology:
-    """The fiber cohomology at `trunc`, with U built: the kernel-generator
-    certificate and the transition oracle read the class functional, and
-    the transition oracle also a kernel basis column, which the kernel's
-    V⁻¹ gives by back-substitution.  `trunc` is validated first."""
+    """The fiber cohomology at `trunc`, with U built, for the class
+    functional the kernel-generator certificate reads.  `trunc` is
+    validated first; the transition oracle, whose shared truncation is
+    valid at every level, builds its fibers with `FiberCohomology.of`."""
     trunc.validate(params)
     return FiberCohomology.of(build_orbit_matrices(params, trunc))
 
@@ -499,7 +500,10 @@ class TransitionOracle:
     All levels share one truncation `trunc`, the `default_truncation` of
     the top level, so the transition matrices line up levelwise; the
     degree-1 walk never shrinks as e grows, so the top level's walk is the
-    longest.  Each level's work is done once, on first use
+    longest.  That walk sizes A and N, and no lower level's walk is
+    longer, so `trunc` is valid at every level and a level is built
+    straight from `build_orbit_matrices` and `FiberCohomology.of`, with no
+    second walk.  Each level's work is done once, on first use
     (`TransitionLevel`): the fiber cohomology with its rows of d1, h_e,
     the degree-1 Nygaard exponents, a generator of H^1, the class
     functional of H^1, and the factorial bounds (m_a-1)//e and m_a//e that
@@ -525,9 +529,10 @@ class TransitionOracle:
     factor leaves v_p unchanged.
 
     A pair (e, f) costs O(A) arithmetic: the diagonal transition
-    coefficients applied to the level-f generator, the level-e rows of d1
-    applied to the image (`sparse_product`, at most three terms a row),
-    and the dot product.  p is made a `Prime` once, so the per-level
+    coefficients applied to the level-f generator, each N^1 one a factorial
+    ratio shifted by the exponent difference u1_f - u1_e, the level-e rows
+    of d1 applied to the image (`sparse_product`, at most three terms a
+    row), and the dot product.  p is made a `Prime` once, so the per-level
     parameters skip the primality test.
     """
 
@@ -550,8 +555,7 @@ class TransitionOracle:
 
     def level(self, e: int) -> TransitionLevel:
         if e not in self._cache:
-            params = self.params(e)
-            fc = fiber_cohomology(params, self.trunc)
+            fc = FiberCohomology.of(build_orbit_matrices(self.params(e), self.trunc))
             exps = fc.h1.exponents()
             if len(exps) > 1:
                 raise OracleError(f"degree-1 cohomology not cyclic at e={e}: {exps}")
@@ -580,8 +584,12 @@ class TransitionOracle:
         read from the two levels (`TransitionLevel.floors1`, `.floors0`).
         A coefficient whose ratio makes it vanish mod p^N is 0 without
         forming the product (`_ratio_or_zero`); every other one is formed
-        exactly, and the N^1 one is checked for divisibility by p^(u1_e)
-        at every orbit level.
+        exactly.  The N^1 one reads the ratio shifted by the exponent
+        difference alone, never p^(u1_f) and p^(u1_e) apart: u1 never
+        falls as the level grows, so the difference is >= 0 for f >= e and
+        the ratio is then multiplied by p^(u1_f - u1_e), or read as it is
+        when the two exponents agree.  A negative difference must divide
+        the ratio, or ArithmeticError.
         """
         p, N = self.p, self.N
         q = p**N
@@ -590,10 +598,15 @@ class TransitionOracle:
         image = [0] * (2 * n)
         levels = zip(lv_e.matrices.u1, lv_f.matrices.u1, lv_e.floors1, lv_f.floors1, lv_e.floors0, lv_f.floors0)
         for a, (u1_e, u1_f, b1_e, b1_f, b0_e, b0_f) in enumerate(levels):
-            num = p**u1_f * _ratio_or_zero(b1_e, b1_f, p, N + u1_e - u1_f)
-            if num % p**u1_e:
-                raise ArithmeticError("transition coefficient not divisible by target scaling")
-            image[a] = (num // p**u1_e) * gen[a] % q
+            shift = u1_f - u1_e
+            coeff = _ratio_or_zero(b1_e, b1_f, p, N - shift)
+            if shift > 0:
+                coeff *= p**shift
+            elif shift < 0:
+                if coeff % p**-shift:
+                    raise ArithmeticError("transition coefficient not divisible by target scaling")
+                coeff //= p**-shift
+            image[a] = coeff * gen[a] % q
             image[n + a] = _ratio_or_zero(b0_e, b0_f, p, N) * gen[n + a] % q
         return image
 
@@ -614,15 +627,21 @@ class TransitionOracle:
 
 @dataclass(frozen=True)
 class OrbitCertificate:
-    """One verified orbit: inputs, matrix hash, divisors, and pass/fail."""
+    """One verified orbit: inputs, the fiber's matrices, divisors, and
+    pass/fail.  No report reads the matrices' hash, so `matrices_hash` is
+    computed on first read."""
 
     orbit: Orbit
     s: int
     h_closed: int
     oracle_exponents: dict[int, tuple[int, ...]]
     kernel_ok: bool
-    matrices_hash: str
+    matrices: OrbitMatrices = field(repr=False)
     passed: bool
+
+    @cached_property
+    def matrices_hash(self) -> str:
+        return self.matrices.content_hash()
 
 
 def verify_orbit(params: TruncationParams, summand, A: int | None = None, N: int | None = None) -> OrbitCertificate:
@@ -649,6 +668,6 @@ def verify_orbit(params: TruncationParams, summand, A: int | None = None, N: int
         h_closed=h,
         oracle_exponents=exps,
         kernel_ok=kernel_ok,
-        matrices_hash=fc.matrices.content_hash(),
+        matrices=fc.matrices,
         passed=degree_match and kernel_ok,
     )

@@ -19,11 +19,12 @@ a row-major scan of the same matrix.  Pivots are recorded instead of
 swapped into place, and the transforms come back sparse too: U as a list
 of rows, and V⁻¹, the one change of basis on the column side, as its rows
 keyed by the column each one pivots on (see `smith_mod_prime_power`).
-`KernelLattice.solve` reads a sparse vector and only the columns of V⁻¹
-its entries pick, and `quotient` takes its generators as sparse columns.
-A cyclic quotient reads the class of a lattice vector through one
-precomputed functional (`QuotientPresentation.class_functional`), a
-single dot product.
+`KernelLattice.solve` reads a sparse vector, only the columns of V⁻¹
+its entries pick, and only the positions those columns reach, and
+`quotient` takes its generators as sparse columns.  A cyclic quotient
+reads the class of a lattice vector through one precomputed functional
+(`QuotientPresentation.class_functional`), a single dot product, built
+from the kernel's kept rows of V⁻¹ that its U row picks.
 
 A kernel keeps only its nontrivial coordinates.  In the coordinates
 y = V⁻¹x of the elimination of M, a row divisor d_j = 1 forces y_j ≡ 0
@@ -32,28 +33,32 @@ mod q on the whole kernel, so that coordinate and its basis column
 membership checks every coordinate.  The basis is never stored: V⁻¹ is
 unit upper triangular in pivot order, so `KernelLattice.basis_column`
 writes a column of V·diag(t) out by back-substitution over the columns of
-V⁻¹ that `solve` reads.  When an n×2n matrix is onto mod q, as the
-oracle's d1 is on its fibers, its kernel keeps n of the 2n coordinates,
-all with t_j = 1, and the quotient under H¹ is n×n.  The quotient keeps
-the kernel coordinates Y of its generators L: L ≡ basis·Y = V·diag(t)·Y
-on the kept coordinates, and V⁻¹ is invertible mod q, so the divisors of
-L below q are those of diag(t)·Y, and those of the quotient itself when
-every kept t_j is 1.  A kernel records the prime of its modulus, and its
-quotients read their exponents as powers of it.  A kernel keeps the
-divisors of its matrix, so the cokernel of the same matrix needs no
-second elimination.
+V⁻¹ that `solve` reads; the rows of V⁻¹ at the kept positions are kept
+as well, for the class functional.  When an n×2n matrix is onto mod q,
+as the oracle's d1 is on its fibers, its kernel keeps n of the 2n
+coordinates, all with t_j = 1, each kept row of V⁻¹ is the unit vector of
+a column never pivoted on, and the quotient under H¹ is n×n.  The
+quotient keeps the kernel coordinates Y of its generators L:
+L ≡ basis·Y = V·diag(t)·Y on the kept coordinates, and V⁻¹ is invertible
+mod q, so the divisors of L below q are those of diag(t)·Y, and those of
+the quotient itself when every kept t_j is 1.  A kernel records the prime
+of its modulus, and its quotients read their exponents as powers of it.
+A kernel keeps the divisors of its matrix, so the cokernel of the same
+matrix needs no second elimination.
 
-The pivot search looks for a unit first, row by row, and computes
-p-valuations only when the rows left have none.  The elimination itself
-is row operations on the rows not yet pivoted on: they read only the
-entries of the pivot row, and V⁻¹ is read off the reduced pivot rows.  U
-is the one transform a caller may go without: a quotient whose exponents
-are all that is read does not build it.
+The pivot search scans for a unit first, row by row, inside the
+elimination loop, and computes p-valuations (`_pivot`) only when the rows
+left have none.  Each input entry is reduced mod q once.  The elimination
+itself is row operations on the rows not yet pivoted on: they read only
+the entries of the pivot row, and V⁻¹ is read off the reduced pivot rows.
+U is the one transform a caller may go without: a quotient whose
+exponents are all that is read does not build it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 
 Sparse = dict[int, int]  # {index: entry}
@@ -73,14 +78,10 @@ def divisor_exponents(divisors, p: int) -> tuple[int, ...]:
 
 
 def _pivot(active: dict[int, Sparse], p: int) -> tuple[int, int, int] | None:
-    """(v, r, c) for the pivot among the rows not yet pivoted on: the first
-    unit, reading row by row, else the first entry of least p-valuation v,
-    or None when those rows are zero.  Only the fallback computes
-    valuations."""
-    for r, row in active.items():
-        for c, a in row.items():
-            if a % p:
-                return 0, r, c
+    """(v, r, c) for the first entry of least p-valuation v among the rows
+    not yet pivoted on, reading row by row, or None when those rows are
+    zero: the fallback of the engine's unit scan, read only when those rows
+    hold no unit."""
     best = None
     for r, row in active.items():
         for c, a in row.items():
@@ -119,7 +120,8 @@ def smith_mod_prime_power(
     lattice.  U is built only when `build_u` is set, and comes back as
     None otherwise; the divisors and Vinv do not depend on it.
 
-    Step t pivots on an entry of least p-valuation v (`_pivot`), at row r_t
+    Step t pivots on the first unit, reading row by row, or, when those
+    rows hold none, on an entry of least p-valuation v (`_pivot`), at row r_t
     and column c_t of M, among the rows not yet pivoted on, and scales its
     row so the pivot is p^v.  Every entry of those rows is then divisible
     by p^v, so the row operations that clear column c_t from them stay
@@ -138,17 +140,27 @@ def smith_mod_prime_power(
     """
     rows = len(M)
     # the rows not yet pivoted on, by row of M
-    active = {r: {j: a % q for j, a in row.items() if a % q} for r, row in enumerate(M)}
+    active = {r: {j: b for j, a in row.items() if (b := a % q)} for r, row in enumerate(M)}
     U = {r: {r: 1} for r in range(rows)} if build_u else None
     Vinv: dict[int, Sparse] = {}
     pivot_rows = []
     divisors = [q] * rows
 
     for t in range(min(rows, cols)):
-        best = _pivot(active, p)
-        if best is None:
-            break  # the rows left are zero mod q: divisors stay q
-        v, r, c = best
+        # the first unit, reading row by row, else `_pivot`'s valuations
+        for r, prow in active.items():
+            for c, a in prow.items():
+                if a % p:
+                    break
+            else:
+                continue
+            v = 0
+            break
+        else:
+            best = _pivot(active, p)
+            if best is None:
+                break  # the rows left are zero mod q: divisors stay q
+            v, r, c = best
         prow = active.pop(r)
         pk = p**v
         if prow[c] != pk:
@@ -191,13 +203,16 @@ class KernelLattice:
 
     V⁻¹ is the one change of basis kept, as its n sparse columns, one per
     entry of x, each keyed by position; `_order[j]` is the column of M at
-    position j.  `solve` reads the columns its x picks, the dropped
-    positions included, so it still checks that the dropped coordinates
-    of x vanish mod q.  V is never formed: column `_order[j]` of V⁻¹ has 1
-    at position j and no entry past it, so `basis_column(k)` solves
-    V⁻¹·x ≡ t_k·e_k by back-substitution over these columns.  `divisors`
-    are all the elementary divisors of M over Z/q, one per row, from the
-    same elimination.
+    position j.  `solve` reads the columns its x picks and accumulates
+    V⁻¹·x only at the positions they reach, the dropped ones included, so
+    it still checks that the dropped coordinates of x vanish mod q.  V is
+    never formed: column `_order[j]` of V⁻¹ has 1 at position j and no
+    entry past it, so `basis_column(k)` solves V⁻¹·x ≡ t_k·e_k by
+    back-substitution over these columns.  `_kept_rows[k]` is the row of
+    V⁻¹ at the position of kernel coordinate k, keyed by column of M, which
+    the class functional of a quotient reads (`QuotientPresentation.
+    class_functional`).  `divisors` are all the elementary divisors of M
+    over Z/q, one per row, from the same elimination.
     """
 
     n: int
@@ -207,6 +222,7 @@ class KernelLattice:
     t: list[int]
     _Vinv_cols: list[Sparse]
     _order: list[int]
+    _kept_rows: list[Sparse]
 
     @property
     def dim(self) -> int:
@@ -234,22 +250,21 @@ class KernelLattice:
 
     def solve(self, x: Sparse) -> list[int] | None:
         """Coordinates of the sparse vector x in the kernel basis; None if
-        x is not in K.  Only the entries of x, and the columns of V⁻¹ they
-        pick, are read."""
-        acc = [0] * self.n
+        x is not in K.  Only the entries of x, the columns of V⁻¹ they
+        pick, and the positions those columns reach are read."""
+        acc: Sparse = {}
         Vinv_cols = self._Vinv_cols
         for i, v in x.items():
             for j, a in Vinv_cols[i].items():
-                acc[j] += v * a
-        q, dropped = self.modulus, self.n - self.dim
-        if any(val % q for val in acc[:dropped]):
-            return None
-        out = []
-        for val, t in zip(acc[dropped:], self.t):
+                acc[j] = acc.get(j, 0) + v * a
+        q, t, dropped = self.modulus, self.t, self.n - self.dim
+        out = [0] * len(t)
+        for j, val in acc.items():
             val %= q
-            if val % t:
-                return None
-            out.append(val // t)
+            if val:
+                if j < dropped or val % t[j - dropped]:
+                    return None
+                out[j - dropped] = val // t[j - dropped]
         return out
 
 
@@ -265,7 +280,8 @@ def kernel_mod(M: list[Sparse], cols: int, p: int, q: int) -> KernelLattice:
         for c, a in row.items():
             Vinv_cols[c][j] = a
     t = [q // d for d in divisors[dropped:cols]] + [1] * (cols - rows)
-    return KernelLattice(cols, p, q, divisors, t, Vinv_cols, list(Vinv))
+    kept_rows = list(Vinv.values())[dropped:]
+    return KernelLattice(cols, p, q, divisors, t, Vinv_cols, list(Vinv), kept_rows)
 
 
 @dataclass
@@ -304,20 +320,22 @@ class QuotientPresentation:
         position of coordinate k.  It reads t_k·y_k mod q for the kernel
         coordinates y of x, and U[j][k]·(q/t_k) ≡ 0
         (mod d) because the relation (q/t_k)·e_k lies in L + q·Z^n, so
-        w·x ≡ q·(U·y)[j] (mod q·d) for every x in K.  Only the entries of
-        U[j], at kept coordinates, are read, so the dropped rows of V⁻¹
-        add nothing.
+        w·x ≡ q·(U·y)[j] (mod q·d) for every x in K.  w is summed from the
+        kernel's kept rows of V⁻¹ (`KernelLattice._kept_rows`) that the
+        entries of U[j] pick, each row read once; the dropped rows add
+        nothing.  On an onto fiber each kept row is a unit vector, so w has
+        at most one nonzero entry per entry of U[j].
         """
         j = self._cyclic_row()
         kernel = self.kernel
         q, d = kernel.modulus, self.divisors[j]
         qd = q * d
-        c = [0] * kernel.n
-        dropped = kernel.n - kernel.dim
+        w = [0] * kernel.n
         for k, u in self._U[j].items():
-            c[dropped + k] = u * (q // kernel.t[k]) % qd
-        w = [sum(c[k] * a for k, a in col.items()) % qd for col in kernel._Vinv_cols]
-        return ClassFunctional(w, q, d)
+            f = u * (q // kernel.t[k]) % qd
+            for c, a in kernel._kept_rows[k].items():
+                w[c] += f * a
+        return ClassFunctional([a % qd for a in w], q, d)
 
     def generator_coordinate(self) -> int | None:
         """The first kernel coordinate k whose basis column generates the
@@ -339,7 +357,7 @@ class ClassFunctional:
     d: int
 
     def coordinate(self, x: list[int]) -> int:
-        return sum(a * b for a, b in zip(self.w, x)) % (self.modulus * self.d) // self.modulus
+        return sum(map(mul, self.w, x)) % (self.modulus * self.d) // self.modulus
 
 
 def quotient(

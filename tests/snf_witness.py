@@ -20,7 +20,10 @@ once, in ascending index order, and `densify` writes sparse rows back
 out.  `fiber_d0` and `fiber_d1` are the dense reference assembly of the
 oracle's differentials from an `OrbitMatrices`' coefficient lists:
 shifted and diagonal blocks, stacked, as the oracle built them before it
-built sparse rows.
+built sparse rows.  `dense_class_functional` is the dense reference for
+the engine's class functional: the Σ_k U[j][k]·(q/t_k)·V⁻¹[k] of
+`QuotientPresentation.class_functional`, summed over dense rows of V⁻¹
+written out from the kernel's columns.
 """
 
 from __future__ import annotations
@@ -123,6 +126,23 @@ def fiber_d1(mats) -> Matrix:
     (w, u) |-> (phi/p^i - can)w - d u."""
     n, q = mats.n, mats.modulus
     return hstack(_phi_minus_can(n, q, mats.frob1, mats.can1), _diag(n, [(-c) % q for c in mats.diff_full]))
+
+
+def dense_class_functional(Q) -> list[int]:
+    """w of the class functional of the engine's cyclic quotient Q, summed
+    densely: Σ_k U[j][k]·(q/t_k)·V⁻¹[k] mod q·d over every kernel
+    coordinate k, with j the row of the one nontrivial divisor d and V⁻¹[k]
+    the dense row of V⁻¹ at the position of coordinate k, written out from
+    the kernel's columns of V⁻¹."""
+    K = Q.kernel
+    (j,) = [r for r, d in enumerate(Q.divisors) if d > 1]
+    q, d, dropped = K.modulus, Q.divisors[j], K.n - K.dim
+    Vinv = [[K._Vinv_cols[c].get(pos, 0) for c in range(K.n)] for pos in range(K.n)]
+    w = [0] * K.n
+    for k, t in enumerate(K.t):
+        f = Q._U[j].get(k, 0) * (q // t)
+        w = [a + f * b for a, b in zip(w, Vinv[dropped + k])]
+    return [a % (q * d) for a in w]
 
 
 @dataclass(frozen=True)

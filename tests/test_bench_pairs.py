@@ -1,0 +1,79 @@
+"""The summary of `tools/bench_pairs.py` on canned report lines: medians,
+quartiles, win counts, the paired gain rule and the regression bound,
+read without running the benchmark."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+
+END_TO_END = [
+    {"name": "items_per_s", "unit": "items/s", "better": "higher", "bound": 0.25},
+    {"name": "item_p50_ms", "unit": "ms", "better": "lower", "bound": 0.25},
+]
+
+
+def _line(items_per_s, p50, correct=True):
+    metrics = {"items_per_s": {"value": items_per_s, "unit": "items/s"}, "item_p50_ms": {"value": p50, "unit": "ms"}}
+    return "env {}\n" + json.dumps({"correct": correct, "attempted": 9, "failed": 0, "metrics": metrics}) + "\n"
+
+
+def _runs(values, correct=True):
+    return [bench_pairs.last_json(_line(v, 1000 / v, correct)) for v in values]
+
+
+def test_a_gain_on_ten_pairs_meets_the_paired_rule():
+    parent = _runs([1060, 1064, 1070, 1062, 1066, 1068, 1061, 1065, 1063, 1067])
+    change = _runs([1170, 1166, 1180, 1168, 1172, 1060, 1175, 1169, 1171, 1174])
+    lines, correct = bench_pairs.summarize(parent, change, END_TO_END)
+    assert correct and lines[-1] == "every run correct"
+    assert lines[0] == "items_per_s (items/s, higher is better, bound 25%)"
+    assert lines[1].split()[1:4] == ["1060", "1064", "1070"]
+    assert "parent median 1064.5 quartiles 1062.25..1066.75 (IQR 4.5)" in lines[3]
+    assert "change median 1170.5" in lines[3]
+    # 9 of 10 pairs won, the ninth-tenth rule's floor; lower p50 wins too
+    assert "change better in 9/10 pairs" in lines[4] and "paired gain rule holds: yes" in lines[4]
+    assert "within the bound" in lines[4]
+    assert "item_p50_ms (ms, lower is better" in lines[5]
+    assert "change better in 9/10 pairs" in lines[9] and "paired gain rule holds: yes" in lines[9]
+
+
+def test_eight_wins_or_a_small_difference_claim_no_gain():
+    parent = _runs([100, 102, 104, 106, 108, 110, 112, 114, 116, 118])
+    eight = _runs([200, 200, 200, 200, 200, 200, 200, 200, 90, 90])
+    lines, _ = bench_pairs.summarize(parent, eight, END_TO_END[:1])
+    assert "change better in 8/10 pairs" in lines[4] and "paired gain rule holds: no" in lines[4]
+    # every pair won, but by less than the parent's IQR of 9
+    small = _runs([v + 1 for v in [100, 102, 104, 106, 108, 110, 112, 114, 116, 118]])
+    lines, _ = bench_pairs.summarize(parent, small, END_TO_END[:1])
+    assert "change better in 10/10 pairs" in lines[4] and "paired gain rule holds: no" in lines[4]
+
+
+def test_ties_count_for_neither_side():
+    parent = _runs([100, 100, 100])
+    lines, _ = bench_pairs.summarize(parent, _runs([100, 100, 101]), END_TO_END[:1])
+    assert "change better in 1/3 pairs" in lines[4]
+
+
+def test_regressions_and_spread_wider_than_the_bound():
+    parent = _runs([100, 101, 102, 103])
+    lines, _ = bench_pairs.summarize(parent, _runs([70, 71, 72, 73]), END_TO_END[:1])
+    assert lines[4].endswith("worse than the bound")
+    wide = _runs([50, 100, 150, 200])
+    lines, _ = bench_pairs.summarize(wide, _runs([90, 110, 130, 170]), END_TO_END[:1])
+    assert lines[4].endswith("unresolved: the parent's spread is wider than the bound")
+    lines, _ = bench_pairs.summarize(wide, _runs([201, 202, 203, 204]), END_TO_END[:1])
+    assert lines[4].endswith("within the bound")
+
+
+def test_a_run_that_is_not_correct_or_printed_no_report_fails_the_summary():
+    parent = _runs([100, 101])
+    change = _runs([110], correct=False) + [bench_pairs.last_json("bench: setup probe failed\n")]
+    lines, correct = bench_pairs.summarize(parent, change, END_TO_END[:1])
+    assert not correct and lines[-1] == "NOT correct: change run 0, change run 1"
+    # the pair without a report is left out of the metric
+    assert "change better in 1/1 pairs" in lines[4]

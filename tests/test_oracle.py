@@ -931,6 +931,37 @@ def test_transition_image_outside_the_kernel_is_refused(monkeypatch):
         oc.valuation(3, 5)
 
 
+def test_transition_coefficient_not_divisible_by_target_scaling_is_refused():
+    # u1 never falls as the level grows; a level e whose u1 at orbit level
+    # 0 is raised past the source's leaves the shift u1_f - u1_e negative,
+    # and p^1 does not divide the ratio 0!/0! = 1 there
+    oc = TransitionOracle(2, 2, Orbit(1), [3, 5])
+    lv_e, lv_f = oc.level(3), oc.level(5)
+    assert lv_e.h and lv_f.h and lv_e.floors1[0] == lv_f.floors1[0] == 0
+    u1 = [lv_f.matrices.u1[0] + 1] + lv_e.matrices.u1[1:]
+    oc._cache[3] = dataclasses.replace(lv_e, matrices=dataclasses.replace(lv_e.matrices, u1=u1))
+    with pytest.raises(ArithmeticError, match="not divisible by target scaling"):
+        oc.valuation(3, 5)
+
+
+def test_transition_levels_walk_the_degree1_walk_once(monkeypatch):
+    # the shared truncation is sized from the top level's walk, which no
+    # lower level's walk is longer than, so no level walks again
+    real = drw_module.degree1_walks
+    walks = []
+
+    def recording(p, i, m, alpha, levels):
+        walks.append(tuple(levels))
+        return real(p, i, m, alpha, levels)
+
+    monkeypatch.setattr(drw_module, "degree1_walks", recording)
+    levels = list(range(3, 16, 2))
+    oc = TransitionOracle(2, 2, Orbit(1), levels)
+    for e in levels:
+        oc.level(e)
+    assert walks == [(15,)]
+
+
 def test_level_without_a_unit_coordinate_is_refused(monkeypatch):
     # a functional scaled by p reads every basis column in pZ/p^h; the
     # level is refused rather than given a non-generator
@@ -973,6 +1004,13 @@ def test_fiber_rows_keep_the_pivots_of_the_dense_input():
         R = quotient(W, witness.sparse_columns(witness.fiber_d0(mats)))
         assert Q.divisors == R.divisors
         assert (_in_order(Q._U), _in_order(Q.coords)) == (_in_order(R._U), _in_order(R.coords))
+        # the class functional read off the kept rows of V^-1 is the dense
+        # sum over every row; on an onto fiber each kept row is a unit vector
+        assert _in_order(K._kept_rows) == _in_order(W._kept_rows)
+        if K.dim == n and set(K.t) == {1}:
+            assert all(list(row.values()) == [1] for row in K._kept_rows)
+        if len(Q.exponents()) == 1:
+            assert Q.class_functional().w == witness.dense_class_functional(Q)
 
 
 def test_sparse_d1_matches_dense_d1():

@@ -167,20 +167,36 @@ def test_dropped_coordinates_still_decide_membership():
     assert K.dim == 1 and K.t == [1]
     assert _solve(K, [1, 0]) is None
     assert _solve(K, [4, 3]) is not None and _solve(K, [0, 1]) is not None
+    # K = {x : x_0 ≡ 0 mod 64, 4·x_1 ≡ 0 mod 64}: x_0's coordinate is
+    # dropped and x_1's is kept with t = 16; solve fails at the dropped
+    # position, and at a kept value that t does not divide
+    K = _kernel([[1, 0], [0, 4]], 2, 64)
+    assert K.dim == 1 and K.t == [16]
+    assert _solve(K, [1, 16]) is None
+    assert _solve(K, [0, 8]) is None and _solve(K, [64, 40]) is None
+    assert _solve(K, [64, 16]) == [1] and _solve(K, [0, 48]) == [3] and _solve(K, [0, 0]) == [0]
 
 
 def test_class_functional_of_a_cyclic_quotient():
     # Z/(25 + 125) ≅ Z/25: 1 generates, 5 has order 5, 25 is trivial
     p, modulus = 5, 5**3
     K = _kernel([[0]], p, modulus)
-    functional = _quotient(K, [[25]]).class_functional()
-    assert functional.d == 25
+    Q = _quotient(K, [[25]])
+    functional = Q.class_functional()
+    assert functional.d == 25 and functional.w == witness.dense_class_functional(Q)
     assert functional.coordinate([1]) % p
     assert vp(functional.coordinate([5]), p) == 1
     assert functional.coordinate([25]) == functional.coordinate([125]) == 0
     for x in ([1], [5], [7], [25]):
         c = functional.coordinate(x)
         assert witness.class_order_exponent([[25]], modulus, p, x) == (2 - vp(c, p) if c else 0)
+    # a kept coordinate with t = 16: K = 16Z, and K/64Z ≅ Z/4 is
+    # generated by 16
+    Q = _quotient(_kernel([[4]], 2, 64), [[0]])
+    assert Q.kernel.t == [16] and Q.divisors == (4,)
+    functional = Q.class_functional()
+    assert functional.w == witness.dense_class_functional(Q)
+    assert [functional.coordinate([x]) for x in (16, 32, 48, 64)] == [1, 2, 3, 0]
 
 
 @settings(max_examples=150)
@@ -335,6 +351,8 @@ def test_generator_and_class_functional_on_random_quotients(case, seed):
     functional = Q.class_functional()
     h = exps[0]
     assert functional.d == p**h
+    # w read off the kept rows of V^-1 is the dense sum over every row
+    assert functional.w == witness.dense_class_functional(Q)
     gen = next(col for col in _basis_columns(K) if functional.coordinate(col) % p)
     # U names the same column without reading the functional
     assert K.basis_column(Q.generator_coordinate()) == gen

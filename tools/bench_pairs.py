@@ -1,0 +1,126 @@
+"""Run the benchmark in alternating pairs on two source trees and compare
+their end-to-end metrics.
+
+    python tools/bench_pairs.py PARENT CHANGE --workload W --pairs N --seconds S --seed K
+
+Each pair runs ``bench/run.py --workload W --seed K --seconds S --trace 0``
+once from each tree, from inside it, the parent first in the first pair
+and in every other pair after it, the change first in the rest.  Each run's last stdout line is its JSON
+report.  For every end-to-end metric that ``BENCHMARK.json`` declares, the
+summary prints each run, each side's median and quartiles, and the pairs
+the change won (ties count for neither).  It says whether a gain holds by
+the paired rule (the change wins at least nine tenths of the pairs, and
+the medians differ, in the better direction, by more than the distance
+between the parent's quartiles) and whether the change's median stays
+within the metric's regression bound; when the parent's own spread is
+wider than the bound, a metric is unresolved unless every change run beats
+every parent run.  The exit status is 1 when any run is not ``correct``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+SPEC = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
+
+
+def last_json(stdout: str) -> dict:
+    """The report on the last non-empty line of a run's stdout; a run
+    that printed none reads as not correct."""
+    lines = [ln for ln in stdout.splitlines() if ln.strip()]
+    try:
+        return json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        return {"correct": False, "metrics": {}}
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """(lower quartile, median, upper quartile), interpolated inclusively."""
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def _better(a: float, b: float, higher: bool) -> bool:
+    """Whether a reads better than b."""
+    return a > b if higher else a < b
+
+
+def summarize(parent: list[dict], change: list[dict], end_to_end: list[dict]) -> tuple[list[str], bool]:
+    """The summary lines for paired runs, parent[k] beside change[k], and
+    whether every run was correct."""
+    out = []
+    for metric in end_to_end:
+        name, higher, bound = metric["name"], metric["better"] == "higher", metric["bound"]
+        pairs = [
+            (a["metrics"][name]["value"], b["metrics"][name]["value"])
+            for a, b in zip(parent, change)
+            if name in a.get("metrics", {}) and name in b.get("metrics", {})
+        ]
+        if not pairs:
+            out.append(f"{name}: no pair reports it")
+            continue
+        old, new = [a for a, _ in pairs], [b for _, b in pairs]
+        (p1, pm, p3), (c1, cm, c3) = quartiles(old), quartiles(new)
+        wins = sum(_better(b, a, higher) for a, b in pairs)
+        iqr = p3 - p1
+        gain = 10 * wins >= 9 * len(pairs) and _better(cm, pm, higher) and abs(cm - pm) > iqr
+        limit = pm * (1 - bound) if higher else pm * (1 + bound)
+        if _better(limit, cm, higher):
+            regression = "worse than the bound"
+        elif iqr > bound * abs(pm) and not all(_better(b, a, higher) for a in old for b in new):
+            regression = "unresolved: the parent's spread is wider than the bound"
+        else:
+            regression = "within the bound"
+        out += [
+            f"{name} ({metric['unit']}, {metric['better']} is better, bound {bound:.0%})",
+            "  parent: " + " ".join(f"{v:.6g}" for v in old),
+            "  change: " + " ".join(f"{v:.6g}" for v in new),
+            f"  parent median {pm:.6g} quartiles {p1:.6g}..{p3:.6g} (IQR {iqr:.6g}); "
+            f"change median {cm:.6g} quartiles {c1:.6g}..{c3:.6g}",
+            f"  change better in {wins}/{len(pairs)} pairs; median difference {cm - pm:+.6g} "
+            f"({(cm - pm) / pm:+.2%}); paired gain rule holds: {'yes' if gain else 'no'}; {regression}",
+        ]
+    bad = [f"{side} run {k}" for side, runs in (("parent", parent), ("change", change))
+           for k, run in enumerate(runs) if not run.get("correct")]
+    out.append("every run correct" if not bad else "NOT correct: " + ", ".join(bad))
+    return out, not bad
+
+
+def run_once(tree: Path, workload: str, seconds: float, seed: int) -> dict:
+    cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=tree, stdout=subprocess.PIPE, text=True, check=False)
+    return last_json(proc.stdout)
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=36.0)
+    parser.add_argument("--seed", type=int, default=1)
+    args = parser.parse_args(argv)
+    end_to_end = json.loads(SPEC.read_text(encoding="utf-8"))["end_to_end"]
+    parent, change = [], []
+    for k in range(args.pairs):
+        sides = [(args.parent, parent), (args.change, change)]
+        for tree, runs in sides if k % 2 == 0 else sides[::-1]:
+            runs.append(run_once(tree, args.workload, args.seconds, args.seed))
+        print(f"pair {k + 1}/{args.pairs} done", file=sys.stderr, flush=True)
+    lines, correct = summarize(parent, change, end_to_end)
+    print(f"workload {args.workload} seed {args.seed}, {args.pairs} pairs of {args.seconds:g}-s runs")
+    print("\n".join(lines))
+    return 0 if correct else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
