@@ -14,32 +14,52 @@ the transition valuations, the oracle's matrices and truncation sizes)
 reads them from here.  The degree-1 walk of an orbit lists its levels'
 degree-1 exponents up to the first negative one; the walks of one orbit
 at several truncations share the alpha floors, which do not depend on e.
+The oracle's levels of one orbit share its orbit table
+(`oracle.OrbitTable`) the same way: the x-weights p^a m and the alpha
+floors are read once per orbit, and `nygaard_exponents` takes plain ints,
+as `degree1_exponent` does, so every level's exponents come from one
+formula applied to the table's entries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .padic import MultiIndex, Prime, ceil_div
 
 
-@dataclass(frozen=True)
-class TruncationParams:
-    """The ambient prime p, truncation exponent e of x^e = 0, and the
-    cohomological weight i."""
-
+class _TruncationFields(NamedTuple):
     p: Prime
     e: int
     i: int
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.p, Prime):
-            object.__setattr__(self, "p", Prime(self.p))
-        if self.e < 1:
+
+class TruncationParams(_TruncationFields):
+    """The ambient prime p, truncation exponent e of x^e = 0, and the
+    cohomological weight i.
+
+    A tuple-backed, immutable record, as `prosystem.LevelStabilization`
+    is: it compares and hashes by value and prints as
+    `TruncationParams(p=2, e=3, i=2)`.  Construction, by position or by
+    keyword, makes p a `Prime` and checks e and i; so does `_replace`,
+    which builds through `_make`.  A plain-int p that is a prime already
+    tested is read straight from `Prime._checked`."""
+
+    __slots__ = ()
+
+    def __new__(cls, p: int, e: int, i: int) -> "TruncationParams":
+        if type(p) is not Prime:
+            p = Prime._checked.get(p) or Prime(p)
+        if e < 1:
             raise ValueError("truncation exponent e must be >= 1")
-        if self.i < 0:
+        if i < 0:
             raise ValueError("weight i must be a natural number")
+        return tuple.__new__(cls, (p, e, i))
+
+    @classmethod
+    def _make(cls, iterable) -> "TruncationParams":
+        return cls(*iterable)
 
 
 @dataclass(frozen=True)
@@ -102,8 +122,9 @@ def degree1_exponent(i: int, e: int, m: int, L: int) -> int:
     return i - ceil_div(m, e) - L
 
 
-def nygaard_exponents(params: TruncationParams, m: int, L: int) -> tuple[int, int]:
-    """p-power scalings of the degree-0 and degree-1 generators in weight i.
+def nygaard_exponents(i: int, e: int, m: int, L: int) -> tuple[int, int]:
+    """p-power scalings of the degree-0 and degree-1 generators in weight i
+    at truncation e.
 
     At x-weight m and alpha l1 floor L the weight-i filtered subcomplex is
     spanned by p^(i - floor(m/e) - L) and p^(i - ceil(m/e) - L) times the
@@ -111,9 +132,9 @@ def nygaard_exponents(params: TruncationParams, m: int, L: int) -> tuple[int, in
     the subcomplex is the full complex, which the clamping at 0 encodes
     exactly.
     """
-    hi = degree1_exponent(params.i, params.e, m, L)
-    lo = hi + (1 if m % params.e else 0)
-    return (max(lo, 0), max(hi, 0))
+    hi = degree1_exponent(i, e, m, L)
+    lo = hi + (1 if m % e else 0)
+    return (lo if lo > 0 else 0, hi if hi > 0 else 0)
 
 
 def degree1_walks(p: int, i: int, m: int, alpha: MultiIndex, levels: Iterable[int]) -> list[list[int]]:

@@ -10,14 +10,16 @@ is computed by Smith normal form over Z/p^N.  The fiber's differentials
 are read off the lists in one encoding each, d1 as sparse rows and d0 as
 sparse columns; the rows of d1 are kept with the fiber, and every cocycle
 check applies them (`sparse_product`).  The matrices use only the Nygaard
-exponents, the brace symbol and factorial ratios.  The truncation level is
-sized from the orbit's degree-1 walk in `drw` (`default_truncation`), and
-the truncation-stability recheck reads a grown truncation
-(`_stable_fiber`).  The closed-form claim under test, a summand with its
-orbit, s, h and generator exponents, is handed in by the caller of
-`verify_orbit` and `certify_kernel_generator`.  The matrices record their
-prime and orbit (`OrbitMatrices.p`, `.orbit`), and every reader takes both
-from there.
+exponents, the brace symbol and factorial ratios; what of them does not
+depend on e (the x-weights, the alpha floors and the slot floor pairs) is
+read from one orbit table per orbit (`OrbitTable`), which every level's
+build of that orbit shares.  The truncation level is sized from the
+orbit's degree-1 walk in `drw` (`default_truncation`), and the
+truncation-stability recheck reads a grown truncation (`_stable_fiber`).
+The closed-form claim under test, a summand with its orbit, s, h and
+generator exponents, is handed in by the caller of `verify_orbit` and
+`certify_kernel_generator`.  The matrices record their prime and orbit
+(`OrbitMatrices.p`, `.orbit`), and every reader takes both from there.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import hashlib
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
+from typing import NamedTuple
 
 from .drw import Orbit, TruncationParams, degree1_walk, nygaard_exponents
 from .padic import Prime, brace, factorial_ratio, vp
@@ -189,21 +192,63 @@ def _ratio_or_zero(a: int, b: int, p: int, cap: int) -> int:
     """a!/b!, or 0 when a - b >= p·cap.  Every p consecutive integers hold
     a multiple of p, so a!/b! is then divisible by p^cap, and a coefficient
     p^scaling·(a!/b!)/p^i with cap = N + i - scaling vanishes mod p^N."""
-    return 0 if a - b >= p * max(cap, 0) else factorial_ratio(a, b)
+    return 0 if cap <= 0 or a - b >= p * cap else factorial_ratio(a, b)
 
 
-def _alpha_floor_ratio(orbit: Orbit, a: int, p: int, cap: int) -> int:
-    """Product over slots of floor(p^(a+1) n_t)! / floor(p^a n_t)!, or 0
+def _alpha_floor_ratio(pairs: tuple[tuple[int, int], ...], p: int, cap: int) -> int:
+    """Product over slots of floor(p^(a+1) n_t)! / floor(p^a n_t)!, read
+    from the floor pairs of one orbit level (`OrbitTable.slot_floors`), or 0
     when one factor is divisible by p^cap (`_ratio_or_zero`)."""
     out = 1
-    for _, frac in orbit.alpha.entries:
-        out *= _ratio_or_zero(frac.floor(p, a + 1), frac.floor(p, a), p, cap)
+    for hi, lo in pairs:
+        out *= _ratio_or_zero(hi, lo, p, cap)
     return out
 
 
-def build_orbit_matrices(params: TruncationParams, trunc: OrbitTruncation) -> OrbitMatrices:
+@dataclass(frozen=True)
+class OrbitTable:
+    """What the matrices of one orbit read that does not depend on the
+    truncation exponent e, for the orbit levels a = 0..A at the prime p:
+    the x-weights p^a m (`weights`), the alpha l1 floors
+    L_a = floor_l1(p^a alpha) (`floors`), and each slot's floor pair
+    (floor(p^(a+1) n_t), floor(p^a n_t)) (`slot_floors`, one tuple per
+    level).  Built once per orbit (`OrbitTable.of`) and read by every
+    `build_orbit_matrices` of that orbit, whatever its e: the levels of a
+    `TransitionOracle` share one, as the degree-1 walks of one orbit share
+    their alpha floors (`drw.degree1_walks`)."""
+
+    p: int
+    orbit: Orbit
+    A: int
+    weights: tuple[int, ...]
+    floors: tuple[int, ...]
+    slot_floors: tuple[tuple[tuple[int, int], ...], ...]
+
+    @classmethod
+    def of(cls, p: int, orbit: Orbit, A: int) -> "OrbitTable":
+        levels = range(A + 1)
+        alpha = orbit.alpha
+        return cls(
+            p,
+            orbit,
+            A,
+            tuple(p**a * orbit.m for a in levels),
+            tuple(alpha.floor_l1(p, a) for a in levels),
+            tuple(tuple((frac.floor(p, a + 1), frac.floor(p, a)) for _, frac in alpha.entries) for a in levels),
+        )
+
+
+def build_orbit_matrices(params: TruncationParams, trunc: OrbitTruncation, table: OrbitTable) -> OrbitMatrices:
     """Exact integer coefficients of the truncated orbit complexes, reduced
     mod p^N.
+
+    Everything that does not depend on e is read from `table`, the orbit
+    table of `trunc`'s orbit at p: the x-weights p^a m, from which the
+    level floors m_a//e and (m_a-1)//e come, the alpha l1 floors the
+    Nygaard exponents read (`drw.nygaard_exponents`), and the slot floor
+    pairs of the alpha floor ratio.  A table of another prime or orbit, or
+    one that stops below level A, is refused with ValueError; one that
+    reaches past A is read on levels 0..A.
 
     The divided Frobenius coefficient at level a is the product of the
     degree scaling p^(nygaard exponent), the floor-factorial ratios picked
@@ -221,38 +266,51 @@ def build_orbit_matrices(params: TruncationParams, trunc: OrbitTruncation) -> Or
     valid at every level below it (`TransitionOracle`).
     """
     p, e, i = params.p, params.e, params.i
-    orbit = trunc.orbit
-    n = trunc.A + 1
-    N = trunc.N
-    modulus = p**N
+    orbit, A, N = trunc.orbit, trunc.A, trunc.N
+    if table.p != p:
+        raise ValueError(f"orbit table is over p={table.p}, not p={p}")
+    if table.orbit != orbit:
+        raise ValueError(f"orbit table is for orbit {table.orbit}, not {orbit}")
+    if table.A < A:
+        raise ValueError(f"orbit table reaches level {table.A}, below A={A}")
+    n = A + 1
+    modulus, pi = p**N, p**i
+    weights = table.weights[:n]
 
-    u = [nygaard_exponents(params, p**a * orbit.m, orbit.alpha.floor_l1(p, a)) for a in range(n)]
-    braces = [brace(p**a * orbit.m, e) for a in range(n)]
+    # level by level: the Nygaard exponents, the differentials and the
+    # canonical maps
+    diff_nygaard, diff_full, can0, can1, u0, u1 = [], [], [], [], [], []
+    for m_a, L in zip(weights, table.floors):
+        v0, v1 = nygaard_exponents(i, e, m_a, L)
+        b = brace(m_a, e)
+        diff_nygaard.append(p ** (v0 - v1) * b % modulus)
+        diff_full.append(b % modulus)
+        can0.append(pow(p, v0, modulus))
+        can1.append(pow(p, v1, modulus))
+        u0.append(v0)
+        u1.append(v1)
 
-    diff_nygaard = [(p ** (u[a][0] - u[a][1]) * braces[a]) % modulus for a in range(n)]
-    diff_full = [braces[a] % modulus for a in range(n)]
-    can0 = [pow(p, u[a][0], modulus) for a in range(n)]
-    can1 = [pow(p, u[a][1], modulus) for a in range(n)]
-
+    # level a to a+1: the divided Frobenius, whose x ratios are bounded by
+    # the level floors of a and a+1, since m_(a+1) = p·m_a
+    floors0 = [m_a // e for m_a in weights]
+    floors1 = [(m_a - 1) // e for m_a in weights]
     frob0, frob1 = [], []
-    pi = p**i
-    for a in range(trunc.A):
-        m_a = p**a * orbit.m
-        # caps of the degree-0 scaling p^u0 and the degree-1 one p^(u1+1)
-        cap0, cap1 = N + i - u[a][0], N + i - u[a][1] - 1
-        ratio_alpha = _alpha_floor_ratio(orbit, a, p, max(cap0, cap1))
-        r0 = ratio_alpha * _ratio_or_zero((p * m_a) // e, m_a // e, p, cap0)
-        num0 = p ** u[a][0] * r0
+    for a in range(A):
+        # caps of the degree-0 scaling p^u0 and the degree-1 one p^(u1+1);
+        # u0 - u1 is 0 or 1, so cap0 is the larger
+        cap0, cap1 = N + i - u0[a], N + i - u1[a] - 1
+        ratio_alpha = _alpha_floor_ratio(table.slot_floors[a], p, cap0)
+        r0 = ratio_alpha and ratio_alpha * _ratio_or_zero(floors0[a + 1], floors0[a], p, cap0)
+        num0 = p ** u0[a] * r0
         if num0 % pi:
             raise ArithmeticError("degree-0 Frobenius coefficient not divisible by p^i")
-        frob0.append((num0 // pi) % modulus)
-        r1 = ratio_alpha * _ratio_or_zero((p * m_a - 1) // e, (m_a - 1) // e, p, cap1)
-        num1 = p ** (u[a][1] + 1) * r1
+        frob0.append(num0 // pi % modulus)
+        r1 = ratio_alpha and ratio_alpha * _ratio_or_zero(floors1[a + 1], floors1[a], p, cap1)
+        num1 = p ** (u1[a] + 1) * r1
         if num1 % pi:
             raise ArithmeticError("degree-1 Frobenius coefficient not divisible by p^i")
-        frob1.append((num1 // pi) % modulus)
+        frob1.append(num1 // pi % modulus)
 
-    u1 = [u[a][1] for a in range(n)]
     return OrbitMatrices(p, orbit, n, modulus, diff_nygaard, diff_full, can0, can1, frob0, frob1, u1)
 
 
@@ -265,9 +323,12 @@ def base_and_grown_matrices(
     0..A, without the Frobenius entry that leaves level A, reduced mod p^N
     (`OrbitMatrices.truncated`): a direct build at `trunc` gives the same
     lists.  Only `trunc` is validated, since the grown truncation is valid
-    whenever it is: one degree-1 walk serves both."""
+    whenever it is: one degree-1 walk serves both.  The one build reads
+    one orbit table, made at the grown level."""
     trunc.validate(params)
-    grown = build_orbit_matrices(params, trunc.grown(params))
+    grown_trunc = trunc.grown(params)
+    table = OrbitTable.of(params.p, trunc.orbit, grown_trunc.A)
+    grown = build_orbit_matrices(params, grown_trunc, table)
     return grown.truncated(trunc.A, trunc.N), grown
 
 
@@ -351,10 +412,12 @@ class FiberCohomology:
 def fiber_cohomology(params: TruncationParams, trunc: OrbitTruncation) -> FiberCohomology:
     """The fiber cohomology at `trunc`, with U built, for the class
     functional the kernel-generator certificate reads.  `trunc` is
-    validated first; the transition oracle, whose shared truncation is
-    valid at every level, builds its fibers with `FiberCohomology.of`."""
+    validated first, and the matrices read one orbit table made at its
+    level; the transition oracle, whose shared truncation is valid at
+    every level, builds its fibers with `FiberCohomology.of`."""
     trunc.validate(params)
-    return FiberCohomology.of(build_orbit_matrices(params, trunc))
+    table = OrbitTable.of(params.p, trunc.orbit, trunc.A)
+    return FiberCohomology.of(build_orbit_matrices(params, trunc, table))
 
 
 def oracle_cohomology(params: TruncationParams, trunc: OrbitTruncation) -> dict[int, tuple[int, ...]]:
@@ -475,14 +538,18 @@ def certify_kernel_generator(fc: FiberCohomology, summand) -> bool:
     return not h or functional.coordinate(cochain) % p != 0
 
 
-@dataclass(frozen=True)
-class TransitionLevel:
+class TransitionLevel(NamedTuple):
     """What the pair queries of `TransitionOracle` read at one level e:
     the fiber matrices (with the degree-1 Nygaard exponent of each orbit
     level), the fiber's rows of d1, h with H^1 = Z/p^h, and, when h >= 1,
     a cochain generating H^1 and the class functional of H^1.  `floors1`
-    and `floors0` hold (m_a-1)//e and m_a//e for each orbit level a, the
-    factorial bounds that every pair into or out of the level reads."""
+    and `floors0` hold (m_a-1)//e and m_a//e for each orbit level a, read
+    off the x-weights of the oracle's orbit table: the factorial bounds
+    that every pair into or out of the level reads.
+
+    A tuple-backed, immutable record, as `prosystem.LevelStabilization`
+    is: the oracle builds one per level, and a changed copy comes from
+    `_replace`."""
 
     matrices: OrbitMatrices
     d1_rows: list[Sparse]
@@ -503,11 +570,15 @@ class TransitionOracle:
     longest.  That walk sizes A and N, and no lower level's walk is
     longer, so `trunc` is valid at every level and a level is built
     straight from `build_orbit_matrices` and `FiberCohomology.of`, with no
-    second walk.  Each level's work is done once, on first use
+    second walk.  What does not depend on e is worked out once per oracle,
+    in one orbit table at level A (`OrbitTable`, `table`): the x-weights
+    p^a m, the alpha l1 floors and the slot floor pairs, which every
+    level's build reads.  Each level's work is done once, on first use
     (`TransitionLevel`): the fiber cohomology with its rows of d1, h_e,
     the degree-1 Nygaard exponents, a generator of H^1, the class
-    functional of H^1, and the factorial bounds (m_a-1)//e and m_a//e that
-    the coefficients of every pair into or out of the level read.
+    functional of H^1, and the factorial bounds (m_a-1)//e and m_a//e, from
+    the table's x-weights, that the coefficients of every pair into or out
+    of the level read.
 
     The observable valuation needs H^1 = Z/p^h cyclic, and a non-cyclic
     H^1 is refused.  Cyclicity is also what makes one functional enough:
@@ -547,7 +618,7 @@ class TransitionOracle:
         self.levels = sorted(levels)
         self.trunc = default_truncation(self.params(self.levels[-1]), orbit)
         self.A, self.N = self.trunc.A, self.trunc.N
-        self._m = [p**a * orbit.m for a in range(self.A + 1)]
+        self.table = OrbitTable.of(p, orbit, self.A)
         self._cache: dict[int, TransitionLevel] = {}
 
     def params(self, e: int) -> TruncationParams:
@@ -555,7 +626,7 @@ class TransitionOracle:
 
     def level(self, e: int) -> TransitionLevel:
         if e not in self._cache:
-            fc = FiberCohomology.of(build_orbit_matrices(self.params(e), self.trunc))
+            fc = FiberCohomology.of(build_orbit_matrices(self.params(e), self.trunc, self.table))
             exps = fc.h1.exponents()
             if len(exps) > 1:
                 raise OracleError(f"degree-1 cohomology not cyclic at e={e}: {exps}")
@@ -567,8 +638,9 @@ class TransitionOracle:
                     raise OracleError(f"no kernel basis column generates H^1 at e={e}")
             else:
                 gen = functional = None
-            floors1 = [(m_a - 1) // e for m_a in self._m]
-            floors0 = [m_a // e for m_a in self._m]
+            weights = self.table.weights
+            floors1 = [(m_a - 1) // e for m_a in weights]
+            floors0 = [m_a // e for m_a in weights]
             h = exps[0] if exps else 0
             self._cache[e] = TransitionLevel(fc.matrices, fc.d1_rows, h, gen, functional, floors1, floors0)
         return self._cache[e]

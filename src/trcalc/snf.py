@@ -20,9 +20,11 @@ swapped into place, and the transforms come back sparse too: U as a list
 of rows, and V⁻¹, the one change of basis on the column side, as its rows
 keyed by the column each one pivots on (see `smith_mod_prime_power`).
 `KernelLattice.solve` reads a sparse vector, only the columns of V⁻¹
-its entries pick, and only the positions those columns reach, and
-`quotient` takes its generators as sparse columns.  A cyclic quotient
-reads the class of a lattice vector through one precomputed functional
+its entries pick, and only the positions those columns reach, and hands
+back the coordinates it finds nonzero as a sparse vector too; `quotient`
+takes its generators as sparse columns and writes each one's coordinates
+straight into the rows of Y.  A cyclic quotient reads the class of a
+lattice vector through one precomputed functional
 (`QuotientPresentation.class_functional`), a single dot product, built
 from the kernel's kept rows of V⁻¹ that its U row picks.
 
@@ -248,23 +250,26 @@ class KernelLattice:
                     rhs[r] -= a * y
         return col
 
-    def solve(self, x: Sparse) -> list[int] | None:
-        """Coordinates of the sparse vector x in the kernel basis; None if
-        x is not in K.  Only the entries of x, the columns of V⁻¹ they
-        pick, and the positions those columns reach are read."""
+    def solve(self, x: Sparse) -> Sparse | None:
+        """Coordinates of the sparse vector x in the kernel basis, sparse
+        too: {k: y_k} over the kernel coordinates k with y_k nonzero, in the
+        order the positions are first reached; None if x is not in K.  Only
+        the entries of x, the columns of V⁻¹ they pick, and the positions
+        those columns reach are read."""
         acc: Sparse = {}
         Vinv_cols = self._Vinv_cols
         for i, v in x.items():
             for j, a in Vinv_cols[i].items():
                 acc[j] = acc.get(j, 0) + v * a
         q, t, dropped = self.modulus, self.t, self.n - self.dim
-        out = [0] * len(t)
+        out: Sparse = {}
         for j, val in acc.items():
             val %= q
             if val:
-                if j < dropped or val % t[j - dropped]:
+                k = j - dropped
+                if k < 0 or val % t[k]:
                     return None
-                out[j - dropped] = val // t[j - dropped]
+                out[k] = val // t[k]
         return out
 
 
@@ -370,17 +375,18 @@ def quotient(
     coordinate of K, and after them the relations (q/t_j)·e_j that span
     q·Z^n in those coordinates, one column for each t_j > 1, so every
     divisor divides q.  A kernel whose kept t_j are all 1 adds no
-    relation: G is Y, `dim`×`dim` when L has `dim` columns.  U is built
-    only when `build_u` is set.
+    relation: G is Y, `dim`×`dim` when L has `dim` columns.  Each column's
+    sparse coordinates (`KernelLattice.solve`) are written straight into
+    the rows of Y they name, so every row lists its columns in ascending
+    order.  U is built only when `build_u` is set.
     """
     Y: list[Sparse] = [{} for _ in range(kernel.dim)]
     for c, col in enumerate(L):
         y = kernel.solve(col)
         if y is None:
             raise ArithmeticError("generator outside the kernel lattice")
-        for row, v in zip(Y, y):
-            if v:
-                row[c] = v
+        for k, v in y.items():
+            Y[k][c] = v
     q, cols = kernel.modulus, len(L)
     G = []
     for row, t in zip(Y, kernel.t):

@@ -4,6 +4,7 @@ certification, truncation stability, and transition maps."""
 import ast
 import dataclasses
 import functools
+import hashlib
 import itertools
 import math
 import random
@@ -24,7 +25,9 @@ from trcalc.oracle import (
     DegenerateOrbitError,
     FiberCohomology,
     OracleError,
+    OrbitTable,
     OrbitTruncation,
+    TransitionLevel,
     TransitionOracle,
     TruncationInstabilityError,
     build_orbit_matrices,
@@ -35,7 +38,7 @@ from trcalc.oracle import (
     sparse_product,
     verify_orbit,
 )
-from trcalc.padic import MultiIndex, PAdicFraction, brace, factorial_ratio, vp
+from trcalc.padic import MultiIndex, PAdicFraction, brace, factorial_ratio, vp, vp_factorial
 from trcalc.prosystem import ml_bound, tr_valuation
 from trcalc.snf import (
     ClassFunctional,
@@ -48,6 +51,12 @@ from trcalc.snf import (
 from trcalc.syntomic import AlphaBounds, Orbit, enumerate_alphas, enumerate_orbits, h1_syntomic_orbit
 
 EMPTY = MultiIndex()
+
+
+def _build(params, trunc):
+    """`build_orbit_matrices` at `trunc`, reading an orbit table made at
+    its level for the one build."""
+    return build_orbit_matrices(params, trunc, OrbitTable.of(params.p, trunc.orbit, trunc.A))
 
 
 def _exps(p, e, i, m, alpha=EMPTY):
@@ -102,14 +111,14 @@ def test_grown_truncation_validates_whenever_the_base_does(p, i, e, m, one_over_
 def test_differential_blocks_are_braces():
     params = TruncationParams(3, 2, 1)
     trunc = default_truncation(params, Orbit(1))
-    mats = build_orbit_matrices(params, trunc)
+    mats = _build(params, trunc)
     assert mats.diff_full == [brace(3**a, 2) % mats.modulus for a in range(mats.n)]
 
 
 def test_frobenius_units_below_s():
     # below the stopping level the divided Frobenius entries are p-units
     params = TruncationParams(3, 2, 1)
-    mats = build_orbit_matrices(params, OrbitTruncation(Orbit(1), 3, 40))
+    mats = _build(params, OrbitTruncation(Orbit(1), 3, 40))
     assert mats.frob1[0] % 3 != 0
 
 
@@ -127,7 +136,7 @@ def _fiber_grid():
                 if m % p:
                     base = default_truncation(params, Orbit(m, alpha))
                     for trunc in (base, base.grown(params)):
-                        yield build_orbit_matrices(params, trunc)
+                        yield _build(params, trunc)
 
 
 def test_fiber_complex_composes_to_zero():
@@ -154,7 +163,7 @@ def test_sign_convention_independence():
     params = TruncationParams(2, 3, 2)
     trunc = default_truncation(params, Orbit(1))
     fc = fiber_cohomology(params, trunc)
-    mats = build_orbit_matrices(params, trunc)
+    mats = _build(params, trunc)
     mats.frob0 = [(-v) % mats.modulus for v in mats.frob0]
     mats.can0 = [(-v) % mats.modulus for v in mats.can0]
     mats.frob1 = [(-v) % mats.modulus for v in mats.frob1]
@@ -185,9 +194,9 @@ def test_uncertified_degree0_column_is_refused(monkeypatch):
     assert fiber_cohomology(params, trunc).h0_kernel_rank == 0
     real = oracle_module.build_orbit_matrices
 
-    def dead_last_column(params, trunc):
+    def dead_last_column(params, trunc, table):
         # the last column of d0 holds only diff_nygaard[A] and -can0[A]
-        mats = real(params, trunc)
+        mats = real(params, trunc, table)
         mats.diff_nygaard[-1] = 0
         mats.can0[-1] = mats.modulus
         return mats
@@ -234,13 +243,13 @@ def test_degree0_certificate_matches_the_direct_snf_of_d0():
                 base = default_truncation(params, Orbit(m, alpha))
                 minimal_n = OrbitTruncation(base.orbit, base.A, i * (base.A + 1) + 5)
                 for trunc in (base, base.grown(params), minimal_n):
-                    fc = FiberCohomology.of(build_orbit_matrices(params, trunc), False)
+                    fc = FiberCohomology.of(_build(params, trunc), False)
                     assert fc.h0_kernel_rank == _direct_h0_kernel_rank(fc) == 0
                     checked += 1
     # and on the README job `verify --p 2 --i 2 --e 3 --A 6 --N 24`
     params = TruncationParams(2, 3, 2)
     for m in (1, 5):
-        fc = FiberCohomology.of(build_orbit_matrices(params, OrbitTruncation(Orbit(m), 6, 24)), False)
+        fc = FiberCohomology.of(_build(params, OrbitTruncation(Orbit(m), 6, 24)), False)
         assert fc.h0_kernel_rank == _direct_h0_kernel_rank(fc) == 0
     assert checked > 1000
 
@@ -262,7 +271,7 @@ def test_degree0_certificate_with_nontrivial_kernel_steps(p, i, e, m, scale, lev
     if e % p == 0 or m % p == 0:
         return
     params = TruncationParams(p, e, i)
-    mats = build_orbit_matrices(params, default_truncation(params, Orbit(m)))
+    mats = _build(params, default_truncation(params, Orbit(m)))
     n, q = mats.n, mats.modulus
     _scale_d1_row(mats, level % n, p**scale)
     if dead_column:
@@ -340,15 +349,17 @@ def test_verify_orbit_builds_base_and_grown_truncation_once(monkeypatch):
     # one build at (A+1, N+2) serves both fibers: the base matrices are cut
     # from it and equal a direct build at (A, N), hash included; each
     # fiber's d0 columns serve both H^1 and the degree-0 certificate, and
-    # the base d1 rows serve both H^1 and the kernel certificate
-    built, d0_built, d1_built = [], [], []
+    # the base d1 rows serve both H^1 and the kernel certificate; the one
+    # build reads one orbit table, made at the grown level
+    built, tables, d0_built, d1_built = [], [], [], []
     real = oracle_module.build_orbit_matrices
     real_d0 = oracle_module.OrbitMatrices.fiber_d0_columns
     real_d1 = oracle_module.OrbitMatrices.fiber_d1_rows
 
-    def counting(params, trunc):
+    def counting(params, trunc, table):
         built.append(trunc)
-        return real(params, trunc)
+        tables.append(table)
+        return real(params, trunc, table)
 
     def counting_d0(mats):
         d0_built.append(mats.n)
@@ -366,12 +377,13 @@ def test_verify_orbit_builds_base_and_grown_truncation_once(monkeypatch):
     assert cert.s >= 1 and cert.kernel_ok
     base = default_truncation(params, Orbit(1))
     assert built == [OrbitTruncation(Orbit(1), base.A + 1, base.N + 2)]
+    assert [(t.p, t.orbit, t.A) for t in tables] == [(2, Orbit(1), base.A + 1)]
     assert d0_built == [base.A + 1, base.A + 2]
     assert d1_built == [base.A + 1, base.A + 2]
-    direct = real(params, base)
+    direct = _build(params, base)
     cut, grown = oracle_module.base_and_grown_matrices(params, base)
     assert cut == direct and cert.matrices_hash == direct.content_hash()
-    assert grown == real(params, base.grown(params))
+    assert grown == _build(params, base.grown(params))
 
 
 @settings(max_examples=80, deadline=None)
@@ -394,8 +406,8 @@ def test_base_matrices_cut_from_the_grown_build_equal_a_direct_build(p, i, e, m,
     A = default_truncation(params, Orbit(m, alpha)).A + extra
     base = OrbitTruncation(Orbit(m, alpha), A, i * (A + 1) + 5 + extra)
     cut, grown = oracle_module.base_and_grown_matrices(params, base)
-    assert cut == build_orbit_matrices(params, base)
-    assert grown == build_orbit_matrices(params, base.grown(params))
+    assert cut == _build(params, base)
+    assert grown == _build(params, base.grown(params))
     assert (cut.p, cut.orbit, cut.modulus) == (p, Orbit(m, alpha), p**base.N)
 
 
@@ -466,15 +478,15 @@ def test_verify_orbit_checks_the_claim_on_its_own_orbit(monkeypatch, alpha):
     real = oracle_module.build_orbit_matrices
     built = []
 
-    def recording(params, trunc):
+    def recording(params, trunc, table):
         built.append(trunc.orbit)
-        return real(params, trunc)
+        return real(params, trunc, table)
 
     monkeypatch.setattr(oracle_module, "build_orbit_matrices", recording)
     cert = verify_orbit(params, claim, 3, 20)
     assert cert.passed and cert.orbit == claim.orbit and built == [claim.orbit]
-    own = real(params, OrbitTruncation(claim.orbit, 3, 20)).content_hash()
-    other = real(params, OrbitTruncation(Orbit(7, alpha), 3, 20)).content_hash()
+    own = _build(params, OrbitTruncation(claim.orbit, 3, 20)).content_hash()
+    other = _build(params, OrbitTruncation(Orbit(7, alpha), 3, 20)).content_hash()
     assert cert.matrices_hash == own != other
 
 
@@ -589,7 +601,7 @@ def test_verify_orbit_runs_only_the_transforms_it_reads(monkeypatch):
         ("kernel_mod", False),
     ]
     base = default_truncation(params, Orbit(1))
-    fibers = [build_orbit_matrices(params, t) for t in (base, base.grown(params))]
+    fibers = [_build(params, t) for t in (base, base.grown(params))]
     assert kernels[:2] == [witness.fiber_d1(mats) for mats in fibers]
     # each H^1 quotient is n x n: the kernel keeps the n coordinates of its
     # 2n that are not identically zero, and none needs a relation column
@@ -662,7 +674,7 @@ def test_h2_is_the_cokernel_of_d1(p, i, e, m, one_over_p, scale, level):
         return
     alpha = MultiIndex.from_dict({"t": PAdicFraction.make(1, 1, p)}) if one_over_p else EMPTY
     params = TruncationParams(p, e, i)
-    mats = build_orbit_matrices(params, default_truncation(params, Orbit(m, alpha)))
+    mats = _build(params, default_truncation(params, Orbit(m, alpha)))
     n, q = mats.n, mats.modulus
     _scale_d1_row(mats, level % n, p**scale)
     h2 = FiberCohomology.of(mats, False).h2
@@ -743,7 +755,7 @@ def _dense_witness_level(oc, e):
     generator, the kernel basis column of largest class order h.  The
     basis generates H^1, so p^h is its exponent, and H^1 is cyclic (as
     asserted) exactly when its order [C^1 : Λ] / [C^1 : K] is p^h."""
-    mats = build_orbit_matrices(oc.params(e), oc.trunc)
+    mats = _build(oc.params(e), oc.trunc)
     q, d0 = mats.modulus, witness.fiber_d0(mats)
     K = witness.kernel_mod(witness.fiber_d1(mats), q)
     order = functools.partial(witness.class_order_exponent, d0, q, oc.p)
@@ -765,8 +777,8 @@ def _dense_witness_valuation(oc, e, f, level_e, level_f):
     for a in range(n):
         m_a = p**a * oc.orbit.m
         floor_l1 = oc.orbit.alpha.floor_l1(p, a)
-        u1_e = nygaard_exponents(oc.params(e), m_a, floor_l1)[1]
-        u1_f = nygaard_exponents(oc.params(f), m_a, floor_l1)[1]
+        u1_e = nygaard_exponents(oc.i, e, m_a, floor_l1)[1]
+        u1_f = nygaard_exponents(oc.i, f, m_a, floor_l1)[1]
         num = p**u1_f * factorial_ratio((m_a - 1) // e, (m_a - 1) // f)
         assert num % p**u1_e == 0
         image_n1.append(num // p**u1_e * gen[a] % modulus)
@@ -846,7 +858,7 @@ def test_two_slot_fiber_cohomology_matches_the_closed_form():
                     continue
                 orbit = Orbit(m, alpha)
                 h = h1_syntomic_orbit(params, orbit).module.h
-                mats = build_orbit_matrices(params, default_truncation(params, orbit))
+                mats = _build(params, default_truncation(params, orbit))
                 exps = FiberCohomology.of(mats, False).exponents(p)
                 assert exps == {0: (), 1: (h,) if h else (), 2: ()}
                 checked += 1
@@ -884,7 +896,7 @@ def _exact_frobenius(params, trunc):
     frob0, frob1 = [], []
     for a in range(trunc.A):
         m_a = p**a * orbit.m
-        u0, u1 = nygaard_exponents(params, m_a, orbit.alpha.floor_l1(p, a))
+        u0, u1 = nygaard_exponents(i, e, m_a, orbit.alpha.floor_l1(p, a))
         r = math.prod(factorial_ratio(f.floor(p, a + 1), f.floor(p, a)) for _, f in orbit.alpha.entries)
         frob0.append(p**u0 * r * factorial_ratio(p * m_a // e, m_a // e) // p**i % q)
         frob1.append(p ** (u1 + 1) * r * factorial_ratio((p * m_a - 1) // e, (m_a - 1) // e) // p**i % q)
@@ -913,7 +925,7 @@ def test_frobenius_coefficients_equal_the_exact_products(monkeypatch):
                     continue
                 base = default_truncation(params, Orbit(m, alpha))
                 for trunc in (base, base.grown(params)):
-                    mats = build_orbit_matrices(params, trunc)
+                    mats = _build(params, trunc)
                     assert (mats.frob0, mats.frob1) == _exact_frobenius(params, trunc)
     assert any(skipped) and not all(skipped)
 
@@ -939,7 +951,7 @@ def test_transition_coefficient_not_divisible_by_target_scaling_is_refused():
     lv_e, lv_f = oc.level(3), oc.level(5)
     assert lv_e.h and lv_f.h and lv_e.floors1[0] == lv_f.floors1[0] == 0
     u1 = [lv_f.matrices.u1[0] + 1] + lv_e.matrices.u1[1:]
-    oc._cache[3] = dataclasses.replace(lv_e, matrices=dataclasses.replace(lv_e.matrices, u1=u1))
+    oc._cache[3] = lv_e._replace(matrices=dataclasses.replace(lv_e.matrices, u1=u1))
     with pytest.raises(ArithmeticError, match="not divisible by target scaling"):
         oc.valuation(3, 5)
 
@@ -1099,5 +1111,164 @@ def test_valuation_does_not_depend_on_the_generator(p, i, m, one_over_p, seed):
         gen = [unit * g + c for g, c in zip(lv.generator, col)]
         gen[rng.randrange(len(gen))] += q
         assert gen != lv.generator
-        oc._cache[f] = dataclasses.replace(lv, generator=gen)
+        oc._cache[f] = lv._replace(generator=gen)
     assert {pair: oc.valuation(*pair) for pair in pairs} == before
+
+
+def test_transition_oracle_makes_one_orbit_table(monkeypatch):
+    # every level read, and the alpha floors are read once: the sizing walk
+    # reads levels 0..s and the one table levels 0..A
+    tables, floor_reads = [], []
+    real_of, real_floor = OrbitTable.of.__func__, MultiIndex.floor_l1
+
+    def counting_of(cls, p, orbit, A):
+        tables.append((p, orbit, A))
+        return real_of(cls, p, orbit, A)
+
+    def counting_floor(self, p, a):
+        floor_reads.append(a)
+        return real_floor(self, p, a)
+
+    monkeypatch.setattr(OrbitTable, "of", classmethod(counting_of))
+    monkeypatch.setattr(MultiIndex, "floor_l1", counting_floor)
+    orbit = Orbit(1, MultiIndex.from_dict({"t": PAdicFraction.make(1, 1, 2)}))
+    levels = list(range(3, 16, 2))
+    oc = TransitionOracle(2, 2, orbit, levels)
+    for e in levels:
+        oc.level(e)
+    assert (oc.A, len(levels)) == (4, 7)
+    assert tables == [(2, orbit, 4)]
+    # s = 2: 3 walk reads and 5 table reads; a build that read the floors
+    # at each level made 3 + 7·5 = 38
+    assert floor_reads == [0, 1, 2] + [0, 1, 2, 3, 4]
+
+
+def test_build_orbit_matrices_refuses_a_table_of_another_orbit():
+    # the table must be of the truncation's prime and orbit and reach its
+    # level A; one that reaches past A is read on levels 0..A
+    params = TruncationParams(2, 3, 2)
+    orbit = Orbit(1, MultiIndex.from_dict({"t": PAdicFraction.make(1, 1, 2)}))
+    trunc = default_truncation(params, orbit)
+    own = build_orbit_matrices(params, trunc, OrbitTable.of(2, orbit, trunc.A))
+    assert build_orbit_matrices(params, trunc, OrbitTable.of(2, orbit, trunc.A + 2)) == own
+    for table, message in [
+        (OrbitTable.of(3, Orbit(1, orbit.alpha), trunc.A), "orbit table is over p=3, not p=2"),
+        (OrbitTable.of(2, Orbit(5, orbit.alpha), trunc.A), "orbit table is for orbit"),
+        (OrbitTable.of(2, Orbit(1), trunc.A), "orbit table is for orbit"),
+        (OrbitTable.of(2, orbit, trunc.A - 1), f"orbit table reaches level {trunc.A - 1}, below A={trunc.A}"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            build_orbit_matrices(params, trunc, table)
+
+
+def _reference_matrices(params, trunc):
+    """The orbit matrices written out level by level, each level's data
+    read afresh: the Nygaard exponents from that level's x-weight and
+    alpha floor, the brace symbol, and each Frobenius coefficient from its
+    factorial ratios.  A coefficient is 0 when Legendre's formula puts its
+    p-adic valuation at N + i or more, and is formed exactly otherwise."""
+    p, e, i = params
+    orbit, A, N = trunc.orbit, trunc.A, trunc.N
+    q = p**N
+    mats = oracle_module.OrbitMatrices(p, orbit, A + 1, q, [], [], [], [], [], [], [])
+    for a in range(A + 1):
+        m_a = p**a * orbit.m
+        u0, u1 = nygaard_exponents(i, e, m_a, orbit.alpha.floor_l1(p, a))
+        b = brace(m_a, e)
+        mats.diff_nygaard.append(p ** (u0 - u1) * b % q)
+        mats.diff_full.append(b % q)
+        mats.can0.append(p**u0 % q)
+        mats.can1.append(p**u1 % q)
+        mats.u1.append(u1)
+        if a == A:
+            break
+        slots = [(frac.floor(p, a + 1), frac.floor(p, a)) for _, frac in orbit.alpha.entries]
+        for out, scale, x_ratio in (
+            (mats.frob0, u0, (p * m_a // e, m_a // e)),
+            (mats.frob1, u1 + 1, ((p * m_a - 1) // e, (m_a - 1) // e)),
+        ):
+            ratios = slots + [x_ratio]
+            v = scale + sum(vp_factorial(hi, p) - vp_factorial(lo, p) for hi, lo in ratios)
+            if v >= N + i:
+                out.append(0)
+                continue
+            num = p**scale * math.prod(factorial_ratio(hi, lo) for hi, lo in ratios)
+            assert num % p**i == 0
+            out.append(num // p**i % q)
+    return mats
+
+
+def _dense_solve_coords(kernel, L):
+    """The kernel coordinates Y of the sparse columns L as a dense solve
+    writes them: V⁻¹·x at every position, each kept coordinate divided by
+    its t, and the zero ones left out of the rows."""
+    dropped = kernel.n - kernel.dim
+    Y = [{} for _ in range(kernel.dim)]
+    for c, col in enumerate(L):
+        acc = [0] * kernel.n
+        for r, v in col.items():
+            for j, a in kernel._Vinv_cols[r].items():
+                acc[j] += v * a
+        for k, row in enumerate(Y):
+            val = acc[dropped + k] % kernel.modulus
+            if val:
+                row[c] = val // kernel.t[k]
+    return Y
+
+
+def test_levels_built_from_the_orbit_table_equal_a_level_by_level_build():
+    # p in {2, 3, 5}, i <= 3, the levels 2..16 prime to p, and alpha empty
+    # or in the one-slot window (t = num/p^pexp, num <= 4, pexp <= 2): each
+    # level's matrices from the oracle's one table equal the reference, and
+    # on alpha empty and t^(1/p) the H^1 coordinates equal a dense solve's
+    levels_built = fibers = 0
+    for p in (2, 3, 5):
+        window = list(enumerate_alphas(AlphaBounds(("t",), 4, 2), p))
+        one_over_p = MultiIndex.from_dict({"t": PAdicFraction.make(1, 1, p)})
+        assert window[0] == EMPTY and one_over_p in window
+        levels = [e for e in range(2, 17) if e % p]
+        for i in range(4):
+            for m in range(1, max(i, 1) * levels[-1] + 1):
+                if m % p == 0:
+                    continue
+                sub = [e for e in levels if max(i, 1) * e >= m]
+                for alpha in window:
+                    oc = TransitionOracle(p, i, Orbit(m, alpha), sub)
+                    for e in sub:
+                        params = oc.params(e)
+                        mats = build_orbit_matrices(params, oc.trunc, oc.table)
+                        assert mats == _reference_matrices(params, oc.trunc)
+                        levels_built += 1
+                        if alpha in (EMPTY, one_over_p):
+                            h1 = FiberCohomology.of(mats, False).h1
+                            assert h1.coords == _dense_solve_coords(h1.kernel, mats.fiber_d0_columns())
+                            assert all(list(row) == sorted(row) for row in h1.coords)
+                            fibers += 1
+    assert (levels_built, fibers) == (13923, 2556)
+
+
+def test_readme_verify_jobs_keep_their_matrices_hashes():
+    # the matrices every README `verify` job checks, as one digest of their
+    # content hashes in report order
+    jobs = [
+        (TruncationParams(2, 3, 2), AlphaBounds(), 6, 24, "0c23fbf7f05eb651"),
+        (TruncationParams(3, 3, 3), AlphaBounds(("t",), 2, 1), None, None, "975f1d9d9a2a5674"),
+    ]
+    for params, bounds, A, N, digest in jobs:
+        hashes = [verify_orbit(params, sm, A, N).matrices_hash for sm in enumerate_orbits(params, bounds)]
+        assert hashlib.sha256(" ".join(hashes).encode()).hexdigest()[:16] == digest
+
+
+def test_transition_level_is_an_immutable_value_record():
+    # keyword construction, value equality, a repr naming the fields, no
+    # assignment, and changed copies through `_replace`
+    oc = TransitionOracle(2, 2, Orbit(1), [3, 5])
+    lv = oc.level(3)
+    assert TransitionLevel(**lv._asdict()) == lv and TransitionLevel(*lv) == lv
+    assert lv._replace(h=lv.h) == lv and lv._replace(h=lv.h + 1) != lv
+    assert repr(lv).startswith("TransitionLevel(matrices=OrbitMatrices(p=2, orbit=Orbit(m=1")
+    with pytest.raises(AttributeError):
+        lv.h = 0
+    with pytest.raises(AttributeError):
+        lv.extra = 0
+    assert oc.level(3) is lv and oc.level(5) != lv

@@ -667,13 +667,13 @@ def test_towers_build_no_truncation_params(monkeypatch):
     # building, sweeping and classifying a tower passes p, the levels and
     # the weight as plain ints; only the API boundary builds parameters
     built = []
-    real = drw_module.TruncationParams.__post_init__
+    real = drw_module.TruncationParams.__new__
 
-    def counting(self):
-        built.append((self.p, self.e, self.i))
-        real(self)
+    def counting(cls, p, e, i):
+        built.append((p, e, i))
+        return real(cls, p, e, i)
 
-    monkeypatch.setattr(drw_module.TruncationParams, "__post_init__", counting)
+    monkeypatch.setattr(drw_module.TruncationParams, "__new__", counting)
     alpha = MultiIndex.from_dict({"t": PAdicFraction(1, 1)})
     for p in (2, 3):
         levels = [e for e in range(2, 25) if e % p]

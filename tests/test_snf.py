@@ -4,7 +4,8 @@ presentations, checked against the exact-integer witness in
 
 The cases are dense integer matrices; the engine reads only sparse rows,
 so `_smith`, `_kernel`, `_quotient` and `_solve` convert each input once
-(`snf_witness.sparse_rows` and its siblings) before calling it."""
+(`snf_witness.sparse_rows` and its siblings) before calling it, and
+`_solve` reads the sparse coordinates through a dense view."""
 
 import random
 
@@ -38,8 +39,14 @@ def _quotient(K, L, build_u=True):
 
 
 def _solve(K, x):
-    """`K.solve` on the dense x, fed as a sparse vector."""
-    return K.solve(witness.sparse_vector(x))
+    """`K.solve` on the dense x, fed as a sparse vector, read through a
+    dense view: its sparse coordinates, which hold no zero entry, written
+    out as a list of `K.dim` entries, or None."""
+    y = K.solve(witness.sparse_vector(x))
+    if y is None:
+        return None
+    assert all(y.values()) and all(0 <= k < K.dim for k in y)
+    return witness.densify([y], K.dim)[0]
 
 
 def _basis_columns(K):
@@ -175,6 +182,21 @@ def test_dropped_coordinates_still_decide_membership():
     assert _solve(K, [1, 16]) is None
     assert _solve(K, [0, 8]) is None and _solve(K, [64, 40]) is None
     assert _solve(K, [64, 16]) == [1] and _solve(K, [0, 48]) == [3] and _solve(K, [0, 0]) == [0]
+
+
+def test_solve_returns_sparse_coordinates_without_zeros():
+    # {k: y_k} over the nonzero kernel coordinates only: the zero vector
+    # and a vector of q·Z^n have none, and a quotient writes each column's
+    # coordinates straight into the rows of Y they name
+    K = _kernel([[1, 0, 0], [0, 4, 0]], 2, 64)
+    assert K.dim == 2 and K.t == [16, 1]
+    assert K.solve({}) == {} and K.solve({0: 64, 1: 64, 2: 128}) == {}
+    assert K.solve({1: 48}) == {0: 3} and K.solve({2: 5}) == {1: 5}
+    assert K.solve({0: 64, 1: 16, 2: 7}) == {0: 1, 1: 7}
+    assert K.solve({0: 1}) is None
+    Q = quotient(K, [{1: 48}, {}, {1: 16, 2: 64}, {2: 5}], False)
+    # Y leaves out the relation column (q/t)·e_0 that G appends
+    assert Q.coords == [{0: 3, 2: 1}, {3: 5}]
 
 
 def test_class_functional_of_a_cyclic_quotient():

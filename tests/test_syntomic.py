@@ -295,13 +295,13 @@ def test_pair_reads_build_no_truncation_params(monkeypatch):
     levels = [e for e in range(3, 16) if e % p]
     params = {e: TruncationParams(p, e, i) for e in levels}
     built = []
-    real = drw_module.TruncationParams.__post_init__
+    real = drw_module.TruncationParams.__new__
 
-    def counting(self):
-        built.append((self.p, self.e, self.i))
-        real(self)
+    def counting(cls, p, e, i):
+        built.append((p, e, i))
+        return real(cls, p, e, i)
 
-    monkeypatch.setattr(drw_module.TruncationParams, "__post_init__", counting)
+    monkeypatch.setattr(drw_module.TruncationParams, "__new__", counting)
     level_summand.cache_clear()
     for e, f in itertools.combinations(levels, 2):
         tr_valuation(params[e], f, orbit)
