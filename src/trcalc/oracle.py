@@ -13,9 +13,11 @@ check applies them (`sparse_product`).  The matrices use only the Nygaard
 exponents, the brace symbol and factorial ratios; what of them does not
 depend on e (the x-weights, the alpha floors and the slot floor pairs) is
 read from one orbit table per orbit (`OrbitTable`), which every level's
-build of that orbit shares.  The truncation level is sized from the
-orbit's degree-1 walk in `drw` (`default_truncation`), and the
-truncation-stability recheck reads a grown truncation (`_stable_fiber`).
+build of that orbit shares.  Every truncation's matrices come from a
+build at that truncation (`build_orbit_matrices`).  The truncation level
+is sized from the orbit's degree-1 walk in `drw` (`default_truncation`),
+and the truncation-stability recheck builds a grown truncation from the
+same table (`_stable_fiber`).
 The closed-form claim under test, a summand with its orbit, s, h and
 generator exponents, is handed in by the caller of `verify_orbit` and
 `certify_kernel_generator`.  The matrices record their prime and orbit
@@ -103,10 +105,14 @@ class OrbitMatrices:
     `diff_full` are diagonal (level-preserving); `frob0`/`frob1` carry
     level a to a+1 and have length A; `can0`/`can1` are diagonal.  `u1`
     holds the degree-1 Nygaard exponent of each level, which `can1` is
-    built from.  The fiber's differentials are read off these lists once
-    each, d1 as rows (`fiber_d1_rows`) and d0 as columns
-    (`fiber_d0_columns`); d1 has no other encoding.  `content_hash` reads
-    the coefficient lists, n and the modulus.
+    built from, and `floors0`/`floors1` the level floors m_a//e and
+    (m_a-1)//e, which bound the Frobenius x ratios; the transition maps
+    read all three (`TransitionOracle`).  Every instance comes from one
+    build at its own truncation (`build_orbit_matrices`).  The fiber's
+    differentials are read off these lists once each, d1 as rows
+    (`fiber_d1_rows`) and d0 as columns (`fiber_d0_columns`); d1 has no
+    other encoding.  `content_hash` reads the coefficient lists, n and the
+    modulus, and none of u1 and the floors.
     """
 
     p: int
@@ -120,6 +126,8 @@ class OrbitMatrices:
     frob0: list[int]
     frob1: list[int]
     u1: list[int]
+    floors0: list[int]
+    floors1: list[int]
 
     def fiber_d0_columns(self) -> list[Sparse]:
         """d0: C^0 = N^0 -> C^1 = N^1 (+) D^0, w |-> (d w, (phi/p^i - can) w),
@@ -147,30 +155,6 @@ class OrbitMatrices:
             row[n + r] = -d % q
             rows.append(row)
         return rows
-
-    def truncated(self, A: int, N: int) -> "OrbitMatrices":
-        """These coefficients on levels 0..A, reduced mod p^N, which
-        divides this modulus; the Frobenius entries leaving level A are
-        dropped."""
-        n = A + 1
-        modulus = self.p**N
-
-        def cut(coeffs: list[int], k: int) -> list[int]:
-            return [c % modulus for c in coeffs[:k]]
-
-        return OrbitMatrices(
-            self.p,
-            self.orbit,
-            n,
-            modulus,
-            cut(self.diff_nygaard, n),
-            cut(self.diff_full, n),
-            cut(self.can0, n),
-            cut(self.can1, n),
-            cut(self.frob0, A),
-            cut(self.frob1, A),
-            self.u1[:n],
-        )
 
     def content_hash(self) -> str:
         body = repr(
@@ -213,9 +197,11 @@ class OrbitTable:
     L_a = floor_l1(p^a alpha) (`floors`), and each slot's floor pair
     (floor(p^(a+1) n_t), floor(p^a n_t)) (`slot_floors`, one tuple per
     level).  Built once per orbit (`OrbitTable.of`) and read by every
-    `build_orbit_matrices` of that orbit, whatever its e: the levels of a
-    `TransitionOracle` share one, as the degree-1 walks of one orbit share
-    their alpha floors (`drw.degree1_walks`)."""
+    `build_orbit_matrices` of that orbit, whatever its e or level A: the
+    levels of a `TransitionOracle` share one, as do the base and grown
+    builds of the stability recheck (`base_and_grown_matrices`), and the
+    degree-1 walks of one orbit share their alpha floors
+    (`drw.degree1_walks`)."""
 
     p: int
     orbit: Orbit
@@ -244,7 +230,8 @@ def build_orbit_matrices(params: TruncationParams, trunc: OrbitTruncation, table
 
     Everything that does not depend on e is read from `table`, the orbit
     table of `trunc`'s orbit at p: the x-weights p^a m, from which the
-    level floors m_a//e and (m_a-1)//e come, the alpha l1 floors the
+    level floors m_a//e and (m_a-1)//e come (kept with the matrices as
+    `floors0` and `floors1`), the alpha l1 floors the
     Nygaard exponents read (`drw.nygaard_exponents`), and the slot floor
     pairs of the alpha floor ratio.  A table of another prime or orbit, or
     one that stops below level A, is refused with ValueError; one that
@@ -311,25 +298,22 @@ def build_orbit_matrices(params: TruncationParams, trunc: OrbitTruncation, table
             raise ArithmeticError("degree-1 Frobenius coefficient not divisible by p^i")
         frob1.append(num1 // pi % modulus)
 
-    return OrbitMatrices(p, orbit, n, modulus, diff_nygaard, diff_full, can0, can1, frob0, frob1, u1)
+    return OrbitMatrices(p, orbit, n, modulus, diff_nygaard, diff_full, can0, can1, frob0, frob1, u1, floors0, floors1)
 
 
 def base_and_grown_matrices(
     params: TruncationParams, trunc: OrbitTruncation
 ) -> tuple[OrbitMatrices, OrbitMatrices]:
-    """The matrices at `trunc` and at its grown truncation (A+1, N'), from
-    one build at the grown one.  A level's coefficients do not depend on
-    the truncation, so the base matrices are the grown ones on levels
-    0..A, without the Frobenius entry that leaves level A, reduced mod p^N
-    (`OrbitMatrices.truncated`): a direct build at `trunc` gives the same
-    lists.  Only `trunc` is validated, since the grown truncation is valid
-    whenever it is: one degree-1 walk serves both.  The one build reads
-    one orbit table, made at the grown level."""
+    """The matrices at `trunc` and at its grown truncation (A+1, N'), each
+    from its own build.  Both builds read one orbit table, made at the
+    grown level; the base build reads its levels 0..A.  Only `trunc` is
+    validated, since the grown truncation is valid whenever it is: one
+    degree-1 walk serves both.  The stability recheck (`_stable_fiber`)
+    reads both from here."""
     trunc.validate(params)
-    grown_trunc = trunc.grown(params)
-    table = OrbitTable.of(params.p, trunc.orbit, grown_trunc.A)
-    grown = build_orbit_matrices(params, grown_trunc, table)
-    return grown.truncated(trunc.A, trunc.N), grown
+    grown = trunc.grown(params)
+    table = OrbitTable.of(params.p, trunc.orbit, grown.A)
+    return build_orbit_matrices(params, trunc, table), build_orbit_matrices(params, grown, table)
 
 
 @dataclass
@@ -433,10 +417,9 @@ def _stable_fiber(
     """The fiber cohomology at `trunc`, building U when `build_u` is set,
     and its exponents, after the stability recheck: the fiber at the
     grown truncation (`OrbitTruncation.grown`) must give the same
-    exponents, or TruncationInstabilityError.  Both fibers come from
-    one build (`base_and_grown_matrices`); the base matrices are the grown
-    ones cut back, but their complex is a different one, so eliminating
-    both is the check.  The grown fiber builds no U."""
+    exponents, or TruncationInstabilityError.  Both fibers' matrices
+    come from `base_and_grown_matrices`, two builds from one orbit table,
+    and eliminating both is the check.  The grown fiber builds no U."""
     base, grown = base_and_grown_matrices(params, trunc)
     fc = FiberCohomology.of(base, build_u)
     exps = fc.exponents(params.p)
@@ -540,12 +523,12 @@ def certify_kernel_generator(fc: FiberCohomology, summand) -> bool:
 
 class TransitionLevel(NamedTuple):
     """What the pair queries of `TransitionOracle` read at one level e:
-    the fiber matrices (with the degree-1 Nygaard exponent of each orbit
-    level), the fiber's rows of d1, h with H^1 = Z/p^h, and, when h >= 1,
-    a cochain generating H^1 and the class functional of H^1.  `floors1`
-    and `floors0` hold (m_a-1)//e and m_a//e for each orbit level a, read
-    off the x-weights of the oracle's orbit table: the factorial bounds
-    that every pair into or out of the level reads.
+    the fiber matrices, the fiber's rows of d1, h with H^1 = Z/p^h, and,
+    when h >= 1, a cochain generating H^1 and the class functional of H^1.
+    The matrices carry what every pair into or out of the level reads of
+    each orbit level a: the degree-1 Nygaard exponent (`u1`) and the
+    factorial bounds (m_a-1)//e and m_a//e (`floors1`, `floors0`), as the
+    build computed them.
 
     A tuple-backed, immutable record, as `prosystem.LevelStabilization`
     is: the oracle builds one per level, and a changed copy comes from
@@ -556,8 +539,6 @@ class TransitionLevel(NamedTuple):
     h: int
     generator: list[int] | None
     functional: ClassFunctional | None
-    floors1: list[int]
-    floors0: list[int]
 
 
 class TransitionOracle:
@@ -574,11 +555,12 @@ class TransitionOracle:
     in one orbit table at level A (`OrbitTable`, `table`): the x-weights
     p^a m, the alpha l1 floors and the slot floor pairs, which every
     level's build reads.  Each level's work is done once, on first use
-    (`TransitionLevel`): the fiber cohomology with its rows of d1, h_e,
-    the degree-1 Nygaard exponents, a generator of H^1, the class
-    functional of H^1, and the factorial bounds (m_a-1)//e and m_a//e, from
-    the table's x-weights, that the coefficients of every pair into or out
-    of the level read.
+    (`TransitionLevel`): the fiber cohomology with its rows of d1, h_e, a
+    generator of H^1 and the class functional of H^1.  The degree-1
+    Nygaard exponents and the factorial bounds (m_a-1)//e and m_a//e that
+    the coefficients of every pair into or out of the level read are
+    those the level's build computed (`OrbitMatrices.u1`, `.floors1`,
+    `.floors0`); nothing recomputes them.
 
     The observable valuation needs H^1 = Z/p^h cyclic, and a non-cyclic
     H^1 is refused.  Cyclicity is also what makes one functional enough:
@@ -638,11 +620,8 @@ class TransitionOracle:
                     raise OracleError(f"no kernel basis column generates H^1 at e={e}")
             else:
                 gen = functional = None
-            weights = self.table.weights
-            floors1 = [(m_a - 1) // e for m_a in weights]
-            floors0 = [m_a // e for m_a in weights]
             h = exps[0] if exps else 0
-            self._cache[e] = TransitionLevel(fc.matrices, fc.d1_rows, h, gen, functional, floors1, floors0)
+            self._cache[e] = TransitionLevel(fc.matrices, fc.d1_rows, h, gen, functional)
         return self._cache[e]
 
     def h_exponent(self, e: int) -> int:
@@ -652,8 +631,9 @@ class TransitionOracle:
         """The f -> e map on N^1 (+) D^0, applied to the level-f generator.
 
         Its diagonal coefficients are p^(u1_f - u1_e)·((m_a-1)//e)!/((m_a-1)//f)!
-        on N^1 and (m_a//e)!/(m_a//f)! on D^0, with the factorial bounds
-        read from the two levels (`TransitionLevel.floors1`, `.floors0`).
+        on N^1 and (m_a//e)!/(m_a//f)! on D^0, with the exponents and the
+        factorial bounds read off the two levels' matrices
+        (`OrbitMatrices.u1`, `.floors1`, `.floors0`).
         A coefficient whose ratio makes it vanish mod p^N is 0 without
         forming the product (`_ratio_or_zero`); every other one is formed
         exactly.  The N^1 one reads the ratio shifted by the exponent
@@ -668,7 +648,8 @@ class TransitionOracle:
         gen = lv_f.generator
         n = self.A + 1
         image = [0] * (2 * n)
-        levels = zip(lv_e.matrices.u1, lv_f.matrices.u1, lv_e.floors1, lv_f.floors1, lv_e.floors0, lv_f.floors0)
+        mats_e, mats_f = lv_e.matrices, lv_f.matrices
+        levels = zip(mats_e.u1, mats_f.u1, mats_e.floors1, mats_f.floors1, mats_e.floors0, mats_f.floors0)
         for a, (u1_e, u1_f, b1_e, b1_f, b0_e, b0_f) in enumerate(levels):
             shift = u1_f - u1_e
             coeff = _ratio_or_zero(b1_e, b1_f, p, N - shift)

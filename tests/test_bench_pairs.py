@@ -77,3 +77,32 @@ def test_a_run_that_is_not_correct_or_printed_no_report_fails_the_summary():
     assert not correct and lines[-1] == "NOT correct: change run 0, change run 1"
     # the pair without a report is left out of the metric
     assert "change better in 1/1 pairs" in lines[4]
+
+
+def test_pairs_alternate_which_tree_runs_first():
+    # the parent runs first in pairs 1, 3, ... and the change first in the
+    # rest; each side's results come back in pair order
+    order = []
+
+    def run(tree):
+        order.append(tree)
+        return f"{tree}{order.count(tree)}"
+
+    parent, change = bench_pairs.alternate(4, "P", "C", run)
+    assert order == ["P", "C", "C", "P", "P", "C", "C", "P"]
+    assert parent == ["P1", "P2", "P3", "P4"] and change == ["C1", "C2", "C3", "C4"]
+
+
+def test_main_runs_the_workload_on_both_trees_in_alternation(monkeypatch, capsys):
+    calls = []
+
+    def run_once(tree, workload, seconds, seed):
+        calls.append((str(tree), workload, seconds, seed))
+        return bench_pairs.last_json(_line(100, 10))
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    argv = ["P", "C", "--workload", "w", "--pairs", "3", "--seconds", "2", "--seed", "5"]
+    assert bench_pairs.main(argv) == 0
+    assert [tree for tree, *_ in calls] == ["P", "C", "C", "P", "P", "C"]
+    assert {tuple(rest) for _, *rest in calls} == {("w", 2.0, 5)}
+    assert capsys.readouterr().out.startswith("workload w seed 5, 3 pairs of 2-s runs\n")

@@ -65,3 +65,17 @@ def test_paced_time_scales_the_wall_time_by_the_kernel_beside_it(monkeypatch, tm
     result = gate_pairs.run_once(tmp_path, "tests/test_x.py::test_y")
     assert result == {"wall": 3.0, "paced": pytest.approx(1.5), "passed": True}
     assert commands == [("tests/test_x.py::test_y", tmp_path, str(tmp_path / "src"))]
+
+
+def test_main_times_the_node_on_both_trees_in_alternation(monkeypatch, tmp_path, capsys):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    calls = []
+
+    def run_once(tree, node):
+        calls.append((tree, node))
+        return {"wall": 1.0, "paced": 1.0, "passed": True}
+
+    monkeypatch.setattr(gate_pairs, "run_once", run_once)
+    assert gate_pairs.main([str(parent), str(change), "--test", "tests/t.py::t", "--pairs", "3"]) == 0
+    assert calls == [(tree, "tests/t.py::t") for tree in (parent, change, change, parent, parent, change)]
+    assert capsys.readouterr().out.startswith("tests/t.py::t: 3 pairs\n")

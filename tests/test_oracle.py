@@ -346,11 +346,11 @@ def test_verify_orbit_passes():
 
 
 def test_verify_orbit_builds_base_and_grown_truncation_once(monkeypatch):
-    # one build at (A+1, N+2) serves both fibers: the base matrices are cut
-    # from it and equal a direct build at (A, N), hash included; each
-    # fiber's d0 columns serve both H^1 and the degree-0 certificate, and
-    # the base d1 rows serve both H^1 and the kernel certificate; the one
-    # build reads one orbit table, made at the grown level
+    # one build at (A, N) and one at (A+1, N+2), both reading one orbit
+    # table made at the grown level; the base matrices equal a build with
+    # a table of their own, hash included; each fiber's d0 columns serve
+    # both H^1 and the degree-0 certificate, and the base d1 rows serve
+    # both H^1 and the kernel certificate
     built, tables, d0_built, d1_built = [], [], [], []
     real = oracle_module.build_orbit_matrices
     real_d0 = oracle_module.OrbitMatrices.fiber_d0_columns
@@ -376,39 +376,14 @@ def test_verify_orbit_builds_base_and_grown_truncation_once(monkeypatch):
     cert = verify_orbit(params, h1_syntomic_orbit(params, Orbit(1)))
     assert cert.s >= 1 and cert.kernel_ok
     base = default_truncation(params, Orbit(1))
-    assert built == [OrbitTruncation(Orbit(1), base.A + 1, base.N + 2)]
-    assert [(t.p, t.orbit, t.A) for t in tables] == [(2, Orbit(1), base.A + 1)]
+    assert built == [base, OrbitTruncation(Orbit(1), base.A + 1, base.N + 2)]
+    assert tables[0] is tables[1] and (tables[0].p, tables[0].orbit, tables[0].A) == (2, Orbit(1), base.A + 1)
     assert d0_built == [base.A + 1, base.A + 2]
     assert d1_built == [base.A + 1, base.A + 2]
     direct = _build(params, base)
-    cut, grown = oracle_module.base_and_grown_matrices(params, base)
-    assert cut == direct and cert.matrices_hash == direct.content_hash()
+    own, grown = oracle_module.base_and_grown_matrices(params, base)
+    assert own == direct and cert.matrices_hash == direct.content_hash()
     assert grown == _build(params, base.grown(params))
-
-
-@settings(max_examples=80, deadline=None)
-@given(
-    st.sampled_from((2, 3, 5)),
-    st.integers(0, 5),
-    st.integers(1, 12),
-    st.integers(1, 40),
-    st.booleans(),
-    st.integers(0, 2),
-)
-def test_base_matrices_cut_from_the_grown_build_equal_a_direct_build(p, i, e, m, one_over_p, extra):
-    # a level's coefficients do not depend on the truncation, so cutting
-    # the grown build back to (A, N) gives the lists a build at (A, N)
-    # gives, with the same prime and orbit
-    if e % p == 0 or m % p == 0:
-        return
-    alpha = MultiIndex.from_dict({"t": PAdicFraction.make(1, 1, p)}) if one_over_p else EMPTY
-    params = TruncationParams(p, e, i)
-    A = default_truncation(params, Orbit(m, alpha)).A + extra
-    base = OrbitTruncation(Orbit(m, alpha), A, i * (A + 1) + 5 + extra)
-    cut, grown = oracle_module.base_and_grown_matrices(params, base)
-    assert cut == _build(params, base)
-    assert grown == _build(params, base.grown(params))
-    assert (cut.p, cut.orbit, cut.modulus) == (p, Orbit(m, alpha), p**base.N)
 
 
 def test_base_and_grown_matrices_validate_the_base_truncation():
@@ -484,7 +459,7 @@ def test_verify_orbit_checks_the_claim_on_its_own_orbit(monkeypatch, alpha):
 
     monkeypatch.setattr(oracle_module, "build_orbit_matrices", recording)
     cert = verify_orbit(params, claim, 3, 20)
-    assert cert.passed and cert.orbit == claim.orbit and built == [claim.orbit]
+    assert cert.passed and cert.orbit == claim.orbit and built == [claim.orbit] * 2
     own = _build(params, OrbitTruncation(claim.orbit, 3, 20)).content_hash()
     other = _build(params, OrbitTruncation(Orbit(7, alpha), 3, 20)).content_hash()
     assert cert.matrices_hash == own != other
@@ -949,7 +924,7 @@ def test_transition_coefficient_not_divisible_by_target_scaling_is_refused():
     # and p^1 does not divide the ratio 0!/0! = 1 there
     oc = TransitionOracle(2, 2, Orbit(1), [3, 5])
     lv_e, lv_f = oc.level(3), oc.level(5)
-    assert lv_e.h and lv_f.h and lv_e.floors1[0] == lv_f.floors1[0] == 0
+    assert lv_e.h and lv_f.h and lv_e.matrices.floors1[0] == lv_f.matrices.floors1[0] == 0
     u1 = [lv_f.matrices.u1[0] + 1] + lv_e.matrices.u1[1:]
     oc._cache[3] = lv_e._replace(matrices=dataclasses.replace(lv_e.matrices, u1=u1))
     with pytest.raises(ArithmeticError, match="not divisible by target scaling"):
@@ -1164,13 +1139,14 @@ def test_build_orbit_matrices_refuses_a_table_of_another_orbit():
 def _reference_matrices(params, trunc):
     """The orbit matrices written out level by level, each level's data
     read afresh: the Nygaard exponents from that level's x-weight and
-    alpha floor, the brace symbol, and each Frobenius coefficient from its
-    factorial ratios.  A coefficient is 0 when Legendre's formula puts its
-    p-adic valuation at N + i or more, and is formed exactly otherwise."""
+    alpha floor, the brace symbol, the level floors m_a//e and (m_a-1)//e,
+    and each Frobenius coefficient from its factorial ratios.  A
+    coefficient is 0 when Legendre's formula puts its p-adic valuation at
+    N + i or more, and is formed exactly otherwise."""
     p, e, i = params
     orbit, A, N = trunc.orbit, trunc.A, trunc.N
     q = p**N
-    mats = oracle_module.OrbitMatrices(p, orbit, A + 1, q, [], [], [], [], [], [], [])
+    mats = oracle_module.OrbitMatrices(p, orbit, A + 1, q, [], [], [], [], [], [], [], [], [])
     for a in range(A + 1):
         m_a = p**a * orbit.m
         u0, u1 = nygaard_exponents(i, e, m_a, orbit.alpha.floor_l1(p, a))
@@ -1180,6 +1156,8 @@ def _reference_matrices(params, trunc):
         mats.can0.append(p**u0 % q)
         mats.can1.append(p**u1 % q)
         mats.u1.append(u1)
+        mats.floors0.append(m_a // e)
+        mats.floors1.append((m_a - 1) // e)
         if a == A:
             break
         slots = [(frac.floor(p, a + 1), frac.floor(p, a)) for _, frac in orbit.alpha.entries]

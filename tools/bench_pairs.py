@@ -4,17 +4,17 @@ their end-to-end metrics.
     python tools/bench_pairs.py PARENT CHANGE --workload W --pairs N --seconds S --seed K
 
 Each pair runs ``bench/run.py --workload W --seed K --seconds S --trace 0``
-once from each tree, from inside it, the parent first in the first pair
-and in every other pair after it, the change first in the rest.  Each run's last stdout line is its JSON
-report.  For every end-to-end metric that ``BENCHMARK.json`` declares, the
-summary prints each run, each side's median and quartiles, and the pairs
-the change won (ties count for neither).  It says whether a gain holds by
-the paired rule (the change wins at least nine tenths of the pairs, and
-the medians differ, in the better direction, by more than the distance
-between the parent's quartiles) and whether the change's median stays
-within the metric's regression bound; when the parent's own spread is
-wider than the bound, a metric is unresolved unless every change run beats
-every parent run.  The exit status is 1 when any run is not ``correct``.
+once from each tree, from inside it, in the order of ``alternate``.  Each
+run's last stdout line is its JSON report.  For every end-to-end metric
+that ``BENCHMARK.json`` declares, the summary prints each run, each side's
+median and quartiles, and the pairs the change won (ties count for
+neither).  It says whether a gain holds by the paired rule (the change
+wins at least nine tenths of the pairs, and the medians differ, in the
+better direction, by more than the distance between the parent's
+quartiles) and whether the change's median stays within the metric's
+regression bound; when the parent's own spread is wider than the bound, a
+metric is unresolved unless every change run beats every parent run.  The
+exit status is 1 when any run is not ``correct``.
 """
 
 from __future__ import annotations
@@ -93,6 +93,20 @@ def summarize(parent: list[dict], change: list[dict], end_to_end: list[dict]) ->
     return out, not bad
 
 
+def alternate(pairs: int, parent: Path, change: Path, run) -> tuple[list, list]:
+    """`run(tree)` once on each tree per pair, the parent first in pairs
+    1, 3, ... and the change first in the rest, so that a drift of the
+    host over the runs falls on both sides alike; the parent's results and
+    the change's, in pair order."""
+    parent_runs, change_runs = [], []
+    for k in range(pairs):
+        sides = [(parent, parent_runs), (change, change_runs)]
+        for tree, runs in sides if k % 2 == 0 else sides[::-1]:
+            runs.append(run(tree))
+        print(f"pair {k + 1}/{pairs} done", file=sys.stderr, flush=True)
+    return parent_runs, change_runs
+
+
 def run_once(tree: Path, workload: str, seconds: float, seed: int) -> dict:
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
@@ -110,12 +124,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
     end_to_end = json.loads(SPEC.read_text(encoding="utf-8"))["end_to_end"]
-    parent, change = [], []
-    for k in range(args.pairs):
-        sides = [(args.parent, parent), (args.change, change)]
-        for tree, runs in sides if k % 2 == 0 else sides[::-1]:
-            runs.append(run_once(tree, args.workload, args.seconds, args.seed))
-        print(f"pair {k + 1}/{args.pairs} done", file=sys.stderr, flush=True)
+    parent, change = alternate(
+        args.pairs, args.parent, args.change, lambda tree: run_once(tree, args.workload, args.seconds, args.seed)
+    )
     lines, correct = summarize(parent, change, end_to_end)
     print(f"workload {args.workload} seed {args.seed}, {args.pairs} pairs of {args.seconds:g}-s runs")
     print("\n".join(lines))

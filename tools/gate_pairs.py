@@ -3,18 +3,18 @@ paced by the benchmark's reference kernel.
 
     python tools/gate_pairs.py PARENT CHANGE --test NODEID --pairs N
 
-Each pair runs ``python -m pytest -q -p no:cacheprovider NODEID`` once from
-inside each tree, with that tree's ``src`` first on the path, the parent
-first in the first pair and in every other pair after it, the change first
-in the rest.  A run's wall time is that of the whole pytest process.  The
-reference kernel of ``bench/reference.py`` (imported read-only, without
-writing bytecode) is timed just before and just after each run, the median
-of ``KERNEL_RUNS`` runs each time, and the run's paced time is its wall time
-scaled by the kernel's ``NOMINAL_S`` over the mean of those two medians:
-the time on a host whose kernel always takes ``NOMINAL_S``, so the host's
-drift between runs cancels.  The summary prints, for wall and paced time,
-each run, each side's median and quartiles, and the pairs the change won
-(ties count for neither).  The exit status is 1 when any run failed.
+Each pair runs ``python -m pytest -q -p no:cacheprovider NODEID`` once
+from inside each tree, with that tree's ``src`` first on the path, in the
+order of ``bench_pairs.alternate``.  A run's wall time is that of the
+whole pytest process.  The reference kernel of ``bench/reference.py``
+(imported read-only, without writing bytecode) is timed just before and
+just after each run, the median of ``KERNEL_RUNS`` runs each time, and the
+run's paced time is its wall time scaled by the kernel's ``NOMINAL_S``
+over the mean of those two medians: the time on a host whose kernel always
+takes ``NOMINAL_S``, so the host's drift between runs cancels.  The
+summary prints, for wall and paced time, each run, each side's median and
+quartiles, and the pairs the change won (ties count for neither).  The
+exit status is 1 when any run failed.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ def _load(path: Path):
 
 
 reference = _load(ROOT / "bench" / "reference.py")
-quartiles = _load(ROOT / "tools" / "bench_pairs.py").quartiles
+bench_pairs = _load(ROOT / "tools" / "bench_pairs.py")
 
 
 def kernel_time() -> float:
@@ -73,7 +73,7 @@ def summarize(parent: list[dict], change: list[dict]) -> tuple[list[str], bool]:
     out = []
     for key, label in (("wall", "wall"), ("paced", f"paced at a {reference.NOMINAL_S * 1e3:g}-ms kernel")):
         old, new = [run[key] for run in parent], [run[key] for run in change]
-        (p1, pm, p3), (c1, cm, c3) = quartiles(old), quartiles(new)
+        (p1, pm, p3), (c1, cm, c3) = bench_pairs.quartiles(old), bench_pairs.quartiles(new)
         wins = sum(b < a for a, b in zip(old, new))
         out += [
             f"{label} (s, lower is better)",
@@ -96,12 +96,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--test", required=True, help="pytest node id, relative to each tree")
     parser.add_argument("--pairs", type=int, default=10)
     args = parser.parse_args(argv)
-    parent, change = [], []
-    for k in range(args.pairs):
-        sides = [(args.parent.resolve(), parent), (args.change.resolve(), change)]
-        for tree, runs in sides if k % 2 == 0 else sides[::-1]:
-            runs.append(run_once(tree, args.test))
-        print(f"pair {k + 1}/{args.pairs} done", file=sys.stderr, flush=True)
+    parent, change = bench_pairs.alternate(
+        args.pairs, args.parent.resolve(), args.change.resolve(), lambda tree: run_once(tree, args.test)
+    )
     lines, passed = summarize(parent, change)
     print(f"{args.test}: {args.pairs} pairs")
     print("\n".join(lines))
