@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import product
 from typing import NamedTuple
 
@@ -336,7 +335,8 @@ class FiberCohomology:
     column is back-substituted from it on demand.  The quotient builds U
     when its caller reads the class functional: the stability recheck
     compares exponents and builds none.  The degree-0 certificate and H^2
-    are read from those eliminations on first use.  H^2 =
+    are read from those eliminations, not kept: `exponents` reads each
+    once.  H^2 =
     C^2/(im d1 + p^N·C^2) with C^2 all cocycles, so its exponents are
     those of the elementary divisors of d1 mod p^N, which the kernel
     keeps.  The columns of d0 lie in the kernel, so d0 ≡ B·Y mod p^N with
@@ -364,7 +364,7 @@ class FiberCohomology:
         h1 = quotient(kernel, mats.fiber_d0_columns(), build_u)
         return cls(mats, h1, d1_rows)
 
-    @cached_property
+    @property
     def h0_kernel_rank(self) -> int:
         # n minus the number of divisors of d0 below p^N, read from
         # diag(t)·Y; when every kept t_j is 1, H^1's G is Y itself
@@ -377,7 +377,7 @@ class FiberCohomology:
             divisors = h1.divisors
         return self.matrices.n - sum(d < q for d in divisors)
 
-    @cached_property
+    @property
     def h2(self) -> tuple[int, ...]:
         return divisor_exponents(self.h1.kernel.divisors, self.matrices.p)
 
@@ -386,10 +386,9 @@ class FiberCohomology:
         of the matrices, since another prime reads every group as trivial."""
         if p != self.matrices.p:
             raise ValueError(f"fiber is over p={self.matrices.p}, not p={p}")
-        if self.h0_kernel_rank:
-            raise OracleError(
-                f"degree-0 injectivity not certified mod p^N on {self.h0_kernel_rank} column(s)"
-            )
+        uncertified = self.h0_kernel_rank
+        if uncertified:
+            raise OracleError(f"degree-0 injectivity not certified mod p^N on {uncertified} column(s)")
         return {0: (), 1: self.h1.exponents(), 2: self.h2}
 
 
@@ -444,9 +443,14 @@ def sparse_product(rows: list[Sparse], x: list[int], q: int) -> list[int]:
 
 def _nonvanishing_combination(vecs: list[list[int]], p: int) -> list[int] | None:
     """Coefficients c over F_p with sum(c_j * vecs_j) nonzero in every
-    coordinate, or None.  The vectors independent of the ones before them
-    span the same space, so the exhaustive search is over their p^rank
-    combinations, with rank at most the number of coordinates."""
+    coordinate, or None; with no vectors the only combination is zero, so
+    None.  The vectors independent of the ones before them span the same
+    space, so the exhaustive search is over their p^rank combinations,
+    with rank at most the number of coordinates.  The kernel-generator
+    certificate runs it only when no single vector is nonzero in every
+    coordinate (`certify_kernel_generator`)."""
+    if not vecs:
+        return None
     kept: list[int] = []
     echelon: list[tuple[int, list[int]]] = []  # (lead index, row reduced mod p)
     for j, vec in enumerate(vecs):
@@ -480,8 +484,12 @@ def certify_kernel_generator(fc: FiberCohomology, summand) -> bool:
     the class coordinate of the rescaled cocycle are F_p-linear forms that
     vanish on pK, and the kernel basis spans K modulo p^N, so one search
     over K/pK (`_nonvanishing_combination`) decides existence exactly,
-    whatever the order of the basis.  The chosen cocycle is then built and
-    checked.
+    whatever the order of the basis.  The basis columns are written out
+    one at a time (`KernelLattice.basis_column`), and the search stops at
+    the first column whose forms are all units: that column alone proves
+    a combination exists, and it is the cocycle.  Only when no single
+    column works are all of them written out and searched together.  The
+    chosen cocycle is then built and checked.
 
     The exponents of levels 0..s-2 are not pinned, since more than one
     valuation profile can carry a generator: for p=2, e=3, i=2, m=1 the
@@ -502,19 +510,24 @@ def certify_kernel_generator(fc: FiberCohomology, summand) -> bool:
     scale = [p**c for c in reversed(summand.generator_exponents)] + [1] * (2 * n - s)
     scaled_d1 = [{j: a * scale[j] % q for j, a in row.items()} for row in fc.d1_rows]
     kernel = kernel_mod(scaled_d1, 2 * n, p, q)
-    basis = [kernel.basis_column(k) for k in range(kernel.dim)]
-    forms = [col[:s] for col in basis]
     if h:
         functional = fc.h1.class_functional()
         scaled = ClassFunctional([w * f for w, f in zip(functional.w, scale)], q, functional.d)
-        forms = [form + [scaled.coordinate(col)] for form, col in zip(forms, basis)]
-    coeffs = _nonvanishing_combination(forms, p)
-    if coeffs is None:
-        return False
-    z = [0] * (2 * n)
-    for c, col in zip(coeffs, basis):
-        if c:
-            z = [x + c * y for x, y in zip(z, col)]
+    basis, forms = [], []
+    for k in range(kernel.dim):
+        z = kernel.basis_column(k)
+        basis.append(z)
+        forms.append(z[:s] + [scaled.coordinate(z)] if h else z[:s])
+        if all(x % p for x in forms[-1]):
+            break
+    else:
+        coeffs = _nonvanishing_combination(forms, p)
+        if coeffs is None:
+            return False
+        z = [0] * (2 * n)
+        for c, col in zip(coeffs, basis):
+            if c:
+                z = [x + c * y for x, y in zip(z, col)]
     cochain = [x * f % q for x, f in zip(z, scale)]
     if any(sparse_product(fc.d1_rows, cochain, q)):
         raise OracleError("kernel-generator search produced a non-cocycle")
@@ -682,7 +695,7 @@ class TransitionOracle:
 class OrbitCertificate:
     """One verified orbit: inputs, the fiber's matrices, divisors, and
     pass/fail.  No report reads the matrices' hash, so `matrices_hash` is
-    computed on first read."""
+    computed when read."""
 
     orbit: Orbit
     s: int
@@ -692,7 +705,7 @@ class OrbitCertificate:
     matrices: OrbitMatrices = field(repr=False)
     passed: bool
 
-    @cached_property
+    @property
     def matrices_hash(self) -> str:
         return self.matrices.content_hash()
 

@@ -6,6 +6,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
 spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
 bench_pairs = importlib.util.module_from_spec(spec)
@@ -101,8 +103,20 @@ def test_main_runs_the_workload_on_both_trees_in_alternation(monkeypatch, capsys
         return bench_pairs.last_json(_line(100, 10))
 
     monkeypatch.setattr(bench_pairs, "run_once", run_once)
-    argv = ["P", "C", "--workload", "w", "--pairs", "3", "--seconds", "2", "--seed", "5"]
+    argv = ["P", "C", "--workload", "oracle-verify", "--pairs", "3", "--seconds", "2", "--seed", "5"]
     assert bench_pairs.main(argv) == 0
     assert [tree for tree, *_ in calls] == ["P", "C", "C", "P", "P", "C"]
-    assert {tuple(rest) for _, *rest in calls} == {("w", 2.0, 5)}
-    assert capsys.readouterr().out.startswith("workload w seed 5, 3 pairs of 2-s runs\n")
+    assert {tuple(rest) for _, *rest in calls} == {("oracle-verify", 2.0, 5)}
+    assert capsys.readouterr().out.startswith("workload oracle-verify seed 5, 3 pairs of 2-s runs\n")
+
+
+def test_main_takes_only_the_workloads_the_benchmark_names(monkeypatch, capsys):
+    # a run of every workload prints one report per workload, and only the
+    # last would be read, so `all` is refused before any run
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *args: pytest.fail("a run started"))
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs.main(["P", "C", "--workload", "all"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --workload: invalid choice: 'all'" in err
+    assert "'oracle-verify', 'transition-sweep', 'tower-probe'" in err

@@ -336,6 +336,100 @@ def test_kernel_generator_certificate_searches_the_class_coordinate_too(monkeypa
     assert True in verdicts[n:] and False in verdicts
 
 
+def test_nonvanishing_combination_of_no_vectors_is_none():
+    # with no vectors the only combination is zero, which vanishes
+    for p in (2, 3, 5):
+        assert oracle_module._nonvanishing_combination([], p) is None
+    assert oracle_module._nonvanishing_combination([[1, 0], [0, 1]], 2) == [1, 1]
+
+
+def _full_search_verdict(fc, claim):
+    """The kernel-generator verdict from every basis column at once: all
+    columns written out and one `_nonvanishing_combination` over their
+    forms, the s level coordinates and, when h >= 1, the class coordinate.
+    Returns the verdict and whether some single column already has a unit
+    at every form."""
+    mats = fc.matrices
+    p, n, q, s = mats.p, mats.n, mats.modulus, claim.s
+    h = fc.h1.exponents()
+    if s != len(claim.generator_exponents) or s > n or len(h) > 1:
+        return False, False
+    scale = [p**c for c in reversed(claim.generator_exponents)] + [1] * (2 * n - s)
+    kernel = kernel_mod([{j: a * scale[j] % q for j, a in row.items()} for row in fc.d1_rows], 2 * n, p, q)
+    basis = [kernel.basis_column(k) for k in range(kernel.dim)]
+    forms = [col[:s] for col in basis]
+    if h:
+        functional = fc.h1.class_functional()
+        scaled = ClassFunctional([w * f for w, f in zip(functional.w, scale)], q, functional.d)
+        forms = [form + [scaled.coordinate(col)] for form, col in zip(forms, basis)]
+    single = any(all(x % p for x in form) for form in forms)
+    return oracle_module._nonvanishing_combination(forms, p) is not None, single
+
+
+def _perturbed_claims():
+    """Each closed-form claim with s >= 1 over p in {2, 3, 5}, i <= 4 and
+    e <= 7 prime to p, for empty alpha and the one-slot window, as is and
+    with one generator exponent moved by -1, +1 or +2 (kept when >= 0),
+    each with the fiber cohomology of its orbit."""
+    for p, i, e in itertools.product((2, 3, 5), range(5), range(1, 8)):
+        if e % p == 0:
+            continue
+        params = TruncationParams(p, e, i)
+        for bounds in (AlphaBounds(), AlphaBounds(("t",), 2, 1)):
+            for claim in enumerate_orbits(params, bounds):
+                if claim.s < 1:
+                    continue
+                fc = fiber_cohomology(params, default_truncation(params, claim.orbit))
+                exps = claim.generator_exponents
+                moved = [exps[:k] + (exps[k] + d,) + exps[k + 1 :] for k in range(len(exps)) for d in (-1, 1, 2)]
+                for ex in [exps] + [ex for ex in moved if min(ex) >= 0]:
+                    yield fc, dataclasses.replace(claim, generator_exponents=ex)
+
+
+def test_kernel_generator_certificate_decides_the_perturbed_grid_as_the_full_search():
+    # stopping at the first basis column with units at every form decides
+    # each claim as the search over all columns does
+    claims = accepted = 0
+    for fc, claim in _perturbed_claims():
+        expected, _ = _full_search_verdict(fc, claim)
+        assert certify_kernel_generator(fc, claim) is expected, (fc.matrices.p, claim)
+        claims += 1
+        accepted += expected
+    assert (claims, accepted) == (5004, 1782)
+
+
+def test_kernel_generator_certificate_writes_columns_until_one_works(monkeypatch):
+    # the closed-form claim at p=2, e=3, i=2, m=1 is certified by basis
+    # column 1 (column 0 vanishes mod 2 at every form), so two of the seven
+    # columns are written and no search runs; (0,0,2) is certified by no
+    # single column, so every column is written and the full search decides
+    # it, as the reference does
+    params = TruncationParams(2, 3, 2)
+    claim = h1_syntomic_orbit(params, Orbit(1))
+    fc = fiber_cohomology(params, default_truncation(params, Orbit(1)))
+    wide = dataclasses.replace(claim, generator_exponents=(0, 0, 2))
+    assert _full_search_verdict(fc, wide) == (True, False)
+    written, searched = [], []
+    basis_column = snf_module.KernelLattice.basis_column
+    search = oracle_module._nonvanishing_combination
+
+    def counting_column(self, k):
+        written.append((k, self.dim))
+        return basis_column(self, k)
+
+    def counting_search(vecs, p):
+        searched.append(len(vecs))
+        return search(vecs, p)
+
+    monkeypatch.setattr(snf_module.KernelLattice, "basis_column", counting_column)
+    monkeypatch.setattr(oracle_module, "_nonvanishing_combination", counting_search)
+    assert certify_kernel_generator(fc, claim)
+    assert written == [(0, 7), (1, 7)] and searched == []
+    written.clear()
+    assert certify_kernel_generator(fc, wide)
+    assert written == [(k, 7) for k in range(7)] and searched == [7]
+
+
 def test_verify_orbit_passes():
     params = TruncationParams(2, 3, 2)
     cert = verify_orbit(params, h1_syntomic_orbit(params, Orbit(1)))

@@ -3,7 +3,9 @@ their end-to-end metrics.
 
     python tools/bench_pairs.py PARENT CHANGE --workload W --pairs N --seconds S --seed K
 
-Each pair runs ``bench/run.py --workload W --seed K --seconds S --trace 0``
+W is one workload that ``BENCHMARK.json`` names; ``all`` is refused, since
+a run of all of them prints one report per workload and only the last
+would be read.  Each pair runs ``bench/run.py --workload W --seed K --seconds S --trace 0``
 once from each tree, from inside it, in the order of ``alternate``.  Each
 run's last stdout line is its JSON report.  For every end-to-end metric
 that ``BENCHMARK.json`` declares, the summary prints each run, each side's
@@ -115,15 +117,16 @@ def run_once(tree: Path, workload: str, seconds: float, seed: int) -> dict:
 
 
 def main(argv: list[str] | None = None) -> int:
+    spec = json.loads(SPEC.read_text(encoding="utf-8"))
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True, choices=[w["name"] for w in spec["workloads"]])
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=36.0)
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
-    end_to_end = json.loads(SPEC.read_text(encoding="utf-8"))["end_to_end"]
+    end_to_end = spec["end_to_end"]
     parent, change = alternate(
         args.pairs, args.parent, args.change, lambda tree: run_once(tree, args.workload, args.seconds, args.seed)
     )
