@@ -20,7 +20,12 @@ and the truncation-stability recheck builds a grown truncation from the
 same table (`_stable_fiber`).
 The closed-form claim under test, a summand with its orbit, s, h and
 generator exponents, is handed in by the caller of `verify_orbit` and
-`certify_kernel_generator`.  The matrices record their prime and orbit
+`certify_kernel_generator`.  A fiber picks one generator of its cyclic
+H^1, the first kernel basis column whose class is a unit
+(`FiberCohomology.generator`); the transition maps are applied to it,
+and the certificate accepts it as its witness when its valuations are
+exactly the claimed ones, eliminating a column-scaled d1 only for the
+claims it does not carry.  The matrices record their prime and orbit
 (`OrbitMatrices.p`, `.orbit`), and every reader takes both from there.
 """
 
@@ -29,6 +34,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from itertools import product
+from operator import mul
 from typing import NamedTuple
 
 from .drw import Orbit, TruncationParams, degree1_walk, nygaard_exponents
@@ -346,9 +352,11 @@ class FiberCohomology:
     diag(t)·Y.  When d1 is onto mod p^N, as on every fiber of the README
     jobs and the acceptance grid, the kernel keeps n of its 2n
     coordinates, all with t_j = 1: H^1's quotient is n×n, it is Y itself,
-    and the certificate needs no third elimination.  The rows of d1 are
-    kept: the kernel-generator certificate scales copies of them, and
-    every cocycle check applies them.
+    and the certificate needs no third elimination.  A generator of a
+    cyclic H^1 is picked once, for the certificate and the transition
+    oracle alike (`generator`).  The rows of d1 are kept: every cocycle
+    check applies them, and only the certificate's fallback scales copies
+    of them (`certify_kernel_generator`).
     """
 
     matrices: OrbitMatrices
@@ -380,6 +388,22 @@ class FiberCohomology:
     @property
     def h2(self) -> tuple[int, ...]:
         return divisor_exponents(self.h1.kernel.divisors, self.matrices.p)
+
+    def generator(self, functional: ClassFunctional) -> list[int] | None:
+        """The first kernel basis column whose class generates a cyclic
+        H^1, or None.  Its index k is read from the U of H^1's quotient,
+        where basis column k has class U[j][k] mod p^h
+        (`QuotientPresentation.generator_coordinate`); only that column is
+        written out, by back-substitution over the kernel's V⁻¹
+        (`KernelLattice.basis_column`), and its class is still read
+        through `functional`, H^1's class functional, which the caller
+        builds once and reads again: a column whose class there is not a
+        unit gives None.  One exists: the basis spans the kernel K modulo
+        p^N and the class map K -> Z/p^h is onto, so the basis cannot map
+        into pZ/p^h."""
+        k = self.h1.generator_coordinate()
+        gen = None if k is None else self.h1.kernel.basis_column(k)
+        return gen if gen is not None and functional.coordinate(gen) % self.matrices.p else None
 
     def exponents(self, p: int) -> dict[int, tuple[int, ...]]:
         """The p-power exponents of H^0, H^1 and H^2; p must be the prime
@@ -478,18 +502,20 @@ def certify_kernel_generator(fc: FiberCohomology, summand) -> bool:
     degree-1 cocycle has coordinate unit·p^(c_a) at each level a < s, with
     c_a the exponent the claim gives level a, and its class generates H^1.
 
-    With the first s columns of d1 scaled by p^(c_a), such cocycles are the
-    kernel vectors z of the scaled matrix whose first s coordinates are
-    units, rescaled.  The s unit coordinates and, when H^1 is nontrivial,
-    the class coordinate of the rescaled cocycle are F_p-linear forms that
-    vanish on pK, and the kernel basis spans K modulo p^N, so one search
-    over K/pK (`_nonvanishing_combination`) decides existence exactly,
-    whatever the order of the basis.  The basis columns are written out
-    one at a time (`KernelLattice.basis_column`), and the search stops at
-    the first column whose forms are all units: that column alone proves
-    a combination exists, and it is the cocycle.  Only when no single
-    column works are all of them written out and searched together.  The
-    chosen cocycle is then built and checked.
+    Two steps decide it.  When H^1 is nontrivial, the fiber's own
+    generator column z (`FiberCohomology.generator`) is tried first: if
+    each z_a is p^(c_a) times a unit mod p^N, z is such a cocycle, and
+    the claim holds.  This step accepts or passes the claim on; it never
+    rejects.  Otherwise, with S = diag(p^(c_a)) scaling the first s
+    columns of d1, such cocycles are S·z for the kernel vectors z of d1·S
+    whose first s coordinates are units.  The s unit coordinates and,
+    when H^1 is nontrivial, the class coordinate of S·z are F_p-linear
+    forms that vanish on pK, and the kernel basis spans K modulo p^N, so
+    one search over K/pK (`_nonvanishing_combination`) of every basis
+    column decides existence exactly, whatever the order of the basis.
+    The first step agrees with it: S⁻¹z lies in the kernel of d1·S with a
+    unit at every form.  Either way the cocycle found is checked against
+    d1, and a non-cocycle raises OracleError.
 
     The exponents of levels 0..s-2 are not pinned, since more than one
     valuation profile can carry a generator: for p=2, e=3, i=2, m=1 the
@@ -507,30 +533,23 @@ def certify_kernel_generator(fc: FiberCohomology, summand) -> bool:
     h = fc.h1.exponents()
     if s != len(summand.generator_exponents) or s > n or len(h) > 1:
         return False
-    scale = [p**c for c in reversed(summand.generator_exponents)] + [1] * (2 * n - s)
-    scaled_d1 = [{j: a * scale[j] % q for j, a in row.items()} for row in fc.d1_rows]
-    kernel = kernel_mod(scaled_d1, 2 * n, p, q)
-    if h:
-        functional = fc.h1.class_functional()
-        scaled = ClassFunctional([w * f for w, f in zip(functional.w, scale)], q, functional.d)
-    basis, forms = [], []
-    for k in range(kernel.dim):
-        z = kernel.basis_column(k)
-        basis.append(z)
-        forms.append(z[:s] + [scaled.coordinate(z)] if h else z[:s])
-        if all(x % p for x in forms[-1]):
-            break
-    else:
+    scale = [p**c for c in reversed(summand.generator_exponents)]
+    functional = fc.h1.class_functional() if h else None
+    cochain = fc.generator(functional) if h else None
+    if cochain is None or not all(x % f == 0 and x // f % p for x, f in zip(cochain, scale)):
+        scale += [1] * (2 * n - s)
+        kernel = kernel_mod([{j: a * scale[j] % q for j, a in row.items()} for row in fc.d1_rows], 2 * n, p, q)
+        basis = [kernel.basis_column(k) for k in range(kernel.dim)]
+        forms = [z[:s] for z in basis]
+        if h:
+            scaled = ClassFunctional([w * f for w, f in zip(functional.w, scale)], q, functional.d)
+            forms = [form + [scaled.coordinate(z)] for form, z in zip(forms, basis)]
         coeffs = _nonvanishing_combination(forms, p)
         if coeffs is None:
             return False
-        z = [0] * (2 * n)
-        for c, col in zip(coeffs, basis):
-            if c:
-                z = [x + c * y for x, y in zip(z, col)]
-    cochain = [x * f % q for x, f in zip(z, scale)]
+        cochain = [sum(map(mul, coeffs, row)) * f % q for row, f in zip(zip(*basis), scale)]
     if any(sparse_product(fc.d1_rows, cochain, q)):
-        raise OracleError("kernel-generator search produced a non-cocycle")
+        raise OracleError("kernel-generator certificate produced a non-cocycle")
     return not h or functional.coordinate(cochain) % p != 0
 
 
@@ -579,20 +598,15 @@ class TransitionOracle:
     H^1 is refused.  Cyclicity is also what makes one functional enough:
     the class of a cocycle x is then a single coordinate in Z/p^h, read as
     one dot product w·x (`QuotientPresentation.class_functional`), and H^1
-    is read through nothing else.  The generator is the first column of
-    the kernel basis whose coordinate is a unit mod p.  It is picked from
-    the U of H^1's quotient, where basis column k has class U[j][k] mod
-    p^h (`QuotientPresentation.generator_coordinate`), and only that
-    column is written out, by back-substitution over the kernel's V⁻¹
-    (`KernelLattice.basis_column`); its coordinate is still read through
-    the functional, and a level whose pick is not a unit there is
-    refused.  One exists: the basis spans the kernel K modulo p^N and the
-    class map K -> Z/p^h is onto, so the basis cannot map into pZ/p^h; a
-    level where none is found is refused.  The valuation does not depend
-    on the column picked: two generators differ by a unit factor and an
-    element of im d0 + p^N·C^1, the f -> e map is a chain map and so sends
-    that lattice at level f into its counterpart at level e, and a unit
-    factor leaves v_p unchanged.
+    is read through nothing else.  The generator is the fiber's pick, the
+    first kernel basis column whose class is a unit
+    (`FiberCohomology.generator`), the column the kernel-generator
+    certificate tries first; the level builds the functional once and
+    hands it to the pick, and a level with no pick is refused.  The
+    valuation does not depend on the column picked: two generators differ
+    by a unit factor and an element of im d0 + p^N·C^1, the f -> e map is
+    a chain map and so sends that lattice at level f into its counterpart
+    at level e, and a unit factor leaves v_p unchanged.
 
     A pair (e, f) costs O(A) arithmetic: the diagonal transition
     coefficients applied to the level-f generator, each N^1 one a factorial
@@ -627,9 +641,8 @@ class TransitionOracle:
                 raise OracleError(f"degree-1 cohomology not cyclic at e={e}: {exps}")
             if exps:
                 functional = fc.h1.class_functional()
-                k = fc.h1.generator_coordinate()
-                gen = None if k is None else fc.h1.kernel.basis_column(k)
-                if gen is None or functional.coordinate(gen) % self.p == 0:
+                gen = fc.generator(functional)
+                if gen is None:
                     raise OracleError(f"no kernel basis column generates H^1 at e={e}")
             else:
                 gen = functional = None

@@ -399,35 +399,121 @@ def test_kernel_generator_certificate_decides_the_perturbed_grid_as_the_full_sea
 
 
 def test_kernel_generator_certificate_writes_columns_until_one_works(monkeypatch):
-    # the closed-form claim at p=2, e=3, i=2, m=1 is certified by basis
-    # column 1 (column 0 vanishes mod 2 at every form), so two of the seven
-    # columns are written and no search runs; (0,0,2) is certified by no
-    # single column, so every column is written and the full search decides
-    # it, as the reference does
+    # the closed-form claim at p=2, e=3, i=2, m=1 is carried by the fiber's
+    # own generator column, so that one column of the fiber's kernel is
+    # written, no scaled kernel is built and no search runs; (0,0,2) is
+    # not, so the scaled d1 is eliminated once, all seven of its basis
+    # columns are written and the search decides it, as the reference does
     params = TruncationParams(2, 3, 2)
     claim = h1_syntomic_orbit(params, Orbit(1))
     fc = fiber_cohomology(params, default_truncation(params, Orbit(1)))
     wide = dataclasses.replace(claim, generator_exponents=(0, 0, 2))
     assert _full_search_verdict(fc, wide) == (True, False)
-    written, searched = [], []
+    pick = (fc.h1.generator_coordinate(), "fiber")
+    written, searched, scaled_kernels = [], [], []
     basis_column = snf_module.KernelLattice.basis_column
     search = oracle_module._nonvanishing_combination
+    real_kernel = oracle_module.kernel_mod
 
     def counting_column(self, k):
-        written.append((k, self.dim))
+        written.append((k, "fiber" if self is fc.h1.kernel else self.dim))
         return basis_column(self, k)
 
     def counting_search(vecs, p):
         searched.append(len(vecs))
         return search(vecs, p)
 
+    def counting_kernel(*args):
+        scaled_kernels.append(args[1])
+        return real_kernel(*args)
+
     monkeypatch.setattr(snf_module.KernelLattice, "basis_column", counting_column)
     monkeypatch.setattr(oracle_module, "_nonvanishing_combination", counting_search)
+    monkeypatch.setattr(oracle_module, "kernel_mod", counting_kernel)
     assert certify_kernel_generator(fc, claim)
-    assert written == [(0, 7), (1, 7)] and searched == []
+    assert written == [pick] and searched == [] and scaled_kernels == []
     written.clear()
     assert certify_kernel_generator(fc, wide)
-    assert written == [(k, 7) for k in range(7)] and searched == [7]
+    assert written == [pick] + [(k, 7) for k in range(7)] and searched == [7]
+    assert scaled_kernels == [2 * fc.matrices.n]
+
+
+def test_kernel_generator_certificate_steps_on_the_perturbed_grid(monkeypatch):
+    # which step decides each claim of the perturbed grid: the fiber's
+    # generator column accepts exactly the unperturbed closed-form claims,
+    # every one of them, and eliminates no scaled d1; every other claim
+    # falls back to one elimination and one search over all its columns
+    calls = []
+    real_kernel = oracle_module.kernel_mod
+
+    def counting_kernel(*args):
+        calls.append(args[1])
+        return real_kernel(*args)
+
+    monkeypatch.setattr(oracle_module, "kernel_mod", counting_kernel)
+    tally = {}
+    last_fc = None
+    for fc, claim in _perturbed_claims():
+        closed, last_fc = fc is not last_fc, fc
+        before = len(calls)
+        verdict = certify_kernel_generator(fc, claim)
+        assert len(calls) - before <= 1
+        key = ("fallback" if len(calls) > before else "first", verdict, closed)
+        tally[key] = tally.get(key, 0) + 1
+    assert tally == {("first", True, True): 1346, ("fallback", True, False): 436, ("fallback", False, False): 3222}
+
+
+def test_kernel_generator_certificate_refuses_a_first_step_non_cocycle(monkeypatch):
+    # a generator column moved off the kernel at one coordinate past the
+    # levels below s, keeping the claimed valuations and a unit class,
+    # raises rather than being accepted
+    for p, e, i, m in ((2, 3, 2, 1), (3, 2, 1, 1), (5, 2, 2, 1), (3, 5, 3, 4)):
+        params = TruncationParams(p, e, i)
+        claim = h1_syntomic_orbit(params, Orbit(m))
+        fc = fiber_cohomology(params, default_truncation(params, Orbit(m)))
+        mats, functional = fc.matrices, fc.h1.class_functional()
+        gen = fc.generator(functional)
+        for j in range(claim.s, 2 * mats.n):
+            bad = gen[:j] + [(gen[j] + 1) % mats.modulus] + gen[j + 1 :]
+            if any(sparse_product(fc.d1_rows, bad, mats.modulus)) and functional.coordinate(bad) % p:
+                break
+        else:
+            pytest.fail(f"no coordinate moves the generator off the kernel at {(p, e, i, m)}")
+        assert certify_kernel_generator(fc, claim)
+        monkeypatch.setattr(FiberCohomology, "generator", lambda self, functional: list(bad))
+        with pytest.raises(OracleError, match="non-cocycle"):
+            certify_kernel_generator(fc, claim)
+        monkeypatch.undo()
+
+
+def test_transition_level_and_certificate_share_the_generator_pick(monkeypatch):
+    # both read the fiber's one pick (`FiberCohomology.generator`), get
+    # the same column from it, and each builds the class functional once
+    picks, functionals = [], []
+    real_pick = FiberCohomology.generator
+    real_functional = QuotientPresentation.class_functional
+
+    def recording_pick(self, functional):
+        picks.append(real_pick(self, functional))
+        return picks[-1]
+
+    def counting_functional(self):
+        functionals.append(self)
+        return real_functional(self)
+
+    monkeypatch.setattr(FiberCohomology, "generator", recording_pick)
+    monkeypatch.setattr(QuotientPresentation, "class_functional", counting_functional)
+    for p, e, i, m in ((2, 3, 2, 1), (3, 2, 1, 1), (5, 2, 2, 1), (3, 5, 3, 4), (2, 5, 3, 3)):
+        params = TruncationParams(p, e, i)
+        claim = h1_syntomic_orbit(params, Orbit(m))
+        fc = fiber_cohomology(params, default_truncation(params, Orbit(m)))
+        picks.clear()
+        functionals.clear()
+        assert certify_kernel_generator(fc, claim)
+        assert len(picks) == len(functionals) == 1
+        level = TransitionOracle(p, i, Orbit(m), [e]).level(e)
+        assert level.matrices == fc.matrices and len(functionals) == 2
+        assert picks == [level.generator] * 2 and level.generator is not None
 
 
 def test_verify_orbit_passes():
@@ -627,8 +713,8 @@ def test_verify_orbit_runs_only_the_transforms_it_reads(monkeypatch):
     # builds the U that the certificate's class functional reads, the
     # stability recheck compares exponents and builds none, the degree-0
     # certificate is read from the quotient's own elimination, and the
-    # generator search reads the basis of the kernel of d1 with its first
-    # s columns scaled by the claimed p^(c_a), back-substituted over V^-1
+    # closed-form claim is carried by the fiber's own generator column, so
+    # the certificate eliminates no copy of d1 scaled by the claimed p^(c_a)
     smith_calls, inside, kernels, quotient_shapes = [], [], [], []
     real_smith = snf_module.smith_mod_prime_power
     real_kernel = oracle_module.kernel_mod
@@ -667,19 +753,15 @@ def test_verify_orbit_runs_only_the_transforms_it_reads(monkeypatch):
         ("quotient", True),
         ("kernel_mod", False),
         ("quotient", False),
-        ("kernel_mod", False),
     ]
     base = default_truncation(params, Orbit(1))
     fibers = [_build(params, t) for t in (base, base.grown(params))]
-    assert kernels[:2] == [witness.fiber_d1(mats) for mats in fibers]
+    assert kernels == [witness.fiber_d1(mats) for mats in fibers]
     # each H^1 quotient is n x n: the kernel keeps the n coordinates of its
     # 2n that are not identically zero, and none needs a relation column
     assert quotient_shapes == [(mats.n, mats.n) for mats in fibers]
     fc = FiberCohomology.of(fibers[0], True)
     assert fc.h1.kernel.dim == fibers[0].n and fc.h1.kernel.t == [1] * fibers[0].n
-    # the claim (0, 0, 1) scales the columns of levels 0, 1, 2 by 2, 1, 1
-    d1, q = witness.fiber_d1(fibers[0]), fibers[0].modulus
-    assert kernels[2] == [[2 * row[0] % q] + row[1:] for row in d1]
 
 
 def test_oracle_cohomology_runs_only_the_transforms_it_reads(monkeypatch):
