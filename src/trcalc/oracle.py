@@ -20,12 +20,15 @@ and the truncation-stability recheck builds a grown truncation from the
 same table (`_stable_fiber`).
 The closed-form claim under test, a summand with its orbit, s, h and
 generator exponents, is handed in by the caller of `verify_orbit` and
-`certify_kernel_generator`.  A fiber picks one generator of its cyclic
-H^1, the first kernel basis column whose class is a unit
-(`FiberCohomology.generator`); the transition maps are applied to it,
-and the certificate accepts it as its witness when its valuations are
-exactly the claimed ones, eliminating a column-scaled d1 only for the
-claims it does not carry.  The matrices record their prime and orbit
+`certify_kernel_generator`.  A fiber reads its H^1 once, when it is
+built (`FiberCohomology.of`): h when H^1 = Z/p^h is cyclic and, when U
+is built, the class functional and one generator, the first kernel
+basis column whose class is a unit (`FiberCohomology.generator`).  The
+transition oracle keeps that record per level and applies the
+transition maps to its generator, and the certificate accepts the same
+generator as its witness when its valuations are exactly the claimed
+ones, eliminating a column-scaled d1 only for the claims it does not
+carry.  The matrices record their prime and orbit
 (`OrbitMatrices.p`, `.orbit`), and every reader takes both from there.
 """
 
@@ -35,7 +38,6 @@ import hashlib
 from dataclasses import dataclass, field
 from itertools import product
 from operator import mul
-from typing import NamedTuple
 
 from .drw import Orbit, TruncationParams, degree1_walk, nygaard_exponents
 from .padic import Prime, brace, factorial_ratio, vp
@@ -204,7 +206,7 @@ class OrbitTable:
     level).  Built once per orbit (`OrbitTable.of`) and read by every
     `build_orbit_matrices` of that orbit, whatever its e or level A: the
     levels of a `TransitionOracle` share one, as do the base and grown
-    builds of the stability recheck (`base_and_grown_matrices`), and the
+    builds of the stability recheck (`_stable_fiber`), and the
     degree-1 walks of one orbit share their alpha floors
     (`drw.degree1_walks`)."""
 
@@ -252,7 +254,7 @@ def build_orbit_matrices(params: TruncationParams, trunc: OrbitTruncation, table
     divisibility by p^i.
 
     The truncation is taken as given: `fiber_cohomology` and
-    `base_and_grown_matrices` validate theirs first, a grown truncation is
+    `_stable_fiber` validate theirs first, a grown truncation is
     valid whenever its base is (`OrbitTruncation.grown`), and the
     transition oracle's shared truncation, sized from its top level, is
     valid at every level below it (`TransitionOracle`).
@@ -306,22 +308,7 @@ def build_orbit_matrices(params: TruncationParams, trunc: OrbitTruncation, table
     return OrbitMatrices(p, orbit, n, modulus, diff_nygaard, diff_full, can0, can1, frob0, frob1, u1, floors0, floors1)
 
 
-def base_and_grown_matrices(
-    params: TruncationParams, trunc: OrbitTruncation
-) -> tuple[OrbitMatrices, OrbitMatrices]:
-    """The matrices at `trunc` and at its grown truncation (A+1, N'), each
-    from its own build.  Both builds read one orbit table, made at the
-    grown level; the base build reads its levels 0..A.  Only `trunc` is
-    validated, since the grown truncation is valid whenever it is: one
-    degree-1 walk serves both.  The stability recheck (`_stable_fiber`)
-    reads both from here."""
-    trunc.validate(params)
-    grown = trunc.grown(params)
-    table = OrbitTable.of(params.p, trunc.orbit, grown.A)
-    return build_orbit_matrices(params, trunc, table), build_orbit_matrices(params, grown, table)
-
-
-@dataclass
+@dataclass(frozen=True)
 class FiberCohomology:
     """The three cohomology groups of the truncated fiber complex.
 
@@ -352,25 +339,50 @@ class FiberCohomology:
     diag(t)·Y.  When d1 is onto mod p^N, as on every fiber of the README
     jobs and the acceptance grid, the kernel keeps n of its 2n
     coordinates, all with t_j = 1: H^1's quotient is n×n, it is Y itself,
-    and the certificate needs no third elimination.  A generator of a
-    cyclic H^1 is picked once, for the certificate and the transition
-    oracle alike (`generator`).  The rows of d1 are kept: every cocycle
-    check applies them, and only the certificate's fallback scales copies
-    of them (`certify_kernel_generator`).
+    and the certificate needs no third elimination.  The rows of d1 are
+    kept: every cocycle check applies them, and only the certificate's
+    fallback scales copies of them (`certify_kernel_generator`).
+
+    H^1 is read once, in `of`, into the one record that the certificate
+    and the transition oracle alike read: `h` with H^1 = Z/p^h, None when
+    H^1 is not cyclic, and, when U is built and h >= 1, H^1's class
+    functional (`functional`) and a generator (`generator`), both None
+    otherwise.  The generator is the first kernel basis column whose
+    class is a unit: its index k is read from U, where basis column k has
+    class U[j][k] mod p^h (`QuotientPresentation.generator_coordinate`);
+    only that column is written out, by back-substitution over the
+    kernel's V⁻¹ (`KernelLattice.basis_column`), and its class is still
+    read through the functional: a column whose class there is not a unit
+    leaves `generator` None.  One exists: the basis spans the kernel K
+    modulo p^N and the class map K -> Z/p^h is onto, so the basis cannot
+    map into pZ/p^h.  A frozen record: a changed copy comes from
+    `dataclasses.replace`.
     """
 
     matrices: OrbitMatrices
     h1: QuotientPresentation
     d1_rows: list[Sparse]
+    h: int | None
+    functional: ClassFunctional | None = None
+    generator: list[int] | None = None
 
     @classmethod
     def of(cls, mats: OrbitMatrices, build_u: bool = True) -> "FiberCohomology":
-        """The fiber cohomology of `mats`; H^1's quotient builds the U its
-        class functional reads when `build_u` is set."""
+        """The fiber cohomology of `mats`, with H^1 read once; H^1's
+        quotient builds the U its class functional and generator read when
+        `build_u` is set."""
         d1_rows = mats.fiber_d1_rows()
         kernel = kernel_mod(d1_rows, 2 * mats.n, mats.p, mats.modulus)
         h1 = quotient(kernel, mats.fiber_d0_columns(), build_u)
-        return cls(mats, h1, d1_rows)
+        exps = h1.exponents()
+        h = None if len(exps) > 1 else sum(exps)
+        if not (build_u and h):
+            return cls(mats, h1, d1_rows, h)
+        functional, k = h1.class_functional(), h1.generator_coordinate()
+        gen = None if k is None else kernel.basis_column(k)
+        if gen is not None and not functional.coordinate(gen) % mats.p:
+            gen = None
+        return cls(mats, h1, d1_rows, h, functional, gen)
 
     @property
     def h0_kernel_rank(self) -> int:
@@ -389,39 +401,26 @@ class FiberCohomology:
     def h2(self) -> tuple[int, ...]:
         return divisor_exponents(self.h1.kernel.divisors, self.matrices.p)
 
-    def generator(self, functional: ClassFunctional) -> list[int] | None:
-        """The first kernel basis column whose class generates a cyclic
-        H^1, or None.  Its index k is read from the U of H^1's quotient,
-        where basis column k has class U[j][k] mod p^h
-        (`QuotientPresentation.generator_coordinate`); only that column is
-        written out, by back-substitution over the kernel's V⁻¹
-        (`KernelLattice.basis_column`), and its class is still read
-        through `functional`, H^1's class functional, which the caller
-        builds once and reads again: a column whose class there is not a
-        unit gives None.  One exists: the basis spans the kernel K modulo
-        p^N and the class map K -> Z/p^h is onto, so the basis cannot map
-        into pZ/p^h."""
-        k = self.h1.generator_coordinate()
-        gen = None if k is None else self.h1.kernel.basis_column(k)
-        return gen if gen is not None and functional.coordinate(gen) % self.matrices.p else None
-
     def exponents(self, p: int) -> dict[int, tuple[int, ...]]:
         """The p-power exponents of H^0, H^1 and H^2; p must be the prime
-        of the matrices, since another prime reads every group as trivial."""
+        of the matrices, since another prime reads every group as trivial.
+        H^1's are read off h, and off H^1's divisors only when it is not
+        cyclic."""
         if p != self.matrices.p:
             raise ValueError(f"fiber is over p={self.matrices.p}, not p={p}")
         uncertified = self.h0_kernel_rank
         if uncertified:
             raise OracleError(f"degree-0 injectivity not certified mod p^N on {uncertified} column(s)")
-        return {0: (), 1: self.h1.exponents(), 2: self.h2}
+        h = self.h
+        return {0: (), 1: self.h1.exponents() if h is None else (h,) if h else (), 2: self.h2}
 
 
 def fiber_cohomology(params: TruncationParams, trunc: OrbitTruncation) -> FiberCohomology:
     """The fiber cohomology at `trunc`, with U built, for the class
-    functional the kernel-generator certificate reads.  `trunc` is
-    validated first, and the matrices read one orbit table made at its
-    level; the transition oracle, whose shared truncation is valid at
-    every level, builds its fibers with `FiberCohomology.of`."""
+    functional and generator the kernel-generator certificate reads.
+    `trunc` is validated first, and the matrices read one orbit table made
+    at its level; the transition oracle, whose shared truncation is valid
+    at each of its levels, builds its fibers with `FiberCohomology.of`."""
     trunc.validate(params)
     table = OrbitTable.of(params.p, trunc.orbit, trunc.A)
     return FiberCohomology.of(build_orbit_matrices(params, trunc, table))
@@ -441,12 +440,18 @@ def _stable_fiber(
     and its exponents, after the stability recheck: the fiber at the
     grown truncation (`OrbitTruncation.grown`) must give the same
     exponents, or TruncationInstabilityError.  Both fibers' matrices
-    come from `base_and_grown_matrices`, two builds from one orbit table,
-    and eliminating both is the check.  The grown fiber builds no U."""
-    base, grown = base_and_grown_matrices(params, trunc)
+    come from one build each, reading one orbit table made at the grown
+    level; the base build reads its levels 0..A.  Only `trunc` is
+    validated, since the grown truncation is valid whenever it is: one
+    degree-1 walk serves both.  Eliminating both fibers is the check, and
+    the grown fiber builds no U."""
+    trunc.validate(params)
+    grown = trunc.grown(params)
+    table = OrbitTable.of(params.p, trunc.orbit, grown.A)
+    base, grown_mats = build_orbit_matrices(params, trunc, table), build_orbit_matrices(params, grown, table)
     fc = FiberCohomology.of(base, build_u)
     exps = fc.exponents(params.p)
-    again = FiberCohomology.of(grown, False).exponents(params.p)
+    again = FiberCohomology.of(grown_mats, False).exponents(params.p)
     if again != exps:
         raise TruncationInstabilityError(
             f"cohomology changed under truncation growth: {exps} vs {again}"
@@ -503,7 +508,8 @@ def certify_kernel_generator(fc: FiberCohomology, summand) -> bool:
     c_a the exponent the claim gives level a, and its class generates H^1.
 
     Two steps decide it.  When H^1 is nontrivial, the fiber's own
-    generator column z (`FiberCohomology.generator`) is tried first: if
+    generator column z, read when the fiber was built
+    (`FiberCohomology.generator`), is tried first: if
     each z_a is p^(c_a) times a unit mod p^N, z is such a cocycle, and
     the claim holds.  This step accepts or passes the claim on; it never
     rejects.  Otherwise, with S = diag(p^(c_a)) scaling the first s
@@ -521,21 +527,21 @@ def certify_kernel_generator(fc: FiberCohomology, summand) -> bool:
     valuation profile can carry a generator: for p=2, e=3, i=2, m=1 the
     claims (0,0,2) and (0,0,3) pass as the closed form's (0,0,1) does,
     while (0,1,1) and (1,0,1) fail.  A non-cyclic H^1 fails.  Rejects a
-    claim with s = 0, whose kernel summand is trivial, and a claim about
-    another orbit than that of the matrices."""
+    claim with s = 0, whose kernel summand is trivial, a claim about
+    another orbit than that of the matrices, and a nontrivial H^1 of a
+    fiber built without U, which has no class functional."""
     mats = fc.matrices
-    s = summand.s
+    s, h, functional, cochain = summand.s, fc.h, fc.functional, fc.generator
     if s == 0:
         raise ValueError("orbit has s = 0; kernel summand is trivial")
     if summand.orbit != mats.orbit:
         raise ValueError(f"claim on orbit {summand.orbit} checked against the matrices of {mats.orbit}")
+    if h and functional is None:
+        raise ValueError("fiber has no U: its H^1 was read without a class functional")
     p, n, q = mats.p, mats.n, mats.modulus
-    h = fc.h1.exponents()
-    if s != len(summand.generator_exponents) or s > n or len(h) > 1:
+    if s != len(summand.generator_exponents) or s > n or h is None:
         return False
     scale = [p**c for c in reversed(summand.generator_exponents)]
-    functional = fc.h1.class_functional() if h else None
-    cochain = fc.generator(functional) if h else None
     if cochain is None or not all(x % f == 0 and x // f % p for x, f in zip(cochain, scale)):
         scale += [1] * (2 * n - s)
         kernel = kernel_mod([{j: a * scale[j] % q for j, a in row.items()} for row in fc.d1_rows], 2 * n, p, q)
@@ -553,26 +559,6 @@ def certify_kernel_generator(fc: FiberCohomology, summand) -> bool:
     return not h or functional.coordinate(cochain) % p != 0
 
 
-class TransitionLevel(NamedTuple):
-    """What the pair queries of `TransitionOracle` read at one level e:
-    the fiber matrices, the fiber's rows of d1, h with H^1 = Z/p^h, and,
-    when h >= 1, a cochain generating H^1 and the class functional of H^1.
-    The matrices carry what every pair into or out of the level reads of
-    each orbit level a: the degree-1 Nygaard exponent (`u1`) and the
-    factorial bounds (m_a-1)//e and m_a//e (`floors1`, `floors0`), as the
-    build computed them.
-
-    A tuple-backed, immutable record, as `prosystem.LevelStabilization`
-    is: the oracle builds one per level, and a changed copy comes from
-    `_replace`."""
-
-    matrices: OrbitMatrices
-    d1_rows: list[Sparse]
-    h: int
-    generator: list[int] | None
-    functional: ClassFunctional | None
-
-
 class TransitionOracle:
     """Matrix-level transition maps between truncation exponents f >= e for
     one orbit.
@@ -581,18 +567,20 @@ class TransitionOracle:
     the top level, so the transition matrices line up levelwise; the
     degree-1 walk never shrinks as e grows, so the top level's walk is the
     longest.  That walk sizes A and N, and no lower level's walk is
-    longer, so `trunc` is valid at every level and a level is built
-    straight from `build_orbit_matrices` and `FiberCohomology.of`, with no
-    second walk.  What does not depend on e is worked out once per oracle,
-    in one orbit table at level A (`OrbitTable`, `table`): the x-weights
-    p^a m, the alpha l1 floors and the slot floor pairs, which every
-    level's build reads.  Each level's work is done once, on first use
-    (`TransitionLevel`): the fiber cohomology with its rows of d1, h_e, a
-    generator of H^1 and the class functional of H^1.  The degree-1
-    Nygaard exponents and the factorial bounds (m_a-1)//e and m_a//e that
-    the coefficients of every pair into or out of the level read are
-    those the level's build computed (`OrbitMatrices.u1`, `.floors1`,
-    `.floors0`); nothing recomputes them.
+    longer, so `trunc` is valid at every level of `levels` and a level is
+    built straight from `build_orbit_matrices` and `FiberCohomology.of`,
+    with no second walk.  A level outside `levels` may need a larger
+    truncation than `trunc`, so it is refused with ValueError rather than
+    read at the wrong size.  What does not depend on e is worked out once
+    per oracle, in one orbit table at level A (`OrbitTable`, `table`): the
+    x-weights p^a m, the alpha l1 floors and the slot floor pairs, which
+    every level's build reads.  Each level's work is done once, on first
+    use (`level`): its `FiberCohomology`, which read h_e, the class
+    functional of H^1 and a generator of H^1 when it was built, and keeps
+    the rows of d1.  The degree-1 Nygaard exponents and the factorial
+    bounds (m_a-1)//e and m_a//e that the coefficients of every pair into
+    or out of the level read are those the level's build computed
+    (`OrbitMatrices.u1`, `.floors1`, `.floors0`); nothing recomputes them.
 
     The observable valuation needs H^1 = Z/p^h cyclic, and a non-cyclic
     H^1 is refused.  Cyclicity is also what makes one functional enough:
@@ -601,8 +589,7 @@ class TransitionOracle:
     is read through nothing else.  The generator is the fiber's pick, the
     first kernel basis column whose class is a unit
     (`FiberCohomology.generator`), the column the kernel-generator
-    certificate tries first; the level builds the functional once and
-    hands it to the pick, and a level with no pick is refused.  The
+    certificate tries first, and a level with no pick is refused.  The
     valuation does not depend on the column picked: two generators differ
     by a unit factor and an element of im d0 + p^N·C^1, the f -> e map is
     a chain map and so sends that lattice at level f into its counterpart
@@ -626,34 +613,29 @@ class TransitionOracle:
         self.p, self.i, self.orbit = p, i, orbit
         self.levels = sorted(levels)
         self.trunc = default_truncation(self.params(self.levels[-1]), orbit)
-        self.A, self.N = self.trunc.A, self.trunc.N
-        self.table = OrbitTable.of(p, orbit, self.A)
-        self._cache: dict[int, TransitionLevel] = {}
+        self.table = OrbitTable.of(p, orbit, self.trunc.A)
+        self._cache: dict[int, FiberCohomology] = {}
 
     def params(self, e: int) -> TruncationParams:
         return TruncationParams(self.p, e, self.i)
 
-    def level(self, e: int) -> TransitionLevel:
-        if e not in self._cache:
+    def level(self, e: int) -> FiberCohomology:
+        fc = self._cache.get(e)
+        if fc is None:
+            if e not in self.levels:
+                raise ValueError(f"level e={e} is not among the oracle's levels {self.levels}")
             fc = FiberCohomology.of(build_orbit_matrices(self.params(e), self.trunc, self.table))
-            exps = fc.h1.exponents()
-            if len(exps) > 1:
-                raise OracleError(f"degree-1 cohomology not cyclic at e={e}: {exps}")
-            if exps:
-                functional = fc.h1.class_functional()
-                gen = fc.generator(functional)
-                if gen is None:
-                    raise OracleError(f"no kernel basis column generates H^1 at e={e}")
-            else:
-                gen = functional = None
-            h = exps[0] if exps else 0
-            self._cache[e] = TransitionLevel(fc.matrices, fc.d1_rows, h, gen, functional)
-        return self._cache[e]
+            if fc.h is None:
+                raise OracleError(f"degree-1 cohomology not cyclic at e={e}: {fc.h1.exponents()}")
+            if fc.h and fc.generator is None:
+                raise OracleError(f"no kernel basis column generates H^1 at e={e}")
+            self._cache[e] = fc
+        return fc
 
     def h_exponent(self, e: int) -> int:
         return self.level(e).h
 
-    def _transition_image(self, lv_e: TransitionLevel, lv_f: TransitionLevel) -> list[int]:
+    def _transition_image(self, lv_e: FiberCohomology, lv_f: FiberCohomology) -> list[int]:
         """The f -> e map on N^1 (+) D^0, applied to the level-f generator.
 
         Its diagonal coefficients are p^(u1_f - u1_e)·((m_a-1)//e)!/((m_a-1)//f)!
@@ -669,12 +651,10 @@ class TransitionOracle:
         when the two exponents agree.  A negative difference must divide
         the ratio, or ArithmeticError.
         """
-        p, N = self.p, self.N
-        q = p**N
-        gen = lv_f.generator
-        n = self.A + 1
-        image = [0] * (2 * n)
+        p, N = self.p, self.trunc.N
         mats_e, mats_f = lv_e.matrices, lv_f.matrices
+        q, n, gen = mats_e.modulus, mats_e.n, lv_f.generator
+        image = [0] * (2 * n)
         levels = zip(mats_e.u1, mats_f.u1, mats_e.floors1, mats_f.floors1, mats_e.floors0, mats_f.floors0)
         for a, (u1_e, u1_f, b1_e, b1_f, b0_e, b0_f) in enumerate(levels):
             shift = u1_f - u1_e
@@ -695,7 +675,7 @@ class TransitionOracle:
         if f < e:
             raise ValueError("need f >= e")
         lv_e, lv_f = self.level(e), self.level(f)
-        if lv_e.h == 0 or lv_f.h == 0:
+        if not (lv_e.h and lv_f.h):
             raise DegenerateOrbitError(f"trivial group at e={e} or f={f}")
         image = self._transition_image(lv_e, lv_f)
         if any(sparse_product(lv_e.d1_rows, image, lv_e.matrices.modulus)):
@@ -731,12 +711,13 @@ def verify_orbit(params: TruncationParams, summand, A: int | None = None, N: int
     s >= 1 and h >= 1.
 
     The truncation is `default_truncation(params, summand.orbit)`, with
-    its level A or precision N replaced by either one given.  The fiber
-    cohomology is computed once with the stability recheck
-    (`_stable_fiber`), building the U transform the kernel certificate's
-    class functional reads."""
-    default = default_truncation(params, summand.orbit)
-    trunc = OrbitTruncation(summand.orbit, default.A if A is None else A, default.N if N is None else N)
+    its level A or precision N replaced by either one given.  A level A
+    given without N takes N by `default_truncation`'s own rule, three
+    above the least precision for A.  The fiber cohomology is computed
+    once with the stability recheck (`_stable_fiber`), building the U
+    transform the kernel certificate's class functional reads."""
+    A = default_truncation(params, summand.orbit).A if A is None else A
+    trunc = OrbitTruncation(summand.orbit, A, _least_precision(params.i, A) + 3 if N is None else N)
     fc, exps = _stable_fiber(params, trunc, True)
     h = summand.module.h
     degree_match = exps == {0: (), 1: (h,) if h else (), 2: ()}

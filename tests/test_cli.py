@@ -98,6 +98,16 @@ def test_verify_stability_recheck_has_headroom(truncation, capsys):
     assert "all_pass=yes" in out
 
 
+def test_verify_level_alone_takes_the_default_precision_rule(capsys):
+    # --A without --N takes N three above the least precision for that A,
+    # as the default truncation does: i*(A+1) + 8 = 22 at i=2, A=6
+    code, out = _run(["verify", "--p", "2", "--i", "2", "--e", "3", "--A", "6"], capsys)
+    assert code == EXIT_OK and "all_pass=yes" in out
+    alone, code = run_command(JobSpec(command="verify", p=2, i=2, e=3, A=6))
+    pinned, _ = run_command(JobSpec(command="verify", p=2, i=2, e=3, A=6, N=22))
+    assert code == EXIT_OK and alone.orbits == pinned.orbits and len(alone.orbits) == 2
+
+
 def test_kgroups_values(capsys):
     code, out = _run(["kgroups", "--p", "2", "--i", "2", "--e", "3", "--format", "json"], capsys)
     assert code == EXIT_OK

@@ -9,7 +9,7 @@ import trcalc.oracle as oracle_module
 import trcalc.prosystem as prosystem_module
 from trcalc.cli import EXIT_MISMATCH, EXIT_OK, EXIT_VALIDATION, JobSpec, ValidationError, main, run_command
 from trcalc.drw import CyclicWittModule, TruncationParams, degree1_walks
-from trcalc.oracle import OrbitTruncation, TransitionOracle
+from trcalc.oracle import OrbitTable, OrbitTruncation, TransitionOracle, default_truncation, oracle_cohomology
 from trcalc.padic import MultiIndex, PAdicFraction, brace
 from trcalc.report import Report, emit_report
 from trcalc.syntomic import Orbit
@@ -79,13 +79,15 @@ def test_ml_check_reports_a_violation_and_exits_2(monkeypatch):
 def test_oracle_error_becomes_an_error_certificate_and_exits_2(monkeypatch):
     # the grown fiber of the stability recheck is replaced by another
     # orbit's, so the oracle raises and the driver records the error
-    real = oracle_module.base_and_grown_matrices
+    real = oracle_module.build_orbit_matrices
 
-    def other_orbit_when_grown(params, trunc):
-        other = OrbitTruncation(Orbit(5), trunc.A, trunc.N)
-        return real(params, trunc)[0], real(params, other)[1]
+    def other_orbit_when_grown(params, trunc, table):
+        # the grown build is the one at the table's own level
+        if trunc.A < table.A:
+            return real(params, trunc, table)
+        return real(params, OrbitTruncation(Orbit(5), trunc.A, trunc.N), OrbitTable.of(params.p, Orbit(5), table.A))
 
-    monkeypatch.setattr(oracle_module, "base_and_grown_matrices", other_orbit_when_grown)
+    monkeypatch.setattr(oracle_module, "build_orbit_matrices", other_orbit_when_grown)
     report, code = run_command(JobSpec(command="verify", p=2, i=2, e=3))
     assert code == EXIT_MISMATCH
     assert "cohomology changed under truncation growth" in report.certificates[-1]["error"]
@@ -108,6 +110,19 @@ def test_transition_oracle_rejects_bad_levels_and_weights(p, i, levels, message)
 def test_transition_valuation_needs_a_source_at_or_above_the_target():
     with pytest.raises(ValueError, match="f >= e"):
         TransitionOracle(3, 1, Orbit(1), [2, 4]).valuation(4, 2)
+
+
+def test_transition_oracle_refuses_a_level_outside_its_list():
+    # the shared truncation (A=4, N=13) is sized from level 3; level 33
+    # needs A=8, N=17, and read at the smaller size it gives h=5 where its
+    # own truncation and the closed form give 6
+    oc = TransitionOracle(2, 1, Orbit(1), [3])
+    params = TruncationParams(2, 33, 1)
+    assert oracle_cohomology(params, default_truncation(params, Orbit(1)))[1] == (6,)
+    for read in (oc.level, oc.h_exponent, lambda e: oc.valuation(3, e)):
+        with pytest.raises(ValueError, match=r"level e=33 is not among the oracle's levels \[3\]"):
+            read(33)
+    assert oc.h_exponent(3) == 2 and list(oc._cache) == [3]
 
 
 @pytest.mark.parametrize(

@@ -27,7 +27,6 @@ from trcalc.oracle import (
     OracleError,
     OrbitTable,
     OrbitTruncation,
-    TransitionLevel,
     TransitionOracle,
     TruncationInstabilityError,
     build_orbit_matrices,
@@ -331,7 +330,7 @@ def test_kernel_generator_certificate_searches_the_class_coordinate_too(monkeypa
         expected = any(all(z[:s]) and z[k] * scale[k] % 2 for z in combos)
         reads_k = ClassFunctional([q * (j == k) for j in range(2 * n)], q, d)
         monkeypatch.setattr(QuotientPresentation, "class_functional", lambda self: reads_k)
-        assert certify_kernel_generator(fc, claim) is expected
+        assert certify_kernel_generator(FiberCohomology.of(fc.matrices), claim) is expected
         verdicts.append(expected)
     assert True in verdicts[n:] and False in verdicts
 
@@ -401,22 +400,22 @@ def test_kernel_generator_certificate_decides_the_perturbed_grid_as_the_full_sea
 def test_kernel_generator_certificate_writes_columns_until_one_works(monkeypatch):
     # the closed-form claim at p=2, e=3, i=2, m=1 is carried by the fiber's
     # own generator column, so that one column of the fiber's kernel is
-    # written, no scaled kernel is built and no search runs; (0,0,2) is
-    # not, so the scaled d1 is eliminated once, all seven of its basis
-    # columns are written and the search decides it, as the reference does
+    # written, when the fiber is built, and the certificate writes none,
+    # builds no scaled kernel and runs no search; (0,0,2) is not, so the
+    # scaled d1 is eliminated once, all seven of its basis columns are
+    # written and the search decides it, as the reference does
     params = TruncationParams(2, 3, 2)
     claim = h1_syntomic_orbit(params, Orbit(1))
-    fc = fiber_cohomology(params, default_truncation(params, Orbit(1)))
+    trunc = default_truncation(params, Orbit(1))
     wide = dataclasses.replace(claim, generator_exponents=(0, 0, 2))
-    assert _full_search_verdict(fc, wide) == (True, False)
-    pick = (fc.h1.generator_coordinate(), "fiber")
+    assert _full_search_verdict(fiber_cohomology(params, trunc), wide) == (True, False)
     written, searched, scaled_kernels = [], [], []
     basis_column = snf_module.KernelLattice.basis_column
     search = oracle_module._nonvanishing_combination
     real_kernel = oracle_module.kernel_mod
 
     def counting_column(self, k):
-        written.append((k, "fiber" if self is fc.h1.kernel else self.dim))
+        written.append((k, self.dim))
         return basis_column(self, k)
 
     def counting_search(vecs, p):
@@ -430,12 +429,17 @@ def test_kernel_generator_certificate_writes_columns_until_one_works(monkeypatch
     monkeypatch.setattr(snf_module.KernelLattice, "basis_column", counting_column)
     monkeypatch.setattr(oracle_module, "_nonvanishing_combination", counting_search)
     monkeypatch.setattr(oracle_module, "kernel_mod", counting_kernel)
-    assert certify_kernel_generator(fc, claim)
-    assert written == [pick] and searched == [] and scaled_kernels == []
+    fc = fiber_cohomology(params, trunc)
+    n = fc.matrices.n
+    assert written == [(fc.h1.generator_coordinate(), fc.h1.kernel.dim)] and fc.h1.kernel.dim != 7
+    assert fc.generator == fc.h1.kernel.basis_column(written[0][0]) and scaled_kernels == [2 * n]
     written.clear()
+    scaled_kernels.clear()
+    assert certify_kernel_generator(fc, claim)
+    assert written == [] and searched == [] and scaled_kernels == []
     assert certify_kernel_generator(fc, wide)
-    assert written == [pick] + [(k, 7) for k in range(7)] and searched == [7]
-    assert scaled_kernels == [2 * fc.matrices.n]
+    assert written == [(k, 7) for k in range(7)] and searched == [7]
+    assert scaled_kernels == [2 * n]
 
 
 def test_kernel_generator_certificate_steps_on_the_perturbed_grid(monkeypatch):
@@ -471,8 +475,7 @@ def test_kernel_generator_certificate_refuses_a_first_step_non_cocycle(monkeypat
         params = TruncationParams(p, e, i)
         claim = h1_syntomic_orbit(params, Orbit(m))
         fc = fiber_cohomology(params, default_truncation(params, Orbit(m)))
-        mats, functional = fc.matrices, fc.h1.class_functional()
-        gen = fc.generator(functional)
+        mats, functional, gen = fc.matrices, fc.functional, fc.generator
         for j in range(claim.s, 2 * mats.n):
             bad = gen[:j] + [(gen[j] + 1) % mats.modulus] + gen[j + 1 :]
             if any(sparse_product(fc.d1_rows, bad, mats.modulus)) and functional.coordinate(bad) % p:
@@ -480,40 +483,55 @@ def test_kernel_generator_certificate_refuses_a_first_step_non_cocycle(monkeypat
         else:
             pytest.fail(f"no coordinate moves the generator off the kernel at {(p, e, i, m)}")
         assert certify_kernel_generator(fc, claim)
-        monkeypatch.setattr(FiberCohomology, "generator", lambda self, functional: list(bad))
         with pytest.raises(OracleError, match="non-cocycle"):
-            certify_kernel_generator(fc, claim)
-        monkeypatch.undo()
+            certify_kernel_generator(dataclasses.replace(fc, generator=bad), claim)
 
 
 def test_transition_level_and_certificate_share_the_generator_pick(monkeypatch):
-    # both read the fiber's one pick (`FiberCohomology.generator`), get
-    # the same column from it, and each builds the class functional once
-    picks, functionals = [], []
-    real_pick = FiberCohomology.generator
+    # both read the fiber's one pick and class functional, the `generator`
+    # and `functional` fields read when the fiber is built: each fiber
+    # builds the functional and writes a basis column once, and the
+    # certificate builds and writes neither again
+    functionals, columns = [], []
     real_functional = QuotientPresentation.class_functional
-
-    def recording_pick(self, functional):
-        picks.append(real_pick(self, functional))
-        return picks[-1]
+    real_column = snf_module.KernelLattice.basis_column
 
     def counting_functional(self):
         functionals.append(self)
         return real_functional(self)
 
-    monkeypatch.setattr(FiberCohomology, "generator", recording_pick)
+    def counting_column(self, k):
+        columns.append(k)
+        return real_column(self, k)
+
     monkeypatch.setattr(QuotientPresentation, "class_functional", counting_functional)
+    monkeypatch.setattr(snf_module.KernelLattice, "basis_column", counting_column)
     for p, e, i, m in ((2, 3, 2, 1), (3, 2, 1, 1), (5, 2, 2, 1), (3, 5, 3, 4), (2, 5, 3, 3)):
         params = TruncationParams(p, e, i)
         claim = h1_syntomic_orbit(params, Orbit(m))
-        fc = fiber_cohomology(params, default_truncation(params, Orbit(m)))
-        picks.clear()
         functionals.clear()
+        columns.clear()
+        fc = fiber_cohomology(params, default_truncation(params, Orbit(m)))
+        assert len(functionals) == len(columns) == 1
         assert certify_kernel_generator(fc, claim)
-        assert len(picks) == len(functionals) == 1
+        assert len(functionals) == len(columns) == 1
         level = TransitionOracle(p, i, Orbit(m), [e]).level(e)
-        assert level.matrices == fc.matrices and len(functionals) == 2
-        assert picks == [level.generator] * 2 and level.generator is not None
+        assert level.matrices == fc.matrices and len(functionals) == len(columns) == 2
+        assert level.generator == fc.generator and level.generator is not None
+        assert level.functional == fc.functional and level.h == fc.h == claim.module.h
+
+
+def test_certificate_refuses_a_fiber_built_without_u():
+    # a fiber built without U reads h but no class functional or
+    # generator; certifying its nontrivial H^1 is refused, not crashed on
+    params = TruncationParams(2, 3, 2)
+    claim = h1_syntomic_orbit(params, Orbit(1))
+    mats = _build(params, default_truncation(params, Orbit(1)))
+    fc = FiberCohomology.of(mats, False)
+    assert fc.h == claim.module.h == 3 and fc.functional is None and fc.generator is None
+    with pytest.raises(ValueError, match="fiber has no U"):
+        certify_kernel_generator(fc, claim)
+    assert certify_kernel_generator(FiberCohomology.of(mats), claim)
 
 
 def test_verify_orbit_passes():
@@ -531,7 +549,7 @@ def test_verify_orbit_builds_base_and_grown_truncation_once(monkeypatch):
     # a table of their own, hash included; each fiber's d0 columns serve
     # both H^1 and the degree-0 certificate, and the base d1 rows serve
     # both H^1 and the kernel certificate
-    built, tables, d0_built, d1_built = [], [], [], []
+    built, tables, results, d0_built, d1_built = [], [], [], [], []
     real = oracle_module.build_orbit_matrices
     real_d0 = oracle_module.OrbitMatrices.fiber_d0_columns
     real_d1 = oracle_module.OrbitMatrices.fiber_d1_rows
@@ -539,7 +557,8 @@ def test_verify_orbit_builds_base_and_grown_truncation_once(monkeypatch):
     def counting(params, trunc, table):
         built.append(trunc)
         tables.append(table)
-        return real(params, trunc, table)
+        results.append(real(params, trunc, table))
+        return results[-1]
 
     def counting_d0(mats):
         d0_built.append(mats.n)
@@ -561,16 +580,20 @@ def test_verify_orbit_builds_base_and_grown_truncation_once(monkeypatch):
     assert d0_built == [base.A + 1, base.A + 2]
     assert d1_built == [base.A + 1, base.A + 2]
     direct = _build(params, base)
-    own, grown = oracle_module.base_and_grown_matrices(params, base)
+    own, grown = results
     assert own == direct and cert.matrices_hash == direct.content_hash()
     assert grown == _build(params, base.grown(params))
 
 
-def test_base_and_grown_matrices_validate_the_base_truncation():
+def test_stability_recheck_validates_the_base_truncation(monkeypatch):
+    # an invalid base truncation is refused before either build
+    built = []
+    monkeypatch.setattr(oracle_module, "build_orbit_matrices", lambda *args: built.append(args))
     params = TruncationParams(3, 2, 1)
     for trunc in (OrbitTruncation(Orbit(1), A=1, N=40), OrbitTruncation(Orbit(1), A=4, N=5)):
         with pytest.raises(ValueError):
-            oracle_module.base_and_grown_matrices(params, trunc)
+            oracle_cohomology(params, trunc)
+    assert built == []
 
 
 def test_verify_orbit_walks_the_degree1_walk_twice(monkeypatch):
@@ -597,13 +620,15 @@ def test_verify_orbit_rejects_unstable_truncation(monkeypatch):
     # one build, the base is m=1's and the grown one is m=5's, so the
     # recheck must see a change
     params = TruncationParams(2, 3, 2)
-    real = oracle_module.base_and_grown_matrices
+    real = oracle_module.build_orbit_matrices
 
-    def other_orbit_when_grown(params, trunc):
-        other = OrbitTruncation(Orbit(5), trunc.A, trunc.N)
-        return real(params, trunc)[0], real(params, other)[1]
+    def other_orbit_when_grown(params, trunc, table):
+        # the grown build is the one at the table's own level
+        if trunc.A < table.A:
+            return real(params, trunc, table)
+        return real(params, OrbitTruncation(Orbit(5), trunc.A, trunc.N), OrbitTable.of(params.p, Orbit(5), table.A))
 
-    monkeypatch.setattr(oracle_module, "base_and_grown_matrices", other_orbit_when_grown)
+    monkeypatch.setattr(oracle_module, "build_orbit_matrices", other_orbit_when_grown)
     with pytest.raises(TruncationInstabilityError):
         verify_orbit(params, h1_syntomic_orbit(params, Orbit(1)))
     with pytest.raises(TruncationInstabilityError):
@@ -922,7 +947,7 @@ def _dense_witness_valuation(oc, e, f, level_e, level_f):
     """h_e minus the witness class order of the f -> e image of the
     level-f generator, with the Nygaard exponents recomputed for the
     pair."""
-    p, n, modulus = oc.p, oc.A + 1, oc.p**oc.N
+    p, n, modulus = oc.p, oc.trunc.A + 1, oc.p**oc.trunc.N
     (order_e, exps_e, _), (_, _, gen) = level_e, level_f
     image_n1, image_d0 = [], []
     for a in range(n):
@@ -1084,7 +1109,7 @@ def test_frobenius_coefficients_equal_the_exact_products(monkeypatch):
 def test_transition_image_outside_the_kernel_is_refused(monkeypatch):
     oc = TransitionOracle(2, 2, Orbit(1), [3, 5])
     assert oc.valuation(3, 5) >= 0
-    not_a_cocycle = [1] + [0] * (2 * (oc.A + 1) - 1)
+    not_a_cocycle = [1] + [0] * (2 * (oc.trunc.A + 1) - 1)
     fc = fiber_cohomology(oc.params(3), oc.trunc)
     level = oc.level(3)
     assert any(sparse_product(level.d1_rows, not_a_cocycle, level.matrices.modulus))
@@ -1102,7 +1127,7 @@ def test_transition_coefficient_not_divisible_by_target_scaling_is_refused():
     lv_e, lv_f = oc.level(3), oc.level(5)
     assert lv_e.h and lv_f.h and lv_e.matrices.floors1[0] == lv_f.matrices.floors1[0] == 0
     u1 = [lv_f.matrices.u1[0] + 1] + lv_e.matrices.u1[1:]
-    oc._cache[3] = lv_e._replace(matrices=dataclasses.replace(lv_e.matrices, u1=u1))
+    oc._cache[3] = dataclasses.replace(lv_e, matrices=dataclasses.replace(lv_e.matrices, u1=u1))
     with pytest.raises(ArithmeticError, match="not divisible by target scaling"):
         oc.valuation(3, 5)
 
@@ -1253,7 +1278,7 @@ def test_valuation_does_not_depend_on_the_generator(p, i, m, one_over_p, seed):
     live = [e for e in levels if oc.h_exponent(e)]
     pairs = list(itertools.combinations(live, 2))
     before = {pair: oc.valuation(*pair) for pair in pairs}
-    q = p**oc.N
+    q = p**oc.trunc.N
     for f in live:
         lv = oc.level(f)
         d0 = witness.fiber_d0(lv.matrices)
@@ -1262,7 +1287,7 @@ def test_valuation_does_not_depend_on_the_generator(p, i, m, one_over_p, seed):
         gen = [unit * g + c for g, c in zip(lv.generator, col)]
         gen[rng.randrange(len(gen))] += q
         assert gen != lv.generator
-        oc._cache[f] = lv._replace(generator=gen)
+        oc._cache[f] = dataclasses.replace(lv, generator=gen)
     assert {pair: oc.valuation(*pair) for pair in pairs} == before
 
 
@@ -1287,7 +1312,7 @@ def test_transition_oracle_makes_one_orbit_table(monkeypatch):
     oc = TransitionOracle(2, 2, orbit, levels)
     for e in levels:
         oc.level(e)
-    assert (oc.A, len(levels)) == (4, 7)
+    assert (oc.trunc.A, len(levels)) == (4, 7)
     assert tables == [(2, orbit, 4)]
     # s = 2: 3 walk reads and 5 table reads; a build that read the floors
     # at each level made 3 + 7·5 = 38
@@ -1414,13 +1439,16 @@ def test_readme_verify_jobs_keep_their_matrices_hashes():
 
 
 def test_transition_level_is_an_immutable_value_record():
-    # keyword construction, value equality, a repr naming the fields, no
-    # assignment, and changed copies through `_replace`
+    # a level is its fiber's one record: keyword construction, value
+    # equality, a repr naming the fields, no assignment, changed copies
+    # through `dataclasses.replace`, and one cached record per level
     oc = TransitionOracle(2, 2, Orbit(1), [3, 5])
     lv = oc.level(3)
-    assert TransitionLevel(**lv._asdict()) == lv and TransitionLevel(*lv) == lv
-    assert lv._replace(h=lv.h) == lv and lv._replace(h=lv.h + 1) != lv
-    assert repr(lv).startswith("TransitionLevel(matrices=OrbitMatrices(p=2, orbit=Orbit(m=1")
+    assert type(lv) is FiberCohomology
+    fields = {f.name: getattr(lv, f.name) for f in dataclasses.fields(lv)}
+    assert FiberCohomology(**fields) == lv and FiberCohomology(*fields.values()) == lv
+    assert dataclasses.replace(lv, h=lv.h) == lv and dataclasses.replace(lv, h=lv.h + 1) != lv
+    assert repr(lv).startswith("FiberCohomology(matrices=OrbitMatrices(p=2, orbit=Orbit(m=1")
     with pytest.raises(AttributeError):
         lv.h = 0
     with pytest.raises(AttributeError):
