@@ -10,8 +10,9 @@ p-valuation only, the unit factor being irrelevant to images and limits.
 Towers take p, the levels, the weight and m as plain ints, checked once
 per tower (`Tower.p` is a `padic.Prime`), and build no `TruncationParams`.
 `stabilized_images` sweeps a tower's sources up to a probe.  `ml_rows` and
-`transition_rows` are the rows `ml-check` and `transition` print; every
-valuation they and the sweep read is one target term minus one source
+`transition_rows` are the rows `ml-check` and `transition` print.  There
+is one pair rule: every valuation that `tr_valuation`, the sweep,
+`ml_rows` and `transition_rows` read is one target term minus one source
 term (`target_term`, `source_term`), and every image goes through one
 rule, `image_exponents`.
 
@@ -76,16 +77,11 @@ def source_term(p: int, s_e: int, m1: int, f: int, sm_f: SyntomicSummand) -> int
     return vp_factorial((m1 - 1) // f, p) + ceil_div(m1, f) - sm_f.generator_exponents[sm_f.s - s_e]
 
 
-def transition_valuations(
-    p: int, e: int, sm_e: SyntomicSummand, fs: Sequence[int], sms_f: Sequence[SyntomicSummand]
-) -> list[int] | None:
-    """Closed-form p-valuations of the transition maps into truncation e
-    from each source f of fs (f >= e) on one orbit, given the orbit's
-    summand at e and at each source.
-
-    Returns None in the degenerate case s_e = 0 or e | m, where the target
-    group is trivial and every map is zero.  The unit factor is not
-    tracked.
+def tr_valuation(params: TruncationParams, f: int, orbit: Orbit) -> int | None:
+    """Closed-form p-valuation of the transition map from truncation f down
+    to e = params.e on one orbit, in weight i = params.i; None in the
+    degenerate case s_e = 0 or e | m, where the target group is trivial
+    and the map is zero.  The unit factor is not tracked.
 
     The valuation tracks the generator coordinate at level s_e - 1, where
     both kernel generators are supported: the factorial-ratio valuation
@@ -94,37 +90,13 @@ def transition_valuations(
     source generator's scaling at level s_e - 1 (s_f >= s_e), the sum of
     the level-f degree-1 exponents over j in [s_e, s_f).  Starting that sum
     one step earlier would double count the j = s_e - 1 term, as the
-    brute-force oracle confirms.  Each valuation is the target's term
-    (`target_term`) minus the source's (`source_term`), both by Legendre's
-    formula (`vp_factorial`), without forming the ratio.  A source's term
-    reads the target only through s_e, so the sweep (`stabilized_images`)
-    computes it once per block of target levels sharing s_e instead of
-    calling this per level, and `tr_valuation` reads its one pair from the
-    two terms.
-    """
-    if len(fs) != len(sms_f):
-        raise ValueError(f"{len(fs)} sources but {len(sms_f)} summands")
-    m1 = _pinned_weight(p, e, sm_e)
-    if m1 is None:
-        return None
-    s_e = sm_e.s
-    base = target_term(p, e, m1)
-    out = []
-    for f, sm_f in zip(fs, sms_f):
-        if f < e:
-            raise ValueError(f"need f >= e, got e={e}, f={f}")
-        out.append(base - source_term(p, s_e, m1, f, sm_f))
-    return out
-
-
-def tr_valuation(params: TruncationParams, f: int, orbit: Orbit) -> int | None:
-    """Transition valuation from truncation f down to e = params.e on one
-    orbit, in weight i = params.i: the one-source case of
-    `transition_valuations`, read straight from the target's and the
-    source's terms.  Both levels' summands come from the summand cache, the
+    brute-force oracle confirms.  It is the target's term (`target_term`)
+    minus the source's (`source_term`), both by Legendre's formula
+    (`vp_factorial`), without forming the ratio: the one pair rule, which
+    the sweep (`stabilized_images`), `ml_rows` and `transition_rows` apply
+    the same way.  Both levels' summands come from the summand cache, the
     target's through `h1_syntomic_orbit(params, orbit)` and the source's by
-    plain ints (`level_summand`), so no `TruncationParams` is built.  None
-    when the target group is trivial."""
+    plain ints (`level_summand`), so no `TruncationParams` is built."""
     p, e, i = params.p, params.e, params.i
     if f < e:
         raise ValueError("need f >= e")
@@ -201,7 +173,7 @@ class Tower:
     summands: tuple[SyntomicSummand, ...]  # one per level
 
 
-def _tower_args(p: int, weight: int, levels: list[int]) -> tuple[Prime, tuple[int, ...]]:
+def _tower_args(p: int, weight: int, levels: Sequence[int]) -> tuple[Prime, tuple[int, ...]]:
     """p as a checked `Prime` and the levels sorted, after the checks on the levels and the weight."""
     p = Prime(p)
     levels = tuple(sorted(levels))
@@ -214,7 +186,7 @@ def _tower_args(p: int, weight: int, levels: list[int]) -> tuple[Prime, tuple[in
     return p, levels
 
 
-def build_tower(p: int, weight: int, orbit: Orbit, levels: list[int]) -> Tower:
+def build_tower(p: int, weight: int, orbit: Orbit, levels: Sequence[int]) -> Tower:
     """One orbit's summands at the levels, sorted, from one walk."""
     p, levels = _tower_args(p, weight, levels)
     return Tower(p, weight, orbit, levels, tuple(orbit_summands(p, weight, orbit, levels)))
@@ -224,10 +196,7 @@ def nontrivial_towers(p: int, weight: int, bounds: AlphaBounds, levels: list[int
     """The towers of the window's orbits with a nontrivial group at some
     level, in (m, alpha) order, one walk each; weights below 1 have none."""
     p, levels = _tower_args(p, weight, levels)
-    return [
-        Tower(p, weight, orbit, levels, tuple(orbit_summands(p, weight, orbit, levels)))
-        for orbit, _ in nontrivial_orbits(p, weight, bounds, levels)
-    ]
+    return [build_tower(p, weight, orbit, levels) for orbit, _ in nontrivial_orbits(p, weight, bounds, levels)]
 
 
 class LevelStabilization(NamedTuple):
@@ -338,24 +307,24 @@ def ml_rows(tower: Tower, probe: int) -> tuple[LevelStabilization, ...]:
     it differs from the probe's, the ML index is the least source whose
     image has reached it, found by bisection over the integers past the
     probe, each read at the next level prime to p.  The bisection is sound
-    because each term of `transition_valuations` is nondecreasing in the
-    source f, so images only shrink as the source grows, and the sources
-    with the stable image are exactly those from the ML index on.  Each
-    past-probe image reads the target's summand from the tower and the
-    source's from `level_summand`, and goes through `transition_valuations`,
-    whose terms are the sweep's own (`target_term`, `source_term`), and
-    `image_exponents`, the sweep's image rule, so an ill-defined map raises
-    ValueError there too.
+    because the valuation, `target_term` minus `source_term`, is
+    nondecreasing in the source f, so images only shrink as the source
+    grows, and the sources with the stable image are exactly those from
+    the ML index on.  Each such level reads m1 and its target term once
+    from the tower's summand; each past-probe source reads its term from
+    `level_summand`, and its image goes through `image_exponents`, the
+    sweep's image rule, so an ill-defined map raises ValueError there too.
     """
     p, i, orbit = tower.p, tower.weight, tower.orbit
     out = []
     for rec, sm_e in zip(stabilized_images(tower, probe).per_level, tower.summands):
         if rec.h and not rec.certified:
+            m1 = _pinned_weight(p, rec.level, sm_e)  # not None, as h > 0
+            base = target_term(p, rec.level, m1)
 
             def image_at(f: int) -> int:
                 sm_f = level_summand(p, f, i, orbit)
-                vals = transition_valuations(p, rec.level, sm_e, (f,), (sm_f,))
-                return image_exponents(rec.h, (sm_f.module.h,), vals)[0]
+                return image_exponents(rec.h, (sm_f.module.h,), (base - source_term(p, sm_e.s, m1, f, sm_f),))[0]
 
             exact = image_at(rec.ml_bound)
             if exact != rec.stabilized:
@@ -371,14 +340,17 @@ def transition_rows(p: int, i: int, bounds: AlphaBounds, levels: Sequence[int]) 
     """The maps into the target e = levels[0] from each later level f prime
     to p, for every orbit of the window nontrivial at e, in (m, alpha)
     order: one row (summand at e, f, h_f, valuation, image) per source,
-    each orbit's sources read in one walk."""
-    e = levels[0]
+    each orbit's sources read in one walk, each valuation its target term
+    minus its source term."""
+    p, e = Prime(p), levels[0]
     sources = [f for f in levels[1:] if f % p]
     for sm in enumerate_orbits(TruncationParams(p, e, i), bounds):
-        # h_e >= 1 forces s_e >= 1 and e not dividing m, so vals is never None
+        # h_e >= 1 forces s_e >= 1 and e not dividing m, so m1 is never None
+        m1 = _pinned_weight(p, e, sm)
+        base = target_term(p, e, m1)
         sms_f = orbit_summands(p, i, sm.orbit, sources)
         hs_f = [sm_f.module.h for sm_f in sms_f]
-        vals = transition_valuations(p, e, sm, sources, sms_f)
+        vals = [base - source_term(p, sm.s, m1, f, sm_f) for f, sm_f in zip(sources, sms_f)]
         for row in zip(sources, hs_f, vals, image_exponents(sm.module.h, hs_f, vals)):
             yield (sm, *row)
 
@@ -419,7 +391,7 @@ def orbit_limit(p: int, weight: int, orbit: Orbit) -> ProCyclicLimit:
     valuation of the map from f0 to e; their maps are onto, so the limit is
     W(k)/p^o when o_e settles at o and W(k) when o_e is unbounded.
 
-    For s_e >= 1 and e not dividing m, `transition_valuations` gives, with
+    For s_e >= 1 and e not dividing m, `tr_valuation` gives, with
     m1 = p^(s_e - 1) m,
         v = [v_p(((m1-1)//e)!) + ceil(m1/e)] - [v_p(((m1-1)//f0)!) + ceil(m1/f0)]
             + sum of d_j at level f0 over j in [s_e, s_f0).
@@ -448,6 +420,7 @@ def orbit_limit(p: int, weight: int, orbit: Orbit) -> ProCyclicLimit:
     cancel.  Hence v = 0 and o_e = S for every e >= e*.  When S = 0 every
     level is trivial.
     """
+    p = Prime(p)
     orbit.validate(p)
     alpha = orbit.alpha
     if not alpha.entries:
@@ -508,7 +481,7 @@ def tr_groups(p: int, i: int, bounds: AlphaBounds, probe: int) -> TRGroups:
     with no level in [2, probe] coprime to p has an empty window, so it
     raises ValueError instead of certifying an empty list.
     """
-    weight = i + 1
+    p, weight = Prime(p), i + 1
     levels = [e for e in range(2, probe + 1) if e % p]
     if not levels:
         raise ValueError(f"no level in [2, {probe}] is coprime to p={p}; raise the probe")

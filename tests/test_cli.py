@@ -26,9 +26,17 @@ from trcalc.cli import (
     run_command,
 )
 from trcalc.drw import TruncationParams
-from trcalc.prosystem import LevelStabilization, ml_bound, ml_rows, nontrivial_towers, transition_valuations
-from trcalc.report import emit_report
-from trcalc.syntomic import AlphaBounds, Orbit, enumerate_alphas, enumerate_orbits, orbit_summands
+from trcalc.prosystem import (
+    LevelStabilization,
+    ml_bound,
+    ml_rows,
+    nontrivial_towers,
+    source_term,
+    target_term,
+    tr_valuation,
+)
+from trcalc.report import emit_report, format_alpha
+from trcalc.syntomic import AlphaBounds, Orbit, enumerate_alphas, enumerate_orbits, level_summand, orbit_summands
 
 
 def roundtrip_json(data: bytes) -> bytes:
@@ -372,6 +380,29 @@ def test_tower_job_bytes(job, fmt, capsysbinary):
     assert (code, hashlib.sha256(out).hexdigest()[:16]) == TOWER_JOBS[(job, fmt)]
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        JobSpec(command="transition", p=3, i=1, e=2, e_max=8),  # the README job
+        JobSpec(command="transition", p=2, i=2, e=3, e_max=11, bounds=AlphaBounds(("t",), 2, 1)),
+    ],
+)
+def test_transition_rows_are_the_pair_reader(spec):
+    # every printed row's valuation is `tr_valuation`'s for its orbit and
+    # pair, which criterion 5 backs with the oracle, and its image is the
+    # valuation clipped at h; every orbit nontrivial at e has a row per source
+    report, code = run_command(spec)
+    assert code == EXIT_OK
+    p, e, i = spec.p, spec.e, spec.i
+    orbits = [sm.orbit for sm in enumerate_orbits(TruncationParams(p, e, i), spec.bounds)]
+    sources = [f for f in spec.levels()[1:] if f % p]
+    assert len(report.orbits) == len(orbits) * len(sources) > 0
+    for row in report.orbits:
+        (orbit,) = [o for o in orbits if (o.m, format_alpha(o.alpha, p)) == (row["m"], row["alpha"])]
+        assert row["valuation"] == tr_valuation(TruncationParams(p, e, i), row["f"], orbit)
+        assert row["image"] == min(row["valuation"], row["h"])
+
+
 def _record_walks(monkeypatch) -> list:
     """Record every orbit walk as (orbit, levels); a single-level read
     through `h1_syntomic_orbit` fails."""
@@ -448,19 +479,28 @@ def test_tower_commands_scan_candidates_from_the_top(spec, weight, singles, monk
 def test_ml_check_fails_on_an_ill_defined_map_past_the_probe(monkeypatch, capsys):
     # lower the valuation of the first map read past the probe until
     # v + h_f < h_e: ml-check rejects the row with the sweep's error
-    # instead of printing a clipped image
+    # instead of printing a clipped image.  The source's term is raised so
+    # that the target's term, the last one read, minus it is that v
     probe = SLOT_ML_JOB.e_max
-    real = prosystem_module.transition_valuations
-    lowered = []
+    real_target, real_source = prosystem_module.target_term, prosystem_module.source_term
+    targets, lowered = [], []
 
-    def lowering(p, e, sm_e, fs, sms_f):
-        vals = real(p, e, sm_e, fs, sms_f)
-        if not lowered and len(fs) == 1 and fs[0] > probe:
-            vals = [sm_e.module.h - sms_f[0].module.h - 1]
-            lowered.append((e, fs[0], vals[0], sms_f[0].module.h, sm_e.module.h))
-        return vals
+    def recording(p, e, m1):
+        base = real_target(p, e, m1)
+        targets.append((e, base))
+        return base
 
-    monkeypatch.setattr(prosystem_module, "transition_valuations", lowering)
+    def lowering(p, s_e, m1, f, sm_f):
+        term = real_source(p, s_e, m1, f, sm_f)
+        if not lowered and f > probe:
+            e, base = targets[-1]
+            h_e, h_f = level_summand(p, e, SLOT_ML_JOB.i, sm_f.orbit).module.h, sm_f.module.h
+            term = base - (h_e - h_f - 1)
+            lowered.append((e, f, h_e - h_f - 1, h_f, h_e))
+        return term
+
+    monkeypatch.setattr(prosystem_module, "target_term", recording)
+    monkeypatch.setattr(prosystem_module, "source_term", lowering)
     args = ["ml-check", "--p", "2", "--i", "2", "--e", "3", "--e-max", "11"]
     code = main(args + ["--slots", "t", "--alpha-num-max", "2", "--alpha-pexp-max", "1"])
     captured = capsys.readouterr()
@@ -481,7 +521,8 @@ def _linear_record(p, i, orbit, e, probe):
     images = [0] * len(sources)
     if h:
         sms_f = orbit_summands(p, i, orbit, sources)
-        vals = transition_valuations(p, e, sm_e, sources, sms_f)
+        m1 = p ** (sm_e.s - 1) * orbit.m  # h > 0, so s_e >= 1 and e does not divide m
+        vals = [target_term(p, e, m1) - source_term(p, sm_e.s, m1, f, sm_f) for f, sm_f in zip(sources, sms_f)]
         assert all(v + sm_f.module.h >= h for v, sm_f in zip(vals, sms_f))
         images = [min(v, h) for v in vals]
     return LevelStabilization(e, h, f0, images[-1], sources[images.index(images[-1])], f0 <= probe)

@@ -24,9 +24,11 @@ from trcalc.prosystem import (
     nontrivial_towers,
     orbit_limit,
     stabilized_images,
+    source_term,
+    target_term,
     tr_groups,
     tr_valuation,
-    transition_valuations,
+    transition_rows,
 )
 from trcalc.syntomic import (
     AlphaBounds,
@@ -52,6 +54,18 @@ def pairwise_valuation(p, e, f, sm_e, sm_f):
     v = vp(factorial_ratio((m1 - 1) // e, (m1 - 1) // f), p)
     v += ceil_div(m1, e) - ceil_div(m1, f)
     return v + sm_f.generator_exponents[sm_f.s - sm_e.s]
+
+
+def term_valuations(p, e, sm_e, fs, sms_f):
+    """Each source's valuation into level e read as `target_term` minus
+    `source_term`, the pair rule every reader applies; None when the
+    target is degenerate (s_e = 0 or e | m)."""
+    m = sm_e.orbit.m
+    if sm_e.s == 0 or m % e == 0:
+        return None
+    m1 = p ** (sm_e.s - 1) * m
+    base = target_term(p, e, m1)
+    return [base - source_term(p, sm_e.s, m1, f, sm_f) for f, sm_f in zip(fs, sms_f)]
 
 
 def pairwise_images(p, e, sm_e, fs, sms_f):
@@ -96,7 +110,7 @@ def test_tr_valuation_examples():
 
 def test_tr_valuation_rejects_bad_levels():
     params = TruncationParams(3, 2, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need f >= e"):
         tr_valuation(params, 1, Orbit(1))
     with pytest.raises(ValueError):
         tr_valuation(params, 6, Orbit(1))
@@ -119,11 +133,12 @@ def test_tr_valuation_matches_oracle_spotchecks():
         assert min(v, h_e) == min(TransitionOracle(p, i, orbit, [e, f]).valuation(e, f), h_e)
 
 
-def test_transition_valuations_match_the_pairwise_formula():
+def test_term_valuations_match_the_pairwise_formula():
     # p in {2,3,5,7}, weights up to 4, every level < 60 prime to p as target
-    # and source, orbits m <= i*e, alpha empty or the one-slot t^(1/p): one
-    # call per target level equals the pair-by-pair factorial-ratio form at
-    # every source, and its one-source case at the nearest and farthest
+    # and source, orbits m <= i*e, alpha empty or the one-slot t^(1/p): the
+    # target's term minus each source's equals the pair-by-pair
+    # factorial-ratio form at every source, and `tr_valuation` does at the
+    # nearest and farthest
     checked = degenerate = 0
     for p in (2, 3, 5, 7):
         levels = [e for e in range(1, 60) if e % p]
@@ -135,11 +150,10 @@ def test_transition_valuations_match_the_pairwise_formula():
                     if m > i * e:
                         continue
                     fs, sms_f = levels[k:], summands[k:]
-                    vals = transition_valuations(p, e, sm_e, fs, sms_f)
+                    vals = term_valuations(p, e, sm_e, fs, sms_f)
                     pairs = [pairwise_valuation(p, e, f, sm_e, sm_f) for f, sm_f in zip(fs, sms_f)]
                     for j in (0, -1):
-                        one = transition_valuations(p, e, sm_e, [fs[j]], [sms_f[j]])
-                        assert one == (None if pairs[j] is None else [pairs[j]])
+                        assert tr_valuation(TruncationParams(p, e, i), fs[j], orbit) == pairs[j]
                     if vals is None:
                         assert set(pairs) == {None}
                         assert sm_e.module.h == 0
@@ -148,15 +162,6 @@ def test_transition_valuations_match_the_pairwise_formula():
                     assert vals == pairs
                     checked += len(vals)
     assert (checked, degenerate) == (1_096_788, 2_980)
-
-
-def test_transition_valuations_reject_sources_below_the_target():
-    summands = orbit_summands(3, 2, Orbit(1), [2, 4, 5])
-    with pytest.raises(ValueError, match="need f >= e"):
-        transition_valuations(3, 4, summands[1], [2, 5], [summands[0], summands[2]])
-    with pytest.raises(ValueError):
-        transition_valuations(3, 2, summands[0], [2, 4, 5], summands[:2])  # one summand short
-    assert transition_valuations(3, 2, summands[0], [], []) == []
 
 
 def test_image_exponents():
@@ -186,7 +191,7 @@ def test_valuations_and_images_never_fall_as_the_source_grows():
                 for k, (e, sm_e) in enumerate(zip(sources, summands)):
                     if e > 12 or e * weight < m:
                         continue
-                    vals = transition_valuations(p, e, sm_e, sources[k:], summands[k:])
+                    vals = term_valuations(p, e, sm_e, sources[k:], summands[k:])
                     if vals is None:
                         continue
                     images = image_exponents(sm_e.module.h, [sm.module.h for sm in summands[k:]], vals)
@@ -239,10 +244,9 @@ def test_ml_bound_rejects_bad_arguments():
 def test_build_tower_groups():
     tower = build_tower(3, 1, Orbit(1), [2, 4, 5, 7, 8])
     assert tuple(sm.module.h for sm in tower.summands) == (1, 2, 2, 2, 2)
-    adjacent = list(zip(tower.levels, tower.levels[1:], tower.summands, tower.summands[1:]))
+    adjacent = list(zip(tower.levels, tower.levels[1:]))
     assert len(adjacent) == 4
-    assert all(transition_valuations(3, e, sm_e, [f], [sm_f]) == [0] for e, f, sm_e, sm_f in adjacent)
-    assert all(tr_valuation(TruncationParams(3, e, 1), f, Orbit(1)) == 0 for e, f, _, _ in adjacent)
+    assert all(tr_valuation(TruncationParams(3, e, 1), f, Orbit(1)) == 0 for e, f in adjacent)
 
 
 def test_build_tower_rejects_bad_input():
@@ -362,9 +366,9 @@ def test_image_change_at_the_bound_raises_and_before_it_moves_ml_index(monkeypat
     assert (rec.level, rec.ml_bound, rec.certified, rec.stabilized) == (2, 10, True, 0)
     assert rec.ml_index == 10
     # witness: level 2's images under the drift, over every level from 2,
-    # read through `transition_valuations`, which shares the drifted seam
+    # read through `tr_valuation`, which shares the drifted seam
     sources, summands = list(tower.levels), tower.summands
-    vals = prosystem_module.transition_valuations(3, 2, summands[0], sources, summands)
+    vals = [tr_valuation(TruncationParams(3, 2, 1), f, Orbit(1)) for f in sources]
     images = image_exponents(summands[0].module.h, [sm.module.h for sm in summands], vals)
     assert [f for f, img in zip(sources, images) if img] == sorted(drift)
     assert (rec.stabilized, rec.ml_index, rec.certified) == read_off(sources, images, 10, 28)
@@ -395,7 +399,7 @@ def test_ill_defined_map_in_the_sweep_raises_the_image_rule_error(monkeypatch):
     with pytest.raises(ValueError, match="not well defined") as raised:
         stabilized_images(tower, 28)
     assert raised_terms == [7]
-    (v,) = prosystem_module.transition_valuations(3, 4, sm[4], [7], [sm[7]])
+    v = tr_valuation(TruncationParams(3, 4, 1), 7, Orbit(1))
     assert (h[4], h[7]) == (2, 2) and v + h[7] < h[4]
     with pytest.raises(ValueError) as direct:
         image_exponents(h[4], [h[7]], [v])
@@ -522,6 +526,22 @@ def test_tr_groups_degenerate_weight():
     result = tr_groups(3, -1, AlphaBounds(), 10)
     assert result.even == ()
     assert result.odd.zero
+
+
+def test_public_entries_make_p_a_prime_before_reading_it():
+    # p is made a `Prime` before it is read: unchecked, 4 would give a "zp"
+    # limit, 0 would divide by zero and 1 would ask for a larger probe
+    for p in (0, 1, 4):
+        calls = (
+            lambda: orbit_limit(p, 1, Orbit(1)),
+            lambda: tr_groups(p, 1, AlphaBounds(), 8),
+            lambda: list(transition_rows(p, 1, AlphaBounds(), [2, 4, 5])),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match=f"^{p} is not prime$"):
+                call()
+    # with p prime, a target without a later level has no row
+    assert list(transition_rows(3, 1, AlphaBounds(), [2])) == []
 
 
 def test_tr_groups_refuses_a_probe_without_levels():
