@@ -18,7 +18,7 @@ from .drw import Orbit, TruncationParams
 from .oracle import OracleError, verify_orbit
 from .padic import Prime
 from .prosystem import MLViolationError, ml_rows, nontrivial_towers, tr_groups, transition_rows
-from .report import Report, emit_report, format_alpha
+from .report import FORMATS, Report, emit_report, format_alpha
 from .syntomic import AlphaBounds, enumerate_orbits
 
 EXIT_OK = 0
@@ -100,7 +100,7 @@ class JobSpec:
         if self.command in ("transition", "ml-check") and self.levels()[0] % self.p == 0:
             # target level of a tower command must live in the index category
             raise ValidationError(f"level {self.levels()[0]} not coprime to p={self.p}")
-        if self.format not in ("text", "json", "csv"):
+        if self.format not in FORMATS:
             raise ValidationError(f"unknown format {self.format}")
 
 
@@ -133,9 +133,7 @@ def _weight_level_summands(spec: JobSpec):
 
 def _run_syntomic(spec: JobSpec, report: Report) -> int:
     for params, summands in _weight_level_summands(spec):
-        total = 0
         for sm in summands:
-            total += sm.module.h
             report.add_orbit(
                 i=params.i,
                 e=params.e,
@@ -149,7 +147,7 @@ def _run_syntomic(spec: JobSpec, report: Report) -> int:
             {
                 "i": params.i,
                 "e": params.e,
-                "total_exponent": total,
+                "total_exponent": sum(sm.module.h for sm in summands),
                 "reduced_h0": "0",
                 "higher_degrees": "0 for every degree >= 2",
             }
@@ -229,7 +227,7 @@ def _run_tr(spec: JobSpec, report: Report) -> int:
     probe = spec.levels()[-1]
     result = tr_groups(spec.p, spec.i, spec.bounds, probe)
     for orbit, verdict in result.even:
-        report.add_orbit(**_orbit_columns(orbit, spec.p), kind=verdict.kind, h="" if verdict.h is None else verdict.h)
+        report.add_orbit(**_orbit_columns(orbit, spec.p), kind=verdict.kind, h=verdict.h)
     report.certificates.append(
         {
             "even_degree": result.degree,
@@ -245,29 +243,22 @@ def _run_tr(spec: JobSpec, report: Report) -> int:
 
 
 def _run_verify(spec: JobSpec, report: Report) -> int:
-    records = []
     for params, summands in _weight_level_summands(spec):
         for sm in summands:
             cert = verify_orbit(params, sm, spec.A, spec.N)
-            records.append(
-                {
-                    "i": params.i,
-                    "e": params.e,
-                    **_orbit_columns(sm.orbit, spec.p),
-                    "s": cert.s,
-                    "h": cert.h_closed,
-                    "oracle_h": (cert.oracle_exponents[1][0] if cert.oracle_exponents[1] else 0),
-                    "oracle_h2": list(cert.oracle_exponents[2]),
-                    "kernel_ok": cert.kernel_ok,
-                    "pass": cert.passed,
-                }
+            report.add_orbit(
+                i=params.i,
+                e=params.e,
+                **_orbit_columns(sm.orbit, spec.p),
+                s=cert.s,
+                h=cert.h_closed,
+                oracle_h=(cert.oracle_exponents[1][0] if cert.oracle_exponents[1] else 0),
+                oracle_h2=list(cert.oracle_exponents[2]),
+                kernel_ok=cert.kernel_ok,
+                **{"pass": cert.passed},
             )
-    all_pass = all(rec["pass"] for rec in records)
-    for rec in records:
-        report.add_orbit(**rec)
-    report.certificates.append(
-        {"verified_orbits": len(records), "all_pass": all_pass}
-    )
+    all_pass = all(rec["pass"] for rec in report.orbits)
+    report.certificates.append({"verified_orbits": len(report.orbits), "all_pass": all_pass})
     return EXIT_OK if all_pass else EXIT_MISMATCH
 
 
@@ -296,6 +287,9 @@ def run_command(spec: JobSpec) -> tuple[Report, int]:
     except OracleError as exc:
         report.certificates.append({"error": str(exc)})
         return report, EXIT_MISMATCH
+    if spec.command in ("syntomic", "kgroups", "verify"):
+        # their rows are the summands of one group, so h adds up to its order
+        report.total_exponent = sum(rec["h"] for rec in report.orbits)
     return report, code
 
 
@@ -331,7 +325,7 @@ def _build_parser() -> _Parser:
             "--alpha-pexp-max", type=int, default=None, help="multi-index denominator exponent bound"
         )
         _add_partial_flags(cmd, name, *truncation)
-        cmd.add_argument("--format", choices=("text", "json", "csv"), default="text")
+        cmd.add_argument("--format", choices=FORMATS, default="text")
         cmd.add_argument("--out", default=None, help="output path (default stdout)")
     return parser
 

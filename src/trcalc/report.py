@@ -1,9 +1,13 @@
 """Report assembly and serialization.
 
-One Report structure feeds all three output formats.  JSON output has a
-stable key order and round-trips byte-identically; csv is one row per
-orbit; text is an aligned table.  Nothing time-dependent goes into the
-body, so identical inputs give identical bytes.
+A runner fills one Report, and every format shows what it put there.  The
+orbit records are the table: the first record's keys name its columns, and
+text (an aligned table) and csv (the same table, comma-separated) read
+their columns and cells through one helper, `_table`.  JSON carries the
+records as they are, with a stable key order, and round-trips
+byte-identically.  The total line is printed only when the runner set one.
+Nothing time-dependent goes into the body, so identical inputs give
+identical bytes.
 """
 
 from __future__ import annotations
@@ -24,28 +28,30 @@ def format_alpha(alpha: MultiIndex, p: int) -> dict[str, str]:
 
 @dataclass
 class Report:
-    """Orbit records plus totals and certificates, in deterministic order.
+    """Orbit records, an optional total, certificates and a footer, in
+    deterministic order.
 
-    Orbit records are dicts with a fixed key set; the serializers rely on
-    insertion order, so records must be built through add_orbit.
+    Every record of one report has the same keys in the same order: they
+    are the table's columns in each format.  `total_exponent` is the sum
+    of h over rows that are the summands of one group, so the driver sets
+    it only for the commands whose rows are (`syntomic`, `kgroups`,
+    `verify`) and only when the job ran to its end; left None, JSON has no
+    such key and text no total line.
     """
 
     command: str
     parameters: dict
     identifications: dict = field(default_factory=dict)
     orbits: list[dict] = field(default_factory=list)
+    total_exponent: int | None = None
     certificates: list[dict] = field(default_factory=list)
     footer: list[str] = field(default_factory=list)
 
     def add_orbit(self, **kwargs) -> None:
         self.orbits.append(dict(kwargs))
 
-    @property
-    def total_exponent(self) -> int:
-        return sum(h for rec in self.orbits if isinstance(h := rec.get("h", 0), int))
-
     def to_payload(self) -> dict:
-        return {
+        payload = {
             "metadata": {
                 "tool": "trcalc",
                 "version": __version__,
@@ -54,12 +60,17 @@ class Report:
                 "identifications": self.identifications,
             },
             "orbits": self.orbits,
-            "total_exponent": self.total_exponent,
-            "certificates": self.certificates,
         }
+        if self.total_exponent is not None:
+            payload["total_exponent"] = self.total_exponent
+        payload["certificates"] = self.certificates
+        return payload
 
 
-CSV_COLUMNS = ("m", "alpha", "s", "h", "oracle_h", "pass")
+def _table(report: Report) -> tuple[list[str], list[list[str]]]:
+    """The orbit table: the first record's keys, and each record's cells."""
+    keys = list(report.orbits[0]) if report.orbits else []
+    return keys, [[_cell(rec.get(k)) for k in keys] for rec in report.orbits]
 
 
 def _emit_json(report: Report) -> bytes:
@@ -68,33 +79,27 @@ def _emit_json(report: Report) -> bytes:
 
 
 def _emit_csv(report: Report) -> bytes:
+    keys, rows = _table(report)
+    if not keys:
+        return b""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for rec in report.orbits:
-        alpha = rec.get("alpha")
-        row = [_cell(rec.get("m", "")), json.dumps(alpha, ensure_ascii=False) if alpha else "{}"]
-        for key in CSV_COLUMNS[2:]:
-            row.append("" if key not in rec else _cell(rec[key]))
-        writer.writerow(row)
+    csv.writer(buf, lineterminator="\n").writerows([keys, *rows])
     return buf.getvalue().encode("utf-8")
 
 
 def _emit_text(report: Report) -> bytes:
-    lines = [f"trcalc {__version__} :: {report.command}"]
     params = " ".join(f"{k}={v}" for k, v in report.parameters.items())
-    lines.append(params)
-    lines.append("")
-    if report.orbits:
-        keys = list(report.orbits[0].keys())
-        rows = [[_cell(rec.get(k)) for k in keys] for rec in report.orbits]
+    lines = [f"trcalc {__version__} :: {report.command}", params, ""]
+    keys, rows = _table(report)
+    if keys:
         widths = [max(len(k), *(len(r[j]) for r in rows)) for j, k in enumerate(keys)]
         lines.append("  ".join(k.ljust(w) for k, w in zip(keys, widths)))
         lines.append("  ".join("-" * w for w in widths))
         for r in rows:
             lines.append("  ".join(c.ljust(w) for c, w in zip(r, widths)))
         lines.append("")
-    lines.append(f"total exponent: {report.total_exponent}")
+    if report.total_exponent is not None:
+        lines.append(f"total exponent: {report.total_exponent}")
     for cert in report.certificates:
         lines.append(" ".join(f"{k}={_cell(v)}" for k, v in cert.items()))
     lines.extend(report.footer)
@@ -107,18 +112,17 @@ def _cell(value) -> str:
     if isinstance(value, bool):
         return "yes" if value else "no"
     if isinstance(value, dict):
-        return json.dumps(value, ensure_ascii=False) if value else "{}"
+        return json.dumps(value, ensure_ascii=False)
     if isinstance(value, (list, tuple)):
         return "(" + ",".join(str(v) for v in value) + ")"
     return str(value)
 
 
-def emit_report(report: Report, fmt: str) -> bytes:
-    if fmt == "json":
-        return _emit_json(report)
-    if fmt == "csv":
-        return _emit_csv(report)
-    if fmt == "text":
-        return _emit_text(report)
-    raise ValueError(f"unknown format: {fmt}")
+# every format name and its emitter; the driver's --format reads this table
+FORMATS = {"text": _emit_text, "json": _emit_json, "csv": _emit_csv}
 
+
+def emit_report(report: Report, fmt: str) -> bytes:
+    if fmt not in FORMATS:
+        raise ValueError(f"unknown format: {fmt}")
+    return FORMATS[fmt](report)

@@ -2,10 +2,13 @@
 serialization formats."""
 
 import ast
+import csv
 import dataclasses
 import hashlib
+import io
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -35,7 +38,7 @@ from trcalc.prosystem import (
     target_term,
     tr_valuation,
 )
-from trcalc.report import emit_report, format_alpha
+from trcalc.report import FORMATS, emit_report, format_alpha
 from trcalc.syntomic import AlphaBounds, Orbit, enumerate_alphas, enumerate_orbits, level_summand, orbit_summands
 
 
@@ -87,7 +90,7 @@ def test_verify_command(capsys):
     )
     assert code == EXIT_OK
     lines = out.strip().splitlines()
-    assert lines[0] == "m,alpha,s,h,oracle_h,pass"
+    assert lines[0] == "i,e,m,alpha,s,h,oracle_h,oracle_h2,kernel_ok,pass"
     assert len(lines) == 3  # orbits m=1 and m=5
     assert all(line.endswith("yes") for line in lines[1:])
 
@@ -169,7 +172,7 @@ def test_run_command_api():
     assert code == EXIT_OK
     assert report.total_exponent == 1
     data = emit_report(report, "csv")
-    assert data.decode().splitlines()[0] == "m,alpha,s,h,oracle_h,pass"
+    assert data.decode().splitlines()[0] == "i,e,m,alpha,s,h,module,generator"
 
 
 def test_run_command_rejects_bad_spec():
@@ -355,21 +358,21 @@ def test_python_dash_m_runs_the_driver():
 # cover a tower from level 1, a tower that starts above level 2, and
 # multi-index windows.
 TOWER_JOBS = {
-    ("ml-check --p 3 --i 1 --e 1 --e-max 5", "text"): (0, "fed2ff95ca22d5f9"),
-    ("ml-check --p 3 --i 1 --e 1 --e-max 5", "json"): (0, "a80d728c54255440"),
-    ("ml-check --p 3 --i 1 --e 1 --e-max 5", "csv"): (0, "4fa28a6d14923b10"),
-    ("ml-check --p 3 --i 1 --e 7 --e-max 11", "text"): (0, "41548729c8c3d12e"),
-    ("ml-check --p 3 --i 1 --e 7 --e-max 11", "json"): (0, "53de7b44560608fa"),
-    ("ml-check --p 3 --i 1 --e 7 --e-max 11", "csv"): (0, "f643422aac2d05a6"),
-    ("ml-check --p 2 --i 2 --e 3 --e-max 11 --slots t --alpha-num-max 2 --alpha-pexp-max 1", "text"): (0, "49333291ee8d46a6"),
-    ("ml-check --p 2 --i 2 --e 3 --e-max 11 --slots t --alpha-num-max 2 --alpha-pexp-max 1", "json"): (0, "3b0e9a3958a47f14"),
-    ("ml-check --p 2 --i 2 --e 3 --e-max 11 --slots t --alpha-num-max 2 --alpha-pexp-max 1", "csv"): (0, "de6bce4328fc9526"),
-    ("tr --p 2 --i 1 --e 2 --e-max 16 --slots t --alpha-num-max 2 --alpha-pexp-max 1", "text"): (0, "b496f3c4113d7d6d"),
-    ("tr --p 2 --i 1 --e 2 --e-max 16 --slots t --alpha-num-max 2 --alpha-pexp-max 1", "json"): (0, "82903fef3a0b5ff7"),
-    ("tr --p 2 --i 1 --e 2 --e-max 16 --slots t --alpha-num-max 2 --alpha-pexp-max 1", "csv"): (0, "4ffdf5423d598736"),
-    ("transition --p 2 --i 2 --e 3 --e-max 11 --slots t --alpha-num-max 2 --alpha-pexp-max 1", "text"): (0, "20c7bd699e61a5c1"),
-    ("transition --p 2 --i 2 --e 3 --e-max 11 --slots t --alpha-num-max 2 --alpha-pexp-max 1", "json"): (0, "b150f942273d4752"),
-    ("transition --p 2 --i 2 --e 3 --e-max 11 --slots t --alpha-num-max 2 --alpha-pexp-max 1", "csv"): (0, "abcb73b41780bc55"),
+    ("ml-check --p 3 --i 1 --e 1 --e-max 5", "text"): (0, "6a753d15093756a0"),
+    ("ml-check --p 3 --i 1 --e 1 --e-max 5", "json"): (0, "3889b489f3251652"),
+    ("ml-check --p 3 --i 1 --e 1 --e-max 5", "csv"): (0, "cc9c9c8f44c1a45e"),
+    ("ml-check --p 3 --i 1 --e 7 --e-max 11", "text"): (0, "fcde25f859c2e76c"),
+    ("ml-check --p 3 --i 1 --e 7 --e-max 11", "json"): (0, "0797a5cee64caf39"),
+    ("ml-check --p 3 --i 1 --e 7 --e-max 11", "csv"): (0, "4f21d24ed3f3bd52"),
+    ("ml-check --p 2 --i 2 --e 3 --e-max 11 --slots t --alpha-num-max 2 --alpha-pexp-max 1", "text"): (0, "29ebb84be2f6e1c4"),
+    ("ml-check --p 2 --i 2 --e 3 --e-max 11 --slots t --alpha-num-max 2 --alpha-pexp-max 1", "json"): (0, "7447b01fd3f528d0"),
+    ("ml-check --p 2 --i 2 --e 3 --e-max 11 --slots t --alpha-num-max 2 --alpha-pexp-max 1", "csv"): (0, "9a52da491fc1fedb"),
+    ("tr --p 2 --i 1 --e 2 --e-max 16 --slots t --alpha-num-max 2 --alpha-pexp-max 1", "text"): (0, "c9321f107e20f9d5"),
+    ("tr --p 2 --i 1 --e 2 --e-max 16 --slots t --alpha-num-max 2 --alpha-pexp-max 1", "json"): (0, "8e8f66cb9088ebad"),
+    ("tr --p 2 --i 1 --e 2 --e-max 16 --slots t --alpha-num-max 2 --alpha-pexp-max 1", "csv"): (0, "0abfe2ee50122218"),
+    ("transition --p 2 --i 2 --e 3 --e-max 11 --slots t --alpha-num-max 2 --alpha-pexp-max 1", "text"): (0, "15a2feab84d6ee87"),
+    ("transition --p 2 --i 2 --e 3 --e-max 11 --slots t --alpha-num-max 2 --alpha-pexp-max 1", "json"): (0, "1e4650f8bff13142"),
+    ("transition --p 2 --i 2 --e 3 --e-max 11 --slots t --alpha-num-max 2 --alpha-pexp-max 1", "csv"): (0, "158fa4e3ff1b916b"),
 }
 
 
@@ -378,6 +381,78 @@ def test_tower_job_bytes(job, fmt, capsysbinary):
     code = main(shlex.split(job) + ["--format", fmt])
     out = capsysbinary.readouterr().out
     assert (code, hashlib.sha256(out).hexdigest()[:16]) == TOWER_JOBS[(job, fmt)]
+
+
+README_JOBS = sorted({job for job, _ in GOLDEN})
+GROUP_COMMANDS = ("syntomic", "kgroups", "verify")  # rows are the summands of one group
+
+
+def _outputs(job: str, capsysbinary) -> dict[str, str]:
+    """The job's report in every format, by format name."""
+    out = {}
+    for fmt in FORMATS:
+        main(shlex.split(job) + ["--format", fmt])
+        out[fmt] = capsysbinary.readouterr().out.decode("utf-8")
+    return out
+
+
+def _text_table(text: str) -> tuple[list[str], list[list[str]]]:
+    """The columns and the rows of cells of a text report's table, each
+    cell cut out at its column of the dashed rule under the header."""
+    lines = text.splitlines()
+    spans = [match.span() for match in re.finditer(r"-+", lines[4])]
+
+    def cut(line):
+        return [line[a:b].rstrip() for a, b in spans]
+
+    return cut(lines[3]), [cut(line) for line in lines[5 : lines.index("", 5)]]
+
+
+@pytest.mark.parametrize("job", README_JOBS)
+def test_csv_has_the_json_keys_and_the_text_cells(job, capsysbinary):
+    # one column rule: the csv header is the JSON records' keys in order,
+    # and csv and text print the same cells in the same rows
+    out = _outputs(job, capsysbinary)
+    records = json.loads(out["json"])["orbits"]
+    reader = csv.DictReader(io.StringIO(out["csv"]))
+    rows = list(reader)
+    columns, cells = _text_table(out["text"])
+    assert records and all(list(rec) == list(records[0]) for rec in records)
+    assert reader.fieldnames == columns == list(records[0])
+    assert len(rows) == len(cells) == len(records)
+    assert [[row[k] for k in columns] for row in rows] == cells
+
+
+@pytest.mark.parametrize("job", README_JOBS + sorted({job for job, _ in TOWER_JOBS}))
+def test_only_one_group_commands_print_a_total(job, capsysbinary):
+    # a total exponent is the order of one group only when the rows are its
+    # summands; tower rows repeat a group per level or source, and a zp
+    # limit has no exponent
+    out = _outputs(job, capsysbinary)
+    payload = json.loads(out["json"])
+    if job.split()[0] in GROUP_COMMANDS:
+        total = sum(rec["h"] for rec in payload["orbits"])
+        assert list(payload) == ["metadata", "orbits", "total_exponent", "certificates"]
+        assert payload["total_exponent"] == total
+        assert f"\ntotal exponent: {total}\n" in out["text"]
+    else:
+        assert list(payload) == ["metadata", "orbits", "certificates"]
+        assert "total exponent" not in out["text"]
+
+
+def test_empty_report_prints_no_table(capsysbinary):
+    # weight 0 has no orbits: csv prints no bytes, and text no table
+    out = _outputs("syntomic --p 3 --i 0 --e 2", capsysbinary)
+    assert out["csv"] == ""
+    assert out["text"].splitlines()[2:4] == ["", "total exponent: 0"]
+
+
+def test_tr_zp_limit_has_no_exponent(capsysbinary):
+    # a zp limit is W(k) itself: h is null in JSON and "-" in text and csv
+    out = _outputs("tr --p 3 --i 0 --e 2 --e-max 5", capsysbinary)
+    assert [(rec["m"], rec["h"]) for rec in json.loads(out["json"])["orbits"]] == [(1, None), (2, None), (4, None)]
+    assert out["csv"] == "m,alpha,kind,h\n1,{},zp,-\n2,{},zp,-\n4,{},zp,-\n"
+    assert _text_table(out["text"])[1] == [[m, "{}", "zp", "-"] for m in "124"]
 
 
 @pytest.mark.parametrize(

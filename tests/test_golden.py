@@ -22,25 +22,25 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 GOLDEN = {
     ("syntomic --p 3 --i 1 --e 2", "text"): (0, "f96cd9f5792c2fc3"),
     ("syntomic --p 3 --i 1 --e 2", "json"): (0, "8cfc585a97d2e365"),
-    ("syntomic --p 3 --i 1 --e 2", "csv"): (0, "a3be032de0236b4c"),
+    ("syntomic --p 3 --i 1 --e 2", "csv"): (0, "ae755e5025ccd1fd"),
     ("kgroups --p 2 --i 2 --e 3", "text"): (0, "180f0955c69ec81d"),
     ("kgroups --p 2 --i 2 --e 3", "json"): (0, "f3283b14cc8724c0"),
-    ("kgroups --p 2 --i 2 --e 3", "csv"): (0, "c21e8ac5970f4d94"),
+    ("kgroups --p 2 --i 2 --e 3", "csv"): (0, "6e062e017d6b9938"),
     ("verify --p 2 --i 2 --e 3 --A 6 --N 24", "text"): (0, "250e490ea77881cd"),
     ("verify --p 2 --i 2 --e 3 --A 6 --N 24", "json"): (0, "e276fc1c05330bcc"),
-    ("verify --p 2 --i 2 --e 3 --A 6 --N 24", "csv"): (0, "44e42be2aac54717"),
+    ("verify --p 2 --i 2 --e 3 --A 6 --N 24", "csv"): (0, "c267c3e3e038b4f4"),
     ("verify --p 3 --i 3 --e 3 --slots t --alpha-num-max 2 --alpha-pexp-max 1", "text"): (0, "5276ec9d2eac0656"),
     ("verify --p 3 --i 3 --e 3 --slots t --alpha-num-max 2 --alpha-pexp-max 1", "json"): (0, "b0afb8fe26227548"),
-    ("verify --p 3 --i 3 --e 3 --slots t --alpha-num-max 2 --alpha-pexp-max 1", "csv"): (0, "e2b7e6d722bd6bf5"),
-    ("transition --p 3 --i 1 --e 2 --e-max 8", "text"): (0, "4393e6df9771f10b"),
-    ("transition --p 3 --i 1 --e 2 --e-max 8", "json"): (0, "3c5eba1b17c7c9cc"),
-    ("transition --p 3 --i 1 --e 2 --e-max 8", "csv"): (0, "ce88a45e478ef363"),
-    ("ml-check --p 3 --i 1 --e 2 --e-max 11", "text"): (0, "cc17ecd12025731d"),
-    ("ml-check --p 3 --i 1 --e 2 --e-max 11", "json"): (0, "ac26fe51626212ae"),
-    ("ml-check --p 3 --i 1 --e 2 --e-max 11", "csv"): (0, "a13831ea300f2276"),
-    ("tr --p 3 --i 0 --e 2 --e-max 30", "text"): (0, "aaba35576be0da31"),
-    ("tr --p 3 --i 0 --e 2 --e-max 30", "json"): (0, "6e188335105ededa"),
-    ("tr --p 3 --i 0 --e 2 --e-max 30", "csv"): (0, "9050b953ec58e5ce"),
+    ("verify --p 3 --i 3 --e 3 --slots t --alpha-num-max 2 --alpha-pexp-max 1", "csv"): (0, "24ce21cb9e669fc2"),
+    ("transition --p 3 --i 1 --e 2 --e-max 8", "text"): (0, "a925d1093408aec9"),
+    ("transition --p 3 --i 1 --e 2 --e-max 8", "json"): (0, "63409f2e1ca22e66"),
+    ("transition --p 3 --i 1 --e 2 --e-max 8", "csv"): (0, "de5734d559ed5def"),
+    ("ml-check --p 3 --i 1 --e 2 --e-max 11", "text"): (0, "3a858af6767de4e1"),
+    ("ml-check --p 3 --i 1 --e 2 --e-max 11", "json"): (0, "0ee499067304fdef"),
+    ("ml-check --p 3 --i 1 --e 2 --e-max 11", "csv"): (0, "93b0860b59b1a3fb"),
+    ("tr --p 3 --i 0 --e 2 --e-max 30", "text"): (0, "afd45778b9213ce3"),
+    ("tr --p 3 --i 0 --e 2 --e-max 30", "json"): (0, "06ba1a005aff8f7d"),
+    ("tr --p 3 --i 0 --e 2 --e-max 30", "csv"): (0, "df5e1259da42db06"),
 }
 
 

@@ -5,13 +5,14 @@ import json
 
 import pytest
 
+import trcalc.cli as cli_module
 import trcalc.oracle as oracle_module
 import trcalc.prosystem as prosystem_module
 from trcalc.cli import EXIT_MISMATCH, EXIT_OK, EXIT_VALIDATION, JobSpec, ValidationError, main, run_command
 from trcalc.drw import CyclicWittModule, TruncationParams, degree1_walks
-from trcalc.oracle import OrbitTable, OrbitTruncation, TransitionOracle, default_truncation, oracle_cohomology
+from trcalc.oracle import OracleError, OrbitTable, OrbitTruncation, TransitionOracle, default_truncation, oracle_cohomology
 from trcalc.padic import MultiIndex, PAdicFraction, brace
-from trcalc.report import Report, emit_report
+from trcalc.report import FORMATS, Report, emit_report
 from trcalc.syntomic import Orbit
 
 HALF = PAdicFraction.make(1, 1, 2)
@@ -91,6 +92,36 @@ def test_oracle_error_becomes_an_error_certificate_and_exits_2(monkeypatch):
     report, code = run_command(JobSpec(command="verify", p=2, i=2, e=3))
     assert code == EXIT_MISMATCH
     assert "cohomology changed under truncation growth" in report.certificates[-1]["error"]
+
+
+def test_oracle_error_after_the_first_orbit_keeps_its_rows_and_prints_no_total(monkeypatch):
+    # orbit m=1 verifies, orbit m=5 raises: the report keeps the verified
+    # row and the error, and has no total, as the job's group is unfinished
+    real = cli_module.verify_orbit
+
+    def fail_on_m5(params, sm, A, N):
+        if sm.orbit.m == 5:
+            raise OracleError("H^1 is not cyclic")
+        return real(params, sm, A, N)
+
+    monkeypatch.setattr(cli_module, "verify_orbit", fail_on_m5)
+    report, code = run_command(JobSpec(command="verify", p=2, i=2, e=3))
+    assert code == EXIT_MISMATCH
+    assert [(rec["m"], rec["pass"]) for rec in report.orbits] == [(1, True)]
+    assert report.certificates == [{"error": "H^1 is not cyclic"}]
+    assert report.total_exponent is None
+    payload = json.loads(emit_report(report, "json"))
+    assert list(payload) == ["metadata", "orbits", "certificates"]
+    assert "total exponent" not in emit_report(report, "text").decode()
+
+
+def test_unknown_format_flag_exits_1_naming_every_format(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["syntomic", "--p", "3", "--i", "1", "--e", "2", "--format", "xml"])
+    captured = capsys.readouterr()
+    assert (exit_info.value.code, captured.out) == (EXIT_VALIDATION, "")
+    choices = ", ".join(repr(name) for name in FORMATS)
+    assert f"argument --format: invalid choice: 'xml' (choose from {choices})" in captured.err
 
 
 @pytest.mark.parametrize(
