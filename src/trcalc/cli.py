@@ -287,8 +287,8 @@ def run_command(spec: JobSpec) -> tuple[Report, int]:
     except OracleError as exc:
         report.certificates.append({"error": str(exc)})
         return report, EXIT_MISMATCH
-    if spec.command in ("syntomic", "kgroups", "verify"):
-        # their rows are the summands of one group, so h adds up to its order
+    if spec.command in ("syntomic", "kgroups", "verify") and len(spec.weights()) == len(spec.levels()) == 1:
+        # the rows of one (i, e) group are its summands, so h adds up to its order
         report.total_exponent = sum(rec["h"] for rec in report.orbits)
     return report, code
 

@@ -13,8 +13,10 @@ per tower (`Tower.p` is a `padic.Prime`), and build no `TruncationParams`.
 `transition_rows` are the rows `ml-check` and `transition` print.  There
 is one pair rule: every valuation that `tr_valuation`, the sweep,
 `ml_rows` and `transition_rows` read is one target term minus one source
-term (`target_term`, `source_term`), and every image goes through one
-rule, `image_exponents`.
+term (`target_term`, `source_term`).  `image_exponents` is the reference
+image rule: `ml_rows` and `transition_rows` call it, every error of the
+sweep comes from it, and the sweep reads the same rule off per-block
+tables of source terms instead of building an image list per level.
 
 A tower's inverse limit is not read off a probe: `orbit_limit` decides it
 from the orbit and the weight alone, by three proven cases.
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate, compress, takewhile
 from typing import Iterator, NamedTuple, Sequence
 
 from .drw import TruncationParams
@@ -113,8 +116,9 @@ def image_exponents(h_e: int, hs_f: Sequence[int], vals: Sequence[int]) -> list[
     """Images of the valuation-v maps Z/p^h_f -> Z/p^h_e, one per source,
     with hs_f and vals paired by source: the subgroup p^min(v, h_e) Z/p^h_e,
     read as its exponent min(v, h_e).  Rejects a map that is not well
-    defined (v + h_f < h_e) with ValueError.  The one image rule: the
-    sweep, `ml_rows` and `transition_rows` call it."""
+    defined (v + h_f < h_e) with ValueError.  The reference image rule:
+    `ml_rows` and `transition_rows` call it, and the sweep reads it off
+    its block tables, calling it only to raise an error."""
     images = []
     for h_f, v in zip(hs_f, vals):
         if v + h_f < h_e:
@@ -148,17 +152,18 @@ def _ml_bounds(p: int, i: int, m: int, levels: Sequence[int]) -> list[int]:
     d_a = i - ceil(p^a m / e) is >= 0 exactly when p^a m <= i e, and
     ceil(p^a m / e) increases with a, so s = #{a >= 0 : p^a m <= i e}.
     That count never falls as e grows, so each level carries it on from
-    the level before instead of counting again from a = 0.
+    the level before instead of counting again from a = 0, and so does the
+    least f0 >= p^(2s) m prime to p; the bound is max(e, f0), since e is
+    itself prime to p.
     """
     out = []
     pm, top = m, m  # p^s m and p^(2s) m at the s counted so far
+    f0 = m + (m % p == 0)
     for e in levels:
         while pm <= i * e:
             pm, top = pm * p, top * p * p
-        f = max(e, top)
-        while f % p == 0:
-            f += 1
-        out.append(f)
+            f0 = top + 1  # p divides top once s >= 1
+        out.append(e if e > f0 else f0)  # max(e, f0), without the call
     return out
 
 
@@ -243,18 +248,40 @@ def stabilized_images(tower: Tower, probe: int) -> StabilizedTower:
 
     The tower's group exponents h are read once into a list, and each
     level's bound by `_ml_bounds` on plain ints, one pass over the levels.
-    A trivial level, h_e = 0 (which covers the degenerate case s_e = 0 or
-    e | m), has zero maps and all images trivial: it takes a short path
-    that builds nothing per source.  Every other level reads its
-    valuations as its `target_term` minus each source's `source_term`.
-    A source's term depends on the target only through s_e, and s_e never
-    falls along a tower, so the levels that share one s_e form a
-    contiguous block: the sweep computes the source terms once per block,
-    over the sources of its first nontrivial level, and each later level
-    of the block reads the suffix of that list from its own level on.  So
-    a pair costs one subtraction.  Each level's valuations then go through
-    one `image_exponents` call, which rejects a map that is not well
-    defined.
+    A trivial level, h_e = 0 (the degenerate case s_e = 0 or e | m, which
+    covers level 1), has zero maps, so every image is 0 = h_e and the
+    constant run starts at its first source: the level itself, or level 2
+    for level 1.  Its record is read off the level lists, with no work of
+    its own.
+
+    Every other level e reads each valuation as its target term
+    b = `target_term` minus the source's term T_f = `source_term`, and its
+    image as image_f = min(b - T_f, h_e), the reference rule
+    `image_exponents`.  T_f depends on the target only through s_e, and s_e
+    never falls along a tower, so the levels that share one s_e form a
+    contiguous block.  When a block opens, the sweep computes T_f once
+    over the sources of its first level, which run to the tower's last
+    level, and with them three tables over those sources: the suffix
+    minimum of h_f - T_f, the suffix maximum of T (kept negated, so that
+    it ascends), and the start of the trailing run of T_last, the term of
+    the last level.  Each level of the block reads them from its own first
+    source on.  The readings are exact for any T, monotone or not:
+    - every map into e is well defined iff the suffix minimum of h_f - T_f
+      is >= h_e - b, as a map is well defined iff b - T_f + h_f >= h_e;
+    - the stable image is the last one, sigma = min(b - T_last, h_e);
+    - if sigma = h_e, image_f = h_e iff b - T_f >= h_e, that is
+      T_f <= b - h_e, so the run starts at the first source from which
+      the suffix maximum of T is <= b - h_e; that maximum never rises, so
+      bisection finds it;
+    - if sigma < h_e, image_f = sigma iff b - T_f = sigma (an image of h_e
+      is not sigma, and any smaller one is b - T_f), that is T_f = T_last,
+      so the run is the trailing run of T_last.
+    So a block costs O(its sources) and a level O(log L), for L levels,
+    with no list per level; as s_e <= log_p(i e / m) + 1, a tower has
+    O(log L) blocks.  Only a level that fails the first test, or whose
+    run starts past its bound on a certified level, builds its images,
+    through `image_exponents`: that raises the ValueError of the first
+    ill-defined map, or gives the MLViolationError its witness.
     """
     p, i, m = tower.p, tower.weight, tower.orbit.m
     levels, summands = tower.levels, tower.summands
@@ -263,36 +290,33 @@ def stabilized_images(tower: Tower, probe: int) -> StabilizedTower:
     tower.orbit.validate(p)
     hs = [sm.module.h for sm in summands]
     bounds = _ml_bounds(p, i, m, levels)
-    out = []
-    s_block = 0  # the s_e whose source terms `terms` holds; no nontrivial level has s_e = 0
-    for k, (e, sm_e, h, bound) in enumerate(zip(levels, summands, hs, bounds)):
-        first = k + 1 if e == 1 else k  # sources start at level 2
-        sources = levels[first:]
-        n = len(sources)
-        certified = n > 0 and sources[-1] >= bound
-        if h == 0:
-            # zero maps: every image is trivial, so the trailing run is all n of them
-            ml_index = sources[0] if n else e
-            out.append(LevelStabilization(e, 0, bound, 0, ml_index, certified))
-            continue
+    # the trivial levels' records: image 0, run from the level itself
+    stable, starts = [0] * len(levels), list(levels)
+    certified = [levels[-1] >= bound for bound in bounds]
+    if levels[0] == 1:  # sources start at level 2
+        starts[0] = levels[1] if len(levels) > 1 else 1
+        certified[0] = certified[0] and len(levels) > 1
+    s_block = 0  # the s_e whose tables are held; no nontrivial level has s_e = 0
+    for k in compress(range(len(levels)), hs):  # the nontrivial levels, each its own first source
+        e, sm_e, h, bound = levels[k], summands[k], hs[k], bounds[k]
         if sm_e.s != s_block:
-            s_block, block_first = sm_e.s, first
+            s_block, first = sm_e.s, k
             m1 = _pinned_weight(p, e, sm_e)  # not None, as h > 0
-            terms = [source_term(p, s_block, m1, f, sm_f) for f, sm_f in zip(sources, summands[first:])]
-        base = target_term(p, e, m1)
-        images = image_exponents(h, hs[first:], [base - t for t in terms[first - block_first :]])
-        stabilized = images[-1] if n else h
-        run = n - 1
-        while run > 0 and images[run - 1] == stabilized:
-            run -= 1
-        # images[run:] is the trailing constant run, and sources[run - 1]
-        # the last source whose image differs from the eventual one
-        ml_index = sources[run] if n else e
-        if certified and run > 0 and sources[run - 1] >= bound:
-            witness = next(f for f, img in zip(sources, images) if f >= bound and img != stabilized)
+            terms = [source_term(p, s_block, m1, f, sm_f) for f, sm_f in zip(levels[k:], summands[k:])]
+            slack = list(accumulate(reversed([h_f - t for h_f, t in zip(hs[k:], terms)]), min))[::-1]
+            neg_top = list(accumulate(reversed([-t for t in terms]), min))[::-1]
+            t_last = terms[-1]
+            last_run = len(terms) - len(list(takewhile(t_last.__eq__, reversed(terms))))
+        base, j = target_term(p, e, m1), k - first  # j: e's first source in the block's tables
+        stable[k] = sigma = min(base - t_last, h)
+        run = bisect_left(neg_top, h - base, j) if sigma == h else max(last_run, j)
+        if slack[j] < h - base or certified[k] and run > j and levels[first + run - 1] >= bound:
+            images = image_exponents(h, hs[k:], [base - t for t in terms[j:]])
+            witness = next(f for f, img in zip(levels[k:], images) if f >= bound and img != sigma)
             raise MLViolationError(f"images changed past the bound at level e={e}: witness f={witness}")
-        out.append(LevelStabilization(e, h, bound, stabilized, ml_index, certified))
-    return StabilizedTower(tower, tuple(out))
+        starts[k] = levels[first + run]
+    records = map(LevelStabilization._make, zip(levels, hs, bounds, stable, starts, certified))
+    return StabilizedTower(tower, tuple(records))
 
 
 def ml_rows(tower: Tower, probe: int) -> tuple[LevelStabilization, ...]:

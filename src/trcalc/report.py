@@ -35,8 +35,9 @@ class Report:
     are the table's columns in each format.  `total_exponent` is the sum
     of h over rows that are the summands of one group, so the driver sets
     it only for the commands whose rows are (`syntomic`, `kgroups`,
-    `verify`) and only when the job ran to its end; left None, JSON has no
-    such key and text no total line.
+    `verify`), only on a job of one weight and one level, and only when
+    the job ran to its end; left None, JSON has no such key and text no
+    total line.
     """
 
     command: str

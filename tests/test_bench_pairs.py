@@ -5,6 +5,7 @@ read without running the benchmark."""
 import importlib.util
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -79,6 +80,31 @@ def test_a_run_that_is_not_correct_or_printed_no_report_fails_the_summary():
     assert not correct and lines[-1] == "NOT correct: change run 0, change run 1"
     # the pair without a report is left out of the metric
     assert "change better in 1/1 pairs" in lines[4]
+
+
+def test_peak_rss_prints_each_run_s_timed_pass_count(monkeypatch):
+    # a run's timed passes are read off its items_per_s line and printed
+    # beside peak_rss_mb, whose value grows with them; a run whose output
+    # has no such line reads "?"
+    stdout = (
+        "items_per_s    12254 items/s (1653 items at their paced median of 157 passes; wall clock 11000)\n"
+        "item_p50_ms    0.08 ms (1653 items, paced median of 157 passes; wall clock 0.09)\n"
+    ) + _line(12254, 0.08)
+    assert bench_pairs.timed_passes(stdout) == 157
+    monkeypatch.setattr(bench_pairs.subprocess, "run", lambda *args, **kwargs: SimpleNamespace(stdout=stdout))
+    report = bench_pairs.run_once(Path("tree"), "tower-probe", 1.0, 1)
+    assert report["passes"] == 157 and report["correct"] and report["metrics"]["items_per_s"]["value"] == 12254
+    assert bench_pairs.timed_passes("item_p50_ms 0.08 ms (1653 items, paced median of 9 passes)\n") is None
+    rss = [{"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.1}]
+
+    def run(mb, passes):
+        metrics = {"peak_rss_mb": {"value": mb, "unit": "MB"}}
+        return {"correct": True, "metrics": metrics, "passes": passes}
+
+    lines, _ = bench_pairs.summarize([run(37.5, 140), run(37.6, 141)], [run(39.0, 152), run(39.1, None)], rss)
+    assert lines[5] == "  timed passes: parent 140 141; change 152 ?"
+    lines, _ = bench_pairs.summarize(_runs([100, 101]), _runs([110, 111]), END_TO_END)
+    assert not any("timed passes" in line for line in lines)
 
 
 def test_pairs_alternate_which_tree_runs_first():

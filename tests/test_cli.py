@@ -337,7 +337,8 @@ def test_every_flag_job_keeps_its_parameters_and_bytes(capsysbinary):
     out = capsysbinary.readouterr().out
     parameters = json.loads(out)["metadata"]["parameters"]
     assert list(parameters) == ["p", "i", "i_max", "e", "e_max", "slots", "alpha_num_max", "alpha_pexp_max", "A", "N"]
-    assert hashlib.sha256(out).hexdigest() == "31755c038f48d254fe01aab178c14a6198026080d25e0eea2d2790b112907ad7"
+    # a range job: no total_exponent key, as its rows span several (i, e) groups
+    assert hashlib.sha256(out).hexdigest() == "56111b29bd35e60eb28ac4d73721794b3b009b7cca2fc548771edc73be47d354"
 
 
 
@@ -423,14 +424,28 @@ def test_csv_has_the_json_keys_and_the_text_cells(job, capsysbinary):
     assert [[row[k] for k in columns] for row in rows] == cells
 
 
-@pytest.mark.parametrize("job", README_JOBS + sorted({job for job, _ in TOWER_JOBS}))
+# `syntomic`, `kgroups` and `verify` jobs over a range of weights or levels
+RANGE_JOBS = [
+    "syntomic --p 3 --i 1 --i-max 2 --e 2",
+    "kgroups --p 3 --i 1 --e 2 --e-max 4",
+    "verify --p 2 --i 1 --e 3 --e-max 5",
+]
+ONE_GROUP_RANGE = "syntomic --p 3 --i 1 --i-max 1 --e 2 --e-max 2"
+
+
+@pytest.mark.parametrize("job", README_JOBS + sorted({job for job, _ in TOWER_JOBS}) + RANGE_JOBS + [ONE_GROUP_RANGE])
 def test_only_one_group_commands_print_a_total(job, capsysbinary):
-    # a total exponent is the order of one group only when the rows are its
-    # summands; tower rows repeat a group per level or source, and a zp
-    # limit has no exponent
+    # a total exponent is the order of one group only when the rows are the
+    # summands of one (i, e) group; a range job's rows span several groups,
+    # tower rows repeat a group per level or source, and a zp limit has no
+    # exponent
     out = _outputs(job, capsysbinary)
     payload = json.loads(out["json"])
-    if job.split()[0] in GROUP_COMMANDS:
+    params = payload["metadata"]["parameters"]
+    one_group = params.get("i_max", params["i"]) == params["i"] and params.get("e_max", params["e"]) == params["e"]
+    if job in RANGE_JOBS:
+        assert not one_group and len({(rec["i"], rec["e"]) for rec in payload["orbits"]}) > 1
+    if job.split()[0] in GROUP_COMMANDS and one_group:
         total = sum(rec["h"] for rec in payload["orbits"])
         assert list(payload) == ["metadata", "orbits", "total_exponent", "certificates"]
         assert payload["total_exponent"] == total

@@ -543,6 +543,42 @@ def test_verify_orbit_passes():
     assert len(cert.matrices_hash) == 64
 
 
+@pytest.mark.parametrize("degree", [0, 2])
+def test_verify_orbit_fails_a_fiber_with_cohomology_outside_degree_1(monkeypatch, degree):
+    # the real fiber of a passing claim, reporting Z/p in degree 0 or 2:
+    # the kernel generator still certifies, but the claim says those
+    # degrees vanish, so the orbit fails, and the verify row prints H^2
+    real = oracle_module._stable_fiber
+
+    def extra_class(params, trunc, build_u):
+        fc, exps = real(params, trunc, build_u)
+        return fc, {**exps, degree: (1,)}
+
+    monkeypatch.setattr(oracle_module, "_stable_fiber", extra_class)
+    params = TruncationParams(2, 3, 2)
+    cert = verify_orbit(params, h1_syntomic_orbit(params, Orbit(1)))
+    assert cert.kernel_ok and not cert.passed
+    assert cert.oracle_exponents[degree] == (1,) and cert.oracle_exponents[1] == (3,)
+    report, _ = run_command(JobSpec(command="verify", p=2, i=2, e=3))
+    assert report.orbits and not any(rec["pass"] for rec in report.orbits)
+    assert all(rec["oracle_h2"] == ([1] if degree == 2 else []) for rec in report.orbits)
+    assert report.certificates[-1]["all_pass"] is False
+
+
+def test_kernel_generator_certificate_fails_a_generator_whose_class_is_not_a_unit(monkeypatch):
+    # the fiber's own generator column carries the claim's valuations, so
+    # the first step takes it and no search runs; under a class functional
+    # that reads every class as 0 that cocycle does not generate H^1, and
+    # the claim fails
+    params = TruncationParams(2, 3, 2)
+    claim = h1_syntomic_orbit(params, Orbit(1))
+    fc = fiber_cohomology(params, default_truncation(params, Orbit(1)))
+    zero = ClassFunctional([0] * len(fc.generator), fc.functional.modulus, fc.functional.d)
+    monkeypatch.setattr(oracle_module, "kernel_mod", lambda *args: pytest.fail("the search ran"))
+    assert certify_kernel_generator(fc, claim)
+    assert certify_kernel_generator(dataclasses.replace(fc, functional=zero), claim) is False
+
+
 def test_verify_orbit_builds_base_and_grown_truncation_once(monkeypatch):
     # one build at (A, N) and one at (A+1, N+2), both reading one orbit
     # table made at the grown level; the base matrices equal a build with

@@ -406,6 +406,42 @@ def test_ill_defined_map_in_the_sweep_raises_the_image_rule_error(monkeypatch):
     assert str(raised.value) == str(direct.value)
 
 
+@pytest.mark.parametrize("deficit", [0, 1])
+def test_sweep_rejects_a_map_exactly_when_it_is_not_well_defined(monkeypatch, deficit):
+    # p=3, weight 2, orbit m=1: levels 2 and 4 form the block s_e = 2, and
+    # the maps from source 5 into them have v + h_5 - h_e = 2 and 1.
+    # Raising the block's term of source 5 by 1 + deficit lowers both
+    # valuations: at deficit 0 the map (4, 5) has v + h_5 = h_4 and is still
+    # well defined, and the sweep reads both levels off the images; at
+    # deficit 1 it is not, and the sweep raises the error `image_exponents`
+    # raises
+    levels = [e for e in range(2, 29) if e % 3]
+    tower = build_tower(3, 2, Orbit(1), levels)
+    h = dict(zip(levels, (sm.module.h for sm in tower.summands)))
+    assert [sm.s for sm in tower.summands[:3]] == [2, 2, 3]
+    real = prosystem_module.source_term
+
+    def raising(p, s_e, m1, f, sm_f):
+        return real(p, s_e, m1, f, sm_f) + (1 + deficit) * ((s_e, f) == (2, 5))
+
+    monkeypatch.setattr(prosystem_module, "source_term", raising)
+    # the drifted valuations, read through `tr_valuation`, which shares the seam
+    vals = [[tr_valuation(TruncationParams(3, e, 2), f, Orbit(1)) for f in levels[k:]] for k, e in ((0, 2), (1, 4))]
+    assert (vals[0][2] + h[5] - h[2], vals[1][1] + h[5] - h[4]) == (1 - deficit, -deficit)
+    if deficit:
+        with pytest.raises(ValueError) as direct:
+            image_exponents(h[4], [h[f] for f in levels[1:]], vals[1])
+        with pytest.raises(ValueError, match="not well defined") as raised:
+            stabilized_images(tower, 28)
+        assert str(raised.value) == str(direct.value)
+        return
+    stab = stabilized_images(tower, 28)
+    for k, e in enumerate(levels[:2]):
+        images = image_exponents(h[e], [h[f] for f in levels[k:]], vals[k])
+        rec = stab.per_level[k]
+        assert (rec.stabilized, rec.ml_index, rec.certified) == read_off(levels[k:], images, rec.ml_bound, 28)
+
+
 def test_certified_level_reads_its_stable_image_from_a_trailing_run_under_three(monkeypatch):
     # p=3, weight 1, orbit m=1 probed to 11: level 2 has bound 10, so an
     # image change at f=8 leaves a constant run of two (10, 11) past it;
@@ -681,6 +717,52 @@ def test_stabilized_images_match_the_pairwise_witness_on_every_probe_tower():
                     assert rec.image_order_exponent == rec.h - images[-1]
                 towers += 1
     assert towers == 1653 + 1521
+
+
+def test_stabilized_images_match_the_pairwise_witness_on_long_blocks():
+    # towers to probe 60 on p = 2, 3, 5, 7, weights 1 and 2, m <= 20, the
+    # empty and the one-slot alpha: blocks of nontrivial levels sharing s_e
+    # run to 50 levels, so the sweep's per-block tables are read at many
+    # offsets; both readings of the run start occur, a stable image of h_e
+    # on a nontrivial level and one below it
+    longest = full = below = 0
+    for p in (2, 3, 5, 7):
+        levels = [e for e in range(2, 61) if e % p]
+        for i, alpha in itertools.product((1, 2), bench_alpha_window(p)):
+            for m in (m for m in range(1, 21) if m % p):
+                tower = build_tower(p, i, Orbit(m, alpha), levels)
+                stab = stabilized_images(tower, 60)
+                for k, rec in enumerate(stab.per_level):
+                    sources = tower.levels[k:]
+                    images = pairwise_images(p, rec.level, tower.summands[k], sources, tower.summands[k:])
+                    bound = ml_bound(TruncationParams(p, rec.level, i), m)
+                    assert (rec.stabilized, rec.ml_index, rec.certified) == read_off(sources, images, bound, 60)
+                    full += 0 < rec.h == rec.stabilized
+                    below += rec.stabilized < rec.h
+                s_values = [sm.s for sm in tower.summands if sm.module.h]
+                longest = max([longest] + [s_values.count(s) for s in s_values])
+    assert longest >= 50 and full and below
+
+
+def test_sweep_builds_no_image_list_on_the_happy_path(monkeypatch):
+    # a probe-200 tower with over a hundred nontrivial levels: the sweep
+    # reads every level off its block tables, so the reference image rule
+    # receives at most one (h_f, v) pair per level, not one per source of
+    # every nontrivial level
+    pairs = []
+    real = prosystem_module.image_exponents
+
+    def counting(h_e, hs_f, vals):
+        pairs.extend(zip(hs_f, vals))
+        return real(h_e, hs_f, vals)
+
+    levels = [e for e in range(2, 201) if e % 3]
+    tower = build_tower(3, 2, Orbit(1, MultiIndex.from_dict({"t": PAdicFraction(1, 1)})), levels)
+    assert sum(sm.module.h > 0 for sm in tower.summands) > 100
+    monkeypatch.setattr(prosystem_module, "image_exponents", counting)
+    stab = stabilized_images(tower, 200)
+    assert len(pairs) <= len(levels)
+    assert [rec.level for rec in stab.per_level] == levels
 
 
 def test_towers_build_no_truncation_params(monkeypatch):

@@ -15,7 +15,11 @@ wins at least nine tenths of the pairs, and the medians differ, in the
 better direction, by more than the distance between the parent's
 quartiles) and whether the change's median stays within the metric's
 regression bound; when the parent's own spread is wider than the bound, a
-metric is unresolved unless every change run beats every parent run.  The
+metric is unresolved unless every change run beats every parent run.
+Beside ``peak_rss_mb`` it prints each run's timed pass count, read off the
+run's ``items_per_s`` line ("paced median of N passes"): the workload
+process keeps every pass's latencies, so its peak RSS grows with the
+passes that fit in the run, and a faster tree reads a higher RSS.  The
 exit status is 1 when any run is not ``correct``.
 """
 
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import statistics
 import subprocess
 import sys
@@ -39,6 +44,16 @@ def last_json(stdout: str) -> dict:
         return json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
         return {"correct": False, "metrics": {}}
+
+
+PASSES = re.compile(r"^items_per_s .*paced median of (\d+) passes", re.MULTILINE)
+
+
+def timed_passes(stdout: str) -> int | None:
+    """The timed pass count on a run's ``items_per_s`` line, or None when
+    it printed none."""
+    match = PASSES.search(stdout)
+    return int(match.group(1)) if match else None
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -89,6 +104,10 @@ def summarize(parent: list[dict], change: list[dict], end_to_end: list[dict]) ->
             f"  change better in {wins}/{len(pairs)} pairs; median difference {cm - pm:+.6g} "
             f"({(cm - pm) / pm:+.2%}); paired gain rule holds: {'yes' if gain else 'no'}; {regression}",
         ]
+        if name == "peak_rss_mb":  # it grows with the passes a run holds
+            counts = [" ".join("?" if run.get("passes") is None else str(run["passes"]) for run in runs)
+                      for runs in (parent, change)]
+            out.append(f"  timed passes: parent {counts[0]}; change {counts[1]}")
     bad = [f"{side} run {k}" for side, runs in (("parent", parent), ("change", change))
            for k, run in enumerate(runs) if not run.get("correct")]
     out.append("every run correct" if not bad else "NOT correct: " + ", ".join(bad))
@@ -113,7 +132,7 @@ def run_once(tree: Path, workload: str, seconds: float, seed: int) -> dict:
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=tree, stdout=subprocess.PIPE, text=True, check=False)
-    return last_json(proc.stdout)
+    return {**last_json(proc.stdout), "passes": timed_passes(proc.stdout)}
 
 
 def main(argv: list[str] | None = None) -> int:
