@@ -7,13 +7,17 @@ contributions exiting level A dropped), and the canonical inclusion of the
 weight-i filtered subcomplex.  The mapping fiber of (divided Frobenius -
 canonical) is a three-term cochain complex over Z/p^N, and its cohomology
 is computed by Smith normal form over Z/p^N.  The fiber's differentials
-are read off the lists in one encoding each, d1 as sparse rows and d0 as
-sparse columns; the rows of d1 are kept with the fiber, and every cocycle
-check applies them (`sparse_product`).  The matrices use only the Nygaard
-exponents, the brace symbol and factorial ratios; what of them does not
-depend on e (the x-weights, the alpha floors and the slot floor pairs) is
-read from one orbit table per orbit (`OrbitTable`), which every level's
-build of that orbit shares.  Every truncation's matrices come from a
+are read off the lists in one encoding, sparse rows; the rows of d1 are
+kept with the fiber, and every cocycle check of a vector applies them
+(`sparse_product`).  That d0's columns are cocycles is checked once per
+fiber on the lists themselves, two entries of d1·d0 per level
+(`OrbitMatrices.fiber_d0_rows`), and H^1's relations are then the
+kernel's kept rows of V⁻¹ times d0's rows, with no solve
+(`FiberCohomology`).  The matrices use only the Nygaard exponents, the
+brace symbol and factorial ratios; what of them does not depend on e
+(the x-weights, the alpha floors and the slot floor pairs) is read from
+one orbit table per orbit (`OrbitTable`), which every level's build of
+that orbit shares.  Every truncation's matrices come from a
 build at that truncation (`build_orbit_matrices`).  The truncation level
 is sized from the orbit's degree-1 walk in `drw` (`default_truncation`),
 and the truncation-stability recheck builds a grown truncation from the
@@ -24,12 +28,13 @@ generator exponents, is handed in by the caller of `verify_orbit` and
 built (`FiberCohomology.of`): h when H^1 = Z/p^h is cyclic and, when U
 is built, the class functional and one generator, the first kernel
 basis column whose class is a unit (`FiberCohomology.generator`).  The
-transition oracle keeps that record per level and applies the
-transition maps to its generator, and the certificate accepts the same
-generator as its witness when its valuations are exactly the claimed
-ones, eliminating a column-scaled d1 only for the claims it does not
-carry.  The matrices record their prime and orbit
-(`OrbitMatrices.p`, `.orbit`), and every reader takes both from there.
+record keeps readings and no transform; the transition oracle keeps it
+per level and applies the transition maps to its generator, and the
+certificate accepts the same generator as its witness when its
+valuations are exactly the claimed ones, eliminating a column-scaled d1
+only for the claims it does not carry.  The matrices record their prime
+and orbit (`OrbitMatrices.p`, `.orbit`), and every reader takes both
+from there.
 """
 
 from __future__ import annotations
@@ -43,7 +48,6 @@ from .drw import Orbit, TruncationParams, degree1_walk, nygaard_exponents
 from .padic import Prime, brace, factorial_ratio, vp
 from .snf import (
     ClassFunctional,
-    QuotientPresentation,
     Sparse,
     divisor_exponents,
     kernel_mod,
@@ -116,10 +120,10 @@ class OrbitMatrices:
     (m_a-1)//e, which bound the Frobenius x ratios; the transition maps
     read all three (`TransitionOracle`).  Every instance comes from one
     build at its own truncation (`build_orbit_matrices`).  The fiber's
-    differentials are read off these lists once each, d1 as rows
-    (`fiber_d1_rows`) and d0 as columns (`fiber_d0_columns`); d1 has no
-    other encoding.  `content_hash` reads the coefficient lists, n and the
-    modulus, and none of u1 and the floors.
+    differentials are read off these lists once each, both as rows
+    (`fiber_d1_rows`, `fiber_d0_rows`), and have no other encoding.
+    `content_hash` reads the coefficient lists, n and the modulus, and
+    none of u1 and the floors.
     """
 
     p: int
@@ -136,17 +140,28 @@ class OrbitMatrices:
     floors0: list[int]
     floors1: list[int]
 
-    def fiber_d0_columns(self) -> list[Sparse]:
+    def fiber_d0_rows(self) -> list[Sparse]:
         """d0: C^0 = N^0 -> C^1 = N^1 (+) D^0, w |-> (d w, (phi/p^i - can) w),
-        as its n sparse columns, read off the coefficient lists: column a
-        holds diff_nygaard[a] at row a, -can0[a] at row n+a and, below
-        level A, frob0[a] at row n+a+1, in that order.  Entries are
-        reduced mod p^N and may be 0."""
-        n, q = self.n, self.modulus
-        cols = [{a: d, n + a: -c % q} for a, (d, c) in enumerate(zip(self.diff_nygaard, self.can0))]
-        for a, f in enumerate(self.frob0):
-            cols[a][n + a + 1] = f
-        return cols
+        as its 2n sparse rows, read off the coefficient lists: row a holds
+        diff_nygaard[a] at column a, and row n+a holds frob0[a-1] at
+        column a-1 when a > 0 and -can0[a] at column a, in that order.
+        Entries are reduced mod p^N and may be 0.
+
+        The columns of d0 are first checked to be cocycles, on the lists:
+        column a of d1·d0 (`fiber_d1_rows`) can be nonzero only at row a,
+        where it is diff_full[a]·can0[a] - can1[a]·diff_nygaard[a], and,
+        below level A, at row a+1, where it is
+        frob1[a]·diff_nygaard[a] - diff_full[a+1]·frob0[a].  Either one
+        nonzero mod p^N raises ArithmeticError."""
+        q, dn, df, c0, f0 = self.modulus, self.diff_nygaard, self.diff_full, self.can0, self.frob0
+        # row a of d1·d0: column a, and column a-1 when a > 0
+        for a, (u, f) in enumerate(zip(self.can1, [0] + self.frob1)):
+            if (df[a] * c0[a] - u * dn[a]) % q or a and (f * dn[a - 1] - df[a] * f0[a - 1]) % q:
+                raise ArithmeticError("a column of d0 is outside the kernel of d1: d1·d0 is not 0 mod p^N")
+        rows = [{a: v} for a, v in enumerate(dn)]
+        rows.append({0: -c0[0] % q})
+        rows += [{a: f, a + 1: -c % q} for a, (f, c) in enumerate(zip(f0, c0[1:]))]
+        return rows
 
     def fiber_d1_rows(self) -> list[Sparse]:
         """d1: C^1 = N^1 (+) D^0 -> C^2 = D^1, (w, u) |-> (phi/p^i - can)w - d u,
@@ -310,7 +325,8 @@ def build_orbit_matrices(params: TruncationParams, trunc: OrbitTruncation, table
 
 @dataclass(frozen=True)
 class FiberCohomology:
-    """The three cohomology groups of the truncated fiber complex.
+    """The three cohomology groups of the truncated fiber complex, read
+    once, when the fiber is built (`of`).
 
     Degrees 1 and 2 are computed modulo p^N.  Reducing the whole complex
     would fold the degree-1 torsion back into degree 0 (universal
@@ -321,98 +337,96 @@ class FiberCohomology:
     `h0_kernel_rank` counts the columns left uncertified; `exponents`
     refuses when it is nonzero rather than guess.
 
-    Each fiber eliminates d1 once, for the kernel under H^1, and the
-    quotient of that kernel by d0 once.  The kernel keeps only its
-    nontrivial coordinates (t_j < p^N, see `snf.KernelLattice`) and V⁻¹,
-    its one change of basis: the quotient's solves read it, and a basis
-    column is back-substituted from it on demand.  The quotient builds U
-    when its caller reads the class functional: the stability recheck
-    compares exponents and builds none.  The degree-0 certificate and H^2
-    are read from those eliminations, not kept: `exponents` reads each
-    once.  H^2 =
-    C^2/(im d1 + p^N·C^2) with C^2 all cocycles, so its exponents are
-    those of the elementary divisors of d1 mod p^N, which the kernel
-    keeps.  The columns of d0 lie in the kernel, so d0 ≡ B·Y mod p^N with
-    B = V·diag(t) the kernel basis and Y their kernel coordinates, which
-    the quotient solved for; V is invertible mod p^N, with inverse the
-    kernel's V⁻¹, so the divisors of d0 below p^N are those of
-    diag(t)·Y.  When d1 is onto mod p^N, as on every fiber of the README
-    jobs and the acceptance grid, the kernel keeps n of its 2n
-    coordinates, all with t_j = 1: H^1's quotient is n×n, it is Y itself,
-    and the certificate needs no third elimination.  The rows of d1 are
-    kept: every cocycle check applies them, and only the certificate's
-    fallback scales copies of them (`certify_kernel_generator`).
+    `of` first checks, on the coefficient lists, that the columns of d0
+    are cocycles (`OrbitMatrices.fiber_d0_rows`), and raises
+    ArithmeticError otherwise.  It then eliminates d1 once, for the kernel
+    under H^1, and the quotient of that kernel by d0 once.  The kernel
+    keeps only its nontrivial coordinates (t_j < p^N, see
+    `snf.KernelLattice`) and the rows of V⁻¹, its one change of basis; a
+    basis column is back-substituted from them on demand.  The columns
+    of d0 lie in the kernel, so d0 ≡ B·Y mod p^N with B = V·diag(t) the
+    kernel basis, and Y, their kernel coordinates, is the kernel's kept
+    rows of V⁻¹ times d0, read off d0's rows (`KernelLattice.coordinates`);
+    no vector is solved for.  V is invertible mod p^N, so the divisors of
+    d0 below p^N are those of diag(t)·Y.  When d1 is onto mod p^N, as on
+    every fiber of the README jobs and the acceptance grid, the kernel
+    keeps n of its 2n coordinates, all with t_j = 1, each kept row of V⁻¹
+    is a unit vector, so Y is the rows of d0 at the columns never pivoted
+    on; H^1's quotient is n×n, it is Y itself, and the degree-0
+    certificate needs no third elimination.  Elsewhere `of` eliminates
+    diag(t)·Y for it, since every reading is made there.  The quotient
+    builds U when its caller reads the class functional: the stability
+    recheck compares exponents and builds none.  H^2 =
+    C^2/(im d1 + p^N·C^2) with C^2 all cocycles, so its exponents (`h2`)
+    are those of the elementary divisors of d1 mod p^N, which the kernel
+    keeps.  The rows of d1 are kept: every cocycle check applies them, and
+    only the certificate's fallback scales copies of them
+    (`certify_kernel_generator`).
 
-    H^1 is read once, in `of`, into the one record that the certificate
-    and the transition oracle alike read: `h` with H^1 = Z/p^h, None when
-    H^1 is not cyclic, and, when U is built and h >= 1, H^1's class
-    functional (`functional`) and a generator (`generator`), both None
-    otherwise.  The generator is the first kernel basis column whose
-    class is a unit: its index k is read from U, where basis column k has
-    class U[j][k] mod p^h (`QuotientPresentation.generator_coordinate`);
-    only that column is written out, by back-substitution over the
-    kernel's V⁻¹ (`KernelLattice.basis_column`), and its class is still
-    read through the functional: a column whose class there is not a unit
-    leaves `generator` None.  One exists: the basis spans the kernel K
-    modulo p^N and the class map K -> Z/p^h is onto, so the basis cannot
+    The record keeps readings and no transform: `h0_kernel_rank`, H^1's
+    exponents (`h1`), `h2`, and `h` with H^1 = Z/p^h, None when H^1 is not
+    cyclic; and, when U is built and h >= 1, H^1's class functional
+    (`functional`) and a generator (`generator`), both None otherwise.
+    The certificate and the transition oracle alike read it.  The
+    generator is the first kernel basis column whose class is a unit, its
+    index k read from the same row of U as the functional
+    (`QuotientPresentation.cyclic_reading`), where basis column k has class
+    U[j][k] mod p^h; only that column is written out, by back-substitution
+    over the kernel's V⁻¹ (`KernelLattice.basis_column`), and its class is
+    still read through the functional: a column whose class there is not a
+    unit leaves `generator` None.  One exists: the basis spans the kernel
+    K modulo p^N and the class map K -> Z/p^h is onto, so the basis cannot
     map into pZ/p^h.  A frozen record: a changed copy comes from
     `dataclasses.replace`.
     """
 
     matrices: OrbitMatrices
-    h1: QuotientPresentation
     d1_rows: list[Sparse]
+    h0_kernel_rank: int
+    h1: tuple[int, ...]
+    h2: tuple[int, ...]
     h: int | None
     functional: ClassFunctional | None = None
     generator: list[int] | None = None
 
     @classmethod
     def of(cls, mats: OrbitMatrices, build_u: bool = True) -> "FiberCohomology":
-        """The fiber cohomology of `mats`, with H^1 read once; H^1's
-        quotient builds the U its class functional and generator read when
-        `build_u` is set."""
-        d1_rows = mats.fiber_d1_rows()
-        kernel = kernel_mod(d1_rows, 2 * mats.n, mats.p, mats.modulus)
-        h1 = quotient(kernel, mats.fiber_d0_columns(), build_u)
-        exps = h1.exponents()
-        h = None if len(exps) > 1 else sum(exps)
-        if not (build_u and h):
-            return cls(mats, h1, d1_rows, h)
-        functional, k = h1.class_functional(), h1.generator_coordinate()
-        gen = None if k is None else kernel.basis_column(k)
-        if gen is not None and not functional.coordinate(gen) % mats.p:
-            gen = None
-        return cls(mats, h1, d1_rows, h, functional, gen)
-
-    @property
-    def h0_kernel_rank(self) -> int:
+        """The fiber cohomology of `mats`, read once; H^1's quotient builds
+        the U its class functional and generator read when `build_u` is
+        set."""
+        p, n, q = mats.p, mats.n, mats.modulus
+        d0_rows, d1_rows = mats.fiber_d0_rows(), mats.fiber_d1_rows()
+        kernel = kernel_mod(d1_rows, 2 * n, p, q)
+        h1 = quotient(kernel, d0_rows, n, build_u)
         # n minus the number of divisors of d0 below p^N, read from
         # diag(t)·Y; when every kept t_j is 1, H^1's G is Y itself
-        h1, q = self.h1, self.matrices.modulus
-        t = h1.kernel.t
-        if any(tj > 1 for tj in t):
-            scaled = [{c: tj * y for c, y in row.items()} for tj, row in zip(t, h1.coords)]
-            divisors = smith_mod_prime_power(scaled, self.matrices.n, self.matrices.p, q, False)[0]
+        if any(t > 1 for t in kernel.t):
+            scaled = [{c: t * y for c, y in row.items()} for t, row in zip(kernel.t, h1.coords)]
+            d0_divisors = smith_mod_prime_power(scaled, n, p, q, False)[0]
         else:
-            divisors = h1.divisors
-        return self.matrices.n - sum(d < q for d in divisors)
-
-    @property
-    def h2(self) -> tuple[int, ...]:
-        return divisor_exponents(self.h1.kernel.divisors, self.matrices.p)
+            d0_divisors = h1.divisors
+        exps = h1.exponents()
+        h = None if len(exps) > 1 else sum(exps)
+        functional = gen = None
+        if build_u and h:
+            functional, k = h1.cyclic_reading()
+            gen = None if k is None else kernel.basis_column(k)
+            if gen is not None and not functional.coordinate(gen) % p:
+                gen = None
+        h0_kernel_rank = n - sum(d < q for d in d0_divisors)
+        h2 = divisor_exponents(kernel.divisors, p)
+        return cls(mats, d1_rows, h0_kernel_rank, exps, h2, h, functional, gen)
 
     def exponents(self, p: int) -> dict[int, tuple[int, ...]]:
         """The p-power exponents of H^0, H^1 and H^2; p must be the prime
-        of the matrices, since another prime reads every group as trivial.
-        H^1's are read off h, and off H^1's divisors only when it is not
-        cyclic."""
+        of the matrices, since another prime reads every group as
+        trivial."""
         if p != self.matrices.p:
             raise ValueError(f"fiber is over p={self.matrices.p}, not p={p}")
         uncertified = self.h0_kernel_rank
         if uncertified:
             raise OracleError(f"degree-0 injectivity not certified mod p^N on {uncertified} column(s)")
-        h = self.h
-        return {0: (), 1: self.h1.exponents() if h is None else (h,) if h else (), 2: self.h2}
+        return {0: (), 1: self.h1, 2: self.h2}
 
 
 def fiber_cohomology(params: TruncationParams, trunc: OrbitTruncation) -> FiberCohomology:
@@ -577,15 +591,17 @@ class TransitionOracle:
     every level's build reads.  Each level's work is done once, on first
     use (`level`): its `FiberCohomology`, which read h_e, the class
     functional of H^1 and a generator of H^1 when it was built, and keeps
-    the rows of d1.  The degree-1 Nygaard exponents and the factorial
-    bounds (m_a-1)//e and m_a//e that the coefficients of every pair into
-    or out of the level read are those the level's build computed
-    (`OrbitMatrices.u1`, `.floors1`, `.floors0`); nothing recomputes them.
+    the matrices, the rows of d1 and those readings, but none of the
+    transforms or coordinates of its eliminations.  The degree-1 Nygaard
+    exponents and the factorial bounds (m_a-1)//e and m_a//e that the
+    coefficients of every pair into or out of the level read are those the
+    level's build computed (`OrbitMatrices.u1`, `.floors1`, `.floors0`);
+    nothing recomputes them.
 
     The observable valuation needs H^1 = Z/p^h cyclic, and a non-cyclic
     H^1 is refused.  Cyclicity is also what makes one functional enough:
     the class of a cocycle x is then a single coordinate in Z/p^h, read as
-    one dot product w·x (`QuotientPresentation.class_functional`), and H^1
+    one dot product w·x (`QuotientPresentation.cyclic_reading`), and H^1
     is read through nothing else.  The generator is the fiber's pick, the
     first kernel basis column whose class is a unit
     (`FiberCohomology.generator`), the column the kernel-generator
@@ -626,7 +642,7 @@ class TransitionOracle:
                 raise ValueError(f"level e={e} is not among the oracle's levels {self.levels}")
             fc = FiberCohomology.of(build_orbit_matrices(self.params(e), self.trunc, self.table))
             if fc.h is None:
-                raise OracleError(f"degree-1 cohomology not cyclic at e={e}: {fc.h1.exponents()}")
+                raise OracleError(f"degree-1 cohomology not cyclic at e={e}: {fc.h1}")
             if fc.h and fc.generator is None:
                 raise OracleError(f"no kernel basis column generates H^1 at e={e}")
             self._cache[e] = fc

@@ -11,32 +11,31 @@ idea of Domich, Kannan and Trotter (1987), specialised to Z/p^N.
 Matrices come in as sparse rows and a column count: one {column: entry}
 dict per row, its entries listed in ascending column order, and
 elimination keeps each row's entries that are nonzero mod q.  The
-oracle's d1 comes as rows of at most three entries and its d0 as columns
-of at most three, so a step reads only the entries that are there.
+oracle's d1 and d0 both come as rows of at most three entries, so a step
+reads only the entries that are there.
 The pivot search reads a row's entries in the order they are listed, so
 rows in ascending column order get the pivots, and so the transforms, of
 a row-major scan of the same matrix.  Pivots are recorded instead of
 swapped into place, and the transforms come back sparse too: U as a list
 of rows, and V⁻¹, the one change of basis on the column side, as its rows
 keyed by the column each one pivots on (see `smith_mod_prime_power`).
-`KernelLattice.solve` reads a sparse vector, only the columns of V⁻¹
-its entries pick, and only the positions those columns reach, and hands
-back the coordinates it finds nonzero as a sparse vector too; `quotient`
-takes its generators as sparse columns and writes each one's coordinates
-straight into the rows of Y.  A cyclic quotient reads the class of a
-lattice vector through one precomputed functional
-(`QuotientPresentation.class_functional`), a single dot product, built
-from the kernel's kept rows of V⁻¹ that its U row picks.
+`quotient` takes its generators L as the sparse rows of the matrix whose
+columns they are, and reads their kernel coordinates Y as the kernel's
+kept rows of V⁻¹ times L (`KernelLattice.coordinates`): a kept row that
+is a unit vector, as every one is on an onto d1, picks one row of L as
+its row of Y.  The generators must lie in the kernel, which is not
+checked there; the oracle checks d1·d0 ≡ 0 on its coefficient lists
+first.  A cyclic quotient reads the class of a lattice vector through
+one precomputed functional and names a generating basis column
+(`QuotientPresentation.cyclic_reading`), both from one read of its U row.
 
 A kernel keeps only its nontrivial coordinates.  In the coordinates
 y = V⁻¹x of the elimination of M, a row divisor d_j = 1 forces y_j ≡ 0
 mod q on the whole kernel, so that coordinate and its basis column
-(≡ 0 mod q) are dropped; `solve` still reads the dropped rows of V⁻¹, so
-membership checks every coordinate.  The basis is never stored: V⁻¹ is
-unit upper triangular in pivot order, so `KernelLattice.basis_column`
-writes a column of V·diag(t) out by back-substitution over the columns of
-V⁻¹ that `solve` reads; the rows of V⁻¹ at the kept positions are kept
-as well, for the class functional.  When an n×2n matrix is onto mod q,
+(≡ 0 mod q) are dropped.  The basis is never stored: V⁻¹ is unit upper
+triangular in pivot order, so `KernelLattice.basis_column` writes a
+column of V·diag(t) out by back-substitution over the rows of V⁻¹, which
+the kernel keeps in position order.  When an n×2n matrix is onto mod q,
 as the oracle's d1 is on its fibers, its kernel keeps n of the 2n
 coordinates, all with t_j = 1, each kept row of V⁻¹ is the unit vector of
 a column never pivoted on, and the quotient under H¹ is n×n.  The
@@ -76,7 +75,7 @@ def _pval(a: int, p: int) -> int:
 
 def divisor_exponents(divisors, p: int) -> tuple[int, ...]:
     """Divisors as powers of p, largest first, trivial ones dropped."""
-    return tuple(sorted((a for a in (_pval(d, p) for d in divisors) if a), reverse=True))
+    return tuple(sorted((a for a in (_pval(d, p) for d in divisors if d > 1) if a), reverse=True))
 
 
 def _pivot(active: dict[int, Sparse], p: int) -> tuple[int, int, int] | None:
@@ -203,18 +202,20 @@ class KernelLattice:
     q·Z^n (a dropped column V_j·q is ≡ 0), and the coordinates of x in K
     are y_j/t_j, each defined modulo q/t_j.
 
-    V⁻¹ is the one change of basis kept, as its n sparse columns, one per
-    entry of x, each keyed by position; `_order[j]` is the column of M at
-    position j.  `solve` reads the columns its x picks and accumulates
-    V⁻¹·x only at the positions they reach, the dropped ones included, so
-    it still checks that the dropped coordinates of x vanish mod q.  V is
-    never formed: column `_order[j]` of V⁻¹ has 1 at position j and no
-    entry past it, so `basis_column(k)` solves V⁻¹·x ≡ t_k·e_k by
-    back-substitution over these columns.  `_kept_rows[k]` is the row of
-    V⁻¹ at the position of kernel coordinate k, keyed by column of M, which
-    the class functional of a quotient reads (`QuotientPresentation.
-    class_functional`).  `divisors` are all the elementary divisors of M
-    over Z/q, one per row, from the same elimination.
+    V⁻¹ is the one change of basis kept, as its n sparse rows in position
+    order (`_rows`), each keyed by column of M; `_order[j]` is the column
+    of M at position j.  V is never formed: row j of V⁻¹ has 1 at column
+    `_order[j]` and no entry at the column of an earlier position, so
+    `basis_column(k)` solves V⁻¹·x ≡ t_k·e_k by back-substitution over
+    these rows.  The kept rows read the kernel coordinates of vectors of K
+    (`coordinates`), with no solve and no check that the vectors lie in K:
+    the oracle checks d1·d0 ≡ 0 mod q on its coefficient lists before it
+    reads the coordinates of d0's columns, and on an onto d1 each kept row
+    is a unit vector, so those coordinates are rows of d0 itself.  The
+    kept rows also make the class functional of a quotient
+    (`QuotientPresentation.cyclic_reading`).  `divisors` are all the
+    elementary divisors of M over Z/q, one per row, from the same
+    elimination.
     """
 
     n: int
@@ -222,9 +223,8 @@ class KernelLattice:
     modulus: int
     divisors: list[int]
     t: list[int]
-    _Vinv_cols: list[Sparse]
     _order: list[int]
-    _kept_rows: list[Sparse]
+    _rows: list[Sparse]
 
     @property
     def dim(self) -> int:
@@ -232,45 +232,43 @@ class KernelLattice:
 
     def basis_column(self, k: int) -> list[int]:
         """Basis column k, V_k·t_k mod q, as a dense vector: x with
-        V⁻¹·x ≡ t_k·e_k, solved from position n - dim + k down, each
-        position's entry read off the right-hand side that the columns of
-        the positions past it leave."""
-        q = self.modulus
+        V⁻¹·x ≡ t_k·e_k.  Its entries at the columns of the positions past
+        n - dim + k vanish, the one at that position's column is t_k, and
+        each earlier position's entry is read off its row of V⁻¹, from
+        the entries already written, going down."""
+        q, order, rows = self.modulus, self._order, self._rows
         top = self.n - self.dim + k
-        rhs = [0] * (top + 1)
-        rhs[top] = self.t[k]
         col = [0] * self.n
-        Vinv_cols = self._Vinv_cols
-        for j in range(top, -1, -1):
-            y = rhs[j] % q
-            if y:
-                c = self._order[j]
-                col[c] = y
-                for r, a in Vinv_cols[c].items():
-                    rhs[r] -= a * y
+        col[order[top]] = self.t[k]
+        for j in range(top - 1, -1, -1):
+            y = 0
+            for c, a in rows[j].items():
+                y -= a * col[c]
+            col[order[j]] = y % q
         return col
 
-    def solve(self, x: Sparse) -> Sparse | None:
-        """Coordinates of the sparse vector x in the kernel basis, sparse
-        too: {k: y_k} over the kernel coordinates k with y_k nonzero, in the
-        order the positions are first reached; None if x is not in K.  Only
-        the entries of x, the columns of V⁻¹ they pick, and the positions
-        those columns reach are read."""
-        acc: Sparse = {}
-        Vinv_cols = self._Vinv_cols
-        for i, v in x.items():
-            for j, a in Vinv_cols[i].items():
-                acc[j] = acc.get(j, 0) + v * a
-        q, t, dropped = self.modulus, self.t, self.n - self.dim
-        out: Sparse = {}
-        for j, val in acc.items():
-            val %= q
-            if val:
-                k = j - dropped
-                if k < 0 or val % t[k]:
-                    return None
-                out[k] = val // t[k]
-        return out
+    def coordinates(self, L: list[Sparse]) -> list[Sparse]:
+        """Kernel coordinates Y of the columns of L, a matrix with n rows
+        given as its sparse rows, as sparse rows, one per kept coordinate,
+        each listing its columns in ascending order when the rows of L do.
+        Row k of Y is the kept row of V⁻¹ at coordinate k applied to L,
+        reduced mod q and divided by t_k.  A kept row that is a unit vector
+        with t_k = 1 picks one row of L, which becomes row k as it is, zero
+        entries included; all of Y is read mod q.  The columns of L must
+        lie in K, which is not checked: outside K the division by t_k is
+        not exact, and the dropped coordinates are not read."""
+        q, Y = self.modulus, []
+        for row, t in zip(self._rows[self.n - self.dim :], self.t):
+            if t == 1 and len(row) == 1:
+                (c,) = row
+                Y.append(L[c])
+                continue
+            acc: Sparse = {}
+            for c, a in row.items():
+                for g, b in L[c].items():
+                    acc[g] = acc.get(g, 0) + a * b
+            Y.append({g: v // t for g in sorted(acc) if (v := acc[g] % q)})
+        return Y
 
 
 def kernel_mod(M: list[Sparse], cols: int, p: int, q: int) -> KernelLattice:
@@ -280,24 +278,19 @@ def kernel_mod(M: list[Sparse], cols: int, p: int, q: int) -> KernelLattice:
     rows = len(M)
     divisors, _, Vinv = smith_mod_prime_power(M, cols, p, q, False)
     dropped = divisors.count(1)
-    Vinv_cols: list[Sparse] = [{} for _ in range(cols)]
-    for j, row in enumerate(Vinv.values()):
-        for c, a in row.items():
-            Vinv_cols[c][j] = a
     t = [q // d for d in divisors[dropped:cols]] + [1] * (cols - rows)
-    kept_rows = list(Vinv.values())[dropped:]
-    return KernelLattice(cols, p, q, divisors, t, Vinv_cols, list(Vinv), kept_rows)
+    return KernelLattice(cols, p, q, divisors, t, list(Vinv), list(Vinv.values()))
 
 
 @dataclass
 class QuotientPresentation:
     """Finite p-group K/(L + q·Z^n) given by elementary divisors.  A
-    cyclic one reads the class of a lattice element through
-    `class_functional`, and names a basis column that generates it through
-    `generator_coordinate`.  `coords` holds the kernel coordinates Y of the
-    columns of L as sparse rows, one per kept coordinate of the kernel,
-    keyed by column of L.  `_U` holds the sparse rows of U, and is None
-    when `quotient` was not asked to build it."""
+    cyclic one reads the class of a lattice element and names a basis
+    column that generates it (`cyclic_reading`).  `coords` holds the
+    kernel coordinates Y of the columns of L (`KernelLattice.coordinates`),
+    one sparse row per kept coordinate of the kernel, keyed by column of
+    L.  `_U` holds the sparse rows of U, and is None when `quotient` was
+    not asked to build it."""
 
     kernel: KernelLattice
     coords: list[Sparse]
@@ -309,47 +302,40 @@ class QuotientPresentation:
         ones dropped."""
         return divisor_exponents(self.divisors, self.kernel.p)
 
-    def _cyclic_row(self) -> int:
-        """The one row j with a nontrivial divisor; ValueError when the
-        quotient is not cyclic."""
+    def cyclic_reading(self) -> tuple["ClassFunctional", int | None]:
+        """The class coordinate of a cyclic quotient Z/d as one dot
+        product, and the first kernel coordinate k whose basis column
+        generates it, or None when there is none, both from one read of
+        the row U[j] of the one nontrivial divisor d; ValueError when the
+        quotient is not cyclic.
+
+        The functional is w = Σ_k U[j][k]·(q/t_k)·V⁻¹[k] mod q·d over the
+        kept coordinates k, V⁻¹[k] the row of V⁻¹ at the position of
+        coordinate k.  It reads t_k·y_k mod q for the kernel coordinates y
+        of x, and U[j][k]·(q/t_k) ≡ 0 (mod d) because the relation
+        (q/t_k)·e_k lies in L + q·Z^n, so w·x ≡ q·(U·y)[j] (mod q·d) for
+        every x in K.  w is summed from the kernel's kept rows of V⁻¹ that
+        the entries of U[j] pick, each row read once; the dropped rows add
+        nothing.  On an onto fiber each kept row is a unit vector, so w has
+        at most one nonzero entry per entry of U[j].  Basis column k has
+        kernel coordinates e_k, so its class is U[j][k] mod d, a generator
+        exactly when it is a unit mod p.
+        """
         nontrivial = [j for j, d in enumerate(self.divisors) if d > 1]
         if len(nontrivial) != 1:
             raise ValueError(f"class functional needs a cyclic quotient, got divisors {self.divisors}")
-        return nontrivial[0]
-
-    def class_functional(self) -> "ClassFunctional":
-        """The class coordinate of a cyclic quotient Z/d as one dot product.
-
-        With j the one nontrivial divisor d, w = Σ_k U[j][k]·(q/t_k)·V⁻¹[k]
-        mod q·d over the kept coordinates k, V⁻¹[k] the row of V⁻¹ at the
-        position of coordinate k.  It reads t_k·y_k mod q for the kernel
-        coordinates y of x, and U[j][k]·(q/t_k) ≡ 0
-        (mod d) because the relation (q/t_k)·e_k lies in L + q·Z^n, so
-        w·x ≡ q·(U·y)[j] (mod q·d) for every x in K.  w is summed from the
-        kernel's kept rows of V⁻¹ (`KernelLattice._kept_rows`) that the
-        entries of U[j] pick, each row read once; the dropped rows add
-        nothing.  On an onto fiber each kept row is a unit vector, so w has
-        at most one nonzero entry per entry of U[j].
-        """
-        j = self._cyclic_row()
-        kernel = self.kernel
-        q, d = kernel.modulus, self.divisors[j]
+        kernel, j = self.kernel, nontrivial[0]
+        p, q, d, kept = kernel.p, kernel.modulus, self.divisors[j], kernel.n - kernel.dim
         qd = q * d
         w = [0] * kernel.n
+        first = None
         for k, u in self._U[j].items():
+            if u % p and (first is None or k < first):
+                first = k
             f = u * (q // kernel.t[k]) % qd
-            for c, a in kernel._kept_rows[k].items():
+            for c, a in kernel._rows[kept + k].items():
                 w[c] += f * a
-        return ClassFunctional([a % qd for a in w], q, d)
-
-    def generator_coordinate(self) -> int | None:
-        """The first kernel coordinate k whose basis column generates the
-        cyclic quotient Z/d, or None when there is none.  Basis column k has
-        kernel coordinates e_k, so its class is U[j][k] mod d
-        (`class_functional`), a generator exactly when it is a unit mod p."""
-        j = self._cyclic_row()
-        p = self.kernel.p
-        return min((k for k, u in self._U[j].items() if u % p), default=None)
+        return ClassFunctional([a % qd for a in w], q, d), first
 
 
 @dataclass(frozen=True)
@@ -366,28 +352,21 @@ class ClassFunctional:
 
 
 def quotient(
-    kernel: KernelLattice, L: list[Sparse], build_u: bool = True
+    kernel: KernelLattice, L: list[Sparse], cols: int, build_u: bool = True
 ) -> QuotientPresentation:
-    """Present K/(L + q·Z^n) for generators inside K, given as the sparse
-    columns L.
+    """Present K/(L + q·Z^n) for `cols` generators inside K, the columns
+    of the matrix L given as its n sparse rows; membership in K is not
+    checked (`KernelLattice.coordinates`).
 
     G holds the kernel coordinates Y of L as sparse rows, one per kept
     coordinate of K, and after them the relations (q/t_j)·e_j that span
     q·Z^n in those coordinates, one column for each t_j > 1, so every
     divisor divides q.  A kernel whose kept t_j are all 1 adds no
-    relation: G is Y, `dim`×`dim` when L has `dim` columns.  Each column's
-    sparse coordinates (`KernelLattice.solve`) are written straight into
-    the rows of Y they name, so every row lists its columns in ascending
-    order.  U is built only when `build_u` is set.
+    relation: G is Y, `dim`×`dim` when L has `dim` columns.  U is built
+    only when `build_u` is set.
     """
-    Y: list[Sparse] = [{} for _ in range(kernel.dim)]
-    for c, col in enumerate(L):
-        y = kernel.solve(col)
-        if y is None:
-            raise ArithmeticError("generator outside the kernel lattice")
-        for k, v in y.items():
-            Y[k][c] = v
-    q, cols = kernel.modulus, len(L)
+    Y = kernel.coordinates(L)
+    q = kernel.modulus
     G = []
     for row, t in zip(Y, kernel.t):
         if t > 1:

@@ -22,8 +22,8 @@ oracle's differentials from an `OrbitMatrices`' coefficient lists:
 shifted and diagonal blocks, stacked, as the oracle built them before it
 built sparse rows.  `dense_class_functional` is the dense reference for
 the engine's class functional: the Σ_k U[j][k]·(q/t_k)·V⁻¹[k] of
-`QuotientPresentation.class_functional`, summed over dense rows of V⁻¹
-written out from the kernel's columns.
+`QuotientPresentation.cyclic_reading`, summed over dense rows of V⁻¹
+written out from the kernel's sparse rows.
 """
 
 from __future__ import annotations
@@ -133,11 +133,11 @@ def dense_class_functional(Q) -> list[int]:
     densely: Σ_k U[j][k]·(q/t_k)·V⁻¹[k] mod q·d over every kernel
     coordinate k, with j the row of the one nontrivial divisor d and V⁻¹[k]
     the dense row of V⁻¹ at the position of coordinate k, written out from
-    the kernel's columns of V⁻¹."""
+    the kernel's sparse rows of V⁻¹."""
     K = Q.kernel
     (j,) = [r for r, d in enumerate(Q.divisors) if d > 1]
     q, d, dropped = K.modulus, Q.divisors[j], K.n - K.dim
-    Vinv = [[K._Vinv_cols[c].get(pos, 0) for c in range(K.n)] for pos in range(K.n)]
+    Vinv = [[row.get(c, 0) for c in range(K.n)] for row in K._rows]
     w = [0] * K.n
     for k, t in enumerate(K.t):
         f = Q._U[j].get(k, 0) * (q // t)

@@ -146,3 +146,25 @@ def test_main_takes_only_the_workloads_the_benchmark_names(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "argument --workload: invalid choice: 'all'" in err
     assert "'oracle-verify', 'transition-sweep', 'tower-probe'" in err
+
+
+def test_trees_that_differ_in_bytecode_caches_are_refused_before_any_run(monkeypatch, capsys, tmp_path):
+    # a leftover __pycache__ in src/trcalc/ or bench/ of one tree only
+    # speeds that tree's imports, so the runs would not compare
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for tree in (parent, change):
+        for d in bench_pairs.CACHED_DIRS:
+            (tree / d).mkdir(parents=True)
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *args: pytest.fail("a run started"))
+    argv = [str(parent), str(change), "--workload", "oracle-verify", "--pairs", "1"]
+    for d in bench_pairs.CACHED_DIRS:
+        (change / d / "__pycache__").mkdir()
+        assert bench_pairs.cache_mismatch(parent, change) == [d]
+        assert bench_pairs.main(argv) == 1
+        assert f"differ in which of {d} hold a __pycache__" in capsys.readouterr().err
+        (parent / d / "__pycache__").mkdir()
+        assert bench_pairs.cache_mismatch(parent, change) == []
+    # caches in both trees, or in neither, are allowed
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *args: bench_pairs.last_json(_line(100, 10)))
+    assert bench_pairs.main(argv) == 0
+    assert bench_pairs.cache_mismatch(tmp_path / "p", tmp_path / "c") == []

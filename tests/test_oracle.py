@@ -58,6 +58,19 @@ def _build(params, trunc):
     return build_orbit_matrices(params, trunc, OrbitTable.of(params.p, trunc.orbit, trunc.A))
 
 
+def _h1(mats, build_u=True):
+    """H^1's quotient of the fiber of `mats`, eliminated afresh: the kernel
+    of d1 and the quotient of it by d0, which `FiberCohomology` reads and
+    does not keep."""
+    p, n, q = mats.p, mats.n, mats.modulus
+    return quotient(kernel_mod(mats.fiber_d1_rows(), 2 * n, p, q), mats.fiber_d0_rows(), n, build_u)
+
+
+def _nonzero(rows, q):
+    """Sparse rows reduced mod q, their zero entries left out."""
+    return [{c: v % q for c, v in row.items() if v % q} for row in rows]
+
+
 def _exps(p, e, i, m, alpha=EMPTY):
     params = TruncationParams(p, e, i)
     orbit = Orbit(m, alpha)
@@ -139,17 +152,17 @@ def _fiber_grid():
 
 
 def test_fiber_complex_composes_to_zero():
-    # on the grid, the rows of d1 and the columns of d0 built from the
-    # coefficient lists list their entries in ascending order and write
-    # out to the dense reference assembly, and d1·d0 ≡ 0 mod p^N
+    # on the grid, the rows of d1 and of d0 built from the coefficient
+    # lists list their entries in ascending order and write out to the
+    # dense reference assembly, and d1·d0 ≡ 0 mod p^N
     checked = 0
     for mats in _fiber_grid():
         n, q = mats.n, mats.modulus
-        rows, cols = mats.fiber_d1_rows(), mats.fiber_d0_columns()
-        assert all(list(vec) == sorted(vec) for vec in rows + cols)
+        rows, d0_rows = mats.fiber_d1_rows(), mats.fiber_d0_rows()
+        assert all(list(vec) == sorted(vec) for vec in rows + d0_rows)
         d1, d0 = witness.fiber_d1(mats), witness.fiber_d0(mats)
         assert witness.densify(rows, 2 * n) == d1
-        assert witness.densify(cols, 2 * n) == witness.columns(d0)
+        assert witness.densify(d0_rows, n) == d0
         assert all(v % q == 0 for row in witness.mat_mul(d1, d0) for v in row)
         checked += 1
     assert checked > 2000
@@ -169,13 +182,12 @@ def test_sign_convention_independence():
     mats.can1 = [(-v) % mats.modulus for v in mats.can1]
 
     n, modulus = mats.n, mats.modulus
-    h1 = quotient(kernel_mod(mats.fiber_d1_rows(), 2 * n, 2, modulus), mats.fiber_d0_columns())
-    assert h1.exponents() == fc.h1.exponents()
+    assert _h1(mats).exponents() == FiberCohomology.of(mats).h1 == fc.h1
 
     k1 = witness.kernel_mod(witness.fiber_d1(mats), modulus)
     modulus_columns = [[modulus * v for v in row] for row in eye(2 * n)]
     divisors = witness.quotient_divisors(k1, witness.hstack(witness.fiber_d0(mats), modulus_columns))
-    assert tuple(sorted((vp(d, 2) for d in divisors if d != 1), reverse=True)) == fc.h1.exponents()
+    assert tuple(sorted((vp(d, 2) for d in divisors if d != 1), reverse=True)) == fc.h1
 
 
 def test_truncation_stability():
@@ -277,8 +289,92 @@ def test_degree0_certificate_with_nontrivial_kernel_steps(p, i, e, m, scale, lev
         mats.diff_nygaard[-1] = 0
         mats.can0[-1] = q
     fc = FiberCohomology.of(mats, False)
-    assert any(t > 1 for t in fc.h1.kernel.t)
+    assert any(t > 1 for t in _h1(mats, False).kernel.t)
     assert fc.h0_kernel_rank == _direct_h0_kernel_rank(fc) == int(dead_column)
+
+
+def test_fiber_whose_d0_is_not_a_cocycle_is_refused():
+    # one entry of frob0, diff_nygaard or can0 moved by 1, as `_scale_d1_row`
+    # edits d1, leaves the dense d1·d0 nonzero mod p^N on these orbits, at
+    # every entry; the fiber is refused with ArithmeticError, with and
+    # without U, before any elimination
+    refused = {"frob0": 0, "diff_nygaard": 0, "can0": 0}
+    eliminations = []
+    for p, e, i, m in ((2, 3, 2, 1), (3, 2, 1, 1), (5, 2, 2, 1), (3, 5, 3, 4), (2, 5, 3, 3)):
+        params = TruncationParams(p, e, i)
+        trunc = default_truncation(params, Orbit(m))
+        for name in refused:
+            for a in range(len(getattr(_build(params, trunc), name))):
+                mats = _build(params, trunc)
+                coeffs = getattr(mats, name)
+                coeffs[a] = (coeffs[a] + 1) % mats.modulus
+                d1d0 = witness.mat_mul(witness.fiber_d1(mats), witness.fiber_d0(mats))
+                assert any(v % mats.modulus for row in d1d0 for v in row)
+                for build_u in (True, False):
+                    with pytest.MonkeyPatch.context() as patch:
+                        patch.setattr(snf_module, "smith_mod_prime_power", lambda *args: eliminations.append(args))
+                        with pytest.raises(ArithmeticError, match="outside the kernel of d1"):
+                            FiberCohomology.of(mats, build_u)
+                refused[name] += 1
+    assert refused == {"frob0": 20, "diff_nygaard": 25, "can0": 25} and eliminations == []
+
+
+def _reference_generator(mats, h):
+    """The first basis column of the engine's kernel of d1 whose class in
+    H^1 has order p^h, by the witness's exact lattice solves in
+    im d0 + p^N·C^1, or None when H^1 is not cyclic or h = 0."""
+    if not h:
+        return None
+    p, n, q = mats.p, mats.n, mats.modulus
+    kernel = kernel_mod(witness.sparse_rows(witness.fiber_d1(mats)), 2 * n, p, q)
+    d0 = witness.fiber_d0(mats)
+    columns = (kernel.basis_column(k) for k in range(kernel.dim))
+    return next(col for col in columns if witness.class_order_exponent(d0, q, p, col) == h)
+
+
+def test_fiber_readings_match_the_dense_witness_on_onto_and_degenerate_fibers():
+    # h, H^2, the degree-0 certificate and the generator of each fiber
+    # equal the exact witness's: H^1 from the integer quotient of the
+    # kernel of d1 by [d0 | p^N·I], H^2 from the integer Smith form of
+    # [d1 | p^N·I], the uncertified columns from that of d0, and the
+    # generator from exact class orders.  The fibers are onto ones, and
+    # ones that are not: a row of d1 scaled by p or p^2, and a dead d0
+    # column
+    kinds = {"onto": 0, "scaled": 0, "dead column": 0, "generator": 0, "not cyclic": 0, "H^2": 0}
+    for p, i, e, one_over_p in itertools.product((2, 3, 5), (1, 2), range(2, 5), (False, True)):
+        if e % p == 0:
+            continue
+        params = TruncationParams(p, e, i)
+        alpha = MultiIndex.from_dict({"t": PAdicFraction.make(1, 1, p)}) if one_over_p else EMPTY
+        for m in range(1, i * e + 1):
+            if m % p == 0:
+                continue
+            trunc = default_truncation(params, Orbit(m, alpha))
+            for kind, scale in (("onto", 0), ("scaled", 1), ("scaled", 2), ("dead column", 0)):
+                mats = _build(params, trunc)
+                n, q = mats.n, mats.modulus
+                if scale:
+                    _scale_d1_row(mats, m % n, p**scale)
+                if kind == "dead column":
+                    mats.diff_nygaard[-1] = 0
+                    mats.can0[-1] = q
+                fc = FiberCohomology.of(mats)
+                d1, d0 = witness.fiber_d1(mats), witness.fiber_d0(mats)
+                relations = witness.hstack(d0, [[q * v for v in row] for row in eye(2 * n)])
+                divisors = witness.quotient_divisors(witness.kernel_mod(d1, q), relations)
+                h1 = tuple(sorted((vp(d, p) for d in divisors if d != 1), reverse=True))
+                h2_smith = witness.smith_normal_form(witness.hstack(d1, [[q * v for v in row] for row in eye(n)]))
+                d0_smith = witness.smith_normal_form(d0).diagonal
+                assert fc.h1 == h1 and fc.h == (None if len(h1) > 1 else sum(h1))
+                assert fc.h2 == tuple(sorted((vp(d, p) for d in h2_smith.diagonal if d != 1), reverse=True))
+                assert fc.h0_kernel_rank == n - sum(1 for d in d0_smith if d and vp(d, p) < vp(q, p))
+                assert fc.generator == _reference_generator(mats, fc.h)
+                assert (fc.h0_kernel_rank == 1) == (kind == "dead column")
+                kinds[kind] += 1
+                kinds["generator"] += fc.generator is not None
+                kinds["not cyclic"] += fc.h is None
+                kinds["H^2"] += bool(fc.h2)
+    assert kinds == {"onto": 88, "scaled": 176, "dead column": 88, "generator": 156, "not cyclic": 162, "H^2": 176}
 
 
 def test_kernel_generator_certification():
@@ -326,10 +422,11 @@ def test_kernel_generator_certificate_searches_the_class_coordinate_too(monkeypa
         for cs in itertools.product(range(2), repeat=len(basis))
     ]
     verdicts = []
+    real = QuotientPresentation.cyclic_reading
     for k in range(2 * n):
         expected = any(all(z[:s]) and z[k] * scale[k] % 2 for z in combos)
         reads_k = ClassFunctional([q * (j == k) for j in range(2 * n)], q, d)
-        monkeypatch.setattr(QuotientPresentation, "class_functional", lambda self: reads_k)
+        monkeypatch.setattr(QuotientPresentation, "cyclic_reading", lambda self: (reads_k, real(self)[1]))
         assert certify_kernel_generator(FiberCohomology.of(fc.matrices), claim) is expected
         verdicts.append(expected)
     assert True in verdicts[n:] and False in verdicts
@@ -350,7 +447,7 @@ def _full_search_verdict(fc, claim):
     at every form."""
     mats = fc.matrices
     p, n, q, s = mats.p, mats.n, mats.modulus, claim.s
-    h = fc.h1.exponents()
+    h = fc.h1
     if s != len(claim.generator_exponents) or s > n or len(h) > 1:
         return False, False
     scale = [p**c for c in reversed(claim.generator_exponents)] + [1] * (2 * n - s)
@@ -358,7 +455,7 @@ def _full_search_verdict(fc, claim):
     basis = [kernel.basis_column(k) for k in range(kernel.dim)]
     forms = [col[:s] for col in basis]
     if h:
-        functional = fc.h1.class_functional()
+        functional = _h1(mats).cyclic_reading()[0]
         scaled = ClassFunctional([w * f for w, f in zip(functional.w, scale)], q, functional.d)
         forms = [form + [scaled.coordinate(col)] for form, col in zip(forms, basis)]
     single = any(all(x % p for x in form) for form in forms)
@@ -430,9 +527,9 @@ def test_kernel_generator_certificate_writes_columns_until_one_works(monkeypatch
     monkeypatch.setattr(oracle_module, "_nonvanishing_combination", counting_search)
     monkeypatch.setattr(oracle_module, "kernel_mod", counting_kernel)
     fc = fiber_cohomology(params, trunc)
-    n = fc.matrices.n
-    assert written == [(fc.h1.generator_coordinate(), fc.h1.kernel.dim)] and fc.h1.kernel.dim != 7
-    assert fc.generator == fc.h1.kernel.basis_column(written[0][0]) and scaled_kernels == [2 * n]
+    n, h1 = fc.matrices.n, _h1(fc.matrices)
+    assert written == [(h1.cyclic_reading()[1], h1.kernel.dim)] and h1.kernel.dim != 7
+    assert fc.generator == h1.kernel.basis_column(written[0][0]) and scaled_kernels == [2 * n]
     written.clear()
     scaled_kernels.clear()
     assert certify_kernel_generator(fc, claim)
@@ -493,7 +590,7 @@ def test_transition_level_and_certificate_share_the_generator_pick(monkeypatch):
     # builds the functional and writes a basis column once, and the
     # certificate builds and writes neither again
     functionals, columns = [], []
-    real_functional = QuotientPresentation.class_functional
+    real_functional = QuotientPresentation.cyclic_reading
     real_column = snf_module.KernelLattice.basis_column
 
     def counting_functional(self):
@@ -504,7 +601,7 @@ def test_transition_level_and_certificate_share_the_generator_pick(monkeypatch):
         columns.append(k)
         return real_column(self, k)
 
-    monkeypatch.setattr(QuotientPresentation, "class_functional", counting_functional)
+    monkeypatch.setattr(QuotientPresentation, "cyclic_reading", counting_functional)
     monkeypatch.setattr(snf_module.KernelLattice, "basis_column", counting_column)
     for p, e, i, m in ((2, 3, 2, 1), (3, 2, 1, 1), (5, 2, 2, 1), (3, 5, 3, 4), (2, 5, 3, 3)):
         params = TruncationParams(p, e, i)
@@ -582,12 +679,12 @@ def test_kernel_generator_certificate_fails_a_generator_whose_class_is_not_a_uni
 def test_verify_orbit_builds_base_and_grown_truncation_once(monkeypatch):
     # one build at (A, N) and one at (A+1, N+2), both reading one orbit
     # table made at the grown level; the base matrices equal a build with
-    # a table of their own, hash included; each fiber's d0 columns serve
+    # a table of their own, hash included; each fiber's d0 rows serve
     # both H^1 and the degree-0 certificate, and the base d1 rows serve
     # both H^1 and the kernel certificate
     built, tables, results, d0_built, d1_built = [], [], [], [], []
     real = oracle_module.build_orbit_matrices
-    real_d0 = oracle_module.OrbitMatrices.fiber_d0_columns
+    real_d0 = oracle_module.OrbitMatrices.fiber_d0_rows
     real_d1 = oracle_module.OrbitMatrices.fiber_d1_rows
 
     def counting(params, trunc, table):
@@ -605,7 +702,7 @@ def test_verify_orbit_builds_base_and_grown_truncation_once(monkeypatch):
         return real_d1(mats)
 
     monkeypatch.setattr(oracle_module, "build_orbit_matrices", counting)
-    monkeypatch.setattr(oracle_module.OrbitMatrices, "fiber_d0_columns", counting_d0)
+    monkeypatch.setattr(oracle_module.OrbitMatrices, "fiber_d0_rows", counting_d0)
     monkeypatch.setattr(oracle_module.OrbitMatrices, "fiber_d1_rows", counting_d1)
     params = TruncationParams(2, 3, 2)
     cert = verify_orbit(params, h1_syntomic_orbit(params, Orbit(1)))
@@ -821,8 +918,8 @@ def test_verify_orbit_runs_only_the_transforms_it_reads(monkeypatch):
     # each H^1 quotient is n x n: the kernel keeps the n coordinates of its
     # 2n that are not identically zero, and none needs a relation column
     assert quotient_shapes == [(mats.n, mats.n) for mats in fibers]
-    fc = FiberCohomology.of(fibers[0], True)
-    assert fc.h1.kernel.dim == fibers[0].n and fc.h1.kernel.t == [1] * fibers[0].n
+    kernel = _h1(fibers[0]).kernel
+    assert kernel.dim == fibers[0].n and kernel.t == [1] * fibers[0].n
 
 
 def test_oracle_cohomology_runs_only_the_transforms_it_reads(monkeypatch):
@@ -855,13 +952,14 @@ def test_fiber_cohomology_serves_the_certificate_and_the_transition_oracle():
         params = TruncationParams(p, e, i)
         for claim in enumerate_orbits(params, AlphaBounds(("t",), 2, 1)):
             fc = fiber_cohomology(params, default_truncation(params, claim.orbit))
-            kernel = fc.h1.kernel
-            assert fc.h1._U is not None
+            h1 = _h1(fc.matrices)
+            kernel = h1.kernel
             level = TransitionOracle(p, i, claim.orbit, [e]).level(e)
             assert level.matrices == fc.matrices
             if claim.module.h:
+                assert fc.functional is not None
                 assert certify_kernel_generator(fc, claim)
-                assert level.functional == fc.h1.class_functional()
+                assert level.functional == fc.functional == h1.cyclic_reading()[0]
                 assert level.generator in [kernel.basis_column(k) for k in range(kernel.dim)]
                 checked += 1
     assert checked > 10
@@ -891,7 +989,7 @@ def test_h2_is_the_cokernel_of_d1(p, i, e, m, one_over_p, scale, level):
     _scale_d1_row(mats, level % n, p**scale)
     h2 = FiberCohomology.of(mats, False).h2
     d1 = witness.fiber_d1(mats)
-    assert h2 == quotient(kernel_mod([{}], n, p, q), witness.sparse_columns(d1)).exponents()
+    assert h2 == quotient(kernel_mod([{}], n, p, q), witness.sparse_rows(d1), 2 * n).exponents()
     exact = witness.smith_normal_form(witness.hstack(d1, [[q * v for v in row] for row in eye(n)]))
     assert h2 == tuple(sorted((vp(d, p) for d in exact.diagonal if d != 1), reverse=True))
     # the kernel's divisors are those of a separate transform-free elimination
@@ -1149,7 +1247,7 @@ def test_transition_image_outside_the_kernel_is_refused(monkeypatch):
     fc = fiber_cohomology(oc.params(3), oc.trunc)
     level = oc.level(3)
     assert any(sparse_product(level.d1_rows, not_a_cocycle, level.matrices.modulus))
-    assert fc.h1.kernel.solve(witness.sparse_vector(not_a_cocycle)) is None
+    assert witness.kernel_mod(witness.fiber_d1(fc.matrices), fc.matrices.modulus).solve(not_a_cocycle) is None
     monkeypatch.setattr(TransitionOracle, "_transition_image", lambda self, *args: not_a_cocycle)
     with pytest.raises(ArithmeticError, match="outside the kernel lattice"):
         oc.valuation(3, 5)
@@ -1189,13 +1287,13 @@ def test_transition_levels_walk_the_degree1_walk_once(monkeypatch):
 def test_level_without_a_unit_coordinate_is_refused(monkeypatch):
     # a functional scaled by p reads every basis column in pZ/p^h; the
     # level is refused rather than given a non-generator
-    real = QuotientPresentation.class_functional
+    real = QuotientPresentation.cyclic_reading
 
     def off_by_p(self):
-        functional = real(self)
-        return ClassFunctional([3 * w for w in functional.w], functional.modulus, functional.d)
+        functional, k = real(self)
+        return ClassFunctional([3 * w for w in functional.w], functional.modulus, functional.d), k
 
-    monkeypatch.setattr(QuotientPresentation, "class_functional", off_by_p)
+    monkeypatch.setattr(QuotientPresentation, "cyclic_reading", off_by_p)
     with pytest.raises(OracleError, match="no kernel basis column generates"):
         TransitionOracle(3, 1, Orbit(1), [2, 4]).level(2)
 
@@ -1212,7 +1310,8 @@ def test_fiber_rows_keep_the_pivots_of_the_dense_input():
     # on the grid, the engine eliminates the rows and columns built from
     # the coefficient lists exactly as it does the dense assembly converted
     # once: same divisors, and every transform entry for entry, in order,
-    # the kernel's columns of V^-1 and its basis columns included
+    # the kernel's rows of V^-1 and its basis columns included; the
+    # quotient by the rows of d0 keeps the pivots of the dense d0 too
     for mats in _fiber_grid():
         p, n, q = mats.p, mats.n, mats.modulus
         rows = mats.fiber_d1_rows()
@@ -1222,19 +1321,19 @@ def test_fiber_rows_keep_the_pivots_of_the_dense_input():
         assert [_in_order(T) for T in got[1:]] == [_in_order(T) for T in want[1:]]
         K, W = kernel_mod(rows, 2 * n, p, q), kernel_mod(reference, 2 * n, p, q)
         assert (K.t, K.divisors, K._order) == (W.t, W.divisors, W._order)
-        assert _in_order(K._Vinv_cols) == _in_order(W._Vinv_cols)
+        assert _in_order(K._rows) == _in_order(W._rows)
         assert [K.basis_column(k) for k in range(K.dim)] == [W.basis_column(k) for k in range(W.dim)]
-        Q = quotient(K, mats.fiber_d0_columns())
-        R = quotient(W, witness.sparse_columns(witness.fiber_d0(mats)))
+        Q = quotient(K, mats.fiber_d0_rows(), n)
+        R = quotient(W, witness.sparse_rows(witness.fiber_d0(mats)), n)
         assert Q.divisors == R.divisors
-        assert (_in_order(Q._U), _in_order(Q.coords)) == (_in_order(R._U), _in_order(R.coords))
+        assert _in_order(Q._U) == _in_order(R._U)
+        assert _in_order(_nonzero(Q.coords, q)) == _in_order(_nonzero(R.coords, q))
         # the class functional read off the kept rows of V^-1 is the dense
         # sum over every row; on an onto fiber each kept row is a unit vector
-        assert _in_order(K._kept_rows) == _in_order(W._kept_rows)
         if K.dim == n and set(K.t) == {1}:
-            assert all(list(row.values()) == [1] for row in K._kept_rows)
+            assert all(list(row.values()) == [1] for row in K._rows[n:])
         if len(Q.exponents()) == 1:
-            assert Q.class_functional().w == witness.dense_class_functional(Q)
+            assert Q.cyclic_reading()[0].w == witness.dense_class_functional(Q)
 
 
 def test_sparse_d1_matches_dense_d1():
@@ -1251,7 +1350,8 @@ def test_sparse_d1_matches_dense_d1():
 
 
 def test_transition_levels_skip_degree0_and_degree2(monkeypatch):
-    # one kernel and one quotient per level; no degree-0 certificate, no H^2
+    # one kernel and one quotient per level: on these onto fibers the
+    # degree-0 certificate and H^2 are read off those two eliminations
     calls = []
     for name in ("kernel_mod", "quotient", "smith_mod_prime_power"):
         real = getattr(oracle_module, name)
@@ -1282,7 +1382,7 @@ def test_generator_class_order_is_the_largest_exponent(p, i, e, m, slot):
     alpha = MultiIndex.from_dict({"t": PAdicFraction.make(*slot, p)})
     oc = TransitionOracle(p, i, Orbit(m, alpha), [e])
     level = oc.level(e)
-    exps = fiber_cohomology(oc.params(e), oc.trunc).h1.exponents()
+    exps = fiber_cohomology(oc.params(e), oc.trunc).h1
     if not exps:
         assert level.h == 0 and level.generator is None
         return
@@ -1413,21 +1513,22 @@ def _reference_matrices(params, trunc):
     return mats
 
 
-def _dense_solve_coords(kernel, L):
-    """The kernel coordinates Y of the sparse columns L as a dense solve
-    writes them: V⁻¹·x at every position, each kept coordinate divided by
-    its t, and the zero ones left out of the rows."""
-    dropped = kernel.n - kernel.dim
+def _dense_solve_coords(kernel, d0):
+    """The kernel coordinates Y of the columns of the dense d0 as a dense
+    solve writes them: V⁻¹·x at every position, V⁻¹ written out dense from
+    the kernel's rows, the dropped positions checked to vanish mod q and
+    each kept coordinate to be divisible by its t, which it is divided by,
+    and the zero ones left out of the rows."""
+    q, dropped = kernel.modulus, kernel.n - kernel.dim
+    Vinv = [[row.get(c, 0) for c in range(kernel.n)] for row in kernel._rows]
     Y = [{} for _ in range(kernel.dim)]
-    for c, col in enumerate(L):
-        acc = [0] * kernel.n
-        for r, v in col.items():
-            for j, a in kernel._Vinv_cols[r].items():
-                acc[j] += v * a
-        for k, row in enumerate(Y):
-            val = acc[dropped + k] % kernel.modulus
-            if val:
-                row[c] = val // kernel.t[k]
+    for c, x in enumerate(witness.columns(d0)):
+        y = [v % q for v in witness.mat_vec(Vinv, x)]
+        assert not any(y[:dropped])
+        for k, (row, t) in enumerate(zip(Y, kernel.t)):
+            assert y[dropped + k] % t == 0
+            if y[dropped + k]:
+                row[c] = y[dropped + k] // t
     return Y
 
 
@@ -1435,7 +1536,8 @@ def test_levels_built_from_the_orbit_table_equal_a_level_by_level_build():
     # p in {2, 3, 5}, i <= 3, the levels 2..16 prime to p, and alpha empty
     # or in the one-slot window (t = num/p^pexp, num <= 4, pexp <= 2): each
     # level's matrices from the oracle's one table equal the reference, and
-    # on alpha empty and t^(1/p) the H^1 coordinates equal a dense solve's
+    # on alpha empty and t^(1/p) the H^1 coordinates read off the rows of
+    # d0 equal a dense solve's, mod p^N
     levels_built = fibers = 0
     for p in (2, 3, 5):
         window = list(enumerate_alphas(AlphaBounds(("t",), 4, 2), p))
@@ -1455,8 +1557,9 @@ def test_levels_built_from_the_orbit_table_equal_a_level_by_level_build():
                         assert mats == _reference_matrices(params, oc.trunc)
                         levels_built += 1
                         if alpha in (EMPTY, one_over_p):
-                            h1 = FiberCohomology.of(mats, False).h1
-                            assert h1.coords == _dense_solve_coords(h1.kernel, mats.fiber_d0_columns())
+                            h1 = _h1(mats, False)
+                            want = _dense_solve_coords(h1.kernel, witness.fiber_d0(mats))
+                            assert _nonzero(h1.coords, mats.modulus) == want
                             assert all(list(row) == sorted(row) for row in h1.coords)
                             fibers += 1
     assert (levels_built, fibers) == (13923, 2556)

@@ -3,9 +3,11 @@ presentations, checked against the exact-integer witness in
 `snf_witness` (and sympy's Smith normal form where it imports).
 
 The cases are dense integer matrices; the engine reads only sparse rows,
-so `_smith`, `_kernel`, `_quotient` and `_solve` convert each input once
+so `_smith`, `_kernel`, `_quotient` and `_coords` convert each input once
 (`snf_witness.sparse_rows` and its siblings) before calling it, and
-`_solve` reads the sparse coordinates through a dense view."""
+`_coords` reads the sparse coordinates through a dense view.  The engine
+reads kernel coordinates only of vectors inside the kernel; whether a
+vector is inside is decided here by the witness."""
 
 import random
 
@@ -34,19 +36,17 @@ def _kernel(M, p, q):
 
 
 def _quotient(K, L, build_u=True):
-    """`quotient` by the columns of the dense L, fed as sparse columns."""
-    return quotient(K, witness.sparse_columns(L), build_u)
+    """`quotient` by the columns of the dense L, fed as sparse rows."""
+    return quotient(K, witness.sparse_rows(L), _cols(L), build_u)
 
 
-def _solve(K, x):
-    """`K.solve` on the dense x, fed as a sparse vector, read through a
-    dense view: its sparse coordinates, which hold no zero entry, written
-    out as a list of `K.dim` entries, or None."""
-    y = K.solve(witness.sparse_vector(x))
-    if y is None:
-        return None
-    assert all(y.values()) and all(0 <= k < K.dim for k in y)
-    return witness.densify([y], K.dim)[0]
+def _coords(K, x):
+    """`K.coordinates` of the dense x, fed as the sparse rows of a one-column
+    matrix, read through a dense view: coordinate k reduced mod q/t_k,
+    where it is defined."""
+    Y = K.coordinates(witness.sparse_rows([[v] for v in x]))
+    assert len(Y) == K.dim and all(set(row) <= {0} for row in Y)
+    return [row.get(0, 0) % (K.modulus // t) for row, t in zip(Y, K.t)]
 
 
 def _basis_columns(K):
@@ -117,9 +117,9 @@ def test_kernel_mod_membership():
     for _ in range(40):
         M = _random_matrix(rng, 3, 4, bound=12)
         K = _kernel(M, p, modulus)
-        for x in _basis_columns(K):
+        for k, x in enumerate(_basis_columns(K)):
             assert all(v % modulus == 0 for v in witness.mat_vec(M, x))
-            assert _solve(K, x) is not None
+            assert _coords(K, x) == [int(j == k) for j in range(K.dim)]
 
 
 def test_quotient_cyclic_group():
@@ -159,44 +159,44 @@ def test_kernel_without_nontrivial_coordinates():
     p, q = 2, 2
     K = _kernel([[1]], p, q)
     assert K.dim == 0 and K.t == [] and K.divisors == [1]
-    assert _solve(K, [2]) == [] and _solve(K, [1]) is None
+    assert _coords(K, [2]) == []
     Q = _quotient(K, [[0]])
     assert Q.exponents() == ()
     assert _basis(K) == [[]]
     with pytest.raises(ValueError):
-        Q.class_functional()
+        Q.cyclic_reading()
 
 
-def test_dropped_coordinates_still_decide_membership():
+def test_dropped_coordinates_are_not_read():
     # K = {x : x_0 ≡ 0 mod 4}: the coordinate of x_0 is dropped from the
-    # basis but still read by solve
+    # basis, and the coordinates of a vector read only the kept one
     K = _kernel([[1, 0]], 2, 4)
-    assert K.dim == 1 and K.t == [1]
-    assert _solve(K, [1, 0]) is None
-    assert _solve(K, [4, 3]) is not None and _solve(K, [0, 1]) is not None
+    assert K.dim == 1 and K.t == [1] and _basis(K) == [[0], [1]]
+    assert _coords(K, [4, 3]) == [3] and _coords(K, [0, 1]) == [1]
     # K = {x : x_0 ≡ 0 mod 64, 4·x_1 ≡ 0 mod 64}: x_0's coordinate is
-    # dropped and x_1's is kept with t = 16; solve fails at the dropped
-    # position, and at a kept value that t does not divide
+    # dropped and x_1's is kept with t = 16, read as y_1/16
     K = _kernel([[1, 0], [0, 4]], 2, 64)
-    assert K.dim == 1 and K.t == [16]
-    assert _solve(K, [1, 16]) is None
-    assert _solve(K, [0, 8]) is None and _solve(K, [64, 40]) is None
-    assert _solve(K, [64, 16]) == [1] and _solve(K, [0, 48]) == [3] and _solve(K, [0, 0]) == [0]
+    assert K.dim == 1 and K.t == [16] and _basis(K) == [[0], [16]]
+    assert _coords(K, [64, 16]) == [1] and _coords(K, [0, 48]) == [3] and _coords(K, [0, 0]) == [0]
+    # a nonzero dropped coordinate puts x outside K; it is not read
+    assert _coords(K, [1, 16]) == _coords(K, [0, 16]) == [1]
 
 
-def test_solve_returns_sparse_coordinates_without_zeros():
-    # {k: y_k} over the nonzero kernel coordinates only: the zero vector
-    # and a vector of q·Z^n have none, and a quotient writes each column's
-    # coordinates straight into the rows of Y they name
+def test_coordinates_read_the_kept_rows_of_vinv():
+    # Y = (kept rows of V⁻¹)·L, each row divided by its t: K = {x : x_0 ≡ 0,
+    # 4·x_1 ≡ 0 mod 64} keeps x_1 with t = 16 and x_2 with t = 1.  The
+    # columns of L are {1: 48}, {}, {1: 16, 2: 64} and {2: 5}, given as
+    # rows; the unit row of x_2 picks L's row 2 as it is, its entry 64 ≡ 0
+    # included, and the quotient reads Y mod q
     K = _kernel([[1, 0, 0], [0, 4, 0]], 2, 64)
     assert K.dim == 2 and K.t == [16, 1]
-    assert K.solve({}) == {} and K.solve({0: 64, 1: 64, 2: 128}) == {}
-    assert K.solve({1: 48}) == {0: 3} and K.solve({2: 5}) == {1: 5}
-    assert K.solve({0: 64, 1: 16, 2: 7}) == {0: 1, 1: 7}
-    assert K.solve({0: 1}) is None
-    Q = quotient(K, [{1: 48}, {}, {1: 16, 2: 64}, {2: 5}], False)
+    L = [{}, {0: 48, 2: 16}, {2: 64, 3: 5}]
+    assert K.coordinates(L) == [{0: 3, 2: 1}, {2: 64, 3: 5}]
+    assert K.coordinates([{}, {}, {}]) == [{}, {}]
+    Q = quotient(K, L, 4, False)
     # Y leaves out the relation column (q/t)·e_0 that G appends
-    assert Q.coords == [{0: 3, 2: 1}, {3: 5}]
+    assert Q.coords == [{0: 3, 2: 1}, {2: 64, 3: 5}]
+    assert Q.divisors == _quotient(K, [[0, 0, 0, 0], [48, 0, 16, 0], [0, 0, 0, 5]]).divisors
 
 
 def test_class_functional_of_a_cyclic_quotient():
@@ -204,8 +204,8 @@ def test_class_functional_of_a_cyclic_quotient():
     p, modulus = 5, 5**3
     K = _kernel([[0]], p, modulus)
     Q = _quotient(K, [[25]])
-    functional = Q.class_functional()
-    assert functional.d == 25 and functional.w == witness.dense_class_functional(Q)
+    functional, k = Q.cyclic_reading()
+    assert k == 0 and functional.d == 25 and functional.w == witness.dense_class_functional(Q)
     assert functional.coordinate([1]) % p
     assert vp(functional.coordinate([5]), p) == 1
     assert functional.coordinate([25]) == functional.coordinate([125]) == 0
@@ -216,7 +216,8 @@ def test_class_functional_of_a_cyclic_quotient():
     # generated by 16
     Q = _quotient(_kernel([[4]], 2, 64), [[0]])
     assert Q.kernel.t == [16] and Q.divisors == (4,)
-    functional = Q.class_functional()
+    functional, k = Q.cyclic_reading()
+    assert k == 0 and Q.kernel.basis_column(0) == [16]
     assert functional.w == witness.dense_class_functional(Q)
     assert [functional.coordinate([x]) for x in (16, 32, 48, 64)] == [1, 2, 3, 0]
 
@@ -329,13 +330,15 @@ def _check_against_witness(p, N, M, xs):
     # each basis column solves V⁻¹·x ≡ t_k·e_k: its coordinates are e_k
     for k, col in enumerate(_basis_columns(K)):
         assert all(0 <= v < q for v in col)
-        assert _solve(K, col) == [int(j == k) for j in range(K.dim)]
+        assert all(v % q == 0 for v in witness.mat_vec(M, col))
+        assert _coords(K, col) == [int(j == k) for j in range(K.dim)]
+    # every vector the witness finds in K is the basis times its coordinates
     W = witness.kernel_mod(M, q)
     for x in witness.columns(W.basis) + _basis_columns(K) + xs:
         in_kernel = all(v % q == 0 for v in witness.mat_vec(M, x))
-        assert (_solve(K, x) is not None) == (W.solve(x) is not None) == in_kernel
+        assert (W.solve(x) is not None) == in_kernel
         if in_kernel:
-            assert [v % q for v in witness.mat_vec(_basis(K), _solve(K, x))] == [v % q for v in x]
+            assert [v % q for v in witness.mat_vec(_basis(K), _coords(K, x))] == [v % q for v in x]
 
 
 @settings(max_examples=100, deadline=None)
@@ -368,16 +371,16 @@ def test_generator_and_class_functional_on_random_quotients(case, seed):
     exps = Q.exponents()
     if len(exps) != 1:
         with pytest.raises(ValueError):
-            Q.class_functional()
+            Q.cyclic_reading()
         return
-    functional = Q.class_functional()
+    functional, k = Q.cyclic_reading()
     h = exps[0]
     assert functional.d == p**h
     # w read off the kept rows of V^-1 is the dense sum over every row
     assert functional.w == witness.dense_class_functional(Q)
     gen = next(col for col in _basis_columns(K) if functional.coordinate(col) % p)
-    # U names the same column without reading the functional
-    assert K.basis_column(Q.generator_coordinate()) == gen
+    # the U row the functional is read from names the same column
+    assert K.basis_column(k) == gen
     assert witness.class_order_exponent(L, q, p, gen) == h
     unit = pow(functional.coordinate(gen), -1, p**h)
     for _ in range(5):
@@ -440,7 +443,8 @@ def test_mod_prime_power_snf_on_shapes_the_oracle_never_builds():
     # to 9x18 and 18x9 over p in {2, 3, 5}; each call returns transforms
     # with U·M ≡ diag(divisors)·V⁻¹, both invertible mod q, the call
     # without U matches the full one, every basis column has coordinates
-    # e_k, and the kernel's solve agrees with the witness's
+    # e_k, and each vector of K the witness finds is the basis times its
+    # coordinates
     rng = random.Random(20261018)
     seen = {"non-unit pivot": 0, "zero block": 0, "rows > cols": 0, "cols > rows": 0}
     for _ in range(120):
@@ -462,14 +466,13 @@ def test_mod_prime_power_snf_on_shapes_the_oracle_never_builds():
 
         K, W = _kernel(M, p, q), witness.kernel_mod(M, q)
         for k, col in enumerate(_basis_columns(K)):
-            assert _solve(K, col) == [int(j == k) for j in range(K.dim)]
+            assert _coords(K, col) == [int(j == k) for j in range(K.dim)]
         xs = witness.columns(W.basis) + [_random_matrix(rng, 1, cols, bound=q)[0] for _ in range(3)]
         for x in xs:
             in_kernel = all(v % q == 0 for v in witness.mat_vec(M, x))
-            y = _solve(K, x)
-            assert (y is not None) == (W.solve(x) is not None) == in_kernel
+            assert (W.solve(x) is not None) == in_kernel
             if in_kernel:
-                assert [v % q for v in witness.mat_vec(_basis(K), y)] == [v % q for v in x]
+                assert [v % q for v in witness.mat_vec(_basis(K), _coords(K, x))] == [v % q for v in x]
     assert all(seen.values()), seen
 
 
@@ -509,10 +512,12 @@ def _with_coordinates(Vinv, y, q):
 
 
 def _check_engine(p, N, M, rng):
-    """`_check_against_witness` on M, plus: `solve` rejects a vector whose
-    kept coordinates lie in the lattice but one dropped coordinate is not 0
-    mod q, and accepts it once that coordinate is q.  Returns whether M had
-    a dropped coordinate."""
+    """`_check_against_witness` on M, plus: a vector whose kept
+    coordinates lie in the lattice but one dropped coordinate is not 0 mod
+    q is outside the kernel, by the witness, and is inside once that
+    coordinate is q; the coordinates read of both are the same, since a
+    dropped coordinate is not read.  Returns whether M had a dropped
+    coordinate."""
     q = p**N
     rows, cols = len(M), len(M[0])
     _check_against_witness(p, N, M, [])
@@ -524,13 +529,13 @@ def _check_engine(p, N, M, rng):
         return False
     y = [0 if t == q else t * rng.randint(0, q) for t in t_all]
     y[rng.choice(dropped)] = rng.choice([u for u in range(1, q) if u % p])
-    x = [v % q for v in _with_coordinates(Vinv, y, q)]
-    assert any(v % q for v in witness.mat_vec(M, x))
-    assert _solve(K, x) is None
+    outside = [v % q for v in _with_coordinates(Vinv, y, q)]
+    assert any(v % q for v in witness.mat_vec(M, outside))
     y = [q if v and t == q else v for v, t in zip(y, t_all)]
     x = _with_coordinates(Vinv, y, q)
     assert all(v % q == 0 for v in witness.mat_vec(M, x))
-    assert _solve(K, x) is not None
+    assert _coords(K, outside) == _coords(K, x)
+    assert [v % q for v in witness.mat_vec(_basis(K), _coords(K, x))] == [v % q for v in x]
     return True
 
 
@@ -554,6 +559,7 @@ def test_engine_on_fiber_shaped_matrices():
         K = _kernel(M, p, p**N)
         if K.dim:
             L = witness.mat_mul(_basis(K), _random_matrix(rng, K.dim, n, bound=2 * p))
-            _check_engine(p, N, witness.densify(_quotient(K, L).coords, n), rng)
+            Y = witness.densify(_quotient(K, L).coords, n)
+            _check_engine(p, N, _mod(Y, p**N), rng)
             quotients += 1
     assert all(seen.values()) and dropped and quotients, (seen, dropped, quotients)

@@ -21,6 +21,12 @@ run's ``items_per_s`` line ("paced median of N passes"): the workload
 process keeps every pass's latencies, so its peak RSS grows with the
 passes that fit in the run, and a faster tree reads a higher RSS.  The
 exit status is 1 when any run is not ``correct``.
+
+The two trees must agree on which of ``src/trcalc/`` and ``bench/`` hold a
+``__pycache__``, or the tool exits 1 before any run: with
+``PYTHONDONTWRITEBYTECODE`` set no run writes bytecode, so a tree with
+leftover caches imports faster and reads a lower ``setup_s`` with no
+change to any import.
 """
 
 from __future__ import annotations
@@ -34,6 +40,13 @@ import sys
 from pathlib import Path
 
 SPEC = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
+CACHED_DIRS = ("src/trcalc", "bench")
+
+
+def cache_mismatch(parent: Path, change: Path) -> list[str]:
+    """The directories of ``CACHED_DIRS`` that hold a ``__pycache__`` in
+    one tree and not in the other."""
+    return [d for d in CACHED_DIRS if (parent / d / "__pycache__").is_dir() != (change / d / "__pycache__").is_dir()]
 
 
 def last_json(stdout: str) -> dict:
@@ -145,6 +158,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seconds", type=float, default=36.0)
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
+    mismatch = cache_mismatch(args.parent, args.change)
+    if mismatch:
+        print(f"bench_pairs: the trees differ in which of {', '.join(mismatch)} hold a __pycache__; "
+              "remove the caches from both or from neither", file=sys.stderr)
+        return 1
     end_to_end = spec["end_to_end"]
     parent, change = alternate(
         args.pairs, args.parent, args.change, lambda tree: run_once(tree, args.workload, args.seconds, args.seed)
