@@ -7,21 +7,26 @@ contributions exiting level A dropped), and the canonical inclusion of the
 weight-i filtered subcomplex.  The mapping fiber of (divided Frobenius -
 canonical) is a three-term cochain complex over Z/p^N, and its cohomology
 is computed by Smith normal form over Z/p^N.  The fiber's differentials
-are read off the lists in one encoding, sparse rows; the rows of d1 are
-kept with the fiber, and every cocycle check of a vector applies them
-(`sparse_product`).  That d0's columns are cocycles is checked once per
-fiber on the lists themselves, two entries of d1·d0 per level
-(`OrbitMatrices.fiber_d0_rows`), and H^1's relations are then the
-kernel's kept rows of V⁻¹ times d0's rows, with no solve
+are read off the lists in one encoding, sparse rows, and with one sign:
+d0 w = (-d w, (can - phi/p^i) w) and d1 (w, u) = (can - phi/p^i) w + d u,
+the negatives of the pair with phi/p^i - can, with the same kernels and
+images.  The canonical maps then enter as +1 at the levels past the
+Nygaard range, so the elimination has no unit pivot to rescale there.
+The rows of d1 are kept with the fiber, and every cocycle check of a
+vector applies them (`sparse_product`).  That d0's columns are cocycles
+is checked once per fiber on the lists themselves, two entries of d1·d0
+per level (`OrbitMatrices.fiber_d0_rows`), and H^1's relations are then
+the kernel's kept rows of V⁻¹ times d0's rows, with no solve
 (`FiberCohomology`).  The matrices use only the Nygaard exponents, the
 brace symbol and factorial ratios; what of them does not depend on e
 (the x-weights, the alpha floors and the slot floor pairs) is read from
 one orbit table per orbit (`OrbitTable`), which every level's build of
 that orbit shares.  Every truncation's matrices come from a
 build at that truncation (`build_orbit_matrices`).  The truncation level
-is sized from the orbit's degree-1 walk in `drw` (`default_truncation`),
-and the truncation-stability recheck builds a grown truncation from the
-same table (`_stable_fiber`).
+is sized from the orbit's degree-1 walk in `drw` (`default_truncation`);
+`verify_orbit` walks it once, both to size its truncation and to
+validate it, and the truncation-stability recheck builds a grown
+truncation from the same table (`_stable_fiber`).
 The closed-form claim under test, a summand with its orbit, s, h and
 generator exponents, is handed in by the caller of `verify_orbit` and
 `certify_kernel_generator`.  A fiber reads its H^1 once, when it is
@@ -84,12 +89,23 @@ class OrbitTruncation:
         return OrbitTruncation(self.orbit, self.A + 1, max(self.N + 2, _least_precision(params.i, self.A + 1)))
 
     def validate(self, params: TruncationParams) -> None:
-        self.orbit.validate(params.p)
-        s = len(degree1_walk(params, self.orbit.m, self.orbit.alpha))
-        if self.A < s + 2:
-            raise ValueError(f"truncation level A={self.A} below required {s + 2}")
-        if self.N < _least_precision(params.i, self.A):
-            raise ValueError(f"precision N={self.N} lacks headroom for A={self.A}")
+        _check_truncation(self, params.i, _walk_length(params, self.orbit))
+
+
+def _walk_length(params: TruncationParams, orbit: Orbit) -> int:
+    """s, the length of the orbit's degree-1 walk at level e, once the
+    orbit is checked at p."""
+    orbit.validate(params.p)
+    return len(degree1_walk(params, orbit.m, orbit.alpha))
+
+
+def _check_truncation(trunc: OrbitTruncation, i: int, s: int) -> None:
+    """ValueError unless `trunc` reaches level s + 2 with headroom in
+    weight i, for an orbit whose degree-1 walk has length s."""
+    if trunc.A < s + 2:
+        raise ValueError(f"truncation level A={trunc.A} below required {s + 2}")
+    if trunc.N < _least_precision(i, trunc.A):
+        raise ValueError(f"precision N={trunc.N} lacks headroom for A={trunc.A}")
 
 
 def _least_precision(i: int, A: int) -> int:
@@ -141,40 +157,47 @@ class OrbitMatrices:
     floors1: list[int]
 
     def fiber_d0_rows(self) -> list[Sparse]:
-        """d0: C^0 = N^0 -> C^1 = N^1 (+) D^0, w |-> (d w, (phi/p^i - can) w),
+        """d0: C^0 = N^0 -> C^1 = N^1 (+) D^0, w |-> (-d w, (can - phi/p^i) w),
         as its 2n sparse rows, read off the coefficient lists: row a holds
-        diff_nygaard[a] at column a, and row n+a holds frob0[a-1] at
-        column a-1 when a > 0 and -can0[a] at column a, in that order.
-        Entries are reduced mod p^N and may be 0.
+        -diff_nygaard[a] at column a, and row n+a holds -frob0[a-1] at
+        column a-1 when a > 0 and can0[a] at column a, in that order.
+        Entries are reduced mod p^N and may be 0.  The pair (d0, d1) is the
+        negative of (d w, (phi/p^i - can) w) and its d1, so the kernels and
+        images, and so the cohomology, are those of that pair, and can0 is
+        +1 wherever its Nygaard exponent is 0: a unit pivot there needs no
+        rescaling (`snf.smith_mod_prime_power`).
 
         The columns of d0 are first checked to be cocycles, on the lists:
         column a of d1·d0 (`fiber_d1_rows`) can be nonzero only at row a,
         where it is diff_full[a]·can0[a] - can1[a]·diff_nygaard[a], and,
         below level A, at row a+1, where it is
-        frob1[a]·diff_nygaard[a] - diff_full[a+1]·frob0[a].  Either one
-        nonzero mod p^N raises ArithmeticError."""
+        frob1[a]·diff_nygaard[a] - diff_full[a+1]·frob0[a]; negating both
+        differentials leaves d1·d0 as it is.  Either one nonzero mod p^N
+        raises ArithmeticError."""
         q, dn, df, c0, f0 = self.modulus, self.diff_nygaard, self.diff_full, self.can0, self.frob0
         # row a of d1·d0: column a, and column a-1 when a > 0
         for a, (u, f) in enumerate(zip(self.can1, [0] + self.frob1)):
             if (df[a] * c0[a] - u * dn[a]) % q or a and (f * dn[a - 1] - df[a] * f0[a - 1]) % q:
                 raise ArithmeticError("a column of d0 is outside the kernel of d1: d1·d0 is not 0 mod p^N")
-        rows = [{a: v} for a, v in enumerate(dn)]
-        rows.append({0: -c0[0] % q})
-        rows += [{a: f, a + 1: -c % q} for a, (f, c) in enumerate(zip(f0, c0[1:]))]
+        rows = [{a: -v % q} for a, v in enumerate(dn)]
+        rows.append({0: c0[0]})
+        rows += [{a: -f % q, a + 1: c} for a, (f, c) in enumerate(zip(f0, c0[1:]))]
         return rows
 
     def fiber_d1_rows(self) -> list[Sparse]:
-        """d1: C^1 = N^1 (+) D^0 -> C^2 = D^1, (w, u) |-> (phi/p^i - can)w - d u,
+        """d1: C^1 = N^1 (+) D^0 -> C^2 = D^1, (w, u) |-> (can - phi/p^i)w + d u,
         as its n sparse rows, read off the coefficient lists: row r holds
-        frob1[r-1] at column r-1 when r > 0, -can1[r] at column r and
-        -diff_full[r] at column n+r, in that order.  Entries are reduced
-        mod p^N and may be 0."""
+        -frob1[r-1] at column r-1 when r > 0, can1[r] at column r and
+        diff_full[r] at column n+r, in that order.  Entries are reduced
+        mod p^N and may be 0.  The sign is that of `fiber_d0_rows`: can1
+        is +1 at every level past the Nygaard range, so its unit pivots
+        there need no rescaling."""
         n, q = self.n, self.modulus
         rows = []
         for r, (c, d) in enumerate(zip(self.can1, self.diff_full)):
-            row = {r - 1: self.frob1[r - 1]} if r else {}
-            row[r] = -c % q
-            row[n + r] = -d % q
+            row = {r - 1: -self.frob1[r - 1] % q} if r else {}
+            row[r] = c
+            row[n + r] = d
             rows.append(row)
         return rows
 
@@ -268,8 +291,9 @@ def build_orbit_matrices(params: TruncationParams, trunc: OrbitTruncation, table
     (`_ratio_or_zero`); every other one is formed exactly and checked for
     divisibility by p^i.
 
-    The truncation is taken as given: `fiber_cohomology` and
-    `_stable_fiber` validate theirs first, a grown truncation is
+    The truncation is taken as given: `fiber_cohomology`,
+    `oracle_cohomology` and `verify_orbit` validate theirs first, a grown
+    truncation is
     valid whenever its base is (`OrbitTruncation.grown`), and the
     transition oracle's shared truncation, sized from its top level, is
     valid at every level below it (`TransitionOracle`).
@@ -353,7 +377,12 @@ class FiberCohomology:
     keeps n of its 2n coordinates, all with t_j = 1, each kept row of V⁻¹
     is a unit vector, so Y is the rows of d0 at the columns never pivoted
     on; H^1's quotient is n×n, it is Y itself, and the degree-0
-    certificate needs no third elimination.  Elsewhere `of` eliminates
+    certificate needs no third elimination.  Both differentials come with
+    the sign that makes the canonical maps +1 past the Nygaard range
+    (`OrbitMatrices.fiber_d0_rows`), so the unit pivots there, in d1 and
+    in Y alike, need no rescaling; the opposite sign has the same kernel
+    and image, so every reading and the generator are the same, and the
+    class functional differs only by a unit.  Elsewhere `of` eliminates
     diag(t)·Y for it, since every reading is made there.  The quotient
     builds U when its caller reads the class functional: the stability
     recheck compares exponents and builds none.  H^2 =
@@ -442,8 +471,10 @@ def fiber_cohomology(params: TruncationParams, trunc: OrbitTruncation) -> FiberC
 
 def oracle_cohomology(params: TruncationParams, trunc: OrbitTruncation) -> dict[int, tuple[int, ...]]:
     """Cohomology of the truncated fiber complex as p-power exponents per
-    degree, rechecked at the grown truncation (`_stable_fiber`).  Only
-    exponents are read, so neither fiber builds U."""
+    degree, rechecked at the grown truncation (`_stable_fiber`).  `trunc`
+    is validated first.  Only exponents are read, so neither fiber builds
+    U."""
+    trunc.validate(params)
     return _stable_fiber(params, trunc, False)[1]
 
 
@@ -455,11 +486,10 @@ def _stable_fiber(
     grown truncation (`OrbitTruncation.grown`) must give the same
     exponents, or TruncationInstabilityError.  Both fibers' matrices
     come from one build each, reading one orbit table made at the grown
-    level; the base build reads its levels 0..A.  Only `trunc` is
-    validated, since the grown truncation is valid whenever it is: one
-    degree-1 walk serves both.  Eliminating both fibers is the check, and
-    the grown fiber builds no U."""
-    trunc.validate(params)
+    level; the base build reads its levels 0..A.  The caller validates
+    `trunc`, and the grown truncation is valid whenever it is, so the one
+    degree-1 walk of that check serves both.  Eliminating both fibers is
+    the check, and the grown fiber builds no U."""
     grown = trunc.grown(params)
     table = OrbitTable.of(params.p, trunc.orbit, grown.A)
     base, grown_mats = build_orbit_matrices(params, trunc, table), build_orbit_matrices(params, grown, table)
@@ -729,11 +759,15 @@ def verify_orbit(params: TruncationParams, summand, A: int | None = None, N: int
     The truncation is `default_truncation(params, summand.orbit)`, with
     its level A or precision N replaced by either one given.  A level A
     given without N takes N by `default_truncation`'s own rule, three
-    above the least precision for A.  The fiber cohomology is computed
-    once with the stability recheck (`_stable_fiber`), building the U
-    transform the kernel certificate's class functional reads."""
-    A = default_truncation(params, summand.orbit).A if A is None else A
+    above the least precision for A.  One degree-1 walk, after one check
+    of the orbit, both sizes the truncation and validates it, with the
+    messages of `OrbitTruncation.validate`.  The fiber cohomology is
+    computed once with the stability recheck (`_stable_fiber`), building
+    the U transform the kernel certificate's class functional reads."""
+    s = _walk_length(params, summand.orbit)
+    A = s + 2 if A is None else A
     trunc = OrbitTruncation(summand.orbit, A, _least_precision(params.i, A) + 3 if N is None else N)
+    _check_truncation(trunc, params.i, s)
     fc, exps = _stable_fiber(params, trunc, True)
     h = summand.module.h
     degree_match = exps == {0: (), 1: (h,) if h else (), 2: ()}

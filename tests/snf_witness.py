@@ -108,24 +108,25 @@ def _diag(n: int, coeffs: list[int]) -> Matrix:
     return M
 
 
-def _phi_minus_can(n: int, q: int, frob: list[int], can: list[int]) -> Matrix:
-    M = _shift(n, frob)
+def _can_minus_phi(n: int, q: int, frob: list[int], can: list[int]) -> Matrix:
+    M = _shift(n, [(-f) % q for f in frob])
     for a, c in enumerate(can):
-        M[a][a] = (M[a][a] - c) % q
+        M[a][a] = c % q
     return M
 
 
 def fiber_d0(mats) -> Matrix:
-    """Dense d0 of the fiber complex, 2n×n: C^0 = N^0 -> C^1 = N^1 (+) D^0."""
+    """Dense d0 of the fiber complex, 2n×n: C^0 = N^0 -> C^1 = N^1 (+) D^0,
+    w |-> (-d w, (can - phi/p^i) w)."""
     n, q = mats.n, mats.modulus
-    return _diag(n, mats.diff_nygaard) + _phi_minus_can(n, q, mats.frob0, mats.can0)
+    return _diag(n, [(-c) % q for c in mats.diff_nygaard]) + _can_minus_phi(n, q, mats.frob0, mats.can0)
 
 
 def fiber_d1(mats) -> Matrix:
     """Dense d1 of the fiber complex, n×2n: C^1 = N^1 (+) D^0 -> C^2 = D^1,
-    (w, u) |-> (phi/p^i - can)w - d u."""
+    (w, u) |-> (can - phi/p^i)w + d u."""
     n, q = mats.n, mats.modulus
-    return hstack(_phi_minus_can(n, q, mats.frob1, mats.can1), _diag(n, [(-c) % q for c in mats.diff_full]))
+    return hstack(_can_minus_phi(n, q, mats.frob1, mats.can1), _diag(n, mats.diff_full))
 
 
 def dense_class_functional(Q) -> list[int]:

@@ -119,6 +119,25 @@ def test_verify_level_alone_takes_the_default_precision_rule(capsys):
     assert code == EXIT_OK and alone.orbits == pinned.orbits and len(alone.orbits) == 2
 
 
+@pytest.mark.parametrize(
+    "truncation, message",
+    [
+        (["--A", "1"], "truncation level A=1 below required 5"),
+        (["--A", "6", "--N", "5"], "precision N=5 lacks headroom for A=6"),
+        (["--N", "5"], "precision N=5 lacks headroom for A=5"),
+    ],
+    ids=["level-below-walk", "pinned-precision", "precision-alone"],
+)
+def test_verify_truncation_without_headroom_exits_1(truncation, message, capsys):
+    # m=1's degree-1 walk at p=2, i=2, e=3 has length 3, so A >= 5, and A=5
+    # (the default) or A=6 needs N >= 2*(A+1) + 5
+    code = main(["verify", "--p", "2", "--i", "2", "--e", "3"] + truncation)
+    captured = capsys.readouterr()
+    assert code == EXIT_VALIDATION
+    assert captured.out == ""
+    assert captured.err == f"trcalc: error: {message}\n"
+
+
 def test_kgroups_values(capsys):
     code, out = _run(["kgroups", "--p", "2", "--i", "2", "--e", "3", "--format", "json"], capsys)
     assert code == EXIT_OK

@@ -190,6 +190,39 @@ def test_sign_convention_independence():
     assert tuple(sorted((vp(d, 2) for d in divisors if d != 1), reverse=True)) == fc.h1
 
 
+class _PhiMinusCan(oracle_module.OrbitMatrices):
+    """The fiber of the same lists with both differentials negated back:
+    d0 w = (d w, (phi/p^i - can) w) and d1 (w, u) = (phi/p^i - can)w - d u."""
+
+    def fiber_d0_rows(self):
+        return [{c: -v % self.modulus for c, v in row.items()} for row in super().fiber_d0_rows()]
+
+    def fiber_d1_rows(self):
+        return [{c: -v % self.modulus for c, v in row.items()} for row in super().fiber_d1_rows()]
+
+
+def test_fiber_readings_do_not_depend_on_the_sign():
+    # on every grid fiber, eliminating the rows of (-d0, -d1) and of
+    # (d0, d1) reads the same degree-0 certificate, exponents and
+    # generator, and the two class functionals differ by a unit: each
+    # kernel basis column's class has the same valuation under both
+    checked = 0
+    for mats in _fiber_grid():
+        p, n, q = mats.p, mats.n, mats.modulus
+        fc = FiberCohomology.of(mats)
+        old = FiberCohomology.of(_PhiMinusCan(**vars(mats)))
+        assert (fc.h0_kernel_rank, fc.h1, fc.h2, fc.h) == (old.h0_kernel_rank, old.h1, old.h2, old.h)
+        assert fc.generator == old.generator
+        if fc.functional is not None:
+            kernel = kernel_mod(mats.fiber_d1_rows(), 2 * n, p, q)
+            for k in range(kernel.dim):
+                z = kernel.basis_column(k)
+                c, c_old = fc.functional.coordinate(z), old.functional.coordinate(z)
+                assert (vp(c, p) if c else fc.h) == (vp(c_old, p) if c_old else fc.h)
+            checked += 1
+    assert checked > 1000
+
+
 def test_truncation_stability():
     params = TruncationParams(2, 3, 2)
     orbit = Orbit(1)
@@ -719,33 +752,46 @@ def test_verify_orbit_builds_base_and_grown_truncation_once(monkeypatch):
 
 
 def test_stability_recheck_validates_the_base_truncation(monkeypatch):
-    # an invalid base truncation is refused before either build
+    # an invalid base truncation is refused before either build, by
+    # `oracle_cohomology` and by `verify_orbit`'s own one-walk check alike
     built = []
     monkeypatch.setattr(oracle_module, "build_orbit_matrices", lambda *args: built.append(args))
     params = TruncationParams(3, 2, 1)
+    summand = h1_syntomic_orbit(params, Orbit(1))
     for trunc in (OrbitTruncation(Orbit(1), A=1, N=40), OrbitTruncation(Orbit(1), A=4, N=5)):
         with pytest.raises(ValueError):
             oracle_cohomology(params, trunc)
+        with pytest.raises(ValueError):
+            verify_orbit(params, summand, trunc.A, trunc.N)
     assert built == []
 
 
-def test_verify_orbit_walks_the_degree1_walk_twice(monkeypatch):
-    # once to size the default truncation and once to validate it; the
-    # grown truncation is valid whenever the base is, so its build does not
+def test_verify_orbit_walks_the_degree1_walk_once(monkeypatch):
+    # one walk, after one check of the orbit, both sizes the default
+    # truncation and validates it, and validates a pinned one; the grown
+    # truncation is valid whenever the base is, so its build does not
     # walk again
     params = TruncationParams(3, 4, 2)
     claims = [sm for sm in enumerate_orbits(params) if sm.s and sm.module.h]
-    real = drw_module.degree1_walks
-    walks = []
+    real, real_validate = drw_module.degree1_walks, drw_module.Orbit.validate
+    walks, checks = [], []
 
     def recording(p, i, m, alpha, levels):
         walks.append(tuple(levels))
         return real(p, i, m, alpha, levels)
 
+    def counting(orbit, p):
+        checks.append(p)
+        return real_validate(orbit, p)
+
     monkeypatch.setattr(drw_module, "degree1_walks", recording)
-    cert = verify_orbit(params, claims[0])
-    assert cert.passed and cert.kernel_ok
-    assert walks == [(4,), (4,)]
+    monkeypatch.setattr(drw_module.Orbit, "validate", counting)
+    for A, N in ((None, None), (9, None), (9, 40)):
+        walks.clear()
+        checks.clear()
+        cert = verify_orbit(params, claims[0], A, N)
+        assert cert.passed and cert.kernel_ok
+        assert walks == [(4,)] and checks == [3]
 
 
 def test_verify_orbit_rejects_unstable_truncation(monkeypatch):
